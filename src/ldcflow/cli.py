@@ -7,7 +7,8 @@ decimal rendering when it differs.
 
 Exit codes: 0 success (including a NO/UNKNOWN decision), 1 failed
 verification, 2 usage error, 3 file or parse error, 4 solver or encoder
-precondition error.
+precondition error (including a network that fails validation, whose
+report goes to stderr).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import sys
 
 from . import classify, serialize
-from .errors import LdcError
+from .errors import InvalidNetwork, LdcError
 from .gadgets import Polarity, gfch, gsch
 from .mff import MffDecision, decide_mff, solve_mff_endpoints, solve_mff_grid
 from .mpf import solve_mpf, solve_tree
@@ -55,6 +56,14 @@ def _read_network(path: str):
     return serialize.network_from_json(serialize.load(path))
 
 
+def _read_valid_network(path: str):
+    n = _read_network(path)
+    report = validate_network(n)
+    if not report.ok:
+        raise InvalidNetwork(report)
+    return n
+
+
 def _emit(data: dict, out: str | None) -> None:
     text = json.dumps(data, indent=1, sort_keys=True) + "\n"
     if out:
@@ -65,7 +74,7 @@ def _emit(data: dict, out: str | None) -> None:
 
 
 def _cmd_solve(args) -> int:
-    n = _read_network(args.network)
+    n = _read_valid_network(args.network)
     if args.problem == "mpf":
         if args.decide is not None:
             print("YES" if solve_mpf(n).value >= rat(args.decide) else "NO")
@@ -189,7 +198,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    n = _read_network(args.network)
+    n = _read_valid_network(args.network)
     text = export_milp(n)
     if args.out:
         with open(args.out, "w") as fh:

@@ -17,6 +17,14 @@ class RoleConflict(LdcError):
     """A node would end up being both a generator and a load."""
 
 
+class InvalidNetwork(LdcError):
+    """A network fails structural validation; `report` holds every violation found."""
+
+    def __init__(self, report):
+        super().__init__(f"invalid network:\n{report}")
+        self.report = report
+
+
 class MalformedProgram(LdcError):
     """A linear program references undeclared variables or has inverted bounds."""
 

@@ -7,43 +7,32 @@ region.  Determinism is part of the contract -- variable order, pivot
 selection and presolve order are all fixed -- so repeated solves of the
 same program return identical results.
 
-Internally arithmetic uses gmpy2.mpq when available (several times faster
-than fractions.Fraction); results convert back to Fraction at the
-boundary.  Before the simplex runs, an exact presolve substitutes
+Before the simplex runs, an exact presolve over `Fraction` substitutes
 variables fixed by their bounds and eliminates free variables through
 equality rows (a Gaussian step); free variables that survive presolve are
 split into differences of nonnegatives.  Both transformations are affine
 bijections of the feasible region, so vertices map to vertices.
+
+The tableau itself is integer-preserving (Edmonds 1967; Bareiss 1968):
+each row, objective rows included, is a list of Python ints
+[c_0, ..., c_{n-1}, rhs, den] standing for the rationals c_j/den and
+rhs/den, with den > 0 and the whole list divided by its gcd.  A pivot
+cross-multiplies instead of dividing, touches only rows with a non-zero
+in the pivot column and, within them, only the pivot row's non-zero
+columns; the ratio test and every sign test compare integers.  The
+rationals are the ones a `Fraction` tableau would hold, so Bland's rule
+makes exactly the same choices.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import MalformedProgram
-from .rational import Rational, decimal_str, is_decimal_exact, rat_str
-
-try:
-    from gmpy2 import mpq as _q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _q = Fraction
-
-_Q0 = _q(0)
-_Q1 = _q(1)
-
-
-def _to_q(x):
-    """Boundary rational -> internal type (gmpy2 rejects Fractions holding mpz)."""
-    if isinstance(x, Fraction):
-        return _q(x.numerator, x.denominator)
-    return _q(x)
-
-
-def _from_q(x) -> Fraction:
-    """Internal rational -> Fraction with plain-int internals."""
-    return Fraction(int(x.numerator), int(x.denominator))
+from .rational import ONE, ZERO, Rational, decimal_str, is_decimal_exact, rat, rat_str
 
 VarId = str
 
@@ -105,12 +94,12 @@ class _Row:
     __slots__ = ("coeffs", "rel", "rhs")
 
     def __init__(self, coeffs, rel, rhs):
-        self.coeffs = coeffs  # dict[VarId, mpq], zero entries absent
+        self.coeffs = coeffs  # dict[VarId, Fraction], zero entries absent
         self.rel = rel
         self.rhs = rhs
 
     def add_term(self, v, c):
-        nv = self.coeffs.get(v, _Q0) + c
+        nv = self.coeffs.get(v, 0) + c
         if nv == 0:
             self.coeffs.pop(v, None)
         else:
@@ -134,67 +123,104 @@ def _validate(p: LinearProgram) -> None:
             raise MalformedProgram(f"inverted bounds on {v}: [{lo}, {hi}]")
 
 
-def _substitute(rows: list[_Row], obj: dict, var: VarId, expr: dict, const) -> object:
-    """Replace var by (const + expr) in all rows and the objective.
-
-    Returns the objective-constant contribution.
-    """
+def _substitute(rows: list[_Row], obj: dict, var: VarId, expr: dict, const) -> None:
+    """Replace var by (const + expr) in all rows and the objective."""
     for row in rows:
         f = row.coeffs.pop(var, None)
         if f is not None:
             row.rhs -= f * const
             for v, cv in expr.items():
                 row.add_term(v, f * cv)
-    shift = _Q0
     f = obj.pop(var, None)
     if f is not None:
-        shift = f * const
         for v, cv in expr.items():
-            nv = obj.get(v, _Q0) + f * cv
+            nv = obj.get(v, 0) + f * cv
             if nv == 0:
                 obj.pop(v, None)
             else:
                 obj[v] = nv
-    return shift
 
 
-def _pivot(T: list[list], Z: list, basis: list[int], r: int, j: int) -> None:
+# ---------------------------------------------------------------------------
+# Integer tableau rows: [c_0, ..., c_{n-1}, rhs, den] meaning c_j/den, rhs/den.
+# ---------------------------------------------------------------------------
+
+
+def _int_row(cols: dict[int, Rational], rhs: Rational, width: int) -> list[int]:
+    """Integer row of a sparse rational row, scaled by the LCM of its denominators.
+
+    No further reduction is needed: for every prime of the LCM some entry
+    keeps its whole power in the denominator, so its scaled numerator is
+    coprime to that prime.
+    """
+    den = math.lcm(rhs.denominator, *(c.denominator for c in cols.values()))
+    row = [0] * (width + 2)
+    for j, c in cols.items():
+        row[j] = c.numerator * (den // c.denominator)
+    row[-2] = rhs.numerator * (den // rhs.denominator)
+    row[-1] = den
+    return row
+
+
+def _reduced(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return row if g == 1 else [x // g for x in row]
+
+
+def _support(row: list[int]) -> list[int]:
+    """Non-zero positions among the columns and the rhs (the denominator excluded)."""
+    return [k for k in range(len(row) - 1) if row[k]]
+
+
+def _eliminate(row: list[int], prow: list[int], support: list[int], j: int) -> list[int]:
+    """row - (row_j / prow_j) * prow, for a pivot row whose entry at j is its denominator.
+
+    Over the common denominator den(row) * prow_j this is
+    prow_j * row - row_j * prow; both factors are first divided by their
+    gcd, and when prow_j divides row_j only the pivot row's support moves.
+    """
+    g = math.gcd(prow[j], row[j])
+    p, f = prow[j] // g, row[j] // g
+    if p != 1:
+        row = [p * x for x in row]
+    for k in support:
+        row[k] -= f * prow[k]
+    return _reduced(row)
+
+
+def _pivot(T: list[list[int]], Z: list[int], basis: list[int], r: int, j: int) -> None:
     prow = T[r]
-    pv = prow[j]
-    if pv != 1:
-        inv = _Q1 / pv
-        T[r] = prow = [x * inv for x in prow]
-    for i in range(len(T)):
-        if i != r:
-            f = T[i][j]
-            if f:
-                row = T[i]
-                T[i] = [a - f * b for a, b in zip(row, prow)]
-    f = Z[j]
-    if f:
-        Z[:] = [a - f * b for a, b in zip(Z, prow)]
+    p = prow[j]
+    # divided by its entry at j, the row keeps its integers over that entry (made positive)
+    prow = prow[:-1] + [p] if p > 0 else [-x for x in prow[:-1]] + [-p]
+    T[r] = prow = _reduced(prow)
+    support = _support(prow)
+    for i, row in enumerate(T):
+        if i != r and row[j]:
+            T[i] = _eliminate(row, prow, support, j)
+    if Z[j]:
+        Z[:] = _eliminate(Z, prow, support, j)
     basis[r] = j
 
 
-def _simplex(T: list[list], Z: list, basis: list[int], ncols: int) -> str:
+def _simplex(T: list[list[int]], Z: list[int], basis: list[int], ncols: int) -> str:
     """Bland-rule simplex on an already-feasible tableau; returns a status."""
     while True:
-        enter = -1
-        for j in range(ncols):
-            if Z[j] > 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if Z[j] > 0), -1)
         if enter < 0:
             return "optimal"
         leave = -1
-        best = None
-        for i in range(len(T)):
-            tij = T[i][enter]
-            if tij > 0:
-                ratio = T[i][-1] / tij
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+        for i, row in enumerate(T):
+            t = row[enter]
+            if t <= 0:
+                continue
+            if leave < 0:
+                leave = i
+                continue
+            # rhs_i / t against the best ratio so far, cross-multiplied (both t > 0)
+            a, b = row[-2] * T[leave][enter], T[leave][-2] * t
+            if a < b or (a == b and basis[i] < basis[leave]):
+                leave = i
         if leave < 0:
             return "unbounded"
         _pivot(T, Z, basis, leave, enter)
@@ -204,16 +230,16 @@ def solve_lp(p: LinearProgram) -> LpResult:
     """Exact optimum of a maximization program; see the module docstring."""
     _validate(p)
 
-    lower = {v: None if p.lower[v] is None else _to_q(p.lower[v]) for v in p.variables}
-    upper = {v: None if p.upper[v] is None else _to_q(p.upper[v]) for v in p.variables}
+    lower = {v: None if p.lower[v] is None else rat(p.lower[v]) for v in p.variables}
+    upper = {v: None if p.upper[v] is None else rat(p.upper[v]) for v in p.variables}
     rows = [
-        _Row({v: _to_q(c) for v, c in con.coeffs.items() if c != 0}, con.rel, _to_q(con.rhs))
+        _Row({v: rat(c) for v, c in con.coeffs.items() if c != 0}, con.rel, rat(con.rhs))
         for con in p.constraints
     ]
-    obj = {v: _to_q(c) for v, c in p.objective.items() if c != 0}
+    obj = {v: rat(c) for v, c in p.objective.items() if c != 0}
 
     # Variables fixed by their bounds become constants.
-    fixed: dict[VarId, object] = {}
+    fixed: dict[VarId, Fraction] = {}
     live: list[VarId] = []
     for v in p.variables:
         if lower[v] is not None and lower[v] == upper[v]:
@@ -225,7 +251,7 @@ def solve_lp(p: LinearProgram) -> LpResult:
     # Gaussian elimination of free variables through equality rows.
     live_set = set(live)
     free = {v for v in live if lower[v] is None and upper[v] is None}
-    eliminated: list[tuple[VarId, dict, object]] = []
+    eliminated: list[tuple[VarId, dict, Fraction]] = []
     progress = True
     while progress:
         progress = False
@@ -258,7 +284,7 @@ def solve_lp(p: LinearProgram) -> LpResult:
 
     # Map each live variable onto nonnegative columns.
     col_names: list[tuple[VarId, int]] = []  # (var, +1/-1) ; split vars get two entries
-    col_shift: list = []  # x = sign*y + shift
+    col_shift: list[Fraction] = []  # x = sign*y + shift
     var_cols: dict[VarId, list[int]] = {}
     extra_rows: list[_Row] = []
     for v in live:
@@ -268,7 +294,7 @@ def solve_lp(p: LinearProgram) -> LpResult:
         if lo is None and hi is None:
             var_cols[v] = [len(col_names), len(col_names) + 1]
             col_names.extend([(v, 1), (v, -1)])
-            col_shift.extend([_Q0, _Q0])
+            col_shift.extend([ZERO, ZERO])
         elif lo is None:
             var_cols[v] = [len(col_names)]
             col_names.append((v, -1))
@@ -278,19 +304,19 @@ def solve_lp(p: LinearProgram) -> LpResult:
             col_names.append((v, 1))
             col_shift.append(lo)
             if hi is not None:
-                extra_rows.append(_Row({v: _Q1}, LE, hi))
+                extra_rows.append(_Row({v: ONE}, LE, hi))
 
-    def to_columns(coeffs: dict) -> dict[int, object]:
-        out: dict[int, object] = {}
+    def to_columns(coeffs: dict) -> dict[int, Fraction]:
+        out: dict[int, Fraction] = {}
         for v, c in coeffs.items():
             for idx in var_cols[v]:
                 _, sign = col_names[idx]
                 cc = c if sign > 0 else -c
-                out[idx] = out.get(idx, _Q0) + cc
+                out[idx] = out.get(idx, 0) + cc
         return out
 
     n_struct = len(col_names)
-    std_rows: list[tuple[dict[int, object], str, object]] = []
+    std_rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
     for row in rows + extra_rows:
         cols = to_columns(row.coeffs)
         rhs = row.rhs
@@ -311,50 +337,41 @@ def solve_lp(p: LinearProgram) -> LpResult:
     n_slack = sum(1 for _, rel, _ in std_rows if rel != EQ)
     n_art = sum(1 for _, rel, _ in std_rows if rel != LE)
     width = n_struct + n_slack + n_art
-    T: list[list] = []
+    T: list[list[int]] = []
     basis: list[int] = []
     slack_at = n_struct
     art_at = n_struct + n_slack
-    art_cols: list[int] = []
+    # Phase-1 objective: minus the artificials plus every row they are basic in,
+    # which cancels the artificial columns themselves.
+    z1: dict[int, Fraction] = {}
+    z1_rhs = ZERO
     for cols, rel, rhs in std_rows:
-        dense = [_Q0] * (width + 1)
-        for j, c in cols.items():
-            dense[j] = c
-        dense[-1] = rhs
         if rel == LE:
-            dense[slack_at] = _Q1
+            cols[slack_at] = 1
             basis.append(slack_at)
             slack_at += 1
-        elif rel == GE:
-            dense[slack_at] = -_Q1
-            slack_at += 1
-            dense[art_at] = _Q1
-            basis.append(art_at)
-            art_cols.append(art_at)
-            art_at += 1
         else:
-            dense[art_at] = _Q1
+            if rel == GE:
+                cols[slack_at] = -1
+                slack_at += 1
+            for j, c in cols.items():
+                z1[j] = z1.get(j, 0) + c
+            z1_rhs += rhs
+            cols[art_at] = 1
             basis.append(art_at)
-            art_cols.append(art_at)
             art_at += 1
-        T.append(dense)
+        T.append(_int_row(cols, rhs, width))
 
-    if art_cols:
-        Z1 = [_Q0] * (width + 1)
-        for j in art_cols:
-            Z1[j] = -_Q1
-        for i, b in enumerate(basis):
-            if b in art_cols:
-                Z1 = [a + t for a, t in zip(Z1, T[i])]
+    if n_art:
+        Z1 = _int_row(z1, z1_rhs, width)
         status = _simplex(T, Z1, basis, width)
         assert status == "optimal"  # phase 1 is bounded below by 0
-        if -Z1[-1] < 0:
+        if Z1[-2] > 0:  # the artificials' sum stays positive
             return LpResult(LpStatus.INFEASIBLE)
         # pivot leftover artificials out of the basis, dropping redundant rows
-        art_set = set(art_cols)
         keep: list[int] = []
         for i in range(len(T)):
-            if basis[i] not in art_set:
+            if basis[i] < n_struct + n_slack:
                 keep.append(i)
                 continue
             j = next((j for j in range(n_struct + n_slack) if T[i][j] != 0), None)
@@ -362,24 +379,21 @@ def solve_lp(p: LinearProgram) -> LpResult:
                 continue  # redundant row
             _pivot(T, Z1, basis, i, j)
             keep.append(i)
-        T = [T[i][: n_struct + n_slack] + [T[i][-1]] for i in keep]
-        basis = [basis[i] for i in keep]
         width = n_struct + n_slack
+        T = [_reduced(T[i][:width] + T[i][-2:]) for i in keep]
+        basis = [basis[i] for i in keep]
 
-    Z2 = [_Q0] * (width + 1)
-    for j, c in obj_cols.items():
-        Z2[j] = c
+    Z2 = _int_row(obj_cols, ZERO, width)
     for i, b in enumerate(basis):
         if Z2[b]:
-            f = Z2[b]
-            Z2 = [a - f * t for a, t in zip(Z2, T[i])]
+            Z2 = _eliminate(Z2, T[i], _support(T[i]), b)
     status = _simplex(T, Z2, basis, width)
     if status == "unbounded":
         return LpResult(LpStatus.UNBOUNDED)
 
-    col_val = [_Q0] * width
+    col_val = [ZERO] * width
     for i, b in enumerate(basis):
-        col_val[b] = T[i][-1]
+        col_val[b] = Fraction(T[i][-2], T[i][-1])
 
     assignment: dict[VarId, Fraction] = {}
     for v in live:
@@ -392,14 +406,12 @@ def solve_lp(p: LinearProgram) -> LpResult:
             idx = idxs[0]
             _, sign = col_names[idx]
             val = col_shift[idx] + (col_val[idx] if sign > 0 else -col_val[idx])
-        assignment[v] = _from_q(val)
+        assignment[v] = val
     for var, expr, const in reversed(eliminated):
-        val = const + sum((cv * _to_q(assignment[v]) for v, cv in expr.items()), _Q0)
-        assignment[var] = _from_q(val)
-    for v, val in fixed.items():
-        assignment[v] = _from_q(val)
+        assignment[var] = const + sum((cv * assignment[v] for v, cv in expr.items()), ZERO)
+    assignment.update(fixed)
 
-    value = sum((Fraction(c) * assignment[v] for v, c in p.objective.items()), Fraction(0))
+    value = sum((rat(c) * assignment[v] for v, c in p.objective.items()), ZERO)
     return LpResult(LpStatus.OPTIMAL, value, assignment)
 
 

@@ -129,3 +129,19 @@ class TestErrors:
         inst.write_text(json.dumps({"M": [1, 1], "w": 2}))
         code, _, err = run(capsys, "encode", "subset-sum-cactus-msf", str(inst))
         assert code == 4 and "distinct" in err
+
+    @pytest.mark.parametrize(
+        "edge, reported",
+        [
+            ({"a": "g", "b": "l", "s_min": "1", "s_max": "1", "cap": "-1"}, "capacity -1 is not positive"),
+            ({"a": "g", "b": "zz", "s_min": "1", "s_max": "1", "cap": "2"}, "endpoint zz is not a declared node"),
+        ],
+    )
+    @pytest.mark.parametrize("argv", [["solve", "mpf"], ["solve", "msf"], ["solve", "mff"], ["export", "milp"]])
+    def test_invalid_network_is_exit_4_with_report(self, capsys, tmp_path, argv, edge, reported):
+        path = tmp_path / "bad.json"
+        nodes = [{"id": "g", "role": "generator"}, {"id": "l", "role": "load"}]
+        path.write_text(json.dumps({"nodes": nodes, "edges": [edge]}))
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 4 and out == ""
+        assert "Structural at " in err and reported in err

@@ -1,11 +1,17 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_boxed_lp
+from conftest import random_boxed_lp, random_ldc_network
 from ldcflow.errors import MalformedProgram
+from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.lp import LinearProgram, LpStatus, solve_lp, write_lp_text
+from ldcflow.mff import pin_susceptances
+from ldcflow.mpf import formulate_mpf
+from ldcflow.network import subnetwork
+from ldcflow.rational import rat_str
 from oracles import lp_vertex_oracle
 
 
@@ -110,6 +116,87 @@ def test_matches_vertex_oracle_on_random_programs(rng):
     assert agreements["optimal"] > 0 and agreements["infeasible"] > 0
 
 
+SCALES = (F(1), F(1, 3), F(2, 7), F(5, 11))
+
+
+def rational_boxed_lp(rng: random.Random) -> LinearProgram:
+    """A boxed LP whose coefficients, right-hand sides and bounds carry coprime denominators."""
+    base = random_boxed_lp(rng)
+    p = LinearProgram()
+    for v in base.variables:
+        lo = base.lower[v] * rng.choice(SCALES)
+        p.add_variable(v, lower=lo, upper=lo + (base.upper[v] - base.lower[v]) * rng.choice(SCALES))
+    for con in base.constraints:
+        p.add_constraint({v: c * rng.choice(SCALES) for v, c in con.coeffs.items()}, con.rel, con.rhs * rng.choice(SCALES))
+    p.set_objective({v: c * rng.choice(SCALES) for v, c in base.objective.items()})
+    return p
+
+
+def assert_feasible_optimum(p: LinearProgram, r) -> None:
+    x = r.assignment
+    for v in p.variables:
+        assert p.lower[v] is None or x[v] >= p.lower[v]
+        assert p.upper[v] is None or x[v] <= p.upper[v]
+    for con in p.constraints:
+        lhs = sum(c * x[v] for v, c in con.coeffs.items())
+        assert {"<=": lhs <= con.rhs, ">=": lhs >= con.rhs, "=": lhs == con.rhs}[con.rel]
+    assert r.value == sum(c * x[v] for v, c in p.objective.items())
+
+
+def test_matches_vertex_oracle_on_rational_coefficients(rng):
+    agreements = {"optimal": 0, "infeasible": 0}
+    for _ in range(100):
+        p = rational_boxed_lp(rng)
+        r = solve_lp(p)
+        status, value = lp_vertex_oracle(p)
+        assert r.status.value == status
+        if status == "optimal":
+            assert r.value == value
+            assert_feasible_optimum(p, r)
+        agreements[status] += 1
+    assert agreements["optimal"] > 0 and agreements["infeasible"] > 0
+
+
+@pytest.mark.parametrize("scale", [F(1), F(2, 7)])
+def test_redundant_equality_rows_are_dropped_after_phase_one(scale):
+    # the second and third rows repeat the first, so their artificials end
+    # phase 1 basic at zero in rows with no other non-zero entry
+    p = LinearProgram()
+    p.add_variable("x", lower=F(0))
+    p.add_variable("y", lower=F(0), upper=F(5, 3))
+    p.add_constraint({"x": F(1), "y": F(1)}, "=", F(2))
+    p.add_constraint({"x": 2 * scale, "y": 2 * scale}, "=", 4 * scale)
+    p.add_constraint({"x": F(-1, 3), "y": F(-1, 3)}, "=", F(-2, 3))
+    p.set_objective({"x": F(1), "y": F(3)})
+    r = solve_lp(p)
+    assert r.status is LpStatus.OPTIMAL
+    assert r.assignment == {"x": F(1, 3), "y": F(5, 3)} and r.value == F(16, 3)
+    assert lp_vertex_oracle(p) == ("optimal", r.value)
+
+
+@pytest.mark.parametrize(
+    "rel, rhs, expected",
+    [
+        # -x - y <= -1 becomes x + y >= 1
+        ("<=", F(-1), {"x": F(1), "y": F(0)}),
+        # -x - y >= -7/2 becomes x + y <= 7/2
+        (">=", F(-7, 2), {"x": F(7, 2), "y": F(0)}),
+        # -x - y = -3/2 becomes x + y = 3/2
+        ("=", F(-3, 2), {"x": F(3, 2), "y": F(0)}),
+    ],
+)
+def test_negative_rhs_flips_the_relation(rel, rhs, expected):
+    p = LinearProgram()
+    p.add_variable("x", lower=F(0), upper=F(5))
+    p.add_variable("y", lower=F(0), upper=F(5))
+    p.add_constraint({"x": F(-1), "y": F(-1)}, rel, rhs)
+    # maximize x - 2y when the row bounds x + y from above, -x - 2y otherwise
+    p.set_objective({"x": F(1) if rel == ">=" else F(-1), "y": F(-2)})
+    r = solve_lp(p)
+    assert r.status is LpStatus.OPTIMAL and r.assignment == expected
+    assert lp_vertex_oracle(p) == ("optimal", r.value)
+
+
 def test_row_and_column_permutations_do_not_change_value(rng):
     for _ in range(20):
         p = random_boxed_lp(rng)
@@ -150,3 +237,76 @@ def test_lp_text_has_conventional_sections():
     assert " y free" in text
     assert "6.1" in text  # exact decimal rendering
     assert "1/3" in text  # inexact coefficient preserved in a comment
+
+
+def _canonical(r) -> str:
+    value = None if r.value is None else rat_str(r.value)
+    assignment = None if r.assignment is None else sorted((v, rat_str(x)) for v, x in r.assignment.items())
+    return repr((r.status.value, value, assignment))
+
+
+def _pinned_programs() -> list[LinearProgram]:
+    """Seeded boxed, unboxed and tie-prone LPs, MPF programs of random networks and of both gadgets."""
+    rng = random.Random(1507)
+    programs = [random_boxed_lp(rng) for _ in range(200)]
+    for _ in range(40):
+        p = random_boxed_lp(rng)
+        for v in p.variables:
+            p.upper[v] = None
+            if rng.random() < 0.5:
+                p.lower[v] = None
+        programs.append(p)
+    for _ in range(300):
+        # rows of 0/1/2 over rhs 1 or 2 tie the ratio test often, and now
+        # and then the tie-break decides which optimal vertex is returned
+        p = LinearProgram()
+        names = ["w", "x", "y", "z"][: rng.randint(3, 4)]
+        for v in names:
+            p.add_variable(v, lower=F(0))
+        for _ in range(rng.randint(3, 5)):
+            coeffs = {v: F(c) for v in names if (c := rng.randint(0, 2))}
+            if coeffs:
+                p.add_constraint(coeffs, "<=", F(rng.randint(1, 2)))
+        p.set_objective({v: F(rng.randint(1, 2)) for v in names})
+        programs.append(p)
+    for _ in range(60):
+        n = random_ldc_network(rng)
+        programs.append(formulate_mpf(n))
+        programs.append(formulate_mpf(subnetwork(n, rng.sample(n.edges, rng.randrange(len(n.edges))))))
+    for x in (F(1), F(2), F(7, 3)):
+        for polarity in Polarity:
+            programs.append(formulate_mpf(gsch(x, polarity=polarity)))
+            n = gfch(x, polarity=polarity)
+            (facts,) = n.facts_edges
+            for s in (facts.s_min, facts.s_max):
+                programs.append(formulate_mpf(pin_susceptances(n, {facts: s})))
+    return programs
+
+
+# sha256 over the canonical (status, value, assignment) of every pinned
+# program, one line each.  A pivot rule that returns another status,
+# value or vertex on any of them changes this digest; most degenerate
+# ties do not move the vertex, hence the many tie-prone programs.
+PINNED_DIGEST = "4e272a676a8590813bb8a7ddb899491b6398d7759ec8884b76fa7e82c36b40bb"
+
+
+def test_pinned_results_are_unchanged():
+    lines = "\n".join(_canonical(solve_lp(p)) for p in _pinned_programs())
+    assert hashlib.sha256(lines.encode()).hexdigest() == PINNED_DIGEST
+
+
+def test_bland_tie_break_decides_among_optimal_vertices():
+    # max x + 2y + 2z over 2x + y + z <= 1, 2x + z <= 1: every point with
+    # x = 0 and y + z = 1 is optimal.  x enters first and ties the ratio
+    # test on both rows; Bland leaves on the row whose basic column is
+    # lowest (the first slack) and ends at (0, 1, 0).  Leaving on the
+    # second row instead ends at (0, 0, 1).
+    p = LinearProgram()
+    for v in "xyz":
+        p.add_variable(v, lower=F(0))
+    p.add_constraint({"x": F(2), "y": F(1), "z": F(1)}, "<=", F(1))
+    p.add_constraint({"x": F(2), "z": F(1)}, "<=", F(1))
+    p.set_objective({"x": F(1), "y": F(2), "z": F(2)})
+    r = solve_lp(p)
+    assert r.value == 2 and r.assignment == {"x": 0, "y": 1, "z": 0}
+
