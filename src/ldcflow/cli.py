@@ -18,12 +18,12 @@ import json
 import sys
 
 from . import classify, serialize
-from .errors import InvalidNetwork, LdcError
+from .errors import LdcError
 from .gadgets import Polarity, gfch, gsch
 from .mff import MffDecision, decide_mff, solve_mff_endpoints, solve_mff_grid
 from .mpf import solve_mpf, solve_tree
 from .msf import decide_msf, export_milp, solve_msf_bnb, solve_msf_exhaustive
-from .network import subnetwork, validate_network, validate_solution
+from .network import require_valid, subnetwork, validate_network, validate_solution
 from .rational import format_value, rat, rat_str
 from .reductions import (
     KIND_CACTUS_MFF,
@@ -58,9 +58,7 @@ def _read_network(path: str):
 
 def _read_valid_network(path: str):
     n = _read_network(path)
-    report = validate_network(n)
-    if not report.ok:
-        raise InvalidNetwork(report)
+    require_valid(n)
     return n
 
 

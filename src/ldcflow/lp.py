@@ -7,21 +7,28 @@ region.  Determinism is part of the contract -- variable order, pivot
 selection and presolve order are all fixed -- so repeated solves of the
 same program return identical results.
 
-Before the simplex runs, an exact presolve over `Fraction` substitutes
-variables fixed by their bounds and eliminates free variables through
-equality rows (a Gaussian step); free variables that survive presolve are
-split into differences of nonnegatives.  Both transformations are affine
-bijections of the feasible region, so vertices map to vertices.
-
-The tableau itself is integer-preserving (Edmonds 1967; Bareiss 1968):
-each row, objective rows included, is a list of Python ints
+Everything between reading the program and building the returned
+assignment runs on integer rows (Edmonds 1967; Bareiss 1968): each
+constraint, the objective and every tableau row is a list of Python ints
 [c_0, ..., c_{n-1}, rhs, den] standing for the rationals c_j/den and
-rhs/den, with den > 0 and the whole list divided by its gcd.  A pivot
-cross-multiplies instead of dividing, touches only rows with a non-zero
-in the pivot column and, within them, only the pivot row's non-zero
-columns; the ratio test and every sign test compare integers.  The
-rationals are the ones a `Fraction` tableau would hold, so Bland's rule
-makes exactly the same choices.
+rhs/den, with den > 0 and the whole list divided by its gcd.
+
+The presolve builds one such row per constraint over the declared
+variables.  Variables fixed by their bounds fold into each row's rhs in
+one pass, over the LCM of the fixed values' denominators.  Free variables
+are then eliminated through equality rows (a fraction-free Gaussian step:
+the first equality row holding a free variable, and in it the first such
+variable in declaration order).  Bounds become nonnegative columns through
+x = sign*y + shift, and free variables that survive are split into
+differences of nonnegatives.  These are affine bijections of the feasible
+region, so vertices map to vertices; eliminated variables are recovered
+from their stored pivot rows.
+
+The tableau pivots by cross-multiplication instead of division, touches
+only rows with a non-zero in the pivot column and, within them, only the
+pivot row's non-zero columns; the ratio test and every sign test compare
+integers.  The rationals throughout are the ones a `Fraction` presolve and
+tableau would hold, so every choice, Bland's rule included, is the same.
 """
 
 from __future__ import annotations
@@ -90,22 +97,6 @@ class LpResult:
     assignment: dict[VarId, Rational] | None = None
 
 
-class _Row:
-    __slots__ = ("coeffs", "rel", "rhs")
-
-    def __init__(self, coeffs, rel, rhs):
-        self.coeffs = coeffs  # dict[VarId, Fraction], zero entries absent
-        self.rel = rel
-        self.rhs = rhs
-
-    def add_term(self, v, c):
-        nv = self.coeffs.get(v, 0) + c
-        if nv == 0:
-            self.coeffs.pop(v, None)
-        else:
-            self.coeffs[v] = nv
-
-
 def _validate(p: LinearProgram) -> None:
     declared = set(p.variables)
     if len(declared) != len(p.variables):
@@ -123,26 +114,8 @@ def _validate(p: LinearProgram) -> None:
             raise MalformedProgram(f"inverted bounds on {v}: [{lo}, {hi}]")
 
 
-def _substitute(rows: list[_Row], obj: dict, var: VarId, expr: dict, const) -> None:
-    """Replace var by (const + expr) in all rows and the objective."""
-    for row in rows:
-        f = row.coeffs.pop(var, None)
-        if f is not None:
-            row.rhs -= f * const
-            for v, cv in expr.items():
-                row.add_term(v, f * cv)
-    f = obj.pop(var, None)
-    if f is not None:
-        for v, cv in expr.items():
-            nv = obj.get(v, 0) + f * cv
-            if nv == 0:
-                obj.pop(v, None)
-            else:
-                obj[v] = nv
-
-
 # ---------------------------------------------------------------------------
-# Integer tableau rows: [c_0, ..., c_{n-1}, rhs, den] meaning c_j/den, rhs/den.
+# Integer rows: [c_0, ..., c_{n-1}, rhs, den] meaning c_j/den, rhs/den.
 # ---------------------------------------------------------------------------
 
 
@@ -172,6 +145,35 @@ def _support(row: list[int]) -> list[int]:
     return [k for k in range(len(row) - 1) if row[k]]
 
 
+def _fold(row: list[int], values: dict[int, Rational], drop: bool) -> list[int]:
+    """The row after x_j = y_j + values[j]: every c_j * values[j] moves into the rhs.
+
+    The row is scaled once by the LCM of the denominators of the values
+    it meets.  With `drop` the columns are zeroed (fixed variables);
+    otherwise they stay as the coefficients of y_j (bound shifts).
+    """
+    hits = [j for j in values if row[j]]
+    if not hits:
+        return row
+    m = math.lcm(*(values[j].denominator for j in hits))
+    rhs = row[-2] * m
+    for j in hits:
+        x = values[j]
+        rhs -= row[j] * x.numerator * (m // x.denominator)
+    out = [c * m for c in row[:-2]] if m != 1 else row[:-2]
+    if drop:
+        for j in hits:
+            out[j] = 0
+    out += [rhs, row[-1] * m]
+    return _reduced(out)
+
+
+def _pivot_row(row: list[int], j: int) -> list[int]:
+    """The row divided by its entry at j: the same integers over that entry, made positive."""
+    p = row[j]
+    return _reduced(row[:-1] + [p] if p > 0 else [-x for x in row[:-1]] + [-p])
+
+
 def _eliminate(row: list[int], prow: list[int], support: list[int], j: int) -> list[int]:
     """row - (row_j / prow_j) * prow, for a pivot row whose entry at j is its denominator.
 
@@ -189,11 +191,7 @@ def _eliminate(row: list[int], prow: list[int], support: list[int], j: int) -> l
 
 
 def _pivot(T: list[list[int]], Z: list[int], basis: list[int], r: int, j: int) -> None:
-    prow = T[r]
-    p = prow[j]
-    # divided by its entry at j, the row keeps its integers over that entry (made positive)
-    prow = prow[:-1] + [p] if p > 0 else [-x for x in prow[:-1]] + [-p]
-    T[r] = prow = _reduced(prow)
+    T[r] = prow = _pivot_row(T[r], j)
     support = _support(prow)
     for i, row in enumerate(T):
         if i != r and row[j]:
@@ -226,116 +224,105 @@ def _simplex(T: list[list[int]], Z: list[int], basis: list[int], ncols: int) -> 
         _pivot(T, Z, basis, leave, enter)
 
 
+_FLIP = {LE: GE, GE: LE, EQ: EQ}
+
+
 def solve_lp(p: LinearProgram) -> LpResult:
     """Exact optimum of a maximization program; see the module docstring."""
     _validate(p)
 
-    lower = {v: None if p.lower[v] is None else rat(p.lower[v]) for v in p.variables}
-    upper = {v: None if p.upper[v] is None else rat(p.upper[v]) for v in p.variables}
+    names = p.variables
+    nvars = len(names)
+    index = {v: j for j, v in enumerate(names)}
+    lower = [None if p.lower[v] is None else rat(p.lower[v]) for v in names]
+    upper = [None if p.upper[v] is None else rat(p.upper[v]) for v in names]
+    fixed = {j: lo for j, (lo, hi) in enumerate(zip(lower, upper)) if lo is not None and lo == hi}
+
+    # Rows over the variables, with the variables fixed by their bounds folded in.
     rows = [
-        _Row({v: rat(c) for v, c in con.coeffs.items() if c != 0}, con.rel, rat(con.rhs))
+        _fold(_int_row({index[v]: rat(c) for v, c in con.coeffs.items()}, rat(con.rhs), nvars), fixed, True)
         for con in p.constraints
     ]
-    obj = {v: rat(c) for v, c in p.objective.items() if c != 0}
+    rels = [con.rel for con in p.constraints]
+    obj = _int_row({index[v]: rat(c) for v, c in p.objective.items()}, ZERO, nvars)
+    for j in fixed:
+        obj[j] = 0
 
-    # Variables fixed by their bounds become constants.
-    fixed: dict[VarId, Fraction] = {}
-    live: list[VarId] = []
-    for v in p.variables:
-        if lower[v] is not None and lower[v] == upper[v]:
-            fixed[v] = lower[v]
-            _substitute(rows, obj, v, {}, lower[v])
-        else:
-            live.append(v)
-
-    # Gaussian elimination of free variables through equality rows.
-    live_set = set(live)
-    free = {v for v in live if lower[v] is None and upper[v] is None}
-    eliminated: list[tuple[VarId, dict, Fraction]] = []
-    progress = True
-    while progress:
-        progress = False
-        for ri, row in enumerate(rows):
-            if row.rel != EQ:
-                continue
-            var = next((v for v in live if v in free and v in live_set and v in row.coeffs), None)
-            if var is None:
-                continue
-            del rows[ri]
-            c = row.coeffs.pop(var)
-            expr = {v: -cv / c for v, cv in row.coeffs.items()}
-            const = row.rhs / c
-            _substitute(rows, obj, var, expr, const)
-            eliminated.append((var, expr, const))
-            live_set.discard(var)
-            progress = True
+    # Gaussian elimination of free variables through equality rows: the first
+    # equality row holding a free variable, and in it the first such variable.
+    free = [j for j in range(nvars) if lower[j] is None and upper[j] is None]
+    eliminated: list[tuple[int, list[int]]] = []
+    while True:
+        found = next(
+            ((i, j) for i, row in enumerate(rows) if rels[i] == EQ for j in free if row[j]),
+            None,
+        )
+        if found is None:
             break
+        i, j = found
+        prow = _pivot_row(rows.pop(i), j)
+        del rels[i]
+        support = _support(prow)
+        for k, row in enumerate(rows):
+            if row[j]:
+                rows[k] = _eliminate(row, prow, support, j)
+        if obj[j]:
+            obj = _eliminate(obj, prow, support, j)
+        eliminated.append((j, prow))
 
     # Constant rows are either trivially satisfied or witness infeasibility.
-    remaining_rows: list[_Row] = []
-    for row in rows:
-        if row.coeffs:
-            remaining_rows.append(row)
+    kept = []
+    for row, rel in zip(rows, rels):
+        if any(row[:nvars]):
+            kept.append((row, rel))
             continue
-        sat = (row.rhs == 0) if row.rel == EQ else (row.rhs >= 0 if row.rel == LE else row.rhs <= 0)
-        if not sat:
+        rhs = row[-2]  # over a positive denominator
+        if not (rhs == 0 if rel == EQ else rhs >= 0 if rel == LE else rhs <= 0):
             return LpResult(LpStatus.INFEASIBLE)
-    rows = remaining_rows
 
-    # Map each live variable onto nonnegative columns.
-    col_names: list[tuple[VarId, int]] = []  # (var, +1/-1) ; split vars get two entries
-    col_shift: list[Fraction] = []  # x = sign*y + shift
-    var_cols: dict[VarId, list[int]] = {}
-    extra_rows: list[_Row] = []
-    for v in live:
-        if v not in live_set:
-            continue
-        lo, hi = lower[v], upper[v]
+    # Map each live variable onto nonnegative columns: x = sign*y + shift.
+    gone = set(fixed).union(j for j, _ in eliminated)
+    live = [j for j in range(nvars) if j not in gone]
+    var_cols: dict[int, list[tuple[int, int]]] = {}  # (column, sign); free variables get two
+    shift: dict[int, Rational] = {}
+    ncols = 0
+    for j in live:
+        lo, hi = lower[j], upper[j]
         if lo is None and hi is None:
-            var_cols[v] = [len(col_names), len(col_names) + 1]
-            col_names.extend([(v, 1), (v, -1)])
-            col_shift.extend([ZERO, ZERO])
-        elif lo is None:
-            var_cols[v] = [len(col_names)]
-            col_names.append((v, -1))
-            col_shift.append(hi)
+            var_cols[j] = [(ncols, 1), (ncols + 1, -1)]
+            ncols += 2
+            continue
+        var_cols[j] = [(ncols, 1 if lo is not None else -1)]
+        ncols += 1
+        if lo is None:
+            shift[j] = hi
         else:
-            var_cols[v] = [len(col_names)]
-            col_names.append((v, 1))
-            col_shift.append(lo)
+            shift[j] = lo
             if hi is not None:
-                extra_rows.append(_Row({v: ONE}, LE, hi))
+                kept.append((_int_row({j: ONE}, hi, nvars), LE))
+    shift = {j: s for j, s in shift.items() if s}
 
-    def to_columns(coeffs: dict) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for v, c in coeffs.items():
-            for idx in var_cols[v]:
-                _, sign = col_names[idx]
-                cc = c if sign > 0 else -c
-                out[idx] = out.get(idx, 0) + cc
+    std: list[tuple[list[int], str]] = []
+    for row, rel in kept:
+        row = _fold(row, shift, False)
+        if row[-2] < 0:
+            row = [-x for x in row[:-1]] + [row[-1]]
+            rel = _FLIP[rel]
+        std.append((row, rel))
+
+    def to_columns(row: list[int], width: int) -> list[int]:
+        out = [0] * (width + 2)
+        for j in live:
+            if row[j]:
+                for col, sign in var_cols[j]:
+                    out[col] = row[j] if sign > 0 else -row[j]
+        out[-2], out[-1] = row[-2], row[-1]
         return out
 
-    n_struct = len(col_names)
-    std_rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
-    for row in rows + extra_rows:
-        cols = to_columns(row.coeffs)
-        rhs = row.rhs
-        # substituting x = sign*y + shift moves c*shift to the rhs
-        for v, c in row.coeffs.items():
-            for idx in var_cols[v]:
-                rhs -= c * col_shift[idx]
-        rel = row.rel
-        if rhs < 0:
-            cols = {j: -c for j, c in cols.items()}
-            rhs = -rhs
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-        std_rows.append((cols, rel, rhs))
-
-    obj_cols = to_columns(obj)
-
     # Tableau layout: structural columns, slack/surplus columns, artificials.
-    n_slack = sum(1 for _, rel, _ in std_rows if rel != EQ)
-    n_art = sum(1 for _, rel, _ in std_rows if rel != LE)
+    n_struct = ncols
+    n_slack = sum(1 for _, rel in std if rel != EQ)
+    n_art = sum(1 for _, rel in std if rel != LE)
     width = n_struct + n_slack + n_art
     T: list[list[int]] = []
     basis: list[int] = []
@@ -343,27 +330,33 @@ def solve_lp(p: LinearProgram) -> LpResult:
     art_at = n_struct + n_slack
     # Phase-1 objective: minus the artificials plus every row they are basic in,
     # which cancels the artificial columns themselves.
-    z1: dict[int, Fraction] = {}
-    z1_rhs = ZERO
-    for cols, rel, rhs in std_rows:
+    z1_rows: list[list[int]] = []
+    for row, rel in std:
+        # column mapping keeps each entry up to sign, so the row stays reduced
+        t = to_columns(row, width)
+        den = t[-1]
         if rel == LE:
-            cols[slack_at] = 1
+            t[slack_at] = den
             basis.append(slack_at)
             slack_at += 1
         else:
             if rel == GE:
-                cols[slack_at] = -1
+                t[slack_at] = -den
                 slack_at += 1
-            for j, c in cols.items():
-                z1[j] = z1.get(j, 0) + c
-            z1_rhs += rhs
-            cols[art_at] = 1
+            z1_rows.append(t[:])
+            t[art_at] = den
             basis.append(art_at)
             art_at += 1
-        T.append(_int_row(cols, rhs, width))
+        T.append(t)
 
     if n_art:
-        Z1 = _int_row(z1, z1_rhs, width)
+        Z1 = [0] * (width + 2)
+        Z1[-1] = m = math.lcm(*(t[-1] for t in z1_rows))
+        for t in z1_rows:
+            f = m // t[-1]
+            for k in _support(t):
+                Z1[k] += f * t[k]
+        Z1 = _reduced(Z1)
         status = _simplex(T, Z1, basis, width)
         assert status == "optimal"  # phase 1 is bounded below by 0
         if Z1[-2] > 0:  # the artificials' sum stays positive
@@ -383,7 +376,8 @@ def solve_lp(p: LinearProgram) -> LpResult:
         T = [_reduced(T[i][:width] + T[i][-2:]) for i in keep]
         basis = [basis[i] for i in keep]
 
-    Z2 = _int_row(obj_cols, ZERO, width)
+    obj[-2] = 0  # the objective's constant term plays no part in the optimum
+    Z2 = _reduced(to_columns(obj, width))
     for i, b in enumerate(basis):
         if Z2[b]:
             Z2 = _eliminate(Z2, T[i], _support(T[i]), b)
@@ -391,26 +385,24 @@ def solve_lp(p: LinearProgram) -> LpResult:
     if status == "unbounded":
         return LpResult(LpStatus.UNBOUNDED)
 
+    # Back to rationals: column values, then live, eliminated and fixed variables.
     col_val = [ZERO] * width
     for i, b in enumerate(basis):
         col_val[b] = Fraction(T[i][-2], T[i][-1])
-
-    assignment: dict[VarId, Fraction] = {}
-    for v in live:
-        if v not in live_set:
-            continue
-        idxs = var_cols[v]
-        if len(idxs) == 2:
-            val = col_val[idxs[0]] - col_val[idxs[1]]
+    value_of: dict[int, Fraction] = {}
+    for j in live:
+        cols = var_cols[j]
+        if len(cols) == 2:
+            value_of[j] = col_val[cols[0][0]] - col_val[cols[1][0]]
         else:
-            idx = idxs[0]
-            _, sign = col_names[idx]
-            val = col_shift[idx] + (col_val[idx] if sign > 0 else -col_val[idx])
-        assignment[v] = val
-    for var, expr, const in reversed(eliminated):
-        assignment[var] = const + sum((cv * assignment[v] for v, cv in expr.items()), ZERO)
-    assignment.update(fixed)
+            col, sign = cols[0]
+            value_of[j] = shift.get(j, ZERO) + (col_val[col] if sign > 0 else -col_val[col])
+    for j, prow in reversed(eliminated):
+        rest = sum((prow[k] * value_of[k] for k in range(nvars) if prow[k] and k != j), ZERO)
+        value_of[j] = Fraction(prow[-2] - rest, prow[-1])
+    value_of.update(fixed)
 
+    assignment = {names[j]: x for j, x in value_of.items()}
     value = sum((rat(c) * assignment[v] for v, c in p.objective.items()), ZERO)
     return LpResult(LpStatus.OPTIMAL, value, assignment)
 

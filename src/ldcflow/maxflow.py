@@ -6,10 +6,15 @@ a super-source over all generators to a super-sink over all loads upper
 bounds the power-law-constrained maximum of the network and of every one
 of its sub-networks, which is what makes it useful as a pruning bound for
 the switching search.
+
+The capacities are scaled once by the LCM L of their denominators, so
+Edmonds-Karp runs on Python ints; the value and the per-edge flows come
+back as `Fraction(x, L)`, the same exact rationals.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -17,14 +22,14 @@ from .network import Edge, Network
 from .rational import ZERO
 
 
-def _edmonds_karp(num_nodes: int, arcs: dict[tuple[int, int], Fraction], source: int, sink: int) -> dict[tuple[int, int], Fraction]:
+def _edmonds_karp(num_nodes: int, arcs: dict[tuple[int, int], int], source: int, sink: int) -> dict[tuple[int, int], int]:
     """Max flow on a directed arc-capacity dict; returns the flow per arc."""
     residual = dict(arcs)
     adj: dict[int, list[int]] = {i: [] for i in range(num_nodes)}
     for (u, v) in arcs:
         adj[u].append(v)
         if (v, u) not in arcs:
-            residual[(v, u)] = ZERO
+            residual[(v, u)] = 0
             adj[v].append(u)
     for u in adj:
         adj[u].sort()
@@ -57,33 +62,46 @@ def _edmonds_karp(num_nodes: int, arcs: dict[tuple[int, int], Fraction], source:
     return {arc: arcs[arc] - residual[arc] for arc in arcs}
 
 
-def _classical_flow_detail(n: Network) -> tuple[Fraction, dict[Edge, Fraction]]:
-    """(max-flow value, signed net flow per edge relative to canonical orientation)."""
-    if not n.generators or not n.loads or not n.edges:
-        return ZERO, {e: ZERO for e in n.edges}
+def _integer_flow(n: Network) -> tuple[int, int, dict[str, int], dict[tuple[int, int], int]]:
+    """(value, scale, node index, flow per arc), all over the scale L of the capacities.
+
+    The network needs at least one generator, one load and one edge.
+    """
     index = {name: i for i, name in enumerate(n.node_names)}
     source = len(index)
     sink = len(index) + 1
-    big = sum((e.cap for e in n.edges), ZERO) + 1
+    scale = math.lcm(*(e.cap.denominator for e in n.edges))
+    caps = [e.cap.numerator * (scale // e.cap.denominator) for e in n.edges]
+    big = sum(caps) + scale  # more than every edge together can carry
 
-    arcs: dict[tuple[int, int], Fraction] = {}
-    for e in n.edges:
+    arcs: dict[tuple[int, int], int] = {}
+    for e, cap in zip(n.edges, caps):
         u, v = index[e.a], index[e.b]
-        arcs[(u, v)] = arcs.get((u, v), ZERO) + e.cap
-        arcs[(v, u)] = arcs.get((v, u), ZERO) + e.cap
+        arcs[(u, v)] = arcs.get((u, v), 0) + cap
+        arcs[(v, u)] = arcs.get((v, u), 0) + cap
     for g in n.generators:
         arcs[(source, index[g])] = big
     for l in n.loads:
         arcs[(index[l], sink)] = big
 
     flow = _edmonds_karp(len(index) + 2, arcs, source, sink)
-    value = sum((flow[(source, index[g])] for g in n.generators), ZERO)
+    value = sum(flow[(source, index[g])] for g in n.generators)
+    return value, scale, index, flow
+
+
+def _classical_flow_detail(n: Network) -> tuple[Fraction, dict[Edge, Fraction]]:
+    """(max-flow value, signed net flow per edge relative to canonical orientation)."""
+    if not (n.generators and n.loads and n.edges):
+        return ZERO, {e: ZERO for e in n.edges}
+    value, scale, index, flow = _integer_flow(n)
     # cap - residual on the forward arc is already the signed net flow
-    per_edge = {e: flow[(index[e.a], index[e.b])] for e in n.edges}
-    return value, per_edge
+    per_edge = {e: Fraction(flow[(index[e.a], index[e.b])], scale) for e in n.edges}
+    return Fraction(value, scale), per_edge
 
 
 def classical_max_flow(n: Network) -> Fraction:
     """Standard max flow from all generators to all loads, capacities only."""
-    value, _ = _classical_flow_detail(n)
-    return value
+    if not (n.generators and n.loads and n.edges):
+        return ZERO
+    value, scale, _, _ = _integer_flow(n)
+    return Fraction(value, scale)

@@ -22,7 +22,7 @@ from functools import partial
 
 from .errors import TooManyFactsEdges
 from .mpf import solve_mpf
-from .network import Edge, Network, Solution, fixed_edge
+from .network import Edge, Network, Solution, fixed_edge, require_valid
 from .parallel import ordered_map
 from .rational import Rational
 
@@ -72,7 +72,7 @@ def _relabel(n: Network, sol: Solution) -> Solution:
 
 
 def _combo_value(n: Network, facts: list[Edge], combo: tuple[Rational, ...]) -> Rational:
-    return solve_mpf(pin_susceptances(n, dict(zip(facts, combo)))).value
+    return solve_mpf(pin_susceptances(n, dict(zip(facts, combo))), validate=False).value
 
 
 def _search(n: Network, points: list[list[Rational]], facts: list[Edge]) -> MffOutcome:
@@ -82,7 +82,8 @@ def _search(n: Network, points: list[list[Rational]], facts: list[Edge]) -> MffO
     vector (edges in canonical order, points ascending), and only strict
     improvements replace the incumbent, so ties resolve to the smallest
     vector.  Moderate-sized products may fan out over a process pool; the
-    in-order reduction keeps the result identical either way.
+    in-order reduction keeps the result identical either way.  The
+    caller validates n.
     """
     total = math.prod(len(p) for p in points)
     if total <= _POOL_MATERIALIZE_CAP:
@@ -97,7 +98,7 @@ def _search(n: Network, points: list[list[Rational]], facts: list[Edge]) -> MffO
             best = (combo, value)
     combo, _value = best
     assignment = dict(zip(facts, combo))
-    out = solve_mpf(pin_susceptances(n, assignment))
+    out = solve_mpf(pin_susceptances(n, assignment), validate=False)
     return MffOutcome(
         value=out.value,
         assignment=assignment,
@@ -115,6 +116,7 @@ def _facts(n: Network, limit: int) -> list[Edge]:
 
 def solve_mff_endpoints(n: Network, *, limit: int = FACTS_EDGE_LIMIT) -> MffOutcome:
     """Evaluate every combination of interval endpoints (2^k LPs)."""
+    require_valid(n)
     facts = _facts(n, limit)
     return _search(n, [[e.s_min, e.s_max] for e in facts], facts)
 
@@ -131,6 +133,7 @@ def solve_mff_grid(n: Network, k: int, *, limit: int = FACTS_EDGE_LIMIT) -> MffO
     """Endpoint search refined by a uniform grid; dominates the endpoints for every k."""
     if k < 1:
         raise ValueError("grid refinement k must be >= 1")
+    require_valid(n)
     facts = _facts(n, limit)
     return _search(n, [grid_points(e, k) for e in facts], facts)
 
@@ -142,7 +145,7 @@ def enumerate_endpoint_optima(n: Network, *, limit: int = FACTS_EDGE_LIMIT) -> l
     out = []
     for combo in itertools.product(*[[e.s_min, e.s_max] for e in facts]):
         assignment = dict(zip(facts, combo))
-        res = solve_mpf(pin_susceptances(n, assignment))
+        res = solve_mpf(pin_susceptances(n, assignment), validate=False)
         if res.value == best:
             out.append((assignment, MffOutcome(res.value, assignment, _relabel(n, res.solution), not facts)))
     return out

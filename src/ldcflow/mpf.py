@@ -19,7 +19,7 @@ from .classify import connected_components, is_tree
 from .errors import NotATree, NotFixedSusceptance
 from .lp import LinearProgram, LpStatus, solve_lp
 from .maxflow import _classical_flow_detail
-from .network import Network, NodeId, NodeRole, Solution
+from .network import Network, NodeId, NodeRole, Solution, require_valid
 from .rational import Rational, ZERO
 
 
@@ -108,8 +108,15 @@ def _solution_from_assignment(n: Network, assignment: dict[str, Rational]) -> So
     )
 
 
-def solve_mpf(n: Network) -> MpfOutcome:
-    """Exact MPF value and an optimal solution (never infeasible: zero flow works)."""
+def solve_mpf(n: Network, *, validate: bool = True) -> MpfOutcome:
+    """Exact MPF value and an optimal solution (never infeasible: zero flow works).
+
+    An invalid network raises `InvalidNetwork`.  The searches pass
+    `validate=False` for the sub-networks and pinned networks they derive
+    from a network they have already validated.
+    """
+    if validate:
+        require_valid(n)
     result = solve_lp(formulate_mpf(n))
     if result.status is not LpStatus.OPTIMAL:  # pragma: no cover - MPF is always bounded
         raise AssertionError(f"MPF solve ended {result.status}")
@@ -118,6 +125,7 @@ def solve_mpf(n: Network) -> MpfOutcome:
 
 def solve_tree(n: Network) -> MpfOutcome:
     """MPF of a tree without the LP: replay a classical max flow with angles."""
+    require_valid(n)
     if not is_tree(n):
         raise NotATree("network is not a tree")
     _require_fixed(n)

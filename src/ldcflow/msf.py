@@ -21,7 +21,7 @@ from .errors import TooLarge
 from .lp import LinearProgram, VarId, write_lp_text
 from .maxflow import classical_max_flow
 from .mpf import MpfOutcome, _gen, _load, _require_fixed, _th, pinned_nodes, solve_mpf
-from .network import Edge, Network, NodeRole, Solution, SwitchSet, subnetwork
+from .network import Edge, Network, NodeRole, Solution, SwitchSet, require_valid, subnetwork
 from .parallel import POOL_THRESHOLD, ordered_map
 from .rational import ONE, Rational, ZERO, rat_str
 
@@ -48,7 +48,7 @@ def _better(value, key, best_value, best_key) -> bool:
 
 def _mask_value(n: Network, mask: int) -> Rational:
     removed = tuple(e for i, e in enumerate(n.edges) if mask >> i & 1)
-    return solve_mpf(subnetwork(n, removed)).value
+    return solve_mpf(subnetwork(n, removed), validate=False).value
 
 
 def solve_msf_exhaustive(n: Network, *, limit: int = EXHAUSTIVE_EDGE_LIMIT, pool_threshold: int = POOL_THRESHOLD) -> MsfOutcome:
@@ -58,6 +58,7 @@ def solve_msf_exhaustive(n: Network, *, limit: int = EXHAUSTIVE_EDGE_LIMIT, pool
     reduction runs in mask order, so the outcome never depends on the
     worker count.
     """
+    require_valid(n)
     _require_fixed(n)
     edges = list(n.edges)
     if len(edges) > limit:
@@ -69,12 +70,13 @@ def solve_msf_exhaustive(n: Network, *, limit: int = EXHAUSTIVE_EDGE_LIMIT, pool
         if _better(value, key, best_value, best_key):
             best_value, best_key, best_mask = value, key, mask
     removed = frozenset(e for i, e in enumerate(edges) if best_mask >> i & 1)
-    out = solve_mpf(subnetwork(n, removed))
+    out = solve_mpf(subnetwork(n, removed), validate=False)
     return MsfOutcome(out.value, removed, out.solution)
 
 
 def optimal_switch_sets(n: Network, *, limit: int = EXHAUSTIVE_EDGE_LIMIT) -> list[tuple[SwitchSet, MpfOutcome]]:
     """All switch sets attaining the MSF value, in canonical order."""
+    require_valid(n)
     _require_fixed(n)
     edges = list(n.edges)
     if len(edges) > limit:
@@ -82,9 +84,9 @@ def optimal_switch_sets(n: Network, *, limit: int = EXHAUSTIVE_EDGE_LIMIT) -> li
     values = []
     for mask in range(1 << len(edges)):
         removed = tuple(e for i, e in enumerate(edges) if mask >> i & 1)
-        values.append((removed, solve_mpf(subnetwork(n, removed)).value))
+        values.append((removed, solve_mpf(subnetwork(n, removed), validate=False).value))
     best = max(v for _, v in values)
-    winners = [(frozenset(rm), solve_mpf(subnetwork(n, rm))) for rm, v in values if v == best]
+    winners = [(frozenset(rm), solve_mpf(subnetwork(n, rm), validate=False)) for rm, v in values if v == best]
     winners.sort(key=lambda pair: switch_key(pair[0]))
     return winners
 
@@ -97,7 +99,7 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> MsfOutcome:
     branch is its own removed-set; that makes the exhaustive tie-break
     reproducible under pruning.  With `threshold` set, the search stops as
     soon as the incumbent proves the decision and prunes anything that
-    cannot reach the threshold.
+    cannot reach the threshold.  The caller validates n.
     """
     _require_fixed(n)
     edges = list(n.edges)
@@ -126,21 +128,23 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> MsfOutcome:
                     continue
                 if bound == state["value"] and not switch_key(child) < state["key"]:
                     continue
-            explore(i + 1, child, solve_mpf(sub))
+            explore(i + 1, child, solve_mpf(sub, validate=False))
             if done():
                 return
 
-    explore(0, (), solve_mpf(n))
+    explore(0, (), solve_mpf(n, validate=False))
     return MsfOutcome(state["value"], frozenset(state["removed"]), state["solution"])
 
 
 def solve_msf_bnb(n: Network) -> MsfOutcome:
     """Branch-and-bound MSF; same outcome as the exhaustive search."""
+    require_valid(n)
     return _solve_msf_bnb(n, None)
 
 
 def decide_msf(n: Network, x: Rational) -> bool:
     """Is the maximum switching flow at least x?  Exact in both directions."""
+    require_valid(n)
     if x <= 0:
         return True  # the zero solution is always available
     return _solve_msf_bnb(n, x).value >= x

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import EdgeOverlap, RoleConflict, UnknownEdge
+from .errors import EdgeOverlap, InvalidNetwork, RoleConflict, UnknownEdge
 from .rational import Rational, ZERO, rat, rat_str
 
 NodeId = str
@@ -53,6 +53,11 @@ class Edge:
             a, b = self.a, self.b
             object.__setattr__(self, "a", b)
             object.__setattr__(self, "b", a)
+
+    def __hash__(self):
+        # the endpoint names alone: equal edges share them, and hashing the
+        # rational fields would cost three Fraction hashes per lookup
+        return hash((self.a, self.b))
 
     @property
     def pair(self) -> tuple[NodeId, NodeId]:
@@ -208,6 +213,13 @@ def validate_network(n: Network) -> ValidationReport:
         if e.cap <= 0:
             out.append(Violation("Structural", loc, f"capacity {rat_str(e.cap)} is not positive"))
     return ValidationReport(tuple(out))
+
+
+def require_valid(n: Network) -> None:
+    """Raise `InvalidNetwork`, carrying the `validate_network` report, unless n is valid."""
+    report = validate_network(n)
+    if not report.ok:
+        raise InvalidNetwork(report)
 
 
 def subnetwork(n: Network, switched: Iterable[Edge]) -> Network:

@@ -1,9 +1,14 @@
 """Exact rational numbers and their textual forms.
 
-The whole core computes with `fractions.Fraction`: arbitrary precision,
-always in lowest terms, exact comparison.  No floating point enters any
-solver path; floats are rejected at the parsing boundary so a lossy value
-can never masquerade as an exact one.
+`fractions.Fraction` is the boundary type: every value a caller passes in
+or gets back -- capacities, susceptances, LP coefficients, optima and
+solutions -- is one, arbitrary precision, always in lowest terms, exact
+in comparison.  The two hot kernels work on integers instead: the LP
+(`lp`) scales each row by the LCM of its denominators and the classical
+max flow (`maxflow`) scales all capacities by theirs, and both convert
+back to the same exact `Fraction`s at the end.  No floating point enters
+any solver path; floats are rejected at the parsing boundary so a lossy
+value can never masquerade as an exact one.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute force and shares no code with the
 solvers it cross-checks: the LP oracle enumerates constraint-intersection
-vertices, and the combinatorial oracles enumerate subsets/permutations.
+vertices, the min-cut oracle enumerates source-side node sets, and the
+combinatorial oracles enumerate subsets/permutations.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from ldcflow.lp import LinearProgram
+from ldcflow.network import Network, NodeRole
 
 
 def gauss_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -78,6 +80,26 @@ def lp_vertex_oracle(p: LinearProgram) -> tuple[str, Fraction | None]:
         if best is None or value > best:
             best = value
     return ("infeasible", None) if best is None else ("optimal", best)
+
+
+def min_cut_value(n: Network) -> Fraction:
+    """Smallest capacity of an edge cut separating every generator from every load.
+
+    The source side holds all generators and any subset of the plain
+    nodes; an edge counts when its endpoints lie on different sides.  By
+    max-flow/min-cut this is the classical max flow.
+    """
+    if not n.generators or not n.loads:
+        return Fraction(0)
+    plain = [v for v in n.node_names if n.role(v) is NodeRole.PLAIN]
+    best: Fraction | None = None
+    for r in range(len(plain) + 1):
+        for chosen in combinations(plain, r):
+            side = set(n.generators).union(chosen)
+            cut = sum((e.cap for e in n.edges if (e.a in side) != (e.b in side)), Fraction(0))
+            if best is None or cut < best:
+                best = cut
+    return best
 
 
 def subset_sum_solvable(values, target) -> bool:

@@ -310,3 +310,82 @@ def test_bland_tie_break_decides_among_optimal_vertices():
     r = solve_lp(p)
     assert r.value == 2 and r.assignment == {"x": 0, "y": 1, "z": 0}
 
+
+
+def assert_matches_oracle(p: LinearProgram):
+    r = solve_lp(p)
+    status, value = lp_vertex_oracle(p)
+    assert r.status.value == status
+    if status == "optimal":
+        assert r.value == value
+        assert_feasible_optimum(p, r)
+    return r
+
+
+def test_fixed_variables_at_rational_values_fold_into_the_rows():
+    p = LinearProgram()
+    p.add_variable("x", lower=F(7, 3), upper=F(7, 3))
+    p.add_variable("y", lower=F(-5, 2), upper=F(-5, 2))
+    p.add_variable("z", lower=F(0), upper=F(10))
+    p.add_variable("w", lower=F(-3), upper=F(4))
+    p.add_constraint({"x": F(3, 2), "z": F(1), "w": F(1)}, "<=", F(6))
+    p.add_constraint({"y": F(2), "z": F(-1), "w": F(2, 7)}, ">=", F(-8))
+    # both fixed values meet in this row, over the LCM 6 of their denominators
+    p.add_constraint({"x": F(1), "y": F(1), "w": F(1)}, "<=", F(1, 2))
+    p.set_objective({"x": F(3), "z": F(1), "w": F(2)})
+    r = assert_matches_oracle(p)
+    assert r.assignment == {"z": F(11, 6), "w": F(2, 3), "x": F(7, 3), "y": F(-5, 2)}
+    assert r.value == F(61, 6)
+
+
+def test_upper_only_bound_shifts_the_rows():
+    # x <= 7/3 with no lower bound becomes x = 7/3 - x' with x' >= 0
+    p = LinearProgram()
+    p.add_variable("x", upper=F(7, 3))
+    p.add_variable("y", lower=F(0), upper=F(5))
+    p.add_constraint({"x": F(1), "y": F(1)}, "<=", F(4))
+    p.add_constraint({"x": F(1), "y": F(-1)}, ">=", F(-1))
+    p.set_objective({"x": F(2), "y": F(1)})
+    r = assert_matches_oracle(p)
+    assert r.assignment == {"x": F(7, 3), "y": F(5, 3)} and r.value == F(19, 3)
+
+
+def test_chained_elimination_back_substitutes_in_reverse():
+    # x1 goes through the first row, which holds x2; the substitution puts
+    # x2 into the second row, through which x2 goes next.  Recovering x1
+    # needs the value of x2.
+    p = LinearProgram()
+    p.add_variable("x1")
+    p.add_variable("x2")
+    p.add_variable("y", lower=F(0), upper=F(3))
+    p.add_variable("z", lower=F(0), upper=F(3))
+    p.add_constraint({"x1": F(1), "x2": F(1), "y": F(1)}, "=", F(2))
+    p.add_constraint({"x1": F(1), "x2": F(-1), "z": F(1, 3)}, "=", F(1))
+    p.add_constraint({"x1": F(1), "x2": F(1)}, "<=", F(3, 2))
+    p.set_objective({"x1": F(1), "x2": F(2), "y": F(1)})
+    r = assert_matches_oracle(p)
+    x1, x2 = r.assignment["x1"], r.assignment["x2"]
+    assert x1 + x2 + r.assignment["y"] == 2 and x1 - x2 + r.assignment["z"] / 3 == 1
+
+
+def test_equality_row_reducing_to_a_nonzero_constant_is_infeasible():
+    # eliminating x through the first row leaves 0 = 1/3 in the second
+    p = LinearProgram()
+    p.add_variable("x")
+    p.add_variable("y", lower=F(0), upper=F(1))
+    p.add_constraint({"x": F(1), "y": F(1)}, "=", F(1))
+    p.add_constraint({"x": F(3), "y": F(3)}, "=", F(10, 3))
+    p.set_objective({"y": F(1)})
+    assert solve_lp(p).status is LpStatus.INFEASIBLE
+    assert lp_vertex_oracle(p) == ("infeasible", None)
+
+
+def test_presolve_eliminates_the_first_free_variable_of_the_row():
+    # every point of a - b = 1 is optimal; eliminating a (declared first)
+    # leaves b as the split column at 0, so the vertex is a = 1, b = 0
+    p = LinearProgram()
+    p.add_variable("a")
+    p.add_variable("b")
+    p.add_constraint({"b": F(-1), "a": F(1)}, "=", F(1))
+    r = solve_lp(p)
+    assert r.status is LpStatus.OPTIMAL and r.assignment == {"a": F(1), "b": F(0)}

@@ -2,8 +2,9 @@ from fractions import Fraction as F
 
 from conftest import random_ldc_network
 from ldcflow.gadgets import Polarity, gsch
-from ldcflow.maxflow import classical_max_flow
+from ldcflow.maxflow import _classical_flow_detail, classical_max_flow
 from ldcflow.network import Network, NodeRole, fixed_edge, subnetwork
+from oracles import min_cut_value
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
@@ -49,3 +50,28 @@ def test_monotone_under_edge_removal(rng):
         base = classical_max_flow(n)
         for e in n.edges:
             assert classical_max_flow(subnetwork(n, {e})) <= base
+
+
+def with_rational_capacities(rng, n):
+    """The same network with each capacity divided by 1, 2, 3 or 7."""
+    edges = [fixed_edge(e.a, e.b, e.s_min, e.cap / rng.choice((1, 2, 3, 7))) for e in n.edges]
+    return Network(n.nodes, edges)
+
+
+def test_matches_brute_force_min_cut_with_rational_capacities(rng):
+    for _ in range(60):
+        n = with_rational_capacities(rng, random_ldc_network(rng))
+        value, flows = _classical_flow_detail(n)
+        assert classical_max_flow(n) == value == min_cut_value(n)
+        net_out = {v: F(0) for v in n.node_names}
+        for e, f in flows.items():
+            assert abs(f) <= e.cap
+            net_out[e.a] += f
+            net_out[e.b] -= f
+        for v in n.node_names:
+            role = n.role(v)
+            if role is PLAIN:
+                assert net_out[v] == 0
+            else:
+                assert (net_out[v] >= 0) if role is GEN else (net_out[v] <= 0)
+        assert sum(net_out[g] for g in n.generators) == value

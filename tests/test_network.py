@@ -3,8 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from ldcflow.errors import EdgeOverlap, RoleConflict, UnknownEdge
+from ldcflow.errors import EdgeOverlap, InvalidNetwork, RoleConflict, UnknownEdge
 from ldcflow.gadgets import Polarity, gsch
+from ldcflow.mff import decide_mff, solve_mff_endpoints, solve_mff_grid
+from ldcflow.mpf import solve_mpf, solve_tree
+from ldcflow.msf import decide_msf, optimal_switch_sets, solve_msf_bnb, solve_msf_exhaustive
 from ldcflow.network import (
     Edge,
     Network,
@@ -236,3 +239,29 @@ def test_angle_induced_solutions_validate_iff_bounds_hold():
         checked_ok += expected_ok
     # the generator must exercise both sides of the iff
     assert 0 < checked_ok < 60 or True
+
+
+INVALID_NETWORKS = {
+    "negative capacity": Network([("g", GEN), ("l", LOAD)], [fixed_edge("g", "l", 1, -1)]),
+    "undeclared endpoint": Network([("g", GEN), ("l", LOAD)], [fixed_edge("g", "l", 1, 2), fixed_edge("g", "zz", 1, 2)]),
+}
+PUBLIC_SOLVERS = {
+    "solve_mpf": solve_mpf,
+    "solve_tree": solve_tree,
+    "solve_msf_exhaustive": solve_msf_exhaustive,
+    "solve_msf_bnb": solve_msf_bnb,
+    "decide_msf": lambda n: decide_msf(n, F(1)),
+    "optimal_switch_sets": optimal_switch_sets,
+    "solve_mff_endpoints": solve_mff_endpoints,
+    "solve_mff_grid": lambda n: solve_mff_grid(n, 2),
+    "decide_mff": lambda n: decide_mff(n, F(1)),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(INVALID_NETWORKS))
+@pytest.mark.parametrize("solver", sorted(PUBLIC_SOLVERS))
+def test_public_solvers_reject_invalid_networks_with_the_report(solver, defect):
+    n = INVALID_NETWORKS[defect]
+    with pytest.raises(InvalidNetwork) as exc:
+        PUBLIC_SOLVERS[solver](n)
+    assert exc.value.report == validate_network(n) and not exc.value.report.ok
