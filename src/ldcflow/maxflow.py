@@ -19,7 +19,6 @@ from collections import deque
 from fractions import Fraction
 
 from .network import Edge, Network
-from .rational import ZERO
 
 
 def _edmonds_karp(num_nodes: int, arcs: dict[tuple[int, int], int], source: int, sink: int) -> dict[tuple[int, int], int]:
@@ -63,11 +62,10 @@ def _edmonds_karp(num_nodes: int, arcs: dict[tuple[int, int], int], source: int,
 
 
 def _integer_flow(n: Network) -> tuple[int, int, dict[str, int], dict[tuple[int, int], int]]:
-    """(value, scale, node index, flow per arc), all over the scale L of the capacities.
-
-    The network needs at least one generator, one load and one edge.
-    """
+    """(value, scale, node index, flow per arc), all over the scale L of the capacities."""
     index = {name: i for i, name in enumerate(n.node_names)}
+    if not (n.generators and n.loads and n.edges):
+        return 0, 1, index, {}
     source = len(index)
     sink = len(index) + 1
     scale = math.lcm(*(e.cap.denominator for e in n.edges))
@@ -91,17 +89,13 @@ def _integer_flow(n: Network) -> tuple[int, int, dict[str, int], dict[tuple[int,
 
 def _classical_flow_detail(n: Network) -> tuple[Fraction, dict[Edge, Fraction]]:
     """(max-flow value, signed net flow per edge relative to canonical orientation)."""
-    if not (n.generators and n.loads and n.edges):
-        return ZERO, {e: ZERO for e in n.edges}
     value, scale, index, flow = _integer_flow(n)
     # cap - residual on the forward arc is already the signed net flow
-    per_edge = {e: Fraction(flow[(index[e.a], index[e.b])], scale) for e in n.edges}
+    per_edge = {e: Fraction(flow.get((index[e.a], index[e.b]), 0), scale) for e in n.edges}
     return Fraction(value, scale), per_edge
 
 
 def classical_max_flow(n: Network) -> Fraction:
     """Standard max flow from all generators to all loads, capacities only."""
-    if not (n.generators and n.loads and n.edges):
-        return ZERO
     value, scale, _, _ = _integer_flow(n)
     return Fraction(value, scale)

@@ -72,7 +72,7 @@ def _relabel(n: Network, sol: Solution) -> Solution:
 
 
 def _combo_value(n: Network, facts: list[Edge], combo: tuple[Rational, ...]) -> Rational:
-    return solve_mpf(pin_susceptances(n, dict(zip(facts, combo))), validate=False).value
+    return solve_mpf(pin_susceptances(n, dict(zip(facts, combo)))).value
 
 
 def _search(n: Network, points: list[list[Rational]], facts: list[Edge]) -> MffOutcome:
@@ -82,8 +82,7 @@ def _search(n: Network, points: list[list[Rational]], facts: list[Edge]) -> MffO
     vector (edges in canonical order, points ascending), and only strict
     improvements replace the incumbent, so ties resolve to the smallest
     vector.  Moderate-sized products may fan out over a process pool; the
-    in-order reduction keeps the result identical either way.  The
-    caller validates n.
+    in-order reduction keeps the result identical either way.
     """
     total = math.prod(len(p) for p in points)
     if total <= _POOL_MATERIALIZE_CAP:
@@ -98,7 +97,7 @@ def _search(n: Network, points: list[list[Rational]], facts: list[Edge]) -> MffO
             best = (combo, value)
     combo, _value = best
     assignment = dict(zip(facts, combo))
-    out = solve_mpf(pin_susceptances(n, assignment), validate=False)
+    out = solve_mpf(pin_susceptances(n, assignment))
     return MffOutcome(
         value=out.value,
         assignment=assignment,
@@ -145,7 +144,7 @@ def enumerate_endpoint_optima(n: Network, *, limit: int = FACTS_EDGE_LIMIT) -> l
     out = []
     for combo in itertools.product(*[[e.s_min, e.s_max] for e in facts]):
         assignment = dict(zip(facts, combo))
-        res = solve_mpf(pin_susceptances(n, assignment), validate=False)
+        res = solve_mpf(pin_susceptances(n, assignment))
         if res.value == best:
             out.append((assignment, MffOutcome(res.value, assignment, _relabel(n, res.solution), not facts)))
     return out

@@ -108,15 +108,12 @@ def _solution_from_assignment(n: Network, assignment: dict[str, Rational]) -> So
     )
 
 
-def solve_mpf(n: Network, *, validate: bool = True) -> MpfOutcome:
+def solve_mpf(n: Network) -> MpfOutcome:
     """Exact MPF value and an optimal solution (never infeasible: zero flow works).
 
-    An invalid network raises `InvalidNetwork`.  The searches pass
-    `validate=False` for the sub-networks and pinned networks they derive
-    from a network they have already validated.
+    An invalid network raises `InvalidNetwork`.
     """
-    if validate:
-        require_valid(n)
+    require_valid(n)
     result = solve_lp(formulate_mpf(n))
     if result.status is not LpStatus.OPTIMAL:  # pragma: no cover - MPF is always bounded
         raise AssertionError(f"MPF solve ended {result.status}")

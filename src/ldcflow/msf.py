@@ -48,7 +48,7 @@ def _better(value, key, best_value, best_key) -> bool:
 
 def _mask_value(n: Network, mask: int) -> Rational:
     removed = tuple(e for i, e in enumerate(n.edges) if mask >> i & 1)
-    return solve_mpf(subnetwork(n, removed), validate=False).value
+    return solve_mpf(subnetwork(n, removed)).value
 
 
 def solve_msf_exhaustive(n: Network, *, limit: int = EXHAUSTIVE_EDGE_LIMIT, pool_threshold: int = POOL_THRESHOLD) -> MsfOutcome:
@@ -70,7 +70,7 @@ def solve_msf_exhaustive(n: Network, *, limit: int = EXHAUSTIVE_EDGE_LIMIT, pool
         if _better(value, key, best_value, best_key):
             best_value, best_key, best_mask = value, key, mask
     removed = frozenset(e for i, e in enumerate(edges) if best_mask >> i & 1)
-    out = solve_mpf(subnetwork(n, removed), validate=False)
+    out = solve_mpf(subnetwork(n, removed))
     return MsfOutcome(out.value, removed, out.solution)
 
 
@@ -84,9 +84,9 @@ def optimal_switch_sets(n: Network, *, limit: int = EXHAUSTIVE_EDGE_LIMIT) -> li
     values = []
     for mask in range(1 << len(edges)):
         removed = tuple(e for i, e in enumerate(edges) if mask >> i & 1)
-        values.append((removed, solve_mpf(subnetwork(n, removed), validate=False).value))
+        values.append((removed, solve_mpf(subnetwork(n, removed)).value))
     best = max(v for _, v in values)
-    winners = [(frozenset(rm), solve_mpf(subnetwork(n, rm), validate=False)) for rm, v in values if v == best]
+    winners = [(frozenset(rm), solve_mpf(subnetwork(n, rm))) for rm, v in values if v == best]
     winners.sort(key=lambda pair: switch_key(pair[0]))
     return winners
 
@@ -99,7 +99,7 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> MsfOutcome:
     branch is its own removed-set; that makes the exhaustive tie-break
     reproducible under pruning.  With `threshold` set, the search stops as
     soon as the incumbent proves the decision and prunes anything that
-    cannot reach the threshold.  The caller validates n.
+    cannot reach the threshold.
     """
     _require_fixed(n)
     edges = list(n.edges)
@@ -128,11 +128,11 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> MsfOutcome:
                     continue
                 if bound == state["value"] and not switch_key(child) < state["key"]:
                     continue
-            explore(i + 1, child, solve_mpf(sub, validate=False))
+            explore(i + 1, child, solve_mpf(sub))
             if done():
                 return
 
-    explore(0, (), solve_mpf(n, validate=False))
+    explore(0, (), solve_mpf(n))
     return MsfOutcome(state["value"], frozenset(state["removed"]), state["solution"])
 
 
