@@ -3,9 +3,10 @@
 Core objects: `Network` (nodes with roles, susceptance/capacity edges) and
 `Solution` (angles, flows, generation, load), all over exact rationals.
 Solvers: `solve_mpf` (fixed topology, an LP), `solve_msf_*` (optimal edge
-switching), `solve_mff_*` (FACTS susceptance search, a certified lower
-bound).  `gadgets` and `reductions` construct the choice gadgets and the
-NP-hardness problem encodings with their predicted optimal values.
+switching), `solve_mff_*` (FACTS susceptance search, a lower bound,
+certified only without FACTS edges).  `gadgets` and `reductions`
+construct the choice gadgets and the NP-hardness problem encodings with
+their predicted optimal values.
 """
 
 from .classify import is_cactus, is_connected, is_tree, max_degree

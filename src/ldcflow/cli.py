@@ -20,7 +20,7 @@ import sys
 from . import classify, serialize
 from .errors import LdcError
 from .gadgets import Polarity, gfch, gsch
-from .mff import MffDecision, decide_mff, solve_mff_endpoints, solve_mff_grid
+from .mff import MffDecision, decide_mff, solve_mff_grid
 from .mpf import solve_mpf, solve_tree
 from .msf import decide_msf, export_milp, solve_msf_bnb, solve_msf_exhaustive
 from .network import require_valid, subnetwork, validate_network, validate_solution
@@ -104,7 +104,7 @@ def _cmd_solve(args) -> int:
         decision = decide_mff(n, rat(args.decide), k=args.grid)
         print("YES" if decision is MffDecision.YES else "UNKNOWN")
         return 0
-    out = solve_mff_grid(n, args.grid) if args.grid else solve_mff_endpoints(n)
+    out = solve_mff_grid(n, args.grid)
     doc = serialize.mff_outcome_to_json(out)
     if args.json:
         _emit(doc, None)
@@ -206,6 +206,12 @@ def _cmd_export(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ldcflow", description="Exact reconfiguration analysis of linear-DC power networks.")
     sub = top.add_subparsers(dest="command", required=True)
@@ -216,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out", help="write the solution/outcome JSON here")
     solve.add_argument("--decide", metavar="X", help="print YES/NO (mpf, msf) or YES/UNKNOWN (mff) for value >= X")
     solve.add_argument("--method", choices=["exhaustive", "bnb"], default="bnb", help="msf search strategy")
-    solve.add_argument("--grid", type=int, metavar="K", help="mff: refine the endpoint search with a K-step grid")
+    solve.add_argument("--grid", type=_positive_int, default=1, metavar="K", help="mff: search a K-step grid per FACTS edge (default 1: the endpoints)")
     solve.add_argument("--tree", action="store_true", help="mpf: use the tree fast path")
     solve.add_argument("--json", action="store_true")
     solve.set_defaults(func=_cmd_solve)

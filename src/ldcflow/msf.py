@@ -22,7 +22,7 @@ from .lp import LinearProgram, VarId, write_lp_text
 from .maxflow import classical_max_flow
 from .mpf import MpfOutcome, _gen, _load, _require_fixed, _th, pinned_nodes, solve_mpf
 from .network import Edge, Network, NodeRole, Solution, SwitchSet, require_valid, subnetwork
-from .parallel import POOL_THRESHOLD, ordered_map
+from .parallel import optima, ordered_map
 from .rational import ONE, Rational, ZERO, rat_str
 
 EXHAUSTIVE_EDGE_LIMIT = 20
@@ -46,13 +46,16 @@ def _better(value, key, best_value, best_key) -> bool:
     return value == best_value and key < best_key
 
 
+def _removed(n: Network, mask: int) -> tuple[Edge, ...]:
+    return tuple(e for i, e in enumerate(n.edges) if mask >> i & 1)
+
+
 def _mask_value(n: Network, mask: int) -> Rational:
-    removed = tuple(e for i, e in enumerate(n.edges) if mask >> i & 1)
-    return solve_mpf(subnetwork(n, removed)).value
+    return solve_mpf(subnetwork(n, _removed(n, mask))).value
 
 
-def solve_msf_exhaustive(n: Network, *, limit: int = EXHAUSTIVE_EDGE_LIMIT, pool_threshold: int = POOL_THRESHOLD) -> MsfOutcome:
-    """Scan all 2^|E| switch sets; exact but only sensible at desk scale.
+def _optimal_sets(n: Network, limit: int) -> list[tuple[Edge, ...]]:
+    """All optimal switch sets, as switch keys in canonical order.
 
     Large scans fan out over a process pool (capped by LDC_THREADS); the
     reduction runs in mask order, so the outcome never depends on the
@@ -60,35 +63,22 @@ def solve_msf_exhaustive(n: Network, *, limit: int = EXHAUSTIVE_EDGE_LIMIT, pool
     """
     require_valid(n)
     _require_fixed(n)
-    edges = list(n.edges)
-    if len(edges) > limit:
-        raise TooLarge(f"{len(edges)} edges exceed the exhaustive limit of {limit}")
-    masks = range(1 << len(edges))
-    best_value = best_key = best_mask = None
-    for mask, value in zip(masks, ordered_map(partial(_mask_value, n), masks, threshold=pool_threshold)):
-        key = switch_key(e for i, e in enumerate(edges) if mask >> i & 1)
-        if _better(value, key, best_value, best_key):
-            best_value, best_key, best_mask = value, key, mask
-    removed = frozenset(e for i, e in enumerate(edges) if best_mask >> i & 1)
+    if len(n.edges) > limit:
+        raise TooLarge(f"{len(n.edges)} edges exceed the exhaustive limit of {limit}")
+    masks = range(1 << len(n.edges))
+    return sorted(switch_key(_removed(n, mask)) for mask in optima(masks, ordered_map(partial(_mask_value, n), masks)))
+
+
+def solve_msf_exhaustive(n: Network, *, limit: int = EXHAUSTIVE_EDGE_LIMIT) -> MsfOutcome:
+    """Scan all 2^|E| switch sets; exact but only sensible at desk scale."""
+    removed = _optimal_sets(n, limit)[0]
     out = solve_mpf(subnetwork(n, removed))
-    return MsfOutcome(out.value, removed, out.solution)
+    return MsfOutcome(out.value, frozenset(removed), out.solution)
 
 
 def optimal_switch_sets(n: Network, *, limit: int = EXHAUSTIVE_EDGE_LIMIT) -> list[tuple[SwitchSet, MpfOutcome]]:
     """All switch sets attaining the MSF value, in canonical order."""
-    require_valid(n)
-    _require_fixed(n)
-    edges = list(n.edges)
-    if len(edges) > limit:
-        raise TooLarge(f"{len(edges)} edges exceed the exhaustive limit of {limit}")
-    values = []
-    for mask in range(1 << len(edges)):
-        removed = tuple(e for i, e in enumerate(edges) if mask >> i & 1)
-        values.append((removed, solve_mpf(subnetwork(n, removed)).value))
-    best = max(v for _, v in values)
-    winners = [(frozenset(rm), solve_mpf(subnetwork(n, rm))) for rm, v in values if v == best]
-    winners.sort(key=lambda pair: switch_key(pair[0]))
-    return winners
+    return [(frozenset(removed), solve_mpf(subnetwork(n, removed))) for removed in _optimal_sets(n, limit)]
 
 
 def _solve_msf_bnb(n: Network, threshold: Rational | None) -> MsfOutcome:

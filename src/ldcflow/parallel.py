@@ -1,10 +1,10 @@
 """Optional process-level parallelism for embarrassingly parallel searches.
 
-The exhaustive switching scan and the FACTS assignment searches evaluate
+The exhaustive switching scans and the FACTS assignment searches evaluate
 one independent LP per candidate; those evaluations may run in a process
-pool.  Reduction happens in task order, so the outcome is identical to a
-sequential run no matter the worker count.  LDC_THREADS caps the pool
-(default: all cores); pools only engage above a task-count threshold
+pool.  `optima` reduces them in task order, so the outcome is identical to
+a sequential run no matter the worker count.  LDC_THREADS caps the pool
+(default: all cores); pools only engage from POOL_THRESHOLD tasks on
 because each worker re-imports the package.
 """
 
@@ -28,14 +28,14 @@ def thread_count() -> int:
     return count
 
 
-def ordered_map(fn: Callable, tasks: Sequence, *, threshold: int = POOL_THRESHOLD) -> Iterable:
+def ordered_map(fn: Callable, tasks: Sequence) -> Iterable:
     """Map preserving task order; uses a process pool for large batches.
 
     `fn` must be picklable (a module-level function or functools.partial
     over one).  Falls back to a sequential map if the pool cannot start.
     """
     workers = thread_count()
-    if workers <= 1 or len(tasks) < threshold:
+    if workers <= 1 or len(tasks) < POOL_THRESHOLD:
         return map(fn, tasks)
     try:
         pool = multiprocessing.Pool(workers)
@@ -51,3 +51,18 @@ def ordered_map(fn: Callable, tasks: Sequence, *, threshold: int = POOL_THRESHOL
             pool.join()
 
     return run()
+
+
+def optima(tasks: Iterable, values: Iterable) -> list:
+    """Every task whose value is the largest, in task order.
+
+    `tasks` is zipped first, so a lazy `values` (an `ordered_map` result)
+    is never asked for a value past the last task.
+    """
+    best, winners = None, []
+    for task, value in zip(tasks, values):
+        if not winners or value > best:
+            best, winners = value, [task]
+        elif value == best:
+            winners.append(task)
+    return winners

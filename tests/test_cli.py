@@ -124,6 +124,14 @@ class TestErrors:
             main(["solve", "nonsense", "x.json"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_grid_below_one_is_a_usage_error(self, capsys, tmp_path, k):
+        path = tmp_path / "f.json"
+        run(capsys, "gadget", "gfch", "--x", "1", "--polarity", "minus", "--out", str(path))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "mff", str(path), "--grid", k])
+        assert exc.value.code == 2
+
     def test_invalid_instance_is_exit_4(self, capsys, tmp_path):
         inst = tmp_path / "inst.json"
         inst.write_text(json.dumps({"M": [1, 1], "w": 2}))

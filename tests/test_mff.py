@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from ldcflow import mff
 from ldcflow.errors import TooManyFactsEdges
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.mff import (
@@ -14,7 +15,7 @@ from ldcflow.mff import (
     solve_mff_grid,
 )
 from ldcflow.mpf import solve_mpf
-from ldcflow.network import Network, NodeRole, facts_edge, total_generation, validate_solution
+from ldcflow.network import Network, NodeRole, facts_edge, network_sum, total_generation, validate_solution
 
 GEN, LOAD = NodeRole.GENERATOR, NodeRole.LOAD
 
@@ -80,6 +81,16 @@ def test_endpoint_optima_congest_the_known_edges(x):
         assert out.solution.flow[by_pair[("c", "t")]] == -x  # t -> c
 
 
+def test_endpoint_optima_solve_each_combination_once(monkeypatch):
+    # one solve per endpoint combination, then one per optimum it returns
+    calls = []
+    solve = mff.solve_mpf
+    monkeypatch.setattr(mff, "solve_mpf", lambda n: calls.append(n) or solve(n))
+    n = network_sum(gfch(1, port="v", prefix="A."), gfch(2, port="w", prefix="B."))
+    optima = enumerate_endpoint_optima(n)
+    assert len(calls) == 2 ** len(n.facts_edges) + len(optima) == 8
+
+
 def test_search_value_dominates_any_pinned_assignment():
     n = facts_gadget()
     pinned = pin_susceptances(n, {adjustable_edge(n): adjustable_edge(n).s_min})
@@ -119,6 +130,10 @@ class TestDecide:
 
     def test_above_the_maximum_is_unknown(self):
         assert decide_mff(facts_gadget(), F(7)) is MffDecision.UNKNOWN
+
+    def test_rejects_nonpositive_k(self):
+        with pytest.raises(ValueError):
+            decide_mff(facts_gadget(), F(1), k=0)
 
     def test_no_facts_network_reaches_its_mpf(self):
         n = gsch(1, "v", Polarity.MINUS)

@@ -1,3 +1,4 @@
+import multiprocessing
 from fractions import Fraction as F
 
 import pytest
@@ -6,6 +7,7 @@ from conftest import random_ldc_network, random_tree
 from ldcflow.errors import NotFixedSusceptance, TooLarge
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.maxflow import classical_max_flow
+from ldcflow.mff import enumerate_endpoint_optima
 from ldcflow.mpf import solve_mpf
 from ldcflow.msf import (
     decide_msf,
@@ -14,7 +16,7 @@ from ldcflow.msf import (
     solve_msf_exhaustive,
     switch_key,
 )
-from ldcflow.network import Network, NodeRole, fixed_edge, subnetwork, validate_solution
+from ldcflow.network import Network, NodeRole, fixed_edge, network_sum, subnetwork, validate_solution
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
@@ -97,12 +99,21 @@ class TestInvariants:
 
 
 def test_pool_evaluation_matches_sequential(rng, monkeypatch):
-    # force the process pool on a small scan; the outcome must not change
+    # force the process pool on small searches; the outcomes must not change
     n = random_ldc_network(rng, max_edges=6)
-    sequential = solve_msf_exhaustive(n)
+    facts = network_sum(gfch(1, port="v", prefix="A."), gfch(2, port="w", prefix="B."))
+
+    def searches():
+        return solve_msf_exhaustive(n), optimal_switch_sets(n), enumerate_endpoint_optima(facts)
+
+    sequential = searches()
+    pools = []
+    start_pool = multiprocessing.Pool
+    monkeypatch.setattr(multiprocessing, "Pool", lambda *a: pools.append(a) or start_pool(*a))
     monkeypatch.setenv("LDC_THREADS", "2")
-    pooled = solve_msf_exhaustive(n, pool_threshold=4)
-    assert (pooled.value, pooled.switched) == (sequential.value, sequential.switched)
+    monkeypatch.setattr("ldcflow.parallel.POOL_THRESHOLD", 4)
+    assert searches() == sequential
+    assert len(pools) == 3
 
 
 def test_switch_key_orders_sets_lexicographically():

@@ -5,7 +5,7 @@ import pytest
 
 from ldcflow.errors import EdgeOverlap, InvalidNetwork, RoleConflict, UnknownEdge
 from ldcflow.gadgets import Polarity, gsch
-from ldcflow.mff import decide_mff, solve_mff_endpoints, solve_mff_grid
+from ldcflow.mff import decide_mff, enumerate_endpoint_optima, solve_mff_endpoints, solve_mff_grid
 from ldcflow.mpf import solve_mpf, solve_tree
 from ldcflow.msf import decide_msf, optimal_switch_sets, solve_msf_bnb, solve_msf_exhaustive
 from ldcflow.network import (
@@ -255,6 +255,7 @@ PUBLIC_SOLVERS = {
     "solve_mff_endpoints": solve_mff_endpoints,
     "solve_mff_grid": lambda n: solve_mff_grid(n, 2),
     "decide_mff": lambda n: decide_mff(n, F(1)),
+    "enumerate_endpoint_optima": enumerate_endpoint_optima,
 }
 
 
