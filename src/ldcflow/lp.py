@@ -29,13 +29,19 @@ only rows with a non-zero in the pivot column and, within them, only the
 pivot row's non-zero columns; the ratio test and every sign test compare
 integers.  The rationals throughout are the ones a `Fraction` presolve and
 tableau would hold, so every choice, Bland's rule included, is the same.
+
+Only the optimal value is computed before `solve_lp` returns, from the
+objective's variables alone.  The vertex (`LpResult.assignment`: basic
+column values, then the eliminated variables by back-substitution) is
+built on its first read, so a caller that compares values never pays for
+it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 
 from .errors import MalformedProgram
@@ -90,11 +96,68 @@ class LpStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class LpResult:
-    status: LpStatus
-    value: Rational | None = None
-    assignment: dict[VarId, Rational] | None = None
+class DeferredRecord:
+    """An immutable record whose last field may be built on its first read.
+
+    A subclass names its fields in `FIELDS`, keeps the leading ones in
+    slots and exposes the last one as `property(DeferredRecord.last)`.
+    `deferred(*leading, build=f)` makes a record whose last field is
+    `f()`, called once, on first read.  Equality, hashing, repr and
+    pickling read every field, so a deferred record behaves like the
+    frozen dataclass it stands for, built eagerly.
+    """
+
+    __slots__ = ("_last", "_build")
+    FIELDS: tuple[str, ...] = ()
+
+    @classmethod
+    def deferred(cls, *leading, build):
+        record = cls(*leading, None)
+        object.__setattr__(record, "_build", build)
+        return record
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def last(self):
+        if self._build is not None:
+            self._set(_last=self._build(), _build=None)
+        return self._last
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.FIELDS)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.FIELDS, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), self._fields())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class LpResult(DeferredRecord):
+    """Status, optimal value and optimal vertex of one solve; `solve_lp` builds the vertex on first read."""
+
+    __slots__ = ("status", "value")
+    FIELDS = ("status", "value", "assignment")
+
+    def __init__(self, status: LpStatus, value: Rational | None = None, assignment: dict[VarId, Rational] | None = None):
+        self._set(status=status, value=value, _last=assignment, _build=None)
+
+    assignment = property(DeferredRecord.last)
 
 
 def _validate(p: LinearProgram) -> None:
@@ -281,7 +344,8 @@ def solve_lp(p: LinearProgram) -> LpResult:
             return LpResult(LpStatus.INFEASIBLE)
 
     # Map each live variable onto nonnegative columns: x = sign*y + shift.
-    gone = set(fixed).union(j for j, _ in eliminated)
+    eliminated_vars = {j for j, _ in eliminated}
+    gone = eliminated_vars.union(fixed)
     live = [j for j in range(nvars) if j not in gone]
     var_cols: dict[int, list[tuple[int, int]]] = {}  # (column, sign); free variables get two
     shift: dict[int, Rational] = {}
@@ -385,26 +449,36 @@ def solve_lp(p: LinearProgram) -> LpResult:
     if status == "unbounded":
         return LpResult(LpStatus.UNBOUNDED)
 
-    # Back to rationals: column values, then live, eliminated and fixed variables.
-    col_val = [ZERO] * width
-    for i, b in enumerate(basis):
-        col_val[b] = Fraction(T[i][-2], T[i][-1])
-    value_of: dict[int, Fraction] = {}
-    for j in live:
+    # Back to rationals: basic column values, then live, eliminated and fixed variables.
+    row_of = {b: i for i, b in enumerate(basis)}
+
+    def column(col: int) -> Fraction:
+        i = row_of.get(col)
+        return ZERO if i is None else Fraction(T[i][-2], T[i][-1])
+
+    def live_value(j: int) -> Fraction:
         cols = var_cols[j]
         if len(cols) == 2:
-            value_of[j] = col_val[cols[0][0]] - col_val[cols[1][0]]
-        else:
-            col, sign = cols[0]
-            value_of[j] = shift.get(j, ZERO) + (col_val[col] if sign > 0 else -col_val[col])
-    for j, prow in reversed(eliminated):
-        rest = sum((prow[k] * value_of[k] for k in range(nvars) if prow[k] and k != j), ZERO)
-        value_of[j] = Fraction(prow[-2] - rest, prow[-1])
-    value_of.update(fixed)
+            return column(cols[0][0]) - column(cols[1][0])
+        col, sign = cols[0]
+        return shift.get(j, ZERO) + (column(col) if sign > 0 else -column(col))
 
-    assignment = {names[j]: x for j, x in value_of.items()}
-    value = sum((rat(c) * assignment[v] for v, c in p.objective.items()), ZERO)
-    return LpResult(LpStatus.OPTIMAL, value, assignment)
+    def vertex() -> dict[VarId, Fraction]:
+        value_of = {j: live_value(j) for j in live}
+        for j, prow in reversed(eliminated):
+            rest = sum((prow[k] * value_of[k] for k in range(nvars) if prow[k] and k != j), ZERO)
+            value_of[j] = Fraction(prow[-2] - rest, prow[-1])
+        value_of.update(fixed)
+        return {names[j]: x for j, x in value_of.items()}
+
+    # The value needs only the objective's variables; an eliminated one needs the whole vertex.
+    objective = [(index[v], rat(c)) for v, c in p.objective.items()]
+    if any(j in eliminated_vars for j, _ in objective):
+        assignment = vertex()
+        value = sum((c * assignment[names[j]] for j, c in objective), ZERO)
+        return LpResult(LpStatus.OPTIMAL, value, assignment)
+    value = sum((c * (fixed[j] if j in fixed else live_value(j)) for j, c in objective), ZERO)
+    return LpResult.deferred(LpStatus.OPTIMAL, value, build=vertex)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,14 @@ power law on every edge (substituted into the conservation rows), and the
 edge capacities.  One node per connected component is pinned to angle
 zero, which removes the translation degeneracy without losing solutions.
 
+A component without both a generator and a load is solved in closed
+form: its only feasible point is zero (susceptances are positive and a
+pinned angle fixes the rest), so `solve_mpf` formulates only the
+components that carry flow and needs no LP when none does.  The program
+is block-diagonal across components and the simplex's every choice stays
+within one block, so the vertex returned is the one the whole program
+would give.  The solution is built from it on first read.
+
 Trees never need the LP: absent cycles the angles carry no constraints of
 their own, so any classical max flow can be replayed exactly by
 reconstructing angles edge by edge.
@@ -13,20 +21,28 @@ reconstructing angles edge by edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 
 from .classify import connected_components, is_tree
 from .errors import NotATree, NotFixedSusceptance
-from .lp import LinearProgram, LpStatus, solve_lp
+from .lp import DeferredRecord, LinearProgram, LpStatus, solve_lp
 from .maxflow import _classical_flow_detail
-from .network import Network, NodeId, NodeRole, Solution, require_valid
-from .rational import Rational, ZERO
+from .network import Network, NodeId, NodeRole, Solution, require_valid, zero_solution
+from .rational import ONE, Rational, ZERO
+
+_MINUS_ONE = -ONE
 
 
-@dataclass(frozen=True)
-class MpfOutcome:
-    value: Rational
-    solution: Solution
+class MpfOutcome(DeferredRecord):
+    """MPF value and an optimal solution; `solve_mpf` builds the solution on first read."""
+
+    __slots__ = ("value",)
+    FIELDS = ("value", "solution")
+
+    def __init__(self, value: Rational, solution: Solution):
+        self._set(value=value, _last=solution, _build=None)
+
+    solution = property(DeferredRecord.last)
 
 
 def _th(v: NodeId) -> str:
@@ -56,49 +72,51 @@ def formulate_mpf(n: Network) -> LinearProgram:
     """The MPF linear program: free angles, nonnegative gen/load variables."""
     _require_fixed(n)
     pins = pinned_nodes(n)
+    th = {v: _th(v) for v in n.node_names}
     p = LinearProgram()
     for v in n.node_names:
         if v in pins:
-            p.add_variable(_th(v), lower=ZERO, upper=ZERO)
+            p.add_variable(th[v], lower=ZERO, upper=ZERO)
         else:
-            p.add_variable(_th(v))
+            p.add_variable(th[v])
     for g in n.generators:
         p.add_variable(_gen(g), lower=ZERO)
     for l in n.loads:
         p.add_variable(_load(l), lower=ZERO)
 
     for v in n.node_names:
+        # net outflow picks up s*(th_other - th_v) for either orientation
         coeffs: dict[str, Rational] = {}
-
-        def bump(var: str, c: Rational) -> None:
-            nv = coeffs.get(var, ZERO) + c
-            if nv == 0:
-                coeffs.pop(var, None)
-            else:
-                coeffs[var] = nv
-
+        diagonal = []
         for e in n.incident[v]:
             other = e.b if e.a == v else e.a
-            # net outflow picks up s*(th_other - th_v) for either orientation
-            bump(_th(other), e.s_min)
-            bump(_th(v), -e.s_min)
+            if other == v:
+                continue  # a self-loop's two terms cancel
+            name = th[other]
+            coeffs[name] = coeffs[name] + e.s_min if name in coeffs else e.s_min
+            diagonal.append(e.s_min)
+        coeffs = {name: c for name, c in coeffs.items() if c}
+        total = sum(diagonal, ZERO)
+        if total:
+            coeffs[th[v]] = -total
         if n.role(v) is NodeRole.GENERATOR:
-            bump(_gen(v), Rational(-1))
+            coeffs[_gen(v)] = _MINUS_ONE
         if n.role(v) is NodeRole.LOAD:
-            bump(_load(v), Rational(1))
+            coeffs[_load(v)] = ONE
         p.add_constraint(coeffs, "=", ZERO)
 
     for e in n.edges:
-        flow = {_th(e.b): e.s_min, _th(e.a): -e.s_min}
+        flow = {th[e.b]: e.s_min, th[e.a]: -e.s_min}
         p.add_constraint(flow, "<=", e.cap)
         p.add_constraint(flow, ">=", -e.cap)
 
-    p.set_objective({_gen(g): Rational(1) for g in n.generators})
+    p.set_objective({_gen(g): ONE for g in n.generators})
     return p
 
 
 def _solution_from_assignment(n: Network, assignment: dict[str, Rational]) -> Solution:
-    angle = {v: assignment[_th(v)] for v in n.node_names}
+    """The solution an MPF vertex stands for; nodes it does not name stay at zero."""
+    angle = {v: assignment.get(_th(v), ZERO) for v in n.node_names}
     return Solution(
         susceptance={e: e.s_min for e in n.edges},
         angle=angle,
@@ -111,13 +129,25 @@ def _solution_from_assignment(n: Network, assignment: dict[str, Rational]) -> So
 def solve_mpf(n: Network) -> MpfOutcome:
     """Exact MPF value and an optimal solution (never infeasible: zero flow works).
 
+    A component without both a generator and a load carries no flow, so
+    only the others go to the LP; the solution is built on first read.
     An invalid network raises `InvalidNetwork`.
     """
     require_valid(n)
-    result = solve_lp(formulate_mpf(n))
+    _require_fixed(n)
+    comps = connected_components(n)
+    gens, loads = set(n.generators), set(n.loads)
+    flowing = [c for c in comps if not (c.isdisjoint(gens) or c.isdisjoint(loads))]
+    if not flowing:
+        return MpfOutcome.deferred(ZERO, build=partial(zero_solution, n))
+    sub = n
+    if len(flowing) < len(comps):
+        keep = set().union(*flowing)
+        sub = Network([(v, r) for v, r in n.nodes if v in keep], [e for e in n.edges if e.a in keep])
+    result = solve_lp(formulate_mpf(sub))
     if result.status is not LpStatus.OPTIMAL:  # pragma: no cover - MPF is always bounded
         raise AssertionError(f"MPF solve ended {result.status}")
-    return MpfOutcome(result.value, _solution_from_assignment(n, result.assignment))
+    return MpfOutcome.deferred(result.value, build=lambda: _solution_from_assignment(n, result.assignment))
 
 
 def solve_tree(n: Network) -> MpfOutcome:

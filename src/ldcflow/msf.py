@@ -93,12 +93,12 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> MsfOutcome:
     """
     _require_fixed(n)
     edges = list(n.edges)
-    state = {"value": None, "key": None, "removed": None, "solution": None}
+    state = {"value": None, "key": None, "removed": None, "outcome": None}
 
     def record(removed: tuple[Edge, ...], out: MpfOutcome) -> None:
         key = switch_key(removed)
         if _better(out.value, key, state["value"], state["key"]):
-            state.update(value=out.value, key=key, removed=removed, solution=out.solution)
+            state.update(value=out.value, key=key, removed=removed, outcome=out)
 
     def done() -> bool:
         return threshold is not None and state["value"] is not None and state["value"] >= threshold
@@ -123,7 +123,8 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> MsfOutcome:
                 return
 
     explore(0, (), solve_mpf(n))
-    return MsfOutcome(state["value"], frozenset(state["removed"]), state["solution"])
+    # the incumbent's solution is the only one the search reads
+    return MsfOutcome(state["value"], frozenset(state["removed"]), state["outcome"].solution)
 
 
 def solve_msf_bnb(n: Network) -> MsfOutcome:

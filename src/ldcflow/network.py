@@ -199,18 +199,24 @@ def validate_network(n: Network) -> ValidationReport:
         names.add(name)
     seen_pairs: set[tuple[NodeId, NodeId]] = set()
     for e in n.edges:
-        loc = f"{e.a}--{e.b}"
-        if e.a == e.b:
+        a, b, s_min, s_max = e.a, e.b, e.s_min, e.s_max
+        repeated = (a, b) in seen_pairs
+        seen_pairs.add((a, b))
+        # signs through numerators (denominators are positive); the location only for a defect
+        interval_ok = s_min.numerator > 0 and (s_min is s_max or s_min.numerator * s_max.denominator <= s_max.numerator * s_min.denominator)
+        if a != b and not repeated and a in names and b in names and interval_ok and e.cap.numerator > 0:
+            continue
+        loc = f"{a}--{b}"
+        if a == b:
             out.append(Violation("Structural", loc, "self-loop"))
-        if e.pair in seen_pairs:
+        if repeated:
             out.append(Violation("Structural", loc, "second edge on the same node pair"))
-        seen_pairs.add(e.pair)
-        for endpoint in (e.a, e.b):
+        for endpoint in (a, b):
             if endpoint not in names:
                 out.append(Violation("Structural", loc, f"endpoint {endpoint} is not a declared node"))
-        if not (0 < e.s_min <= e.s_max):
-            out.append(Violation("Structural", loc, f"susceptance interval [{rat_str(e.s_min)}, {rat_str(e.s_max)}] is not within the positive reals"))
-        if e.cap <= 0:
+        if not interval_ok:
+            out.append(Violation("Structural", loc, f"susceptance interval [{rat_str(s_min)}, {rat_str(s_max)}] is not within the positive reals"))
+        if e.cap.numerator <= 0:
             out.append(Violation("Structural", loc, f"capacity {rat_str(e.cap)} is not positive"))
     return ValidationReport(tuple(out))
 

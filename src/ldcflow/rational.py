@@ -25,7 +25,8 @@ def rat(value: int | str | Fraction) -> Fraction:
     """Parse a rational from an int, a Fraction, or a string.
 
     Accepted strings: "p/q", an integer like "-3", or a finite decimal
-    like "6.1" (which parses exactly to 61/10).
+    like "6.1" (which parses exactly to 61/10).  A zero denominator ("1/0")
+    raises ValueError, like any other malformed string.
     """
     if isinstance(value, Fraction):
         return value
@@ -34,7 +35,10 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}: pass an int or a string")
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 

@@ -153,3 +153,18 @@ class TestErrors:
         code, out, err = run(capsys, *argv, str(path))
         assert code == 4 and out == ""
         assert "Structural at " in err and reported in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "mpf", "{net}"], ["classify", "{net}"], ["export", "milp", "{net}"], ["solve", "mpf", "{good}", "--decide", "1/0"]],
+    )
+    def test_zero_denominator_is_exit_3(self, capsys, tmp_path, gsch_file, argv):
+        path = tmp_path / "zero.json"
+        nodes = [{"id": "g", "role": "generator"}, {"id": "l", "role": "load"}]
+        path.write_text(json.dumps({"nodes": nodes, "edges": [{"a": "g", "b": "l", "s_min": "1", "s_max": "1", "cap": "1/0"}]}))
+        code, out, err = run(capsys, *(arg.format(net=path, good=gsch_file) for arg in argv))
+        assert code == 3 and out == "" and "zero denominator" in err
+
+    def test_zero_denominator_gadget_size_is_exit_3(self, capsys):
+        code, out, err = run(capsys, "gadget", "gsch", "--x", "1/0", "--polarity", "plus")
+        assert code == 3 and out == "" and "zero denominator" in err

@@ -1,16 +1,19 @@
 import hashlib
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import random_boxed_lp, random_ldc_network
+from ldcflow import serialize
 from ldcflow.errors import MalformedProgram
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.lp import LinearProgram, LpStatus, solve_lp, write_lp_text
-from ldcflow.mff import pin_susceptances
+from ldcflow.mff import pin_susceptances, solve_mff_grid
 from ldcflow.mpf import formulate_mpf
-from ldcflow.network import subnetwork
+from ldcflow.msf import solve_msf_bnb, solve_msf_exhaustive
+from ldcflow.network import Network, NodeRole, facts_edge, fixed_edge, network_sum, subnetwork
 from ldcflow.rational import rat_str
 from oracles import lp_vertex_oracle
 
@@ -293,6 +296,46 @@ PINNED_DIGEST = "4e272a676a8590813bb8a7ddb899491b6398d7759ec8884b76fa7e82c36b40b
 def test_pinned_results_are_unchanged():
     lines = "\n".join(_canonical(solve_lp(p)) for p in _pinned_programs())
     assert hashlib.sha256(lines.encode()).hexdigest() == PINNED_DIGEST
+
+
+def _pinned_networks() -> list[Network]:
+    """Seeded networks, some with a flowless component added, and FACTS variants of them."""
+    rng = random.Random(1509)
+    isolated = Network([("x0", NodeRole.GENERATOR), ("x1", NodeRole.PLAIN)], [fixed_edge("x0", "x1", 1, 2)])
+    fixed = []
+    for i in range(40):
+        n = random_ldc_network(rng, max_edges=6)
+        fixed.append(network_sum(n, isolated) if i % 4 == 0 else n)
+    for x in (F(1), F(7, 3)):
+        for polarity in Polarity:
+            fixed.append(gsch(x, polarity=polarity))
+    variants = []
+    for n in fixed[:20]:
+        chosen = set(rng.sample(n.edges, min(2, len(n.edges))))
+        edges = [facts_edge(e.a, e.b, e.s_min, e.s_min + rng.choice((F(1, 2), F(1))), e.cap) if e in chosen else e for e in n.edges]
+        variants.append(Network(n.nodes, edges))
+    return fixed + variants + [gfch(x, polarity=p) for x in (F(1), F(2)) for p in Polarity]
+
+
+def _outcome_lines() -> list[str]:
+    lines = []
+    for n in _pinned_networks():
+        if n.is_fixed():
+            for solver in (solve_msf_bnb, solve_msf_exhaustive):
+                lines.append(json.dumps(serialize.msf_outcome_to_json(solver(n)), sort_keys=True))
+        lines.append(json.dumps(serialize.mff_outcome_to_json(solve_mff_grid(n, 2)), sort_keys=True))
+    return lines
+
+
+# sha256 over the canonical JSON of both MSF searches and the k = 2 MFF
+# grid search on every pinned network, one line each.  Unlike the LP pin
+# above it sees everything `solve_mpf` does around `solve_lp`.
+PINNED_OUTCOME_DIGEST = "eb51e571a38acb3ecec15c3cd994de19bdfc1e4810393ae3cc1f15ce6d06eb58"
+
+
+def test_pinned_outcomes_are_unchanged():
+    lines = "\n".join(_outcome_lines())
+    assert hashlib.sha256(lines.encode()).hexdigest() == PINNED_OUTCOME_DIGEST
 
 
 def test_bland_tie_break_decides_among_optimal_vertices():

@@ -1,14 +1,19 @@
+import pickle
+import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import random_ldc_network, random_tree
+from ldcflow import mpf
 from ldcflow.errors import NotATree, NotFixedSusceptance
 from ldcflow.gadgets import Polarity, gfch, gsch
-from ldcflow.lp import LpStatus, solve_lp
+from ldcflow.lp import LpResult, LpStatus, solve_lp
 from ldcflow.maxflow import classical_max_flow
-from ldcflow.mpf import formulate_mpf, solve_mpf, solve_tree
-from ldcflow.network import Network, NodeRole, fixed_edge, total_generation, validate_solution
+from ldcflow.mpf import MpfOutcome, _gen, _load, _th, formulate_mpf, solve_mpf, solve_tree
+from ldcflow.msf import solve_msf_bnb, solve_msf_exhaustive
+from ldcflow.network import Network, NodeRole, Solution, fixed_edge, network_sum, subnetwork, total_generation, validate_solution
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
@@ -37,6 +42,11 @@ class TestFormulate:
     def test_facts_edge_rejected(self):
         with pytest.raises(NotFixedSusceptance):
             formulate_mpf(gfch(1, "v", Polarity.MINUS))
+
+    @pytest.mark.parametrize("s, expected", [(2, {"th[b]": F(3), "th[a]": F(-3)}), (-1, {})])
+    def test_edges_on_one_pair_add_up_and_zero_sums_are_dropped(self, s, expected):
+        n = Network([("a", GEN), ("b", LOAD)], [fixed_edge("a", "b", 1, 1), fixed_edge("a", "b", s, 1)])
+        assert formulate_mpf(n).constraints[0].coeffs == {**expected, "gen[a]": F(-1)}
 
 
 class TestSolveMpf:
@@ -121,3 +131,79 @@ class TestInvariants:
             n = random_ldc_network(rng)
             out = solve_mpf(n)
             assert validate_solution(n, out.solution).ok
+
+
+def six_edges():
+    """A six-edge network on which branch-and-bound improves its incumbent three times."""
+    return random_ldc_network(random.Random(0), max_edges=6, min_edges=6)
+
+
+class TestLazySolutions:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        build = mpf._solution_from_assignment
+        monkeypatch.setattr(mpf, "_solution_from_assignment", lambda n, a: calls.append(n) or build(n, a))
+        return calls
+
+    @pytest.mark.parametrize("search", [solve_msf_exhaustive, solve_msf_bnb])
+    def test_a_search_builds_only_the_solution_it_returns(self, builds, search):
+        n = six_edges()
+        assert len(n.edges) == 6
+        out = search(n)
+        assert out.value > 0 and validate_solution(subnetwork(n, out.switched), out.solution).ok
+        assert len(builds) == 1
+
+    def test_reading_the_value_builds_nothing(self, builds):
+        n = six_edges()
+        r = solve_lp(formulate_mpf(n))
+        assert r.value > 0 and r._build is not None
+        assert r.assignment is r.assignment and r._build is None
+        out = solve_mpf(n)
+        assert out.value > 0 and builds == []
+        assert out.solution is out.solution and len(builds) == 1
+
+    def test_results_pickle_and_compare_like_eager_ones(self):
+        n = six_edges()
+        p = formulate_mpf(n)
+        lazy_lp, read_lp = solve_lp(p), solve_lp(p)
+        eager_lp = LpResult(read_lp.status, read_lp.value, dict(read_lp.assignment))
+        assert pickle.loads(pickle.dumps(lazy_lp)) == eager_lp == lazy_lp
+        assert repr(solve_lp(p)) == repr(eager_lp)
+        lazy, read = solve_mpf(n), solve_mpf(n)
+        eager = MpfOutcome(read.value, read.solution)
+        assert pickle.loads(pickle.dumps(lazy)) == eager == lazy
+        assert repr(solve_mpf(n)) == repr(eager)
+        with pytest.raises(FrozenInstanceError):
+            lazy.value = 0
+
+
+def _reference(n: Network) -> tuple[F, Solution]:
+    """MPF by one LP over the whole network, flowless components included."""
+    r = solve_lp(formulate_mpf(n))
+    a = r.assignment
+    angle = {v: a[_th(v)] for v in n.node_names}
+    return r.value, Solution(
+        susceptance={e: e.s_min for e in n.edges},
+        angle=angle,
+        flow={e: e.s_min * (angle[e.b] - angle[e.a]) for e in n.edges},
+        gen={v: a.get(_gen(v), F(0)) for v in n.node_names},
+        load={v: a.get(_load(v), F(0)) for v in n.node_names},
+    )
+
+
+def test_flowless_components_skip_the_lp_without_changing_the_outcome():
+    rng = random.Random(1511)
+    lonely = Network([("x0", GEN), ("x1", GEN)], [fixed_edge("x0", "x1", 1, 2)])
+    flowless = 0
+    for _ in range(200):
+        n = random_ldc_network(rng)
+        variants = [n, Network(n.nodes + (("z", PLAIN),), n.edges), network_sum(n, lonely)]
+        variants += [subnetwork(n, [e]) for e in n.edges]
+        for m in variants:
+            out = solve_mpf(m)
+            value, solution = _reference(m)
+            assert out.value == value
+            assert out.solution == solution
+            flowless += value == 0
+    assert flowless > 0

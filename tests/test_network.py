@@ -76,6 +76,29 @@ class TestValidateNetwork:
         n = Network([("a", GEN), ("b", LOAD)], [Edge("a", "b", F(1), F(1), F(-1))])
         assert not validate_network(n).ok
 
+    def test_report_lists_every_edge_defect_in_order(self):
+        n = Network(
+            [("a", GEN), ("b", LOAD), ("c", PLAIN)],
+            [
+                Edge("a", "a", F(1), F(1), F(0)),
+                Edge("a", "b", F(3, 2), F(1, 2), F(2)),
+                Edge("a", "b", F(-1, 3), F(1), F(1)),
+                Edge("b", "c", F(0), F(0), F(-5, 7)),
+                Edge("c", "zz", F(2), F(2), F(1)),
+                Edge("a", "c", F(1, 3), F(2, 3), F(1, 9)),
+            ],
+        )
+        assert str(validate_network(n)).splitlines() == [
+            "Structural at a--a: self-loop",
+            "Structural at a--a: capacity 0 is not positive",
+            "Structural at a--b: susceptance interval [-1/3, 1] is not within the positive reals",
+            "Structural at a--b: second edge on the same node pair",
+            "Structural at a--b: susceptance interval [3/2, 1/2] is not within the positive reals",
+            "Structural at b--c: susceptance interval [0, 0] is not within the positive reals",
+            "Structural at b--c: capacity -5/7 is not positive",
+            "Structural at c--zz: endpoint zz is not a declared node",
+        ]
+
 
 class TestEdge:
     def test_canonical_orientation(self):

@@ -28,6 +28,11 @@ class TestRationals:
         with pytest.raises(TypeError):
             rat(0.1)
 
+    @pytest.mark.parametrize("text", ["1/0", "-3/0", " 0/0 "])
+    def test_zero_denominator_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="zero denominator"):
+            rat(text)
+
     def test_rat_str_round_trips(self):
         for value in (F(0), F(-7, 3), F(61, 10), F(12)):
             assert rat(rat_str(value)) == value
