@@ -180,7 +180,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    n = _read_network(args.network)
+    n = _read_valid_network(args.network)
     facts = {
         "tree": classify.is_tree(n),
         "cactus": classify.is_cactus(n),

@@ -13,9 +13,15 @@ constraint, the objective and every tableau row is a list of Python ints
 [c_0, ..., c_{n-1}, rhs, den] standing for the rationals c_j/den and
 rhs/den, with den > 0 and the whole list divided by its gcd.
 
-The presolve builds one such row per constraint over the declared
-variables.  Variables fixed by their bounds fold into each row's rhs in
-one pass, over the LCM of the fixed values' denominators.  Free variables
+The presolve starts from one such row per constraint over the declared
+variables.  A program made by `LinearProgram.from_rows` -- every MPF
+program, which `mpf.formulate_mpf` writes as integer rows -- hands its
+rows over as they are and builds its `Fraction` constraints only when
+they are first read; any other program's constraints are read into rows
+here.  Variables fixed by their bounds fold into each row's rhs in one
+pass, over the LCM of the fixed values' denominators; a variable fixed
+at zero only has its column cleared.  Bounds are compared through
+numerators and denominators, not as `Fraction`s.  Free variables
 are then eliminated through equality rows (a fraction-free Gaussian step:
 the first equality row holding a free variable, and in it the first such
 variable in declaration order).  Bounds become nonnegative columns through
@@ -41,7 +47,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 from .errors import MalformedProgram
@@ -59,23 +65,83 @@ class Constraint:
     rhs: Rational
 
 
-@dataclass
 class LinearProgram:
     """Maximize `objective` subject to linear constraints and variable bounds.
 
     Bounds of None mean unbounded on that side; variables are free by
     default and must be given explicit bounds where intended.
+
+    A program made by `from_rows` holds its constraints as integer rows
+    over its variables and builds the `Constraint` list on the first read
+    of `constraints` (a zero coefficient is left out of its `Constraint`);
+    that read, assigning the list or `add_variable` drops the rows.
+    Equality, repr and pickling read every field, so such a program
+    behaves like the one built constraint by constraint.
     """
 
-    variables: list[VarId] = field(default_factory=list)
-    lower: dict[VarId, Rational | None] = field(default_factory=dict)
-    upper: dict[VarId, Rational | None] = field(default_factory=dict)
-    constraints: list[Constraint] = field(default_factory=list)
-    objective: dict[VarId, Rational] = field(default_factory=dict)
+    def __init__(
+        self,
+        variables: list[VarId] | None = None,
+        lower: dict[VarId, Rational | None] | None = None,
+        upper: dict[VarId, Rational | None] | None = None,
+        constraints: list[Constraint] | None = None,
+        objective: dict[VarId, Rational] | None = None,
+    ):
+        self.variables = [] if variables is None else variables
+        self.lower = {} if lower is None else lower
+        self.upper = {} if upper is None else upper
+        self.constraints = [] if constraints is None else constraints
+        self.objective = {} if objective is None else objective
+
+    @classmethod
+    def from_rows(
+        cls,
+        variables: list[VarId],
+        lower: dict[VarId, Rational | None],
+        upper: dict[VarId, Rational | None],
+        rows: list[list[int]],
+        rels: list[str],
+        objective: dict[VarId, Rational],
+    ) -> LinearProgram:
+        """A program whose constraints are integer rows [c_0, ..., c_{n-1}, rhs, den] over `variables`.
+
+        Each row must be reduced: den > 0 and the gcd of the whole list 1.
+        `solve_lp` reads the rows as they are, without the list in between.
+        """
+        p = cls(variables, lower, upper, None, objective)
+        p._rows = (list(variables), rows, rels)
+        return p
+
+    def _release(self) -> None:
+        """Build the `Constraint` list from the held rows and drop them."""
+        if self._rows is not None:
+            names, rows, rels = self._rows
+            self._constraints = [
+                Constraint({v: Fraction(c, row[-1]) for v, c in zip(names, row) if c}, rel, Fraction(row[-2], row[-1]))
+                for row, rel in zip(rows, rels)
+            ]
+            self._rows = None
+
+    @property
+    def constraints(self) -> list[Constraint]:
+        self._release()
+        return self._constraints
+
+    @constraints.setter
+    def constraints(self, value: list[Constraint]) -> None:
+        self._constraints = value
+        self._rows = None
+
+    def held_rows(self) -> tuple[list[list[int]], list[str]] | None:
+        """The integer rows and relations of the constraints, when this program holds them over `variables`."""
+        if self._rows is None or self._rows[0] != self.variables:
+            return None
+        return self._rows[1], self._rows[2]
 
     def add_variable(self, name: VarId, lower: Rational | None = None, upper: Rational | None = None) -> VarId:
         if name in self.lower:
             raise MalformedProgram(f"variable {name} declared twice")
+        self._release()  # the rows are over the variables declared so far
         self.variables.append(name)
         self.lower[name] = lower
         self.upper[name] = upper
@@ -88,6 +154,21 @@ class LinearProgram:
 
     def set_objective(self, coeffs: dict[VarId, Rational]) -> None:
         self.objective = dict(coeffs)
+
+    def _fields(self) -> tuple:
+        return (self.variables, self.lower, self.upper, self.constraints, self.objective)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        names = ("variables", "lower", "upper", "constraints", "objective")
+        return f"{type(self).__qualname__}(" + ", ".join(f"{k}={v!r}" for k, v in zip(names, self._fields())) + ")"
+
+    def __reduce__(self):
+        return (type(self), self._fields())
 
 
 class LpStatus(enum.Enum):
@@ -160,23 +241,6 @@ class LpResult(DeferredRecord):
     assignment = property(DeferredRecord.last)
 
 
-def _validate(p: LinearProgram) -> None:
-    declared = set(p.variables)
-    if len(declared) != len(p.variables):
-        raise MalformedProgram("duplicate variable names")
-    for c in p.constraints:
-        for v in c.coeffs:
-            if v not in declared:
-                raise MalformedProgram(f"constraint references undeclared variable {v}")
-    for v in p.objective:
-        if v not in declared:
-            raise MalformedProgram(f"objective references undeclared variable {v}")
-    for v in p.variables:
-        lo, hi = p.lower[v], p.upper[v]
-        if lo is not None and hi is not None and lo > hi:
-            raise MalformedProgram(f"inverted bounds on {v}: [{lo}, {hi}]")
-
-
 # ---------------------------------------------------------------------------
 # Integer rows: [c_0, ..., c_{n-1}, rhs, den] meaning c_j/den, rhs/den.
 # ---------------------------------------------------------------------------
@@ -206,6 +270,20 @@ def _reduced(row: list[int]) -> list[int]:
 def _support(row: list[int]) -> list[int]:
     """Non-zero positions among the columns and the rhs (the denominator excluded)."""
     return [k for k in range(len(row) - 1) if row[k]]
+
+
+def _clear(row: list[int], cols: list[int]) -> list[int]:
+    """The row with its entries at `cols` zeroed in place, then reduced.
+
+    This is the fold of variables fixed at zero: nothing moves into the
+    rhs, only the gcd of what is left can grow.
+    """
+    hit = False
+    for j in cols:
+        if row[j]:
+            row[j] = 0
+            hit = True
+    return _reduced(row) if hit else row
 
 
 def _fold(row: list[int], values: dict[int, Rational], drop: bool) -> list[int]:
@@ -292,22 +370,57 @@ _FLIP = {LE: GE, GE: LE, EQ: EQ}
 
 def solve_lp(p: LinearProgram) -> LpResult:
     """Exact optimum of a maximization program; see the module docstring."""
-    _validate(p)
-
     names = p.variables
     nvars = len(names)
     index = {v: j for j, v in enumerate(names)}
-    lower = [None if p.lower[v] is None else rat(p.lower[v]) for v in names]
-    upper = [None if p.upper[v] is None else rat(p.upper[v]) for v in names]
-    fixed = {j: lo for j, (lo, hi) in enumerate(zip(lower, upper)) if lo is not None and lo == hi}
+    if len(index) != nvars:
+        raise MalformedProgram("duplicate variable names")
+    held = p.held_rows()
+    if held is None:
+        for con in p.constraints:
+            for v in con.coeffs:
+                if v not in index:
+                    raise MalformedProgram(f"constraint references undeclared variable {v}")
+    objective = []
+    for v, c in p.objective.items():
+        if v not in index:
+            raise MalformedProgram(f"objective references undeclared variable {v}")
+        objective.append((index[v], rat(c)))
 
-    # Rows over the variables, with the variables fixed by their bounds folded in.
-    rows = [
-        _fold(_int_row({index[v]: rat(c) for v, c in con.coeffs.items()}, rat(con.rhs), nvars), fixed, True)
-        for con in p.constraints
-    ]
-    rels = [con.rel for con in p.constraints]
-    obj = _int_row({index[v]: rat(c) for v, c in p.objective.items()}, ZERO, nvars)
+    # Bounds, compared through numerators over positive denominators.
+    lower: list[Rational | None] = []
+    upper: list[Rational | None] = []
+    fixed: dict[int, Rational] = {}
+    for j, v in enumerate(names):
+        lo, hi = p.lower[v], p.upper[v]
+        if lo is not None:
+            lo = rat(lo)
+            if hi is not None:
+                hi = rat(hi)
+                gap = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+                if gap < 0:
+                    raise MalformedProgram(f"inverted bounds on {v}: [{lo}, {hi}]")
+                if gap == 0:
+                    fixed[j] = lo
+        elif hi is not None:
+            hi = rat(hi)
+        lower.append(lo)
+        upper.append(hi)
+    at_zero = [j for j, x in fixed.items() if not x.numerator]
+    moved = {j: x for j, x in fixed.items() if x.numerator}
+
+    # Rows over the variables, with the variables fixed by their bounds folded in;
+    # a held row is copied, since the presolve updates rows in place.
+    if held is None:
+        source = [_int_row({index[v]: rat(c) for v, c in con.coeffs.items()}, rat(con.rhs), nvars) for con in p.constraints]
+        rels = [con.rel for con in p.constraints]
+    else:
+        source = [row[:] for row in held[0]]
+        rels = list(held[1])
+    rows = [_clear(row, at_zero) for row in source]
+    if moved:
+        rows = [_fold(row, moved, True) for row in rows]
+    obj = _int_row(dict(objective), ZERO, nvars)
     for j in fixed:
         obj[j] = 0
 
@@ -472,7 +585,6 @@ def solve_lp(p: LinearProgram) -> LpResult:
         return {names[j]: x for j, x in value_of.items()}
 
     # The value needs only the objective's variables; an eliminated one needs the whole vertex.
-    objective = [(index[v], rat(c)) for v, c in p.objective.items()]
     if any(j in eliminated_vars for j, _ in objective):
         assignment = vertex()
         value = sum((c * assignment[names[j]] for j, c in objective), ZERO)

@@ -5,6 +5,10 @@ maximizing total generation subject to conservation at every node, the
 power law on every edge (substituted into the conservation rows), and the
 edge capacities.  One node per connected component is pinned to angle
 zero, which removes the translation degeneracy without losing solutions.
+`formulate_mpf` writes every row straight from the edges' numerators and
+denominators as the integer row the simplex reads, with no `Fraction`
+arithmetic; the program's `Fraction` constraints are built only when
+someone first reads them.
 
 A component without both a generator and a load is solved in closed
 form: its only feasible point is zero (susceptances are positive and a
@@ -21,16 +25,15 @@ reconstructing angles edge by edge.
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 from .classify import connected_components, is_tree
-from .errors import NotATree, NotFixedSusceptance
-from .lp import DeferredRecord, LinearProgram, LpStatus, solve_lp
+from .errors import MalformedProgram, NotATree, NotFixedSusceptance
+from .lp import EQ, GE, LE, DeferredRecord, LinearProgram, LpStatus, solve_lp
 from .maxflow import _classical_flow_detail
 from .network import Network, NodeId, NodeRole, Solution, require_valid, zero_solution
 from .rational import ONE, Rational, ZERO
-
-_MINUS_ONE = -ONE
 
 
 class MpfOutcome(DeferredRecord):
@@ -68,50 +71,78 @@ def pinned_nodes(n: Network) -> set[NodeId]:
     return {min(comp) for comp in connected_components(n)}
 
 
-def formulate_mpf(n: Network) -> LinearProgram:
-    """The MPF linear program: free angles, nonnegative gen/load variables."""
+def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None) -> LinearProgram:
+    """The MPF linear program: free angles, nonnegative gen/load variables.
+
+    Each row is written as the integer row `solve_lp` reads (see
+    `LinearProgram.from_rows`): a node's conservation row over the LCM of
+    the denominators of its edges' susceptances, divided by its gcd, and
+    an edge's two capacity rows over the LCM of its susceptance's and its
+    capacity's denominators.
+    `components`, when given, are the connected components of n; the
+    smallest node of each has its angle pinned to zero.
+    """
     _require_fixed(n)
-    pins = pinned_nodes(n)
-    th = {v: _th(v) for v in n.node_names}
-    p = LinearProgram()
-    for v in n.node_names:
-        if v in pins:
-            p.add_variable(th[v], lower=ZERO, upper=ZERO)
-        else:
-            p.add_variable(th[v])
-    for g in n.generators:
-        p.add_variable(_gen(g), lower=ZERO)
-    for l in n.loads:
-        p.add_variable(_load(l), lower=ZERO)
+    pins = {min(comp) for comp in (connected_components(n) if components is None else components)}
+    names = n.node_names
+    gens, loads = n.generators, n.loads
+    angles = [_th(v) for v in names]
+    variables = angles + [_gen(g) for g in gens] + [_load(l) for l in loads]
+    lower: dict[str, Rational | None] = {th: ZERO if v in pins else None for v, th in zip(names, angles)}
+    lower.update((name, ZERO) for name in variables[len(names) :])
+    if len(lower) != len(variables):
+        twice = next(name for name in variables if variables.count(name) > 1)
+        raise MalformedProgram(f"variable {twice} declared twice")
+    upper: dict[str, Rational | None] = dict.fromkeys(variables)
+    for v in pins:
+        upper[_th(v)] = ZERO
 
-    for v in n.node_names:
-        # net outflow picks up s*(th_other - th_v) for either orientation
-        coeffs: dict[str, Rational] = {}
-        diagonal = []
-        for e in n.incident[v]:
-            other = e.b if e.a == v else e.a
-            if other == v:
-                continue  # a self-loop's two terms cancel
-            name = th[other]
-            coeffs[name] = coeffs[name] + e.s_min if name in coeffs else e.s_min
-            diagonal.append(e.s_min)
-        coeffs = {name: c for name, c in coeffs.items() if c}
-        total = sum(diagonal, ZERO)
-        if total:
-            coeffs[th[v]] = -total
-        if n.role(v) is NodeRole.GENERATOR:
-            coeffs[_gen(v)] = _MINUS_ONE
-        if n.role(v) is NodeRole.LOAD:
-            coeffs[_load(v)] = ONE
-        p.add_constraint(coeffs, "=", ZERO)
+    col = {v: j for j, v in enumerate(names)}
+    # a generator's own column holds -1, a load's +1
+    unit = {g: (len(names) + i, -1) for i, g in enumerate(gens)}
+    unit.update((l, (len(names) + len(gens) + i, 1)) for i, l in enumerate(loads))
+    edges = [(col[e.a], col[e.b], e.s_min.numerator, e.s_min.denominator, e.cap) for e in n.edges]
+    width = len(variables) + 2
+    # net outflow at a picks up s*(th_b - th_a) and at b the mirror image (a
+    # self-loop's four terms cancel), each row over the LCM of its susceptances'
+    # denominators; the gcd below takes out any factor that was not needed
+    dens = [1] * len(names)
+    for a, b, _, d, _ in edges:
+        if d != 1:
+            dens[a] = math.lcm(dens[a], d)
+            dens[b] = math.lcm(dens[b], d)
+    rows = [[0] * width for _ in names]
+    for a, b, num, d, _ in edges:
+        ka, kb = num * (dens[a] // d), num * (dens[b] // d)
+        ra, rb = rows[a], rows[b]
+        ra[b] += ka
+        ra[a] -= ka
+        rb[a] += kb
+        rb[b] -= kb
+    roles = n.roles
+    for v, row, den in zip(names, rows, dens):
+        if roles[v] is not NodeRole.PLAIN:
+            j, sign = unit[v]
+            row[j] = sign * den
+        row[-1] = den
+    rows = [row if (g := math.gcd(*row)) == 1 else [x // g for x in row] for row in rows]
+    rels = [EQ] * len(rows)
 
-    for e in n.edges:
-        flow = {th[e.b]: e.s_min, th[e.a]: -e.s_min}
-        p.add_constraint(flow, "<=", e.cap)
-        p.add_constraint(flow, ">=", -e.cap)
+    # -cap <= s*(th_b - th_a) <= cap over the LCM of the two denominators, which
+    # leaves the row reduced (see `lp._int_row`); a self-loop keeps only -s at th_a
+    for a, b, num, d, cap in edges:
+        den = math.lcm(d, cap.denominator)
+        k = num * (den // d)
+        rhs = cap.numerator * (den // cap.denominator)
+        row = [0] * width
+        row[b] = k
+        row[a] = -k
+        row[-2:] = rhs, den
+        rows.append(row)
+        rows.append(row[:-2] + [-rhs, den])
+        rels += (LE, GE)
 
-    p.set_objective({_gen(g): ONE for g in n.generators})
-    return p
+    return LinearProgram.from_rows(variables, lower, upper, rows, rels, {_gen(g): ONE for g in gens})
 
 
 def _solution_from_assignment(n: Network, assignment: dict[str, Rational]) -> Solution:
@@ -144,7 +175,7 @@ def solve_mpf(n: Network) -> MpfOutcome:
     if len(flowing) < len(comps):
         keep = set().union(*flowing)
         sub = Network([(v, r) for v, r in n.nodes if v in keep], [e for e in n.edges if e.a in keep])
-    result = solve_lp(formulate_mpf(sub))
+    result = solve_lp(formulate_mpf(sub, flowing))  # the flowing components are sub's components
     if result.status is not LpStatus.OPTIMAL:  # pragma: no cover - MPF is always bounded
         raise AssertionError(f"MPF solve ended {result.status}")
     return MpfOutcome.deferred(result.value, build=lambda: _solution_from_assignment(n, result.assignment))

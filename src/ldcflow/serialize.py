@@ -49,12 +49,43 @@ def network_to_json(n: Network) -> dict:
     }
 
 
+def _get(record: Any, key: str, where: str, kind: type = object) -> Any:
+    """record[key], or a ValueError naming the field when the record lacks it or it is not a `kind`."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where} must be an object, got {type(record).__name__}")
+    if key not in record:
+        raise ValueError(f"{where} has no field {key!r}")
+    value = record[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{where}.{key} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _rat_field(record: dict, key: str, where: str) -> Rational:
+    value = _get(record, key, where)
+    try:
+        return _rat_in(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}.{key}: {exc}") from None
+
+
+_ROLES = tuple(r.value for r in NodeRole)
+
+
 def network_from_json(data: dict) -> Network:
-    nodes = [(nd["id"], NodeRole(nd["role"])) for nd in data["nodes"]]
-    edges = [
-        Edge(ed["a"], ed["b"], _rat_in(ed["s_min"]), _rat_in(ed["s_max"]), _rat_in(ed["cap"]))
-        for ed in data["edges"]
-    ]
+    """The network a document describes; a document of the wrong shape raises a ValueError naming the field."""
+    nodes = []
+    for i, nd in enumerate(_get(data, "nodes", "network", list)):
+        where = f"nodes[{i}]"
+        name, role = _get(nd, "id", where, str), _get(nd, "role", where)
+        if role not in _ROLES:
+            raise ValueError(f"{where}.role must be one of {', '.join(_ROLES)}, got {role!r}")
+        nodes.append((name, NodeRole(role)))
+    edges = []
+    for i, ed in enumerate(_get(data, "edges", "network", list)):
+        where = f"edges[{i}]"
+        a, b = _get(ed, "a", where, str), _get(ed, "b", where, str)
+        edges.append(Edge(a, b, _rat_field(ed, "s_min", where), _rat_field(ed, "s_max", where), _rat_field(ed, "cap", where)))
     return Network(nodes, edges)
 
 

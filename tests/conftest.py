@@ -1,4 +1,10 @@
-"""Shared random generators.  Everything is seeded: reruns are identical."""
+"""Shared random generators.  Everything is seeded: reruns are identical.
+
+Property tests run under the "tier1" hypothesis profile loaded here: the
+examples are derived from each test's name instead of drawn at random,
+nothing is read from or written to an example database, and no example
+has a deadline, so a run repeats the one before it.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +12,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=60)
+settings.load_profile("tier1")
 
 from ldcflow.lp import LinearProgram
 from ldcflow.network import Network, NodeRole, fixed_edge

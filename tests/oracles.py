@@ -3,7 +3,10 @@
 Everything here is deliberately brute force and shares no code with the
 solvers it cross-checks: the LP oracle enumerates constraint-intersection
 vertices, the min-cut oracle enumerates source-side node sets, and the
-combinatorial oracles enumerate subsets/permutations.
+combinatorial oracles enumerate subsets/permutations.  The one exception
+is `reference_mpf_program`, the MPF program built constraint by constraint
+over `Fraction`s through `LinearProgram`'s public methods, which the
+integer-row builder `formulate_mpf` must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from itertools import combinations, permutations
 
 from ldcflow.lp import LinearProgram
 from ldcflow.network import Network, NodeRole
+from ldcflow.classify import connected_components
 
 
 def gauss_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -131,3 +135,52 @@ def hamiltonian_path_exists(nodes, edges, a, b) -> bool:
         if all(frozenset(step) in eset for step in zip(path, path[1:])):
             return True
     return False
+
+
+def reference_mpf_program(n: Network) -> LinearProgram:
+    """The MPF program of a fixed-susceptance network, built over `Fraction`s.
+
+    Angles are free except the smallest node of each component, pinned at
+    zero; gen/load are nonnegative.  One conservation row per node (a
+    neighbour reached by several edges gets their sum, zero sums are left
+    out, a self-loop's terms cancel), then the two capacity rows of each
+    edge in edge order.
+    """
+    pins = {min(comp) for comp in connected_components(n)}
+    th = {v: f"th[{v}]" for v in n.node_names}
+    p = LinearProgram()
+    for v in n.node_names:
+        if v in pins:
+            p.add_variable(th[v], lower=Fraction(0), upper=Fraction(0))
+        else:
+            p.add_variable(th[v])
+    for g in n.generators:
+        p.add_variable(f"gen[{g}]", lower=Fraction(0))
+    for l in n.loads:
+        p.add_variable(f"load[{l}]", lower=Fraction(0))
+
+    for v in n.node_names:
+        coeffs: dict[str, Fraction] = {}
+        total = Fraction(0)
+        for e in n.incident[v]:
+            other = e.b if e.a == v else e.a
+            if other == v:
+                continue
+            coeffs[th[other]] = coeffs.get(th[other], Fraction(0)) + e.s_min
+            total += e.s_min
+        coeffs = {name: c for name, c in coeffs.items() if c}
+        if total:
+            coeffs[th[v]] = -total
+        if n.role(v) is NodeRole.GENERATOR:
+            coeffs[f"gen[{v}]"] = Fraction(-1)
+        if n.role(v) is NodeRole.LOAD:
+            coeffs[f"load[{v}]"] = Fraction(1)
+        p.add_constraint(coeffs, "=", Fraction(0))
+
+    for e in n.edges:
+        flow = {th[e.b]: e.s_min, th[e.a]: -e.s_min}
+        p.add_constraint(flow, "<=", e.cap)
+        p.add_constraint(flow, ">=", -e.cap)
+
+    p.set_objective({f"gen[{g}]": Fraction(1) for g in n.generators})
+    return p

@@ -145,7 +145,7 @@ class TestErrors:
             ({"a": "g", "b": "zz", "s_min": "1", "s_max": "1", "cap": "2"}, "endpoint zz is not a declared node"),
         ],
     )
-    @pytest.mark.parametrize("argv", [["solve", "mpf"], ["solve", "msf"], ["solve", "mff"], ["export", "milp"]])
+    @pytest.mark.parametrize("argv", [["solve", "mpf"], ["solve", "msf"], ["solve", "mff"], ["export", "milp"], ["classify"]])
     def test_invalid_network_is_exit_4_with_report(self, capsys, tmp_path, argv, edge, reported):
         path = tmp_path / "bad.json"
         nodes = [{"id": "g", "role": "generator"}, {"id": "l", "role": "load"}]
@@ -168,3 +168,22 @@ class TestErrors:
     def test_zero_denominator_gadget_size_is_exit_3(self, capsys):
         code, out, err = run(capsys, "gadget", "gsch", "--x", "1/0", "--polarity", "plus")
         assert code == 3 and out == "" and "zero denominator" in err
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"edges": []}, "network has no field 'nodes'"),
+            ({"nodes": [{"id": "g", "role": "generator"}], "edges": 5}, "network.edges must be a list"),
+            ({"nodes": [{"id": "g", "role": "generator"}, {"id": "l", "role": "load"}], "edges": [{"a": "g", "b": "l", "s_min": "1", "s_max": "1"}]}, "edges[0] has no field 'cap'"),
+            ({"nodes": [{"id": "g", "role": "boss"}], "edges": []}, "nodes[0].role must be one of"),
+            ({"nodes": [{"id": "g", "role": "generator"}], "edges": [{"a": "g", "b": "g", "s_min": [], "s_max": "1", "cap": "1"}]}, "edges[0].s_min"),
+            ([], "network must be an object"),
+        ],
+    )
+    @pytest.mark.parametrize("argv", [["solve", "mpf"], ["classify"], ["export", "milp"]])
+    def test_malformed_network_document_is_exit_3_naming_the_field(self, capsys, tmp_path, argv, doc, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 3 and out == ""
+        assert field in err
