@@ -19,16 +19,15 @@ program, which `mpf.formulate_mpf` writes as integer rows -- hands its
 rows over as they are and builds its `Fraction` constraints only when
 they are first read; any other program's constraints are read into rows
 here.  Variables fixed by their bounds fold into each row's rhs in one
-pass, over the LCM of the fixed values' denominators; a variable fixed
-at zero only has its column cleared.  Bounds are compared through
-numerators and denominators, not as `Fraction`s.  Free variables
-are then eliminated through equality rows (a fraction-free Gaussian step:
-the first equality row holding a free variable, and in it the first such
-variable in declaration order).  Bounds become nonnegative columns through
-x = sign*y + shift, and free variables that survive are split into
-differences of nonnegatives.  These are affine bijections of the feasible
-region, so vertices map to vertices; eliminated variables are recovered
-from their stored pivot rows.
+pass, over the LCM of the fixed values' denominators.  Bounds are
+compared through numerators and denominators, not as `Fraction`s.  Free
+variables are then eliminated through equality rows (a fraction-free
+Gaussian step: the first equality row holding a free variable, and in it
+the first such variable in declaration order).  Bounds become nonnegative
+columns through x = sign*y + shift, and free variables that survive are
+split into differences of nonnegatives.  These are affine bijections of
+the feasible region, so vertices map to vertices; eliminated variables
+are recovered from their stored pivot rows.
 
 The tableau pivots by cross-multiplication instead of division, touches
 only rows with a non-zero in the pivot column and, within them, only the
@@ -47,7 +46,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 
 from .errors import MalformedProgram
@@ -65,6 +64,7 @@ class Constraint:
     rhs: Rational
 
 
+@dataclass
 class LinearProgram:
     """Maximize `objective` subject to linear constraints and variable bounds.
 
@@ -73,25 +73,19 @@ class LinearProgram:
 
     A program made by `from_rows` holds its constraints as integer rows
     over its variables and builds the `Constraint` list on the first read
-    of `constraints` (a zero coefficient is left out of its `Constraint`);
-    that read, assigning the list or `add_variable` drops the rows.
-    Equality, repr and pickling read every field, so such a program
-    behaves like the one built constraint by constraint.
+    of `constraints`; that read, assigning the list or `add_variable`
+    drops the rows.  A built `Constraint` leaves out zero coefficients and
+    lists the others in declaration order.  `constraints` stays a
+    dataclass field, read through a property (see below the class), so
+    equality, repr, the `dataclasses` helpers and pickling see the list.
     """
 
-    def __init__(
-        self,
-        variables: list[VarId] | None = None,
-        lower: dict[VarId, Rational | None] | None = None,
-        upper: dict[VarId, Rational | None] | None = None,
-        constraints: list[Constraint] | None = None,
-        objective: dict[VarId, Rational] | None = None,
-    ):
-        self.variables = [] if variables is None else variables
-        self.lower = {} if lower is None else lower
-        self.upper = {} if upper is None else upper
-        self.constraints = [] if constraints is None else constraints
-        self.objective = {} if objective is None else objective
+    variables: list[VarId] = field(default_factory=list)
+    lower: dict[VarId, Rational | None] = field(default_factory=dict)
+    upper: dict[VarId, Rational | None] = field(default_factory=dict)
+    constraints: list[Constraint] = field(default_factory=list)
+    objective: dict[VarId, Rational] = field(default_factory=dict)
+    _rows = None  # (variables, rows, rels) while the constraints are held as integer rows
 
     @classmethod
     def from_rows(
@@ -108,12 +102,11 @@ class LinearProgram:
         Each row must be reduced: den > 0 and the gcd of the whole list 1.
         `solve_lp` reads the rows as they are, without the list in between.
         """
-        p = cls(variables, lower, upper, None, objective)
+        p = cls(variables, lower, upper, [], objective)
         p._rows = (list(variables), rows, rels)
         return p
 
-    def _release(self) -> None:
-        """Build the `Constraint` list from the held rows and drop them."""
+    def _get_constraints(self) -> list[Constraint]:
         if self._rows is not None:
             names, rows, rels = self._rows
             self._constraints = [
@@ -121,14 +114,9 @@ class LinearProgram:
                 for row, rel in zip(rows, rels)
             ]
             self._rows = None
-
-    @property
-    def constraints(self) -> list[Constraint]:
-        self._release()
         return self._constraints
 
-    @constraints.setter
-    def constraints(self, value: list[Constraint]) -> None:
+    def _set_constraints(self, value: list[Constraint]) -> None:
         self._constraints = value
         self._rows = None
 
@@ -141,7 +129,7 @@ class LinearProgram:
     def add_variable(self, name: VarId, lower: Rational | None = None, upper: Rational | None = None) -> VarId:
         if name in self.lower:
             raise MalformedProgram(f"variable {name} declared twice")
-        self._release()  # the rows are over the variables declared so far
+        self._get_constraints()  # the rows are over the variables declared so far
         self.variables.append(name)
         self.lower[name] = lower
         self.upper[name] = upper
@@ -155,20 +143,14 @@ class LinearProgram:
     def set_objective(self, coeffs: dict[VarId, Rational]) -> None:
         self.objective = dict(coeffs)
 
-    def _fields(self) -> tuple:
-        return (self.variables, self.lower, self.upper, self.constraints, self.objective)
-
-    def __eq__(self, other):
-        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
-
-    __hash__ = None  # mutable
-
-    def __repr__(self):
-        names = ("variables", "lower", "upper", "constraints", "objective")
-        return f"{type(self).__qualname__}(" + ", ".join(f"{k}={v!r}" for k, v in zip(names, self._fields())) + ")"
-
     def __reduce__(self):
-        return (type(self), self._fields())
+        # pickle the built list, not the held rows
+        return (type(self), (self.variables, self.lower, self.upper, self.constraints, self.objective))
+
+
+# Installed after @dataclass has recorded the field: the generated __init__,
+# __eq__ and __repr__ and the `dataclasses` helpers all go through it.
+LinearProgram.constraints = property(LinearProgram._get_constraints, LinearProgram._set_constraints)
 
 
 class LpStatus(enum.Enum):
@@ -270,20 +252,6 @@ def _reduced(row: list[int]) -> list[int]:
 def _support(row: list[int]) -> list[int]:
     """Non-zero positions among the columns and the rhs (the denominator excluded)."""
     return [k for k in range(len(row) - 1) if row[k]]
-
-
-def _clear(row: list[int], cols: list[int]) -> list[int]:
-    """The row with its entries at `cols` zeroed in place, then reduced.
-
-    This is the fold of variables fixed at zero: nothing moves into the
-    rhs, only the gcd of what is left can grow.
-    """
-    hit = False
-    for j in cols:
-        if row[j]:
-            row[j] = 0
-            hit = True
-    return _reduced(row) if hit else row
 
 
 def _fold(row: list[int], values: dict[int, Rational], drop: bool) -> list[int]:
@@ -406,8 +374,6 @@ def solve_lp(p: LinearProgram) -> LpResult:
             hi = rat(hi)
         lower.append(lo)
         upper.append(hi)
-    at_zero = [j for j, x in fixed.items() if not x.numerator]
-    moved = {j: x for j, x in fixed.items() if x.numerator}
 
     # Rows over the variables, with the variables fixed by their bounds folded in;
     # a held row is copied, since the presolve updates rows in place.
@@ -417,9 +383,7 @@ def solve_lp(p: LinearProgram) -> LpResult:
     else:
         source = [row[:] for row in held[0]]
         rels = list(held[1])
-    rows = [_clear(row, at_zero) for row in source]
-    if moved:
-        rows = [_fold(row, moved, True) for row in rows]
+    rows = [_fold(row, fixed, True) for row in source]
     obj = _int_row(dict(objective), ZERO, nvars)
     for j in fixed:
         obj[j] = 0

@@ -66,9 +66,13 @@ def _require_fixed(n: Network) -> None:
         raise NotFixedSusceptance(f"edge {bad} has an adjustable susceptance")
 
 
-def pinned_nodes(n: Network) -> set[NodeId]:
-    """Smallest node name of each connected component (angle anchors)."""
-    return {min(comp) for comp in connected_components(n)}
+def pinned_nodes(n: Network, components: list[set[NodeId]] | None = None) -> set[NodeId]:
+    """Smallest node name of each connected component (angle anchors).
+
+    `components`, when given, must be exactly n's connected components;
+    they are not checked.
+    """
+    return {min(comp) for comp in (connected_components(n) if components is None else components)}
 
 
 def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None) -> LinearProgram:
@@ -79,11 +83,12 @@ def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None) -> Li
     the denominators of its edges' susceptances, divided by its gcd, and
     an edge's two capacity rows over the LCM of its susceptance's and its
     capacity's denominators.
-    `components`, when given, are the connected components of n; the
-    smallest node of each has its angle pinned to zero.
+    `components`, when given, must be exactly n's connected components
+    (they are not checked); the angle of each one's smallest node is
+    pinned to zero (`pinned_nodes`).
     """
     _require_fixed(n)
-    pins = {min(comp) for comp in (connected_components(n) if components is None else components)}
+    pins = pinned_nodes(n, components)
     names = n.node_names
     gens, loads = n.generators, n.loads
     angles = [_th(v) for v in names]

@@ -9,7 +9,7 @@ from conftest import random_boxed_lp, random_ldc_network
 from ldcflow import serialize
 from ldcflow.errors import MalformedProgram
 from ldcflow.gadgets import Polarity, gfch, gsch
-from ldcflow.lp import LinearProgram, LpStatus, _clear, solve_lp, write_lp_text
+from ldcflow.lp import LinearProgram, LpStatus, _fold, solve_lp, write_lp_text
 from ldcflow.mff import pin_susceptances, solve_mff_grid
 from ldcflow.mpf import formulate_mpf
 from ldcflow.msf import solve_msf_bnb, solve_msf_exhaustive
@@ -436,8 +436,8 @@ def test_presolve_eliminates_the_first_free_variable_of_the_row():
 
 def test_a_column_fixed_at_zero_is_cleared_and_the_row_reduced():
     # x/2 + y <= 1 reads as [1, 2, 2, 2]; with x = 0 what is left shares the factor 2
-    assert _clear([1, 2, 2, 2], [0]) == [0, 1, 1, 1]
-    assert _clear([1, 2, 2, 2], [1]) == [1, 0, 2, 2]
+    assert _fold([1, 2, 2, 2], {0: F(0)}, True) == [0, 1, 1, 1]
+    assert _fold([1, 2, 2, 2], {1: F(0)}, True) == [1, 0, 2, 2]
     p = LinearProgram()
     p.add_variable("x", lower=F(0), upper=F(0))
     p.add_variable("y", lower=F(0))

@@ -10,6 +10,7 @@ same result, before and after the program is changed.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import random
 from fractions import Fraction as F
@@ -125,6 +126,16 @@ def test_equality_repr_and_pickle_match_an_eagerly_built_program(n):
     assert repr(formulate_mpf(n)) == repr(eager)
     assert pickle.loads(pickle.dumps(formulate_mpf(n))) == eager
     assert pickle.loads(pickle.dumps(formulate_mpf(n))).held_rows() is None
+    assert dataclasses.asdict(formulate_mpf(n)) == dataclasses.asdict(eager)
+    assert dataclasses.replace(formulate_mpf(n)) == eager
+
+
+def test_a_row_backed_program_is_a_dataclass_over_the_same_fields():
+    p = formulate_mpf(PARALLEL)
+    assert dataclasses.is_dataclass(p)
+    assert [f.name for f in dataclasses.fields(p)] == ["variables", "lower", "upper", "constraints", "objective"]
+    q = dataclasses.replace(p, constraints=[])
+    assert q.constraints == [] and q.held_rows() is None and q.variables == p.variables
 
 
 def test_add_variable_drops_the_rows():
