@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from typing import Callable
 
 from .classify import connected_components, is_tree
 from .errors import MalformedProgram, NotATree, NotFixedSusceptance
@@ -184,6 +185,61 @@ def solve_mpf(n: Network) -> MpfOutcome:
     if result.status is not LpStatus.OPTIMAL:  # pragma: no cover - MPF is always bounded
         raise AssertionError(f"MPF solve ended {result.status}")
     return MpfOutcome.deferred(result.value, build=lambda: _solution_from_assignment(n, result.assignment))
+
+
+def flow_cores(n: Network) -> Callable[[int], int]:
+    """A map from a removed-edge bitmask over `n.edges` to its flow core.
+
+    The core is the bitmask of the edges that can still carry flow: strip
+    plain leaves until none is left (a plain leaf's edge carries nothing,
+    and the angle it pins is its own), then keep the components that hold
+    both a generator and a load (`solve_mpf` gives the others zero).  The
+    MPF value of a sub-network is that of its core alone, and removing an
+    edge outside the core leaves the core as it is.  The map works on ints
+    only; n must be valid.
+    """
+    index = {v: i for i, v in enumerate(n.node_names)}
+    incident = [0] * len(index)
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in index]
+    for j, e in enumerate(n.edges):
+        a, b = index[e.a], index[e.b]
+        incident[a] |= 1 << j
+        incident[b] |= 1 << j
+        adjacent[a].append((1 << j, b))
+        adjacent[b].append((1 << j, a))
+    plain = [incident[index[v]] for v, role in n.nodes if role is NodeRole.PLAIN]
+    gens = sum(1 << index[v] for v in n.generators)
+    loads = sum(1 << index[v] for v in n.loads)
+    everything = (1 << len(n.edges)) - 1
+
+    def core(removed: int) -> int:
+        kept = everything & ~removed
+        stripped = True
+        while stripped:
+            stripped = False
+            for x in plain:
+                x &= kept
+                if x and not x & (x - 1):  # a plain node with one edge left
+                    kept ^= x
+                    stripped = True
+        flowing, seen = 0, 0
+        for start, edges in enumerate(incident):
+            if seen >> start & 1 or not edges & kept:
+                continue
+            nodes, comp, stack = 1 << start, 0, [start]
+            while stack:
+                for bit, w in adjacent[stack.pop()]:
+                    if bit & kept:
+                        comp |= bit
+                        if not nodes >> w & 1:
+                            nodes |= 1 << w
+                            stack.append(w)
+            seen |= nodes
+            if nodes & gens and nodes & loads:
+                flowing |= comp
+        return flowing
+
+    return core
 
 
 def solve_tree(n: Network) -> MpfOutcome:

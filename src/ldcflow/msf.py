@@ -8,19 +8,29 @@ prunes with the classical max-flow upper bound (valid because ignoring
 the power law only relaxes the problem, and removing more edges never
 raises the classical value).
 
+Many switch sets leave the same edges able to carry flow: a plain leaf's
+edge carries nothing, and neither does a component without both a
+generator and a load.  `flow_cores` maps a switch set to the edges that
+remain, and the MPF value depends on them alone, so each search solves
+every such core once.  The scan solves only the distinct non-empty cores
+(an empty one is worth zero) and re-solves its winners on their own
+sub-networks; branch-and-bound skips the solve of a node whose core it
+has solved before, and such a node never becomes the incumbent.
+
 Both return identical outcomes: among all optimal switch sets, the one
 whose canonically-ordered edge tuple is lexicographically smallest.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import partial
 
 from .errors import TooLarge
 from .lp import LinearProgram, VarId, write_lp_text
 from .maxflow import classical_max_flow
-from .mpf import MpfOutcome, _gen, _load, _require_fixed, _th, pinned_nodes, solve_mpf
+from .mpf import MpfOutcome, _gen, _load, _require_fixed, _th, flow_cores, pinned_nodes, solve_mpf
 from .network import Edge, Network, NodeRole, Solution, SwitchSet, require_valid, subnetwork
 from .parallel import optima, ordered_map
 from .rational import ONE, Rational, ZERO, rat_str
@@ -50,23 +60,28 @@ def _removed(n: Network, mask: int) -> tuple[Edge, ...]:
     return tuple(e for i, e in enumerate(n.edges) if mask >> i & 1)
 
 
-def _mask_value(n: Network, mask: int) -> Rational:
-    return solve_mpf(subnetwork(n, _removed(n, mask))).value
+def _core_value(n: Network, core: int) -> Rational:
+    return solve_mpf(subnetwork(n, _removed(n, ~core))).value
 
 
 def _optimal_sets(n: Network, limit: int) -> list[tuple[Edge, ...]]:
     """All optimal switch sets, as switch keys in canonical order.
 
-    Large scans fan out over a process pool (capped by LDC_THREADS); the
-    reduction runs in mask order, so the outcome never depends on the
-    worker count.
+    Each mask's flow core is found in-process and only the distinct
+    non-empty cores are solved; large batches of them fan out over a
+    process pool (capped by LDC_THREADS).  The reduction runs in mask
+    order, so the outcome never depends on the worker count.
     """
     require_valid(n)
     _require_fixed(n)
     if len(n.edges) > limit:
         raise TooLarge(f"{len(n.edges)} edges exceed the exhaustive limit of {limit}")
     masks = range(1 << len(n.edges))
-    return sorted(switch_key(_removed(n, mask)) for mask in optima(masks, ordered_map(partial(_mask_value, n), masks)))
+    cores = array("L", map(flow_cores(n), masks))
+    solved = [core for core in dict.fromkeys(cores) if core]
+    values = dict(zip(solved, ordered_map(partial(_core_value, n), solved)))
+    winners = optima(masks, (values.get(core, ZERO) for core in cores))
+    return sorted(switch_key(_removed(n, mask)) for mask in winners)
 
 
 def solve_msf_exhaustive(n: Network, *, limit: int = EXHAUSTIVE_EDGE_LIMIT) -> MsfOutcome:
@@ -90,9 +105,18 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> MsfOutcome:
     reproducible under pruning.  With `threshold` set, the search stops as
     soon as the incumbent proves the decision and prunes anything that
     cannot reach the threshold.
+
+    A node carries its flow core (`flow_cores`), and the MPF value is the
+    core's.  A child whose new edge lies outside its parent's core has the
+    parent's core; a child whose core was solved before is not solved
+    again.  Neither is recorded: its value was first reached at a
+    removed-set the search recorded earlier, so it cannot beat the
+    incumbent, whose solution therefore comes from its own solve.
     """
     _require_fixed(n)
     edges = list(n.edges)
+    core_of = flow_cores(n)
+    solved: set[int] = set()
     state = {"value": None, "key": None, "removed": None, "outcome": None}
 
     def record(removed: tuple[Edge, ...], out: MpfOutcome) -> None:
@@ -103,8 +127,7 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> MsfOutcome:
     def done() -> bool:
         return threshold is not None and state["value"] is not None and state["value"] >= threshold
 
-    def explore(start: int, removed: tuple[Edge, ...], candidate: MpfOutcome) -> None:
-        record(removed, candidate)
+    def explore(start: int, removed: tuple[Edge, ...], mask: int, core: int) -> None:
         if done():
             return
         for i in range(start, len(edges)):
@@ -118,11 +141,20 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> MsfOutcome:
                     continue
                 if bound == state["value"] and not switch_key(child) < state["key"]:
                     continue
-            explore(i + 1, child, solve_mpf(sub))
+            child_mask, child_core = mask | 1 << i, core
+            if core >> i & 1:
+                child_core = core_of(child_mask)
+                if child_core not in solved:
+                    solved.add(child_core)
+                    record(child, solve_mpf(sub))
+            explore(i + 1, child, child_mask, child_core)
             if done():
                 return
 
-    explore(0, (), solve_mpf(n))
+    root_core = core_of(0)
+    solved.add(root_core)
+    record((), solve_mpf(n))
+    explore(0, (), 0, root_core)
     # the incumbent's solution is the only one the search reads
     return MsfOutcome(state["value"], frozenset(state["removed"]), state["outcome"].solution)
 

@@ -53,6 +53,9 @@ class Edge:
             a, b = self.a, self.b
             object.__setattr__(self, "a", b)
             object.__setattr__(self, "b", a)
+        if self.s_max is not self.s_min and self.s_max == self.s_min:
+            # one object for a fixed susceptance, so `is_facts` is an identity test
+            object.__setattr__(self, "s_max", self.s_min)
 
     def __hash__(self):
         # the endpoint names alone: equal edges share them, and hashing the
@@ -65,7 +68,7 @@ class Edge:
 
     @property
     def is_facts(self) -> bool:
-        return self.s_min != self.s_max
+        return self.s_min is not self.s_max and self.s_min != self.s_max
 
     def __str__(self):
         s = rat_str(self.s_min) if not self.is_facts else f"[{rat_str(self.s_min)},{rat_str(self.s_max)}]"

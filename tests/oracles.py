@@ -6,7 +6,9 @@ vertices, the min-cut oracle enumerates source-side node sets, and the
 combinatorial oracles enumerate subsets/permutations.  The one exception
 is `reference_mpf_program`, the MPF program built constraint by constraint
 over `Fraction`s through `LinearProgram`'s public methods, which the
-integer-row builder `formulate_mpf` must reproduce exactly.
+integer-row builder `formulate_mpf` must reproduce exactly; and
+`msf_by_every_mask` calls `solve_mpf` on every sub-network, so that it
+checks the switching searches and nothing they skip.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from ldcflow.lp import LinearProgram
-from ldcflow.network import Network, NodeRole
+from ldcflow.mpf import solve_mpf
+from ldcflow.network import Network, NodeRole, Solution, subnetwork
 from ldcflow.classify import connected_components
 
 
@@ -104,6 +107,23 @@ def min_cut_value(n: Network) -> Fraction:
             if best is None or cut < best:
                 best = cut
     return best
+
+
+def msf_by_every_mask(n: Network) -> tuple[Fraction, frozenset, Solution]:
+    """Maximum switching flow by solving MPF on all 2^|E| sub-networks.
+
+    Returns the largest value, the switch set of smallest switch key (its
+    sorted edge tuple) among those attaining it, and that sub-network's
+    MPF solution.
+    """
+    best = None
+    for mask in range(1 << len(n.edges)):
+        key = tuple(sorted(e for i, e in enumerate(n.edges) if mask >> i & 1))
+        out = solve_mpf(subnetwork(n, key))
+        if best is None or out.value > best[0] or (out.value == best[0] and key < best[1]):
+            best = out.value, key, out
+    value, key, out = best
+    return value, frozenset(key), out.solution
 
 
 def subset_sum_solvable(values, target) -> bool:

@@ -11,7 +11,7 @@ from ldcflow.errors import NotATree, NotFixedSusceptance
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.lp import LpResult, LpStatus, solve_lp
 from ldcflow.maxflow import classical_max_flow
-from ldcflow.mpf import MpfOutcome, _gen, _load, _th, formulate_mpf, solve_mpf, solve_tree
+from ldcflow.mpf import MpfOutcome, _gen, _load, _th, flow_cores, formulate_mpf, solve_mpf, solve_tree
 from ldcflow.msf import solve_msf_bnb, solve_msf_exhaustive
 from ldcflow.network import Network, NodeRole, Solution, fixed_edge, network_sum, subnetwork, total_generation, validate_solution
 
@@ -207,3 +207,50 @@ def test_flowless_components_skip_the_lp_without_changing_the_outcome():
             assert out.solution == solution
             flowless += value == 0
     assert flowless > 0
+
+
+def edge_bits(n: Network, *pairs: tuple[str, str]) -> int:
+    """The bitmask over n.edges of the edges on the given node pairs."""
+    return sum(1 << i for i, e in enumerate(n.edges) if e.pair in {tuple(sorted(p)) for p in pairs})
+
+
+TRIANGLE_PAIRS = (("g", "b"), ("b", "l"), ("g", "l"))
+
+
+class TestFlowCores:
+    def test_a_plain_pendant_path_is_stripped(self):
+        n = network_sum(triangle(), Network([("p", PLAIN), ("q", PLAIN)], [fixed_edge("b", "p", 1, 1), fixed_edge("p", "q", 2, 1)]))
+        assert flow_cores(n)(0) == edge_bits(n, *TRIANGLE_PAIRS)
+
+    def test_a_plain_node_left_with_one_edge_is_stripped(self):
+        n = triangle()
+        # without b--l, b is a plain leaf and g--b carries nothing
+        assert flow_cores(n)(edge_bits(n, ("b", "l"))) == edge_bits(n, ("g", "l"))
+
+    def test_generator_and_load_leaves_are_kept(self):
+        leaves = Network([("h", GEN), ("m", LOAD)], [fixed_edge("b", "h", 1, 1), fixed_edge("g", "m", 1, 1)])
+        n = network_sum(triangle(), leaves)
+        assert flow_cores(n)(0) == (1 << len(n.edges)) - 1
+
+    def test_flowless_components_are_dropped(self):
+        gens = Network([("x", GEN), ("y", GEN), ("z", PLAIN)], [fixed_edge("x", "y", 1, 2), fixed_edge("y", "z", 1, 2), fixed_edge("x", "z", 1, 2)])
+        loads = Network([("u", LOAD), ("w", LOAD)], [fixed_edge("u", "w", 1, 1)])
+        n = network_sum(network_sum(triangle(), gens), loads)
+        cores = flow_cores(n)
+        assert cores(0) == edge_bits(n, *TRIANGLE_PAIRS)
+        assert cores(edge_bits(n, ("g", "l"), ("g", "b"))) == 0
+        assert flow_cores(network_sum(gens, loads))(0) == 0
+
+    def test_the_core_carries_the_value_and_outside_edges_leave_it(self):
+        rng = random.Random(7)
+        for _ in range(25):
+            n = random_ldc_network(rng, max_edges=6)
+            cores, every = flow_cores(n), (1 << len(n.edges)) - 1
+            assert solve_mpf(subnetwork(n, [e for i, e in enumerate(n.edges) if not cores(0) >> i & 1])).value == solve_mpf(n).value
+            for mask in range(every + 1):
+                core = cores(mask)
+                assert core & mask == 0
+                whole = solve_mpf(subnetwork(n, [e for i, e in enumerate(n.edges) if mask >> i & 1])).value
+                assert solve_mpf(subnetwork(n, [e for i, e in enumerate(n.edges) if not core >> i & 1])).value == whole
+                # removing an edge the core does not hold leaves the core as it is
+                assert all(cores(mask | 1 << i) == core for i in range(len(n.edges)) if not (core | mask) >> i & 1)

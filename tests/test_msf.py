@@ -1,14 +1,16 @@
 import multiprocessing
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import random_ldc_network, random_tree
+from conftest import SUSCEPTANCES, random_ldc_network, random_tree
 from ldcflow.errors import NotFixedSusceptance, TooLarge
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.maxflow import classical_max_flow
 from ldcflow.mff import enumerate_endpoint_optima
-from ldcflow.mpf import solve_mpf
+from ldcflow.mpf import flow_cores, solve_mpf
 from ldcflow.msf import (
     decide_msf,
     optimal_switch_sets,
@@ -17,6 +19,7 @@ from ldcflow.msf import (
     switch_key,
 )
 from ldcflow.network import Network, NodeRole, fixed_edge, network_sum, subnetwork, validate_solution
+from oracles import msf_by_every_mask
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
@@ -98,9 +101,27 @@ class TestInvariants:
             assert solve_mpf(sub).value == out.value
 
 
-def test_pool_evaluation_matches_sequential(rng, monkeypatch):
-    # force the process pool on small searches; the outcomes must not change
-    n = random_ldc_network(rng, max_edges=6)
+def diamond():
+    """Two generator-load paths joined by a rung: 10 distinct non-empty flow cores."""
+    return Network(
+        [("g", GEN), ("b", PLAIN), ("c", PLAIN), ("l", LOAD)],
+        [
+            fixed_edge("g", "b", 1, 5),
+            fixed_edge("b", "l", 1, 4),
+            fixed_edge("g", "c", 1, 3),
+            fixed_edge("c", "l", 2, 2),
+            fixed_edge("b", "c", 1, 1),
+        ],
+    )
+
+
+def test_pool_evaluation_matches_sequential(monkeypatch):
+    # force the process pool on small searches; the outcomes must not change.  The
+    # scans hand the pool their distinct non-empty flow cores, so the network needs
+    # at least as many of them as the forced threshold.
+    n = diamond()
+    mask_cores = flow_cores(n)
+    assert len({mask_cores(mask) for mask in range(1 << len(n.edges))} - {0}) >= 4
     facts = network_sum(gfch(1, port="v", prefix="A."), gfch(2, port="w", prefix="B."))
 
     def searches():
@@ -114,6 +135,71 @@ def test_pool_evaluation_matches_sequential(rng, monkeypatch):
     monkeypatch.setattr("ldcflow.parallel.POOL_THRESHOLD", 4)
     assert searches() == sequential
     assert len(pools) == 3
+
+
+@st.composite
+def networks_with_idle_edges(draw) -> Network:
+    """A seeded network with a pendant path of plain nodes and, maybe, a generator-only component."""
+    base = random_ldc_network(random.Random(draw(st.integers(0, 2**32 - 1))), max_edges=4)
+    nodes, edges = list(base.nodes), list(base.edges)
+    edge = st.tuples(st.sampled_from(SUSCEPTANCES), st.integers(1, 6))
+    at = draw(st.sampled_from(base.node_names))
+    for k in range(draw(st.integers(1, 2))):
+        nodes.append((f"p{k}", PLAIN))
+        edges.append(fixed_edge(at, f"p{k}", *draw(edge)))
+        at = f"p{k}"
+    if draw(st.booleans()):
+        nodes += [("x0", GEN), ("x1", draw(st.sampled_from([GEN, PLAIN])))]
+        edges.append(fixed_edge("x0", "x1", *draw(edge)))
+    return Network(nodes, edges)
+
+
+@given(networks_with_idle_edges())
+def test_searches_agree_with_solving_every_sub_network(n):
+    value, switched, solution = msf_by_every_mask(n)
+    for search in (solve_msf_bnb, solve_msf_exhaustive):
+        out = search(n)
+        assert (out.value, out.switched, out.solution) == (value, switched, solution)
+        assert validate_solution(subnetwork(n, out.switched), out.solution).ok
+    assert decide_msf(n, value)
+    assert not decide_msf(n, value + F(1, 1000))
+
+
+class TestSolveCounts:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = solve_mpf
+        monkeypatch.setattr("ldcflow.msf.solve_mpf", lambda n: calls.append((n, out := solve(n))) or out)
+        return calls
+
+    @staticmethod
+    def pendant():
+        """The diamond with a plain leaf p hanging off b."""
+        d = diamond()
+        return Network(d.nodes + (("p", PLAIN),), d.edges + (fixed_edge("b", "p", 1, 1),))
+
+    def test_the_scan_solves_each_core_once_and_then_its_winners(self, solves):
+        n = network_sum(self.pendant(), Network([("x", GEN), ("y", PLAIN)], [fixed_edge("x", "y", 1, 1)]))
+        cores = flow_cores(n)
+        distinct = {cores(mask) for mask in range(1 << len(n.edges))} - {0}
+        assert len(distinct) == 10
+        solve_msf_exhaustive(n)
+        assert len(solves) == len(distinct) + 1
+        solves.clear()
+        sets = optimal_switch_sets(n)
+        assert len(sets) > 1 and len(solves) == len(distinct) + len(sets)
+
+    def test_branch_and_bound_solves_each_core_once_and_never_again_at_the_end(self, solves):
+        n = self.pendant()
+        out = solve_msf_bnb(n)
+        # solving every visited node, as the search did before it tracked cores, took 7
+        assert len(solves) == 4
+        cores = flow_cores(n)
+        solved = [cores(sum(1 << i for i, e in enumerate(n.edges) if e not in m.edges)) for m, _ in solves]
+        assert len(set(solved)) == len(solved)
+        (incumbent,) = [o for m, o in solves if m == subnetwork(n, out.switched)]
+        assert out.solution is incumbent.solution
 
 
 def test_switch_key_orders_sets_lexicographically():

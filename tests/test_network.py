@@ -21,6 +21,7 @@ from ldcflow.network import (
     validate_solution,
     zero_solution,
 )
+from ldcflow.serialize import network_from_json
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
@@ -108,6 +109,20 @@ class TestEdge:
     def test_facts_flag(self):
         assert not fixed_edge("a", "b", 1, 1).is_facts
         assert Edge("a", "b", F(1), F(2), F(1)).is_facts
+
+    def test_a_fixed_susceptance_is_one_object(self):
+        # the JSON reader parses s_min and s_max separately; the edge keeps one of them
+        doc = {
+            "nodes": [{"id": "a", "role": "generator"}, {"id": "b", "role": "load"}, {"id": "c", "role": "plain"}],
+            "edges": [
+                {"a": "a", "b": "b", "s_min": "3/2", "s_max": "1.5", "cap": "2"},
+                {"a": "b", "b": "c", "s_min": "1", "s_max": "2", "cap": "2"},
+            ],
+        }
+        fixed, facts = network_from_json(doc).edges
+        assert fixed.s_max is fixed.s_min and not fixed.is_facts
+        assert fixed == Edge("a", "b", F(3, 2), F(3, 2), F(2))
+        assert facts.is_facts and (facts.s_min, facts.s_max) == (1, 2)
 
 
 class TestSubnetwork:
