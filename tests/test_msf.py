@@ -193,7 +193,7 @@ class TestSolveCounts:
     def test_branch_and_bound_solves_each_core_once_and_never_again_at_the_end(self, solves):
         n = self.pendant()
         out = solve_msf_bnb(n)
-        # solving every visited node, as the search did before it tracked cores, took 7
+        # the search visits 7 sub-networks here; 3 of them repeat a core already solved
         assert len(solves) == 4
         cores = flow_cores(n)
         solved = [cores(sum(1 << i for i, e in enumerate(n.edges) if e not in m.edges)) for m, _ in solves]
