@@ -131,9 +131,10 @@ def _cmd_decode(args) -> int:
     inst = parse(serialize.load(args.instance))
     n = encoder(inst).network
     doc = serialize.load(args.outcome)
-    if doc.get("problem") == "msf":
+    problem = doc.get("problem") if isinstance(doc, dict) else None
+    if problem == "msf":
         outcome = serialize.msf_outcome_from_json(doc, n)
-    elif doc.get("problem") == "mff":
+    elif problem == "mff":
         outcome = serialize.mff_outcome_from_json(doc, n)
     else:
         raise ValueError("outcome file must come from `solve msf --out` or `solve mff --out`")
@@ -162,11 +163,12 @@ def _cmd_verify(args) -> int:
         print(report)
         return 1
     doc = serialize.load(args.solution)
-    if doc.get("problem") == "msf":
+    problem = doc.get("problem") if isinstance(doc, dict) else None
+    if problem == "msf":
         outcome = serialize.msf_outcome_from_json(doc, n)
         target = subnetwork(n, outcome.switched)
         sol = outcome.solution
-    elif doc.get("problem") == "mff":
+    elif problem == "mff":
         outcome = serialize.mff_outcome_from_json(doc, n)
         target, sol = n, outcome.solution
     else:

@@ -21,8 +21,8 @@ from functools import partial
 
 from .errors import TooManyFactsEdges
 from .mpf import solve_mpf
+from .msf import optima, ordered_map
 from .network import Edge, Network, Solution, fixed_edge, require_valid
-from .parallel import optima, ordered_map
 from .rational import Rational
 
 FACTS_EDGE_LIMIT = 12
@@ -98,9 +98,7 @@ def _grid_optima(n: Network, k: int, limit: int) -> list[SusAssignment]:
 
     Combinations are visited in lexicographic order of the assignment
     vector (edges in canonical order, points ascending), so the first
-    optimum is the smallest vector.  Moderate-sized products may fan out
-    over a process pool; the in-order reduction keeps the result
-    identical either way.
+    optimum is the smallest vector.
     """
     if k < 1:
         raise ValueError("grid refinement k must be >= 1")

@@ -396,6 +396,8 @@ def decode_subset_sum(outcome: MsfOutcome | MffOutcome, inst: SubsetSumInstance,
     """Extract the chosen subset V from an optimal outcome; sum(V) must be w."""
     _check_subset_sum(inst)
     if kind == KIND_TREE:
+        if not isinstance(outcome, MsfOutcome):
+            raise DecodingFailed("the tree encoding is a switching instance: decode it from an MSF outcome")
         enc = encode_subset_sum_tree(inst)
         if outcome.value != enc.predicted_value:
             raise NotOptimal(f"outcome value {outcome.value} is below the predicted {enc.predicted_value}")

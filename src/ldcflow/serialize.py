@@ -124,14 +124,18 @@ def solution_to_json(sol: Solution) -> dict:
     }
 
 
+def _node_map_in(data: dict, key: str) -> dict:
+    return {v: _rat_in(x) for v, x in _get(data, key, "solution", dict).items()}
+
+
 def solution_from_json(data: dict, n: Network) -> Solution:
     """Rebuild a solution against the network its maps refer to."""
     return Solution(
-        susceptance=_edge_map_in(data["susceptance"], n),
-        flow=_edge_map_in(data["flow"], n),
-        angle={v: _rat_in(x) for v, x in data["angle"].items()},
-        gen={v: _rat_in(x) for v, x in data["gen"].items()},
-        load={v: _rat_in(x) for v, x in data["load"].items()},
+        susceptance=_edge_map_in(_get(data, "susceptance", "solution", list), n),
+        flow=_edge_map_in(_get(data, "flow", "solution", list), n),
+        angle=_node_map_in(data, "angle"),
+        gen=_node_map_in(data, "gen"),
+        load=_node_map_in(data, "load"),
     )
 
 
@@ -160,12 +164,12 @@ def msf_outcome_to_json(out: MsfOutcome) -> dict:
 
 
 def msf_outcome_from_json(data: dict, n: Network) -> MsfOutcome:
-    switched = switch_set_from_json(data["switched"], n)
+    switched = switch_set_from_json(_get(data, "switched", "outcome", list), n)
     sub = subnetwork(n, switched)
     return MsfOutcome(
-        value=_rat_in(data["value"]),
+        value=_rat_field(data, "value", "outcome"),
         switched=switched,
-        solution=solution_from_json(data["solution"], sub),
+        solution=solution_from_json(_get(data, "solution", "outcome"), sub),
     )
 
 
@@ -180,20 +184,28 @@ def mff_outcome_to_json(out: MffOutcome) -> dict:
 
 
 def mff_outcome_from_json(data: dict, n: Network) -> MffOutcome:
-    assignment: SusAssignment = _edge_map_in(data["assignment"], n)
+    assignment: SusAssignment = _edge_map_in(_get(data, "assignment", "outcome", list), n)
     return MffOutcome(
-        value=_rat_in(data["value"]),
+        value=_rat_field(data, "value", "outcome"),
         assignment=assignment,
-        solution=solution_from_json(data["solution"], n),
-        certified=bool(data["certified"]),
+        certified=_get(data, "certified", "outcome", bool),
+        solution=solution_from_json(_get(data, "solution", "outcome"), n),
     )
 
 
 # --- problem instances --------------------------------------------------------
 
 
+def _int_in(value: Any, where: str) -> int:
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"{where} must be an integer (int or string), got {value!r}")
+    return int(value)
+
+
 def subset_sum_from_json(data: dict) -> SubsetSumInstance:
-    return SubsetSumInstance(values=tuple(int(x) for x in data["M"]), target=int(data["w"]))
+    """The instance a document describes; a float or a bool in M or w raises a ValueError naming the field."""
+    values = tuple(_int_in(x, f"instance.M[{i}]") for i, x in enumerate(_get(data, "M", "instance", list)))
+    return SubsetSumInstance(values=values, target=_int_in(_get(data, "w", "instance"), "instance.w"))
 
 
 def subset_sum_to_json(inst: SubsetSumInstance) -> dict:

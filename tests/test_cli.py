@@ -1,6 +1,8 @@
+import copy
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ldcflow import serialize
 from ldcflow.cli import main
@@ -187,3 +189,99 @@ class TestErrors:
         code, out, err = run(capsys, *argv, str(path))
         assert code == 3 and out == ""
         assert field in err
+
+    def test_float_in_subset_sum_instance_is_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"M": [1.9, True, "3"], "w": 3.5}))
+        code, out, err = run(capsys, "encode", "subset-sum-tree", str(path))
+        assert code == 3 and out == "" and "instance.M[0]" in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """A gadget network, a subset-sum instance, and the solution and outcome documents solved from them.
+
+    Each document passes `verify` or `decode` as it stands, so a tampered
+    copy differs from an accepted document in one place.
+    """
+    d = tmp_path_factory.mktemp("documents")
+    paths = {name: str(d / f"{name}.json") for name in ("net", "inst", "enc", "tree", "mpf", "msf", "mff", "tree_msf", "doc")}
+    assert main(["gadget", "gsch", "--x", "1", "--polarity", "minus", "--out", paths["net"]]) == 0
+    for problem in ("mpf", "msf", "mff"):
+        assert main(["solve", problem, paths["net"], "--out", paths[problem]]) == 0
+        assert main(["verify", paths["net"], paths[problem]]) == 0
+    serialize.dump({"M": [1, 2], "w": 2}, paths["inst"])
+    assert main(["encode", "subset-sum-tree", paths["inst"], "--out", paths["enc"]]) == 0
+    serialize.dump(serialize.load(paths["enc"])["network"], paths["tree"])
+    assert main(["solve", "msf", paths["tree"], "--out", paths["tree_msf"]]) == 0
+    assert main(["decode", "subset-sum-tree", paths["inst"], paths["tree_msf"]]) == 0
+    return paths
+
+
+def verify_and_decode(paths, doc) -> list[int]:
+    """Exit codes of `verify` and `decode subset-sum-tree` with `doc` as the solution/outcome argument."""
+    serialize.dump(doc, paths["doc"])
+    return [main(["verify", paths["net"], paths["doc"]]), main(["decode", "subset-sum-tree", paths["inst"], paths["doc"]])]
+
+
+@st.composite
+def tampered(draw, doc):
+    """`doc` with one nested value replaced by arbitrary JSON or removed; the root itself may be replaced."""
+    doc = copy.deepcopy(doc)
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    if parent is None:
+        return draw(JSON_VALUES)
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(JSON_VALUES)
+    return doc
+
+
+class TestMalformedDocuments:
+    """`verify` and `decode` exit 0-4 on any JSON solution or outcome, and never raise."""
+
+    @given(doc=JSON_VALUES)
+    @example(doc=[])
+    @example(doc={"susceptance": [], "flow": [], "angle": [], "gen": {}, "load": {}})
+    def test_any_json_value(self, documents, doc):
+        assert all(0 <= code <= 4 for code in verify_and_decode(documents, doc))
+
+    @given(data=st.data())
+    def test_tampered_documents(self, documents, data):
+        name = data.draw(st.sampled_from(["mpf", "msf", "mff", "tree_msf"]))
+        doc = data.draw(tampered(serialize.load(documents[name])))
+        assert all(0 <= code <= 4 for code in verify_and_decode(documents, doc))
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ([], "solution must be an object, got list"),
+            ({"susceptance": [], "flow": [], "angle": [], "gen": {}, "load": {}}, "solution.angle must be a dict"),
+            ({"problem": "msf", "value": "3", "switched": {}, "solution": {}}, "outcome.switched must be a list"),
+            ({"problem": "mff", "value": "3", "assignment": [], "certified": "yes", "solution": {}}, "outcome.certified must be a bool"),
+            ({"problem": "msf", "value": 3.5, "switched": [], "solution": {}}, "outcome.value"),
+        ],
+    )
+    def test_malformed_solution_is_exit_3_naming_the_field(self, capsys, documents, doc, field):
+        serialize.dump(doc, documents["doc"])
+        code, out, err = run(capsys, "verify", documents["net"], documents["doc"])
+        assert code == 3 and out == "" and field in err
+
+    def test_mff_outcome_of_the_tree_encoding_is_exit_4(self, capsys, documents):
+        doc = serialize.load(documents["tree_msf"])
+        doc.update(problem="mff", assignment=[], certified=True)
+        del doc["switched"]
+        serialize.dump(doc, documents["doc"])
+        code, _, err = run(capsys, "decode", "subset-sum-tree", documents["inst"], documents["doc"])
+        assert code == 4 and "MSF outcome" in err

@@ -1,4 +1,3 @@
-import multiprocessing
 import random
 from fractions import Fraction as F
 
@@ -9,7 +8,6 @@ from conftest import SUSCEPTANCES, random_ldc_network, random_tree
 from ldcflow.errors import NotFixedSusceptance, TooLarge
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.maxflow import classical_max_flow
-from ldcflow.mff import enumerate_endpoint_optima
 from ldcflow.mpf import flow_cores, solve_mpf
 from ldcflow.msf import (
     decide_msf,
@@ -113,28 +111,6 @@ def diamond():
             fixed_edge("b", "c", 1, 1),
         ],
     )
-
-
-def test_pool_evaluation_matches_sequential(monkeypatch):
-    # force the process pool on small searches; the outcomes must not change.  The
-    # scans hand the pool their distinct non-empty flow cores, so the network needs
-    # at least as many of them as the forced threshold.
-    n = diamond()
-    mask_cores = flow_cores(n)
-    assert len({mask_cores(mask) for mask in range(1 << len(n.edges))} - {0}) >= 4
-    facts = network_sum(gfch(1, port="v", prefix="A."), gfch(2, port="w", prefix="B."))
-
-    def searches():
-        return solve_msf_exhaustive(n), optimal_switch_sets(n), enumerate_endpoint_optima(facts)
-
-    sequential = searches()
-    pools = []
-    start_pool = multiprocessing.Pool
-    monkeypatch.setattr(multiprocessing, "Pool", lambda *a: pools.append(a) or start_pool(*a))
-    monkeypatch.setenv("LDC_THREADS", "2")
-    monkeypatch.setattr("ldcflow.parallel.POOL_THRESHOLD", 4)
-    assert searches() == sequential
-    assert len(pools) == 3
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -102,6 +103,23 @@ class TestInstanceJson:
         inst = serialize.subset_sum_from_json({"M": [2, 1, 3], "w": 5})
         assert inst == SubsetSumInstance((2, 1, 3), 5)
         assert serialize.subset_sum_to_json(inst) == {"M": [2, 1, 3], "w": 5}
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"M": [1.9, True, "3"], "w": 3.5}, "instance.M[0]"),
+            ({"M": [2, True, 3], "w": 5}, "instance.M[1]"),
+            ({"M": [2, 1], "w": 3.0}, "instance.w"),
+            ({"M": [2, 1], "w": False}, "instance.w"),
+            ({"M": "213", "w": 3}, "instance.M must be a list"),
+        ],
+    )
+    def test_subset_sum_rejects_floats_and_bools(self, doc, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            serialize.subset_sum_from_json(doc)
+
+    def test_subset_sum_accepts_integer_strings(self):
+        assert serialize.subset_sum_from_json({"M": ["2", 1], "w": "3"}) == SubsetSumInstance((2, 1), 3)
 
     def test_exact_cover(self):
         doc = {"M": ["a", "b", "c"], "S": [["a", "b", "c"]]}
