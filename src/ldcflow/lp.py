@@ -13,12 +13,10 @@ constraint, the objective and every tableau row is a list of Python ints
 [c_0, ..., c_{n-1}, rhs, den] standing for the rationals c_j/den and
 rhs/den, with den > 0 and the whole list divided by its gcd.
 
-The presolve starts from one such row per constraint over the declared
-variables.  A program made by `LinearProgram.from_rows` -- every MPF
-program, which `mpf.formulate_mpf` writes as integer rows -- hands its
-rows over as they are and builds its `Fraction` constraints only when
-they are first read; any other program's constraints are read into rows
-here.  Variables fixed by their bounds fold into each row's rhs in one
+A `LinearProgram` holds its constraints as such rows over its declared
+variables: `add_constraint` writes one, and `mpf.formulate_mpf` writes
+every MPF program's rows itself.  The presolve starts from a copy of
+them.  Variables fixed by their bounds fold into each row's rhs in one
 pass, over the LCM of the fixed values' denominators.  Bounds are
 compared through numerators and denominators, not as `Fraction`s.  Free
 variables are then eliminated through equality rows (a fraction-free
@@ -71,86 +69,51 @@ class LinearProgram:
     Bounds of None mean unbounded on that side; variables are free by
     default and must be given explicit bounds where intended.
 
-    A program made by `from_rows` holds its constraints as integer rows
-    over its variables and builds the `Constraint` list on the first read
-    of `constraints`; that read, assigning the list or `add_variable`
-    drops the rows.  A built `Constraint` leaves out zero coefficients and
-    lists the others in declaration order.  `constraints` stays a
-    dataclass field, read through a property (see below the class), so
-    equality, repr, the `dataclasses` helpers and pickling see the list.
+    The constraints are held as reduced integer rows
+    [c_0, ..., c_{n-1}, rhs, den] over `variables` (den > 0, the gcd of
+    the whole list 1), `rels[i]` being the relation of `rows[i]`; that is
+    the form `solve_lp` reads.  `constraints` is a view of them as a
+    `Constraint` list, built on each read, that leaves out zero
+    coefficients and lists the others in declaration order.
     """
 
     variables: list[VarId] = field(default_factory=list)
     lower: dict[VarId, Rational | None] = field(default_factory=dict)
     upper: dict[VarId, Rational | None] = field(default_factory=dict)
-    constraints: list[Constraint] = field(default_factory=list)
+    rows: list[list[int]] = field(default_factory=list)
+    rels: list[str] = field(default_factory=list)
     objective: dict[VarId, Rational] = field(default_factory=dict)
-    _rows = None  # (variables, rows, rels) while the constraints are held as integer rows
 
-    @classmethod
-    def from_rows(
-        cls,
-        variables: list[VarId],
-        lower: dict[VarId, Rational | None],
-        upper: dict[VarId, Rational | None],
-        rows: list[list[int]],
-        rels: list[str],
-        objective: dict[VarId, Rational],
-    ) -> LinearProgram:
-        """A program whose constraints are integer rows [c_0, ..., c_{n-1}, rhs, den] over `variables`.
-
-        Each row must be reduced: den > 0 and the gcd of the whole list 1.
-        `solve_lp` reads the rows as they are, without the list in between.
-        """
-        p = cls(variables, lower, upper, [], objective)
-        p._rows = (list(variables), rows, rels)
-        return p
-
-    def _get_constraints(self) -> list[Constraint]:
-        if self._rows is not None:
-            names, rows, rels = self._rows
-            self._constraints = [
-                Constraint({v: Fraction(c, row[-1]) for v, c in zip(names, row) if c}, rel, Fraction(row[-2], row[-1]))
-                for row, rel in zip(rows, rels)
-            ]
-            self._rows = None
-        return self._constraints
-
-    def _set_constraints(self, value: list[Constraint]) -> None:
-        self._constraints = value
-        self._rows = None
-
-    def held_rows(self) -> tuple[list[list[int]], list[str]] | None:
-        """The integer rows and relations of the constraints, when this program holds them over `variables`."""
-        if self._rows is None or self._rows[0] != self.variables:
-            return None
-        return self._rows[1], self._rows[2]
+    @property
+    def constraints(self) -> list[Constraint]:
+        names = self.variables
+        return [
+            Constraint({v: Fraction(c, row[-1]) for v, c in zip(names, row) if c}, rel, Fraction(row[-2], row[-1]))
+            for row, rel in zip(self.rows, self.rels)
+        ]
 
     def add_variable(self, name: VarId, lower: Rational | None = None, upper: Rational | None = None) -> VarId:
         if name in self.lower:
             raise MalformedProgram(f"variable {name} declared twice")
-        self._get_constraints()  # the rows are over the variables declared so far
         self.variables.append(name)
         self.lower[name] = lower
         self.upper[name] = upper
+        for row in self.rows:
+            row.insert(-2, 0)
         return name
 
     def add_constraint(self, coeffs: dict[VarId, Rational], rel: str, rhs: Rational) -> None:
         if rel not in (LE, EQ, GE):
             raise MalformedProgram(f"unknown relation {rel!r}")
-        self.constraints.append(Constraint(dict(coeffs), rel, rhs))
+        index = {v: j for j, v in enumerate(self.variables)}
+        for v in coeffs:
+            if v not in index:
+                raise MalformedProgram(f"constraint references undeclared variable {v}")
+        self.rows.append(_int_row({index[v]: rat(c) for v, c in coeffs.items()}, rat(rhs), len(self.variables)))
+        self.rels.append(rel)
 
     def set_objective(self, coeffs: dict[VarId, Rational]) -> None:
         self.objective = dict(coeffs)
-
-    def __reduce__(self):
-        # pickle the built list, not the held rows
-        return (type(self), (self.variables, self.lower, self.upper, self.constraints, self.objective))
-
-
-# Installed after @dataclass has recorded the field: the generated __init__,
-# __eq__ and __repr__ and the `dataclasses` helpers all go through it.
-LinearProgram.constraints = property(LinearProgram._get_constraints, LinearProgram._set_constraints)
 
 
 class LpStatus(enum.Enum):
@@ -343,12 +306,6 @@ def solve_lp(p: LinearProgram) -> LpResult:
     index = {v: j for j, v in enumerate(names)}
     if len(index) != nvars:
         raise MalformedProgram("duplicate variable names")
-    held = p.held_rows()
-    if held is None:
-        for con in p.constraints:
-            for v in con.coeffs:
-                if v not in index:
-                    raise MalformedProgram(f"constraint references undeclared variable {v}")
     objective = []
     for v, c in p.objective.items():
         if v not in index:
@@ -376,14 +333,15 @@ def solve_lp(p: LinearProgram) -> LpResult:
         upper.append(hi)
 
     # Rows over the variables, with the variables fixed by their bounds folded in;
-    # a held row is copied, since the presolve updates rows in place.
-    if held is None:
-        source = [_int_row({index[v]: rat(c) for v, c in con.coeffs.items()}, rat(con.rhs), nvars) for con in p.constraints]
-        rels = [con.rel for con in p.constraints]
-    else:
-        source = [row[:] for row in held[0]]
-        rels = list(held[1])
-    rows = [_fold(row, fixed, True) for row in source]
+    # each row is copied, since the presolve updates rows in place.
+    rows = []
+    for row in p.rows:
+        if len(row) != nvars + 2:
+            raise MalformedProgram(f"a constraint row has {len(row) - 2} columns for {nvars} variables")
+        rows.append(_fold(row[:], fixed, True))
+    rels = list(p.rels)
+    if len(rels) != len(rows):
+        raise MalformedProgram(f"{len(rows)} constraint rows but {len(rels)} relations")
     obj = _int_row(dict(objective), ZERO, nvars)
     for j in fixed:
         obj[j] = 0

@@ -73,16 +73,16 @@ def _assignment_value(n: Network, assignment: SusAssignment) -> Rational:
     return solve_mpf(pin_susceptances(n, assignment)).value
 
 
-def _facts(n: Network, limit: int) -> list[Edge]:
+def _facts(n: Network) -> list[Edge]:
     facts = list(n.facts_edges)
-    if len(facts) > limit:
-        raise TooManyFactsEdges(f"{len(facts)} FACTS edges exceed the search limit of {limit}")
+    if len(facts) > FACTS_EDGE_LIMIT:
+        raise TooManyFactsEdges(f"{len(facts)} FACTS edges exceed the search limit of {FACTS_EDGE_LIMIT}")
     return facts
 
 
-def solve_mff_endpoints(n: Network, *, limit: int = FACTS_EDGE_LIMIT) -> MffOutcome:
+def solve_mff_endpoints(n: Network) -> MffOutcome:
     """The grid search at k = 1: every combination of interval endpoints."""
-    return solve_mff_grid(n, 1, limit=limit)
+    return solve_mff_grid(n, 1)
 
 
 def grid_points(e: Edge, k: int) -> list[Rational]:
@@ -93,7 +93,7 @@ def grid_points(e: Edge, k: int) -> list[Rational]:
     return sorted(pts)
 
 
-def _grid_optima(n: Network, k: int, limit: int) -> list[SusAssignment]:
+def _grid_optima(n: Network, k: int) -> list[SusAssignment]:
     """All best assignments on the k-step grid, in search order.
 
     Combinations are visited in lexicographic order of the assignment
@@ -103,7 +103,7 @@ def _grid_optima(n: Network, k: int, limit: int) -> list[SusAssignment]:
     if k < 1:
         raise ValueError("grid refinement k must be >= 1")
     require_valid(n)
-    facts = _facts(n, limit)
+    facts = _facts(n)
     assignments = [dict(zip(facts, c)) for c in itertools.product(*(grid_points(e, k) for e in facts))]
     return optima(assignments, ordered_map(partial(_assignment_value, n), assignments))
 
@@ -113,19 +113,19 @@ def _outcome(n: Network, assignment: SusAssignment) -> MffOutcome:
     return MffOutcome(out.value, assignment, _relabel(n, out.solution), certified=not assignment)
 
 
-def solve_mff_grid(n: Network, k: int, *, limit: int = FACTS_EDGE_LIMIT) -> MffOutcome:
+def solve_mff_grid(n: Network, k: int) -> MffOutcome:
     """Endpoint search refined by a uniform grid; dominates the endpoints for every k."""
-    return _outcome(n, _grid_optima(n, k, limit)[0])
+    return _outcome(n, _grid_optima(n, k)[0])
 
 
-def enumerate_endpoint_optima(n: Network, *, limit: int = FACTS_EDGE_LIMIT) -> list[tuple[SusAssignment, MffOutcome]]:
+def enumerate_endpoint_optima(n: Network) -> list[tuple[SusAssignment, MffOutcome]]:
     """All endpoint assignments attaining the endpoint-search value."""
-    return [(a, _outcome(n, a)) for a in _grid_optima(n, 1, limit)]
+    return [(a, _outcome(n, a)) for a in _grid_optima(n, 1)]
 
 
-def decide_mff(n: Network, x: Rational, *, k: int = 1, limit: int = FACTS_EDGE_LIMIT) -> MffDecision:
+def decide_mff(n: Network, x: Rational, *, k: int = 1) -> MffDecision:
     """Yes when some assignment on the k-step grid reaches x; otherwise Unknown.
 
     The search is a lower bound, so a sound "no" cannot be issued.
     """
-    return MffDecision.YES if solve_mff_grid(n, k, limit=limit).value >= x else MffDecision.UNKNOWN
+    return MffDecision.YES if solve_mff_grid(n, k).value >= x else MffDecision.UNKNOWN

@@ -6,9 +6,8 @@ power law on every edge (substituted into the conservation rows), and the
 edge capacities.  One node per connected component is pinned to angle
 zero, which removes the translation degeneracy without losing solutions.
 `formulate_mpf` writes every row straight from the edges' numerators and
-denominators as the integer row the simplex reads, with no `Fraction`
-arithmetic; the program's `Fraction` constraints are built only when
-someone first reads them.
+denominators as the integer row the program holds and the simplex
+reads, with no `Fraction` arithmetic.
 
 A component without both a generator and a load is solved in closed
 form: its only feasible point is zero (susceptances are positive and a
@@ -79,8 +78,8 @@ def pinned_nodes(n: Network, components: list[set[NodeId]] | None = None) -> set
 def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None) -> LinearProgram:
     """The MPF linear program: free angles, nonnegative gen/load variables.
 
-    Each row is written as the integer row `solve_lp` reads (see
-    `LinearProgram.from_rows`): a node's conservation row over the LCM of
+    Each row is written as the integer row the program holds (see
+    `LinearProgram`): a node's conservation row over the LCM of
     the denominators of its edges' susceptances, divided by its gcd, and
     an edge's two capacity rows over the LCM of its susceptance's and its
     capacity's denominators.
@@ -148,7 +147,7 @@ def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None) -> Li
         rows.append(row[:-2] + [-rhs, den])
         rels += (LE, GE)
 
-    return LinearProgram.from_rows(variables, lower, upper, rows, rels, {_gen(g): ONE for g in gens})
+    return LinearProgram(variables, lower, upper, rows, rels, {_gen(g): ONE for g in gens})
 
 
 def _solution_from_assignment(n: Network, assignment: dict[str, Rational]) -> Solution:

@@ -81,7 +81,7 @@ def _core_value(n: Network, core: int) -> Rational:
     return solve_mpf(subnetwork(n, _removed(n, ~core))).value
 
 
-def _optimal_sets(n: Network, limit: int) -> list[tuple[Edge, ...]]:
+def _optimal_sets(n: Network) -> list[tuple[Edge, ...]]:
     """All optimal switch sets, as switch keys in canonical order.
 
     Each mask's flow core is found first and only the distinct non-empty
@@ -90,8 +90,8 @@ def _optimal_sets(n: Network, limit: int) -> list[tuple[Edge, ...]]:
     """
     require_valid(n)
     _require_fixed(n)
-    if len(n.edges) > limit:
-        raise TooLarge(f"{len(n.edges)} edges exceed the exhaustive limit of {limit}")
+    if len(n.edges) > EXHAUSTIVE_EDGE_LIMIT:
+        raise TooLarge(f"{len(n.edges)} edges exceed the exhaustive limit of {EXHAUSTIVE_EDGE_LIMIT}")
     masks = range(1 << len(n.edges))
     cores = array("L", map(flow_cores(n), masks))
     solved = [core for core in dict.fromkeys(cores) if core]
@@ -100,16 +100,16 @@ def _optimal_sets(n: Network, limit: int) -> list[tuple[Edge, ...]]:
     return sorted(switch_key(_removed(n, mask)) for mask in winners)
 
 
-def solve_msf_exhaustive(n: Network, *, limit: int = EXHAUSTIVE_EDGE_LIMIT) -> MsfOutcome:
+def solve_msf_exhaustive(n: Network) -> MsfOutcome:
     """Scan all 2^|E| switch sets; exact but only sensible at desk scale."""
-    removed = _optimal_sets(n, limit)[0]
+    removed = _optimal_sets(n)[0]
     out = solve_mpf(subnetwork(n, removed))
     return MsfOutcome(out.value, frozenset(removed), out.solution)
 
 
-def optimal_switch_sets(n: Network, *, limit: int = EXHAUSTIVE_EDGE_LIMIT) -> list[tuple[SwitchSet, MpfOutcome]]:
+def optimal_switch_sets(n: Network) -> list[tuple[SwitchSet, MpfOutcome]]:
     """All switch sets attaining the MSF value, in canonical order."""
-    return [(frozenset(removed), solve_mpf(subnetwork(n, removed))) for removed in _optimal_sets(n, limit)]
+    return [(frozenset(removed), solve_mpf(subnetwork(n, removed))) for removed in _optimal_sets(n)]
 
 
 def _solve_msf_bnb(n: Network, threshold: Rational | None) -> MsfOutcome:

@@ -103,14 +103,21 @@ def _node_map_out(mapping) -> dict:
     return {v: rat_str(x) for v, x in sorted(mapping.items())}
 
 
-def _edge_map_in(records: list[dict], n: Network) -> dict[Edge, Rational]:
+def _edge_in(rec: Any, where: str, by_pair: dict[tuple[str, str], Edge]) -> Edge:
+    """The network's edge an {"a", "b", ...} record names."""
+    a, b = _get(rec, "a", where, str), _get(rec, "b", where, str)
+    pair = tuple(sorted((a, b)))
+    if pair not in by_pair:
+        raise ValueError(f"{where}: no edge {pair[0]}--{pair[1]} in the network")
+    return by_pair[pair]
+
+
+def _edge_map_in(records: list, where: str, n: Network) -> dict[Edge, Rational]:
     by_pair = {e.pair: e for e in n.edges}
     out = {}
-    for rec in records:
-        pair = tuple(sorted((rec["a"], rec["b"])))
-        if pair not in by_pair:
-            raise ValueError(f"no edge {pair[0]}--{pair[1]} in the network")
-        out[by_pair[pair]] = _rat_in(rec["value"])
+    for i, rec in enumerate(records):
+        at = f"{where}[{i}]"
+        out[_edge_in(rec, at, by_pair)] = _rat_field(rec, "value", at)
     return out
 
 
@@ -131,8 +138,8 @@ def _node_map_in(data: dict, key: str) -> dict:
 def solution_from_json(data: dict, n: Network) -> Solution:
     """Rebuild a solution against the network its maps refer to."""
     return Solution(
-        susceptance=_edge_map_in(_get(data, "susceptance", "solution", list), n),
-        flow=_edge_map_in(_get(data, "flow", "solution", list), n),
+        susceptance=_edge_map_in(_get(data, "susceptance", "solution", list), "solution.susceptance", n),
+        flow=_edge_map_in(_get(data, "flow", "solution", list), "solution.flow", n),
         angle=_node_map_in(data, "angle"),
         gen=_node_map_in(data, "gen"),
         load=_node_map_in(data, "load"),
@@ -143,15 +150,9 @@ def _switch_set_out(switched: SwitchSet) -> list[dict]:
     return [{"a": e.a, "b": e.b} for e in sorted(switched)]
 
 
-def switch_set_from_json(records: list[dict], n: Network) -> SwitchSet:
+def switch_set_from_json(records: list, n: Network) -> SwitchSet:
     by_pair = {e.pair: e for e in n.edges}
-    out = set()
-    for rec in records:
-        pair = tuple(sorted((rec["a"], rec["b"])))
-        if pair not in by_pair:
-            raise ValueError(f"no edge {pair[0]}--{pair[1]} in the network")
-        out.add(by_pair[pair])
-    return frozenset(out)
+    return frozenset(_edge_in(rec, f"outcome.switched[{i}]", by_pair) for i, rec in enumerate(records))
 
 
 def msf_outcome_to_json(out: MsfOutcome) -> dict:
@@ -184,7 +185,7 @@ def mff_outcome_to_json(out: MffOutcome) -> dict:
 
 
 def mff_outcome_from_json(data: dict, n: Network) -> MffOutcome:
-    assignment: SusAssignment = _edge_map_in(_get(data, "assignment", "outcome", list), n)
+    assignment: SusAssignment = _edge_map_in(_get(data, "assignment", "outcome", list), "outcome.assignment", n)
     return MffOutcome(
         value=_rat_field(data, "value", "outcome"),
         assignment=assignment,
@@ -212,10 +213,21 @@ def subset_sum_to_json(inst: SubsetSumInstance) -> dict:
     return {"M": list(inst.values), "w": inst.target}
 
 
+def _names(values: Any, where: str) -> tuple[str, ...]:
+    """A list of string names, or a ValueError naming the first entry that is not one."""
+    if not isinstance(values, list):
+        raise ValueError(f"{where} must be a list, got {type(values).__name__}")
+    for i, x in enumerate(values):
+        if not isinstance(x, str):
+            raise ValueError(f"{where}[{i}] must be a string name, got {x!r}")
+    return tuple(values)
+
+
 def exact_cover_from_json(data: dict) -> ExactCover3Instance:
+    """The instance a document describes; a name that is not a string raises a ValueError naming the field."""
     return ExactCover3Instance(
-        universe=tuple(str(x) for x in data["M"]),
-        sets=tuple(tuple(str(x) for x in xs) for xs in data["S"]),
+        universe=_names(_get(data, "M", "instance"), "instance.M"),
+        sets=tuple(_names(xs, f"instance.S[{i}]") for i, xs in enumerate(_get(data, "S", "instance", list))),
     )
 
 
@@ -224,11 +236,18 @@ def exact_cover_to_json(inst: ExactCover3Instance) -> dict:
 
 
 def hamiltonian_from_json(data: dict) -> HamiltonianInstance:
+    """The instance a document describes; an edge that is not a pair of string names raises a ValueError naming it."""
+    edges = []
+    for i, uv in enumerate(_get(data, "edges", "instance", list)):
+        edge = _names(uv, f"instance.edges[{i}]")
+        if len(edge) != 2:
+            raise ValueError(f"instance.edges[{i}] must list 2 nodes, got {len(edge)}")
+        edges.append(edge)
     return HamiltonianInstance(
-        nodes=tuple(str(x) for x in data["nodes"]),
-        edges=tuple((str(u), str(v)) for u, v in data["edges"]),
-        a=str(data["a"]),
-        b=str(data["b"]),
+        nodes=_names(_get(data, "nodes", "instance"), "instance.nodes"),
+        edges=tuple(edges),
+        a=_get(data, "a", "instance", str),
+        b=_get(data, "b", "instance", str),
     )
 
 

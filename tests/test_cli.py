@@ -196,6 +196,22 @@ class TestErrors:
         code, out, err = run(capsys, "encode", "subset-sum-tree", str(path))
         assert code == 3 and out == "" and "instance.M[0]" in err
 
+    @pytest.mark.parametrize(
+        "kind, doc, field",
+        [
+            ("exact-cover-msf", {"M": "xyz", "S": ["xyz"]}, "instance.M must be a list"),
+            ("exact-cover-mff", {"M": ["x", "y", "z"], "S": ["xyz"]}, "instance.S[0] must be a list"),
+            ("exact-cover-msf", {"M": [1.5, True, None], "S": [[1.5, True, None]]}, "instance.M[0] must be a string name"),
+            ("hamiltonian", {"nodes": ["a", "b"], "edges": ["ab"], "a": "a", "b": "b"}, "instance.edges[0] must be a list"),
+            ("hamiltonian", {"nodes": ["a", "b"], "edges": [["a", "b"]], "a": 1.5, "b": "b"}, "instance.a must be a str"),
+        ],
+    )
+    def test_malformed_name_instance_is_exit_3(self, capsys, tmp_path, kind, doc, field):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "encode", kind, str(path))
+        assert code == 3 and out == "" and field in err
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=6),
@@ -204,12 +220,28 @@ JSON_VALUES = st.recursive(
 )
 
 
+# One instance document per `encode` kind, each of which encodes as it stands.
+SUBSET_SUM = {"M": [1, 2], "w": 2}
+EXACT_COVER = {"M": ["a", "b", "c", "d", "e", "f"], "S": [["a", "b", "c"], ["d", "e", "f"], ["b", "c", "d"]]}
+HAMILTONIAN = {"nodes": ["a", "c", "b"], "edges": [["a", "c"], ["c", "b"]], "a": "a", "b": "b"}
+INSTANCES = {
+    "exact-cover-mff": EXACT_COVER,
+    "exact-cover-msf": EXACT_COVER,
+    "hamiltonian": HAMILTONIAN,
+    "subset-sum-cactus-mff": SUBSET_SUM,
+    "subset-sum-cactus-msf": SUBSET_SUM,
+    "subset-sum-tree": SUBSET_SUM,
+}
+NETWORK_COMMANDS = (["solve", "mpf"], ["solve", "msf"], ["solve", "mff"], ["classify"], ["export", "milp"])
+
+
 @pytest.fixture(scope="module")
 def documents(tmp_path_factory):
     """A gadget network, a subset-sum instance, and the solution and outcome documents solved from them.
 
-    Each document passes `verify` or `decode` as it stands, so a tampered
-    copy differs from an accepted document in one place.
+    Each document passes `verify` or `decode` as it stands, and each of
+    `INSTANCES` encodes, so a tampered copy differs from an accepted
+    document in one place.
     """
     d = tmp_path_factory.mktemp("documents")
     paths = {name: str(d / f"{name}.json") for name in ("net", "inst", "enc", "tree", "mpf", "msf", "mff", "tree_msf", "doc")}
@@ -222,6 +254,7 @@ def documents(tmp_path_factory):
     serialize.dump(serialize.load(paths["enc"])["network"], paths["tree"])
     assert main(["solve", "msf", paths["tree"], "--out", paths["tree_msf"]]) == 0
     assert main(["decode", "subset-sum-tree", paths["inst"], paths["tree_msf"]]) == 0
+    assert all(encode(paths, kind, doc) == 0 for kind, doc in INSTANCES.items())
     return paths
 
 
@@ -229,6 +262,18 @@ def verify_and_decode(paths, doc) -> list[int]:
     """Exit codes of `verify` and `decode subset-sum-tree` with `doc` as the solution/outcome argument."""
     serialize.dump(doc, paths["doc"])
     return [main(["verify", paths["net"], paths["doc"]]), main(["decode", "subset-sum-tree", paths["inst"], paths["doc"]])]
+
+
+def network_commands(paths, doc) -> list[int]:
+    """Exit codes of every subcommand that reads a network, with `doc` as the network."""
+    serialize.dump(doc, paths["doc"])
+    return [main([*argv, paths["doc"]]) for argv in NETWORK_COMMANDS]
+
+
+def encode(paths, kind, doc) -> int:
+    """Exit code of `encode kind` with `doc` as the instance."""
+    serialize.dump(doc, paths["doc"])
+    return main(["encode", kind, paths["doc"]])
 
 
 @st.composite
@@ -249,7 +294,7 @@ def tampered(draw, doc):
 
 
 class TestMalformedDocuments:
-    """`verify` and `decode` exit 0-4 on any JSON solution or outcome, and never raise."""
+    """Every subcommand exits 0-4 on any JSON network, instance, solution or outcome, and never raises."""
 
     @given(doc=JSON_VALUES)
     @example(doc=[])
@@ -263,6 +308,26 @@ class TestMalformedDocuments:
         doc = data.draw(tampered(serialize.load(documents[name])))
         assert all(0 <= code <= 4 for code in verify_and_decode(documents, doc))
 
+    @given(doc=JSON_VALUES)
+    @example(doc={"nodes": [], "edges": []})
+    def test_any_json_network(self, documents, doc):
+        assert all(0 <= code <= 4 for code in network_commands(documents, doc))
+
+    @given(data=st.data())
+    def test_tampered_networks(self, documents, data):
+        doc = data.draw(tampered(serialize.load(documents["net"])))
+        assert all(0 <= code <= 4 for code in network_commands(documents, doc))
+
+    @given(kind=st.sampled_from(sorted(INSTANCES)), doc=JSON_VALUES)
+    def test_any_json_instance(self, documents, kind, doc):
+        assert 0 <= encode(documents, kind, doc) <= 4
+
+    @given(data=st.data())
+    def test_tampered_instances(self, documents, data):
+        kind = data.draw(st.sampled_from(sorted(INSTANCES)))
+        doc = data.draw(tampered(INSTANCES[kind]))
+        assert 0 <= encode(documents, kind, doc) <= 4
+
     @pytest.mark.parametrize(
         "doc, field",
         [
@@ -271,6 +336,8 @@ class TestMalformedDocuments:
             ({"problem": "msf", "value": "3", "switched": {}, "solution": {}}, "outcome.switched must be a list"),
             ({"problem": "mff", "value": "3", "assignment": [], "certified": "yes", "solution": {}}, "outcome.certified must be a bool"),
             ({"problem": "msf", "value": 3.5, "switched": [], "solution": {}}, "outcome.value"),
+            ({"susceptance": [], "flow": [{"a": "v", "value": "1"}], "angle": {}, "gen": {}, "load": {}}, "solution.flow[0] has no field 'b'"),
+            ({"problem": "msf", "value": "3", "switched": [{"a": "v"}], "solution": {}}, "outcome.switched[0] has no field 'b'"),
         ],
     )
     def test_malformed_solution_is_exit_3_naming_the_field(self, capsys, documents, doc, field):

@@ -84,7 +84,17 @@ def test_optimal_assignment_satisfies_constraints_exactly():
 def test_undeclared_variable_rejected():
     p = LinearProgram()
     p.add_variable("x", lower=F(0))
-    p.add_constraint({"nope": F(1)}, "<=", F(1))
+    with pytest.raises(MalformedProgram):
+        p.add_constraint({"nope": F(1)}, "<=", F(1))
+
+
+@pytest.mark.parametrize(
+    "rows, rels",
+    [([[1, 1, 1]], []), ([[1, 1, 1], [1, 0, 1, 1]], ["<=", "<="]), ([[1, 1]], ["<="])],
+    ids=["relation missing", "row too wide", "row too narrow"],
+)
+def test_rows_that_do_not_fit_the_program_are_rejected(rows, rels):
+    p = LinearProgram(["x"], {"x": F(0)}, {"x": None}, rows, rels, {"x": F(1)})
     with pytest.raises(MalformedProgram):
         solve_lp(p)
 

@@ -56,9 +56,10 @@ class TestEndpoints:
         n = Network([("g", GEN), ("l", LOAD)], [facts_edge("g", "l", 1, 2, 5)])
         assert solve_mff_endpoints(n).value == 5
 
-    def test_facts_limit_enforced(self):
+    def test_facts_limit_enforced(self, monkeypatch):
+        monkeypatch.setattr(mff, "FACTS_EDGE_LIMIT", 0)
         with pytest.raises(TooManyFactsEdges):
-            solve_mff_endpoints(facts_gadget(), limit=0)
+            solve_mff_endpoints(facts_gadget())
 
     def test_outcome_solution_validates_on_the_original_network(self):
         n = facts_gadget(2)

@@ -4,12 +4,13 @@
 builds the same program constraint by constraint.  On seeded networks and
 on networks that `formulate_mpf` accepts without validation (parallel
 edges, self-loops, susceptances that sum to zero, negative ones), the two
-must be the same program, read by `solve_lp` into the same rows, with the
-same result, before and after the program is changed.
+must be the same program, holding the same integer rows, with the same
+result, before and after the program is changed.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import pickle
 import random
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import ldcflow.classify
+from ldcflow.errors import MalformedProgram
 from ldcflow.lp import LinearProgram, _int_row, solve_lp
 from ldcflow.mpf import formulate_mpf, solve_mpf
 from ldcflow.network import Network, NodeRole, fixed_edge, network_sum
@@ -53,11 +55,11 @@ PARALLEL = Network([("a", GEN), ("b", LOAD)], [fixed_edge("a", "b", F(1, 2), 1),
 
 
 def fields(p: LinearProgram) -> tuple:
-    return (p.variables, p.lower, p.upper, p.constraints, p.objective)
+    return (p.variables, p.lower, p.upper, p.rows, p.rels, p.constraints, p.objective)
 
 
 def reads(p: LinearProgram) -> list[list[int]]:
-    """The rows `solve_lp` builds from a program's `Fraction` constraints, before the fold."""
+    """The rows `add_constraint` writes for a program's `Fraction` constraints."""
     index = {v: j for j, v in enumerate(p.variables)}
     return [_int_row({index[v]: c for v, c in con.coeffs.items()}, con.rhs, len(p.variables)) for con in p.constraints]
 
@@ -73,9 +75,8 @@ def same_result(p: LinearProgram, q: LinearProgram) -> None:
 @example(PARALLEL)
 def test_rows_are_the_ones_solve_lp_reads_from_the_reference(n):
     p, ref = formulate_mpf(n), reference_mpf_program(n)
-    rows, rels = p.held_rows()
-    assert rows == reads(ref)
-    assert rels == [con.rel for con in ref.constraints]
+    assert p.rows == ref.rows == reads(ref)
+    assert p.rels == ref.rels == [con.rel for con in ref.constraints]
 
 
 @given(networks)
@@ -84,9 +85,10 @@ def test_rows_are_the_ones_solve_lp_reads_from_the_reference(n):
 @example(PARALLEL)
 def test_program_and_result_equal_the_reference(n):
     p, ref = formulate_mpf(n), reference_mpf_program(n)
+    rows = copy.deepcopy(p.rows)
     same_result(p, ref)
-    assert p.held_rows() is not None  # solving reads the rows without building the list
-    same_result(p, ref)  # and leaves them as they were
+    assert p.rows == rows  # solving leaves the rows as they were
+    same_result(p, ref)
     assert fields(p) == fields(ref)
 
 
@@ -106,13 +108,21 @@ def test_a_changed_program_solves_like_the_changed_reference(n, mutation, rng):
             q.set_objective({v: F(sign)})
         elif mutation == "bound":
             q.upper[v] = F(1, 2)
-        else:  # a variable appended to the list itself, not through add_variable
-            q.variables.append("x")
-            q.lower["x"], q.upper["x"] = F(0), F(1)
+        else:
+            q.add_variable("x", lower=F(0), upper=F(1))
             q.objective["x"] = F(1)
-    assert (p.held_rows() is None) == (mutation in ("add_constraint", "declare"))
     same_result(p, ref)
     assert fields(p) == fields(ref)
+
+
+@given(networks)
+@example(PARALLEL)
+def test_a_variable_appended_to_the_list_itself_is_rejected(n):
+    p = formulate_mpf(n)
+    p.variables.append("x")
+    p.lower["x"], p.upper["x"] = F(0), F(1)
+    with pytest.raises(MalformedProgram):
+        solve_lp(p)
 
 
 @given(networks)
@@ -120,30 +130,30 @@ def test_a_changed_program_solves_like_the_changed_reference(n, mutation, rng):
 @example(SELF_LOOPS)
 @example(PARALLEL)
 def test_equality_repr_and_pickle_match_an_eagerly_built_program(n):
-    eager = formulate_mpf(n)
-    assert eager.constraints is eager.constraints and eager.held_rows() is None
-    assert formulate_mpf(n) == eager == reference_mpf_program(n)
-    assert repr(formulate_mpf(n)) == repr(eager)
-    assert pickle.loads(pickle.dumps(formulate_mpf(n))) == eager
-    assert pickle.loads(pickle.dumps(formulate_mpf(n))).held_rows() is None
-    assert dataclasses.asdict(formulate_mpf(n)) == dataclasses.asdict(eager)
-    assert dataclasses.replace(formulate_mpf(n)) == eager
+    p, eager = formulate_mpf(n), reference_mpf_program(n)
+    assert p == eager
+    assert repr(p) == repr(eager)
+    assert pickle.loads(pickle.dumps(p)) == eager
+    assert dataclasses.asdict(p) == dataclasses.asdict(eager)
+    assert dataclasses.replace(p) == eager
 
 
-def test_a_row_backed_program_is_a_dataclass_over_the_same_fields():
-    p = formulate_mpf(PARALLEL)
-    assert dataclasses.is_dataclass(p)
-    assert [f.name for f in dataclasses.fields(p)] == ["variables", "lower", "upper", "constraints", "objective"]
-    q = dataclasses.replace(p, constraints=[])
-    assert q.constraints == [] and q.held_rows() is None and q.variables == p.variables
-
-
-def test_add_variable_drops_the_rows():
-    n = Network([("a", GEN), ("b", LOAD)], [fixed_edge("a", "b", F(1, 2), 3)])
-    p = formulate_mpf(n)
+@given(networks)
+@example(PARALLEL)
+def test_a_variable_declared_after_the_constraints_pads_the_rows(n):
+    p, ref = formulate_mpf(n), reference_mpf_program(n)
     p.add_variable("x", lower=F(0), upper=F(1))
-    assert p.held_rows() is None
-    assert p.constraints == reference_mpf_program(n).constraints
+    first = LinearProgram()
+    for v in ref.variables:
+        first.add_variable(v, ref.lower[v], ref.upper[v])
+    first.add_variable("x", lower=F(0), upper=F(1))
+    for con in ref.constraints:
+        first.add_constraint(con.coeffs, con.rel, con.rhs)
+    first.set_objective(ref.objective)
+    for q in (p, first):
+        q.objective["x"] = F(1)
+    assert p == first
+    same_result(p, first)
 
 
 @pytest.fixture

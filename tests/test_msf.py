@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import SUSCEPTANCES, random_ldc_network, random_tree
+import ldcflow.msf
 from ldcflow.errors import NotFixedSusceptance, TooLarge
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.maxflow import classical_max_flow
@@ -49,9 +50,10 @@ class TestExhaustive:
             assert out.switched == frozenset()
             assert out.value == solve_mpf(n).value
 
-    def test_edge_limit_enforced(self):
+    def test_edge_limit_enforced(self, monkeypatch):
+        monkeypatch.setattr(ldcflow.msf, "EXHAUSTIVE_EDGE_LIMIT", 2)
         with pytest.raises(TooLarge):
-            solve_msf_exhaustive(gsch(1, "v", Polarity.MINUS), limit=2)
+            solve_msf_exhaustive(gsch(1, "v", Polarity.MINUS))
 
     def test_facts_edges_rejected(self):
         with pytest.raises(NotFixedSusceptance):

@@ -97,6 +97,30 @@ class TestSolutionJson:
         with pytest.raises(ValueError):
             serialize.solution_from_json(doc, n)
 
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ({"a": "v", "value": "1"}, "solution.flow[0] has no field 'b'"),
+            ({"b": "v", "value": "1"}, "solution.flow[0] has no field 'a'"),
+            ({"a": "v", "b": 3, "value": "1"}, "solution.flow[0].b must be a str"),
+            ({"a": "v", "b": "zz", "value": "1"}, "solution.flow[0]: no edge v--zz in the network"),
+            ("v--zz", "solution.flow[0] must be an object"),
+        ],
+    )
+    def test_edge_records_are_named_by_position(self, record, field):
+        n = gsch(1, "v", Polarity.MINUS)
+        doc = serialize.solution_to_json(solve_mpf(n).solution)
+        doc["flow"].insert(0, record)
+        with pytest.raises(ValueError, match=re.escape(field)):
+            serialize.solution_from_json(doc, n)
+
+    def test_switched_records_are_named_by_position(self):
+        n = gsch(1, "v", Polarity.MINUS)
+        doc = serialize.msf_outcome_to_json(solve_msf_bnb(n))
+        doc["switched"].append({"a": "v"})
+        with pytest.raises(ValueError, match=re.escape(f"outcome.switched[{len(doc['switched']) - 1}] has no field 'b'")):
+            serialize.msf_outcome_from_json(doc, n)
+
 
 class TestInstanceJson:
     def test_subset_sum(self):
@@ -132,3 +156,36 @@ class TestInstanceJson:
         inst = serialize.hamiltonian_from_json(doc)
         assert inst.a == "a" and inst.b == "b" and len(inst.edges) == 2
         assert serialize.hamiltonian_to_json(inst) == doc
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"M": [1.5, True, None], "S": [[1.5, True, None]]}, "instance.M[0] must be a string name, got 1.5"),
+            ({"M": ["a", "b", "c"], "S": [["a", "b", None]]}, "instance.S[0][2] must be a string name"),
+            ({"M": "xyz", "S": ["xyz"]}, "instance.M must be a list"),
+            ({"M": ["x", "y", "z"], "S": ["xyz"]}, "instance.S[0] must be a list"),
+            ({"M": ["x", "y", "z"], "S": "xyz"}, "instance.S must be a list"),
+            ({"M": ["x", "y", "z"]}, "instance has no field 'S'"),
+        ],
+    )
+    def test_exact_cover_rejects_what_is_not_a_name(self, doc, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            serialize.exact_cover_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"edges": ["ab"]}, "instance.edges[0] must be a list"),
+            ({"edges": [["a", "c", "b"]]}, "instance.edges[0] must list 2 nodes, got 3"),
+            ({"edges": [["a", 1]]}, "instance.edges[0][1] must be a string name"),
+            ({"edges": "ab"}, "instance.edges must be a list"),
+            ({"a": 1.5}, "instance.a must be a str, got float"),
+            ({"b": None}, "instance.b must be a str"),
+            ({"nodes": ["a", True, "b"]}, "instance.nodes[1] must be a string name, got True"),
+            ({"nodes": "acb"}, "instance.nodes must be a list"),
+        ],
+    )
+    def test_hamiltonian_rejects_what_is_not_a_name(self, change, field):
+        doc = {"nodes": ["a", "c", "b"], "edges": [["a", "c"], ["c", "b"]], "a": "a", "b": "b", **change}
+        with pytest.raises(ValueError, match=re.escape(field)):
+            serialize.hamiltonian_from_json(doc)
