@@ -317,7 +317,10 @@ def solve_lp(p: LinearProgram) -> LpResult:
     upper: list[Rational | None] = []
     fixed: dict[int, Rational] = {}
     for j, v in enumerate(names):
-        lo, hi = p.lower[v], p.upper[v]
+        try:
+            lo, hi = p.lower[v], p.upper[v]
+        except KeyError:
+            raise MalformedProgram(f"variable {v} has no {'lower' if v not in p.lower else 'upper'} bound entry") from None
         if lo is not None:
             lo = rat(lo)
             if hi is not None:

@@ -12,10 +12,14 @@ Many switch sets leave the same edges able to carry flow: a plain leaf's
 edge carries nothing, and neither does a component without both a
 generator and a load.  `flow_cores` maps a switch set to the edges that
 remain, and the MPF value depends on them alone, so each search solves
-every such core once.  The scan solves only the distinct non-empty cores
-(an empty one is worth zero) and re-solves its winners on their own
-sub-networks; branch-and-bound skips the solve of a node whose core it
-has solved before, and such a node never becomes the incumbent.
+every such core once.  The scan values only the distinct non-empty cores
+(an empty one is worth zero), each by its series-parallel kernel
+(`flow_kernel`): a kernel of one edge is worth its capacity and needs no
+LP, and any other is solved in the core's place.  A kernel gives the
+value only, so the scan re-solves its winners on their own sub-networks.
+Branch-and-bound skips the solve of a node whose core it has solved
+before, and such a node never becomes the incumbent; it solves full
+sub-networks, since its incumbent's solution comes from its own solve.
 
 Both return identical outcomes: among all optimal switch sets, the one
 whose canonically-ordered edge tuple is lexicographically smallest.
@@ -31,7 +35,7 @@ from typing import Iterable
 from .errors import TooLarge
 from .lp import LinearProgram, VarId, write_lp_text
 from .maxflow import classical_max_flow
-from .mpf import MpfOutcome, _gen, _load, _require_fixed, _th, flow_cores, pinned_nodes, solve_mpf
+from .mpf import MpfOutcome, _gen, _load, _require_fixed, _th, flow_cores, flow_kernel, pinned_nodes, solve_mpf
 from .network import Edge, Network, NodeRole, Solution, SwitchSet, require_valid, subnetwork
 from .rational import ONE, Rational, ZERO, rat_str
 
@@ -78,15 +82,19 @@ def _removed(n: Network, mask: int) -> tuple[Edge, ...]:
 
 
 def _core_value(n: Network, core: int) -> Rational:
-    return solve_mpf(subnetwork(n, _removed(n, ~core))).value
+    """The MPF value of a flow core, read off its kernel: one edge is worth its capacity."""
+    kernel = flow_kernel(subnetwork(n, _removed(n, ~core)))
+    if len(kernel.edges) == 1:
+        return kernel.edges[0].cap
+    return solve_mpf(kernel).value
 
 
 def _optimal_sets(n: Network) -> list[tuple[Edge, ...]]:
     """All optimal switch sets, as switch keys in canonical order.
 
     Each mask's flow core is found first and only the distinct non-empty
-    cores are solved.  The reduction runs in mask order, so ties go to
-    the first mask.
+    cores are valued (`_core_value`).  The reduction runs in mask order,
+    so ties go to the first mask.
     """
     require_valid(n)
     _require_fixed(n)

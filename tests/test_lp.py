@@ -99,6 +99,15 @@ def test_rows_that_do_not_fit_the_program_are_rejected(rows, rels):
         solve_lp(p)
 
 
+@pytest.mark.parametrize("missing", ["lower", "upper"])
+def test_a_variable_without_a_bound_entry_is_rejected(missing):
+    bounds = {"lower": {"x": F(0), "y": None}, "upper": {"x": None, "y": None}}
+    del bounds[missing]["y"]
+    p = LinearProgram(["x", "y"], bounds["lower"], bounds["upper"], [[1, 1, 1, 1]], ["<="], {"x": F(1)})
+    with pytest.raises(MalformedProgram, match=f"variable y has no {missing} bound entry"):
+        solve_lp(p)
+
+
 def test_inverted_bounds_rejected():
     p = LinearProgram()
     p.add_variable("x", lower=F(2), upper=F(1))

@@ -2,14 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import SUSCEPTANCES, random_ldc_network, random_tree
 import ldcflow.msf
 from ldcflow.errors import NotFixedSusceptance, TooLarge
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.maxflow import classical_max_flow
-from ldcflow.mpf import flow_cores, solve_mpf
+from ldcflow.mpf import flow_cores, flow_kernel, solve_mpf
 from ldcflow.msf import (
     decide_msf,
     optimal_switch_sets,
@@ -132,7 +132,30 @@ def networks_with_idle_edges(draw) -> Network:
     return Network(nodes, edges)
 
 
-@given(networks_with_idle_edges())
+@st.composite
+def series_parallel_networks(draw) -> Network:
+    """A two-terminal series-parallel network with one generator and one load.
+
+    It grows from one edge s--t: each step splits an edge u--v into u--m--v
+    through a new plain node m, or adds such a path next to it.  The
+    generator and the load sit at the terminals, where every flow core
+    reduces to one edge, or at any two nodes, where some do not.
+    """
+    edge = st.tuples(st.sampled_from(SUSCEPTANCES), st.integers(1, 6))
+    pairs = [("s", "t")]
+    for k in range(draw(st.integers(1, 3))):
+        u, v = pairs[draw(st.integers(0, len(pairs) - 1))]
+        if draw(st.booleans()):
+            pairs.remove((u, v))
+        pairs += [(u, f"m{k}"), (f"m{k}", v)]
+    names = sorted({v for pair in pairs for v in pair})
+    gen, load = ("s", "t") if draw(st.booleans()) else draw(st.permutations(names))[:2]
+    roles = {v: GEN if v == gen else LOAD if v == load else PLAIN for v in names}
+    return Network(roles.items(), [fixed_edge(u, v, *draw(edge)) for u, v in pairs])
+
+
+@settings(max_examples=120)
+@given(st.one_of(networks_with_idle_edges(), series_parallel_networks()))
 def test_searches_agree_with_solving_every_sub_network(n):
     value, switched, solution = msf_by_every_mask(n)
     for search in (solve_msf_bnb, solve_msf_exhaustive):
@@ -160,13 +183,18 @@ class TestSolveCounts:
     def test_the_scan_solves_each_core_once_and_then_its_winners(self, solves):
         n = network_sum(self.pendant(), Network([("x", GEN), ("y", PLAIN)], [fixed_edge("x", "y", 1, 1)]))
         cores = flow_cores(n)
-        distinct = {cores(mask) for mask in range(1 << len(n.edges))} - {0}
+        distinct = [core for core in dict.fromkeys(map(cores, range(1 << len(n.edges)))) if core]
         assert len(distinct) == 10
-        solve_msf_exhaustive(n)
-        assert len(solves) == len(distinct) + 1
+        kernels = [flow_kernel(subnetwork(n, [e for i, e in enumerate(n.edges) if not core >> i & 1])) for core in distinct]
+        # a kernel of one edge is valued by its capacity; only the others reach solve_mpf
+        solved = [k for k in kernels if len(k.edges) > 1]
+        assert 0 < len(solved) < len(kernels) and len(set(solved)) == len(solved)
+        out = solve_msf_exhaustive(n)
+        assert [m for m, _ in solves] == solved + [subnetwork(n, out.switched)]
         solves.clear()
         sets = optimal_switch_sets(n)
-        assert len(sets) > 1 and len(solves) == len(distinct) + len(sets)
+        assert len(sets) > 1
+        assert [m for m, _ in solves] == solved + [subnetwork(n, switched) for switched, _ in sets]
 
     def test_branch_and_bound_solves_each_core_once_and_never_again_at_the_end(self, solves):
         n = self.pendant()
