@@ -11,15 +11,21 @@ raises the classical value).
 Many switch sets leave the same edges able to carry flow: a plain leaf's
 edge carries nothing, and neither does a component without both a
 generator and a load.  `flow_cores` maps a switch set to the edges that
-remain, and the MPF value depends on them alone, so each search solves
-every such core once.  The scan values only the distinct non-empty cores
-(an empty one is worth zero), each by its series-parallel kernel
-(`flow_kernel`): a kernel of one edge is worth its capacity and needs no
-LP, and any other is solved in the core's place.  A kernel gives the
-value only, so the scan re-solves its winners on their own sub-networks.
-Branch-and-bound skips the solve of a node whose core it has solved
-before, and such a node never becomes the incumbent; it solves full
-sub-networks, since its incumbent's solution comes from its own solve.
+remain, and the MPF value and the classical max flow depend on them
+alone (an edge outside the core carries no generator-to-load flow), so
+each search solves every such core once.  The scan values only the
+distinct non-empty cores (an empty one is worth zero), each by its
+series-parallel kernel (`flow_kernel`): a kernel of one edge is worth its
+capacity and needs no LP, and any other is solved in the core's place.
+A kernel gives the value only, so the scan re-solves its winners on their
+own sub-networks.
+Branch-and-bound bounds each core once, when it first meets it, and
+solves it then unless the bound prunes it; a node whose core it has met
+before is neither bounded nor solved again, and never becomes the
+incumbent.  It solves full sub-networks, since its incumbent's solution
+comes from its own solve.  It visits switch sets in tie-break order, so a
+bound that only ties the incumbent prunes, and a node stops scanning its
+children once its own bound does.
 
 Both return identical outcomes: among all optimal switch sets, the one
 whose canonically-ordered edge tuple is lexicographically smallest.
@@ -54,12 +60,6 @@ class MsfOutcome:
 def switch_key(edges) -> tuple[Edge, ...]:
     """Canonical tie-break key: the sorted edge tuple, compared lexicographically."""
     return tuple(sorted(edges))
-
-
-def _better(value, key, best_value, best_key) -> bool:
-    if best_value is None or value > best_value:
-        return True
-    return value == best_value and key < best_key
 
 
 def optima(tasks: Iterable, values: Iterable) -> list:
@@ -130,57 +130,58 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> MsfOutcome:
     soon as the incumbent proves the decision and prunes anything that
     cannot reach the threshold.
 
-    A node carries its flow core (`flow_cores`), and the MPF value is the
-    core's.  A child whose new edge lies outside its parent's core has the
-    parent's core; a child whose core was solved before is not solved
-    again.  Neither is recorded: its value was first reached at a
-    removed-set the search recorded earlier, so it cannot beat the
-    incumbent, whose solution therefore comes from its own solve.
+    The search visits removed-sets in switch-key order (a set comes before
+    its extensions, and `n.edges` is sorted), so every incumbent's key is
+    smaller than that of any child met later: a child whose bound equals
+    the incumbent's value cannot win and is pruned.  A child's bound is
+    never above its parent's, so once a node's own bound (`limit`) can no
+    longer win, neither can any of its remaining children, and the node
+    stops.
+
+    A node carries its flow core (`flow_cores`), and both the MPF value
+    and the classical bound are the core's.  A child whose new edge lies
+    outside its parent's core has the parent's core.  Each core is bounded
+    once, when it is first met, and solved right then if its bound does not
+    prune it; a core met again is neither bounded nor solved again.  Its
+    value was first reached at a removed-set the search visited earlier,
+    so it cannot beat the incumbent, whose solution therefore comes from
+    its own solve; and if its bound pruned it once, it prunes it again.
     """
     _require_fixed(n)
     edges = list(n.edges)
     core_of = flow_cores(n)
-    solved: set[int] = set()
-    state = {"value": None, "key": None, "removed": None, "outcome": None}
-
-    def record(removed: tuple[Edge, ...], out: MpfOutcome) -> None:
-        key = switch_key(removed)
-        if _better(out.value, key, state["value"], state["key"]):
-            state.update(value=out.value, key=key, removed=removed, outcome=out)
-
-    def done() -> bool:
-        return threshold is not None and state["value"] is not None and state["value"] >= threshold
-
-    def explore(start: int, removed: tuple[Edge, ...], mask: int, core: int) -> None:
-        if done():
-            return
-        for i in range(start, len(edges)):
-            child = removed + (edges[i],)
-            sub = subnetwork(n, child)
-            bound = classical_max_flow(sub)
-            if threshold is not None and bound < threshold:
-                continue
-            if state["value"] is not None:
-                if bound < state["value"]:
-                    continue
-                if bound == state["value"] and not switch_key(child) < state["key"]:
-                    continue
-            child_mask, child_core = mask | 1 << i, core
-            if core >> i & 1:
-                child_core = core_of(child_mask)
-                if child_core not in solved:
-                    solved.add(child_core)
-                    record(child, solve_mpf(sub))
-            explore(i + 1, child, child_mask, child_core)
-            if done():
-                return
-
     root_core = core_of(0)
-    solved.add(root_core)
-    record((), solve_mpf(n))
-    explore(0, (), 0, root_core)
+    bounds: dict[int, Rational] = {root_core: classical_max_flow(n)}
+    best, best_removed = solve_mpf(n), ()
+
+    def promising(bound: Rational) -> bool:
+        """Can a sub-network bounded by `bound` still change the answer?"""
+        if threshold is not None:
+            return best.value < threshold <= bound
+        return bound > best.value
+
+    def explore(start: int, removed: tuple[Edge, ...], mask: int, core: int, limit: Rational) -> None:
+        nonlocal best, best_removed
+        for i in range(start, len(edges)):
+            if not promising(limit):
+                return
+            child, child_mask = removed + (edges[i],), mask | 1 << i
+            child_core = core_of(child_mask) if core >> i & 1 else core
+            bound = bounds.get(child_core)
+            first = bound is None
+            if first:
+                sub = subnetwork(n, child)
+                bound = bounds[child_core] = classical_max_flow(sub)
+            if promising(bound):
+                if first:
+                    out = solve_mpf(sub)
+                    if out.value > best.value:  # a tie never wins: the incumbent's key is smaller
+                        best, best_removed = out, child
+                explore(i + 1, child, child_mask, child_core, bound)
+
+    explore(0, (), 0, root_core, bounds[root_core])
     # the incumbent's solution is the only one the search reads
-    return MsfOutcome(state["value"], frozenset(state["removed"]), state["outcome"].solution)
+    return MsfOutcome(best.value, frozenset(best_removed), best.solution)
 
 
 def solve_msf_bnb(n: Network) -> MsfOutcome:

@@ -90,7 +90,13 @@ class EncodedInstance:
 # ---------------------------------------------------------------------------
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_subset_sum(inst: SubsetSumInstance) -> None:
+    if not all(map(_is_int, inst.values)) or not _is_int(inst.target):
+        raise InvalidInstance("subset-sum values and target must be integers")
     if not inst.values:
         raise InvalidInstance("subset-sum instance needs at least one value")
     if len(set(inst.values)) != len(inst.values):
@@ -99,7 +105,16 @@ def _check_subset_sum(inst: SubsetSumInstance) -> None:
         raise InvalidInstance("subset-sum values and target must be positive integers")
 
 
+def _check_names(names, what: str) -> None:
+    for name in names:
+        if not isinstance(name, str):
+            raise InvalidInstance(f"{what} {name!r} is not a string")
+
+
 def _check_exact_cover(inst: ExactCover3Instance) -> None:
+    _check_names(inst.universe, "element")
+    for X in inst.sets:
+        _check_names(X, "element")
     universe = set(inst.universe)
     if len(universe) != len(inst.universe):
         raise InvalidInstance("universe elements must be distinct")
@@ -120,6 +135,9 @@ def _check_exact_cover(inst: ExactCover3Instance) -> None:
 
 
 def _check_hamiltonian(inst: HamiltonianInstance) -> None:
+    _check_names((*inst.nodes, inst.a, inst.b), "node")
+    for edge in inst.edges:
+        _check_names(edge, "node")
     nodes = set(inst.nodes)
     if len(nodes) != len(inst.nodes):
         raise InvalidInstance("graph nodes must be distinct")

@@ -12,13 +12,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=60)
 settings.load_profile("tier1")
 
 from ldcflow.lp import LinearProgram
 from ldcflow.network import Network, NodeRole, fixed_edge
+
+GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
 SUSCEPTANCES = [Fraction(1), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2)]
 
@@ -74,6 +76,45 @@ def random_boxed_lp(rng: random.Random) -> LinearProgram:
         p.add_constraint(coeffs, rng.choice(["<=", "<=", ">=", "="]), Fraction(rng.randint(-4, 6)))
     p.set_objective({v: Fraction(rng.randint(-3, 3)) for v in names})
     return p
+
+
+@st.composite
+def networks_with_idle_edges(draw) -> Network:
+    """A seeded network with a pendant path of plain nodes and, maybe, a generator-only component."""
+    base = random_ldc_network(random.Random(draw(st.integers(0, 2**32 - 1))), max_edges=4)
+    nodes, edges = list(base.nodes), list(base.edges)
+    edge = st.tuples(st.sampled_from(SUSCEPTANCES), st.integers(1, 6))
+    at = draw(st.sampled_from(base.node_names))
+    for k in range(draw(st.integers(1, 2))):
+        nodes.append((f"p{k}", PLAIN))
+        edges.append(fixed_edge(at, f"p{k}", *draw(edge)))
+        at = f"p{k}"
+    if draw(st.booleans()):
+        nodes += [("x0", GEN), ("x1", draw(st.sampled_from([GEN, PLAIN])))]
+        edges.append(fixed_edge("x0", "x1", *draw(edge)))
+    return Network(nodes, edges)
+
+
+@st.composite
+def series_parallel_networks(draw) -> Network:
+    """A two-terminal series-parallel network with one generator and one load.
+
+    It grows from one edge s--t: each step splits an edge u--v into u--m--v
+    through a new plain node m, or adds such a path next to it.  The
+    generator and the load sit at the terminals, where every flow core
+    reduces to one edge, or at any two nodes, where some do not.
+    """
+    edge = st.tuples(st.sampled_from(SUSCEPTANCES), st.integers(1, 6))
+    pairs = [("s", "t")]
+    for k in range(draw(st.integers(1, 3))):
+        u, v = pairs[draw(st.integers(0, len(pairs) - 1))]
+        if draw(st.booleans()):
+            pairs.remove((u, v))
+        pairs += [(u, f"m{k}"), (f"m{k}", v)]
+    names = sorted({v for pair in pairs for v in pair})
+    gen, load = ("s", "t") if draw(st.booleans()) else draw(st.permutations(names))[:2]
+    roles = {v: GEN if v == gen else LOAD if v == load else PLAIN for v in names}
+    return Network(roles.items(), [fixed_edge(u, v, *draw(edge)) for u, v in pairs])
 
 
 @pytest.fixture

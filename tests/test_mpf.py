@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import SUSCEPTANCES, random_ldc_network, random_tree
+from conftest import SUSCEPTANCES, networks_with_idle_edges, random_ldc_network, random_tree, series_parallel_networks
 from ldcflow import mpf
 from ldcflow.errors import NotATree, NotFixedSusceptance
 from ldcflow.gadgets import Polarity, gfch, gsch
@@ -255,6 +255,16 @@ class TestFlowCores:
                 assert solve_mpf(subnetwork(n, [e for i, e in enumerate(n.edges) if not core >> i & 1])).value == whole
                 # removing an edge the core does not hold leaves the core as it is
                 assert all(cores(mask | 1 << i) == core for i in range(len(n.edges)) if not (core | mask) >> i & 1)
+
+    @given(st.one_of(networks_with_idle_edges(), series_parallel_networks()))
+    def test_the_classical_bound_is_the_cores(self, n):
+        """Edges outside the core carry no generator-to-load flow, so the core fixes the max flow too."""
+        cores, bounds = flow_cores(n), {}
+        for mask in range(1 << len(n.edges)):
+            bound = classical_max_flow(subnetwork(n, [e for i, e in enumerate(n.edges) if mask >> i & 1]))
+            assert bounds.setdefault(cores(mask), bound) == bound
+        for core, bound in bounds.items():
+            assert classical_max_flow(subnetwork(n, [e for i, e in enumerate(n.edges) if not core >> i & 1])) == bound
 
 
 def edges_of(n: Network) -> set[tuple[str, str, F, F]]:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SUSCEPTANCES, random_ldc_network, random_tree
+from conftest import networks_with_idle_edges, random_ldc_network, random_tree, series_parallel_networks
 import ldcflow.msf
 from ldcflow.errors import NotFixedSusceptance, TooLarge
 from ldcflow.gadgets import Polarity, gfch, gsch
@@ -115,45 +115,6 @@ def diamond():
     )
 
 
-@st.composite
-def networks_with_idle_edges(draw) -> Network:
-    """A seeded network with a pendant path of plain nodes and, maybe, a generator-only component."""
-    base = random_ldc_network(random.Random(draw(st.integers(0, 2**32 - 1))), max_edges=4)
-    nodes, edges = list(base.nodes), list(base.edges)
-    edge = st.tuples(st.sampled_from(SUSCEPTANCES), st.integers(1, 6))
-    at = draw(st.sampled_from(base.node_names))
-    for k in range(draw(st.integers(1, 2))):
-        nodes.append((f"p{k}", PLAIN))
-        edges.append(fixed_edge(at, f"p{k}", *draw(edge)))
-        at = f"p{k}"
-    if draw(st.booleans()):
-        nodes += [("x0", GEN), ("x1", draw(st.sampled_from([GEN, PLAIN])))]
-        edges.append(fixed_edge("x0", "x1", *draw(edge)))
-    return Network(nodes, edges)
-
-
-@st.composite
-def series_parallel_networks(draw) -> Network:
-    """A two-terminal series-parallel network with one generator and one load.
-
-    It grows from one edge s--t: each step splits an edge u--v into u--m--v
-    through a new plain node m, or adds such a path next to it.  The
-    generator and the load sit at the terminals, where every flow core
-    reduces to one edge, or at any two nodes, where some do not.
-    """
-    edge = st.tuples(st.sampled_from(SUSCEPTANCES), st.integers(1, 6))
-    pairs = [("s", "t")]
-    for k in range(draw(st.integers(1, 3))):
-        u, v = pairs[draw(st.integers(0, len(pairs) - 1))]
-        if draw(st.booleans()):
-            pairs.remove((u, v))
-        pairs += [(u, f"m{k}"), (f"m{k}", v)]
-    names = sorted({v for pair in pairs for v in pair})
-    gen, load = ("s", "t") if draw(st.booleans()) else draw(st.permutations(names))[:2]
-    roles = {v: GEN if v == gen else LOAD if v == load else PLAIN for v in names}
-    return Network(roles.items(), [fixed_edge(u, v, *draw(edge)) for u, v in pairs])
-
-
 @settings(max_examples=120)
 @given(st.one_of(networks_with_idle_edges(), series_parallel_networks()))
 def test_searches_agree_with_solving_every_sub_network(n):
@@ -173,6 +134,18 @@ class TestSolveCounts:
         solve = solve_mpf
         monkeypatch.setattr("ldcflow.msf.solve_mpf", lambda n: calls.append((n, out := solve(n))) or out)
         return calls
+
+    @pytest.fixture
+    def bounds(self, monkeypatch):
+        calls = []
+        bound = classical_max_flow
+        monkeypatch.setattr("ldcflow.msf.classical_max_flow", lambda n: calls.append(n) or bound(n))
+        return calls
+
+    @staticmethod
+    def core_of(n: Network, m: Network) -> int:
+        """The flow core of m, a sub-network of n."""
+        return flow_cores(n)(sum(1 << i for i, e in enumerate(n.edges) if e not in m.edges))
 
     @staticmethod
     def pendant():
@@ -201,11 +174,30 @@ class TestSolveCounts:
         out = solve_msf_bnb(n)
         # the search visits 7 sub-networks here; 3 of them repeat a core already solved
         assert len(solves) == 4
-        cores = flow_cores(n)
-        solved = [cores(sum(1 << i for i, e in enumerate(n.edges) if e not in m.edges)) for m, _ in solves]
+        solved = [self.core_of(n, m) for m, _ in solves]
         assert len(set(solved)) == len(solved)
         (incumbent,) = [o for m, o in solves if m == subnetwork(n, out.switched)]
         assert out.solution is incumbent.solution
+
+    def test_branch_and_bound_bounds_each_core_once(self, solves, bounds):
+        n = self.pendant()
+        solve_msf_bnb(n)
+        assert len(solves) == 4 and bounds[0] == n
+        # the root and 7 more cores; bounding every child the search meets would take 18 calls
+        bounded = [self.core_of(n, m) for m in bounds]
+        assert len(set(bounded)) == len(bounded) == 8
+        # every solved core was bounded first, at the same sub-network
+        assert [m for m, _ in solves] == [m for m in bounds if m in {m for m, _ in solves}]
+
+    def test_a_tree_takes_one_bound_and_one_solve(self, solves, bounds, rng):
+        n = random_tree(rng, max_nodes=8)
+        assert solve_msf_bnb(n).switched == frozenset()
+        assert bounds == [n] and [m for m, _ in solves] == [n]
+
+    def test_a_threshold_above_the_root_bound_is_refused_at_once(self, solves, bounds):
+        n = self.pendant()
+        assert not decide_msf(n, classical_max_flow(n) + F(1, 2))
+        assert bounds == [n] and [m for m, _ in solves] == [n]
 
 
 def test_switch_key_orders_sets_lexicographically():

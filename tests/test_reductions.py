@@ -65,6 +65,16 @@ class TestExactCoverEncoders:
         with pytest.raises(InvalidInstance):
             encode_exact_cover_mff(ExactCover3Instance(("g", "b", "c"), (("g", "b", "c"),)))
 
+    def test_names_that_are_not_strings_are_rejected(self):
+        for bad in (
+            ExactCover3Instance(("a", "b", 3), (("a", "b", 3),)),
+            ExactCover3Instance(("a", "b", "c"), (("a", "b", 3),)),
+            ExactCover3Instance(("a", "b", "c"), (("a", "b", ["c"]),)),
+        ):
+            for encode in (encode_exact_cover_mff, encode_exact_cover_msf):
+                with pytest.raises(InvalidInstance):
+                    encode(bad)
+
     def test_decode_recovers_the_unique_cover(self):
         enc = encode_exact_cover_mff(COVER_ABCDEF)
         out = solve_mff_endpoints(enc.network)
@@ -126,6 +136,15 @@ class TestHamiltonianEncoder:
         with pytest.raises(InvalidInstance):
             encode_hamiltonian(HamiltonianInstance(("a", "b"), (("a", "a"),), "a", "b"))
 
+    def test_names_that_are_not_strings_are_rejected(self):
+        for bad in (
+            HamiltonianInstance(("a", 3, "b"), (("a", "b"),), "a", "b"),
+            HamiltonianInstance(("a", "b"), (("a", "b"),), "a", None),
+            HamiltonianInstance(("a", "b"), (("a", ["b"]),), "a", "b"),
+        ):
+            with pytest.raises(InvalidInstance):
+                encode_hamiltonian(bad)
+
 
 class TestCactusEncoders:
     def test_figure_instance(self):
@@ -173,6 +192,19 @@ class TestCactusEncoders:
         ):
             with pytest.raises(InvalidInstance):
                 encode_subset_sum_cactus_msf(bad)
+
+    def test_values_and_targets_that_are_not_integers_are_rejected(self):
+        for bad in (
+            SubsetSumInstance((1.5, 2), 3),
+            SubsetSumInstance((F(1), 2), 3),
+            SubsetSumInstance((True, 2), 3),
+            SubsetSumInstance((1, 2), 3.0),
+            SubsetSumInstance((1, 2), True),
+            SubsetSumInstance(("1", 2), 3),
+        ):
+            for encode in (encode_subset_sum_cactus_msf, encode_subset_sum_cactus_mff, encode_subset_sum_tree):
+                with pytest.raises(InvalidInstance):
+                    encode(bad)
 
 
 class TestTreeEncoder:
