@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -183,7 +182,7 @@ class TestSolveCounts:
         n = self.pendant()
         solve_msf_bnb(n)
         assert len(solves) == 4 and bounds[0] == n
-        # the root and 7 more cores; bounding every child the search meets would take 18 calls
+        # the root's core and 7 more, each bounded once
         bounded = [self.core_of(n, m) for m in bounds]
         assert len(set(bounded)) == len(bounded) == 8
         # every solved core was bounded first, at the same sub-network
