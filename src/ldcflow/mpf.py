@@ -11,11 +11,17 @@ reads, with no `Fraction` arithmetic.
 
 A component without both a generator and a load is solved in closed
 form: its only feasible point is zero (susceptances are positive and a
-pinned angle fixes the rest), so `solve_mpf` formulates only the
-components that carry flow and needs no LP when none does.  The program
-is block-diagonal across components and the simplex's every choice stays
-within one block, so the vertex returned is the one the whole program
-would give.  The solution is built from it on first read.
+pinned angle fixes the rest).  So is a component with exactly one
+generator g and one load l.  Conservation makes the injection t at g and
+-t at l, and the pinned Laplacian then fixes the angles as t times phi,
+the angles of a unit injection from g to l.  Every feasible point is
+such a multiple, so the optimum t* = min over edges of cap/|s * dphi| is
+unique, and the LP's vertex can only be that same point.
+`solve_mpf` formulates only the other components that carry flow, and
+needs no LP when none is left.  The program is block-diagonal across
+components and the simplex's every choice stays within one block, so
+the vertex returned is the one the whole program would give.  The
+solution is built from the merged vertices on first read.
 
 Trees never need the LP: absent cycles the angles carry no constraints of
 their own, so any classical max flow can be replayed exactly by
@@ -170,28 +176,110 @@ def _solution_from_assignment(n: Network, assignment: dict[str, Rational]) -> So
     )
 
 
+def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tuple[Rational, dict[str, Rational]]:
+    """MPF of a component whose only generator is g and only load is l.
+
+    `edges` are the component's.  The angles phi of a unit injection from
+    g to l (smallest node pinned at zero, as `pinned_nodes` does) solve
+    L phi = e_l - e_g, L the reduced Laplacian.  A = D * L is an integer
+    matrix, D the LCM of the susceptances' denominators, and fraction-free
+    elimination (Bareiss 1968) solves A x = e_l - e_g as the integer
+    vector y = det(A) * x.  So phi = D * y / det, an edge's unit flow is
+    s * D * dy / det, and the largest t with every |t * flow| <= cap is
+    det/D times the least cap / |s * dy| over the edges with dy != 0 (an
+    edge with dy = 0 carries nothing at any t), compared by
+    cross-multiplication.  For that least ratio num/den the angles t * phi
+    are num * y / den.  Returns the value and the vertex {th, gen, load}.
+    """
+    names = sorted(comp)
+    index = {v: i for i, v in enumerate(names)}
+    scale = math.lcm(*(e.s_min.denominator for e in edges))
+    # D * L with the right-hand side e_l - e_g as its last column: net
+    # outflow at v is -(L phi)_v, +1 at g and -1 at l (a self-loop cancels)
+    lap = [[0] * (len(names) + 1) for _ in names]
+    for e in edges:
+        k = e.s_min.numerator * (scale // e.s_min.denominator)
+        a, b = index[e.a], index[e.b]
+        lap[a][a] += k
+        lap[b][b] += k
+        lap[a][b] -= k
+        lap[b][a] -= k
+    lap[index[g]][-1] = -1
+    lap[index[l]][-1] = 1
+    rows = [row[1:] for row in lap[1:]]  # names[0] is pinned at zero
+    m = len(rows)
+    # a connected component's reduced Laplacian is positive definite, so no
+    # pivot is zero; each division below is exact
+    prev = 1
+    for i, pivot in enumerate(rows[:-1]):
+        p = pivot[i]
+        for row in rows[i + 1 :]:
+            f = row[i]
+            for j in range(i + 1, m + 1):
+                row[j] = (p * row[j] - f * pivot[j]) // prev
+            row[i] = 0
+        prev = p
+    det = rows[-1][-2]
+    y = [0] * m
+    for i in range(m - 1, -1, -1):
+        row = rows[i]
+        y[i] = (det * row[m] - sum(row[j] * y[j] for j in range(i + 1, m))) // row[i]
+    phi = dict(zip(names, [0, *y]))
+
+    # the least cap / |s * dy| as num/den; den = 0 stands for no bound, so an
+    # edge with dy = 0 never becomes the least
+    num, den = 1, 0
+    for e in edges:
+        n_e = e.cap.numerator * e.s_min.denominator
+        d_e = e.cap.denominator * e.s_min.numerator * abs(phi[e.b] - phi[e.a])
+        if n_e * den < num * d_e:
+            num, den = n_e, d_e
+    value = Rational(det * num, scale * den)
+    assignment = {_th(v): Rational(num * y_v, den) for v, y_v in phi.items()}
+    assignment[_gen(g)] = assignment[_load(l)] = value
+    return value, assignment
+
+
 def solve_mpf(n: Network) -> MpfOutcome:
     """Exact MPF value and an optimal solution (never infeasible: zero flow works).
 
-    A component without both a generator and a load carries no flow, so
-    only the others go to the LP; the solution is built on first read.
-    An invalid network raises `InvalidNetwork`.
+    A component without both a generator and a load carries no flow.  A
+    component with one generator g and one load l is solved in closed
+    form (`_one_pair`): conservation makes every feasible point t times
+    the angles of a unit injection from g to l, so its optimum is unique
+    and is the vertex the LP would return.  Only the other components go
+    to the LP, and none does when every flowing component is such a pair.
+    The solution is built on first read.  An invalid network raises
+    `InvalidNetwork`.
     """
     require_valid(n)
     _require_fixed(n)
+    roles = n.roles
     comps = connected_components(n)
-    gens, loads = set(n.generators), set(n.loads)
-    flowing = [c for c in comps if not (c.isdisjoint(gens) or c.isdisjoint(loads))]
-    if not flowing:
-        return MpfOutcome.deferred(ZERO, build=partial(zero_solution, n))
+    value, fixed, rest = ZERO, {}, []
+    for comp in comps:
+        gens = [v for v in comp if roles[v] is NodeRole.GENERATOR]
+        loads = [v for v in comp if roles[v] is NodeRole.LOAD]
+        if not gens or not loads:
+            continue
+        if len(gens) == len(loads) == 1:
+            t, assignment = _one_pair([e for e in n.edges if e.a in comp], comp, gens[0], loads[0])
+            value += t
+            fixed.update(assignment)
+        else:
+            rest.append(comp)
+    if not rest:
+        if not fixed:
+            return MpfOutcome.deferred(ZERO, build=partial(zero_solution, n))
+        return MpfOutcome.deferred(value, build=lambda: _solution_from_assignment(n, fixed))
     sub = n
-    if len(flowing) < len(comps):
-        keep = set().union(*flowing)
+    if len(rest) < len(comps):
+        keep = set().union(*rest)
         sub = Network([(v, r) for v, r in n.nodes if v in keep], [e for e in n.edges if e.a in keep])
-    result = solve_lp(formulate_mpf(sub, flowing))  # the flowing components are sub's components
+    result = solve_lp(formulate_mpf(sub, rest))  # the remaining flowing components are sub's components
     if result.status is not LpStatus.OPTIMAL:  # pragma: no cover - MPF is always bounded
         raise AssertionError(f"MPF solve ended {result.status}")
-    return MpfOutcome.deferred(result.value, build=lambda: _solution_from_assignment(n, result.assignment))
+    return MpfOutcome.deferred(value + result.value, build=lambda: _solution_from_assignment(n, {**fixed, **result.assignment}))
 
 
 def flow_cores(n: Network) -> Callable[[int], int]:

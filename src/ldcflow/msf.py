@@ -42,7 +42,7 @@ from .errors import TooLarge
 from .lp import LinearProgram, VarId, write_lp_text
 from .maxflow import classical_max_flow
 from .mpf import MpfOutcome, _gen, _load, _require_fixed, _th, flow_cores, flow_kernel, pinned_nodes, solve_mpf
-from .network import Edge, Network, NodeRole, Solution, SwitchSet, require_valid, subnetwork
+from .network import Edge, Network, NodeRole, Solution, SwitchSet, require_valid, subnetwork, zero_solution
 from .rational import ONE, Rational, ZERO, rat_str
 
 EXHAUSTIVE_EDGE_LIMIT = 20
@@ -128,7 +128,8 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> MsfOutcome:
     branch is its own removed-set; that makes the exhaustive tie-break
     reproducible under pruning.  With `threshold` set, the search stops as
     soon as the incumbent proves the decision and prunes anything that
-    cannot reach the threshold.
+    cannot reach the threshold; when the root's classical bound is below
+    the threshold, no LP is solved and the zero flow is returned.
 
     The search visits removed-sets in switch-key order (a set comes before
     its extensions, and `n.edges` is sorted), so every incumbent's key is
@@ -152,6 +153,9 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> MsfOutcome:
     core_of = flow_cores(n)
     root_core = core_of(0)
     bounds: dict[int, Rational] = {root_core: classical_max_flow(n)}
+    if threshold is not None and bounds[root_core] < threshold:
+        # no sub-network reaches the threshold; the zero flow is feasible
+        return MsfOutcome(ZERO, frozenset(), zero_solution(n))
     best, best_removed = solve_mpf(n), ()
 
     def promising(bound: Rational) -> bool:

@@ -13,6 +13,7 @@ value can never masquerade as an exact one.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 Rational = Fraction
@@ -20,13 +21,19 @@ Rational = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# an optional sign, then ASCII digits with either "/q" or one decimal point
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+
 
 def rat(value: int | str | Fraction) -> Fraction:
     """Parse a rational from an int, a Fraction, or a string.
 
-    Accepted strings: "p/q", an integer like "-3", or a finite decimal
-    like "6.1" (which parses exactly to 61/10).  A zero denominator ("1/0")
-    raises ValueError, like any other malformed string.
+    Accepted strings, after surrounding whitespace is stripped: an
+    optional sign, then ASCII digits with either "/q" ("7/3", "-3") or one
+    decimal point ("6.1", which parses exactly to 61/10).  Anything else
+    raises ValueError: a zero denominator ("1/0"), and also the exponents
+    ("1e9999999" would take minutes to expand), underscores and
+    non-ASCII digits that `Fraction` itself would accept.
     """
     if isinstance(value, Fraction):
         return value
@@ -35,8 +42,11 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}: pass an int or a string")
     if isinstance(value, str):
+        text = value.strip()
+        if not _RATIONAL.fullmatch(text):
+            raise ValueError(f"not a rational: {value!r} (expected p/q, an integer or a decimal)")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")

@@ -167,6 +167,19 @@ class TestErrors:
         code, out, err = run(capsys, *(arg.format(net=path, good=gsch_file) for arg in argv))
         assert code == 3 and out == "" and "zero denominator" in err
 
+    @pytest.mark.parametrize("problem", ["mpf", "msf", "mff"])
+    def test_an_exponent_in_decide_is_exit_3(self, capsys, gsch_file, problem):
+        code, out, err = run(capsys, "solve", problem, gsch_file, "--decide", "1e9999999")
+        assert code == 3 and out == "" and "not a rational" in err
+
+    @pytest.mark.parametrize("argv", [["solve", "mpf"], ["classify"], ["export", "milp"]])
+    def test_an_exponent_in_a_capacity_is_exit_3(self, capsys, tmp_path, argv):
+        path = tmp_path / "exponent.json"
+        nodes = [{"id": "g", "role": "generator"}, {"id": "l", "role": "load"}]
+        path.write_text(json.dumps({"nodes": nodes, "edges": [{"a": "g", "b": "l", "s_min": "1", "s_max": "1", "cap": "1e9999999"}]}))
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 3 and out == "" and "not a rational" in err
+
     def test_zero_denominator_gadget_size_is_exit_3(self, capsys):
         code, out, err = run(capsys, "gadget", "gsch", "--x", "1/0", "--polarity", "plus")
         assert code == 3 and out == "" and "zero denominator" in err
@@ -219,6 +232,9 @@ JSON_VALUES = st.recursive(
     max_leaves=12,
 )
 
+
+# signs, digits, a point or a slash, and maybe an exponent: near misses of the rational forms
+DECIMALS = r"[+-]{0,2}[0-9]{0,3}[./]?[0-9]{0,3}([eE_][+-]?[0-9]{1,2})?"
 
 # One instance document per `encode` kind, each of which encodes as it stands.
 SUBSET_SUM = {"M": [1, 2], "w": 2}
@@ -317,6 +333,12 @@ class TestMalformedDocuments:
     def test_tampered_networks(self, documents, data):
         doc = data.draw(tampered(serialize.load(documents["net"])))
         assert all(0 <= code <= 4 for code in network_commands(documents, doc))
+
+    @given(problem=st.sampled_from(["mpf", "msf", "mff"]), text=st.text(max_size=8) | st.from_regex(DECIMALS, fullmatch=True))
+    @example(problem="msf", text="1e9999999")
+    @example(problem="mpf", text="-")
+    def test_any_decide_text(self, documents, problem, text):
+        assert 0 <= main(["solve", problem, documents["net"], f"--decide={text}"]) <= 4
 
     @given(kind=st.sampled_from(sorted(INSTANCES)), doc=JSON_VALUES)
     def test_any_json_instance(self, documents, kind, doc):

@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import SUSCEPTANCES, networks_with_idle_edges, random_ldc_network, random_tree, series_parallel_networks
 from ldcflow import mpf
@@ -24,6 +24,11 @@ def triangle():
         [("g", GEN), ("b", PLAIN), ("l", LOAD)],
         [fixed_edge("g", "b", 1, 5), fixed_edge("b", "l", 1, 4), fixed_edge("g", "l", 1, 30)],
     )
+
+
+# two generators and a load: a flowing component that is not a pair
+SEVERAL = Network([("x0", GEN), ("x1", GEN), ("x2", LOAD)], [fixed_edge("x0", "x1", 1, 2), fixed_edge("x1", "x2", 2, 3), fixed_edge("x0", "x2", 1, 1)])
+LONELY = Network([("y0", GEN), ("y1", GEN)], [fixed_edge("y0", "y1", 1, 2)])
 
 
 class TestFormulate:
@@ -164,6 +169,12 @@ class TestLazySolutions:
         assert out.value > 0 and builds == []
         assert out.solution is out.solution and len(builds) == 1
 
+    @pytest.mark.parametrize("n", [triangle(), network_sum(triangle(), SEVERAL)], ids=["pair", "mixed"])
+    def test_a_closed_form_solution_is_built_on_first_read(self, builds, n):
+        out = solve_mpf(n)
+        assert out.value > 0 and builds == []
+        assert out.solution is out.solution and builds == [n]
+
     def test_results_pickle_and_compare_like_eager_ones(self):
         n = six_edges()
         p = formulate_mpf(n)
@@ -208,6 +219,108 @@ def test_flowless_components_skip_the_lp_without_changing_the_outcome():
             assert out.solution == solution
             flowless += value == 0
     assert flowless > 0
+
+
+def wheatstone(r=2) -> Network:
+    """A balanced Wheatstone bridge from g to l: s(g,a)/s(a,l) = s(g,b)/s(b,l), so a and b share an angle."""
+    return Network(
+        [("a", PLAIN), ("b", PLAIN), ("g", GEN), ("l", LOAD)],
+        [
+            fixed_edge("g", "a", 1, 3),
+            fixed_edge("a", "l", 2, 5),
+            fixed_edge("g", "b", r, 5),
+            fixed_edge("b", "l", 2 * r, 3),
+            fixed_edge("a", "b", 1, 1),
+        ],
+    )
+
+
+@st.composite
+def one_pair_components(draw, prefix: str) -> Network:
+    """A connected network on prefixed names with one generator, one load and plain nodes.
+
+    It is a random connected graph with a pendant plain path, or a balanced
+    Wheatstone bridge, whose bridge edge has equal angles at both ends.
+    """
+    edge = st.tuples(st.sampled_from(SUSCEPTANCES), st.integers(1, 6))
+    if draw(st.booleans()):
+        s, t = draw(st.sampled_from(SUSCEPTANCES)), draw(st.sampled_from(SUSCEPTANCES))
+        r = draw(st.sampled_from(SUSCEPTANCES))
+        names = {v: f"{prefix}{v}" for v in "gabl"}
+        return Network(
+            [(names["g"], GEN), (names["l"], LOAD), (names["a"], PLAIN), (names["b"], PLAIN)],
+            [
+                fixed_edge(names[u], names[v], sus, draw(st.integers(1, 6)))
+                for u, v, sus in (("g", "a", s), ("a", "l", t), ("g", "b", r * s), ("b", "l", r * t), ("a", "b", draw(st.sampled_from(SUSCEPTANCES))))
+            ],
+        )
+    names = [f"{prefix}{i}" for i in range(draw(st.integers(2, 6)))]
+    pairs = {tuple(sorted((names[i], names[draw(st.integers(0, i - 1))]))) for i in range(1, len(names))}
+    every = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    pairs |= set(draw(st.lists(st.sampled_from(every), max_size=3)))
+    gen, load = draw(st.permutations(names))[:2]
+    nodes = [(v, GEN if v == gen else LOAD if v == load else PLAIN) for v in names]
+    edges = [fixed_edge(a, b, *draw(edge)) for a, b in sorted(pairs)]
+    at = draw(st.sampled_from(names))
+    for k in range(draw(st.integers(0, 2))):
+        nodes.append((f"{prefix}p{k}", PLAIN))
+        edges.append(fixed_edge(at, f"{prefix}p{k}", *draw(edge)))
+        at = f"{prefix}p{k}"
+    return Network(nodes, edges)
+
+
+@st.composite
+def one_pair_networks(draw) -> Network:
+    """One or two one-pair components, maybe next to a flowless one and maybe next to `SEVERAL`."""
+    n = draw(one_pair_components("c"))
+    if draw(st.booleans()):
+        n = network_sum(n, draw(one_pair_components("d")))
+    for extra in (LONELY, SEVERAL):
+        if draw(st.booleans()):
+            n = network_sum(n, extra)
+    return n
+
+
+class TestOnePairComponents:
+    """A flowing component with one generator and one load is solved without an LP, to the LP's vertex."""
+
+    @given(one_pair_networks())
+    @example(wheatstone())
+    @example(network_sum(triangle(), SEVERAL))
+    @example(network_sum(network_sum(wheatstone(), LONELY), SEVERAL))
+    def test_the_closed_form_is_the_whole_programs_vertex(self, n):
+        out = solve_mpf(n)
+        value, solution = _reference(n)
+        assert out.value == value
+        assert out.solution == solution
+        assert validate_solution(n, out.solution).ok
+
+    def test_a_balanced_bridge_edge_carries_nothing_and_bounds_nothing(self):
+        # unit flow splits 1/3 via a and 2/3 via b: caps 3, 5, 5, 3 allow 9, 15, 15/2 and 9/2
+        out = solve_mpf(wheatstone())
+        assert out.value == F(9, 2)
+        (bridge,) = [e for e in wheatstone().edges if e.pair == ("a", "b")]
+        assert out.solution.flow[bridge] == 0
+        # a is the smallest name, so its angle is pinned at zero
+        assert out.solution.angle == {"a": 0, "b": 0, "g": F(-3, 2), "l": F(3, 4)}
+
+    @pytest.fixture
+    def programs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("ldcflow.mpf.solve_lp", lambda p: calls.append(p) or solve_lp(p))
+        return calls
+
+    def test_a_network_of_pairs_needs_no_lp(self, programs):
+        for n in (triangle(), wheatstone(), network_sum(wheatstone(), LONELY), network_sum(triangle(), Network([("z", GEN), ("zz", LOAD)], [fixed_edge("z", "zz", 1, 1)]))):
+            out = solve_mpf(n)
+            assert out.value > 0 and validate_solution(n, out.solution).ok
+        assert programs == []
+
+    def test_the_lp_is_handed_only_the_other_components(self, programs):
+        n = network_sum(network_sum(triangle(), SEVERAL), LONELY)
+        value = solve_mpf(n).value
+        assert programs == [formulate_mpf(SEVERAL)]
+        assert value == solve_mpf(triangle()).value + solve_mpf(SEVERAL).value
 
 
 def edge_bits(n: Network, *pairs: tuple[str, str]) -> int:

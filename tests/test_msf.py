@@ -196,7 +196,7 @@ class TestSolveCounts:
     def test_a_threshold_above_the_root_bound_is_refused_at_once(self, solves, bounds):
         n = self.pendant()
         assert not decide_msf(n, classical_max_flow(n) + F(1, 2))
-        assert bounds == [n] and [m for m, _ in solves] == [n]
+        assert bounds == [n] and solves == []
 
 
 def test_switch_key_orders_sets_lexicographically():

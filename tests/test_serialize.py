@@ -34,6 +34,16 @@ class TestRationals:
         with pytest.raises(ValueError, match="zero denominator"):
             rat(text)
 
+    @pytest.mark.parametrize("text, value", [(" 7/3\n", F(7, 3)), ("+5", F(5)), ("-.5", F(-1, 2)), ("5.", F(5)), ("007", F(7))])
+    def test_every_listed_form_parses(self, text, value):
+        assert rat(text) == value
+
+    @pytest.mark.parametrize("text", ["1e9999999", "1E5", "2.5e-3", "1_000", "1/2_0", "\u0663", "1\uff10", "3/-4", "1/2/3", "+-1", ".", "", "inf", "nan", "0x10"])
+    def test_other_strings_are_value_errors(self, text):
+        # Fraction would read the exponents, underscores and non-ASCII digits, and expand 1e9999999 for seconds
+        with pytest.raises(ValueError, match="not a rational"):
+            rat(text)
+
     def test_rat_str_round_trips(self):
         for value in (F(0), F(-7, 3), F(61, 10), F(12)):
             assert rat(rat_str(value)) == value
