@@ -221,15 +221,15 @@ def test_flowless_components_skip_the_lp_without_changing_the_outcome():
     assert flowless > 0
 
 
-def wheatstone(r=2) -> Network:
+def wheatstone() -> Network:
     """A balanced Wheatstone bridge from g to l: s(g,a)/s(a,l) = s(g,b)/s(b,l), so a and b share an angle."""
     return Network(
         [("a", PLAIN), ("b", PLAIN), ("g", GEN), ("l", LOAD)],
         [
             fixed_edge("g", "a", 1, 3),
             fixed_edge("a", "l", 2, 5),
-            fixed_edge("g", "b", r, 5),
-            fixed_edge("b", "l", 2 * r, 3),
+            fixed_edge("g", "b", 2, 5),
+            fixed_edge("b", "l", 4, 3),
             fixed_edge("a", "b", 1, 1),
         ],
     )
@@ -311,7 +311,8 @@ class TestOnePairComponents:
         return calls
 
     def test_a_network_of_pairs_needs_no_lp(self, programs):
-        for n in (triangle(), wheatstone(), network_sum(wheatstone(), LONELY), network_sum(triangle(), Network([("z", GEN), ("zz", LOAD)], [fixed_edge("z", "zz", 1, 1)]))):
+        link = Network([("z", GEN), ("zz", LOAD)], [fixed_edge("z", "zz", 1, 1)])
+        for n in (triangle(), wheatstone(), network_sum(wheatstone(), LONELY), network_sum(triangle(), link)):
             out = solve_mpf(n)
             assert out.value > 0 and validate_solution(n, out.solution).ok
         assert programs == []
