@@ -27,13 +27,9 @@ Trees never need the LP: absent cycles the angles carry no constraints of
 their own, so any classical max flow can be replayed exactly by
 reconstructing angles edge by edge.
 
-Two maps serve the switching searches.  `flow_cores` finds, on bitmasks,
-the edges of a sub-network that can carry flow.  `flow_kernel` reduces a
-network to a smaller one with the same MPF value by merging edges in
-series through plain nodes and edges in parallel; the exhaustive scan
-values each core by it, and a kernel of one edge is worth its capacity
-without an LP.  A kernel's vertex is not a solution of the network it
-came from, so only a caller that reads values alone may use it.
+One map serves the switching searches: `flow_cores` finds, on bitmasks,
+the edges of a sub-network that can carry flow, and both searches value
+each such core once through `solve_mpf`.
 """
 
 from __future__ import annotations
@@ -176,7 +172,7 @@ def _solution_from_assignment(n: Network, assignment: dict[str, Rational]) -> So
     )
 
 
-def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tuple[Rational, dict[str, Rational]]:
+def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tuple[Rational, Callable[[], dict[str, Rational]]]:
     """MPF of a component whose only generator is g and only load is l.
 
     `edges` are the component's.  The angles phi of a unit injection from
@@ -189,7 +185,8 @@ def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tup
     det/D times the least cap / |s * dy| over the edges with dy != 0 (an
     edge with dy = 0 carries nothing at any t), compared by
     cross-multiplication.  For that least ratio num/den the angles t * phi
-    are num * y / den.  Returns the value and the vertex {th, gen, load}.
+    are num * y / den.  Returns the value and a builder of the vertex
+    {th, gen, load}, so a caller that reads the value alone never makes it.
     """
     names = sorted(comp)
     index = {v: i for i, v in enumerate(names)}
@@ -235,9 +232,13 @@ def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tup
         if n_e * den < num * d_e:
             num, den = n_e, d_e
     value = Rational(det * num, scale * den)
-    assignment = {_th(v): Rational(num * y_v, den) for v, y_v in phi.items()}
-    assignment[_gen(g)] = assignment[_load(l)] = value
-    return value, assignment
+
+    def vertex() -> dict[str, Rational]:
+        assignment = {_th(v): Rational(num * y_v, den) for v, y_v in phi.items()}
+        assignment[_gen(g)] = assignment[_load(l)] = value
+        return assignment
+
+    return value, vertex
 
 
 def solve_mpf(n: Network) -> MpfOutcome:
@@ -256,30 +257,38 @@ def solve_mpf(n: Network) -> MpfOutcome:
     _require_fixed(n)
     roles = n.roles
     comps = connected_components(n)
-    value, fixed, rest = ZERO, {}, []
+    value, vertices, rest = ZERO, [], []
     for comp in comps:
         gens = [v for v in comp if roles[v] is NodeRole.GENERATOR]
         loads = [v for v in comp if roles[v] is NodeRole.LOAD]
         if not gens or not loads:
             continue
         if len(gens) == len(loads) == 1:
-            t, assignment = _one_pair([e for e in n.edges if e.a in comp], comp, gens[0], loads[0])
+            t, vertex = _one_pair([e for e in n.edges if e.a in comp], comp, gens[0], loads[0])
             value += t
-            fixed.update(assignment)
+            vertices.append(vertex)
         else:
             rest.append(comp)
-    if not rest:
-        if not fixed:
-            return MpfOutcome.deferred(ZERO, build=partial(zero_solution, n))
-        return MpfOutcome.deferred(value, build=lambda: _solution_from_assignment(n, fixed))
-    sub = n
-    if len(rest) < len(comps):
-        keep = set().union(*rest)
-        sub = Network([(v, r) for v, r in n.nodes if v in keep], [e for e in n.edges if e.a in keep])
-    result = solve_lp(formulate_mpf(sub, rest))  # the remaining flowing components are sub's components
-    if result.status is not LpStatus.OPTIMAL:  # pragma: no cover - MPF is always bounded
-        raise AssertionError(f"MPF solve ended {result.status}")
-    return MpfOutcome.deferred(value + result.value, build=lambda: _solution_from_assignment(n, {**fixed, **result.assignment}))
+    if rest:
+        sub = n
+        if len(rest) < len(comps):
+            keep = set().union(*rest)
+            sub = Network([(v, r) for v, r in n.nodes if v in keep], [e for e in n.edges if e.a in keep])
+        result = solve_lp(formulate_mpf(sub, rest))  # the remaining flowing components are sub's components
+        if result.status is not LpStatus.OPTIMAL:  # pragma: no cover - MPF is always bounded
+            raise AssertionError(f"MPF solve ended {result.status}")
+        value += result.value
+        vertices.append(lambda: result.assignment)
+    elif not vertices:
+        return MpfOutcome.deferred(ZERO, build=partial(zero_solution, n))
+
+    def build() -> Solution:
+        assignment: dict[str, Rational] = {}
+        for vertex in vertices:
+            assignment.update(vertex())
+        return _solution_from_assignment(n, assignment)
+
+    return MpfOutcome.deferred(value, build=build)
 
 
 def flow_cores(n: Network) -> Callable[[int], int]:
@@ -335,94 +344,6 @@ def flow_cores(n: Network) -> Callable[[int], int]:
         return flowing
 
     return core
-
-
-def _series(s1: Rational, c1: Rational, s2: Rational, c2: Rational) -> tuple[Rational, Rational]:
-    """Two edges through a plain node as one: s = s1*s2/(s1 + s2), cap = min(c1, c2)."""
-    n1, d1, n2, d2 = s1.numerator, s1.denominator, s2.numerator, s2.denominator
-    return Rational(n1 * n2, n1 * d2 + n2 * d1), min(c1, c2)
-
-
-def _parallel(s1: Rational, c1: Rational, s2: Rational, c2: Rational) -> tuple[Rational, Rational]:
-    """Two edges on one pair as one: s = s1 + s2, cap = s * min(c1/s1, c2/s2)."""
-    n1, d1, n2, d2 = s1.numerator, s1.denominator, s2.numerator, s2.denominator
-    # each edge's angle limit c/s as the integer ratio t/u
-    t, u = c1.numerator * d1, c1.denominator * n1
-    t2, u2 = c2.numerator * d2, c2.denominator * n2
-    if t2 * u < t * u2:
-        t, u = t2, u2
-    num, den = n1 * d2 + n2 * d1, d1 * d2
-    return Rational(num, den), Rational(num * t, den * u)
-
-
-def flow_kernel(n: Network) -> Network:
-    """A smaller network with n's MPF value: its series-parallel kernel.
-
-    These steps repeat until none applies:
-
-    - a plain node with one edge loses it (the edge carries nothing), and
-      a plain node with no edge is dropped;
-    - two edges on one pair, (s1, c1) and (s2, c2), become one with
-      s = s1 + s2 and cap = (s1 + s2) * min(c1/s1, c2/s2): both see one
-      angle difference, and the tighter c/s bounds it;
-    - a plain node with two edges, to u and to v, becomes one edge u--v
-      with s = s1*s2/(s1 + s2) and cap = min(c1, c2), merged with any
-      edge u--v already there: conservation gives both edges one flow,
-      and their angle differences add up.
-
-    That is Kron reduction of the plain nodes of degree two, capacities
-    kept.  Then only the components holding both a generator and a load
-    are kept (`solve_mpf` gives the others zero).  The kernel is a valid
-    fixed-susceptance network whose MPF value is n's, but its optimal
-    vertex is not a solution of n, so only a caller that reads the value
-    alone may solve it in n's place.  n must be valid, except that it may
-    hold several edges on one pair.
-    """
-    _require_fixed(n)
-    roles = n.roles
-    adj: dict[NodeId, dict[NodeId, tuple[Rational, Rational]]] = {v: {} for v in roles}
-
-    def join(u: NodeId, v: NodeId, s: Rational, cap: Rational) -> None:
-        if v in adj[u]:
-            s, cap = _parallel(*adj[u][v], s, cap)
-        adj[u][v] = adj[v][u] = (s, cap)
-
-    for e in n.edges:
-        join(e.a, e.b, e.s_min, e.cap)
-    plain = [v for v, role in reversed(n.nodes) if role is NodeRole.PLAIN]
-    while plain:
-        w = plain.pop()
-        edges = adj.get(w)
-        if edges is None or len(edges) > 2:
-            continue
-        del adj[w]
-        for u in edges:
-            del adj[u][w]
-            if roles[u] is NodeRole.PLAIN:
-                plain.append(u)
-        if len(edges) == 2:
-            (u, (s1, c1)), (v, (s2, c2)) = edges.items()
-            join(u, v, *_series(s1, c1, s2, c2))
-
-    kept: list[NodeId] = []
-    seen: set[NodeId] = set()
-    for start in adj:
-        if start in seen:
-            continue
-        comp, stack = [start], [start]
-        seen.add(start)
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        if {roles[v] for v in comp} >= {NodeRole.GENERATOR, NodeRole.LOAD}:
-            kept += comp
-    return Network(
-        [(v, roles[v]) for v in kept],
-        [Edge(u, v, s, s, cap) for u in kept for v, (s, cap) in adj[u].items() if u < v],
-    )
 
 
 def solve_tree(n: Network) -> MpfOutcome:

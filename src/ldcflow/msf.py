@@ -13,12 +13,10 @@ edge carries nothing, and neither does a component without both a
 generator and a load.  `flow_cores` maps a switch set to the edges that
 remain, and the MPF value and the classical max flow depend on them
 alone (an edge outside the core carries no generator-to-load flow), so
-each search solves every such core once.  The scan values only the
-distinct non-empty cores (an empty one is worth zero), each by its
-series-parallel kernel (`flow_kernel`): a kernel of one edge is worth its
-capacity and needs no LP, and any other is solved in the core's place.
-A kernel gives the value only, so the scan re-solves its winners on their
-own sub-networks.
+each search solves every such core once.  The scan solves only the
+distinct non-empty cores (an empty one is worth zero), each on its own
+sub-network, reads their values alone, and re-solves its winners on
+their own sub-networks for their solutions.
 Branch-and-bound bounds each core once, when it first meets it, and
 solves it then unless the bound prunes it; a node whose core it has met
 before is neither bounded nor solved again, and never becomes the
@@ -41,7 +39,7 @@ from typing import Iterable
 from .errors import TooLarge
 from .lp import LinearProgram, VarId, write_lp_text
 from .maxflow import classical_max_flow
-from .mpf import MpfOutcome, _gen, _load, _require_fixed, _th, flow_cores, flow_kernel, pinned_nodes, solve_mpf
+from .mpf import MpfOutcome, _gen, _load, _require_fixed, _th, flow_cores, pinned_nodes, solve_mpf
 from .network import Edge, Network, NodeRole, Solution, SwitchSet, require_valid, subnetwork, zero_solution
 from .rational import ONE, Rational, ZERO, rat_str
 
@@ -82,11 +80,8 @@ def _removed(n: Network, mask: int) -> tuple[Edge, ...]:
 
 
 def _core_value(n: Network, core: int) -> Rational:
-    """The MPF value of a flow core, read off its kernel: one edge is worth its capacity."""
-    kernel = flow_kernel(subnetwork(n, _removed(n, ~core)))
-    if len(kernel.edges) == 1:
-        return kernel.edges[0].cap
-    return solve_mpf(kernel).value
+    """The MPF value of a flow core: its sub-network's, whose solution is never built."""
+    return solve_mpf(subnetwork(n, _removed(n, ~core))).value
 
 
 def _optimal_sets(n: Network) -> list[tuple[Edge, ...]]:
@@ -197,6 +192,7 @@ def solve_msf_bnb(n: Network) -> MsfOutcome:
 def decide_msf(n: Network, x: Rational) -> bool:
     """Is the maximum switching flow at least x?  Exact in both directions."""
     require_valid(n)
+    _require_fixed(n)
     if x <= 0:
         return True  # the zero solution is always available
     return _solve_msf_bnb(n, x).value >= x

@@ -101,8 +101,7 @@ def series_parallel_networks(draw) -> Network:
 
     It grows from one edge s--t: each step splits an edge u--v into u--m--v
     through a new plain node m, or adds such a path next to it.  The
-    generator and the load sit at the terminals, where every flow core
-    reduces to one edge, or at any two nodes, where some do not.
+    generator and the load sit at the terminals or at any two nodes.
     """
     edge = st.tuples(st.sampled_from(SUSCEPTANCES), st.integers(1, 6))
     pairs = [("s", "t")]
@@ -115,6 +114,27 @@ def series_parallel_networks(draw) -> Network:
     gen, load = ("s", "t") if draw(st.booleans()) else draw(st.permutations(names))[:2]
     roles = {v: GEN if v == gen else LOAD if v == load else PLAIN for v in names}
     return Network(roles.items(), [fixed_edge(u, v, *draw(edge)) for u, v in pairs])
+
+
+@st.composite
+def networks_with_chains(draw) -> Network:
+    """A seeded network with a pendant plain path, a plain series chain between two of its nodes, and maybe a chord."""
+    base = random_ldc_network(random.Random(draw(st.integers(0, 2**32 - 1))), max_edges=3)
+    names = list(base.node_names)
+    nodes, edges = list(base.nodes), list(base.edges)
+    edge = st.tuples(st.sampled_from(SUSCEPTANCES), st.integers(1, 6))
+    nodes.append(("p", PLAIN))
+    edges.append(fixed_edge(draw(st.sampled_from(names)), "p", *draw(edge)))
+    u, v = draw(st.permutations(names))[:2]
+    chain = [u, *(f"c{k}" for k in range(draw(st.integers(1, 2)))), v]
+    nodes += [(c, PLAIN) for c in chain[1:-1]]
+    edges += [fixed_edge(a, b, *draw(edge)) for a, b in zip(chain, chain[1:])]
+    taken = {e.pair for e in edges}
+    everyone = sorted(name for name, _ in nodes)
+    free = [(a, b) for a in everyone for b in everyone if a < b and (a, b) not in taken]
+    if draw(st.booleans()):
+        edges.append(fixed_edge(*draw(st.sampled_from(free)), *draw(edge)))
+    return Network(nodes, edges)
 
 
 @pytest.fixture

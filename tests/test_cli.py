@@ -121,6 +121,13 @@ class TestErrors:
         code, _, err = run(capsys, "solve", "msf", str(path))
         assert code == 4 and "susceptance" in err
 
+    @pytest.mark.parametrize("x", ["0", "1"])
+    def test_msf_decide_on_facts_edges_is_exit_4_at_any_threshold(self, capsys, tmp_path, x):
+        path = tmp_path / "facts.json"
+        run(capsys, "gadget", "gfch", "--x", "1", "--polarity", "minus", "--out", str(path))
+        code, out, err = run(capsys, "solve", "msf", str(path), "--decide", x)
+        assert code == 4 and out == "" and "susceptance" in err
+
     def test_usage_error_is_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "nonsense", "x.json"])

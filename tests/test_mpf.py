@@ -12,9 +12,9 @@ from ldcflow.errors import NotATree, NotFixedSusceptance
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.lp import LpResult, LpStatus, solve_lp
 from ldcflow.maxflow import classical_max_flow
-from ldcflow.mpf import MpfOutcome, _gen, _load, _th, flow_cores, flow_kernel, formulate_mpf, solve_mpf, solve_tree
+from ldcflow.mpf import MpfOutcome, _gen, _load, _th, flow_cores, formulate_mpf, solve_mpf, solve_tree
 from ldcflow.msf import solve_msf_bnb, solve_msf_exhaustive
-from ldcflow.network import Network, NodeRole, Solution, fixed_edge, network_sum, subnetwork, total_generation, validate_network, validate_solution
+from ldcflow.network import Network, NodeRole, Solution, fixed_edge, network_sum, subnetwork, total_generation, validate_solution
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
@@ -170,10 +170,22 @@ class TestLazySolutions:
         assert out.solution is out.solution and len(builds) == 1
 
     @pytest.mark.parametrize("n", [triangle(), network_sum(triangle(), SEVERAL)], ids=["pair", "mixed"])
-    def test_a_closed_form_solution_is_built_on_first_read(self, builds, n):
+    def test_a_closed_form_solution_is_built_on_first_read(self, builds, monkeypatch, n):
+        # the pair's vertex builder is the only one to name the pair's angles
+        # before the solution is built; the LP names only the other component's
+        vertices, named = [], []
+        one_pair, th = mpf._one_pair, mpf._th
+
+        def counted(*args):
+            t, vertex = one_pair(*args)
+            return t, lambda: vertices.append(t) or vertex()
+
+        monkeypatch.setattr(mpf, "_one_pair", counted)
+        monkeypatch.setattr(mpf, "_th", lambda v: named.append(v) or th(v))
         out = solve_mpf(n)
-        assert out.value > 0 and builds == []
-        assert out.solution is out.solution and builds == [n]
+        assert out.value > 0 and builds == [] and vertices == []
+        assert not set(named) & set(triangle().node_names)
+        assert out.solution is out.solution and builds == [n] and len(vertices) == 1
 
     def test_results_pickle_and_compare_like_eager_ones(self):
         n = six_edges()
@@ -379,87 +391,3 @@ class TestFlowCores:
             assert bounds.setdefault(cores(mask), bound) == bound
         for core, bound in bounds.items():
             assert classical_max_flow(subnetwork(n, [e for i, e in enumerate(n.edges) if not core >> i & 1])) == bound
-
-
-def edges_of(n: Network) -> set[tuple[str, str, F, F]]:
-    """n's edges as (a, b, s, cap)."""
-    return {(e.a, e.b, e.s_min, e.cap) for e in n.edges}
-
-
-class TestFlowKernel:
-    def test_a_series_pair_becomes_one_edge(self):
-        n = Network([("g", GEN), ("p", PLAIN), ("l", LOAD)], [fixed_edge("g", "p", 1, 3), fixed_edge("p", "l", 2, 5)])
-        k = flow_kernel(n)
-        assert k.node_names == ("g", "l") and edges_of(k) == {("g", "l", F(2, 3), F(3))}
-
-    def test_a_parallel_pair_becomes_one_edge(self):
-        # angle limits 3/1 and 4/2: the tighter one, 2, times s = 1 + 2
-        n = Network([("g", GEN), ("l", LOAD)], [fixed_edge("g", "l", 1, 3), fixed_edge("g", "l", 2, 4)])
-        assert edges_of(flow_kernel(n)) == {("g", "l", F(3), F(6))}
-
-    def test_a_series_pair_next_to_an_edge_merges_with_it(self):
-        # g--b--l is s = 1/2, cap 4, angle limit 8; g--l's is 30
-        k = flow_kernel(triangle())
-        assert edges_of(k) == {("g", "l", F(3, 2), F(12))}
-        assert solve_mpf(triangle()).value == 12
-
-    def test_a_plain_node_left_as_a_leaf_by_a_merge_is_stripped(self):
-        # p in series gives g--r (s = 1/2, cap 1), which merges with g--r into one
-        # edge, so r is a leaf
-        n = Network(
-            [("g", GEN), ("l", LOAD), ("p", PLAIN), ("r", PLAIN)],
-            [fixed_edge("g", "l", 1, 2), fixed_edge("g", "p", 1, 1), fixed_edge("p", "r", 1, 1), fixed_edge("g", "r", 1, 1)],
-        )
-        k = flow_kernel(n)
-        assert k.node_names == ("g", "l") and edges_of(k) == {("g", "l", F(1), F(2))}
-
-    def test_a_plain_node_without_edges_is_dropped(self):
-        n = Network([("g", GEN), ("l", LOAD), ("z", PLAIN)], [fixed_edge("g", "l", 2, 3)])
-        assert flow_kernel(n) == Network([("g", GEN), ("l", LOAD)], [fixed_edge("g", "l", 2, 3)])
-
-    def test_a_component_without_a_load_is_dropped(self):
-        gens = Network([("x0", GEN), ("x1", GEN), ("x2", PLAIN)], [fixed_edge("x0", "x1", 1, 2), fixed_edge("x1", "x2", 1, 2), fixed_edge("x0", "x2", 1, 2)])
-        n = network_sum(Network([("g", GEN), ("l", LOAD)], [fixed_edge("g", "l", 2, 3)]), gens)
-        assert flow_kernel(n) == Network([("g", GEN), ("l", LOAD)], [fixed_edge("g", "l", 2, 3)])
-        assert flow_kernel(gens) == Network([])
-
-    def test_a_network_without_plain_nodes_of_degree_two_or_less_is_its_own_kernel(self):
-        n = Network(
-            [("g", GEN), ("b", PLAIN), ("c", PLAIN), ("l", LOAD)],
-            [fixed_edge("g", "b", 1, 5), fixed_edge("b", "l", 1, 4), fixed_edge("g", "c", 1, 3), fixed_edge("c", "l", 2, 2), fixed_edge("b", "c", 1, 1)],
-        )
-        assert flow_kernel(n) == n
-
-    def test_facts_edges_rejected(self):
-        with pytest.raises(NotFixedSusceptance):
-            flow_kernel(gfch(1, "v", Polarity.MINUS))
-
-
-@st.composite
-def networks_with_chains(draw) -> Network:
-    """A seeded network with a pendant plain path, a plain series chain between two of its nodes, and maybe a chord."""
-    base = random_ldc_network(random.Random(draw(st.integers(0, 2**32 - 1))), max_edges=3)
-    names = list(base.node_names)
-    nodes, edges = list(base.nodes), list(base.edges)
-    edge = st.tuples(st.sampled_from(SUSCEPTANCES), st.integers(1, 6))
-    nodes.append(("p", PLAIN))
-    edges.append(fixed_edge(draw(st.sampled_from(names)), "p", *draw(edge)))
-    u, v = draw(st.permutations(names))[:2]
-    chain = [u, *(f"c{k}" for k in range(draw(st.integers(1, 2)))), v]
-    nodes += [(c, PLAIN) for c in chain[1:-1]]
-    edges += [fixed_edge(a, b, *draw(edge)) for a, b in zip(chain, chain[1:])]
-    taken = {e.pair for e in edges}
-    everyone = sorted(name for name, _ in nodes)
-    free = [(a, b) for a in everyone for b in everyone if a < b and (a, b) not in taken]
-    if draw(st.booleans()):
-        edges.append(fixed_edge(*draw(st.sampled_from(free)), *draw(edge)))
-    return Network(nodes, edges)
-
-
-@given(networks_with_chains())
-def test_every_kernel_is_valid_and_keeps_the_value(n):
-    for mask in range(1 << len(n.edges)):
-        sub = subnetwork(n, [e for i, e in enumerate(n.edges) if mask >> i & 1])
-        kernel = flow_kernel(sub)
-        assert validate_network(kernel).ok
-        assert solve_mpf(kernel).value == solve_mpf(sub).value

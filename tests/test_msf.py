@@ -3,12 +3,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import networks_with_idle_edges, random_ldc_network, random_tree, series_parallel_networks
+from conftest import networks_with_chains, networks_with_idle_edges, random_ldc_network, random_tree, series_parallel_networks
 import ldcflow.msf
 from ldcflow.errors import NotFixedSusceptance, TooLarge
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.maxflow import classical_max_flow
-from ldcflow.mpf import flow_cores, flow_kernel, solve_mpf
+from ldcflow.mpf import flow_cores, solve_mpf
 from ldcflow.msf import (
     decide_msf,
     optimal_switch_sets,
@@ -115,7 +115,7 @@ def diamond():
 
 
 @settings(max_examples=120)
-@given(st.one_of(networks_with_idle_edges(), series_parallel_networks()))
+@given(st.one_of(networks_with_idle_edges(), series_parallel_networks(), networks_with_chains()))
 def test_searches_agree_with_solving_every_sub_network(n):
     value, switched, solution = msf_by_every_mask(n)
     for search in (solve_msf_bnb, solve_msf_exhaustive):
@@ -157,10 +157,8 @@ class TestSolveCounts:
         cores = flow_cores(n)
         distinct = [core for core in dict.fromkeys(map(cores, range(1 << len(n.edges)))) if core]
         assert len(distinct) == 10
-        kernels = [flow_kernel(subnetwork(n, [e for i, e in enumerate(n.edges) if not core >> i & 1])) for core in distinct]
-        # a kernel of one edge is valued by its capacity; only the others reach solve_mpf
-        solved = [k for k in kernels if len(k.edges) > 1]
-        assert 0 < len(solved) < len(kernels) and len(set(solved)) == len(solved)
+        # each distinct non-empty core is solved once, on its own sub-network, in first-seen mask order
+        solved = [subnetwork(n, [e for i, e in enumerate(n.edges) if not core >> i & 1]) for core in distinct]
         out = solve_msf_exhaustive(n)
         assert [m for m, _ in solves] == solved + [subnetwork(n, out.switched)]
         solves.clear()
