@@ -10,12 +10,18 @@ from __future__ import annotations
 from .network import Network, NodeId
 
 
-def _adjacency(n: Network) -> dict[NodeId, list[NodeId]]:
+def _neighbours(n: Network) -> dict[NodeId, list[NodeId]]:
     adj: dict[NodeId, list[NodeId]] = {v: [] for v in n.node_names}
     for e in n.edges:
         if e.a in adj and e.b in adj and e.a != e.b:
             adj[e.a].append(e.b)
             adj[e.b].append(e.a)
+    return adj
+
+
+def _adjacency(n: Network) -> dict[NodeId, list[NodeId]]:
+    """Neighbours sorted by name, which fixes the order of the biconnected DFS."""
+    adj = _neighbours(n)
     for v in adj:
         adj[v].sort()
     return adj
@@ -23,7 +29,7 @@ def _adjacency(n: Network) -> dict[NodeId, list[NodeId]]:
 
 def connected_components(n: Network) -> list[set[NodeId]]:
     """Components in order of their smallest node name."""
-    adj = _adjacency(n)
+    adj = _neighbours(n)
     seen: set[NodeId] = set()
     out: list[set[NodeId]] = []
     for start in n.node_names:
@@ -56,7 +62,7 @@ def is_tree(n: Network) -> bool:
 
 
 def max_degree(n: Network) -> int:
-    adj = _adjacency(n)
+    adj = _neighbours(n)
     return max((len(vs) for vs in adj.values()), default=0)
 
 

@@ -17,15 +17,21 @@ generator g and one load l.  Conservation makes the injection t at g and
 the angles of a unit injection from g to l.  Every feasible point is
 such a multiple, so the optimum t* = min over edges of cap/|s * dphi| is
 unique, and the LP's vertex can only be that same point.
-`solve_mpf` formulates only the other components that carry flow, and
-needs no LP when none is left.  The program is block-diagonal across
-components and the simplex's every choice stays within one block, so
-the vertex returned is the one the whole program would give.  The
-solution is built from the merged vertices on first read.
 
-Trees never need the LP: absent cycles the angles carry no constraints of
-their own, so any classical max flow can be replayed exactly by
-reconstructing angles edge by edge.
+Trees never need the LP for their value: absent cycles the angles carry
+no constraints of their own, so any classical max flow can be replayed
+exactly by reconstructing angles edge by edge (`solve_tree`), and MPF is
+the classical max flow, the least capacity that cuts every generator
+from every load.  `solve_mpf` values any other tree component by that
+cut, found by an integer pass over the tree (`_tree_cut`), and
+formulates the LP over those trees only when the solution is first read.
+
+So the only LP `solve_mpf` runs before it returns is over the flowing
+components with a cycle, and none when there is no such component.  The
+program is block-diagonal across components and the simplex's every
+choice stays within one block, so each vertex returned is the one the
+whole program would give.  The solution is built from the merged
+vertices on first read.
 
 One map serves the switching searches: `flow_cores` finds, on bitmasks,
 the edges of a sub-network that can carry flow, and both searches value
@@ -40,7 +46,7 @@ from typing import Callable
 
 from .classify import connected_components, is_tree
 from .errors import MalformedProgram, NotATree, NotFixedSusceptance
-from .lp import EQ, GE, LE, DeferredRecord, LinearProgram, LpStatus, solve_lp
+from .lp import EQ, GE, LE, DeferredRecord, LinearProgram, LpResult, LpStatus, solve_lp
 from .maxflow import _classical_flow_detail
 from .network import Edge, Network, NodeId, NodeRole, Solution, require_valid, zero_solution
 from .rational import ONE, Rational, ZERO
@@ -241,6 +247,62 @@ def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tup
     return value, vertex
 
 
+def _tree_cut(edges: list[Edge], roles: dict[NodeId, NodeRole]) -> Rational:
+    """MPF of a tree component: the least capacity that cuts every generator from every load.
+
+    `edges` are the component's, |V| - 1 of them.  Without a cycle the
+    angles follow from any flow edge by edge, so MPF is the classical max
+    flow, which is that least cut.  The capacities are scaled once by the
+    LCM L of their denominators, as `maxflow._integer_flow` does.  Rooted
+    at one end of the first edge, each node keeps the cheapest cut of its
+    subtree with the node on the generator side and on the load side; a
+    child sits on its parent's side for free or on the other side at its
+    edge's capacity.  `big`, more than all capacities together, stands for
+    a generator on the load side or a load on the generator side.
+    """
+    scale = math.lcm(*(e.cap.denominator for e in edges))
+    adjacent: dict[NodeId, list[tuple[NodeId, int]]] = {}
+    big = 1
+    for e in edges:
+        cap = e.cap.numerator * (scale // e.cap.denominator)
+        big += cap
+        adjacent.setdefault(e.a, []).append((e.b, cap))
+        adjacent.setdefault(e.b, []).append((e.a, cap))
+    root = edges[0].a
+    parent = {root: (root, 0)}
+    order = [root]
+    for v in order:  # breadth first, so every node comes after its parent
+        for w, cap in adjacent[v]:
+            if w not in parent:
+                parent[w] = (v, cap)
+                order.append(w)
+    gen_side = {v: big if roles[v] is NodeRole.LOAD else 0 for v in order}
+    load_side = {v: big if roles[v] is NodeRole.GENERATOR else 0 for v in order}
+    for v in reversed(order[1:]):
+        up, cap = parent[v]
+        g, l = gen_side[v], load_side[v]
+        gen_side[up] += min(g, l + cap)
+        load_side[up] += min(l, g + cap)
+    return Rational(min(gen_side[root], load_side[root]), scale)
+
+
+def _solve_components(n: Network, parts: list[tuple[set[NodeId], list[Edge]]], whole: bool) -> LpResult:
+    """The MPF program over some components of n, solved.
+
+    `parts` pairs each component with its edges; `whole` says they are
+    all of n's components.
+    """
+    comps = [comp for comp, _ in parts]
+    sub = n
+    if not whole:
+        keep = set().union(*comps)
+        sub = Network([(v, r) for v, r in n.nodes if v in keep], [e for _, edges in parts for e in edges])
+    result = solve_lp(formulate_mpf(sub, comps))  # comps are sub's components
+    if result.status is not LpStatus.OPTIMAL:  # pragma: no cover - MPF is always bounded
+        raise AssertionError(f"MPF solve ended {result.status}")
+    return result
+
+
 def solve_mpf(n: Network) -> MpfOutcome:
     """Exact MPF value and an optimal solution (never infeasible: zero flow works).
 
@@ -248,38 +310,44 @@ def solve_mpf(n: Network) -> MpfOutcome:
     component with one generator g and one load l is solved in closed
     form (`_one_pair`): conservation makes every feasible point t times
     the angles of a unit injection from g to l, so its optimum is unique
-    and is the vertex the LP would return.  Only the other components go
-    to the LP, and none does when every flowing component is such a pair.
-    The solution is built on first read.  An invalid network raises
+    and is the vertex the LP would return.  Any other tree component is
+    valued by its least generator/load cut (`_tree_cut`) with no LP; the
+    LP over those trees runs only when the solution is first read, so it
+    gives the vertex it always gave.  Only the other components, those
+    with a cycle, go to the LP before the value is returned.  The
+    solution is built on first read.  An invalid network raises
     `InvalidNetwork`.
     """
     require_valid(n)
     _require_fixed(n)
     roles = n.roles
     comps = connected_components(n)
-    value, vertices, rest = ZERO, [], []
-    for comp in comps:
+    where = {v: i for i, comp in enumerate(comps) for v in comp}
+    grouped: list[list[Edge]] = [[] for _ in comps]
+    for e in n.edges:
+        grouped[where[e.a]].append(e)
+    value, vertices, trees, cyclic = ZERO, [], [], []
+    for comp, edges in zip(comps, grouped):
         gens = [v for v in comp if roles[v] is NodeRole.GENERATOR]
         loads = [v for v in comp if roles[v] is NodeRole.LOAD]
         if not gens or not loads:
             continue
         if len(gens) == len(loads) == 1:
-            t, vertex = _one_pair([e for e in n.edges if e.a in comp], comp, gens[0], loads[0])
+            t, vertex = _one_pair(edges, comp, gens[0], loads[0])
             value += t
             vertices.append(vertex)
+        elif len(edges) == len(comp) - 1:
+            value += _tree_cut(edges, roles)
+            trees.append((comp, edges))
         else:
-            rest.append(comp)
-    if rest:
-        sub = n
-        if len(rest) < len(comps):
-            keep = set().union(*rest)
-            sub = Network([(v, r) for v, r in n.nodes if v in keep], [e for e in n.edges if e.a in keep])
-        result = solve_lp(formulate_mpf(sub, rest))  # the remaining flowing components are sub's components
-        if result.status is not LpStatus.OPTIMAL:  # pragma: no cover - MPF is always bounded
-            raise AssertionError(f"MPF solve ended {result.status}")
+            cyclic.append((comp, edges))
+    if cyclic:
+        result = _solve_components(n, cyclic, len(cyclic) == len(comps))
         value += result.value
         vertices.append(lambda: result.assignment)
-    elif not vertices:
+    if trees:
+        vertices.append(lambda: _solve_components(n, trees, len(trees) == len(comps)).assignment)
+    if not vertices:
         return MpfOutcome.deferred(ZERO, build=partial(zero_solution, n))
 
     def build() -> Solution:

@@ -123,6 +123,11 @@ class Network:
         return tuple(e for e in self.edges if e.is_facts)
 
     @cached_property
+    def _report(self) -> ValidationReport:
+        # what `require_valid` reads; `subnetwork` hands on a passed one
+        return validate_network(self)
+
+    @cached_property
     def incident(self) -> dict[NodeId, tuple[Edge, ...]]:
         by_node: dict[NodeId, list[Edge]] = {n: [] for n in self.node_names}
         for e in self.edges:
@@ -225,20 +230,47 @@ def validate_network(n: Network) -> ValidationReport:
 
 
 def require_valid(n: Network) -> None:
-    """Raise `InvalidNetwork`, carrying the `validate_network` report, unless n is valid."""
-    report = validate_network(n)
+    """Raise `InvalidNetwork`, carrying the `validate_network` report, unless n is valid.
+
+    The report is made once per network and kept with it.
+    """
+    report = n._report
     if not report.ok:
         raise InvalidNetwork(report)
 
 
+# the cached properties that depend on the nodes alone
+_NODE_CACHES = ("roles", "node_names", "generators", "loads")
+
+
 def subnetwork(n: Network, switched: Iterable[Edge]) -> Network:
-    """The network with the switched edges removed; nodes and roles unchanged."""
+    """The network with the switched edges removed; nodes and roles unchanged.
+
+    It equals `Network(n.nodes, kept)` but keeps n's sorted order and
+    starts from what n knows of its nodes (`roles`, `node_names`,
+    `generators`, `loads`).  Removing edges adds no FACTS edge and no
+    defect, so a sub-network of a fixed network knows it is fixed, and
+    one of a network that passed `require_valid` is not validated again.
+    """
     removed = frozenset(switched)
-    have = set(n.edges)
-    for e in removed:
-        if e not in have:
-            raise UnknownEdge(f"{e} is not an edge of the network")
-    return Network(n.nodes, (e for e in n.edges if e not in removed))
+    kept = tuple([e for e in n.edges if e not in removed])  # a list first: a tuple grown from a generator raised peak RSS
+    report = n.__dict__.get("_report")
+    valid = report is not None and report.ok
+    # a valid network holds no edge twice, so then the count shows that every removed edge was found
+    if not valid or len(kept) + len(removed) != len(n.edges):
+        have = set(n.edges)
+        for e in removed:
+            if e not in have:
+                raise UnknownEdge(f"{e} is not an edge of the network")
+    sub = object.__new__(Network)
+    cache = vars(sub)
+    cache.update(nodes=n.nodes, edges=kept)
+    cache.update((name, getattr(n, name)) for name in _NODE_CACHES)
+    if not n.facts_edges:
+        cache["facts_edges"] = ()
+    if valid:
+        cache["_report"] = report
+    return sub
 
 
 def network_sum(n1: Network, n2: Network) -> Network:

@@ -1,5 +1,7 @@
+from hypothesis import given, strategies as st
+
 from conftest import random_ldc_network, random_tree
-from ldcflow.classify import is_cactus, is_connected, is_tree, max_degree
+from ldcflow.classify import connected_components, is_cactus, is_connected, is_tree, max_degree
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.network import Network, NodeRole, fixed_edge
 
@@ -87,3 +89,34 @@ def test_classification_is_name_invariant(rng):
         assert is_cactus(renamed) == is_cactus(n)
         assert is_tree(renamed) == is_tree(n)
         assert max_degree(renamed) == max_degree(n)
+
+
+def union_find_components(n: Network) -> list[set[str]]:
+    """Reference: merge the endpoints of every edge, then order the classes by their smallest name."""
+    parent = {v: v for v in n.node_names}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for e in n.edges:
+        parent[root(e.a)] = root(e.b)
+    classes: dict[str, set[str]] = {}
+    for v in n.node_names:
+        classes.setdefault(root(v), set()).add(v)
+    return sorted(classes.values(), key=min)
+
+
+@st.composite
+def graphs(draw) -> Network:
+    """Plain nodes named so that name order and insertion order differ, and random edges between them."""
+    names = draw(st.lists(st.text("abcxyz", min_size=1, max_size=2), min_size=1, max_size=9, unique=True))
+    pairs = [(a, b) for a in names for b in names if a < b]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Network([(v, PLAIN) for v in names], [fixed_edge(a, b, 1, 1) for a, b in chosen])
+
+
+@given(graphs())
+def test_components_are_the_union_find_classes_in_the_same_order(n):
+    assert connected_components(n) == union_find_components(n)

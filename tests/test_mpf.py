@@ -336,6 +336,66 @@ class TestOnePairComponents:
         assert value == solve_mpf(triangle()).value + solve_mpf(SEVERAL).value
 
 
+# capacities with several denominators, so the tree cut's common scale matters
+TREE_CAPS = [F(1), F(2), F(5), F(1, 2), F(2, 3), F(7, 4)]
+# two generators feed a load through a plain hub: 3 + 2 can come in, 7/2 go out, so MPF is 7/2
+STAR = Network([("h", GEN), ("i", GEN), ("j", LOAD), ("k", PLAIN)], [fixed_edge("h", "k", 1, 3), fixed_edge("i", "k", 2, 2), fixed_edge("j", "k", 1, F(7, 2))])
+
+
+@st.composite
+def tree_components(draw, prefix: str) -> Network:
+    """A random tree on prefixed names with a generator, a load and a third node that is either."""
+    names = [f"{prefix}{i}" for i in range(draw(st.integers(3, 8)))]
+    edges = [fixed_edge(names[draw(st.integers(0, i - 1))], v, draw(st.sampled_from(SUSCEPTANCES)), draw(st.sampled_from(TREE_CAPS))) for i, v in enumerate(names) if i]
+    first, second, third, *rest = draw(st.permutations(names))
+    roles = {first: GEN, second: LOAD, third: draw(st.sampled_from([GEN, LOAD]))}
+    roles.update((v, draw(st.sampled_from([GEN, LOAD, PLAIN, PLAIN]))) for v in rest)
+    return Network(roles.items(), edges)
+
+
+@st.composite
+def forests(draw) -> tuple[Network, Network]:
+    """One or two tree components with several generators or loads, and that forest maybe next to a cyclic, a one-pair and a flowless one."""
+    forest = draw(tree_components("t"))
+    if draw(st.booleans()):
+        forest = network_sum(forest, draw(tree_components("u")))
+    n = forest
+    for extra in (SEVERAL, triangle(), LONELY):
+        if draw(st.booleans()):
+            n = network_sum(n, extra)
+    return forest, n
+
+
+class TestTreeComponents:
+    """A tree component with several generators or loads is valued by its least cut, with no LP."""
+
+    @given(forests())
+    @example((STAR, STAR))
+    @example((STAR, network_sum(network_sum(network_sum(STAR, SEVERAL), triangle()), LONELY)))
+    def test_the_cut_is_the_max_flow_and_the_solution_the_lps(self, networks):
+        forest, n = networks
+        assert solve_mpf(forest).value == classical_max_flow(forest)
+        out = solve_mpf(n)
+        value, solution = _reference(n)
+        assert out.value == value
+        assert out.solution == solution
+        assert validate_solution(n, out.solution).ok
+
+    @pytest.mark.parametrize("extra", [None, SEVERAL, triangle()], ids=["tree", "cyclic", "pair"])
+    def test_the_lp_runs_only_on_the_first_solution_read(self, monkeypatch, extra):
+        n, value = (STAR, F(7, 2)) if extra is None else (network_sum(STAR, extra), F(7, 2) + solve_mpf(extra).value)
+        calls = []
+        monkeypatch.setattr("ldcflow.mpf.solve_lp", lambda p: calls.append(p) or solve_lp(p))
+        # the cyclic component's value needs its LP; the tree's and the pair's need none
+        before = 1 if extra is SEVERAL else 0
+        out = solve_mpf(n)
+        assert out.value == value and len(calls) == before
+        solution = out.solution
+        assert calls[before:] == [formulate_mpf(STAR)]
+        assert out.solution is solution and len(calls) == before + 1
+        assert solution == _reference(n)[1]
+
+
 def edge_bits(n: Network, *pairs: tuple[str, str]) -> int:
     """The bitmask over n.edges of the edges on the given node pairs."""
     return sum(1 << i for i, e in enumerate(n.edges) if e.pair in {tuple(sorted(p)) for p in pairs})

@@ -158,15 +158,15 @@ def test_a_variable_declared_after_the_constraints_pads_the_rows(n):
 
 @pytest.fixture
 def traversals(monkeypatch):
-    """Count adjacency builds: `connected_components` makes one per traversal."""
+    """Count neighbour-list builds: `connected_components` makes one per traversal."""
     calls = []
-    adjacency = ldcflow.classify._adjacency
+    neighbours = ldcflow.classify._neighbours
 
     def counted(n):
         calls.append(n)
-        return adjacency(n)
+        return neighbours(n)
 
-    monkeypatch.setattr(ldcflow.classify, "_adjacency", counted)
+    monkeypatch.setattr(ldcflow.classify, "_neighbours", counted)
     return calls
 
 

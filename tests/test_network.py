@@ -3,8 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import random_ldc_network
+from ldcflow import network
 from ldcflow.errors import EdgeOverlap, InvalidNetwork, RoleConflict, UnknownEdge
-from ldcflow.gadgets import Polarity, gsch
+from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.mff import decide_mff, enumerate_endpoint_optima, solve_mff_endpoints, solve_mff_grid
 from ldcflow.mpf import solve_mpf, solve_tree
 from ldcflow.msf import decide_msf, optimal_switch_sets, solve_msf_bnb, solve_msf_exhaustive
@@ -146,6 +148,88 @@ class TestSubnetwork:
     def test_sequential_removal_composes(self, gsch1):
         e1, e2 = gsch1.edges[0], gsch1.edges[1]
         assert subnetwork(gsch1, {e1, e2}) == subnetwork(subnetwork(gsch1, {e1}), {e2})
+
+
+def removals(n):
+    """Every switch set of n's first five edges."""
+    edges = n.edges[:5]
+    return [[e for i, e in enumerate(edges) if mask >> i & 1] for mask in range(1 << len(edges))]
+
+
+class TestInheritedSubnetwork:
+    """A sub-network starts from what its parent knows and equals one built from scratch."""
+
+    @pytest.mark.parametrize("validated", [True, False], ids=["validated", "unchecked"])
+    def test_it_equals_the_network_of_the_kept_edges(self, validated):
+        rng = random.Random(1402)
+        for n in [gfch(1), gsch(1, "v", Polarity.MINUS), *(random_ldc_network(rng) for _ in range(10))]:
+            n = Network(n.nodes, n.edges)
+            if validated:
+                network.require_valid(n)
+            for removed in removals(n):
+                sub = subnetwork(n, removed)
+                fresh = Network(n.nodes, [e for e in n.edges if e not in removed])
+                assert sub == fresh and hash(sub) == hash(fresh)
+                assert (sub.nodes, sub.edges) == (fresh.nodes, fresh.edges)
+                for name in ("roles", "node_names", "generators", "loads", "facts_edges", "incident"):
+                    assert getattr(sub, name) == getattr(fresh, name)
+                assert subnetwork(sub, ()) == sub
+
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        validate = network.validate_network
+        monkeypatch.setattr(network, "validate_network", lambda n: calls.append(n) or validate(n))
+        return calls
+
+    def test_a_validated_parents_sub_networks_are_not_validated_again(self, validations):
+        n = random_ldc_network(random.Random(1403), min_edges=5)
+        assert solve_msf_exhaustive(n).value > 0 and solve_msf_bnb(n).value > 0
+        for removed in removals(n):
+            sub = subnetwork(n, removed)
+            solve_mpf(sub)
+            solve_mpf(subnetwork(sub, sub.edges[:1]))
+        assert validations == [n]
+        # a parent never validated hands on nothing
+        fresh = Network(n.nodes, n.edges)
+        solve_mpf(subnetwork(fresh, n.edges[:1]))
+        assert validations == [n, subnetwork(n, n.edges[:1])]
+
+    @pytest.mark.parametrize("validated", [True, False], ids=["refused", "unchecked"])
+    @pytest.mark.parametrize(
+        "defect",
+        [fixed_edge("m", "p", 1, -1), fixed_edge("g", "zz", 1, 2), fixed_edge("m", "m", 1, 2), fixed_edge("g", "m", 1, 2)],
+        ids=["negative capacity", "undeclared endpoint", "self-loop", "second edge on a pair"],
+    )
+    def test_an_invalid_parents_sub_network_is_validated(self, validated, defect):
+        good = [fixed_edge("g", "m", 2, 3), fixed_edge("m", "l", 1, 4), fixed_edge("g", "l", 1, 1)]
+        n = Network([("g", GEN), ("m", PLAIN), ("l", LOAD), ("p", PLAIN)], [*good, defect])
+        if validated:
+            with pytest.raises(InvalidNetwork):
+                solve_mpf(n)
+        for e in good:
+            sub = subnetwork(n, [e])
+            if e.pair == defect.pair:  # the pair's other edge goes, and the defect with it
+                assert solve_mpf(sub).value > 0
+                continue
+            with pytest.raises(InvalidNetwork):
+                solve_mpf(sub)
+        # removing the defect leaves a valid network
+        rest = subnetwork(n, [defect])
+        assert validate_network(rest).ok and solve_mpf(rest).value > 0
+
+    def test_a_foreign_edge_raises_whether_or_not_the_parent_was_validated(self, gsch1):
+        real, foreign = gsch1.edges[0], fixed_edge("g", "v", 1, 99)
+        stranger = fixed_edge("g", "zz", 1, 1)
+        for n in (Network(gsch1.nodes, gsch1.edges), gsch1):
+            for removed in ({foreign}, {real, foreign}, {stranger}, {real, stranger}):
+                with pytest.raises(UnknownEdge):
+                    subnetwork(n, removed)
+            solve_mpf(n)
+        # an edge held twice may not stand in for a foreign one
+        twice = Network(gsch1.nodes, [real, *gsch1.edges])
+        with pytest.raises(UnknownEdge):
+            subnetwork(twice, {real, foreign})
 
 
 class TestNetworkSum:
