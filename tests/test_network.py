@@ -221,13 +221,16 @@ class TestInheritedSubnetwork:
     def test_a_foreign_edge_raises_whether_or_not_the_parent_was_validated(self, gsch1):
         real, foreign = gsch1.edges[0], fixed_edge("g", "v", 1, 99)
         stranger = fixed_edge("g", "zz", 1, 1)
-        for n in (Network(gsch1.nodes, gsch1.edges), gsch1):
+        n = Network(gsch1.nodes, gsch1.edges)
+        for _ in range(2):  # unchecked, then validated
             for removed in ({foreign}, {real, foreign}, {stranger}, {real, stranger}):
                 with pytest.raises(UnknownEdge):
                     subnetwork(n, removed)
-            solve_mpf(n)
+            network.require_valid(n)
         # an edge held twice may not stand in for a foreign one
         twice = Network(gsch1.nodes, [real, *gsch1.edges])
+        with pytest.raises(InvalidNetwork):
+            network.require_valid(twice)
         with pytest.raises(UnknownEdge):
             subnetwork(twice, {real, foreign})
 
