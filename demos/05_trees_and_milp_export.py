@@ -20,7 +20,6 @@ from ldcflow import (
     is_tree,
     solve_mpf,
     solve_msf_bnb,
-    solve_tree,
 )
 from ldcflow.rational import format_value
 
@@ -39,8 +38,7 @@ tree = Network(roles.items(), edges)
 
 print("random 8-node network is a tree:", is_tree(tree))
 print("  classical max flow:  ", format_value(classical_max_flow(tree)))
-print("  tree fast path:      ", format_value(solve_tree(tree).value))
-print("  generic angle LP:    ", format_value(solve_mpf(tree).value))
+print("  MPF (solve_mpf):     ", format_value(solve_mpf(tree).value))
 print("  optimal switching:   ", format_value(solve_msf_bnb(tree).value), "(switching never helps on trees)")
 
 print("\nbig-M MILP export of the size-1 switching gadget:")

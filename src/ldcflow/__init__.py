@@ -2,11 +2,11 @@
 
 Core objects: `Network` (nodes with roles, susceptance/capacity edges) and
 `Solution` (angles, flows, generation, load), all over exact rationals.
-Solvers: `solve_mpf` (fixed topology, an LP), `solve_msf_*` (optimal edge
-switching), `solve_mff_*` (FACTS susceptance search, a lower bound,
-certified only without FACTS edges).  `gadgets` and `reductions`
-construct the choice gadgets and the NP-hardness problem encodings with
-their predicted optimal values.
+Solvers: `solve_mpf` (fixed topology, an LP where a component has a
+cycle), `solve_msf_*` (optimal edge switching), `solve_mff_*` (FACTS
+susceptance search, a lower bound, certified only without FACTS edges).
+`gadgets` and `reductions` construct the choice gadgets and the
+NP-hardness problem encodings with their predicted optimal values.
 """
 
 from .classify import is_cactus, is_connected, is_tree, max_degree
@@ -22,7 +22,7 @@ from .mff import (
     solve_mff_endpoints,
     solve_mff_grid,
 )
-from .mpf import MpfOutcome, formulate_mpf, solve_mpf, solve_tree
+from .mpf import MpfOutcome, formulate_mpf, solve_mpf
 from .msf import (
     MsfOutcome,
     build_switching_milp,

@@ -2,7 +2,8 @@
 
 Subcommands: solve (mpf | msf | mff), encode, decode, gadget, verify,
 classify, export.  Networks, solutions and instances travel as the JSON
-documents defined in `serialize`.  Exact values print as "p/q" with a
+documents defined in `serialize`.  `solve mpf` solves every network,
+trees included, through `solve_mpf`.  Exact values print as "p/q" with a
 decimal rendering when it differs.
 
 Exit codes: 0 success (including a NO/UNKNOWN decision), 1 failed
@@ -21,7 +22,7 @@ from . import classify, serialize
 from .errors import LdcError
 from .gadgets import Polarity, gfch, gsch
 from .mff import MffDecision, decide_mff, solve_mff_grid
-from .mpf import solve_mpf, solve_tree
+from .mpf import solve_mpf
 from .msf import decide_msf, export_milp, solve_msf_bnb, solve_msf_exhaustive
 from .network import require_valid, subnetwork, validate_network, validate_solution
 from .rational import format_value, rat, rat_str
@@ -77,7 +78,7 @@ def _cmd_solve(args) -> int:
         if args.decide is not None:
             print("YES" if solve_mpf(n).value >= rat(args.decide) else "NO")
             return 0
-        out = solve_tree(n) if args.tree else solve_mpf(n)
+        out = solve_mpf(n)
         if args.json:
             _emit({"problem": "mpf", "value": rat_str(out.value), "solution": serialize.solution_to_json(out.solution)}, None)
         else:
@@ -225,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--decide", metavar="X", help="print YES/NO (mpf, msf) or YES/UNKNOWN (mff) for value >= X")
     solve.add_argument("--method", choices=["exhaustive", "bnb"], default="bnb", help="msf search strategy")
     solve.add_argument("--grid", type=_positive_int, default=1, metavar="K", help="mff: search a K-step grid per FACTS edge (default 1: the endpoints)")
-    solve.add_argument("--tree", action="store_true", help="mpf: use the tree fast path")
     solve.add_argument("--json", action="store_true")
     solve.set_defaults(func=_cmd_solve)
 

@@ -33,10 +33,6 @@ class NotFixedSusceptance(LdcError):
     """An operation requiring fixed susceptances got a network with FACTS edges."""
 
 
-class NotATree(LdcError):
-    """The tree fast path was invoked on a network that is not a tree."""
-
-
 class TooLarge(LdcError):
     """Exhaustive switching search refused: too many edges."""
 

@@ -8,17 +8,19 @@ of its sub-networks, which is what makes it useful as a pruning bound for
 the switching search.
 
 The capacities are scaled once by the LCM L of their denominators, so
-Edmonds-Karp runs on Python ints; the value and the per-edge flows come
-back as `Fraction(x, L)`, the same exact rationals.
+Edmonds-Karp runs on Python ints; the value comes back as
+`Fraction(x, L)`, the same exact rational.  `mpf` replays the integer
+per-edge flows of a tree component as its solution.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 from fractions import Fraction
 
-from .network import Edge, Network
+from .network import Edge, Network, NodeId
 
 
 def _edmonds_karp(num_nodes: int, arcs: dict[tuple[int, int], int], source: int, sink: int) -> dict[tuple[int, int], int]:
@@ -61,41 +63,38 @@ def _edmonds_karp(num_nodes: int, arcs: dict[tuple[int, int], int], source: int,
     return {arc: arcs[arc] - residual[arc] for arc in arcs}
 
 
-def _integer_flow(n: Network) -> tuple[int, int, dict[str, int], dict[tuple[int, int], int]]:
-    """(value, scale, node index, flow per arc), all over the scale L of the capacities."""
-    index = {name: i for i, name in enumerate(n.node_names)}
-    if not (n.generators and n.loads and n.edges):
-        return 0, 1, index, {}
+def _integer_flow(names: Sequence[NodeId], edges: Sequence[Edge], generators: Sequence[NodeId], loads: Sequence[NodeId]) -> tuple[int, int, list[int]]:
+    """(value, scale, signed flow per edge from a to b), all over the scale L of the capacities.
+
+    `names` are every node an edge touches; their order numbers the nodes,
+    and so fixes which max flow Edmonds-Karp returns when there are several.
+    """
+    if not (generators and loads and edges):
+        return 0, 1, [0] * len(edges)
+    index = {name: i for i, name in enumerate(names)}
     source = len(index)
     sink = len(index) + 1
-    scale = math.lcm(*(e.cap.denominator for e in n.edges))
-    caps = [e.cap.numerator * (scale // e.cap.denominator) for e in n.edges]
+    scale = math.lcm(*(e.cap.denominator for e in edges))
+    caps = [e.cap.numerator * (scale // e.cap.denominator) for e in edges]
     big = sum(caps) + scale  # more than every edge together can carry
 
     arcs: dict[tuple[int, int], int] = {}
-    for e, cap in zip(n.edges, caps):
+    for e, cap in zip(edges, caps):
         u, v = index[e.a], index[e.b]
         arcs[(u, v)] = arcs.get((u, v), 0) + cap
         arcs[(v, u)] = arcs.get((v, u), 0) + cap
-    for g in n.generators:
+    for g in generators:
         arcs[(source, index[g])] = big
-    for l in n.loads:
+    for l in loads:
         arcs[(index[l], sink)] = big
 
     flow = _edmonds_karp(len(index) + 2, arcs, source, sink)
-    value = sum(flow[(source, index[g])] for g in n.generators)
-    return value, scale, index, flow
-
-
-def _classical_flow_detail(n: Network) -> tuple[Fraction, dict[Edge, Fraction]]:
-    """(max-flow value, signed net flow per edge relative to canonical orientation)."""
-    value, scale, index, flow = _integer_flow(n)
+    value = sum(flow[(source, index[g])] for g in generators)
     # cap - residual on the forward arc is already the signed net flow
-    per_edge = {e: Fraction(flow.get((index[e.a], index[e.b]), 0), scale) for e in n.edges}
-    return Fraction(value, scale), per_edge
+    return value, scale, [flow[(index[e.a], index[e.b])] for e in edges]
 
 
 def classical_max_flow(n: Network) -> Fraction:
     """Standard max flow from all generators to all loads, capacities only."""
-    value, scale, _, _ = _integer_flow(n)
+    value, scale, _ = _integer_flow(n.node_names, n.edges, n.generators, n.loads)
     return Fraction(value, scale)

@@ -18,20 +18,21 @@ the angles of a unit injection from g to l.  Every feasible point is
 such a multiple, so the optimum t* = min over edges of cap/|s * dphi| is
 unique, and the LP's vertex can only be that same point.
 
-Trees never need the LP for their value: absent cycles the angles carry
-no constraints of their own, so any classical max flow can be replayed
-exactly by reconstructing angles edge by edge (`solve_tree`), and MPF is
-the classical max flow, the least capacity that cuts every generator
-from every load.  `solve_mpf` values any other tree component by that
-cut, found by an integer pass over the tree (`_tree_cut`), and
-formulates the LP over those trees only when the solution is first read.
+Trees never need the LP: absent cycles the angles carry no constraints
+of their own, so MPF is the classical max flow, the least capacity that
+cuts every generator from every load, and any max flow is an optimal
+solution once its angles are reconstructed edge by edge.  `solve_mpf`
+values any other tree component by that cut, found by an integer pass
+over the tree (`_tree_cut`), and builds its solution on first read from
+the integer max flow of `maxflow` (`_tree_flow`).
 
-So the only LP `solve_mpf` runs before it returns is over the flowing
-components with a cycle, and none when there is no such component.  The
-program is block-diagonal across components and the simplex's every
-choice stays within one block, so each vertex returned is the one the
-whole program would give.  The solution is built from the merged
-vertices on first read.
+So the only LP `solve_mpf` runs is over the flowing components with a
+cycle, and none when there is no such component.  The program is
+block-diagonal across components and the simplex's every choice stays
+within one block, so the solution returned is an optimal one: the LP's
+vertex on components with a cycle, the unique optimum on one-pair
+components and the replayed max flow on the other trees.  It is built
+from the merged parts on first read.
 
 One map serves the switching searches: `flow_cores` finds, on bitmasks,
 the edges of a sub-network that can carry flow, and both searches value
@@ -44,10 +45,10 @@ import math
 from functools import partial
 from typing import Callable
 
-from .classify import connected_components, is_tree
-from .errors import MalformedProgram, NotATree, NotFixedSusceptance
-from .lp import EQ, GE, LE, DeferredRecord, LinearProgram, LpResult, LpStatus, solve_lp
-from .maxflow import _classical_flow_detail
+from .classify import connected_components
+from .errors import MalformedProgram, NotFixedSusceptance
+from .lp import EQ, GE, LE, DeferredRecord, LinearProgram, LpStatus, solve_lp
+from .maxflow import _integer_flow
 from .network import Edge, Network, NodeId, NodeRole, Solution, require_valid, zero_solution
 from .rational import ONE, Rational, ZERO
 
@@ -286,21 +287,39 @@ def _tree_cut(edges: list[Edge], roles: dict[NodeId, NodeRole]) -> Rational:
     return Rational(min(gen_side[root], load_side[root]), scale)
 
 
-def _solve_components(n: Network, parts: list[tuple[set[NodeId], list[Edge]]], whole: bool) -> LpResult:
-    """The MPF program over some components of n, solved.
+def _tree_flow(comp: set[NodeId], edges: list[Edge], gens: list[NodeId], loads: list[NodeId]) -> dict[str, Rational]:
+    """The assignment {th, gen, load} of a tree component's classical max flow.
 
-    `parts` pairs each component with its edges; `whole` says they are
-    all of n's components.
+    `edges` are the component's, |V| - 1 of them, and `gens` and `loads`
+    its generators and loads.  The integer max flow of `maxflow` gives
+    each edge (a, b) its flow f, and the power law then fixes
+    th[b] - th[a] = f / s.  Without a cycle one path leads to each node,
+    so the angles follow edge by edge from the smallest node, pinned at
+    zero as `pinned_nodes` does.  The flow's value is the tree's least
+    cut (`_tree_cut`).
     """
-    comps = [comp for comp, _ in parts]
-    sub = n
-    if not whole:
-        keep = set().union(*comps)
-        sub = Network([(v, r) for v, r in n.nodes if v in keep], [e for _, edges in parts for e in edges])
-    result = solve_lp(formulate_mpf(sub, comps))  # comps are sub's components
-    if result.status is not LpStatus.OPTIMAL:  # pragma: no cover - MPF is always bounded
-        raise AssertionError(f"MPF solve ended {result.status}")
-    return result
+    names = sorted(comp)
+    _, scale, flows = _integer_flow(names, edges, gens, loads)
+    adjacent: dict[NodeId, list[tuple[Edge, int]]] = {v: [] for v in names}
+    net = dict.fromkeys(names, 0)  # net outflow, over scale
+    for e, f in zip(edges, flows):
+        adjacent[e.a].append((e, f))
+        adjacent[e.b].append((e, f))
+        net[e.a] += f
+        net[e.b] -= f
+    angle = {names[0]: ZERO}
+    order = [names[0]]
+    for v in order:  # breadth first, so each node's angle is set from a neighbour's
+        for e, f in adjacent[v]:
+            w = e.b if e.a == v else e.a
+            if w not in angle:
+                step = Rational(f * e.s_min.denominator, scale * e.s_min.numerator)
+                angle[w] = angle[v] + step if w == e.b else angle[v] - step
+                order.append(w)
+    assignment = {_th(v): a for v, a in angle.items()}
+    assignment.update((_gen(g), Rational(net[g], scale)) for g in gens)
+    assignment.update((_load(l), Rational(-net[l], scale)) for l in loads)
+    return assignment
 
 
 def solve_mpf(n: Network) -> MpfOutcome:
@@ -311,12 +330,12 @@ def solve_mpf(n: Network) -> MpfOutcome:
     form (`_one_pair`): conservation makes every feasible point t times
     the angles of a unit injection from g to l, so its optimum is unique
     and is the vertex the LP would return.  Any other tree component is
-    valued by its least generator/load cut (`_tree_cut`) with no LP; the
-    LP over those trees runs only when the solution is first read, so it
-    gives the vertex it always gave.  Only the other components, those
-    with a cycle, go to the LP before the value is returned.  The
-    solution is built on first read.  An invalid network raises
-    `InvalidNetwork`.
+    valued by its least generator/load cut (`_tree_cut`), and its
+    solution is the integer max flow replayed with angles
+    (`_tree_flow`), with no LP.  Only the other components, those with
+    a cycle, go to the LP.  The solution, built on first read, is an
+    optimal one: the LP's vertex on components with a cycle.  An invalid
+    network raises `InvalidNetwork`.
     """
     require_valid(n)
     _require_fixed(n)
@@ -326,7 +345,7 @@ def solve_mpf(n: Network) -> MpfOutcome:
     grouped: list[list[Edge]] = [[] for _ in comps]
     for e in n.edges:
         grouped[where[e.a]].append(e)
-    value, vertices, trees, cyclic = ZERO, [], [], []
+    value, vertices, cyclic, cyclic_edges = ZERO, [], [], []
     for comp, edges in zip(comps, grouped):
         gens = [v for v in comp if roles[v] is NodeRole.GENERATOR]
         loads = [v for v in comp if roles[v] is NodeRole.LOAD]
@@ -338,15 +357,20 @@ def solve_mpf(n: Network) -> MpfOutcome:
             vertices.append(vertex)
         elif len(edges) == len(comp) - 1:
             value += _tree_cut(edges, roles)
-            trees.append((comp, edges))
+            vertices.append(partial(_tree_flow, comp, edges, gens, loads))
         else:
-            cyclic.append((comp, edges))
+            cyclic.append(comp)
+            cyclic_edges += edges
     if cyclic:
-        result = _solve_components(n, cyclic, len(cyclic) == len(comps))
+        sub = n
+        if len(cyclic) < len(comps):
+            keep = set().union(*cyclic)
+            sub = Network([(v, r) for v, r in n.nodes if v in keep], cyclic_edges)
+        result = solve_lp(formulate_mpf(sub, cyclic))  # cyclic are sub's components
+        if result.status is not LpStatus.OPTIMAL:  # pragma: no cover - MPF is always bounded
+            raise AssertionError(f"MPF solve ended {result.status}")
         value += result.value
         vertices.append(lambda: result.assignment)
-    if trees:
-        vertices.append(lambda: _solve_components(n, trees, len(trees) == len(comps)).assignment)
     if not vertices:
         return MpfOutcome.deferred(ZERO, build=partial(zero_solution, n))
 
@@ -412,47 +436,3 @@ def flow_cores(n: Network) -> Callable[[int], int]:
         return flowing
 
     return core
-
-
-def solve_tree(n: Network) -> MpfOutcome:
-    """MPF of a tree without the LP: replay a classical max flow with angles."""
-    require_valid(n)
-    if not is_tree(n):
-        raise NotATree("network is not a tree")
-    _require_fixed(n)
-    value, flows = _classical_flow_detail(n)
-
-    adj: dict[NodeId, list] = {v: [] for v in n.node_names}
-    for e in n.edges:
-        adj[e.a].append(e)
-        adj[e.b].append(e)
-    angle: dict[NodeId, Rational] = {}
-    for comp in connected_components(n):
-        root = min(comp)
-        angle[root] = ZERO
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for e in adj[u]:
-                other = e.b if e.a == u else e.a
-                if other in angle:
-                    continue
-                # power law: flow = s * (angle(b) - angle(a))
-                if e.a == u:
-                    angle[other] = angle[u] + flows[e] / e.s_min
-                else:
-                    angle[other] = angle[u] - flows[e] / e.s_min
-                stack.append(other)
-
-    net_out: dict[NodeId, Rational] = {v: ZERO for v in n.node_names}
-    for e in n.edges:
-        net_out[e.a] += flows[e]
-        net_out[e.b] -= flows[e]
-    sol = Solution(
-        susceptance={e: e.s_min for e in n.edges},
-        angle=angle,
-        flow=dict(flows),
-        gen={v: net_out[v] if n.role(v) is NodeRole.GENERATOR else ZERO for v in n.node_names},
-        load={v: -net_out[v] if n.role(v) is NodeRole.LOAD else ZERO for v in n.node_names},
-    )
-    return MpfOutcome(value, sol)

@@ -12,13 +12,15 @@ from fractions import Fraction as F
 from itertools import combinations
 
 from conftest import random_boxed_lp, random_ldc_network, random_tree
+from ldcflow import serialize
+from ldcflow.cli import main
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.lp import solve_lp
 from ldcflow.maxflow import classical_max_flow
 from ldcflow.mff import enumerate_endpoint_optima, solve_mff_endpoints, solve_mff_grid
-from ldcflow.mpf import solve_mpf, solve_tree
+from ldcflow.mpf import solve_mpf
 from ldcflow.msf import optimal_switch_sets, solve_msf_bnb, solve_msf_exhaustive
-from ldcflow.network import Network, NodeRole, Solution, fixed_edge, subnetwork, validate_solution
+from ldcflow.network import Network, NodeRole, Solution, fixed_edge, subnetwork, total_generation, validate_solution
 from ldcflow.reductions import (
     ExactCover3Instance,
     HamiltonianInstance,
@@ -212,19 +214,30 @@ def test_criterion_07_variant_encodings():
     report(7, "variant encodings (9 per cover gadget, 6.1 per cactus unit) match their oracles")
 
 
-def test_criterion_08_trees_are_easy():
+def test_criterion_08_trees_are_easy(monkeypatch, tmp_path, capsys):
+    def no_lp(p):
+        raise AssertionError("a tree reached the LP")
+
+    monkeypatch.setattr("ldcflow.mpf.solve_lp", no_lp)
     rng = random.Random(1308)
     for _ in range(50):
         n = random_tree(rng, max_nodes=15)
         classical = classical_max_flow(n)
-        fast = solve_tree(n)
-        assert fast.value == classical
-        assert solve_mpf(n).value == classical
-        assert validate_solution(n, fast.solution).ok
+        out = solve_mpf(n)
+        assert out.value == classical
+        assert validate_solution(n, out.solution).ok
+        assert total_generation(out.solution) == classical
         switching = solve_msf_bnb(n)
         assert switching.value == classical
         assert switching.switched == frozenset()
-    report(8, "on 50 random trees the fast path, the LP, and the classical flow agree; switching never helps")
+    # the CLI solves and verifies a star with two loads the same way
+    star = Network([("g", GEN), ("l1", LOAD), ("l2", LOAD)], [fixed_edge("g", "l1", 1, 1), fixed_edge("g", "l2", 1, 2)])
+    tree, sol = str(tmp_path / "tree.json"), str(tmp_path / "sol.json")
+    serialize.dump(serialize.network_to_json(star), tree)
+    assert main(["solve", "mpf", tree, "--out", sol]) == 0
+    assert main(["verify", tree, sol]) == 0
+    assert capsys.readouterr().out.splitlines() == ["3", "OK"]
+    report(8, "on 50 random trees and a star MPF is the classical flow with no LP, the solution validates, switching never helps")
 
 
 def test_criterion_09_solver_cross_validation():

@@ -349,7 +349,7 @@ def _outcome_lines() -> list[str]:
 # sha256 over the canonical JSON of both MSF searches and the k = 2 MFF
 # grid search on every pinned network, one line each.  Unlike the LP pin
 # above it sees everything `solve_mpf` does around `solve_lp`.
-PINNED_OUTCOME_DIGEST = "eb51e571a38acb3ecec15c3cd994de19bdfc1e4810393ae3cc1f15ce6d06eb58"
+PINNED_OUTCOME_DIGEST = "5b0b32b54dbb35db88c10902c244d6ad6c87eba66e0dc05bbf856782a1e65b49"
 
 
 def test_pinned_outcomes_are_unchanged():

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 from conftest import random_ldc_network
 from ldcflow.gadgets import Polarity, gsch
-from ldcflow.maxflow import _classical_flow_detail, classical_max_flow
+from ldcflow.maxflow import _integer_flow, classical_max_flow
 from ldcflow.network import Network, NodeRole, fixed_edge, subnetwork
 from oracles import min_cut_value
 
@@ -61,10 +61,12 @@ def with_rational_capacities(rng, n):
 def test_matches_brute_force_min_cut_with_rational_capacities(rng):
     for _ in range(60):
         n = with_rational_capacities(rng, random_ldc_network(rng))
-        value, flows = _classical_flow_detail(n)
+        value, scale, flows = _integer_flow(n.node_names, n.edges, n.generators, n.loads)
+        value = F(value, scale)
         assert classical_max_flow(n) == value == min_cut_value(n)
         net_out = {v: F(0) for v in n.node_names}
-        for e, f in flows.items():
+        for e, x in zip(n.edges, flows):
+            f = F(x, scale)
             assert abs(f) <= e.cap
             net_out[e.a] += f
             net_out[e.b] -= f

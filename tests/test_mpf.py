@@ -2,17 +2,19 @@ import pickle
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import SUSCEPTANCES, networks_with_idle_edges, random_ldc_network, random_tree, series_parallel_networks
 from ldcflow import mpf
-from ldcflow.errors import NotATree, NotFixedSusceptance
+from ldcflow.classify import connected_components
+from ldcflow.errors import NotFixedSusceptance
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.lp import LpResult, LpStatus, solve_lp
-from ldcflow.maxflow import classical_max_flow
-from ldcflow.mpf import MpfOutcome, _gen, _load, _th, flow_cores, formulate_mpf, solve_mpf, solve_tree
+from ldcflow.maxflow import _integer_flow, classical_max_flow
+from ldcflow.mpf import MpfOutcome, _gen, _load, _th, flow_cores, formulate_mpf, solve_mpf
 from ldcflow.msf import solve_msf_bnb, solve_msf_exhaustive
 from ldcflow.network import Network, NodeRole, Solution, fixed_edge, network_sum, subnetwork, total_generation, validate_solution
 
@@ -86,14 +88,15 @@ class TestSolveMpf:
 
 
 class TestSolveTree:
+    """`solve_mpf` solves a tree with no LP, for its value and its solution."""
+
     def test_path_bottleneck(self):
         n = Network(
             [("g", GEN), ("a", PLAIN), ("l", LOAD)],
             [fixed_edge("g", "a", 1, 3), fixed_edge("a", "l", 1, 5)],
         )
-        out = solve_tree(n)
+        out = assert_exact(n)
         assert out.value == 3
-        assert validate_solution(n, out.solution).ok
         # angles replay the flow: equal steps of flow/susceptance
         assert out.solution.angle["l"] - out.solution.angle["a"] == 3
         assert out.solution.angle["a"] - out.solution.angle["g"] == 3
@@ -103,18 +106,14 @@ class TestSolveTree:
             [("g", GEN), ("l1", LOAD), ("l2", LOAD)],
             [fixed_edge("g", "l1", 1, 1), fixed_edge("g", "l2", 1, 2)],
         )
-        assert solve_tree(n).value == 3
+        out = assert_exact(n)
+        assert out.value == 3
+        assert out.solution.flow == {n.edges[0]: 1, n.edges[1]: 2}
+        assert out.solution.angle == {"g": 0, "l1": 1, "l2": 2}
 
     def test_matches_generic_solver_on_random_trees(self, rng):
         for _ in range(10):
-            n = random_tree(rng, max_nodes=10)
-            fast = solve_tree(n)
-            assert fast.value == solve_mpf(n).value
-            assert validate_solution(n, fast.solution).ok
-
-    def test_non_tree_rejected(self):
-        with pytest.raises(NotATree):
-            solve_tree(triangle())
+            assert_exact(random_tree(rng, max_nodes=10))
 
 
 class TestInvariants:
@@ -216,6 +215,45 @@ def _reference(n: Network) -> tuple[F, Solution]:
     )
 
 
+def assert_exact(n: Network) -> MpfOutcome:
+    """Solve n, read its solution, and check both against one LP over the whole network.
+
+    The value is `_reference`'s and the solution valid.  A flowing tree
+    component with several generators or loads carries the integer max
+    flow of `maxflow`, its smallest node pinned at zero, and reaches no
+    LP for its value or its solution.  Every other component carries the
+    reference's vertex, and the flowing ones with a cycle and several
+    generators or loads share the one LP that runs.
+    """
+    programs = []
+    with mock.patch("ldcflow.mpf.solve_lp", lambda p: programs.append(p) or solve_lp(p)):
+        out = solve_mpf(n)
+        solution = out.solution
+    value, reference = _reference(n)
+    assert out.value == value == total_generation(solution)
+    assert validate_solution(n, solution).ok
+    roles, replayed, cyclic = n.roles, set(), False
+    for comp in connected_components(n):
+        names = sorted(comp)
+        edges = [e for e in n.edges if e.a in comp]
+        gens = [v for v in names if roles[v] is GEN]
+        loads = [v for v in names if roles[v] is LOAD]
+        several = gens and loads and len(gens) + len(loads) > 2
+        if several and len(edges) == len(comp) - 1:
+            _, scale, flows = _integer_flow(names, edges, gens, loads)
+            assert [solution.flow[e] for e in edges] == [F(f, scale) for f in flows]
+            assert solution.angle[names[0]] == 0
+            replayed |= {_th(v) for v in comp}
+            continue
+        cyclic |= bool(several)
+        for v in names:
+            assert (solution.angle[v], solution.gen[v], solution.load[v]) == (reference.angle[v], reference.gen[v], reference.load[v])
+        assert [solution.flow[e] for e in edges] == [reference.flow[e] for e in edges]
+    assert len(programs) == cyclic
+    assert not replayed & {v for p in programs for v in p.variables}
+    return out
+
+
 def test_flowless_components_skip_the_lp_without_changing_the_outcome():
     rng = random.Random(1511)
     lonely = Network([("x0", GEN), ("x1", GEN)], [fixed_edge("x0", "x1", 1, 2)])
@@ -225,11 +263,7 @@ def test_flowless_components_skip_the_lp_without_changing_the_outcome():
         variants = [n, Network(n.nodes + (("z", PLAIN),), n.edges), network_sum(n, lonely)]
         variants += [subnetwork(n, [e]) for e in n.edges]
         for m in variants:
-            out = solve_mpf(m)
-            value, solution = _reference(m)
-            assert out.value == value
-            assert out.solution == solution
-            flowless += value == 0
+            flowless += assert_exact(m).value == 0
     assert flowless > 0
 
 
@@ -367,33 +401,32 @@ def forests(draw) -> tuple[Network, Network]:
 
 
 class TestTreeComponents:
-    """A tree component with several generators or loads is valued by its least cut, with no LP."""
+    """A tree component with several generators or loads is valued by its least cut and solved by its max flow, with no LP."""
 
     @given(forests())
     @example((STAR, STAR))
     @example((STAR, network_sum(network_sum(network_sum(STAR, SEVERAL), triangle()), LONELY)))
-    def test_the_cut_is_the_max_flow_and_the_solution_the_lps(self, networks):
+    def test_the_cut_is_the_max_flow_and_the_solution_its_replay(self, networks):
         forest, n = networks
         assert solve_mpf(forest).value == classical_max_flow(forest)
-        out = solve_mpf(n)
-        value, solution = _reference(n)
-        assert out.value == value
-        assert out.solution == solution
-        assert validate_solution(n, out.solution).ok
+        assert_exact(n)
 
     @pytest.mark.parametrize("extra", [None, SEVERAL, triangle()], ids=["tree", "cyclic", "pair"])
-    def test_the_lp_runs_only_on_the_first_solution_read(self, monkeypatch, extra):
+    def test_a_tree_reaches_no_lp(self, monkeypatch, extra):
         n, value = (STAR, F(7, 2)) if extra is None else (network_sum(STAR, extra), F(7, 2) + solve_mpf(extra).value)
         calls = []
         monkeypatch.setattr("ldcflow.mpf.solve_lp", lambda p: calls.append(p) or solve_lp(p))
-        # the cyclic component's value needs its LP; the tree's and the pair's need none
-        before = 1 if extra is SEVERAL else 0
+        # only the cyclic component needs an LP, for its value
+        before = [formulate_mpf(SEVERAL)] if extra is SEVERAL else []
         out = solve_mpf(n)
-        assert out.value == value and len(calls) == before
+        assert out.value == value and calls == before
         solution = out.solution
-        assert calls[before:] == [formulate_mpf(STAR)]
-        assert out.solution is solution and len(calls) == before + 1
-        assert solution == _reference(n)[1]
+        assert out.solution is solution and calls == before
+        # Edmonds-Karp sends h's 3 to j, then i's last 1/2; h, the smallest node, is pinned
+        h, i, j = STAR.edges
+        assert {e: solution.flow[e] for e in STAR.edges} == {h: 3, i: F(1, 2), j: F(-7, 2)}
+        assert {v: solution.angle[v] for v in "hijk"} == {"h": 0, "i": F(11, 4), "j": F(13, 2), "k": 3}
+        assert {v: (solution.gen[v], solution.load[v]) for v in "hij"} == {"h": (3, 0), "i": (F(1, 2), 0), "j": (0, F(7, 2))}
 
 
 def edge_bits(n: Network, *pairs: tuple[str, str]) -> int:
