@@ -26,7 +26,11 @@ class InvalidNetwork(LdcError):
 
 
 class MalformedProgram(LdcError):
-    """A linear program references undeclared variables or has inverted bounds."""
+    """A linear program references undeclared variables or has inverted bounds.
+
+    `formulate_mpf` raises it too, for a flowing component whose reduced
+    Laplacian is singular (susceptances that are not all positive).
+    """
 
 
 class NotFixedSusceptance(LdcError):

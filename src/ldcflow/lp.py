@@ -15,8 +15,11 @@ rhs/den, with den > 0 and the whole list divided by its gcd.
 
 A `LinearProgram` holds its constraints as such rows over its declared
 variables: `add_constraint` writes one, and `mpf.formulate_mpf` writes
-every MPF program's rows itself.  The presolve starts from a copy of
-them.  Variables fixed by their bounds fold into each row's rhs in one
+every MPF program's rows itself, over generations and loads only, as <=
+rows with nonnegative right-hand sides; such a program starts from the
+slack basis, with nothing to fold or eliminate and no phase 1.  The
+presolve below is for general programs.  It starts from a copy of the
+rows.  Variables fixed by their bounds fold into each row's rhs in one
 pass, over the LCM of the fixed values' denominators.  Bounds are
 compared through numerators and denominators, not as `Fraction`s.  Free
 variables are then eliminated through equality rows (a fraction-free

@@ -1,22 +1,35 @@
 """Maximum potential flow of a fixed-susceptance network.
 
-The problem is a pure LP: choose phase angles, generations and loads
-maximizing total generation subject to conservation at every node, the
-power law on every edge (substituted into the conservation rows), and the
-edge capacities.  One node per connected component is pinned to angle
-zero, which removes the translation degeneracy without losing solutions.
-`formulate_mpf` writes every row straight from the edges' numerators and
-denominators as the integer row the program holds and the simplex
-reads, with no `Fraction` arithmetic.
+MPF maximizes total generation over phase angles, generations and loads,
+subject to conservation at every node, the power law on every edge and
+the edge capacities.  Fixing the smallest node of each connected
+component at angle zero removes the translation degeneracy without
+losing solutions, and then a component's angles are fixed by its
+injections alone: the pinned Laplacian is positive definite, since
+susceptances are positive.  So an edge's flow is a fixed linear function
+of the component's generations and loads, its shift factors.
+
+`_potentials` finds them: one fraction-free elimination of the reduced
+Laplacian, with one right-hand side per injection pattern, that touches
+only the rows with a non-zero in the pivot column.  `formulate_mpf`
+takes one right-hand side per generator and load and writes a program
+over the gen/load variables alone, all nonnegative: per edge
++-flow <= cap as integer rows over the elimination's determinant (an
+edge whose shift factors are all zero is left out, since it can never
+bind), and per component the balance sum(gen) - sum(load) = 0 as two
+<= 0 rows.  Every right-hand side is nonnegative, so the simplex starts
+from its slack basis, with no phase 1 and no free variable to
+eliminate.  On first read of the solution, `solve_mpf` rebuilds the
+angles from the optimal injections.
 
 A component without both a generator and a load is solved in closed
-form: its only feasible point is zero (susceptances are positive and a
-pinned angle fixes the rest).  So is a component with exactly one
-generator g and one load l.  Conservation makes the injection t at g and
--t at l, and the pinned Laplacian then fixes the angles as t times phi,
-the angles of a unit injection from g to l.  Every feasible point is
-such a multiple, so the optimum t* = min over edges of cap/|s * dphi| is
-unique, and the LP's vertex can only be that same point.
+form: its only feasible point is zero.  So is a component with exactly
+one generator g and one load l.  Conservation makes the injection t at g
+and -t at l, and the angles are then t times phi, those of a unit
+injection from g to l (`_potentials` with that one right-hand side).
+Every feasible point is such a multiple, so the optimum
+t* = min over edges of cap/|s * dphi| is unique, and any LP's vertex can
+only be that same point.
 
 Trees never need the LP: absent cycles the angles carry no constraints
 of their own, so MPF is the classical max flow, the least capacity that
@@ -26,13 +39,14 @@ values any other tree component by that cut, found by an integer pass
 over the tree (`_tree_cut`), and builds its solution on first read from
 the integer max flow of `maxflow` (`_tree_flow`).
 
-So the only LP `solve_mpf` runs is over the flowing components with a
-cycle, and none when there is no such component.  The program is
-block-diagonal across components and the simplex's every choice stays
-within one block, so the solution returned is an optimal one: the LP's
-vertex on components with a cycle, the unique optimum on one-pair
-components and the replayed max flow on the other trees.  It is built
-from the merged parts on first read.
+So the only LP `solve_mpf` runs is the terminal-space program of the
+flowing components with a cycle, and none when there is no such
+component.  The program is block-diagonal across components and the
+simplex's every choice stays within one block, so the solution returned
+is an optimal one: the LP's vertex on components with a cycle, its
+angles rebuilt from the optimal injections by one more elimination, the
+unique optimum on one-pair components and the replayed max flow on the
+other trees.  It is built from the merged parts on first read.
 
 One map serves the switching searches: `flow_cores` finds, on bitmasks,
 the edges of a sub-network that can carry flow, and both searches value
@@ -43,11 +57,12 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from operator import mul
 from typing import Callable
 
 from .classify import connected_components
 from .errors import MalformedProgram, NotFixedSusceptance
-from .lp import EQ, GE, LE, DeferredRecord, LinearProgram, LpStatus, solve_lp
+from .lp import LE, DeferredRecord, LinearProgram, LpResult, LpStatus, _reduced, solve_lp
 from .maxflow import _integer_flow
 from .network import Edge, Network, NodeId, NodeRole, Solution, require_valid, zero_solution
 from .rational import ONE, Rational, ZERO
@@ -92,79 +107,150 @@ def pinned_nodes(n: Network, components: list[set[NodeId]] | None = None) -> set
     return {min(comp) for comp in (connected_components(n) if components is None else components)}
 
 
-def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None) -> LinearProgram:
-    """The MPF linear program: free angles, nonnegative gen/load variables.
+def _component_edges(n: Network, components: list[set[NodeId]]) -> list[list[Edge]]:
+    """n's edges grouped by component, each group in n's edge order."""
+    where = {v: i for i, comp in enumerate(components) for v in comp}
+    grouped: list[list[Edge]] = [[] for _ in components]
+    for e in n.edges:
+        grouped[where[e.a]].append(e)
+    return grouped
 
-    Each row is written as the integer row the program holds (see
-    `LinearProgram`): a node's conservation row over the LCM of
-    the denominators of its edges' susceptances, divided by its gcd, and
-    an edge's two capacity rows over the LCM of its susceptance's and its
-    capacity's denominators.
+
+def _potentials(names: list[NodeId], edges: list[Edge], injections: list[dict[NodeId, int]]) -> tuple[int, list[dict[NodeId, int]]]:
+    """The angles of a connected component under each injection pattern, over one denominator.
+
+    `names` are the component's nodes, sorted, and `edges` its edges; an
+    injection maps nodes to integer net injections (a generation positive,
+    a load negative).  Returns (det, y): the angle of v under pattern c is
+    y[c][v] / det, with det > 0 and names[0] pinned at zero, as
+    `pinned_nodes` does.
+
+    Conservation makes the net outflow at v its injection p_v, and the
+    outflow is -(L th)_v, L the Laplacian, so L_r th = -p over the other
+    nodes, L_r the reduced Laplacian.  Scaled by the LCM D of the
+    susceptances' denominators, A = D * L_r is an integer matrix, and
+    fraction-free elimination (Bareiss 1968) of [A | -D * p] gives
+    y = |det(A)| * th in integers, each division exact.  The elimination
+    is sparse: a pivot step touches only the rows with a non-zero in the
+    pivot column.  A row it skips would only be scaled by pivot / previous
+    pivot, and such factors telescope, so a row keeps the step it was last
+    brought up to date at and catches up by one exact division when it is
+    next touched.  Positive susceptances make A positive definite, so no
+    pivot is zero; otherwise rows are swapped, and a singular A raises
+    `MalformedProgram`.
+    """
+    index = {v: i for i, v in enumerate(names)}
+    m = len(names) - 1
+    scale = math.lcm(*(e.s_min.denominator for e in edges))
+    # [A | -D * p] over all nodes; names[0]'s row and column are dropped below
+    lap = [[0] * (m + 1 + len(injections)) for _ in names]
+    for e in edges:
+        k = e.s_min.numerator * (scale // e.s_min.denominator)
+        a, b = index[e.a], index[e.b]
+        lap[a][a] += k  # a self-loop's four terms cancel
+        lap[b][b] += k
+        lap[a][b] -= k
+        lap[b][a] -= k
+    for c, injection in enumerate(injections, m + 1):
+        for v, p in injection.items():
+            lap[index[v]][c] = -scale * p
+    rows = [row[1:] for row in lap[1:]]
+    width = m + len(injections)
+    pivots = [1]  # pivots[s + 1] is step s's pivot
+    seen = [0] * m  # per row, the index into pivots of the step it was last brought up to date at
+    for i in range(m):
+        if not rows[i][i]:
+            r = next((r for r in range(i + 1, m) if rows[r][i]), None)
+            if r is None:
+                raise MalformedProgram(f"the reduced Laplacian of the component of {names[0]} is singular")
+            rows[i], rows[r] = rows[r], rows[i]
+            seen[i], seen[r] = seen[r], seen[i]
+        prow = rows[i]
+        if seen[i] != i:
+            up, down = pivots[i], pivots[seen[i]]
+            prow = rows[i] = [x * up // down for x in prow]
+        p = prow[i]
+        for k in range(i + 1, m):
+            row = rows[k]
+            f = row[i]
+            if f:
+                down = pivots[seen[k]]
+                for j in range(i + 1, width):
+                    row[j] = (p * row[j] - f * prow[j]) // down
+                row[i] = 0
+                seen[k] = i + 1
+        pivots.append(p)
+    det = abs(pivots[-1])
+    # back substitution, one injection pattern at a time: det * th is integral
+    columns = []
+    for c in range(m, width):
+        y = [0] * m
+        for i in range(m - 1, -1, -1):
+            row = rows[i]
+            y[i] = (det * row[c] - sum(map(mul, row[i + 1 : m], y[i + 1 :]))) // row[i]
+        columns.append(y)
+    return det, [dict(zip(names, [0, *y])) for y in columns]
+
+
+def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None) -> LinearProgram:
+    """The MPF linear program in terminal space: nonnegative gen/load variables only.
+
+    For each component holding a generator and a load, one
+    `_potentials` elimination with one right-hand side per generator and
+    load gives every edge's flow as a linear function of them.  Per such
+    edge, in edge order, the program holds flow <= cap and -flow <= cap,
+    written over the elimination's determinant as the integer rows the
+    program holds (see `LinearProgram`), reduced by their gcd; an edge
+    whose flow is zero under every injection is left out.  Then come the
+    component's balance rows sum(gen) - sum(load) <= 0 and its negation,
+    also written for a component with terminals on one side only, which
+    they pin at zero.  Every row is <= with a nonnegative right-hand side
+    when the capacities are nonnegative.  The objective is the total
+    generation.
+
     `components`, when given, must be exactly n's connected components
-    (they are not checked); the angle of each one's smallest node is
-    pinned to zero (`pinned_nodes`).
+    (they are not checked).  A flowing component whose reduced Laplacian
+    is singular, which positive susceptances rule out, raises
+    `MalformedProgram`.
     """
     _require_fixed(n)
-    pins = pinned_nodes(n, components)
-    names = n.node_names
+    comps = connected_components(n) if components is None else components
     gens, loads = n.generators, n.loads
-    angles = [_th(v) for v in names]
-    variables = angles + [_gen(g) for g in gens] + [_load(l) for l in loads]
-    lower: dict[str, Rational | None] = {th: ZERO if v in pins else None for v, th in zip(names, angles)}
-    lower.update((name, ZERO) for name in variables[len(names) :])
-    if len(lower) != len(variables):
+    variables = [_gen(g) for g in gens] + [_load(l) for l in loads]
+    if len(set(variables)) != len(variables):
         twice = next(name for name in variables if variables.count(name) > 1)
         raise MalformedProgram(f"variable {twice} declared twice")
-    upper: dict[str, Rational | None] = dict.fromkeys(variables)
-    for v in pins:
-        upper[_th(v)] = ZERO
-
-    col = {v: j for j, v in enumerate(names)}
-    # a generator's own column holds -1, a load's +1
-    unit = {g: (len(names) + i, -1) for i, g in enumerate(gens)}
-    unit.update((l, (len(names) + len(gens) + i, 1)) for i, l in enumerate(loads))
-    edges = [(col[e.a], col[e.b], e.s_min.numerator, e.s_min.denominator, e.cap) for e in n.edges]
+    # each terminal's column, and its injection per unit of its variable
+    unit = {g: (j, 1) for j, g in enumerate(gens)}
+    unit.update((l, (len(gens) + j, -1)) for j, l in enumerate(loads))
     width = len(variables) + 2
-    # net outflow at a picks up s*(th_b - th_a) and at b the mirror image (a
-    # self-loop's four terms cancel), each row over the LCM of its susceptances'
-    # denominators; the gcd below takes out any factor that was not needed
-    dens = [1] * len(names)
-    for a, b, _, d, _ in edges:
-        if d != 1:
-            dens[a] = math.lcm(dens[a], d)
-            dens[b] = math.lcm(dens[b], d)
-    rows = [[0] * width for _ in names]
-    for a, b, num, d, _ in edges:
-        ka, kb = num * (dens[a] // d), num * (dens[b] // d)
-        ra, rb = rows[a], rows[b]
-        ra[b] += ka
-        ra[a] -= ka
-        rb[a] += kb
-        rb[b] -= kb
-    roles = n.roles
-    for v, row, den in zip(names, rows, dens):
-        if roles[v] is not NodeRole.PLAIN:
-            j, sign = unit[v]
-            row[j] = sign * den
-        row[-1] = den
-    rows = [row if (g := math.gcd(*row)) == 1 else [x // g for x in row] for row in rows]
-    rels = [EQ] * len(rows)
-
-    # -cap <= s*(th_b - th_a) <= cap over the LCM of the two denominators, which
-    # leaves the row reduced (see `lp._int_row`); a self-loop keeps only -s at th_a
-    for a, b, num, d, cap in edges:
-        den = math.lcm(d, cap.denominator)
-        k = num * (den // d)
-        rhs = cap.numerator * (den // cap.denominator)
-        row = [0] * width
-        row[b] = k
-        row[a] = -k
-        row[-2:] = rhs, den
-        rows.append(row)
-        rows.append(row[:-2] + [-rhs, den])
-        rels += (LE, GE)
-
-    return LinearProgram(variables, lower, upper, rows, rels, {_gen(g): ONE for g in gens})
+    rows: list[list[int]] = []
+    for comp, edges in zip(comps, _component_edges(n, comps)):
+        names = sorted(comp)
+        terminals = [unit[v] for v in names if v in unit]
+        if not terminals:
+            continue
+        if {sign for _, sign in terminals} == {1, -1}:
+            det, y = _potentials(names, edges, [{v: unit[v][1]} for v in names if v in unit])
+            for e in edges:
+                k = e.s_min.numerator * e.cap.denominator
+                row = [0] * width
+                for (j, _), y_c in zip(terminals, y):
+                    row[j] = k * (y_c[e.b] - y_c[e.a])
+                if not any(row):
+                    continue
+                row[-2] = e.cap.numerator * e.s_min.denominator * det
+                row[-1] = e.s_min.denominator * e.cap.denominator * det
+                row = _reduced(row)
+                rows += (row, [-x for x in row[:-2]] + row[-2:])
+        balance = [0] * width
+        for j, sign in terminals:
+            balance[j] = sign
+        balance[-1] = 1
+        rows += (balance, [-x for x in balance[:-1]] + [1])
+    return LinearProgram(
+        variables, dict.fromkeys(variables, ZERO), dict.fromkeys(variables), rows, [LE] * len(rows), {_gen(g): ONE for g in gens}
+    )
 
 
 def _solution_from_assignment(n: Network, assignment: dict[str, Rational]) -> Solution:
@@ -179,69 +265,51 @@ def _solution_from_assignment(n: Network, assignment: dict[str, Rational]) -> So
     )
 
 
+def _terminal_vertex(parts: list[tuple[set[NodeId], list[Edge]]], roles: dict[NodeId, NodeRole], result: LpResult) -> dict[str, Rational]:
+    """The assignment {th, gen, load} of the terminal program's vertex.
+
+    `parts` are the components the program was formulated over, with
+    their edges.  The angles follow from the optimal injections by one
+    `_potentials` elimination per component, over the LCM of the
+    injections' denominators.
+    """
+    assignment = dict(result.assignment)
+    for comp, edges in parts:
+        names = sorted(comp)
+        p = {v: assignment[_gen(v)] for v in names if roles[v] is NodeRole.GENERATOR}
+        p.update((v, -assignment[_load(v)]) for v in names if roles[v] is NodeRole.LOAD)
+        scale = math.lcm(*(x.denominator for x in p.values()))
+        det, (y,) = _potentials(names, edges, [{v: x.numerator * (scale // x.denominator) for v, x in p.items()}])
+        assignment.update((_th(v), Rational(y_v, det * scale)) for v, y_v in y.items())
+    return assignment
+
+
 def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tuple[Rational, Callable[[], dict[str, Rational]]]:
     """MPF of a component whose only generator is g and only load is l.
 
-    `edges` are the component's.  The angles phi of a unit injection from
-    g to l (smallest node pinned at zero, as `pinned_nodes` does) solve
-    L phi = e_l - e_g, L the reduced Laplacian.  A = D * L is an integer
-    matrix, D the LCM of the susceptances' denominators, and fraction-free
-    elimination (Bareiss 1968) solves A x = e_l - e_g as the integer
-    vector y = det(A) * x.  So phi = D * y / det, an edge's unit flow is
-    s * D * dy / det, and the largest t with every |t * flow| <= cap is
-    det/D times the least cap / |s * dy| over the edges with dy != 0 (an
+    `edges` are the component's.  `_potentials` gives the angles
+    phi = y / det of a unit injection from g to l, so an edge's unit flow
+    is s * dy / det, and the largest t with every |t * flow| <= cap is
+    det times the least cap / |s * dy| over the edges with dy != 0 (an
     edge with dy = 0 carries nothing at any t), compared by
-    cross-multiplication.  For that least ratio num/den the angles t * phi
-    are num * y / den.  Returns the value and a builder of the vertex
-    {th, gen, load}, so a caller that reads the value alone never makes it.
+    cross-multiplication.  For that least ratio num/least the angles
+    t * phi are num * y / least.  Returns the value and a builder of the
+    vertex {th, gen, load}, so a caller that reads the value alone never
+    makes it.
     """
-    names = sorted(comp)
-    index = {v: i for i, v in enumerate(names)}
-    scale = math.lcm(*(e.s_min.denominator for e in edges))
-    # D * L with the right-hand side e_l - e_g as its last column: net
-    # outflow at v is -(L phi)_v, +1 at g and -1 at l (a self-loop cancels)
-    lap = [[0] * (len(names) + 1) for _ in names]
-    for e in edges:
-        k = e.s_min.numerator * (scale // e.s_min.denominator)
-        a, b = index[e.a], index[e.b]
-        lap[a][a] += k
-        lap[b][b] += k
-        lap[a][b] -= k
-        lap[b][a] -= k
-    lap[index[g]][-1] = -1
-    lap[index[l]][-1] = 1
-    rows = [row[1:] for row in lap[1:]]  # names[0] is pinned at zero
-    m = len(rows)
-    # a connected component's reduced Laplacian is positive definite, so no
-    # pivot is zero; each division below is exact
-    prev = 1
-    for i, pivot in enumerate(rows[:-1]):
-        p = pivot[i]
-        for row in rows[i + 1 :]:
-            f = row[i]
-            for j in range(i + 1, m + 1):
-                row[j] = (p * row[j] - f * pivot[j]) // prev
-            row[i] = 0
-        prev = p
-    det = rows[-1][-2]
-    y = [0] * m
-    for i in range(m - 1, -1, -1):
-        row = rows[i]
-        y[i] = (det * row[m] - sum(row[j] * y[j] for j in range(i + 1, m))) // row[i]
-    phi = dict(zip(names, [0, *y]))
-
-    # the least cap / |s * dy| as num/den; den = 0 stands for no bound, so an
-    # edge with dy = 0 never becomes the least
-    num, den = 1, 0
+    det, (y,) = _potentials(sorted(comp), edges, [{g: 1, l: -1}])
+    # the least cap / |s * dy| as num/least; least = 0 stands for no bound, so
+    # an edge with dy = 0 never becomes the least
+    num, least = 1, 0
     for e in edges:
         n_e = e.cap.numerator * e.s_min.denominator
-        d_e = e.cap.denominator * e.s_min.numerator * abs(phi[e.b] - phi[e.a])
-        if n_e * den < num * d_e:
-            num, den = n_e, d_e
-    value = Rational(det * num, scale * den)
+        d_e = e.cap.denominator * e.s_min.numerator * abs(y[e.b] - y[e.a])
+        if n_e * least < num * d_e:
+            num, least = n_e, d_e
+    value = Rational(det * num, least)
 
     def vertex() -> dict[str, Rational]:
-        assignment = {_th(v): Rational(num * y_v, den) for v, y_v in phi.items()}
+        assignment = {_th(v): Rational(num * y_v, least) for v, y_v in y.items()}
         assignment[_gen(g)] = assignment[_load(l)] = value
         return assignment
 
@@ -333,20 +401,18 @@ def solve_mpf(n: Network) -> MpfOutcome:
     valued by its least generator/load cut (`_tree_cut`), and its
     solution is the integer max flow replayed with angles
     (`_tree_flow`), with no LP.  Only the other components, those with
-    a cycle, go to the LP.  The solution, built on first read, is an
-    optimal one: the LP's vertex on components with a cycle.  An invalid
-    network raises `InvalidNetwork`.
+    a cycle, go to the LP, as one terminal-space program
+    (`formulate_mpf`).  The solution, built on first read, is an optimal
+    one: on components with a cycle the LP's gen/load vertex, with the
+    angles those injections fix.  An invalid network raises
+    `InvalidNetwork`.
     """
     require_valid(n)
     _require_fixed(n)
     roles = n.roles
     comps = connected_components(n)
-    where = {v: i for i, comp in enumerate(comps) for v in comp}
-    grouped: list[list[Edge]] = [[] for _ in comps]
-    for e in n.edges:
-        grouped[where[e.a]].append(e)
-    value, vertices, cyclic, cyclic_edges = ZERO, [], [], []
-    for comp, edges in zip(comps, grouped):
+    value, vertices, cyclic = ZERO, [], []
+    for comp, edges in zip(comps, _component_edges(n, comps)):
         gens = [v for v in comp if roles[v] is NodeRole.GENERATOR]
         loads = [v for v in comp if roles[v] is NodeRole.LOAD]
         if not gens or not loads:
@@ -359,18 +425,17 @@ def solve_mpf(n: Network) -> MpfOutcome:
             value += _tree_cut(edges, roles)
             vertices.append(partial(_tree_flow, comp, edges, gens, loads))
         else:
-            cyclic.append(comp)
-            cyclic_edges += edges
+            cyclic.append((comp, edges))
     if cyclic:
         sub = n
         if len(cyclic) < len(comps):
-            keep = set().union(*cyclic)
-            sub = Network([(v, r) for v, r in n.nodes if v in keep], cyclic_edges)
-        result = solve_lp(formulate_mpf(sub, cyclic))  # cyclic are sub's components
+            keep = set().union(*(comp for comp, _ in cyclic))
+            sub = Network([(v, r) for v, r in n.nodes if v in keep], [e for _, edges in cyclic for e in edges])
+        result = solve_lp(formulate_mpf(sub, [comp for comp, _ in cyclic]))  # sub's components
         if result.status is not LpStatus.OPTIMAL:  # pragma: no cover - MPF is always bounded
             raise AssertionError(f"MPF solve ended {result.status}")
         value += result.value
-        vertices.append(lambda: result.assignment)
+        vertices.append(partial(_terminal_vertex, cyclic, roles, result))
     if not vertices:
         return MpfOutcome.deferred(ZERO, build=partial(zero_solution, n))
 

@@ -4,11 +4,14 @@ Everything here is deliberately brute force and shares no code with the
 solvers it cross-checks: the LP oracle enumerates constraint-intersection
 vertices, the min-cut oracle enumerates source-side node sets, and the
 combinatorial oracles enumerate subsets/permutations.  The one exception
-is `reference_mpf_program`, the MPF program built constraint by constraint
-over `Fraction`s through `LinearProgram`'s public methods, which the
-integer-row builder `formulate_mpf` must reproduce exactly; and
-`msf_by_every_mask` calls `solve_mpf` on every sub-network, so that it
-checks the switching searches and nothing they skip.
+is `reference_mpf_program`, the MPF program in angle space built
+constraint by constraint over `Fraction`s through `LinearProgram`'s public
+methods, whose optimum `solve_mpf` must reach; `reference_terminal_program`,
+the same problem over generations and loads alone, with the shift factors
+found by `gauss_solve`, which the integer-row builder `formulate_mpf` must
+reproduce exactly; and `msf_by_every_mask` calls `solve_mpf` on every
+sub-network, so that it checks the switching searches and nothing they
+skip.
 """
 
 from __future__ import annotations
@@ -201,6 +204,62 @@ def reference_mpf_program(n: Network) -> LinearProgram:
         flow = {th[e.b]: e.s_min, th[e.a]: -e.s_min}
         p.add_constraint(flow, "<=", e.cap)
         p.add_constraint(flow, ">=", -e.cap)
+
+    p.set_objective({f"gen[{g}]": Fraction(1) for g in n.generators})
+    return p
+
+
+def reference_terminal_program(n: Network) -> LinearProgram | None:
+    """The MPF program of a fixed-susceptance network over its gen/load variables, built over `Fraction`s.
+
+    Per component with a generator or a load, in `connected_components`
+    order: when it holds both, the angles of a unit of each terminal's
+    variable (a generation injects +1, a load -1) solve L_r th = -p over
+    the component's nodes but its smallest, pinned at zero, L_r the
+    reduced Laplacian; then each edge with a non-zero flow under some
+    terminal gets flow <= cap and -flow <= cap, in edge order.  Then the
+    component's balance sum(gen) - sum(load) <= 0 and its negation.
+    Returns None when `gauss_solve` finds some such L_r singular.
+    """
+    p = LinearProgram()
+    for g in n.generators:
+        p.add_variable(f"gen[{g}]", lower=Fraction(0))
+    for l in n.loads:
+        p.add_variable(f"load[{l}]", lower=Fraction(0))
+    unit = {g: (f"gen[{g}]", Fraction(1)) for g in n.generators}
+    unit.update((l, (f"load[{l}]", Fraction(-1))) for l in n.loads)
+    for comp in connected_components(n):
+        names = sorted(comp)
+        terminals = [v for v in names if v in unit]
+        if not terminals:
+            continue
+        edges = [e for e in n.edges if e.a in comp]
+        if {unit[v][1] for v in terminals} == {1, -1}:
+            rest = names[1:]
+            laplacian = [[Fraction(0)] * len(rest) for _ in rest]
+            for e in edges:
+                for u, w in ((e.a, e.b), (e.b, e.a)):
+                    if u in rest:
+                        i = rest.index(u)
+                        laplacian[i][i] += e.s_min
+                        if w in rest:
+                            laplacian[i][rest.index(w)] -= e.s_min
+            angles = {}
+            for v in terminals:
+                rhs = [-unit[v][1] if u == v else Fraction(0) for u in rest]
+                th = gauss_solve(laplacian, rhs)
+                if th is None:
+                    return None
+                angles[v] = dict(zip(rest, th), **{names[0]: Fraction(0)})
+            for e in edges:
+                flow = {unit[v][0]: e.s_min * (angles[v][e.b] - angles[v][e.a]) for v in terminals}
+                flow = {name: c for name, c in flow.items() if c}
+                if flow:
+                    p.add_constraint(flow, "<=", e.cap)
+                    p.add_constraint({name: -c for name, c in flow.items()}, "<=", e.cap)
+        balance = {unit[v][0]: unit[v][1] for v in terminals}
+        p.add_constraint(balance, "<=", Fraction(0))
+        p.add_constraint({name: -c for name, c in balance.items()}, "<=", Fraction(0))
 
     p.set_objective({f"gen[{g}]": Fraction(1) for g in n.generators})
     return p

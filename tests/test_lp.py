@@ -11,11 +11,10 @@ from ldcflow.errors import MalformedProgram
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.lp import LinearProgram, LpStatus, _fold, solve_lp, write_lp_text
 from ldcflow.mff import pin_susceptances, solve_mff_grid
-from ldcflow.mpf import formulate_mpf
 from ldcflow.msf import solve_msf_bnb, solve_msf_exhaustive
 from ldcflow.network import Network, NodeRole, facts_edge, fixed_edge, network_sum, subnetwork
 from ldcflow.rational import rat_str
-from oracles import lp_vertex_oracle
+from oracles import lp_vertex_oracle, reference_mpf_program
 
 
 def boxed(name, lo, hi, p):
@@ -268,7 +267,7 @@ def _canonical(r) -> str:
 
 
 def _pinned_programs() -> list[LinearProgram]:
-    """Seeded boxed, unboxed and tie-prone LPs, MPF programs of random networks and of both gadgets."""
+    """Seeded boxed, unboxed and tie-prone LPs, and angle-space MPF programs of random networks and of both gadgets."""
     rng = random.Random(1507)
     programs = [random_boxed_lp(rng) for _ in range(200)]
     for _ in range(40):
@@ -293,15 +292,15 @@ def _pinned_programs() -> list[LinearProgram]:
         programs.append(p)
     for _ in range(60):
         n = random_ldc_network(rng)
-        programs.append(formulate_mpf(n))
-        programs.append(formulate_mpf(subnetwork(n, rng.sample(n.edges, rng.randrange(len(n.edges))))))
+        programs.append(reference_mpf_program(n))
+        programs.append(reference_mpf_program(subnetwork(n, rng.sample(n.edges, rng.randrange(len(n.edges))))))
     for x in (F(1), F(2), F(7, 3)):
         for polarity in Polarity:
-            programs.append(formulate_mpf(gsch(x, polarity=polarity)))
+            programs.append(reference_mpf_program(gsch(x, polarity=polarity)))
             n = gfch(x, polarity=polarity)
             (facts,) = n.facts_edges
             for s in (facts.s_min, facts.s_max):
-                programs.append(formulate_mpf(pin_susceptances(n, {facts: s})))
+                programs.append(reference_mpf_program(pin_susceptances(n, {facts: s})))
     return programs
 
 

@@ -10,13 +10,14 @@ from hypothesis import example, given, strategies as st
 from conftest import SUSCEPTANCES, networks_with_idle_edges, random_ldc_network, random_tree, series_parallel_networks
 from ldcflow import mpf
 from ldcflow.classify import connected_components
-from ldcflow.errors import NotFixedSusceptance
+from ldcflow.errors import MalformedProgram, NotFixedSusceptance
 from ldcflow.gadgets import Polarity, gfch, gsch
-from ldcflow.lp import LpResult, LpStatus, solve_lp
+from ldcflow.lp import LE, LpResult, LpStatus, solve_lp
 from ldcflow.maxflow import _integer_flow, classical_max_flow
 from ldcflow.mpf import MpfOutcome, _gen, _load, _th, flow_cores, formulate_mpf, solve_mpf
 from ldcflow.msf import solve_msf_bnb, solve_msf_exhaustive
 from ldcflow.network import Network, NodeRole, Solution, fixed_edge, network_sum, subnetwork, total_generation, validate_solution
+from oracles import reference_mpf_program, reference_terminal_program
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
@@ -34,27 +35,48 @@ LONELY = Network([("y0", GEN), ("y1", GEN)], [fixed_edge("y0", "y1", 1, 2)])
 
 
 class TestFormulate:
+    """`formulate_mpf` writes the terminal-space program, row for row the `Fraction` reference's."""
+
     def test_single_edge_program_optimum_is_capacity(self):
         n = Network([("g", GEN), ("l", LOAD)], [fixed_edge("g", "l", 2, 4)])
-        r = solve_lp(formulate_mpf(n))
+        p = formulate_mpf(n)
+        assert p == reference_terminal_program(n)
+        # a unit of load at l lifts its angle by 1/2, so the edge carries all of it
+        assert p.variables == ["gen[g]", "load[l]"]
+        assert p.rows == [[0, 1, 4, 1], [0, -1, 4, 1], [1, -1, 0, 1], [-1, 1, 0, 1]]
+        r = solve_lp(p)
         assert r.status is LpStatus.OPTIMAL and r.value == 4
 
     def test_gadget_program_optimum(self):
-        r = solve_lp(formulate_mpf(gsch(1, "v", Polarity.MINUS)))
-        assert r.value == 3
+        n = gsch(1, "v", Polarity.MINUS)
+        p = formulate_mpf(n)
+        assert p == reference_terminal_program(n)
+        assert solve_lp(p).value == 3
 
     def test_edgeless_program_optimum_is_zero(self):
         n = Network([("g", GEN), ("l", LOAD)], [])
-        assert solve_lp(formulate_mpf(n)).value == 0
+        p = formulate_mpf(n)
+        # two components, each with its balance alone, which pins its terminal at zero
+        assert p == reference_terminal_program(n)
+        assert p.rows == [[1, 0, 0, 1], [-1, 0, 0, 1], [0, -1, 0, 1], [0, 1, 0, 1]]
+        assert solve_lp(p).value == 0
 
     def test_facts_edge_rejected(self):
         with pytest.raises(NotFixedSusceptance):
             formulate_mpf(gfch(1, "v", Polarity.MINUS))
 
-    @pytest.mark.parametrize("s, expected", [(2, {"th[b]": F(3), "th[a]": F(-3)}), (-1, {})])
-    def test_edges_on_one_pair_add_up_and_zero_sums_are_dropped(self, s, expected):
+    @pytest.mark.parametrize("s, expected", [(2, [F(1, 3), F(2, 3)]), (-1, None)])
+    def test_edges_on_one_pair_add_up_and_a_zero_sum_is_singular(self, s, expected):
         n = Network([("a", GEN), ("b", LOAD)], [fixed_edge("a", "b", 1, 1), fixed_edge("a", "b", s, 1)])
-        assert formulate_mpf(n).constraints[0].coeffs == {**expected, "gen[a]": F(-1)}
+        if expected is None:
+            assert reference_terminal_program(n) is None
+            with pytest.raises(MalformedProgram, match="singular"):
+                formulate_mpf(n)
+            return
+        # L_r = [1 + s] at b, so a unit of load lifts b by 1/3, and an edge of susceptance s carries s/3 of it
+        p = formulate_mpf(n)
+        assert p == reference_terminal_program(n)
+        assert [con.coeffs for con in p.constraints[:4:2]] == [{"load[b]": c} for c in expected]
 
 
 class TestSolveMpf:
@@ -170,8 +192,8 @@ class TestLazySolutions:
 
     @pytest.mark.parametrize("n", [triangle(), network_sum(triangle(), SEVERAL)], ids=["pair", "mixed"])
     def test_a_closed_form_solution_is_built_on_first_read(self, builds, monkeypatch, n):
-        # the pair's vertex builder is the only one to name the pair's angles
-        # before the solution is built; the LP names only the other component's
+        # no angle is named before the solution is built: the LP holds only
+        # generations and loads, and each vertex builder names its own angles
         vertices, named = [], []
         one_pair, th = mpf._one_pair, mpf._th
 
@@ -182,9 +204,9 @@ class TestLazySolutions:
         monkeypatch.setattr(mpf, "_one_pair", counted)
         monkeypatch.setattr(mpf, "_th", lambda v: named.append(v) or th(v))
         out = solve_mpf(n)
-        assert out.value > 0 and builds == [] and vertices == []
-        assert not set(named) & set(triangle().node_names)
+        assert out.value > 0 and builds == [] and vertices == [] and named == []
         assert out.solution is out.solution and builds == [n] and len(vertices) == 1
+        assert sorted(set(named)) == list(n.node_names)
 
     def test_results_pickle_and_compare_like_eager_ones(self):
         n = six_edges()
@@ -202,8 +224,8 @@ class TestLazySolutions:
 
 
 def _reference(n: Network) -> tuple[F, Solution]:
-    """MPF by one LP over the whole network, flowless components included."""
-    r = solve_lp(formulate_mpf(n))
+    """MPF by one angle-space LP over the whole network, flowless components included."""
+    r = solve_lp(reference_mpf_program(n))
     a = r.assignment
     angle = {v: a[_th(v)] for v in n.node_names}
     return r.value, Solution(
@@ -223,7 +245,8 @@ def assert_exact(n: Network) -> MpfOutcome:
     flow of `maxflow`, its smallest node pinned at zero, and reaches no
     LP for its value or its solution.  Every other component carries the
     reference's vertex, and the flowing ones with a cycle and several
-    generators or loads share the one LP that runs.
+    generators or loads share the one LP that runs, over their
+    generations and loads alone.
     """
     programs = []
     with mock.patch("ldcflow.mpf.solve_lp", lambda p: programs.append(p) or solve_lp(p)):
@@ -243,7 +266,7 @@ def assert_exact(n: Network) -> MpfOutcome:
             _, scale, flows = _integer_flow(names, edges, gens, loads)
             assert [solution.flow[e] for e in edges] == [F(f, scale) for f in flows]
             assert solution.angle[names[0]] == 0
-            replayed |= {_th(v) for v in comp}
+            replayed |= {_gen(v) for v in gens} | {_load(v) for v in loads}
             continue
         cyclic |= bool(several)
         for v in names:
@@ -427,6 +450,84 @@ class TestTreeComponents:
         assert {e: solution.flow[e] for e in STAR.edges} == {h: 3, i: F(1, 2), j: F(-7, 2)}
         assert {v: solution.angle[v] for v in "hijk"} == {"h": 0, "i": F(11, 4), "j": F(13, 2), "k": 3}
         assert {v: (solution.gen[v], solution.load[v]) for v in "hij"} == {"h": (3, 0), "i": (F(1, 2), 0), "j": (0, F(7, 2))}
+
+
+@st.composite
+def cyclic_components(draw, prefix: str) -> Network:
+    """A connected network on prefixed names with a cycle, a generator, a load and a third node that is either."""
+    names = [f"{prefix}{i}" for i in range(draw(st.integers(3, 6)))]
+    pairs = {tuple(sorted((names[i], names[draw(st.integers(0, i - 1))]))) for i in range(1, len(names))}
+    chords = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :] if (a, b) not in pairs]
+    pairs |= set(draw(st.lists(st.sampled_from(chords), min_size=1, max_size=3)))
+    first, second, third, *rest = draw(st.permutations(names))
+    roles = {first: GEN, second: LOAD, third: draw(st.sampled_from([GEN, LOAD]))}
+    roles.update((v, draw(st.sampled_from([GEN, LOAD, PLAIN, PLAIN]))) for v in rest)
+    edges = [fixed_edge(a, b, draw(st.sampled_from(SUSCEPTANCES)), draw(st.sampled_from(TREE_CAPS))) for a, b in sorted(pairs)]
+    return Network(roles.items(), edges)
+
+
+@st.composite
+def mixed_networks(draw) -> Network:
+    """One or two cyclic components with several generators or loads, maybe next to a one-pair, a tree and a flowless one."""
+    n = draw(cyclic_components("c"))
+    if draw(st.booleans()):
+        n = network_sum(n, draw(cyclic_components("e")))
+    if draw(st.booleans()):
+        n = network_sum(n, draw(one_pair_components("d")))
+    if draw(st.booleans()):
+        n = network_sum(n, draw(tree_components("t")))
+    if draw(st.booleans()):
+        n = network_sum(n, LONELY)
+    return n
+
+
+def slack_basis_programs(monkeypatch) -> list:
+    """Every program `solve_mpf` hands `ldcflow.mpf.solve_lp`, after checking that its slack basis is feasible.
+
+    Only <= rows with nonnegative right-hand sides, and every variable at
+    lower bound 0 with no upper bound: `solve_lp` then neither eliminates
+    a variable nor runs phase 1.
+    """
+    calls = []
+
+    def solve(p):
+        assert set(p.rels) <= {LE} and all(row[-2] >= 0 for row in p.rows)
+        assert all(p.lower[v] == 0 and p.upper[v] is None for v in p.variables)
+        calls.append(p)
+        return solve_lp(p)
+
+    monkeypatch.setattr("ldcflow.mpf.solve_lp", solve)
+    return calls
+
+
+class TestTerminalSpace:
+    """The LP `solve_mpf` runs is over generations and loads alone, and reaches the angle-space optimum."""
+
+    @given(mixed_networks())
+    @example(network_sum(network_sum(network_sum(SEVERAL, triangle()), STAR), LONELY))
+    @example(network_sum(SEVERAL, wheatstone()))
+    def test_the_value_is_the_angle_space_programs(self, n):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            programs = slack_basis_programs(monkeypatch)
+            out = solve_mpf(n)
+            solution = out.solution
+        assert out.value == solve_lp(reference_mpf_program(n)).value == total_generation(solution)
+        assert validate_solution(n, solution).ok
+        # the one LP holds the generations and loads of the cyclic components alone
+        cyclic = set()
+        for comp in connected_components(n):
+            terminals = [v for v in comp if n.roles[v] is not PLAIN]
+            if len(terminals) > 2 and sum(e.a in comp for e in n.edges) >= len(comp):
+                cyclic |= {_gen(v) if n.roles[v] is GEN else _load(v) for v in terminals}
+        assert len(programs) == 1 and set(programs[0].variables) == cyclic
+
+    def test_every_program_a_search_solves_starts_from_the_slack_basis(self, monkeypatch):
+        programs = slack_basis_programs(monkeypatch)
+        rng = random.Random(1601)
+        for _ in range(30):
+            n = random_ldc_network(rng, max_edges=6)
+            assert solve_msf_bnb(n).value == solve_msf_exhaustive(n).value
+        assert programs
 
 
 def edge_bits(n: Network, *pairs: tuple[str, str]) -> int:

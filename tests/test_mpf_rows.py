@@ -1,11 +1,15 @@
 """The integer-row MPF builder against the `Fraction` reference program.
 
-`formulate_mpf` writes its rows as integers; `oracles.reference_mpf_program`
-builds the same program constraint by constraint.  On seeded networks and
-on networks that `formulate_mpf` accepts without validation (parallel
-edges, self-loops, susceptances that sum to zero, negative ones), the two
-must be the same program, holding the same integer rows, with the same
-result, before and after the program is changed.
+`formulate_mpf` writes its terminal-space rows as integers;
+`oracles.reference_terminal_program` builds the same program constraint by
+constraint, its shift factors found by `gauss_solve`.  On seeded networks
+and on networks that `formulate_mpf` accepts without validation (parallel
+edges that add up, self-loops that cancel, susceptances that sum to zero,
+negative ones), the two must be the same program, holding the same integer
+rows, with the same result, before and after the program is changed.  A
+flowing component whose reduced Laplacian is singular has no such program:
+`formulate_mpf` raises `MalformedProgram` exactly when `gauss_solve` finds
+one.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import ldcflow.classify
 from ldcflow.errors import MalformedProgram
@@ -26,7 +30,7 @@ from ldcflow.mpf import formulate_mpf, solve_mpf
 from ldcflow.network import Network, NodeRole, fixed_edge, network_sum
 
 from conftest import random_ldc_network
-from oracles import reference_mpf_program
+from oracles import reference_terminal_program
 
 NAMES = ["a", "b", "c", "d", "e"]
 SUSCEPTANCES = [F(1), F(2), F(1, 2), F(3, 2), F(2, 3), F(-1), F(-1, 2)]
@@ -48,8 +52,15 @@ networks = st.one_of(seeded_networks, unvalidated_networks())
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 # Always among the examples: parallel edges whose susceptances sum to zero, a
-# self-loop at a pinned and at an unpinned node, and rational parallel edges.
-ZERO_SUM = Network([("a", GEN), ("b", LOAD), ("c", PLAIN)], [fixed_edge("a", "b", 1, 1), fixed_edge("a", "b", -1, 2), fixed_edge("b", "c", F(1, 2), 3)])
+# self-loop at a pinned and at an unpinned node, rational parallel edges, and
+# negative susceptances that leave a zero pivot in a regular reduced Laplacian.
+# With nothing else between a and b the zero sum leaves it singular.
+ZERO_SUM = Network(
+    [("a", GEN), ("b", LOAD), ("c", PLAIN)],
+    [fixed_edge("a", "b", 1, 1), fixed_edge("a", "b", -1, 2), fixed_edge("b", "c", F(1, 2), 3), fixed_edge("a", "c", 1, 1)],
+)
+SINGULAR = Network([("a", GEN), ("b", LOAD), ("c", PLAIN)], [fixed_edge("a", "b", 1, 1), fixed_edge("a", "b", -1, 2), fixed_edge("b", "c", F(1, 2), 3)])
+ZERO_PIVOT = Network([("a", GEN), ("b", PLAIN), ("c", LOAD)], [fixed_edge("a", "b", 1, 1), fixed_edge("b", "c", -1, 2), fixed_edge("a", "c", 1, 3)])
 SELF_LOOPS = Network([("a", GEN), ("b", LOAD)], [fixed_edge("a", "a", F(2, 3), 1), fixed_edge("a", "b", 2, F(5, 2)), fixed_edge("b", "b", F(1, 2), 1)])
 PARALLEL = Network([("a", GEN), ("b", LOAD)], [fixed_edge("a", "b", F(1, 2), 1), fixed_edge("a", "b", F(1, 2), F(1, 3))])
 
@@ -64,17 +75,37 @@ def reads(p: LinearProgram) -> list[list[int]]:
     return [_int_row({index[v]: c for v, c in con.coeffs.items()}, con.rhs, len(p.variables)) for con in p.constraints]
 
 
+def programs(n: Network) -> tuple[LinearProgram, LinearProgram]:
+    """`formulate_mpf`'s program and the reference, for a network without a singular component."""
+    ref = reference_terminal_program(n)
+    assume(ref is not None)
+    return formulate_mpf(n), ref
+
+
 def same_result(p: LinearProgram, q: LinearProgram) -> None:
     r, s = solve_lp(p), solve_lp(q)
     assert (r.status, r.value, r.assignment) == (s.status, s.value, s.assignment)
 
 
 @given(networks)
+@example(SINGULAR)
+@example(ZERO_PIVOT)
+def test_a_singular_component_is_refused_exactly_when_gauss_solve_finds_one(n):
+    ref = reference_terminal_program(n)
+    if ref is None:
+        with pytest.raises(MalformedProgram, match="singular"):
+            formulate_mpf(n)
+    else:
+        assert formulate_mpf(n) == ref
+
+
+@given(networks)
 @example(ZERO_SUM)
 @example(SELF_LOOPS)
 @example(PARALLEL)
+@example(ZERO_PIVOT)
 def test_rows_are_the_ones_solve_lp_reads_from_the_reference(n):
-    p, ref = formulate_mpf(n), reference_mpf_program(n)
+    p, ref = programs(n)
     assert p.rows == ref.rows == reads(ref)
     assert p.rels == ref.rels == [con.rel for con in ref.constraints]
 
@@ -84,7 +115,7 @@ def test_rows_are_the_ones_solve_lp_reads_from_the_reference(n):
 @example(SELF_LOOPS)
 @example(PARALLEL)
 def test_program_and_result_equal_the_reference(n):
-    p, ref = formulate_mpf(n), reference_mpf_program(n)
+    p, ref = programs(n)
     rows = copy.deepcopy(p.rows)
     same_result(p, ref)
     assert p.rows == rows  # solving leaves the rows as they were
@@ -99,7 +130,8 @@ MUTATIONS = ("add_constraint", "set_objective", "bound", "declare")
 @example(ZERO_SUM, "bound", random.Random(1))
 @example(SELF_LOOPS, "set_objective", random.Random(2))
 def test_a_changed_program_solves_like_the_changed_reference(n, mutation, rng):
-    p, ref = formulate_mpf(n), reference_mpf_program(n)
+    p, ref = programs(n)
+    assume(p.variables)  # a network without a generator or a load has none
     v, rel, rhs, sign = rng.choice(p.variables), rng.choice(["<=", ">="]), F(rng.randint(-2, 2)), rng.choice([-1, 1])
     for q in (p, ref):
         if mutation == "add_constraint":
@@ -118,7 +150,8 @@ def test_a_changed_program_solves_like_the_changed_reference(n, mutation, rng):
 @given(networks)
 @example(PARALLEL)
 def test_a_variable_appended_to_the_list_itself_is_rejected(n):
-    p = formulate_mpf(n)
+    p, _ = programs(n)
+    assume(p.rows)  # without rows, appending to the list is declaring the variable
     p.variables.append("x")
     p.lower["x"], p.upper["x"] = F(0), F(1)
     with pytest.raises(MalformedProgram):
@@ -130,7 +163,7 @@ def test_a_variable_appended_to_the_list_itself_is_rejected(n):
 @example(SELF_LOOPS)
 @example(PARALLEL)
 def test_equality_repr_and_pickle_match_an_eagerly_built_program(n):
-    p, eager = formulate_mpf(n), reference_mpf_program(n)
+    p, eager = programs(n)
     assert p == eager
     assert repr(p) == repr(eager)
     assert pickle.loads(pickle.dumps(p)) == eager
@@ -141,7 +174,7 @@ def test_equality_repr_and_pickle_match_an_eagerly_built_program(n):
 @given(networks)
 @example(PARALLEL)
 def test_a_variable_declared_after_the_constraints_pads_the_rows(n):
-    p, ref = formulate_mpf(n), reference_mpf_program(n)
+    p, ref = programs(n)
     p.add_variable("x", lower=F(0), upper=F(1))
     first = LinearProgram()
     for v in ref.variables:
