@@ -15,11 +15,18 @@ rhs/den, with den > 0 and the whole list divided by its gcd.
 
 A `LinearProgram` holds its constraints as such rows over its declared
 variables: `add_constraint` writes one, and `mpf.formulate_mpf` writes
-every MPF program's rows itself, over generations and loads only, as <=
-rows with nonnegative right-hand sides; such a program starts from the
-slack basis, with nothing to fold or eliminate and no phase 1.  The
-presolve below is for general programs.  It starts from a copy of the
-rows.  Variables fixed by their bounds fold into each row's rhs in one
+every MPF program's rows itself, over generations and loads only.
+`solve_lp` checks every program the same way first: variable names,
+objective, bound entries, bounds, row widths and the count of relations.
+A program in standard form -- only <= rows with nonnegative right-hand
+sides, every variable in [0, inf) -- then goes straight to its
+slack-basis tableau (`_slack_tableau`), as every MPF program does: with
+nothing to fold, eliminate or shift, and a feasible basis to start from,
+the presolve would build that same tableau and skip phase 1, so the
+pivots and the vertex are the same.  Every other program goes through
+the presolve (`_presolve`), and both routes end in the same phase 2 and
+value and vertex code (`_optimum`).  The presolve starts from a copy of
+the rows.  Variables fixed by their bounds fold into each row's rhs in one
 pass, over the LCM of the fixed values' denominators.  Bounds are
 compared through numerators and denominators, not as `Fraction`s.  Free
 variables are then eliminated through equality rows (a fraction-free
@@ -301,54 +308,48 @@ def _simplex(T: list[list[int]], Z: list[int], basis: list[int], ncols: int) -> 
 
 _FLIP = {LE: GE, GE: LE, EQ: EQ}
 
+# A feasible tableau and phase 2's objective row, with what `_optimum` needs to
+# read the vertex back: (T, Z, basis, var_cols, shift, eliminated).  var_cols maps
+# each live variable to its (column, sign) pairs, two for a split free variable;
+# shift holds the nonzero shifts of x = sign*y + shift; eliminated lists
+# (variable, pivot row) in elimination order.
+Tableau = tuple[
+    list[list[int]], list[int], list[int], dict[int, list[tuple[int, int]]], dict[int, Rational], list[tuple[int, list[int]]]
+]
 
-def solve_lp(p: LinearProgram) -> LpResult:
-    """Exact optimum of a maximization program; see the module docstring."""
-    names = p.variables
-    nvars = len(names)
-    index = {v: j for j, v in enumerate(names)}
-    if len(index) != nvars:
-        raise MalformedProgram("duplicate variable names")
-    objective = []
-    for v, c in p.objective.items():
-        if v not in index:
-            raise MalformedProgram(f"objective references undeclared variable {v}")
-        objective.append((index[v], rat(c)))
 
-    # Bounds, compared through numerators over positive denominators.
-    lower: list[Rational | None] = []
-    upper: list[Rational | None] = []
-    fixed: dict[int, Rational] = {}
-    for j, v in enumerate(names):
-        try:
-            lo, hi = p.lower[v], p.upper[v]
-        except KeyError:
-            raise MalformedProgram(f"variable {v} has no {'lower' if v not in p.lower else 'upper'} bound entry") from None
-        if lo is not None:
-            lo = rat(lo)
-            if hi is not None:
-                hi = rat(hi)
-                gap = hi.numerator * lo.denominator - lo.numerator * hi.denominator
-                if gap < 0:
-                    raise MalformedProgram(f"inverted bounds on {v}: [{lo}, {hi}]")
-                if gap == 0:
-                    fixed[j] = lo
-        elif hi is not None:
-            hi = rat(hi)
-        lower.append(lo)
-        upper.append(hi)
+def _slack_tableau(rows: list[list[int]], obj: list[int], nvars: int) -> Tableau:
+    """The starting tableau of a standard-form program: every row <= with rhs >= 0, every variable in [0, inf).
 
-    # Rows over the variables, with the variables fixed by their bounds folded in;
-    # each row is copied, since the presolve updates rows in place.
-    rows = []
-    for row in p.rows:
-        if len(row) != nvars + 2:
-            raise MalformedProgram(f"a constraint row has {len(row) - 2} columns for {nvars} variables")
-        rows.append(_fold(row[:], fixed, True))
-    rels = list(p.rels)
-    if len(rels) != len(rows):
-        raise MalformedProgram(f"{len(rows)} constraint rows but {len(rels)} relations")
-    obj = _int_row(dict(objective), ZERO, nvars)
+    Each row gets its own slack column, basic at the row's denominator
+    (the integer form of 1), so the slack basis is feasible and phase 1
+    has nothing to do.  This is the tableau the presolve builds for such
+    a program, except that a row without a coefficient is kept: its slack
+    stays basic and no pivot touches it, so every pivot is the same.
+    """
+    m = len(rows)
+    T = []
+    for i, row in enumerate(rows):
+        t = row[:nvars] + [0] * m + row[-2:]
+        t[nvars + i] = row[-1]
+        T.append(t)
+    Z = obj[:nvars] + [0] * (m + 2)
+    Z[-1] = obj[-1]
+    return T, Z, list(range(nvars, nvars + m)), {j: [(j, 1)] for j in range(nvars)}, {}, []
+
+
+def _presolve(
+    rows: list[list[int]], rels: list[str], lower: list[Rational | None], upper: list[Rational | None], fixed: dict[int, Rational], obj: list[int]
+) -> Tableau | None:
+    """Fold, eliminate, map and run phase 1 on a general program; None if it is infeasible.
+
+    `rows` are copies of the program's rows, which are updated in place,
+    and `obj` is the objective's integer row.
+    """
+    nvars = len(lower)
+    # Rows over the variables, with the variables fixed by their bounds folded in.
+    rows = [_fold(row, fixed, True) for row in rows]
+    rels = list(rels)
     for j in fixed:
         obj[j] = 0
 
@@ -382,11 +383,10 @@ def solve_lp(p: LinearProgram) -> LpResult:
             continue
         rhs = row[-2]  # over a positive denominator
         if not (rhs == 0 if rel == EQ else rhs >= 0 if rel == LE else rhs <= 0):
-            return LpResult(LpStatus.INFEASIBLE)
+            return None
 
     # Map each live variable onto nonnegative columns: x = sign*y + shift.
-    eliminated_vars = {j for j, _ in eliminated}
-    gone = eliminated_vars.union(fixed)
+    gone = {j for j, _ in eliminated}.union(fixed)
     live = [j for j in range(nvars) if j not in gone]
     var_cols: dict[int, list[tuple[int, int]]] = {}  # (column, sign); free variables get two
     shift: dict[int, Rational] = {}
@@ -465,7 +465,7 @@ def solve_lp(p: LinearProgram) -> LpResult:
         status = _simplex(T, Z1, basis, width)
         assert status == "optimal"  # phase 1 is bounded below by 0
         if Z1[-2] > 0:  # the artificials' sum stays positive
-            return LpResult(LpStatus.INFEASIBLE)
+            return None
         # pivot leftover artificials out of the basis, dropping redundant rows
         keep: list[int] = []
         for i in range(len(T)):
@@ -486,8 +486,13 @@ def solve_lp(p: LinearProgram) -> LpResult:
     for i, b in enumerate(basis):
         if Z2[b]:
             Z2 = _eliminate(Z2, T[i], _support(T[i]), b)
-    status = _simplex(T, Z2, basis, width)
-    if status == "unbounded":
+    return T, Z2, basis, var_cols, shift, eliminated
+
+
+def _optimum(tableau: Tableau, names: list[VarId], objective: list[tuple[int, Rational]], fixed: dict[int, Rational]) -> LpResult:
+    """Phase 2 from a feasible tableau, then the value now and the vertex on first read."""
+    T, Z, basis, var_cols, shift, eliminated = tableau
+    if _simplex(T, Z, basis, len(Z) - 2) == "unbounded":
         return LpResult(LpStatus.UNBOUNDED)
 
     # Back to rationals: basic column values, then live, eliminated and fixed variables.
@@ -505,20 +510,81 @@ def solve_lp(p: LinearProgram) -> LpResult:
         return shift.get(j, ZERO) + (column(col) if sign > 0 else -column(col))
 
     def vertex() -> dict[VarId, Fraction]:
-        value_of = {j: live_value(j) for j in live}
+        value_of = {j: live_value(j) for j in var_cols}
         for j, prow in reversed(eliminated):
-            rest = sum((prow[k] * value_of[k] for k in range(nvars) if prow[k] and k != j), ZERO)
+            rest = sum((prow[k] * value_of[k] for k in range(len(names)) if prow[k] and k != j), ZERO)
             value_of[j] = Fraction(prow[-2] - rest, prow[-1])
         value_of.update(fixed)
         return {names[j]: x for j, x in value_of.items()}
 
     # The value needs only the objective's variables; an eliminated one needs the whole vertex.
+    eliminated_vars = {j for j, _ in eliminated}
     if any(j in eliminated_vars for j, _ in objective):
         assignment = vertex()
         value = sum((c * assignment[names[j]] for j, c in objective), ZERO)
         return LpResult(LpStatus.OPTIMAL, value, assignment)
     value = sum((c * (fixed[j] if j in fixed else live_value(j)) for j, c in objective), ZERO)
     return LpResult.deferred(LpStatus.OPTIMAL, value, build=vertex)
+
+
+def solve_lp(p: LinearProgram) -> LpResult:
+    """Exact optimum of a maximization program; see the module docstring."""
+    names = p.variables
+    nvars = len(names)
+    index = {v: j for j, v in enumerate(names)}
+    if len(index) != nvars:
+        raise MalformedProgram("duplicate variable names")
+    objective = []
+    for v, c in p.objective.items():
+        if v not in index:
+            raise MalformedProgram(f"objective references undeclared variable {v}")
+        objective.append((index[v], rat(c)))
+
+    # Bounds, compared through numerators over positive denominators.
+    lower: list[Rational | None] = []
+    upper: list[Rational | None] = []
+    fixed: dict[int, Rational] = {}
+    standard = True  # so far every variable is in [0, inf)
+    for j, v in enumerate(names):
+        try:
+            lo, hi = p.lower[v], p.upper[v]
+        except KeyError:
+            raise MalformedProgram(f"variable {v} has no {'lower' if v not in p.lower else 'upper'} bound entry") from None
+        if lo is not None:
+            lo = rat(lo)
+            if hi is not None:
+                standard = False
+                hi = rat(hi)
+                gap = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+                if gap < 0:
+                    raise MalformedProgram(f"inverted bounds on {v}: [{lo}, {hi}]")
+                if gap == 0:
+                    fixed[j] = lo
+            elif lo.numerator:
+                standard = False
+        else:
+            standard = False
+            if hi is not None:
+                hi = rat(hi)
+        lower.append(lo)
+        upper.append(hi)
+
+    rows = p.rows
+    for row in rows:
+        if len(row) != nvars + 2:
+            raise MalformedProgram(f"a constraint row has {len(row) - 2} columns for {nvars} variables")
+        if row[-2] < 0:
+            standard = False
+    if len(p.rels) != len(rows):
+        raise MalformedProgram(f"{len(rows)} constraint rows but {len(p.rels)} relations")
+    obj = _int_row(dict(objective), ZERO, nvars)
+
+    if standard and p.rels.count(LE) == len(rows):
+        return _optimum(_slack_tableau(rows, obj, nvars), names, objective, fixed)
+    tableau = _presolve([row[:] for row in rows], p.rels, lower, upper, fixed, obj)
+    if tableau is None:
+        return LpResult(LpStatus.INFEASIBLE)
+    return _optimum(tableau, names, objective, fixed)
 
 
 # ---------------------------------------------------------------------------

@@ -8,59 +8,22 @@ of its sub-networks, which is what makes it useful as a pruning bound for
 the switching search.
 
 The capacities are scaled once by the LCM L of their denominators, so
-Edmonds-Karp runs on Python ints; the value comes back as
-`Fraction(x, L)`, the same exact rational.  `mpf` replays the integer
-per-edge flows of a tree component as its solution.
+Edmonds-Karp (Edmonds and Karp 1972) runs on Python ints; the value comes
+back as `Fraction(x, L)`, the same exact rational.  The residual graph is
+a dense matrix of lists indexed by node number, which these small
+networks make cheaper to build and scan than a dict of arcs.  Neighbours
+are scanned in ascending number, so the node order fixes the augmenting
+paths, and with them the integer per-edge flows that `mpf` replays as a
+tree component's solution.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .network import Edge, Network, NodeId
-
-
-def _edmonds_karp(num_nodes: int, arcs: dict[tuple[int, int], int], source: int, sink: int) -> dict[tuple[int, int], int]:
-    """Max flow on a directed arc-capacity dict; returns the flow per arc."""
-    residual = dict(arcs)
-    adj: dict[int, list[int]] = {i: [] for i in range(num_nodes)}
-    for (u, v) in arcs:
-        adj[u].append(v)
-        if (v, u) not in arcs:
-            residual[(v, u)] = 0
-            adj[v].append(u)
-    for u in adj:
-        adj[u].sort()
-
-    while True:
-        parent: dict[int, int] = {source: source}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in parent and residual[(u, v)] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            break
-        bottleneck = None
-        v = sink
-        while v != source:
-            u = parent[v]
-            r = residual[(u, v)]
-            bottleneck = r if bottleneck is None or r < bottleneck else bottleneck
-            v = u
-        v = sink
-        while v != source:
-            u = parent[v]
-            residual[(u, v)] -= bottleneck
-            residual[(v, u)] += bottleneck
-            v = u
-
-    return {arc: arcs[arc] - residual[arc] for arc in arcs}
+from .network import Edge, Network, NodeId, require_valid
 
 
 def _integer_flow(names: Sequence[NodeId], edges: Sequence[Edge], generators: Sequence[NodeId], loads: Sequence[NodeId]) -> tuple[int, int, list[int]]:
@@ -68,33 +31,77 @@ def _integer_flow(names: Sequence[NodeId], edges: Sequence[Edge], generators: Se
 
     `names` are every node an edge touches; their order numbers the nodes,
     and so fixes which max flow Edmonds-Karp returns when there are several.
+    The source and the sink come after them.  `residual[u][v]` is what is
+    left on the arc u -> v: an edge gives both of its directions its
+    capacity, parallel edges add up, and the source and the sink reach
+    every generator and load by an arc no cut can saturate.  Each search
+    is breadth first, scans neighbours in ascending index and stops once
+    the sink has a parent, so it finds the shortest augmenting path that
+    comes first in that order.  Both directions of an edge start at its
+    capacity c and an augmentation moves residual from one to the other,
+    so the net flow from a to b is c - residual[a][b], which is
+    (residual[b][a] - residual[a][b]) / 2.
     """
     if not (generators and loads and edges):
         return 0, 1, [0] * len(edges)
     index = {name: i for i, name in enumerate(names)}
-    source = len(index)
-    sink = len(index) + 1
+    size = len(index) + 2
+    source, sink = size - 2, size - 1
     scale = math.lcm(*(e.cap.denominator for e in edges))
     caps = [e.cap.numerator * (scale // e.cap.denominator) for e in edges]
     big = sum(caps) + scale  # more than every edge together can carry
 
-    arcs: dict[tuple[int, int], int] = {}
+    residual = [[0] * size for _ in range(size)]
+    ends = []
     for e, cap in zip(edges, caps):
         u, v = index[e.a], index[e.b]
-        arcs[(u, v)] = arcs.get((u, v), 0) + cap
-        arcs[(v, u)] = arcs.get((v, u), 0) + cap
-    for g in generators:
-        arcs[(source, index[g])] = big
+        residual[u][v] += cap
+        residual[v][u] += cap
+        ends.append((u, v))
+    gens = [index[g] for g in generators]
+    for g in gens:
+        residual[source][g] = big
     for l in loads:
-        arcs[(index[l], sink)] = big
+        residual[index[l]][sink] = big
 
-    flow = _edmonds_karp(len(index) + 2, arcs, source, sink)
-    value = sum(flow[(source, index[g])] for g in generators)
-    # cap - residual on the forward arc is already the signed net flow
-    return value, scale, [flow[(index[e.a], index[e.b])] for e in edges]
+    nodes = range(size)
+    while True:
+        parent = [-1] * size
+        parent[source] = source
+        queue = [source]
+        for u in queue:
+            row = residual[u]
+            for v in nodes:
+                if row[v] > 0 and parent[v] < 0:
+                    parent[v] = u
+                    queue.append(v)
+            if parent[sink] >= 0:
+                break
+        else:
+            break  # no augmenting path is left
+        path = []
+        v = sink
+        while v != source:
+            path.append((parent[v], v))
+            v = parent[v]
+        bottleneck = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= bottleneck
+            residual[v][u] += bottleneck
+
+    # the arc g -> source starts empty and gains what source -> g carries
+    return sum(residual[g][source] for g in gens), scale, [(residual[v][u] - residual[u][v]) // 2 for u, v in ends]
 
 
 def classical_max_flow(n: Network) -> Fraction:
-    """Standard max flow from all generators to all loads, capacities only."""
-    value, scale, _ = _integer_flow(n.node_names, n.edges, n.generators, n.loads)
+    """Standard max flow from all generators to all loads, capacities only.
+
+    The network is not validated first, but an edge whose endpoint is not
+    a declared node raises `InvalidNetwork` with `validate_network`'s report.
+    """
+    try:
+        value, scale, _ = _integer_flow(n.node_names, n.edges, n.generators, n.loads)
+    except KeyError:
+        require_valid(n)
+        raise
     return Fraction(value, scale)

@@ -211,7 +211,9 @@ def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None) -> Li
     `components`, when given, must be exactly n's connected components
     (they are not checked).  A flowing component whose reduced Laplacian
     is singular, which positive susceptances rule out, raises
-    `MalformedProgram`.
+    `MalformedProgram`.  The network is not validated, but an edge whose
+    endpoint is not a declared node raises `InvalidNetwork` with
+    `validate_network`'s report.
     """
     _require_fixed(n)
     comps = connected_components(n) if components is None else components
@@ -225,29 +227,33 @@ def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None) -> Li
     unit.update((l, (len(gens) + j, -1)) for j, l in enumerate(loads))
     width = len(variables) + 2
     rows: list[list[int]] = []
-    for comp, edges in zip(comps, _component_edges(n, comps)):
-        names = sorted(comp)
-        terminals = [unit[v] for v in names if v in unit]
-        if not terminals:
-            continue
-        if {sign for _, sign in terminals} == {1, -1}:
-            det, y = _potentials(names, edges, [{v: unit[v][1]} for v in names if v in unit])
-            for e in edges:
-                k = e.s_min.numerator * e.cap.denominator
-                row = [0] * width
-                for (j, _), y_c in zip(terminals, y):
-                    row[j] = k * (y_c[e.b] - y_c[e.a])
-                if not any(row):
-                    continue
-                row[-2] = e.cap.numerator * e.s_min.denominator * det
-                row[-1] = e.s_min.denominator * e.cap.denominator * det
-                row = _reduced(row)
-                rows += (row, [-x for x in row[:-2]] + row[-2:])
-        balance = [0] * width
-        for j, sign in terminals:
-            balance[j] = sign
-        balance[-1] = 1
-        rows += (balance, [-x for x in balance[:-1]] + [1])
+    try:
+        for comp, edges in zip(comps, _component_edges(n, comps)):
+            names = sorted(comp)
+            terminals = [unit[v] for v in names if v in unit]
+            if not terminals:
+                continue
+            if {sign for _, sign in terminals} == {1, -1}:
+                det, y = _potentials(names, edges, [{v: unit[v][1]} for v in names if v in unit])
+                for e in edges:
+                    k = e.s_min.numerator * e.cap.denominator
+                    row = [0] * width
+                    for (j, _), y_c in zip(terminals, y):
+                        row[j] = k * (y_c[e.b] - y_c[e.a])
+                    if not any(row):
+                        continue
+                    row[-2] = e.cap.numerator * e.s_min.denominator * det
+                    row[-1] = e.s_min.denominator * e.cap.denominator * det
+                    row = _reduced(row)
+                    rows += (row, [-x for x in row[:-2]] + row[-2:])
+            balance = [0] * width
+            for j, sign in terminals:
+                balance[j] = sign
+            balance[-1] = 1
+            rows += (balance, [-x for x in balance[:-1]] + [1])
+    except KeyError:  # an edge endpoint that is not a declared node
+        require_valid(n)
+        raise
     return LinearProgram(
         variables, dict.fromkeys(variables, ZERO), dict.fromkeys(variables), rows, [LE] * len(rows), {_gen(g): ONE for g in gens}
     )

@@ -9,13 +9,17 @@ constraint by constraint over `Fraction`s through `LinearProgram`'s public
 methods, whose optimum `solve_mpf` must reach; `reference_terminal_program`,
 the same problem over generations and loads alone, with the shift factors
 found by `gauss_solve`, which the integer-row builder `formulate_mpf` must
-reproduce exactly; and `msf_by_every_mask` calls `solve_mpf` on every
+reproduce exactly; `reference_integer_flow`, Edmonds-Karp on a residual
+dict keyed by node pairs, whose flows `maxflow._integer_flow` must return
+exactly; and `msf_by_every_mask` calls `solve_mpf` on every
 sub-network, so that it checks the switching searches and nothing they
 skip.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -90,6 +94,70 @@ def lp_vertex_oracle(p: LinearProgram) -> tuple[str, Fraction | None]:
         if best is None or value > best:
             best = value
     return ("infeasible", None) if best is None else ("optimal", best)
+
+
+def reference_integer_flow(names, edges, generators, loads) -> tuple[int, int, list[int]]:
+    """`maxflow._integer_flow` on a residual dict keyed by node-index pairs.
+
+    The same numbering (`names`, then the source and the sink), merged
+    parallel arcs and scan order (neighbours sorted by index, each BFS
+    stopped after the node that gave the sink its parent), so it finds the
+    same augmenting paths and must return the same (value, scale, flows).
+    """
+    if not (generators and loads and edges):
+        return 0, 1, [0] * len(edges)
+    index = {name: i for i, name in enumerate(names)}
+    source, sink = len(index), len(index) + 1
+    scale = math.lcm(*(e.cap.denominator for e in edges))
+    caps = [e.cap.numerator * (scale // e.cap.denominator) for e in edges]
+    big = sum(caps) + scale
+    arcs: dict[tuple[int, int], int] = {}
+    for e, cap in zip(edges, caps):
+        u, v = index[e.a], index[e.b]
+        arcs[(u, v)] = arcs.get((u, v), 0) + cap
+        arcs[(v, u)] = arcs.get((v, u), 0) + cap
+    for g in generators:
+        arcs[(source, index[g])] = big
+    for l in loads:
+        arcs[(index[l], sink)] = big
+
+    residual = dict(arcs)
+    adj: dict[int, list[int]] = {i: [] for i in range(len(index) + 2)}
+    for (u, v) in arcs:
+        adj[u].append(v)
+        if (v, u) not in arcs:
+            residual[(v, u)] = 0
+            adj[v].append(u)
+    for u in adj:
+        adj[u].sort()
+    while True:
+        parent: dict[int, int] = {source: source}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in parent and residual[(u, v)] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            break
+        bottleneck = None
+        v = sink
+        while v != source:
+            u = parent[v]
+            r = residual[(u, v)]
+            bottleneck = r if bottleneck is None or r < bottleneck else bottleneck
+            v = u
+        v = sink
+        while v != source:
+            u = parent[v]
+            residual[(u, v)] -= bottleneck
+            residual[(v, u)] += bottleneck
+            v = u
+
+    flow = {arc: arcs[arc] - residual[arc] for arc in arcs}
+    value = sum(flow[(source, index[g])] for g in generators)
+    return value, scale, [flow[(index[e.a], index[e.b])] for e in edges]
 
 
 def min_cut_value(n: Network) -> Fraction:

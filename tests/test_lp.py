@@ -6,11 +6,12 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_boxed_lp, random_ldc_network
-from ldcflow import serialize
+from ldcflow import lp, serialize
 from ldcflow.errors import MalformedProgram
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.lp import LinearProgram, LpStatus, _fold, solve_lp, write_lp_text
 from ldcflow.mff import pin_susceptances, solve_mff_grid
+from ldcflow.mpf import formulate_mpf
 from ldcflow.msf import solve_msf_bnb, solve_msf_exhaustive
 from ldcflow.network import Network, NodeRole, facts_edge, fixed_edge, network_sum, subnetwork
 from ldcflow.rational import rat_str
@@ -463,3 +464,90 @@ def test_a_column_fixed_at_zero_is_cleared_and_the_row_reduced():
     p.set_objective({"y": F(1)})
     r = solve_lp(p)
     assert (r.status, r.value, r.assignment) == (LpStatus.OPTIMAL, 1, {"x": 0, "y": 1})
+
+
+# --- Standard-form programs skip the presolve -----------------------------------
+#
+# A program with only <= rows, nonnegative right-hand sides and every variable in
+# [0, inf) starts from its slack tableau; one more variable fixed at 0, held by no
+# row, leaves the program the same but sends it through the presolve.
+
+
+def with_a_fixed_variable(p: LinearProgram) -> LinearProgram:
+    """p plus a variable `fixed` in [0, 0] that neither a row nor the objective holds."""
+    return LinearProgram(
+        p.variables + ["fixed"],
+        {**p.lower, "fixed": F(0)},
+        {**p.upper, "fixed": F(0)},
+        [row[:-2] + [0] + row[-2:] for row in p.rows],
+        list(p.rels),
+        dict(p.objective),
+    )
+
+
+def solve_both_ways(p: LinearProgram, monkeypatch) -> tuple:
+    """solve_lp of p, which must skip the presolve, and of p with a fixed variable, which must not."""
+    presolved = []
+    presolve = lp._presolve
+    monkeypatch.setattr(lp, "_presolve", lambda *args: presolved.append(args) or presolve(*args))
+    direct = solve_lp(p)
+    assert not presolved
+    padded = solve_lp(with_a_fixed_variable(p))
+    assert len(presolved) == 1
+    assert (direct.status, direct.value) == (padded.status, padded.value)
+    if direct.status is LpStatus.OPTIMAL:
+        assert list(padded.assignment.items()) == [*direct.assignment.items(), ("fixed", 0)]
+    return direct, padded
+
+
+def test_mpf_programs_solve_alike_with_and_without_the_presolve(monkeypatch):
+    rng = random.Random(1701)
+    networks = [random_ldc_network(rng) for _ in range(60)]
+    networks += [gsch(1, "v", Polarity.MINUS), gsch(2, "v", Polarity.PLUS)]
+    for n in networks:
+        direct, _ = solve_both_ways(formulate_mpf(n), monkeypatch)
+        assert direct.status is LpStatus.OPTIMAL
+
+
+def random_standard_lp(rng: random.Random) -> LinearProgram:
+    """<= rows with nonnegative right-hand sides over variables in [0, inf), and a positive objective.
+
+    As in the pinned programs, rows of 0/1/2 over rhs 1 or 2 tie the ratio
+    test often; here each row is also scaled by a rational, and a row may
+    hold no coefficient.  A variable that no row holds leaves the program
+    unbounded.
+    """
+    p = LinearProgram()
+    for v in ["v", "w", "x", "y", "z"][: rng.randint(2, 5)]:
+        p.add_variable(v, lower=F(0))
+    for _ in range(rng.randint(2, 7)):
+        scale = rng.choice((F(1), F(1), F(1, 3), F(5, 2)))
+        p.add_constraint({v: c * scale for v in p.variables if (c := rng.choice((0, 1, 1, 2, 2)))}, "<=", rng.randint(1, 2) * scale)
+    p.set_objective({v: F(rng.randint(1, 2)) for v in p.variables})
+    return p
+
+
+def test_standard_form_programs_match_the_vertex_oracle_and_the_presolve(rng, monkeypatch):
+    for k in range(300):
+        p = random_standard_lp(rng)
+        r, _ = solve_both_ways(p, monkeypatch)
+        bounded = all(any(row[j] for row in p.rows) for j in range(len(p.variables)))
+        assert r.status is (LpStatus.OPTIMAL if bounded else LpStatus.UNBOUNDED)
+        if bounded:
+            assert_feasible_optimum(p, r)
+            if k % 5 == 0:  # the oracle enumerates every vertex
+                assert lp_vertex_oracle(p) == ("optimal", r.value)
+
+
+@pytest.mark.parametrize(
+    "program, message",
+    [
+        (LinearProgram(["x", "x"], {"x": F(0)}, {"x": None}, [[1, 1, 1, 1]], ["<="], {}), "duplicate variable names"),
+        (LinearProgram(["x"], {"x": F(0)}, {"x": None}, [[1, 1, 1]], ["<="], {"y": F(1)}), "undeclared variable y"),
+        (LinearProgram(["x"], {"x": F(0)}, {}, [[1, 1, 1]], ["<="], {"x": F(1)}), "no upper bound entry"),
+    ],
+    ids=["duplicate name", "undeclared objective variable", "bound entry missing"],
+)
+def test_a_standard_form_program_is_checked_before_its_slack_tableau(program, message):
+    with pytest.raises(MalformedProgram, match=message):
+        solve_lp(program)

@@ -1,10 +1,14 @@
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import example, given, strategies as st
+
 from conftest import random_ldc_network
+from ldcflow.errors import InvalidNetwork
 from ldcflow.gadgets import Polarity, gsch
 from ldcflow.maxflow import _integer_flow, classical_max_flow
 from ldcflow.network import Network, NodeRole, fixed_edge, subnetwork
-from oracles import min_cut_value
+from oracles import min_cut_value, reference_integer_flow
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
@@ -77,3 +81,36 @@ def test_matches_brute_force_min_cut_with_rational_capacities(rng):
             else:
                 assert (net_out[v] >= 0) if role is GEN else (net_out[v] <= 0)
         assert sum(net_out[g] for g in n.generators) == value
+
+
+@st.composite
+def flow_inputs(draw):
+    """`_integer_flow`'s arguments: parallel edges, any roles, capacities over several denominators, isolated nodes."""
+    names = [f"v{i}" for i in range(draw(st.integers(2, 7)))]
+    roles = [draw(st.sampled_from([GEN, LOAD, PLAIN])) for _ in names]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    drawn = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 12), st.sampled_from([1, 2, 3, 5, 6])), max_size=10))
+    edges = [fixed_edge(a, b, 1, F(num, den)) for (a, b), num, den in drawn]
+    gens = [v for v, r in zip(names, roles) if r is GEN]
+    loads = [v for v, r in zip(names, roles) if r is LOAD]
+    return draw(st.permutations(names)), edges, gens, loads
+
+
+@given(flow_inputs())
+@example(
+    (
+        ["v3", "v0", "v2", "v1", "v4"],
+        [fixed_edge("v0", "v1", 1, F(3, 2)), fixed_edge("v0", "v1", 1, F(1, 3)), fixed_edge("v1", "v2", 1, 2), fixed_edge("v0", "v2", 1, F(5, 6))],
+        ["v0", "v3"],
+        ["v1", "v2"],
+    )
+)
+def test_the_flows_are_the_residual_dicts(args):
+    assert _integer_flow(*args) == reference_integer_flow(*args)
+
+
+def test_an_undeclared_endpoint_is_an_invalid_network():
+    n = Network([("a", GEN), ("b", LOAD)], [fixed_edge("a", "zz", 1, 1), fixed_edge("a", "b", 1, 1)])
+    with pytest.raises(InvalidNetwork, match="endpoint zz is not a declared node") as raised:
+        classical_max_flow(n)
+    assert raised.value.report.kinds() == {"Structural"}

@@ -10,7 +10,7 @@ from hypothesis import example, given, strategies as st
 from conftest import SUSCEPTANCES, networks_with_idle_edges, random_ldc_network, random_tree, series_parallel_networks
 from ldcflow import mpf
 from ldcflow.classify import connected_components
-from ldcflow.errors import MalformedProgram, NotFixedSusceptance
+from ldcflow.errors import InvalidNetwork, MalformedProgram, NotFixedSusceptance
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.lp import LE, LpResult, LpStatus, solve_lp
 from ldcflow.maxflow import _integer_flow, classical_max_flow
@@ -64,6 +64,12 @@ class TestFormulate:
     def test_facts_edge_rejected(self):
         with pytest.raises(NotFixedSusceptance):
             formulate_mpf(gfch(1, "v", Polarity.MINUS))
+
+    def test_an_undeclared_endpoint_is_an_invalid_network(self):
+        n = Network([("a", GEN), ("b", LOAD)], [fixed_edge("a", "zz", 1, 1), fixed_edge("a", "b", 1, 1)])
+        with pytest.raises(InvalidNetwork, match="endpoint zz is not a declared node") as raised:
+            formulate_mpf(n)
+        assert raised.value.report.kinds() == {"Structural"}
 
     @pytest.mark.parametrize("s, expected", [(2, [F(1, 3), F(2, 3)]), (-1, None)])
     def test_edges_on_one_pair_add_up_and_a_zero_sum_is_singular(self, s, expected):
