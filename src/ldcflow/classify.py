@@ -19,14 +19,6 @@ def _neighbours(n: Network) -> dict[NodeId, list[NodeId]]:
     return adj
 
 
-def _adjacency(n: Network) -> dict[NodeId, list[NodeId]]:
-    """Neighbours sorted by name, which fixes the order of the biconnected DFS."""
-    adj = _neighbours(n)
-    for v in adj:
-        adj[v].sort()
-    return adj
-
-
 def connected_components(n: Network) -> list[set[NodeId]]:
     """Components in order of their smallest node name."""
     adj = _neighbours(n)
@@ -68,7 +60,7 @@ def max_degree(n: Network) -> int:
 
 def _biconnected_edge_components(n: Network) -> list[list[tuple[NodeId, NodeId]]]:
     """Edge sets of the biconnected components (iterative Hopcroft-Tarjan)."""
-    adj = _adjacency(n)
+    adj = _neighbours(n)
     disc: dict[NodeId, int] = {}
     low: dict[NodeId, int] = {}
     comps: list[list[tuple[NodeId, NodeId]]] = []

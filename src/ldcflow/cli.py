@@ -172,6 +172,8 @@ def _cmd_verify(args) -> int:
     elif problem == "mff":
         outcome = serialize.mff_outcome_from_json(doc, n)
         target, sol = n, outcome.solution
+    elif problem == "mpf":  # `solve mpf --json`
+        target, sol = n, serialize.solution_from_json(doc.get("solution"), n)
     else:
         target, sol = n, serialize.solution_from_json(doc, n)
     report = validate_solution(target, sol)

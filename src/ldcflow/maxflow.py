@@ -40,7 +40,9 @@ def _integer_flow(names: Sequence[NodeId], edges: Sequence[Edge], generators: Se
     comes first in that order.  Both directions of an edge start at its
     capacity c and an augmentation moves residual from one to the other,
     so the net flow from a to b is c - residual[a][b], which is
-    (residual[b][a] - residual[a][b]) / 2.
+    (residual[b][a] - residual[a][b]) / 2.  Parallel edges share that net
+    flow: in edge order, each takes what is left of it up to its own
+    capacity.
     """
     if not (generators and loads and edges):
         return 0, 1, [0] * len(edges)
@@ -89,8 +91,16 @@ def _integer_flow(names: Sequence[NodeId], edges: Sequence[Edge], generators: Se
             residual[u][v] -= bottleneck
             residual[v][u] += bottleneck
 
+    flows = [(residual[v][u] - residual[u][v]) // 2 for u, v in ends]
+    if len(set(ends)) < len(ends):  # an Edge orders its ends, so twins share (u, v)
+        # parallel edges share their arcs: in edge order, each takes what is
+        # left of the pair's net flow, up to its own capacity, off the residual
+        for j, ((u, v), cap) in enumerate(zip(ends, caps)):
+            flows[j] = f = max(-cap, min(cap, (residual[v][u] - residual[u][v]) // 2))
+            residual[u][v] += f
+            residual[v][u] -= f
     # the arc g -> source starts empty and gains what source -> g carries
-    return sum(residual[g][source] for g in gens), scale, [(residual[v][u] - residual[u][v]) // 2 for u, v in ends]
+    return sum(residual[g][source] for g in gens), scale, flows
 
 
 def classical_max_flow(n: Network) -> Fraction:

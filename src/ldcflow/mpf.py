@@ -32,12 +32,11 @@ t* = min over edges of cap/|s * dphi| is unique, and any LP's vertex can
 only be that same point.
 
 Trees never need the LP: absent cycles the angles carry no constraints
-of their own, so MPF is the classical max flow, the least capacity that
-cuts every generator from every load, and any max flow is an optimal
-solution once its angles are reconstructed edge by edge.  `solve_mpf`
-values any other tree component by that cut, found by an integer pass
-over the tree (`_tree_cut`), and builds its solution on first read from
-the integer max flow of `maxflow` (`_tree_flow`).
+of their own, so MPF is the classical max flow, and any max flow is an
+optimal solution once its angles are reconstructed edge by edge.
+`solve_mpf` runs the integer max flow of `maxflow` once on any other
+tree component: its value is the component's, and on first read of the
+solution its edge flows are replayed with angles (`_tree_flow`).
 
 So the only LP `solve_mpf` runs is the terminal-space program of the
 flowing components with a cycle, and none when there is no such
@@ -98,13 +97,9 @@ def _require_fixed(n: Network) -> None:
         raise NotFixedSusceptance(f"edge {bad} has an adjustable susceptance")
 
 
-def pinned_nodes(n: Network, components: list[set[NodeId]] | None = None) -> set[NodeId]:
-    """Smallest node name of each connected component (angle anchors).
-
-    `components`, when given, must be exactly n's connected components;
-    they are not checked.
-    """
-    return {min(comp) for comp in (connected_components(n) if components is None else components)}
+def pinned_nodes(n: Network) -> set[NodeId]:
+    """Smallest node name of each connected component (angle anchors)."""
+    return {min(comp) for comp in connected_components(n)}
 
 
 def _component_edges(n: Network, components: list[set[NodeId]]) -> list[list[Edge]]:
@@ -322,58 +317,18 @@ def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tup
     return value, vertex
 
 
-def _tree_cut(edges: list[Edge], roles: dict[NodeId, NodeRole]) -> Rational:
-    """MPF of a tree component: the least capacity that cuts every generator from every load.
-
-    `edges` are the component's, |V| - 1 of them.  Without a cycle the
-    angles follow from any flow edge by edge, so MPF is the classical max
-    flow, which is that least cut.  The capacities are scaled once by the
-    LCM L of their denominators, as `maxflow._integer_flow` does.  Rooted
-    at one end of the first edge, each node keeps the cheapest cut of its
-    subtree with the node on the generator side and on the load side; a
-    child sits on its parent's side for free or on the other side at its
-    edge's capacity.  `big`, more than all capacities together, stands for
-    a generator on the load side or a load on the generator side.
-    """
-    scale = math.lcm(*(e.cap.denominator for e in edges))
-    adjacent: dict[NodeId, list[tuple[NodeId, int]]] = {}
-    big = 1
-    for e in edges:
-        cap = e.cap.numerator * (scale // e.cap.denominator)
-        big += cap
-        adjacent.setdefault(e.a, []).append((e.b, cap))
-        adjacent.setdefault(e.b, []).append((e.a, cap))
-    root = edges[0].a
-    parent = {root: (root, 0)}
-    order = [root]
-    for v in order:  # breadth first, so every node comes after its parent
-        for w, cap in adjacent[v]:
-            if w not in parent:
-                parent[w] = (v, cap)
-                order.append(w)
-    gen_side = {v: big if roles[v] is NodeRole.LOAD else 0 for v in order}
-    load_side = {v: big if roles[v] is NodeRole.GENERATOR else 0 for v in order}
-    for v in reversed(order[1:]):
-        up, cap = parent[v]
-        g, l = gen_side[v], load_side[v]
-        gen_side[up] += min(g, l + cap)
-        load_side[up] += min(l, g + cap)
-    return Rational(min(gen_side[root], load_side[root]), scale)
-
-
-def _tree_flow(comp: set[NodeId], edges: list[Edge], gens: list[NodeId], loads: list[NodeId]) -> dict[str, Rational]:
+def _tree_flow(names: list[NodeId], edges: list[Edge], scale: int, flows: list[int]) -> dict[str, Rational]:
     """The assignment {th, gen, load} of a tree component's classical max flow.
 
-    `edges` are the component's, |V| - 1 of them, and `gens` and `loads`
-    its generators and loads.  The integer max flow of `maxflow` gives
-    each edge (a, b) its flow f, and the power law then fixes
-    th[b] - th[a] = f / s.  Without a cycle one path leads to each node,
-    so the angles follow edge by edge from the smallest node, pinned at
-    zero as `pinned_nodes` does.  The flow's value is the tree's least
-    cut (`_tree_cut`).
+    `names` are the component's nodes, sorted, and `edges` its edges,
+    |V| - 1 of them; `scale` and `flows` come from `maxflow._integer_flow`
+    on them, so each edge (a, b) carries f / scale, and the power law then
+    fixes th[b] - th[a] = f / (scale * s).  Without a cycle one path leads
+    to each node, so the angles follow edge by edge from the smallest
+    node, pinned at zero as `pinned_nodes` does.  A node's net outflow is
+    its generation when positive and its load when negative: only a
+    generator can send more than it receives, only a load less.
     """
-    names = sorted(comp)
-    _, scale, flows = _integer_flow(names, edges, gens, loads)
     adjacent: dict[NodeId, list[tuple[Edge, int]]] = {v: [] for v in names}
     net = dict.fromkeys(names, 0)  # net outflow, over scale
     for e, f in zip(edges, flows):
@@ -391,8 +346,7 @@ def _tree_flow(comp: set[NodeId], edges: list[Edge], gens: list[NodeId], loads: 
                 angle[w] = angle[v] + step if w == e.b else angle[v] - step
                 order.append(w)
     assignment = {_th(v): a for v, a in angle.items()}
-    assignment.update((_gen(g), Rational(net[g], scale)) for g in gens)
-    assignment.update((_load(l), Rational(-net[l], scale)) for l in loads)
+    assignment.update((_gen(v) if x > 0 else _load(v), Rational(abs(x), scale)) for v, x in net.items() if x)
     return assignment
 
 
@@ -404,9 +358,9 @@ def solve_mpf(n: Network) -> MpfOutcome:
     form (`_one_pair`): conservation makes every feasible point t times
     the angles of a unit injection from g to l, so its optimum is unique
     and is the vertex the LP would return.  Any other tree component is
-    valued by its least generator/load cut (`_tree_cut`), and its
-    solution is the integer max flow replayed with angles
-    (`_tree_flow`), with no LP.  Only the other components, those with
+    valued by one integer max flow (`maxflow._integer_flow`), with no LP,
+    and its solution is that same flow replayed with angles
+    (`_tree_flow`).  Only the other components, those with
     a cycle, go to the LP, as one terminal-space program
     (`formulate_mpf`).  The solution, built on first read, is an optimal
     one: on components with a cycle the LP's gen/load vertex, with the
@@ -428,8 +382,10 @@ def solve_mpf(n: Network) -> MpfOutcome:
             value += t
             vertices.append(vertex)
         elif len(edges) == len(comp) - 1:
-            value += _tree_cut(edges, roles)
-            vertices.append(partial(_tree_flow, comp, edges, gens, loads))
+            names = sorted(comp)
+            t, scale, flows = _integer_flow(names, edges, gens, loads)
+            value += Rational(t, scale)
+            vertices.append(partial(_tree_flow, names, edges, scale, flows))
         else:
             cyclic.append((comp, edges))
     if cyclic:

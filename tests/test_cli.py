@@ -95,6 +95,13 @@ class TestVerify:
         assert code == 1
         assert "PowerLaw" in out or "Kirchhoff" in out or "CapacityBound" in out
 
+    def test_mpf_json_document_verifies(self, capsys, tmp_path, gsch_file):
+        doc = tmp_path / "mpf.json"
+        code, out, _ = run(capsys, "solve", "mpf", gsch_file, "--json")
+        assert code == 0 and json.loads(out)["problem"] == "mpf"
+        doc.write_text(out)
+        assert run(capsys, "verify", gsch_file, str(doc)) == (0, "OK\n", "")
+
 
 class TestClassify:
     def test_gadget_report(self, capsys, gsch_file):

@@ -1,13 +1,17 @@
-"""The demo scripts and the README quick start run as documented."""
+"""The demo scripts, the README quick start and its command-line block run as documented."""
 
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from ldcflow import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -36,3 +40,29 @@ def test_readme_quick_start_values():
     values = [eval(expr, namespace) for expr, _ in claims]
     assert values == [eval(claim, {"Fraction": Fraction}) for _, claim in claims]
     assert values == [34, 12, 30]
+
+
+def test_readme_command_line_block(tmp_path, monkeypatch, capsys):
+    """The README's command-line block runs in order, and each `# prints:` line and the decoded certificate print what they claim."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```sh\n(.*?)```", readme.split("## Command line", 1)[1], re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    printed = []
+    for line in filter(None, block.splitlines()):
+        command, _, claim = line.partition("  # ")
+        words = shlex.split(command)
+        if words[0] == "ldcflow":
+            assert cli.main(words[1:]) == 0, line
+        elif words[0] == "python":
+            subprocess.run([sys.executable, *words[1:]], check=True, timeout=60)
+        else:  # echo '<text>' > <file>
+            assert words[0] == "echo" and words[2] == ">"
+            Path(words[3]).write_text(words[1] + "\n")
+        out = capsys.readouterr().out
+        if claim.startswith("prints: "):
+            assert out.strip() == claim.removeprefix("prints: "), line
+            printed.append(out.strip())
+        elif words[:2] == ["ldcflow", "decode"]:
+            assert json.loads(out) == json.loads(claim), line
+            printed.append(json.loads(out))
+    assert printed == ["3", "NO", "OK", {"V": [2, 3]}]

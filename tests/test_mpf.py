@@ -430,7 +430,7 @@ def forests(draw) -> tuple[Network, Network]:
 
 
 class TestTreeComponents:
-    """A tree component with several generators or loads is valued by its least cut and solved by its max flow, with no LP."""
+    """A tree component with several generators or loads is valued and solved by one max flow, with no LP."""
 
     @given(forests())
     @example((STAR, STAR))
@@ -456,6 +456,16 @@ class TestTreeComponents:
         assert {e: solution.flow[e] for e in STAR.edges} == {h: 3, i: F(1, 2), j: F(-7, 2)}
         assert {v: solution.angle[v] for v in "hijk"} == {"h": 0, "i": F(11, 4), "j": F(13, 2), "k": 3}
         assert {v: (solution.gen[v], solution.load[v]) for v in "hij"} == {"h": (3, 0), "i": (F(1, 2), 0), "j": (0, F(7, 2))}
+
+    @pytest.mark.parametrize("extra", [None, SEVERAL, triangle(), LONELY], ids=["tree", "cyclic", "pair", "flowless"])
+    def test_the_value_runs_one_max_flow_and_the_solution_replays_it(self, monkeypatch, extra):
+        n = STAR if extra is None else network_sum(STAR, extra)
+        calls = []
+        monkeypatch.setattr("ldcflow.mpf._integer_flow", lambda *args: calls.append(args) or _integer_flow(*args))
+        out = solve_mpf(n)
+        ((names, edges, gens, loads),) = calls
+        assert (names, edges, sorted(gens), loads) == (["h", "i", "j", "k"], list(STAR.edges), ["h", "i"], ["j"])
+        assert out.solution.flow[STAR.edges[0]] == 3 and len(calls) == 1
 
 
 @st.composite
