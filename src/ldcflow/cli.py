@@ -2,8 +2,7 @@
 
 Subcommands: solve (mpf | msf | mff), encode, decode, gadget, verify,
 classify, export.  Networks, solutions and instances travel as the JSON
-documents defined in `serialize`.  `solve mpf` solves every network,
-trees included, through `solve_mpf`.  Exact values print as "p/q" with a
+documents defined in `serialize`.  Exact values print as "p/q" with a
 decimal rendering when it differs.
 
 Exit codes: 0 success (including a NO/UNKNOWN decision), 1 failed
@@ -24,7 +23,7 @@ from .gadgets import Polarity, gfch, gsch
 from .mff import MffDecision, decide_mff, solve_mff_grid
 from .mpf import solve_mpf
 from .msf import decide_msf, export_milp, solve_msf_bnb, solve_msf_exhaustive
-from .network import require_valid, subnetwork, validate_network, validate_solution
+from .network import require_valid, subnetwork, total_generation, validate_network, validate_solution
 from .rational import format_value, rat, rat_str
 from .reductions import (
     KIND_CACTUS_MFF,
@@ -51,6 +50,10 @@ _ENCODERS = {
     KIND_CACTUS_MFF: (encode_subset_sum_cactus_mff, serialize.subset_sum_from_json),
     KIND_TREE: (encode_subset_sum_tree, serialize.subset_sum_from_json),
 }
+
+
+# `verify`'s readers of the outcome documents `solve --out` and `solve mpf --json` write
+_OUTCOME_READERS = {"mpf": serialize.mpf_outcome_from_json, "msf": serialize.msf_outcome_from_json, "mff": serialize.mff_outcome_from_json}
 
 
 def _read_network(path: str):
@@ -165,22 +168,27 @@ def _cmd_verify(args) -> int:
         return 1
     doc = serialize.load(args.solution)
     problem = doc.get("problem") if isinstance(doc, dict) else None
-    if problem == "msf":
-        outcome = serialize.msf_outcome_from_json(doc, n)
-        target = subnetwork(n, outcome.switched)
-        sol = outcome.solution
-    elif problem == "mff":
-        outcome = serialize.mff_outcome_from_json(doc, n)
-        target, sol = n, outcome.solution
-    elif problem == "mpf":  # `solve mpf --json`
-        target, sol = n, serialize.solution_from_json(doc.get("solution"), n)
+    target, claims = n, []  # claims: what an outcome document says that its solution belies
+    if problem in _OUTCOME_READERS:
+        outcome = _OUTCOME_READERS[problem](doc, n)
+        sol, total = outcome.solution, total_generation(outcome.solution)
+        if outcome.value != total:
+            claims.append(f"value {rat_str(outcome.value)} is not the solution's total generation {rat_str(total)}")
+        if problem == "msf":
+            target = subnetwork(n, outcome.switched)
+        elif problem == "mff":
+            if set(outcome.assignment) != set(n.facts_edges):
+                claims.append("the assignment does not name exactly the network's FACTS edges")
+            claims += [f"assignment {e.a}--{e.b} = {rat_str(x)} is not the solution's susceptance" for e, x in outcome.assignment.items() if sol.susceptance.get(e) != x]
+            if outcome.certified and n.facts_edges:
+                claims.append("certified, but the network has FACTS edges")
     else:
-        target, sol = n, serialize.solution_from_json(doc, n)
+        sol = serialize.solution_from_json(doc, n)
     report = validate_solution(target, sol)
-    if report.ok:
+    if report.ok and not claims:
         print("OK")
         return 0
-    print(report)
+    print("\n".join(([] if report.ok else [str(report)]) + claims))
     return 1
 
 

@@ -42,7 +42,11 @@ class TooLarge(LdcError):
 
 
 class TooManyFactsEdges(LdcError):
-    """FACTS assignment search refused: too many adjustable edges."""
+    """FACTS assignment search refused: its grid holds more than 2^`mff.FACTS_EDGE_LIMIT` candidates.
+
+    A k-step grid on f adjustable edges holds (k + 1)^f of them, so too many
+    adjustable edges or too fine a grid is refused before any is built.
+    """
 
 
 class NonpositiveX(LdcError):

@@ -13,8 +13,8 @@ back as `Fraction(x, L)`, the same exact rational.  The residual graph is
 a dense matrix of lists indexed by node number, which these small
 networks make cheaper to build and scan than a dict of arcs.  Neighbours
 are scanned in ascending number, so the node order fixes the augmenting
-paths, and with them the integer per-edge flows that `mpf` replays as a
-tree component's solution.
+paths, and with them the integer per-edge flows, whose net outflows `mpf`
+takes as a tree component's injections.
 """
 
 from __future__ import annotations

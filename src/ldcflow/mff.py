@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import TooManyFactsEdges
+from .errors import TooManyFactsEdges, UnknownEdge
 from .mpf import solve_mpf
 from .msf import optima, ordered_map
 from .network import Edge, Network, Solution, fixed_edge, require_valid
@@ -44,7 +44,10 @@ class MffDecision(enum.Enum):
 
 
 def pin_susceptances(n: Network, assignment: SusAssignment) -> Network:
-    """Fix every FACTS edge to its assigned value, yielding an LDC network."""
+    """Fix every assigned edge to its assigned value; a key that is not an edge of n raises `UnknownEdge`."""
+    unknown = assignment.keys() - n.edges
+    if unknown:
+        raise UnknownEdge(f"{min(unknown)} is not an edge of the network")
     new_edges = []
     for e in n.edges:
         if e in assignment:
@@ -73,13 +76,6 @@ def _assignment_value(n: Network, assignment: SusAssignment) -> Rational:
     return solve_mpf(pin_susceptances(n, assignment)).value
 
 
-def _facts(n: Network) -> list[Edge]:
-    facts = list(n.facts_edges)
-    if len(facts) > FACTS_EDGE_LIMIT:
-        raise TooManyFactsEdges(f"{len(facts)} FACTS edges exceed the search limit of {FACTS_EDGE_LIMIT}")
-    return facts
-
-
 def solve_mff_endpoints(n: Network) -> MffOutcome:
     """The grid search at k = 1: every combination of interval endpoints."""
     return solve_mff_grid(n, 1)
@@ -103,7 +99,10 @@ def _grid_optima(n: Network, k: int) -> list[SusAssignment]:
     if k < 1:
         raise ValueError("grid refinement k must be >= 1")
     require_valid(n)
-    facts = _facts(n)
+    facts = n.facts_edges
+    # (k + 1) ** len(facts) candidates; the first test keeps the power small
+    if len(facts) > FACTS_EDGE_LIMIT or (k + 1) ** len(facts) > 2**FACTS_EDGE_LIMIT:
+        raise TooManyFactsEdges(f"a {k}-step grid on {len(facts)} FACTS edges exceeds the search limit of 2^{FACTS_EDGE_LIMIT} candidates")
     assignments = [dict(zip(facts, c)) for c in itertools.product(*(grid_points(e, k) for e in facts))]
     return optima(assignments, ordered_map(partial(_assignment_value, n), assignments))
 

@@ -19,8 +19,7 @@ edge whose shift factors are all zero is left out, since it can never
 bind), and per component the balance sum(gen) - sum(load) = 0 as two
 <= 0 rows.  Every right-hand side is nonnegative, so the simplex starts
 from its slack basis, with no phase 1 and no free variable to
-eliminate.  On first read of the solution, `solve_mpf` rebuilds the
-angles from the optimal injections.
+eliminate.
 
 A component without both a generator and a load is solved in closed
 form: its only feasible point is zero.  So is a component with exactly
@@ -32,20 +31,19 @@ t* = min over edges of cap/|s * dphi| is unique, and any LP's vertex can
 only be that same point.
 
 Trees never need the LP: absent cycles the angles carry no constraints
-of their own, so MPF is the classical max flow, and any max flow is an
-optimal solution once its angles are reconstructed edge by edge.
-`solve_mpf` runs the integer max flow of `maxflow` once on any other
-tree component: its value is the component's, and on first read of the
-solution its edge flows are replayed with angles (`_tree_flow`).
+of their own, so MPF is the classical max flow.  `solve_mpf` values any
+other tree component by one integer max flow of `maxflow`.
 
 So the only LP `solve_mpf` runs is the terminal-space program of the
 flowing components with a cycle, and none when there is no such
-component.  The program is block-diagonal across components and the
-simplex's every choice stays within one block, so the solution returned
-is an optimal one: the LP's vertex on components with a cycle, its
-angles rebuilt from the optimal injections by one more elimination, the
-unique optimum on one-pair components and the replayed max flow on the
-other trees.  It is built from the merged parts on first read.
+component; the program is block-diagonal across components, and the
+simplex's every choice stays within one block.  Each component hands
+over its part of an optimal solution as net injections: the LP's vertex,
+the unique one-pair optimum or the tree's max flow.  Those fix its
+angles, smallest node at zero, and its flows, so one more `_potentials`
+solve gives them (a one-pair component scales its unit solve instead).
+The solution is built from the parts on first read; nodes no part names
+stay at zero.
 
 One map serves the switching searches: `flow_cores` finds, on bitmasks,
 the edges of a sub-network that can carry flow, and both searches value
@@ -63,7 +61,7 @@ from .classify import connected_components
 from .errors import MalformedProgram, NotFixedSusceptance
 from .lp import LE, DeferredRecord, LinearProgram, LpResult, LpStatus, _reduced, solve_lp
 from .maxflow import _integer_flow
-from .network import Edge, Network, NodeId, NodeRole, Solution, require_valid, zero_solution
+from .network import Edge, Network, NodeId, NodeRole, Solution, require_valid
 from .rational import ONE, Rational, ZERO
 
 
@@ -77,10 +75,6 @@ class MpfOutcome(DeferredRecord):
         self._set(value=value, _last=solution, _build=None)
 
     solution = property(DeferredRecord.last)
-
-
-def _th(v: NodeId) -> str:
-    return f"th[{v}]"
 
 
 def _gen(v: NodeId) -> str:
@@ -254,38 +248,40 @@ def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None) -> Li
     )
 
 
-def _solution_from_assignment(n: Network, assignment: dict[str, Rational]) -> Solution:
-    """The solution an MPF vertex stands for; nodes it does not name stay at zero."""
-    angle = {v: assignment.get(_th(v), ZERO) for v in n.node_names}
-    return Solution(
-        susceptance={e: e.s_min for e in n.edges},
-        angle=angle,
-        flow={e: e.s_min * (angle[e.b] - angle[e.a]) for e in n.edges},
-        gen={v: assignment.get(_gen(v), ZERO) for v in n.node_names},
-        load={v: assignment.get(_load(v), ZERO) for v in n.node_names},
-    )
+NodeValues = dict[NodeId, Rational]
+Part = tuple[NodeValues, NodeValues]  # a component's (angles, net injections)
 
 
-def _terminal_vertex(parts: list[tuple[set[NodeId], list[Edge]]], roles: dict[NodeId, NodeRole], result: LpResult) -> dict[str, Rational]:
-    """The assignment {th, gen, load} of the terminal program's vertex.
+def _with_angles(names: list[NodeId], edges: list[Edge], injection: NodeValues) -> Part:
+    """(angles, injection) of a component: the angles its net injections fix.
 
-    `parts` are the components the program was formulated over, with
-    their edges.  The angles follow from the optimal injections by one
-    `_potentials` elimination per component, over the LCM of the
-    injections' denominators.
+    `names` are the component's nodes, sorted, and `edges` its edges.
+    One `_potentials` elimination over the LCM of the injections'
+    denominators gives them, names[0] pinned at zero.
     """
-    assignment = dict(result.assignment)
-    for comp, edges in parts:
-        names = sorted(comp)
-        p = {v: assignment[_gen(v)] for v in names if roles[v] is NodeRole.GENERATOR}
-        p.update((v, -assignment[_load(v)]) for v in names if roles[v] is NodeRole.LOAD)
-        scale = math.lcm(*(x.denominator for x in p.values()))
-        det, (y,) = _potentials(names, edges, [{v: x.numerator * (scale // x.denominator) for v, x in p.items()}])
-        assignment.update((_th(v), Rational(y_v, det * scale)) for v, y_v in y.items())
-    return assignment
+    scale = math.lcm(*(x.denominator for x in injection.values()))
+    det, (y,) = _potentials(names, edges, [{v: x.numerator * (scale // x.denominator) for v, x in injection.items()}])
+    return {v: Rational(y_v, det * scale) for v, y_v in y.items()}, injection
 
 
-def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tuple[Rational, Callable[[], dict[str, Rational]]]:
+def _tree_part(names: list[NodeId], edges: list[Edge], scale: int, flows: list[int]) -> Part:
+    """A tree component's (angles, injection) under its max flow, each edge (a, b) carrying f / scale."""
+    net = dict.fromkeys(names, 0)
+    for e, f in zip(edges, flows):
+        net[e.a] += f
+        net[e.b] -= f
+    return _with_angles(names, edges, {v: Rational(x, scale) for v, x in net.items() if x})
+
+
+def _lp_part(comp: set[NodeId], edges: list[Edge], gens: list[NodeId], loads: list[NodeId], result: LpResult) -> Part:
+    """A cyclic component's (angles, injection) at the terminal program's optimal vertex."""
+    a = result.assignment
+    injection = {v: a[_gen(v)] for v in gens}
+    injection.update((v, -a[_load(v)]) for v in loads)
+    return _with_angles(sorted(comp), edges, injection)
+
+
+def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tuple[Rational, Callable[[], Part]]:
     """MPF of a component whose only generator is g and only load is l.
 
     `edges` are the component's.  `_potentials` gives the angles
@@ -295,8 +291,8 @@ def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tup
     edge with dy = 0 carries nothing at any t), compared by
     cross-multiplication.  For that least ratio num/least the angles
     t * phi are num * y / least.  Returns the value and a builder of the
-    vertex {th, gen, load}, so a caller that reads the value alone never
-    makes it.
+    (angles, injection) part, so a caller that reads the value alone
+    never makes it.
     """
     det, (y,) = _potentials(sorted(comp), edges, [{g: 1, l: -1}])
     # the least cap / |s * dy| as num/least; least = 0 stands for no bound, so
@@ -308,46 +304,31 @@ def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tup
         if n_e * least < num * d_e:
             num, least = n_e, d_e
     value = Rational(det * num, least)
-
-    def vertex() -> dict[str, Rational]:
-        assignment = {_th(v): Rational(num * y_v, least) for v, y_v in y.items()}
-        assignment[_gen(g)] = assignment[_load(l)] = value
-        return assignment
-
-    return value, vertex
+    return value, lambda: ({v: Rational(num * y_v, least) for v, y_v in y.items()}, {g: value, l: -value})
 
 
-def _tree_flow(names: list[NodeId], edges: list[Edge], scale: int, flows: list[int]) -> dict[str, Rational]:
-    """The assignment {th, gen, load} of a tree component's classical max flow.
+def _solution(n: Network, parts: list[Callable[[], Part]]) -> Solution:
+    """The solution the components' (angles, injection) parts make up; nodes no part names stay at zero.
 
-    `names` are the component's nodes, sorted, and `edges` its edges,
-    |V| - 1 of them; `scale` and `flows` come from `maxflow._integer_flow`
-    on them, so each edge (a, b) carries f / scale, and the power law then
-    fixes th[b] - th[a] = f / (scale * s).  Without a cycle one path leads
-    to each node, so the angles follow edge by edge from the smallest
-    node, pinned at zero as `pinned_nodes` does.  A node's net outflow is
-    its generation when positive and its load when negative: only a
-    generator can send more than it receives, only a load less.
+    A positive net injection is a generation, a negative one a load (read
+    off the numerator's sign, which is cheaper than a `Fraction` comparison).
     """
-    adjacent: dict[NodeId, list[tuple[Edge, int]]] = {v: [] for v in names}
-    net = dict.fromkeys(names, 0)  # net outflow, over scale
-    for e, f in zip(edges, flows):
-        adjacent[e.a].append((e, f))
-        adjacent[e.b].append((e, f))
-        net[e.a] += f
-        net[e.b] -= f
-    angle = {names[0]: ZERO}
-    order = [names[0]]
-    for v in order:  # breadth first, so each node's angle is set from a neighbour's
-        for e, f in adjacent[v]:
-            w = e.b if e.a == v else e.a
-            if w not in angle:
-                step = Rational(f * e.s_min.denominator, scale * e.s_min.numerator)
-                angle[w] = angle[v] + step if w == e.b else angle[v] - step
-                order.append(w)
-    assignment = {_th(v): a for v, a in angle.items()}
-    assignment.update((_gen(v) if x > 0 else _load(v), Rational(abs(x), scale)) for v, x in net.items() if x)
-    return assignment
+    angle: NodeValues = {}
+    injection: NodeValues = {}
+    for part in parts:
+        a, p = part()
+        angle.update(a)
+        injection.update(p)
+    names = n.node_names
+    angle = {v: angle.get(v, ZERO) for v in names}
+    p = [injection.get(v, ZERO) for v in names]
+    return Solution(
+        susceptance={e: e.s_min for e in n.edges},
+        angle=angle,
+        flow={e: e.s_min * (angle[e.b] - angle[e.a]) for e in n.edges},
+        gen={v: x if x.numerator > 0 else ZERO for v, x in zip(names, p)},
+        load={v: -x if x.numerator < 0 else ZERO for v, x in zip(names, p)},
+    )
 
 
 def solve_mpf(n: Network) -> MpfOutcome:
@@ -358,56 +339,46 @@ def solve_mpf(n: Network) -> MpfOutcome:
     form (`_one_pair`): conservation makes every feasible point t times
     the angles of a unit injection from g to l, so its optimum is unique
     and is the vertex the LP would return.  Any other tree component is
-    valued by one integer max flow (`maxflow._integer_flow`), with no LP,
-    and its solution is that same flow replayed with angles
-    (`_tree_flow`).  Only the other components, those with
-    a cycle, go to the LP, as one terminal-space program
-    (`formulate_mpf`).  The solution, built on first read, is an optimal
-    one: on components with a cycle the LP's gen/load vertex, with the
-    angles those injections fix.  An invalid network raises
-    `InvalidNetwork`.
+    valued by one integer max flow (`maxflow._integer_flow`), with no LP.
+    Only the other components, those with a cycle, go to the LP, as one
+    terminal-space program (`formulate_mpf`).  Each component hands over
+    its part of the solution as net injections with the angles they fix,
+    and the solution, built from the parts on first read, is an optimal
+    one: on a tree the max flow's injections, on a component with a cycle
+    the LP's gen/load vertex.  An invalid network raises `InvalidNetwork`.
     """
     require_valid(n)
     _require_fixed(n)
     roles = n.roles
     comps = connected_components(n)
-    value, vertices, cyclic = ZERO, [], []
+    value, parts, cyclic = ZERO, [], []
     for comp, edges in zip(comps, _component_edges(n, comps)):
         gens = [v for v in comp if roles[v] is NodeRole.GENERATOR]
         loads = [v for v in comp if roles[v] is NodeRole.LOAD]
         if not gens or not loads:
             continue
         if len(gens) == len(loads) == 1:
-            t, vertex = _one_pair(edges, comp, gens[0], loads[0])
+            t, part = _one_pair(edges, comp, gens[0], loads[0])
             value += t
-            vertices.append(vertex)
+            parts.append(part)
         elif len(edges) == len(comp) - 1:
             names = sorted(comp)
             t, scale, flows = _integer_flow(names, edges, gens, loads)
             value += Rational(t, scale)
-            vertices.append(partial(_tree_flow, names, edges, scale, flows))
+            parts.append(partial(_tree_part, names, edges, scale, flows))
         else:
-            cyclic.append((comp, edges))
+            cyclic.append((comp, edges, gens, loads))
     if cyclic:
         sub = n
         if len(cyclic) < len(comps):
-            keep = set().union(*(comp for comp, _ in cyclic))
-            sub = Network([(v, r) for v, r in n.nodes if v in keep], [e for _, edges in cyclic for e in edges])
-        result = solve_lp(formulate_mpf(sub, [comp for comp, _ in cyclic]))  # sub's components
+            keep = set().union(*(comp for comp, *_ in cyclic))
+            sub = Network([(v, r) for v, r in n.nodes if v in keep], [e for _, edges, *_ in cyclic for e in edges])
+        result = solve_lp(formulate_mpf(sub, [comp for comp, *_ in cyclic]))  # sub's components
         if result.status is not LpStatus.OPTIMAL:  # pragma: no cover - MPF is always bounded
             raise AssertionError(f"MPF solve ended {result.status}")
         value += result.value
-        vertices.append(partial(_terminal_vertex, cyclic, roles, result))
-    if not vertices:
-        return MpfOutcome.deferred(ZERO, build=partial(zero_solution, n))
-
-    def build() -> Solution:
-        assignment: dict[str, Rational] = {}
-        for vertex in vertices:
-            assignment.update(vertex())
-        return _solution_from_assignment(n, assignment)
-
-    return MpfOutcome.deferred(value, build=build)
+        parts += [partial(_lp_part, *c, result) for c in cyclic]
+    return MpfOutcome.deferred(value, build=partial(_solution, n, parts))
 
 
 def flow_cores(n: Network) -> Callable[[int], int]:

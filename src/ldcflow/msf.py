@@ -39,8 +39,8 @@ from typing import Iterable
 from .errors import TooLarge
 from .lp import LinearProgram, VarId, write_lp_text
 from .maxflow import classical_max_flow
-from .mpf import MpfOutcome, _gen, _load, _require_fixed, _th, flow_cores, pinned_nodes, solve_mpf
-from .network import Edge, Network, NodeRole, Solution, SwitchSet, require_valid, subnetwork, zero_solution
+from .mpf import MpfOutcome, _gen, _load, _require_fixed, flow_cores, pinned_nodes, solve_mpf
+from .network import Edge, Network, NodeId, NodeRole, Solution, SwitchSet, require_valid, subnetwork, zero_solution
 from .rational import ONE, Rational, ZERO, rat_str
 
 EXHAUSTIVE_EDGE_LIMIT = 20
@@ -201,6 +201,10 @@ def decide_msf(n: Network, x: Rational) -> bool:
 # ---------------------------------------------------------------------------
 # Mixed-integer formulation (big-M) for external solvers.
 # ---------------------------------------------------------------------------
+
+
+def _th(v: NodeId) -> str:
+    return f"th[{v}]"
 
 
 def _flow_var(e: Edge) -> str:

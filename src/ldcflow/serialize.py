@@ -13,6 +13,7 @@ import json
 from typing import Any
 
 from .mff import MffOutcome, SusAssignment
+from .mpf import MpfOutcome
 from .msf import MsfOutcome
 from .network import Edge, Network, NodeRole, Solution, SwitchSet, subnetwork
 from .rational import Rational, rat, rat_str
@@ -144,6 +145,11 @@ def solution_from_json(data: dict, n: Network) -> Solution:
         gen=_node_map_in(data, "gen"),
         load=_node_map_in(data, "load"),
     )
+
+
+def mpf_outcome_from_json(data: dict, n: Network) -> MpfOutcome:
+    """Read a `solve mpf --json` document."""
+    return MpfOutcome(_rat_field(data, "value", "outcome"), solution_from_json(_get(data, "solution", "outcome"), n))
 
 
 def _switch_set_out(switched: SwitchSet) -> list[dict]:

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import json
 
@@ -103,6 +104,37 @@ class TestVerify:
         assert run(capsys, "verify", gsch_file, str(doc)) == (0, "OK\n", "")
 
 
+    @pytest.mark.parametrize("problem", ["mpf", "msf"])
+    def test_a_value_that_is_not_the_solutions_generation_fails(self, capsys, tmp_path, gsch_file, problem):
+        doc = tmp_path / "doc.json"
+        code, out, _ = run(capsys, "solve", problem, gsch_file, "--json")
+        assert code == 0 and json.loads(out)["value"] == "3"
+        doc.write_text(out)
+        assert run(capsys, "verify", gsch_file, str(doc)) == (0, "OK\n", "")
+        doc.write_text(out.replace('"value": "3"', '"value": "99"'))
+        assert run(capsys, "verify", gsch_file, str(doc)) == (1, "value 99 is not the solution's total generation 3\n", "")
+
+    @pytest.mark.parametrize(
+        "changes, said",
+        [
+            ({"assignment": [{"a": "e", "b": "v", "value": "1"}]}, ["assignment e--v = 1 is not the solution's susceptance"]),
+            ({"certified": True}, ["certified, but the network has FACTS edges"]),
+            ({"assignment": []}, ["the assignment does not name exactly the network's FACTS edges"]),
+            ({"assignment": [{"a": "e", "b": "v", "value": "2/5"}, {"a": "c", "b": "e", "value": "1"}]}, ["the assignment does not name exactly the network's FACTS edges"]),
+        ],
+        ids=["susceptance", "certified", "missing", "foreign"],
+    )
+    def test_an_mff_outcome_that_its_solution_belies_fails(self, capsys, tmp_path, changes, said):
+        net, doc = tmp_path / "net.json", tmp_path / "doc.json"
+        run(capsys, "gadget", "gfch", "--x", "1", "--polarity", "minus", "--out", str(net))
+        assert run(capsys, "solve", "mff", str(net), "--out", str(doc))[0] == 0
+        outcome = json.loads(doc.read_text())
+        assert (outcome["assignment"], outcome["certified"]) == ([{"a": "e", "b": "v", "value": "2/5"}], False)
+        assert run(capsys, "verify", str(net), str(doc)) == (0, "OK\n", "")
+        doc.write_text(json.dumps({**outcome, **changes}))
+        assert run(capsys, "verify", str(net), str(doc)) == (1, "".join(line + "\n" for line in said), "")
+
+
 class TestClassify:
     def test_gadget_report(self, capsys, gsch_file):
         code, out, _ = run(capsys, "classify", gsch_file, "--json")
@@ -147,6 +179,13 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "mff", str(path), "--grid", k])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [[], ["--decide", "1"]])
+    def test_a_grid_past_the_candidate_limit_is_exit_4(self, capsys, tmp_path, argv):
+        path = tmp_path / "f.json"
+        run(capsys, "gadget", "gfch", "--x", "1", "--polarity", "minus", "--out", str(path))
+        code, out, err = run(capsys, "solve", "mff", str(path), "--grid", "1000000000", *argv)
+        assert code == 4 and out == "" and "search limit of 2^12 candidates" in err
 
     def test_invalid_instance_is_exit_4(self, capsys, tmp_path):
         inst = tmp_path / "inst.json"
@@ -274,11 +313,14 @@ def documents(tmp_path_factory):
     document in one place.
     """
     d = tmp_path_factory.mktemp("documents")
-    paths = {name: str(d / f"{name}.json") for name in ("net", "inst", "enc", "tree", "mpf", "msf", "mff", "tree_msf", "doc")}
+    paths = {name: str(d / f"{name}.json") for name in ("net", "inst", "enc", "tree", "mpf", "mpf_json", "msf", "mff", "tree_msf", "doc")}
     assert main(["gadget", "gsch", "--x", "1", "--polarity", "minus", "--out", paths["net"]]) == 0
     for problem in ("mpf", "msf", "mff"):
         assert main(["solve", problem, paths["net"], "--out", paths[problem]]) == 0
         assert main(["verify", paths["net"], paths[problem]]) == 0
+    with open(paths["mpf_json"], "w") as fh, contextlib.redirect_stdout(fh):
+        assert main(["solve", "mpf", paths["net"], "--json"]) == 0
+    assert serialize.load(paths["mpf_json"])["problem"] == "mpf" and main(["verify", paths["net"], paths["mpf_json"]]) == 0
     serialize.dump({"M": [1, 2], "w": 2}, paths["inst"])
     assert main(["encode", "subset-sum-tree", paths["inst"], "--out", paths["enc"]]) == 0
     serialize.dump(serialize.load(paths["enc"])["network"], paths["tree"])
@@ -334,7 +376,7 @@ class TestMalformedDocuments:
 
     @given(data=st.data())
     def test_tampered_documents(self, documents, data):
-        name = data.draw(st.sampled_from(["mpf", "msf", "mff", "tree_msf"]))
+        name = data.draw(st.sampled_from(["mpf", "mpf_json", "msf", "mff", "tree_msf"]))
         doc = data.draw(tampered(serialize.load(documents[name])))
         assert all(0 <= code <= 4 for code in verify_and_decode(documents, doc))
 

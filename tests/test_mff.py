@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from ldcflow import mff
-from ldcflow.errors import TooManyFactsEdges
+from ldcflow.errors import TooManyFactsEdges, UnknownEdge
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.mff import (
     MffDecision,
@@ -15,7 +15,7 @@ from ldcflow.mff import (
     solve_mff_grid,
 )
 from ldcflow.mpf import solve_mpf
-from ldcflow.network import Network, NodeRole, facts_edge, network_sum, total_generation, validate_solution
+from ldcflow.network import Network, NodeRole, facts_edge, fixed_edge, network_sum, total_generation, validate_solution
 
 GEN, LOAD = NodeRole.GENERATOR, NodeRole.LOAD
 
@@ -124,6 +124,18 @@ class TestGrid:
         with pytest.raises(ValueError):
             solve_mff_grid(facts_gadget(), 0)
 
+    def test_a_grid_past_the_candidate_limit_is_refused_before_any_point_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(mff, "grid_points", lambda e, k: built.append(e) or grid_points(e, k))
+        with pytest.raises(TooManyFactsEdges, match="a 1000000000-step grid on 1 FACTS edges"):
+            solve_mff_grid(facts_gadget(), 10**9)
+        # with the limit at 2^3, 8 candidates on one FACTS edge are the most searched
+        monkeypatch.setattr(mff, "FACTS_EDGE_LIMIT", 3)
+        assert solve_mff_grid(facts_gadget(), 7).value == F(61, 10) and len(built) == 1
+        with pytest.raises(TooManyFactsEdges):
+            solve_mff_grid(facts_gadget(), 8)
+        assert len(built) == 1
+
 
 class TestDecide:
     def test_known_value_is_yes(self):
@@ -148,3 +160,13 @@ def test_pin_susceptances_respects_intervals():
     assert pinned.is_fixed()
     with pytest.raises(ValueError):
         pin_susceptances(n, {e: F(9)})
+
+
+def test_pin_susceptances_rejects_a_key_that_is_not_an_edge():
+    n = facts_gadget()
+    with pytest.raises(UnknownEdge, match="yy--zz"):
+        pin_susceptances(n, {fixed_edge("zz", "yy", 1, 1): 1})
+    # an edge on a pair of n with other fields is not n's edge either
+    e = adjustable_edge(n)
+    with pytest.raises(UnknownEdge):
+        pin_susceptances(n, {facts_edge(e.a, e.b, e.s_min, e.s_max, e.cap + 1): e.s_min})

@@ -14,8 +14,8 @@ from ldcflow.errors import InvalidNetwork, MalformedProgram, NotFixedSusceptance
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.lp import LE, LpResult, LpStatus, solve_lp
 from ldcflow.maxflow import _integer_flow, classical_max_flow
-from ldcflow.mpf import MpfOutcome, _gen, _load, _th, flow_cores, formulate_mpf, solve_mpf
-from ldcflow.msf import solve_msf_bnb, solve_msf_exhaustive
+from ldcflow.mpf import MpfOutcome, _gen, _load, flow_cores, formulate_mpf, solve_mpf
+from ldcflow.msf import _th, solve_msf_bnb, solve_msf_exhaustive
 from ldcflow.network import Network, NodeRole, Solution, fixed_edge, network_sum, subnetwork, total_generation, validate_solution
 from oracles import reference_mpf_program, reference_terminal_program
 
@@ -175,8 +175,8 @@ class TestLazySolutions:
     @pytest.fixture
     def builds(self, monkeypatch):
         calls = []
-        build = mpf._solution_from_assignment
-        monkeypatch.setattr(mpf, "_solution_from_assignment", lambda n, a: calls.append(n) or build(n, a))
+        build = mpf._solution
+        monkeypatch.setattr(mpf, "_solution", lambda n, parts: calls.append(n) or build(n, parts))
         return calls
 
     @pytest.mark.parametrize("search", [solve_msf_exhaustive, solve_msf_bnb])
@@ -196,23 +196,24 @@ class TestLazySolutions:
         assert out.value > 0 and builds == []
         assert out.solution is out.solution and len(builds) == 1
 
-    @pytest.mark.parametrize("n", [triangle(), network_sum(triangle(), SEVERAL)], ids=["pair", "mixed"])
-    def test_a_closed_form_solution_is_built_on_first_read(self, builds, monkeypatch, n):
-        # no angle is named before the solution is built: the LP holds only
-        # generations and loads, and each vertex builder names its own angles
-        vertices, named = [], []
-        one_pair, th = mpf._one_pair, mpf._th
+    @pytest.mark.parametrize("n, cyclic", [(triangle(), []), (network_sum(triangle(), SEVERAL), [["x0", "x1", "x2"]])], ids=["pair", "mixed"])
+    def test_a_closed_form_solution_is_built_on_first_read(self, builds, monkeypatch, n, cyclic):
+        # the one-pair part scales the unit solve its value made, so reading the
+        # solution runs one more elimination only for the LP's injections
+        parts, solved = [], []
+        one_pair, potentials = mpf._one_pair, mpf._potentials
 
         def counted(*args):
-            t, vertex = one_pair(*args)
-            return t, lambda: vertices.append(t) or vertex()
+            t, part = one_pair(*args)
+            return t, lambda: parts.append(t) or part()
 
         monkeypatch.setattr(mpf, "_one_pair", counted)
-        monkeypatch.setattr(mpf, "_th", lambda v: named.append(v) or th(v))
+        monkeypatch.setattr(mpf, "_potentials", lambda names, *args: solved.append(names) or potentials(names, *args))
         out = solve_mpf(n)
-        assert out.value > 0 and builds == [] and vertices == [] and named == []
-        assert out.solution is out.solution and builds == [n] and len(vertices) == 1
-        assert sorted(set(named)) == list(n.node_names)
+        read = len(solved)
+        assert out.value > 0 and builds == [] and parts == [] and ["b", "g", "l"] in solved
+        assert out.solution is out.solution and builds == [n] and len(parts) == 1
+        assert solved[read:] == cyclic
 
     def test_results_pickle_and_compare_like_eager_ones(self):
         n = six_edges()
@@ -466,6 +467,21 @@ class TestTreeComponents:
         ((names, edges, gens, loads),) = calls
         assert (names, edges, sorted(gens), loads) == (["h", "i", "j", "k"], list(STAR.edges), ["h", "i"], ["j"])
         assert out.solution.flow[STAR.edges[0]] == 3 and len(calls) == 1
+
+
+    @pytest.mark.parametrize("extra", [None, SEVERAL, triangle(), LONELY], ids=["tree", "cyclic", "pair", "flowless"])
+    def test_the_solution_runs_one_potentials_solve_on_the_max_flows_injections(self, monkeypatch, extra):
+        n = STAR if extra is None else network_sum(STAR, extra)
+        calls, potentials = [], mpf._potentials
+        monkeypatch.setattr("ldcflow.mpf._potentials", lambda names, edges, injections: calls.append((names, injections)) or potentials(names, edges, injections))
+        out = solve_mpf(n)
+        on_star = [call for call in calls if set(call[0]) & set(STAR.node_names)]
+        assert on_star == []
+        solution = out.solution
+        on_star = [call for call in calls if set(call[0]) & set(STAR.node_names)]
+        # net outflows over the capacities' scale 2: h sends 3, i 1/2, and j takes 7/2
+        assert on_star == [(["h", "i", "j", "k"], [{"h": 6, "i": 1, "j": -7}])]
+        assert {v: solution.angle[v] for v in "hijk"} == {"h": 0, "i": F(11, 4), "j": F(13, 2), "k": 3}
 
 
 @st.composite
