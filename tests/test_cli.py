@@ -103,7 +103,6 @@ class TestVerify:
         doc.write_text(out)
         assert run(capsys, "verify", gsch_file, str(doc)) == (0, "OK\n", "")
 
-
     @pytest.mark.parametrize("problem", ["mpf", "msf"])
     def test_a_value_that_is_not_the_solutions_generation_fails(self, capsys, tmp_path, gsch_file, problem):
         doc = tmp_path / "doc.json"
