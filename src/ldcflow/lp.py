@@ -1,51 +1,59 @@
 """Exact rational linear programming (maximization).
 
-The solver is a two-phase dense-tableau simplex with Bland's anti-cycling
-rule, run entirely over exact rationals: the optimum it reports is the
-true optimum, and the returned assignment is a vertex of the feasible
-region.  Determinism is part of the contract -- variable order, pivot
-selection and presolve order are all fixed -- so repeated solves of the
-same program return identical results.
+The solver is a two-phase simplex with Bland's anti-cycling rule on a
+condensed tableau, run entirely over exact rationals: the optimum it
+reports is the true optimum, and the returned assignment is a vertex of
+the feasible region.  Determinism is part of the contract -- variable
+order, pivot selection and presolve order are all fixed -- so repeated
+solves of the same program return identical results.
 
 Everything between reading the program and building the returned
 assignment runs on integer rows (Edmonds 1967; Bareiss 1968): each
 constraint, the objective and every tableau row is a list of Python ints
 [c_0, ..., c_{n-1}, rhs, den] standing for the rationals c_j/den and
-rhs/den, with den > 0 and the whole list divided by its gcd.
+rhs/den, with den > 0 and the whole list divided by its gcd.  A tableau
+row holds only the nonbasic columns (Tucker's condensed form; Chvatal
+1983, ch. 2); two label lists, `basis` and `nonbasic`, name the
+variables of the rows and of the columns.
 
 A `LinearProgram` holds its constraints as such rows over its declared
 variables: `add_constraint` writes one, and `mpf.formulate_mpf` writes
 every MPF program's rows itself, over generations and loads only.
 `solve_lp` checks every program the same way first: variable names,
-objective, bound entries, bounds, row widths and the count of relations.
-A program in standard form -- only <= rows with nonnegative right-hand
-sides, every variable in [0, inf) -- then goes straight to its
-slack-basis tableau (`_slack_tableau`), as every MPF program does: with
-nothing to fold, eliminate or shift, and a feasible basis to start from,
-the presolve would build that same tableau and skip phase 1, so the
-pivots and the vertex are the same.  Every other program goes through
-the presolve (`_presolve`), and both routes end in the same phase 2 and
-value and vertex code (`_optimum`).  The presolve starts from a copy of
-the rows.  Variables fixed by their bounds fold into each row's rhs in one
-pass, over the LCM of the fixed values' denominators.  Bounds are
-compared through numerators and denominators, not as `Fraction`s.  Free
-variables are then eliminated through equality rows (a fraction-free
-Gaussian step: the first equality row holding a free variable, and in it
-the first such variable in declaration order).  Bounds become nonnegative
-columns through x = sign*y + shift, and free variables that survive are
-split into differences of nonnegatives.  These are affine bijections of
-the feasible region, so vertices map to vertices; eliminated variables
-are recovered from their stored pivot rows.
+objective, bound entries, bounds, and each row's width, denominator (a
+positive int) and relation.  A program in standard form -- only <= rows
+with nonnegative right-hand sides, every variable in [0, inf) -- then
+goes straight to its slack-basis tableau (`_slack_tableau`), its own
+rows, as every MPF program does: the presolve would build that same
+tableau and skip phase 1, so the pivots and the vertex are the same.
+Every other program goes through the presolve (`_presolve`), and both
+routes end in the same phase 2 and value and vertex code (`_optimum`).
+The presolve folds variables fixed by their bounds into each row's rhs
+in one pass, over the LCM of the fixed values' denominators, and
+compares bounds through numerators and denominators.  Free variables are
+then eliminated through equality rows (a fraction-free Gaussian step:
+the first equality row holding a free variable, and in it the first
+such variable in declaration order).  Bounds become nonnegative columns
+through x = sign*y + shift, and free variables that survive are split
+into differences of nonnegatives.  These are affine bijections of the
+feasible region, so vertices map to vertices; eliminated variables are
+recovered from their stored pivot rows.
 
-The tableau pivots by cross-multiplication instead of division, touches
-only rows with a non-zero in the pivot column and, within them, only the
-pivot row's non-zero columns; the ratio test and every sign test compare
-integers.  The rationals throughout are the ones a `Fraction` presolve and
-tableau would hold, so every choice, Bland's rule included, is the same.
+A pivot swaps two labels: the pivot row is solved for the entering
+variable, whose column the leaving one takes at the row's old
+denominator, and every other row with a non-zero there has the entering
+variable substituted out by cross-multiplication, touching only the
+pivot row's non-zero columns.  Bland's rule enters the smallest label
+with a positive reduced cost and breaks ratio-test ties by the smallest
+basic label; every test compares integers.  A basic column of a
+full-width tableau holds its row's denominator in its own row and 0 in
+every other, so the condensed rows hold the same integers, and the
+rationals are those a `Fraction` presolve and tableau would hold: every
+choice is the same.
 
 Only the optimal value is computed before `solve_lp` returns, from the
 objective's variables alone.  The vertex (`LpResult.assignment`: basic
-column values, then the eliminated variables by back-substitution) is
+label values, then the eliminated variables by back-substitution) is
 built on its first read, so a caller that compares values never pays for
 it.
 """
@@ -250,43 +258,49 @@ def _fold(row: list[int], values: dict[int, Rational], drop: bool) -> list[int]:
     return _reduced(out)
 
 
-def _pivot_row(row: list[int], j: int) -> list[int]:
-    """The row divided by its entry at j: the same integers over that entry, made positive."""
+def _pivot_row(row: list[int], j: int, entry: int) -> list[int]:
+    """The row solved for its variable at j: the same integers over row[j], made positive, with `entry` at j."""
     p = row[j]
-    return _reduced(row[:-1] + [p] if p > 0 else [-x for x in row[:-1]] + [-p])
+    out = row[:-1] + [p]
+    out[j] = entry
+    return _reduced(out if p > 0 else [-x for x in out])
 
 
 def _eliminate(row: list[int], prow: list[int], support: list[int], j: int) -> list[int]:
-    """row - (row_j / prow_j) * prow, for a pivot row whose entry at j is its denominator.
+    """The row with its variable at j substituted out by `prow`, a row solved for that variable.
 
-    Over the common denominator den(row) * prow_j this is
-    prow_j * row - row_j * prow; both factors are first divided by their
-    gcd, and when prow_j divides row_j only the pivot row's support moves.
+    Over den(row) * den(prow) this is den(prow) * row - row_j * prow, both
+    factors first divided by their gcd, with column j starting from 0 (so
+    it takes -row_j * prow_j); only the pivot row's support moves.
     """
-    g = math.gcd(prow[j], row[j])
-    p, f = prow[j] // g, row[j] // g
-    if p != 1:
-        row = [p * x for x in row]
+    g = math.gcd(prow[-1], row[j])
+    p, f = prow[-1] // g, row[j] // g
+    out = [p * x for x in row] if p != 1 else row[:]
+    out[j] = 0
     for k in support:
-        row[k] -= f * prow[k]
-    return _reduced(row)
+        out[k] -= f * prow[k]
+    return _reduced(out)
 
 
-def _pivot(T: list[list[int]], Z: list[int], basis: list[int], r: int, j: int) -> None:
-    T[r] = prow = _pivot_row(T[r], j)
+def _pivot(T: list[list[int]], objs: list[list[int]], basis: list[int], nonbasic: list[int], r: int, s: int) -> None:
+    """Swap the labels basis[r] and nonbasic[s]: solve row r for the entering variable, substitute it out of the rest."""
+    row = T[r]
+    T[r] = prow = _pivot_row(row, s, row[-1])
     support = _support(prow)
     for i, row in enumerate(T):
-        if i != r and row[j]:
-            T[i] = _eliminate(row, prow, support, j)
-    if Z[j]:
-        Z[:] = _eliminate(Z, prow, support, j)
-    basis[r] = j
+        if i != r and row[s]:
+            T[i] = _eliminate(row, prow, support, s)
+    for Z in objs:
+        if Z[s]:
+            Z[:] = _eliminate(Z, prow, support, s)
+    basis[r], nonbasic[s] = nonbasic[s], basis[r]
 
 
-def _simplex(T: list[list[int]], Z: list[int], basis: list[int], ncols: int) -> str:
-    """Bland-rule simplex on an already-feasible tableau; returns a status."""
+def _simplex(T: list[list[int]], objs: list[list[int]], basis: list[int], nonbasic: list[int]) -> str:
+    """Bland-rule simplex on a feasible tableau, priced by objs[0]; every row of `objs` is pivoted in place.  Returns a status."""
+    Z = objs[0]
     while True:
-        enter = next((j for j in range(ncols) if Z[j] > 0), -1)
+        enter = min((s for s in range(len(nonbasic)) if Z[s] > 0), key=nonbasic.__getitem__, default=-1)
         if enter < 0:
             return "optimal"
         leave = -1
@@ -303,39 +317,31 @@ def _simplex(T: list[list[int]], Z: list[int], basis: list[int], ncols: int) -> 
                 leave = i
         if leave < 0:
             return "unbounded"
-        _pivot(T, Z, basis, leave, enter)
+        _pivot(T, objs, basis, nonbasic, leave, enter)
 
 
 _FLIP = {LE: GE, GE: LE, EQ: EQ}
 
 # A feasible tableau and phase 2's objective row, with what `_optimum` needs to
-# read the vertex back: (T, Z, basis, var_cols, shift, eliminated).  var_cols maps
-# each live variable to its (column, sign) pairs, two for a split free variable;
-# shift holds the nonzero shifts of x = sign*y + shift; eliminated lists
-# (variable, pivot row) in elimination order.
+# read the vertex back: (T, Z, basis, nonbasic, var_cols, shift, eliminated).
+# var_cols maps each live variable to its (label, sign) pairs, two for a split
+# free variable; shift holds the nonzero shifts of x = sign*y + shift;
+# eliminated lists (variable, row solved for it) in elimination order.
 Tableau = tuple[
-    list[list[int]], list[int], list[int], dict[int, list[tuple[int, int]]], dict[int, Rational], list[tuple[int, list[int]]]
+    list[list[int]], list[int], list[int], list[int], dict[int, list[tuple[int, int]]], dict[int, Rational], list[tuple[int, list[int]]]
 ]
 
 
 def _slack_tableau(rows: list[list[int]], obj: list[int], nvars: int) -> Tableau:
     """The starting tableau of a standard-form program: every row <= with rhs >= 0, every variable in [0, inf).
 
-    Each row gets its own slack column, basic at the row's denominator
-    (the integer form of 1), so the slack basis is feasible and phase 1
-    has nothing to do.  This is the tableau the presolve builds for such
-    a program, except that a row without a coefficient is kept: its slack
-    stays basic and no pivot touches it, so every pivot is the same.
+    The program's rows are its rows as they stand: the variables (labels 0
+    to nvars - 1) are nonbasic and row i's slack (label nvars + i) basic,
+    so phase 1 has nothing to do.  The presolve builds this tableau for
+    such a program, except that it drops a row without a coefficient, whose
+    slack stays basic here and no pivot touches, so every pivot is the same.
     """
-    m = len(rows)
-    T = []
-    for i, row in enumerate(rows):
-        t = row[:nvars] + [0] * m + row[-2:]
-        t[nvars + i] = row[-1]
-        T.append(t)
-    Z = obj[:nvars] + [0] * (m + 2)
-    Z[-1] = obj[-1]
-    return T, Z, list(range(nvars, nvars + m)), {j: [(j, 1)] for j in range(nvars)}, {}, []
+    return list(rows), obj, list(range(nvars, nvars + len(rows))), list(range(nvars)), {j: [(j, 1)] for j in range(nvars)}, {}, []
 
 
 def _presolve(
@@ -344,7 +350,9 @@ def _presolve(
     """Fold, eliminate, map and run phase 1 on a general program; None if it is infeasible.
 
     `rows` are copies of the program's rows, which are updated in place,
-    and `obj` is the objective's integer row.
+    and `obj` is the objective's integer row.  Phase 1 runs over the
+    structural and surplus columns, with each row's slack or artificial
+    basic, and carries phase 2's objective row along.
     """
     nvars = len(lower)
     # Rows over the variables, with the variables fixed by their bounds folded in.
@@ -365,7 +373,7 @@ def _presolve(
         if found is None:
             break
         i, j = found
-        prow = _pivot_row(rows.pop(i), j)
+        prow = _pivot_row(rows.pop(i), j, 0)  # x_j = (rhs - the rest) / den
         del rels[i]
         support = _support(prow)
         for k, row in enumerate(rows):
@@ -424,78 +432,66 @@ def _presolve(
         out[-2], out[-1] = row[-2], row[-1]
         return out
 
-    # Tableau layout: structural columns, slack/surplus columns, artificials.
-    n_struct = ncols
-    n_slack = sum(1 for _, rel in std if rel != EQ)
-    n_art = sum(1 for _, rel in std if rel != LE)
-    width = n_struct + n_slack + n_art
+    # Labels: structural columns, then slack/surplus columns in row order, then
+    # artificials.  The rows' columns are the structural and surplus labels.
+    first_art = ncols + sum(1 for _, rel in std if rel != EQ)
+    nonbasic = list(range(ncols))
+    width = ncols + sum(1 for _, rel in std if rel == GE)
     T: list[list[int]] = []
     basis: list[int] = []
-    slack_at = n_struct
-    art_at = n_struct + n_slack
-    # Phase-1 objective: minus the artificials plus every row they are basic in,
-    # which cancels the artificial columns themselves.
+    slack_at, art_at = ncols, first_art
     z1_rows: list[list[int]] = []
     for row, rel in std:
         # column mapping keeps each entry up to sign, so the row stays reduced
         t = to_columns(row, width)
-        den = t[-1]
         if rel == LE:
-            t[slack_at] = den
             basis.append(slack_at)
-            slack_at += 1
         else:
             if rel == GE:
-                t[slack_at] = -den
-                slack_at += 1
-            z1_rows.append(t[:])
-            t[art_at] = den
+                t[len(nonbasic)] = -t[-1]
+                nonbasic.append(slack_at)
+            z1_rows.append(t)
             basis.append(art_at)
             art_at += 1
+        slack_at += rel != EQ
         T.append(t)
 
-    if n_art:
-        Z1 = [0] * (width + 2)
-        Z1[-1] = m = math.lcm(*(t[-1] for t in z1_rows))
-        for t in z1_rows:
-            f = m // t[-1]
-            for k in _support(t):
-                Z1[k] += f * t[k]
-        Z1 = _reduced(Z1)
-        status = _simplex(T, Z1, basis, width)
+    obj[-2] = 0  # the objective's constant term plays no part in the optimum
+    Z2 = _reduced(to_columns(obj, width))
+    if z1_rows:
+        # Phase-1 objective: minus the artificials, over the nonbasic columns the sum of their rows.
+        m = math.lcm(*(t[-1] for t in z1_rows))
+        Z1 = _reduced([sum(m // t[-1] * t[k] for t in z1_rows) for k in range(width + 1)] + [m])
+        status = _simplex(T, [Z1, Z2], basis, nonbasic)
         assert status == "optimal"  # phase 1 is bounded below by 0
         if Z1[-2] > 0:  # the artificials' sum stays positive
             return None
         # pivot leftover artificials out of the basis, dropping redundant rows
         keep: list[int] = []
         for i in range(len(T)):
-            if basis[i] < n_struct + n_slack:
+            if basis[i] < first_art:
                 keep.append(i)
                 continue
-            j = next((j for j in range(n_struct + n_slack) if T[i][j] != 0), None)
-            if j is None:
+            s = min((s for s, b in enumerate(nonbasic) if b < first_art and T[i][s]), key=nonbasic.__getitem__, default=-1)
+            if s < 0:
                 continue  # redundant row
-            _pivot(T, Z1, basis, i, j)
+            _pivot(T, [Z2], basis, nonbasic, i, s)
             keep.append(i)
-        width = n_struct + n_slack
-        T = [_reduced(T[i][:width] + T[i][-2:]) for i in keep]
+        cols = [s for s, b in enumerate(nonbasic) if b < first_art]
+        T = [_reduced([T[i][s] for s in cols] + T[i][-2:]) for i in keep]
+        Z2 = _reduced([Z2[s] for s in cols] + Z2[-2:])
         basis = [basis[i] for i in keep]
-
-    obj[-2] = 0  # the objective's constant term plays no part in the optimum
-    Z2 = _reduced(to_columns(obj, width))
-    for i, b in enumerate(basis):
-        if Z2[b]:
-            Z2 = _eliminate(Z2, T[i], _support(T[i]), b)
-    return T, Z2, basis, var_cols, shift, eliminated
+        nonbasic = [nonbasic[s] for s in cols]
+    return T, Z2, basis, nonbasic, var_cols, shift, eliminated
 
 
 def _optimum(tableau: Tableau, names: list[VarId], objective: list[tuple[int, Rational]], fixed: dict[int, Rational]) -> LpResult:
     """Phase 2 from a feasible tableau, then the value now and the vertex on first read."""
-    T, Z, basis, var_cols, shift, eliminated = tableau
-    if _simplex(T, Z, basis, len(Z) - 2) == "unbounded":
+    T, Z, basis, nonbasic, var_cols, shift, eliminated = tableau
+    if _simplex(T, [Z], basis, nonbasic) == "unbounded":
         return LpResult(LpStatus.UNBOUNDED)
 
-    # Back to rationals: basic column values, then live, eliminated and fixed variables.
+    # Back to rationals: basic label values, then live, eliminated and fixed variables.
     row_of = {b: i for i, b in enumerate(basis)}
 
     def column(col: int) -> Fraction:
@@ -512,7 +508,7 @@ def _optimum(tableau: Tableau, names: list[VarId], objective: list[tuple[int, Ra
     def vertex() -> dict[VarId, Fraction]:
         value_of = {j: live_value(j) for j in var_cols}
         for j, prow in reversed(eliminated):
-            rest = sum((prow[k] * value_of[k] for k in range(len(names)) if prow[k] and k != j), ZERO)
+            rest = sum((prow[k] * value_of[k] for k in range(len(names)) if prow[k]), ZERO)
             value_of[j] = Fraction(prow[-2] - rest, prow[-1])
         value_of.update(fixed)
         return {names[j]: x for j, x in value_of.items()}
@@ -570,13 +566,17 @@ def solve_lp(p: LinearProgram) -> LpResult:
         upper.append(hi)
 
     rows = p.rows
-    for row in rows:
-        if len(row) != nvars + 2:
-            raise MalformedProgram(f"a constraint row has {len(row) - 2} columns for {nvars} variables")
-        if row[-2] < 0:
-            standard = False
     if len(p.rels) != len(rows):
         raise MalformedProgram(f"{len(rows)} constraint rows but {len(p.rels)} relations")
+    for row, rel in zip(rows, p.rels):
+        if len(row) != nvars + 2:
+            raise MalformedProgram(f"a constraint row has {len(row) - 2} columns for {nvars} variables")
+        if type(row[-1]) is not int or row[-1] <= 0:
+            raise MalformedProgram(f"a constraint row has denominator {row[-1]!r}, not a positive int")
+        if rel not in (LE, EQ, GE):
+            raise MalformedProgram(f"unknown relation {rel!r}")
+        if row[-2] < 0:
+            standard = False
     obj = _int_row(dict(objective), ZERO, nvars)
 
     if standard and p.rels.count(LE) == len(rows):

@@ -310,22 +310,23 @@ def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tup
 def _solution(n: Network, parts: list[Callable[[], Part]]) -> Solution:
     """The solution the components' (angles, injection) parts make up; nodes no part names stay at zero.
 
-    A positive net injection is a generation, a negative one a load (read
+    An edge between such nodes carries `ZERO` without any arithmetic.  A
+    positive net injection is a generation, a negative one a load (read
     off the numerator's sign, which is cheaper than a `Fraction` comparison).
     """
-    angle: NodeValues = {}
+    named: NodeValues = {}
     injection: NodeValues = {}
     for part in parts:
         a, p = part()
-        angle.update(a)
+        named.update(a)
         injection.update(p)
     names = n.node_names
-    angle = {v: angle.get(v, ZERO) for v in names}
+    angle = {v: named.get(v, ZERO) for v in names}
     p = [injection.get(v, ZERO) for v in names]
     return Solution(
         susceptance={e: e.s_min for e in n.edges},
         angle=angle,
-        flow={e: e.s_min * (angle[e.b] - angle[e.a]) for e in n.edges},
+        flow={e: e.s_min * (angle[e.b] - angle[e.a]) if e.a in named or e.b in named else ZERO for e in n.edges},
         gen={v: x if x.numerator > 0 else ZERO for v, x in zip(names, p)},
         load={v: -x if x.numerator < 0 else ZERO for v, x in zip(names, p)},
     )

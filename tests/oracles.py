@@ -11,7 +11,10 @@ the same problem over generations and loads alone, with the shift factors
 found by `gauss_solve`, which the integer-row builder `formulate_mpf` must
 reproduce exactly; `reference_integer_flow`, Edmonds-Karp on a residual
 dict keyed by node pairs, whose flows `maxflow._integer_flow` must return
-exactly; and `msf_by_every_mask` calls `solve_mpf` on every
+exactly; `reference_standard_lp`, the full-width simplex over integer rows
+that the condensed tableau of `solve_lp` replaced, whose status, value and
+vertex `solve_lp` must return exactly on standard-form programs; and
+`msf_by_every_mask` calls `solve_mpf` on every
 sub-network, so that it checks the switching searches and nothing they
 skip.
 """
@@ -158,6 +161,120 @@ def reference_integer_flow(names, edges, generators, loads) -> tuple[int, int, l
     flow = {arc: arcs[arc] - residual[arc] for arc in arcs}
     value = sum(flow[(source, index[g])] for g in generators)
     return value, scale, [flow[(index[e.a], index[e.b])] for e in edges]
+
+
+# The full-width integer-row simplex `solve_lp` ran on standard-form programs
+# before its tableau was condensed to the nonbasic columns: every row carries
+# a column per variable and per slack, the basic ones included.
+
+
+def _reduced(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return row if g == 1 else [x // g for x in row]
+
+
+def _support(row: list[int]) -> list[int]:
+    """Non-zero positions among the columns and the rhs (the denominator excluded)."""
+    return [k for k in range(len(row) - 1) if row[k]]
+
+
+def _pivot_row(row: list[int], j: int) -> list[int]:
+    """The row divided by its entry at j: the same integers over that entry, made positive."""
+    p = row[j]
+    return _reduced(row[:-1] + [p] if p > 0 else [-x for x in row[:-1]] + [-p])
+
+
+def _eliminate(row: list[int], prow: list[int], support: list[int], j: int) -> list[int]:
+    """row - (row_j / prow_j) * prow, for a pivot row whose entry at j is its denominator.
+
+    Over the common denominator den(row) * prow_j this is
+    prow_j * row - row_j * prow; both factors are first divided by their
+    gcd, and when prow_j divides row_j only the pivot row's support moves.
+    """
+    g = math.gcd(prow[j], row[j])
+    p, f = prow[j] // g, row[j] // g
+    if p != 1:
+        row = [p * x for x in row]
+    for k in support:
+        row[k] -= f * prow[k]
+    return _reduced(row)
+
+
+def _pivot(T: list[list[int]], Z: list[int], basis: list[int], r: int, j: int) -> None:
+    T[r] = prow = _pivot_row(T[r], j)
+    support = _support(prow)
+    for i, row in enumerate(T):
+        if i != r and row[j]:
+            T[i] = _eliminate(row, prow, support, j)
+    if Z[j]:
+        Z[:] = _eliminate(Z, prow, support, j)
+    basis[r] = j
+
+
+def _simplex(T: list[list[int]], Z: list[int], basis: list[int], ncols: int) -> str:
+    """Bland-rule simplex on an already-feasible tableau; returns a status."""
+    while True:
+        enter = next((j for j in range(ncols) if Z[j] > 0), -1)
+        if enter < 0:
+            return "optimal"
+        leave = -1
+        for i, row in enumerate(T):
+            t = row[enter]
+            if t <= 0:
+                continue
+            if leave < 0:
+                leave = i
+                continue
+            # rhs_i / t against the best ratio so far, cross-multiplied (both t > 0)
+            a, b = row[-2] * T[leave][enter], T[leave][-2] * t
+            if a < b or (a == b and basis[i] < basis[leave]):
+                leave = i
+        if leave < 0:
+            return "unbounded"
+        _pivot(T, Z, basis, leave, enter)
+
+
+def _slack_tableau(rows: list[list[int]], obj: list[int], nvars: int):
+    """The starting tableau of a standard-form program: every row <= with rhs >= 0, every variable in [0, inf).
+
+    Each row gets its own slack column, basic at the row's denominator
+    (the integer form of 1), so the slack basis is feasible and phase 1
+    has nothing to do.  This is the tableau the presolve builds for such
+    a program, except that a row without a coefficient is kept: its slack
+    stays basic and no pivot touches it, so every pivot is the same.
+    """
+    m = len(rows)
+    T = []
+    for i, row in enumerate(rows):
+        t = row[:nvars] + [0] * m + row[-2:]
+        t[nvars + i] = row[-1]
+        T.append(t)
+    Z = obj[:nvars] + [0] * (m + 2)
+    Z[-1] = obj[-1]
+    return T, Z, list(range(nvars, nvars + m)), {j: [(j, 1)] for j in range(nvars)}, {}, []
+
+
+def reference_standard_lp(p: LinearProgram) -> tuple[str, Fraction | None, dict | None]:
+    """(status, value, vertex) of a standard-form program by the full-width simplex above.
+
+    The program must hold only <= rows with nonnegative right-hand sides
+    over variables in [0, inf).  The vertex maps every variable, in
+    declaration order, to its basic value or 0; `solve_lp` must return the
+    same status, value and vertex items in the same order.
+    """
+    names = p.variables
+    assert all(p.lower[v] == 0 and p.upper[v] is None for v in names) and set(p.rels) <= {"<="}
+    objective = {names.index(v): Fraction(c) for v, c in p.objective.items()}
+    obj = [0] * (len(names) + 2)
+    obj[-1] = den = math.lcm(*(c.denominator for c in objective.values()))
+    for j, c in objective.items():
+        obj[j] = c.numerator * (den // c.denominator)
+    T, Z, basis, *_ = _slack_tableau(p.rows, obj, len(names))
+    if _simplex(T, Z, basis, len(Z) - 2) == "unbounded":
+        return "unbounded", None, None
+    row_of = {b: i for i, b in enumerate(basis)}
+    x = [Fraction(T[row_of[j]][-2], T[row_of[j]][-1]) if j in row_of else Fraction(0) for j in range(len(names))]
+    return "optimal", sum((c * x[j] for j, c in objective.items()), Fraction(0)), dict(zip(names, x))
 
 
 def min_cut_value(n: Network) -> Fraction:

@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_boxed_lp, random_ldc_network
 from ldcflow import lp, serialize
@@ -15,7 +17,8 @@ from ldcflow.mpf import formulate_mpf
 from ldcflow.msf import solve_msf_bnb, solve_msf_exhaustive
 from ldcflow.network import Network, NodeRole, facts_edge, fixed_edge, network_sum, subnetwork
 from ldcflow.rational import rat_str
-from oracles import lp_vertex_oracle, reference_mpf_program
+from ldcflow.reductions import ExactCover3Instance, encode_exact_cover_mff
+from oracles import lp_vertex_oracle, reference_mpf_program, reference_standard_lp
 
 
 def boxed(name, lo, hi, p):
@@ -96,6 +99,27 @@ def test_undeclared_variable_rejected():
 def test_rows_that_do_not_fit_the_program_are_rejected(rows, rels):
     p = LinearProgram(["x"], {"x": F(0)}, {"x": None}, rows, rels, {"x": F(1)})
     with pytest.raises(MalformedProgram):
+        solve_lp(p)
+
+
+@pytest.mark.parametrize(
+    "rows, rels, objective, message",
+    [
+        ([[1, 1, -1], [1, 5, 1]], ["<=", "<="], F(-1), "denominator -1"),
+        ([[1, 3, 0]], ["<="], F(1), "denominator 0"),
+        ([[1, 3, F(1)]], ["<="], F(1), r"denominator Fraction\(1, 1\)"),
+        ([[1, 3, 1]], ["<"], F(-1), "unknown relation '<'"),
+        ([[1, 3, 1]], ["=="], F(-1), "unknown relation '=='"),
+        ([[1, 3, 1]], ["le"], F(-1), "unknown relation 'le'"),
+    ],
+    ids=["negative denominator", "zero denominator", "Fraction denominator", "<", "==", "le"],
+)
+def test_a_row_with_a_bad_denominator_or_relation_is_rejected(rows, rels, objective, message):
+    # Read as they stand, the first program (whose `constraints` say -x <= -1)
+    # was OPTIMAL 0 at x = 0, the second OPTIMAL 3 where `constraints` divides
+    # by zero, and each unknown relation was taken for "=" (x = 3, value -3).
+    p = LinearProgram(["x"], {"x": F(0)}, {"x": None}, rows, rels, {"x": objective})
+    with pytest.raises(MalformedProgram, match=message):
         solve_lp(p)
 
 
@@ -551,3 +575,32 @@ def test_standard_form_programs_match_the_vertex_oracle_and_the_presolve(rng, mo
 def test_a_standard_form_program_is_checked_before_its_slack_tableau(program, message):
     with pytest.raises(MalformedProgram, match=message):
         solve_lp(program)
+
+
+# The condensed tableau pivots only the nonbasic columns; the full-width simplex
+# it replaced (`reference_standard_lp`) must make every same choice.
+
+
+def assert_matches_the_full_width_simplex(p: LinearProgram) -> LpStatus:
+    r = solve_lp(p)
+    status, value, vertex = reference_standard_lp(p)
+    assert (r.status.value, r.value) == (status, value)
+    if status == "optimal":
+        assert list(r.assignment.items()) == list(vertex.items())
+    return r.status
+
+
+@settings(max_examples=300)  # a 1-in-40 program tells a wrong ratio-test tie-break apart
+@given(st.integers(0, 2**32 - 1).map(lambda seed: random_standard_lp(random.Random(seed))))
+def test_the_condensed_tableau_matches_the_full_width_simplex(p):
+    assert_matches_the_full_width_simplex(p)
+
+
+def test_the_condensed_tableau_matches_the_full_width_simplex_on_pinned_exact_cover_programs():
+    # 88 rows over 14 variables at each of the 8 endpoint assignments of 3 FACTS edges
+    fig = ExactCover3Instance(("a", "b", "c", "d", "e", "f"), (("a", "b", "c"), ("b", "c", "d"), ("d", "e", "f")))
+    n = encode_exact_cover_mff(fig).network
+    facts = n.facts_edges
+    for ends in itertools.product(*((e.s_min, e.s_max) for e in facts)):
+        p = formulate_mpf(pin_susceptances(n, dict(zip(facts, ends))))
+        assert assert_matches_the_full_width_simplex(p) is LpStatus.OPTIMAL
