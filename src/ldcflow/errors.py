@@ -26,10 +26,12 @@ class InvalidNetwork(LdcError):
 
 
 class MalformedProgram(LdcError):
-    """A linear program references undeclared variables or has inverted bounds.
+    """A linear program that `solve_lp` or `write_lp_text` cannot read.
 
-    `formulate_mpf` raises it too, for a flowing component whose reduced
-    Laplacian is singular (susceptances that are not all positive).
+    Its variables are declared twice or lack a bound entry, its bounds are
+    inverted, its objective or a constraint names an undeclared variable,
+    or a row has the wrong width, a denominator that is not a positive
+    int or a relation other than <=, = and >=.
     """
 
 

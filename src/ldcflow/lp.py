@@ -19,13 +19,14 @@ variables of the rows and of the columns.
 A `LinearProgram` holds its constraints as such rows over its declared
 variables: `add_constraint` writes one, and `mpf.formulate_mpf` writes
 every MPF program's rows itself, over generations and loads only.
-`solve_lp` checks every program the same way first: variable names,
-objective, bound entries, bounds, and each row's width, denominator (a
-positive int) and relation.  A program in standard form -- only <= rows
-with nonnegative right-hand sides, every variable in [0, inf) -- then
-goes straight to its slack-basis tableau (`_slack_tableau`), its own
-rows, as every MPF program does: the presolve would build that same
-tableau and skip phase 1, so the pivots and the vertex are the same.
+`solve_lp` and `write_lp_text` check every program the same way first
+(`_read_program`): variable names, objective, bound entries, bounds, and
+each row's width, denominator (a positive int) and relation.  A program
+in standard form -- only <= rows with nonnegative right-hand sides,
+every variable in [0, inf) -- then goes straight to its slack-basis
+tableau (`_slack_tableau`), its own rows, as every MPF program does: the
+presolve would build that same tableau and skip phase 1, so the pivots
+and the vertex are the same.
 Every other program goes through the presolve (`_presolve`), and both
 routes end in the same phase 2 and value and vertex code (`_optimum`).
 The presolve folds variables fixed by their bounds into each row's rhs
@@ -92,7 +93,8 @@ class LinearProgram:
     the whole list 1), `rels[i]` being the relation of `rows[i]`; that is
     the form `solve_lp` reads.  `constraints` is a view of them as a
     `Constraint` list, built on each read, that leaves out zero
-    coefficients and lists the others in declaration order.
+    coefficients and lists the others in declaration order; it checks the
+    rows first (`_check_rows`).
     """
 
     variables: list[VarId] = field(default_factory=list)
@@ -105,6 +107,7 @@ class LinearProgram:
     @property
     def constraints(self) -> list[Constraint]:
         names = self.variables
+        _check_rows(self.rows, self.rels, len(names))
         return [
             Constraint({v: Fraction(c, row[-1]) for v, c in zip(names, row) if c}, rel, Fraction(row[-2], row[-1]))
             for row, rel in zip(self.rows, self.rels)
@@ -523,8 +526,26 @@ def _optimum(tableau: Tableau, names: list[VarId], objective: list[tuple[int, Ra
     return LpResult.deferred(LpStatus.OPTIMAL, value, build=vertex)
 
 
-def solve_lp(p: LinearProgram) -> LpResult:
-    """Exact optimum of a maximization program; see the module docstring."""
+def _check_rows(rows: list[list[int]], rels: list[str], nvars: int) -> None:
+    """Raise `MalformedProgram` unless each row has a relation and is nvars + 2 ints wide over a positive denominator."""
+    if len(rels) != len(rows):
+        raise MalformedProgram(f"{len(rows)} constraint rows but {len(rels)} relations")
+    for row, rel in zip(rows, rels):
+        if len(row) != nvars + 2:
+            raise MalformedProgram(f"a constraint row has {len(row) - 2} columns for {nvars} variables")
+        if type(row[-1]) is not int or row[-1] <= 0:
+            raise MalformedProgram(f"a constraint row has denominator {row[-1]!r}, not a positive int")
+        if rel not in (LE, EQ, GE):
+            raise MalformedProgram(f"unknown relation {rel!r}")
+
+
+def _read_program(p: LinearProgram) -> tuple[list[tuple[int, Rational]], list[Rational | None], list[Rational | None], dict[int, Rational], bool]:
+    """p's objective as (column, coefficient) pairs, its lower and upper bounds, its fixed columns, and whether it is in standard form.
+
+    Standard form is <= rows with nonnegative right-hand sides over
+    variables in [0, inf).  A program `solve_lp` cannot read raises
+    `MalformedProgram`.
+    """
     names = p.variables
     nvars = len(names)
     index = {v: j for j, v in enumerate(names)}
@@ -566,22 +587,19 @@ def solve_lp(p: LinearProgram) -> LpResult:
         upper.append(hi)
 
     rows = p.rows
-    if len(p.rels) != len(rows):
-        raise MalformedProgram(f"{len(rows)} constraint rows but {len(p.rels)} relations")
-    for row, rel in zip(rows, p.rels):
-        if len(row) != nvars + 2:
-            raise MalformedProgram(f"a constraint row has {len(row) - 2} columns for {nvars} variables")
-        if type(row[-1]) is not int or row[-1] <= 0:
-            raise MalformedProgram(f"a constraint row has denominator {row[-1]!r}, not a positive int")
-        if rel not in (LE, EQ, GE):
-            raise MalformedProgram(f"unknown relation {rel!r}")
-        if row[-2] < 0:
-            standard = False
-    obj = _int_row(dict(objective), ZERO, nvars)
+    _check_rows(rows, p.rels, nvars)
+    standard = standard and p.rels.count(LE) == len(rows) and all(row[-2] >= 0 for row in rows)
+    return objective, lower, upper, fixed, standard
 
-    if standard and p.rels.count(LE) == len(rows):
-        return _optimum(_slack_tableau(rows, obj, nvars), names, objective, fixed)
-    tableau = _presolve([row[:] for row in rows], p.rels, lower, upper, fixed, obj)
+
+def solve_lp(p: LinearProgram) -> LpResult:
+    """Exact optimum of a maximization program; see the module docstring."""
+    objective, lower, upper, fixed, standard = _read_program(p)
+    names = p.variables
+    obj = _int_row(dict(objective), ZERO, len(names))
+    if standard:
+        return _optimum(_slack_tableau(p.rows, obj, len(names)), names, objective, fixed)
+    tableau = _presolve([row[:] for row in p.rows], p.rels, lower, upper, fixed, obj)
     if tableau is None:
         return LpResult(LpStatus.INFEASIBLE)
     return _optimum(tableau, names, objective, fixed)
@@ -622,8 +640,10 @@ def write_lp_text(p: LinearProgram, *, binaries: list[VarId] | None = None, comm
     """Render a program in the conventional LP text format.
 
     Rationals print as decimals when exact; otherwise a truncated decimal
-    is emitted and the exact p/q value is preserved in a comment line.
+    is emitted and the exact p/q value is preserved in a comment line.  A
+    program `solve_lp` would refuse raises `MalformedProgram`.
     """
+    _read_program(p)
     binaries = binaries or []
     out: list[str] = [f"\\ {line}" for line in (comments or [])]
     expr, notes = _expr_str(p.objective, p.variables)

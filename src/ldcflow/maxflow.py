@@ -14,7 +14,8 @@ a dense matrix of lists indexed by node number, which these small
 networks make cheaper to build and scan than a dict of arcs.  Neighbours
 are scanned in ascending number, so the node order fixes the augmenting
 paths, and with them the integer per-edge flows, whose net outflows `mpf`
-takes as a tree component's injections.
+takes as a tree component's injections.  `classical_max_flow` validates
+its network first, so no two edges share a pair of arcs.
 """
 
 from __future__ import annotations
@@ -33,16 +34,14 @@ def _integer_flow(names: Sequence[NodeId], edges: Sequence[Edge], generators: Se
     and so fixes which max flow Edmonds-Karp returns when there are several.
     The source and the sink come after them.  `residual[u][v]` is what is
     left on the arc u -> v: an edge gives both of its directions its
-    capacity, parallel edges add up, and the source and the sink reach
-    every generator and load by an arc no cut can saturate.  Each search
-    is breadth first, scans neighbours in ascending index and stops once
-    the sink has a parent, so it finds the shortest augmenting path that
-    comes first in that order.  Both directions of an edge start at its
+    capacity, and the source and the sink reach every generator and load
+    by an arc no cut can saturate.  Each search is breadth first, scans
+    neighbours in ascending index and stops once the sink has a parent, so
+    it finds the shortest augmenting path that comes first in that order.  Both directions of an edge start at its
     capacity c and an augmentation moves residual from one to the other,
     so the net flow from a to b is c - residual[a][b], which is
-    (residual[b][a] - residual[a][b]) / 2.  Parallel edges share that net
-    flow: in edge order, each takes what is left of it up to its own
-    capacity.
+    (residual[b][a] - residual[a][b]) / 2.  Parallel edges, which a valid
+    network does not hold, add up, and each reports their merged flow.
     """
     if not (generators and loads and edges):
         return 0, 1, [0] * len(edges)
@@ -92,13 +91,6 @@ def _integer_flow(names: Sequence[NodeId], edges: Sequence[Edge], generators: Se
             residual[v][u] += bottleneck
 
     flows = [(residual[v][u] - residual[u][v]) // 2 for u, v in ends]
-    if len(set(ends)) < len(ends):  # an Edge orders its ends, so twins share (u, v)
-        # parallel edges share their arcs: in edge order, each takes what is
-        # left of the pair's net flow, up to its own capacity, off the residual
-        for j, ((u, v), cap) in enumerate(zip(ends, caps)):
-            flows[j] = f = max(-cap, min(cap, (residual[v][u] - residual[u][v]) // 2))
-            residual[u][v] += f
-            residual[v][u] -= f
     # the arc g -> source starts empty and gains what source -> g carries
     return sum(residual[g][source] for g in gens), scale, flows
 
@@ -106,12 +98,8 @@ def _integer_flow(names: Sequence[NodeId], edges: Sequence[Edge], generators: Se
 def classical_max_flow(n: Network) -> Fraction:
     """Standard max flow from all generators to all loads, capacities only.
 
-    The network is not validated first, but an edge whose endpoint is not
-    a declared node raises `InvalidNetwork` with `validate_network`'s report.
+    An invalid network raises `InvalidNetwork`.
     """
-    try:
-        value, scale, _ = _integer_flow(n.node_names, n.edges, n.generators, n.loads)
-    except KeyError:
-        require_valid(n)
-        raise
+    require_valid(n)
+    value, scale, _ = _integer_flow(n.node_names, n.edges, n.generators, n.loads)
     return Fraction(value, scale)

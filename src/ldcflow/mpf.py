@@ -5,9 +5,10 @@ subject to conservation at every node, the power law on every edge and
 the edge capacities.  Fixing the smallest node of each connected
 component at angle zero removes the translation degeneracy without
 losing solutions, and then a component's angles are fixed by its
-injections alone: the pinned Laplacian is positive definite, since
-susceptances are positive.  So an edge's flow is a fixed linear function
-of the component's generations and loads, its shift factors.
+injections alone: the pinned Laplacian is positive definite, since a
+valid network's susceptances are positive (`solve_mpf` and
+`formulate_mpf` validate first).  So an edge's flow is a fixed linear
+function of the component's generations and loads, its shift factors.
 
 `_potentials` finds them: one fraction-free elimination of the reduced
 Laplacian, with one right-hand side per injection pattern, that touches
@@ -35,9 +36,10 @@ of their own, so MPF is the classical max flow.  `solve_mpf` values any
 other tree component by one integer max flow of `maxflow`.
 
 So the only LP `solve_mpf` runs is the terminal-space program of the
-flowing components with a cycle, and none when there is no such
-component; the program is block-diagonal across components, and the
-simplex's every choice stays within one block.  Each component hands
+flowing components with a cycle, which `formulate_mpf` writes for those
+components alone, and none when there is no such component; the
+program is block-diagonal across components, and the simplex's every
+choice stays within one block.  Each component hands
 over its part of an optimal solution as net injections: the LP's vertex,
 the unique one-pair optimum or the tree's max flow.  Those fix its
 angles, smallest node at zero, and its flows, so one more `_potentials`
@@ -58,7 +60,7 @@ from operator import mul
 from typing import Callable
 
 from .classify import connected_components
-from .errors import MalformedProgram, NotFixedSusceptance
+from .errors import NotFixedSusceptance
 from .lp import LE, DeferredRecord, LinearProgram, LpResult, LpStatus, _reduced, solve_lp
 from .maxflow import _integer_flow
 from .network import Edge, Network, NodeId, NodeRole, Solution, require_valid
@@ -97,11 +99,12 @@ def pinned_nodes(n: Network) -> set[NodeId]:
 
 
 def _component_edges(n: Network, components: list[set[NodeId]]) -> list[list[Edge]]:
-    """n's edges grouped by component, each group in n's edge order."""
+    """The edges of each listed component of n, in n's edge order; other components' edges are skipped."""
     where = {v: i for i, comp in enumerate(components) for v in comp}
     grouped: list[list[Edge]] = [[] for _ in components]
     for e in n.edges:
-        grouped[where[e.a]].append(e)
+        if e.a in where:
+            grouped[where[e.a]].append(e)
     return grouped
 
 
@@ -124,9 +127,9 @@ def _potentials(names: list[NodeId], edges: list[Edge], injections: list[dict[No
     pivot column.  A row it skips would only be scaled by pivot / previous
     pivot, and such factors telescope, so a row keeps the step it was last
     brought up to date at and catches up by one exact division when it is
-    next touched.  Positive susceptances make A positive definite, so no
-    pivot is zero; otherwise rows are swapped, and a singular A raises
-    `MalformedProgram`.
+    next touched.  A valid network's susceptances are positive, so A is
+    positive definite and every pivot, a leading principal minor of A, is
+    positive.
     """
     index = {v: i for i, v in enumerate(names)}
     m = len(names) - 1
@@ -136,7 +139,7 @@ def _potentials(names: list[NodeId], edges: list[Edge], injections: list[dict[No
     for e in edges:
         k = e.s_min.numerator * (scale // e.s_min.denominator)
         a, b = index[e.a], index[e.b]
-        lap[a][a] += k  # a self-loop's four terms cancel
+        lap[a][a] += k
         lap[b][b] += k
         lap[a][b] -= k
         lap[b][a] -= k
@@ -148,12 +151,6 @@ def _potentials(names: list[NodeId], edges: list[Edge], injections: list[dict[No
     pivots = [1]  # pivots[s + 1] is step s's pivot
     seen = [0] * m  # per row, the index into pivots of the step it was last brought up to date at
     for i in range(m):
-        if not rows[i][i]:
-            r = next((r for r in range(i + 1, m) if rows[r][i]), None)
-            if r is None:
-                raise MalformedProgram(f"the reduced Laplacian of the component of {names[0]} is singular")
-            rows[i], rows[r] = rows[r], rows[i]
-            seen[i], seen[r] = seen[r], seen[i]
         prow = rows[i]
         if seen[i] != i:
             up, down = pivots[i], pivots[seen[i]]
@@ -169,7 +166,7 @@ def _potentials(names: list[NodeId], edges: list[Edge], injections: list[dict[No
                 row[i] = 0
                 seen[k] = i + 1
         pivots.append(p)
-    det = abs(pivots[-1])
+    det = pivots[-1]
     # back substitution, one injection pattern at a time: det * th is integral
     columns = []
     for c in range(m, width):
@@ -193,56 +190,49 @@ def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None) -> Li
     whose flow is zero under every injection is left out.  Then come the
     component's balance rows sum(gen) - sum(load) <= 0 and its negation,
     also written for a component with terminals on one side only, which
-    they pin at zero.  Every row is <= with a nonnegative right-hand side
-    when the capacities are nonnegative.  The objective is the total
-    generation.
+    they pin at zero.  Every row is <= with a nonnegative right-hand side.
+    The objective is the total generation.
 
-    `components`, when given, must be exactly n's connected components
-    (they are not checked).  A flowing component whose reduced Laplacian
-    is singular, which positive susceptances rule out, raises
-    `MalformedProgram`.  The network is not validated, but an edge whose
-    endpoint is not a declared node raises `InvalidNetwork` with
-    `validate_network`'s report.
+    `components`, when given, lists some of n's connected components (they
+    are not checked), and the program covers those alone: it is the one
+    of the network that holds just their nodes and edges.  An invalid
+    network raises `InvalidNetwork`.
     """
+    require_valid(n)
     _require_fixed(n)
     comps = connected_components(n) if components is None else components
-    gens, loads = n.generators, n.loads
+    listed = set().union(*comps)
+    gens = [g for g in n.generators if g in listed]
+    loads = [l for l in n.loads if l in listed]
     variables = [_gen(g) for g in gens] + [_load(l) for l in loads]
-    if len(set(variables)) != len(variables):
-        twice = next(name for name in variables if variables.count(name) > 1)
-        raise MalformedProgram(f"variable {twice} declared twice")
     # each terminal's column, and its injection per unit of its variable
     unit = {g: (j, 1) for j, g in enumerate(gens)}
     unit.update((l, (len(gens) + j, -1)) for j, l in enumerate(loads))
     width = len(variables) + 2
     rows: list[list[int]] = []
-    try:
-        for comp, edges in zip(comps, _component_edges(n, comps)):
-            names = sorted(comp)
-            terminals = [unit[v] for v in names if v in unit]
-            if not terminals:
-                continue
-            if {sign for _, sign in terminals} == {1, -1}:
-                det, y = _potentials(names, edges, [{v: unit[v][1]} for v in names if v in unit])
-                for e in edges:
-                    k = e.s_min.numerator * e.cap.denominator
-                    row = [0] * width
-                    for (j, _), y_c in zip(terminals, y):
-                        row[j] = k * (y_c[e.b] - y_c[e.a])
-                    if not any(row):
-                        continue
-                    row[-2] = e.cap.numerator * e.s_min.denominator * det
-                    row[-1] = e.s_min.denominator * e.cap.denominator * det
-                    row = _reduced(row)
-                    rows += (row, [-x for x in row[:-2]] + row[-2:])
-            balance = [0] * width
-            for j, sign in terminals:
-                balance[j] = sign
-            balance[-1] = 1
-            rows += (balance, [-x for x in balance[:-1]] + [1])
-    except KeyError:  # an edge endpoint that is not a declared node
-        require_valid(n)
-        raise
+    for comp, edges in zip(comps, _component_edges(n, comps)):
+        names = sorted(comp)
+        terminals = [unit[v] for v in names if v in unit]
+        if not terminals:
+            continue
+        if {sign for _, sign in terminals} == {1, -1}:
+            det, y = _potentials(names, edges, [{v: unit[v][1]} for v in names if v in unit])
+            for e in edges:
+                k = e.s_min.numerator * e.cap.denominator
+                row = [0] * width
+                for (j, _), y_c in zip(terminals, y):
+                    row[j] = k * (y_c[e.b] - y_c[e.a])
+                if not any(row):
+                    continue
+                row[-2] = e.cap.numerator * e.s_min.denominator * det
+                row[-1] = e.s_min.denominator * e.cap.denominator * det
+                row = _reduced(row)
+                rows += (row, [-x for x in row[:-2]] + row[-2:])
+        balance = [0] * width
+        for j, sign in terminals:
+            balance[j] = sign
+        balance[-1] = 1
+        rows += (balance, [-x for x in balance[:-1]] + [1])
     return LinearProgram(
         variables, dict.fromkeys(variables, ZERO), dict.fromkeys(variables), rows, [LE] * len(rows), {_gen(g): ONE for g in gens}
     )
@@ -370,11 +360,7 @@ def solve_mpf(n: Network) -> MpfOutcome:
         else:
             cyclic.append((comp, edges, gens, loads))
     if cyclic:
-        sub = n
-        if len(cyclic) < len(comps):
-            keep = set().union(*(comp for comp, *_ in cyclic))
-            sub = Network([(v, r) for v, r in n.nodes if v in keep], [e for _, edges, *_ in cyclic for e in edges])
-        result = solve_lp(formulate_mpf(sub, [comp for comp, *_ in cyclic]))  # sub's components
+        result = solve_lp(formulate_mpf(n, [comp for comp, *_ in cyclic]))
         if result.status is not LpStatus.OPTIMAL:  # pragma: no cover - MPF is always bounded
             raise AssertionError(f"MPF solve ended {result.status}")
         value += result.value

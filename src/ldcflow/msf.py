@@ -229,8 +229,9 @@ def build_switching_milp(n: Network) -> tuple[LinearProgram, list[VarId]]:
     the sum of cap/s over all edges: within any kept component the angle
     spread along a path is at most Theta, and disconnected components can
     always be translated to overlap, so some optimal solution survives
-    every cut the M introduces.
+    every cut the M introduces.  An invalid network raises `InvalidNetwork`.
     """
+    require_valid(n)
     _require_fixed(n)
     p = LinearProgram()
     pins = pinned_nodes(n)

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -130,6 +131,30 @@ def test_a_variable_without_a_bound_entry_is_rejected(missing):
     p = LinearProgram(["x", "y"], bounds["lower"], bounds["upper"], [[1, 1, 1, 1]], ["<="], {"x": F(1)})
     with pytest.raises(MalformedProgram, match=f"variable y has no {missing} bound entry"):
         solve_lp(p)
+
+
+@pytest.mark.parametrize(
+    "rows, rels, lower, message",
+    [
+        ([[1, 3, 0]], ["<="], {"x": F(0)}, "denominator 0"),
+        ([[1, 3, 1]], ["<="], {}, "variable x has no lower bound entry"),
+        ([[1, 3, 1]], ["<"], {"x": F(0)}, "unknown relation '<'"),
+    ],
+    ids=["zero denominator", "missing bound entry", "<"],
+)
+def test_write_lp_text_refuses_what_solve_lp_refuses(rows, rels, lower, message):
+    # Read as they stand, the first two raised ZeroDivisionError and KeyError,
+    # and the third was written out with its "<".
+    p = LinearProgram(["x"], lower, {"x": None}, rows, rels, {"x": F(1)})
+    with pytest.raises(MalformedProgram, match=message):
+        write_lp_text(p)
+
+
+@pytest.mark.parametrize("den", [0, -1, F(1)], ids=["zero", "negative", "Fraction"])
+def test_constraints_refuse_a_denominator_that_is_not_a_positive_int(den):
+    p = LinearProgram(["x"], {"x": F(0)}, {"x": None}, [[1, 3, den]], ["<="], {"x": F(1)})
+    with pytest.raises(MalformedProgram, match=re.escape(f"denominator {den!r}")):
+        p.constraints
 
 
 def test_inverted_bounds_rejected():

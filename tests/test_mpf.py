@@ -10,13 +10,13 @@ from hypothesis import example, given, strategies as st
 from conftest import SUSCEPTANCES, networks_with_idle_edges, random_ldc_network, random_tree, series_parallel_networks
 from ldcflow import mpf
 from ldcflow.classify import connected_components
-from ldcflow.errors import InvalidNetwork, MalformedProgram, NotFixedSusceptance
+from ldcflow.errors import InvalidNetwork, NotFixedSusceptance
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.lp import LE, LpResult, LpStatus, solve_lp
 from ldcflow.maxflow import _integer_flow, classical_max_flow
 from ldcflow.mpf import MpfOutcome, _gen, _load, flow_cores, formulate_mpf, solve_mpf
 from ldcflow.msf import _th, solve_msf_bnb, solve_msf_exhaustive
-from ldcflow.network import Network, NodeRole, Solution, fixed_edge, network_sum, subnetwork, total_generation, validate_solution
+from ldcflow.network import Network, NodeRole, Solution, fixed_edge, network_sum, subnetwork, total_generation, validate_network, validate_solution
 from oracles import reference_mpf_program, reference_terminal_program
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
@@ -71,18 +71,12 @@ class TestFormulate:
             formulate_mpf(n)
         assert raised.value.report.kinds() == {"Structural"}
 
-    @pytest.mark.parametrize("s, expected", [(2, [F(1, 3), F(2, 3)]), (-1, None)])
-    def test_edges_on_one_pair_add_up_and_a_zero_sum_is_singular(self, s, expected):
+    @pytest.mark.parametrize("s", [2, -1])
+    def test_edges_on_one_pair_are_an_invalid_network(self, s):
         n = Network([("a", GEN), ("b", LOAD)], [fixed_edge("a", "b", 1, 1), fixed_edge("a", "b", s, 1)])
-        if expected is None:
-            assert reference_terminal_program(n) is None
-            with pytest.raises(MalformedProgram, match="singular"):
-                formulate_mpf(n)
-            return
-        # L_r = [1 + s] at b, so a unit of load lifts b by 1/3, and an edge of susceptance s carries s/3 of it
-        p = formulate_mpf(n)
-        assert p == reference_terminal_program(n)
-        assert [con.coeffs for con in p.constraints[:4:2]] == [{"load[b]": c} for c in expected]
+        with pytest.raises(InvalidNetwork, match="second edge on the same node pair") as raised:
+            formulate_mpf(n)
+        assert raised.value.report == validate_network(n)
 
 
 class TestSolveMpf:

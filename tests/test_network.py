@@ -7,9 +7,10 @@ from conftest import random_ldc_network
 from ldcflow import network
 from ldcflow.errors import EdgeOverlap, InvalidNetwork, RoleConflict, UnknownEdge
 from ldcflow.gadgets import Polarity, gfch, gsch
+from ldcflow.maxflow import classical_max_flow
 from ldcflow.mff import decide_mff, enumerate_endpoint_optima, solve_mff_endpoints, solve_mff_grid
-from ldcflow.mpf import solve_mpf
-from ldcflow.msf import decide_msf, optimal_switch_sets, solve_msf_bnb, solve_msf_exhaustive
+from ldcflow.mpf import formulate_mpf, solve_mpf
+from ldcflow.msf import build_switching_milp, decide_msf, export_milp, optimal_switch_sets, solve_msf_bnb, solve_msf_exhaustive
 from ldcflow.network import (
     Edge,
     Network,
@@ -374,6 +375,9 @@ def test_angle_induced_solutions_validate_iff_bounds_hold():
 INVALID_NETWORKS = {
     "negative capacity": Network([("g", GEN), ("l", LOAD)], [fixed_edge("g", "l", 1, -1)]),
     "undeclared endpoint": Network([("g", GEN), ("l", LOAD)], [fixed_edge("g", "l", 1, 2), fixed_edge("g", "zz", 1, 2)]),
+    "zero susceptance": Network([("g", GEN), ("m", PLAIN), ("l", LOAD)], [fixed_edge("g", "m", 0, 2), fixed_edge("m", "l", 1, 2), fixed_edge("g", "l", 1, 1)]),
+    "self-loop": Network([("g", GEN), ("l", LOAD)], [fixed_edge("g", "g", 1, 2), fixed_edge("g", "l", 1, 2)]),
+    "repeated pair": Network([("g", GEN), ("l", LOAD)], [fixed_edge("g", "l", 1, 2), fixed_edge("g", "l", 2, 1)]),
 }
 PUBLIC_SOLVERS = {
     "solve_mpf": solve_mpf,
@@ -385,6 +389,10 @@ PUBLIC_SOLVERS = {
     "solve_mff_grid": lambda n: solve_mff_grid(n, 2),
     "decide_mff": lambda n: decide_mff(n, F(1)),
     "enumerate_endpoint_optima": enumerate_endpoint_optima,
+    "formulate_mpf": formulate_mpf,
+    "classical_max_flow": classical_max_flow,
+    "build_switching_milp": build_switching_milp,
+    "export_milp": export_milp,
 }
 
 
