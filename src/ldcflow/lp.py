@@ -653,9 +653,8 @@ def write_lp_text(p: LinearProgram, *, binaries: list[VarId] | None = None, comm
     out.append("Subject To")
     for i, con in enumerate(p.constraints):
         expr, notes = _expr_str(con.coeffs, p.variables)
-        rel = con.rel if con.rel != EQ else "="
         rhs, rhs_exact = _coef_str(con.rhs)
-        out.append(f" c{i}: {expr} {rel} {rhs}")
+        out.append(f" c{i}: {expr} {con.rel} {rhs}")
         for note in notes:
             out.append(f"\\ exact coefficient in c{i}: {note}")
         if not rhs_exact:
