@@ -55,6 +55,14 @@ class NonpositiveX(LdcError):
     """Gadget constructors require a strictly positive size parameter."""
 
 
+class PortCollision(LdcError, ValueError):
+    """A gadget's port name is the name of one of its internal nodes."""
+
+
+class SusceptanceOutOfRange(LdcError, ValueError):
+    """A susceptance to pin an edge to lies outside the edge's interval."""
+
+
 class InvalidInstance(LdcError):
     """A combinatorial problem instance violates its structural requirements."""
 

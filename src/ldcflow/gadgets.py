@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 
-from .errors import NonpositiveX
+from .errors import NonpositiveX, PortCollision
 from .network import Network, NodeId, NodeRole, facts_edge, fixed_edge
 from .rational import Rational, rat
 
@@ -44,7 +44,7 @@ def _check(x: Rational, port: NodeId, internal: tuple[NodeId, ...]) -> None:
     if x <= 0:
         raise NonpositiveX(f"gadget size must be positive, got {x}")
     if port in internal:
-        raise ValueError(f"port name {port!r} collides with an internal gadget node")
+        raise PortCollision(f"port name {port!r} collides with an internal gadget node")
 
 
 def gsch(x, port: NodeId = "v", polarity: Polarity = Polarity.MINUS, prefix: str = "") -> Network:

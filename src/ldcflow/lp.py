@@ -52,11 +52,12 @@ every other, so the condensed rows hold the same integers, and the
 rationals are those a `Fraction` presolve and tableau would hold: every
 choice is the same.
 
-Only the optimal value is computed before `solve_lp` returns, from the
-objective's variables alone.  The vertex (`LpResult.assignment`: basic
-label values, then the eliminated variables by back-substitution) is
-built on its first read, so a caller that compares values never pays for
-it.
+The presolve folds fixed values and bound shifts into the objective
+row's rhs as into every other row's, so at the optimum that rhs is minus
+the value (the dictionary's constant; Chvatal 1983, ch. 2).  The vertex
+(`LpResult.assignment`: basic label values, then the eliminated variables
+by back-substitution) is built on its first read, so a caller that
+compares values never pays for it.
 """
 
 from __future__ import annotations
@@ -361,8 +362,7 @@ def _presolve(
     # Rows over the variables, with the variables fixed by their bounds folded in.
     rows = [_fold(row, fixed, True) for row in rows]
     rels = list(rels)
-    for j in fixed:
-        obj[j] = 0
+    obj = _fold(obj, fixed, True)
 
     # Gaussian elimination of free variables through equality rows: the first
     # equality row holding a free variable, and in it the first such variable.
@@ -459,8 +459,7 @@ def _presolve(
         slack_at += rel != EQ
         T.append(t)
 
-    obj[-2] = 0  # the objective's constant term plays no part in the optimum
-    Z2 = _reduced(to_columns(obj, width))
+    Z2 = _reduced(to_columns(_fold(obj, shift, False), width))
     if z1_rows:
         # Phase-1 objective: minus the artificials, over the nonbasic columns the sum of their rows.
         m = math.lcm(*(t[-1] for t in z1_rows))
@@ -488,42 +487,34 @@ def _presolve(
     return T, Z2, basis, nonbasic, var_cols, shift, eliminated
 
 
-def _optimum(tableau: Tableau, names: list[VarId], objective: list[tuple[int, Rational]], fixed: dict[int, Rational]) -> LpResult:
-    """Phase 2 from a feasible tableau, then the value now and the vertex on first read."""
+def _optimum(tableau: Tableau, names: list[VarId], fixed: dict[int, Rational]) -> LpResult:
+    """Phase 2 from a feasible tableau; the value is minus the objective row's rhs, and the vertex is built on first read."""
     T, Z, basis, nonbasic, var_cols, shift, eliminated = tableau
     if _simplex(T, [Z], basis, nonbasic) == "unbounded":
         return LpResult(LpStatus.UNBOUNDED)
 
-    # Back to rationals: basic label values, then live, eliminated and fixed variables.
-    row_of = {b: i for i, b in enumerate(basis)}
-
-    def column(col: int) -> Fraction:
-        i = row_of.get(col)
-        return ZERO if i is None else Fraction(T[i][-2], T[i][-1])
-
-    def live_value(j: int) -> Fraction:
-        cols = var_cols[j]
-        if len(cols) == 2:
-            return column(cols[0][0]) - column(cols[1][0])
-        col, sign = cols[0]
-        return shift.get(j, ZERO) + (column(col) if sign > 0 else -column(col))
-
     def vertex() -> dict[VarId, Fraction]:
-        value_of = {j: live_value(j) for j in var_cols}
+        """Basic label values, then live, eliminated and fixed variables."""
+        row_of = {b: i for i, b in enumerate(basis)}
+
+        def column(col: int) -> Fraction:
+            i = row_of.get(col)
+            return ZERO if i is None else Fraction(T[i][-2], T[i][-1])
+
+        value_of = {}
+        for j, cols in var_cols.items():
+            if len(cols) == 2:
+                value_of[j] = column(cols[0][0]) - column(cols[1][0])
+            else:
+                col, sign = cols[0]
+                value_of[j] = shift.get(j, ZERO) + (column(col) if sign > 0 else -column(col))
         for j, prow in reversed(eliminated):
             rest = sum((prow[k] * value_of[k] for k in range(len(names)) if prow[k]), ZERO)
             value_of[j] = Fraction(prow[-2] - rest, prow[-1])
         value_of.update(fixed)
         return {names[j]: x for j, x in value_of.items()}
 
-    # The value needs only the objective's variables; an eliminated one needs the whole vertex.
-    eliminated_vars = {j for j, _ in eliminated}
-    if any(j in eliminated_vars for j, _ in objective):
-        assignment = vertex()
-        value = sum((c * assignment[names[j]] for j, c in objective), ZERO)
-        return LpResult(LpStatus.OPTIMAL, value, assignment)
-    value = sum((c * (fixed[j] if j in fixed else live_value(j)) for j, c in objective), ZERO)
-    return LpResult.deferred(LpStatus.OPTIMAL, value, build=vertex)
+    return LpResult.deferred(LpStatus.OPTIMAL, Fraction(-Z[-2], Z[-1]), build=vertex)
 
 
 def _check_rows(rows: list[list[int]], rels: list[str], nvars: int) -> None:
@@ -598,11 +589,11 @@ def solve_lp(p: LinearProgram) -> LpResult:
     names = p.variables
     obj = _int_row(dict(objective), ZERO, len(names))
     if standard:
-        return _optimum(_slack_tableau(p.rows, obj, len(names)), names, objective, fixed)
+        return _optimum(_slack_tableau(p.rows, obj, len(names)), names, fixed)
     tableau = _presolve([row[:] for row in p.rows], p.rels, lower, upper, fixed, obj)
     if tableau is None:
         return LpResult(LpStatus.INFEASIBLE)
-    return _optimum(tableau, names, objective, fixed)
+    return _optimum(tableau, names, fixed)
 
 
 # ---------------------------------------------------------------------------

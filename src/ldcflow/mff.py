@@ -10,6 +10,10 @@ constructs, whose optima provably sit at interval endpoints.  An outcome
 is flagged `certified` only in the trivial case of zero FACTS edges,
 where MFF and MPF coincide; accordingly the decision operation answers
 Yes or Unknown, never No.
+
+Each candidate is solved once, and only the best ones' outcomes are kept,
+their solutions unbuilt: a search relabels the winners it returns, and
+the decision reads a value alone.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import TooManyFactsEdges, UnknownEdge
-from .mpf import solve_mpf
+from .errors import SusceptanceOutOfRange, TooManyFactsEdges, UnknownEdge
+from .mpf import MpfOutcome, solve_mpf
 from .msf import optima, ordered_map
 from .network import Edge, Network, Solution, fixed_edge, require_valid
 from .rational import Rational
@@ -44,7 +48,7 @@ class MffDecision(enum.Enum):
 
 
 def pin_susceptances(n: Network, assignment: SusAssignment) -> Network:
-    """Fix every assigned edge to its assigned value; a key that is not an edge of n raises `UnknownEdge`."""
+    """Fix every assigned edge to its value: `UnknownEdge` for a key not in n, `SusceptanceOutOfRange` off its interval."""
     unknown = assignment.keys() - n.edges
     if unknown:
         raise UnknownEdge(f"{min(unknown)} is not an edge of the network")
@@ -53,7 +57,7 @@ def pin_susceptances(n: Network, assignment: SusAssignment) -> Network:
         if e in assignment:
             value = assignment[e]
             if not (e.s_min <= value <= e.s_max):
-                raise ValueError(f"susceptance {value} outside {e}")
+                raise SusceptanceOutOfRange(f"susceptance {value} outside {e}")
             new_edges.append(fixed_edge(e.a, e.b, value, e.cap))
         else:
             new_edges.append(e)
@@ -62,18 +66,14 @@ def pin_susceptances(n: Network, assignment: SusAssignment) -> Network:
 
 def _relabel(n: Network, sol: Solution) -> Solution:
     """Key a pinned-network solution by the original (interval) edges."""
-    by_pair = {e.pair: e for e in n.edges}
-    sus = {}
-    flow = {}
-    for e, s in sol.susceptance.items():
-        orig = by_pair[e.pair]
-        sus[orig] = s
-        flow[orig] = sol.flow[e]
+    original = {e.pair: e for e in n.edges}
+    sus = {original[e.pair]: s for e, s in sol.susceptance.items()}
+    flow = {original[e.pair]: f for e, f in sol.flow.items()}
     return Solution(sus, dict(sol.angle), flow, dict(sol.gen), dict(sol.load))
 
 
-def _assignment_value(n: Network, assignment: SusAssignment) -> Rational:
-    return solve_mpf(pin_susceptances(n, assignment)).value
+def _solve_pinned(n: Network, assignment: SusAssignment) -> MpfOutcome:
+    return solve_mpf(pin_susceptances(n, assignment))
 
 
 def solve_mff_endpoints(n: Network) -> MffOutcome:
@@ -84,13 +84,11 @@ def solve_mff_endpoints(n: Network) -> MffOutcome:
 def grid_points(e: Edge, k: int) -> list[Rational]:
     """k+1 uniformly spaced susceptances from s_min to s_max inclusive."""
     step = (e.s_max - e.s_min) / k
-    pts = {e.s_min + j * step for j in range(k + 1)}
-    pts.update((e.s_min, e.s_max))  # guard against k degeneracies
-    return sorted(pts)
+    return sorted({e.s_min + j * step for j in range(k + 1)})
 
 
-def _grid_optima(n: Network, k: int) -> list[SusAssignment]:
-    """All best assignments on the k-step grid, in search order.
+def _grid_optima(n: Network, k: int) -> list[tuple[SusAssignment, MpfOutcome]]:
+    """All best assignments on the k-step grid with their pinned-network outcomes, in search order.
 
     Combinations are visited in lexicographic order of the assignment
     vector (edges in canonical order, points ascending), so the first
@@ -104,22 +102,22 @@ def _grid_optima(n: Network, k: int) -> list[SusAssignment]:
     if len(facts) > FACTS_EDGE_LIMIT or (k + 1) ** len(facts) > 2**FACTS_EDGE_LIMIT:
         raise TooManyFactsEdges(f"a {k}-step grid on {len(facts)} FACTS edges exceeds the search limit of 2^{FACTS_EDGE_LIMIT} candidates")
     assignments = [dict(zip(facts, c)) for c in itertools.product(*(grid_points(e, k) for e in facts))]
-    return optima(assignments, ordered_map(partial(_assignment_value, n), assignments))
+    outcomes = ordered_map(partial(_solve_pinned, n), assignments)
+    return optima(zip(assignments, outcomes), key=lambda pair: pair[1].value)
 
 
-def _outcome(n: Network, assignment: SusAssignment) -> MffOutcome:
-    out = solve_mpf(pin_susceptances(n, assignment))
+def _outcome(n: Network, assignment: SusAssignment, out: MpfOutcome) -> MffOutcome:
     return MffOutcome(out.value, assignment, _relabel(n, out.solution), certified=not assignment)
 
 
 def solve_mff_grid(n: Network, k: int) -> MffOutcome:
     """Endpoint search refined by a uniform grid; dominates the endpoints for every k."""
-    return _outcome(n, _grid_optima(n, k)[0])
+    return _outcome(n, *_grid_optima(n, k)[0])
 
 
 def enumerate_endpoint_optima(n: Network) -> list[tuple[SusAssignment, MffOutcome]]:
     """All endpoint assignments attaining the endpoint-search value."""
-    return [(a, _outcome(n, a)) for a in _grid_optima(n, 1)]
+    return [(a, _outcome(n, a, out)) for a, out in _grid_optima(n, 1)]
 
 
 def decide_mff(n: Network, x: Rational, *, k: int = 1) -> MffDecision:
@@ -127,4 +125,5 @@ def decide_mff(n: Network, x: Rational, *, k: int = 1) -> MffDecision:
 
     The search is a lower bound, so a sound "no" cannot be issued.
     """
-    return MffDecision.YES if solve_mff_grid(n, k).value >= x else MffDecision.UNKNOWN
+    _, best = _grid_optima(n, k)[0]
+    return MffDecision.YES if best.value >= x else MffDecision.UNKNOWN

@@ -15,8 +15,8 @@ remain, and the MPF value and the classical max flow depend on them
 alone (an edge outside the core carries no generator-to-load flow), so
 each search solves every such core once.  The scan solves only the
 distinct non-empty cores (an empty one is worth zero), each on its own
-sub-network, reads their values alone, and re-solves its winners on
-their own sub-networks for their solutions.
+sub-network, reads their values alone, and re-solves only the winners it
+returns on their own sub-networks for their solutions.
 Branch-and-bound bounds each core once, when it first meets it, and
 solves it then unless the bound prunes it; a node whose core it has met
 before is neither bounded nor solved again, and never becomes the
@@ -34,7 +34,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import TooLarge
 from .lp import LinearProgram, VarId, write_lp_text
@@ -60,18 +60,19 @@ def switch_key(edges) -> tuple[Edge, ...]:
     return tuple(sorted(edges))
 
 
-def optima(tasks: Iterable, values: Iterable) -> list:
-    """Every task whose value is the largest, in task order.
+def optima(items: Iterable, key: Callable) -> list:
+    """Every item whose `key` is the largest, in item order.
 
-    `tasks` is zipped first, so a lazy `values` (an `ordered_map` result)
-    is never asked for a value past the last task.
+    Only the current winners are kept, so a lazy `items` (tasks zipped
+    with an `ordered_map` result) holds no more results than there are ties.
     """
     best, winners = None, []
-    for task, value in zip(tasks, values):
+    for item in items:
+        value = key(item)
         if not winners or value > best:
-            best, winners = value, [task]
+            best, winners = value, [item]
         elif value == best:
-            winners.append(task)
+            winners.append(item)
     return winners
 
 
@@ -84,12 +85,11 @@ def _core_value(n: Network, core: int) -> Rational:
     return solve_mpf(subnetwork(n, _removed(n, ~core))).value
 
 
-def _optimal_sets(n: Network) -> list[tuple[Edge, ...]]:
-    """All optimal switch sets, as switch keys in canonical order.
+def _optimal_sets(n: Network) -> list[int]:
+    """All optimal switch sets, as removed-edge masks in ascending order.
 
     Each mask's flow core is found first and only the distinct non-empty
-    cores are valued (`_core_value`).  The reduction runs in mask order,
-    so ties go to the first mask.
+    cores are valued (`_core_value`).
     """
     require_valid(n)
     _require_fixed(n)
@@ -99,24 +99,24 @@ def _optimal_sets(n: Network) -> list[tuple[Edge, ...]]:
     cores = array("L", map(flow_cores(n), masks))
     solved = [core for core in dict.fromkeys(cores) if core]
     values = dict(zip(solved, ordered_map(partial(_core_value, n), solved)))
-    winners = optima(masks, (values.get(core, ZERO) for core in cores))
-    return sorted(switch_key(_removed(n, mask)) for mask in winners)
+    return optima(masks, key=lambda mask: values.get(cores[mask], ZERO))
 
 
 def solve_msf_exhaustive(n: Network) -> MsfOutcome:
     """Scan all 2^|E| switch sets; exact but only sensible at desk scale."""
-    removed = _optimal_sets(n)[0]
+    removed = min(switch_key(_removed(n, mask)) for mask in _optimal_sets(n))
     out = solve_mpf(subnetwork(n, removed))
     return MsfOutcome(out.value, frozenset(removed), out.solution)
 
 
 def optimal_switch_sets(n: Network) -> list[tuple[SwitchSet, MpfOutcome]]:
     """All switch sets attaining the MSF value, in canonical order."""
-    return [(frozenset(removed), solve_mpf(subnetwork(n, removed))) for removed in _optimal_sets(n)]
+    keys = sorted(switch_key(_removed(n, mask)) for mask in _optimal_sets(n))
+    return [(frozenset(removed), solve_mpf(subnetwork(n, removed))) for removed in keys]
 
 
-def _solve_msf_bnb(n: Network, threshold: Rational | None) -> MsfOutcome:
-    """Depth-first subset search over edges in canonical order.
+def _solve_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, tuple[Edge, ...]]:
+    """Depth-first subset search over edges in canonical order: the incumbent's MPF outcome and removed-set.
 
     Each recursion level owns a fixed removed-set and scans extensions by
     ever-larger edges, so the lexicographically smallest completion of a
@@ -124,7 +124,8 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> MsfOutcome:
     reproducible under pruning.  With `threshold` set, the search stops as
     soon as the incumbent proves the decision and prunes anything that
     cannot reach the threshold; when the root's classical bound is below
-    the threshold, no LP is solved and the zero flow is returned.
+    the threshold, no LP is solved and the zero flow is returned.  No
+    solution is built until it is read, so a decision builds none.
 
     The search visits removed-sets in switch-key order (a set comes before
     its extensions, and `n.edges` is sorted), so every incumbent's key is
@@ -150,7 +151,7 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> MsfOutcome:
     bounds: dict[int, Rational] = {root_core: classical_max_flow(n)}
     if threshold is not None and bounds[root_core] < threshold:
         # no sub-network reaches the threshold; the zero flow is feasible
-        return MsfOutcome(ZERO, frozenset(), zero_solution(n))
+        return MpfOutcome.deferred(ZERO, build=partial(zero_solution, n)), ()
     best, best_removed = solve_mpf(n), ()
 
     def promising(bound: Rational) -> bool:
@@ -179,14 +180,14 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> MsfOutcome:
                 explore(i + 1, child, child_mask, child_core, bound)
 
     explore(0, (), 0, root_core, bounds[root_core])
-    # the incumbent's solution is the only one the search reads
-    return MsfOutcome(best.value, frozenset(best_removed), best.solution)
+    return best, best_removed
 
 
 def solve_msf_bnb(n: Network) -> MsfOutcome:
     """Branch-and-bound MSF; same outcome as the exhaustive search."""
     require_valid(n)
-    return _solve_msf_bnb(n, None)
+    best, removed = _solve_msf_bnb(n, None)
+    return MsfOutcome(best.value, frozenset(removed), best.solution)
 
 
 def decide_msf(n: Network, x: Rational) -> bool:
@@ -195,7 +196,7 @@ def decide_msf(n: Network, x: Rational) -> bool:
     _require_fixed(n)
     if x <= 0:
         return True  # the zero solution is always available
-    return _solve_msf_bnb(n, x).value >= x
+    return _solve_msf_bnb(n, x)[0].value >= x
 
 
 # ---------------------------------------------------------------------------

@@ -232,6 +232,11 @@ class TestErrors:
         code, out, err = run(capsys, *argv, str(path))
         assert code == 3 and out == "" and "not a rational" in err
 
+    @pytest.mark.parametrize("gadget, port", [("gsch", "g"), ("gsch", "l"), ("gfch", "c")])
+    def test_gadget_port_collision_is_exit_4(self, capsys, gadget, port):
+        code, out, err = run(capsys, "gadget", gadget, "--x", "1", "--polarity", "minus", "--port", port)
+        assert code == 4 and out == "" and "collides with an internal gadget node" in err
+
     def test_zero_denominator_gadget_size_is_exit_3(self, capsys):
         code, out, err = run(capsys, "gadget", "gsch", "--x", "1/0", "--polarity", "plus")
         assert code == 3 and out == "" and "zero denominator" in err

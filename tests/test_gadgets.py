@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from ldcflow.classify import is_cactus, max_degree
-from ldcflow.errors import NonpositiveX
+from ldcflow.errors import LdcError, NonpositiveX
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.lp import LpStatus, solve_lp
 from ldcflow.mpf import _gen, formulate_mpf
@@ -68,6 +68,11 @@ class TestGfch:
     def test_port_name_collision_rejected(self):
         with pytest.raises(ValueError):
             gsch(1, "g", Polarity.MINUS)
+
+    @pytest.mark.parametrize("gadget, port", [(gsch, "g"), (gsch, "A.l"), (gfch, "c"), (gfch, "A.e")])
+    def test_port_name_collision_is_a_library_error(self, gadget, port):
+        with pytest.raises(LdcError, match="collides with an internal gadget node"):
+            gadget(1, port, Polarity.MINUS, prefix="A." if port.startswith("A.") else "")
 
 
 @pytest.mark.parametrize("x", [F(1), F(2), F(7, 2)])

@@ -228,6 +228,67 @@ def test_matches_vertex_oracle_on_rational_coefficients(rng):
     assert agreements["optimal"] > 0 and agreements["infeasible"] > 0
 
 
+# The value is read off the objective row, whose right-hand side carries the
+# fixed values and bound shifts the presolve folds in: a program whose
+# objective weights every kind of variable checks each of those constants.
+VARIABLE_KINDS = ("fixed", "lower", "upper", "boxed", "eliminated", "split")
+SMALL = st.fractions(-4, 4, max_denominator=3)
+NONZERO = SMALL.filter(bool)
+
+
+@st.composite
+def programs_over_every_variable_kind(draw) -> tuple[LinearProgram, bool]:
+    """A program with one variable of each kind, all in the objective, or a boxed one; and whether it is boxed.
+
+    Rows keep every unbounded side in check, so the region is bounded.  The
+    free variable of kind "eliminated" is the only free variable in the one
+    equality row, so the presolve eliminates it; the "split" one stays.
+    """
+    boxed = draw(st.booleans())
+    kinds = draw(st.lists(st.sampled_from(("fixed", "boxed")), min_size=1, max_size=3) if boxed else st.permutations(VARIABLE_KINDS))
+    p = LinearProgram()
+    for j, kind in enumerate(kinds):
+        lo = hi = None
+        if kind == "fixed":
+            lo = hi = draw(NONZERO)
+        elif kind == "lower":
+            lo = draw(NONZERO)
+        elif kind == "upper":
+            hi = draw(NONZERO)
+        elif kind == "boxed":
+            lo = draw(SMALL)
+            hi = lo + draw(st.fractions(F(1, 3), 4, max_denominator=3))
+        p.add_variable(f"x{j}", lo, hi)
+    names = p.variables
+    for v, kind in zip(names, kinds):
+        if kind in ("lower", "split"):
+            p.add_constraint({v: F(1)}, "<=", F(8))
+        if kind in ("upper", "split"):
+            p.add_constraint({v: F(1)}, ">=", F(-8))
+        if kind == "eliminated":
+            others = [w for w, other in zip(names, kinds) if other not in ("eliminated", "split")]
+            coeffs = {w: draw(SMALL) for w in draw(st.lists(st.sampled_from(others), unique=True, max_size=3))}
+            p.add_constraint({**coeffs, v: draw(NONZERO)}, "=", draw(SMALL))
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = {v: draw(SMALL) for v in draw(st.lists(st.sampled_from(names), unique=True, min_size=1, max_size=3))}
+        rel = draw(st.sampled_from(("<=", ">=", "=") if boxed else ("<=", ">=")))
+        p.add_constraint(coeffs, rel, draw(st.fractions(-8, 8, max_denominator=2)))
+    p.set_objective({v: draw(NONZERO) for v in names})
+    return p, boxed
+
+
+@settings(max_examples=150)
+@given(programs_over_every_variable_kind())
+def test_the_value_off_the_objective_row_is_the_objective_at_the_vertex(drawn):
+    p, boxed = drawn
+    r = solve_lp(p)
+    assert r.status is not LpStatus.UNBOUNDED
+    if r.status is LpStatus.OPTIMAL:
+        assert_feasible_optimum(p, r)  # value == sum of c * x over the objective
+    if boxed:
+        assert lp_vertex_oracle(p) == (r.status.value, r.value)
+
+
 @pytest.mark.parametrize("scale", [F(1), F(2, 7)])
 def test_redundant_equality_rows_are_dropped_after_phase_one(scale):
     # the second and third rows repeat the first, so their artificials end

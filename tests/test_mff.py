@@ -2,11 +2,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from ldcflow import mff
-from ldcflow.errors import TooManyFactsEdges, UnknownEdge
+import random
+
+from hypothesis import given, strategies as st
+
+from conftest import random_ldc_network
+from ldcflow import mff, mpf
+from ldcflow.errors import LdcError, TooManyFactsEdges, UnknownEdge
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.mff import (
     MffDecision,
+    MffOutcome,
     decide_mff,
     enumerate_endpoint_optima,
     grid_points,
@@ -83,13 +89,56 @@ def test_endpoint_optima_congest_the_known_edges(x):
 
 
 def test_endpoint_optima_solve_each_combination_once(monkeypatch):
-    # one solve per endpoint combination, then one per optimum it returns
+    # one solve per endpoint combination; each optimum keeps the outcome of its own solve
     calls = []
     solve = mff.solve_mpf
     monkeypatch.setattr(mff, "solve_mpf", lambda n: calls.append(n) or solve(n))
     n = network_sum(gfch(1, port="v", prefix="A."), gfch(2, port="w", prefix="B."))
     optima = enumerate_endpoint_optima(n)
-    assert len(calls) == 2 ** len(n.facts_edges) + len(optima) == 8
+    assert len(calls) == 2 ** len(n.facts_edges) == len(optima) == 4
+
+
+INTERVAL_POINTS = [F(1, 2), F(1), F(3, 2), F(2)]
+
+
+@st.composite
+def facts_networks(draw) -> Network:
+    """A seeded network with one to three of its edges made adjustable."""
+    base = random_ldc_network(random.Random(draw(st.integers(0, 2**32 - 1))), max_edges=5)
+    edges = list(base.edges)
+    for i in draw(st.lists(st.integers(0, len(edges) - 1), unique=True, min_size=1, max_size=3)):
+        lo, hi = sorted(draw(st.lists(st.sampled_from(INTERVAL_POINTS), unique=True, min_size=2, max_size=2)))
+        edges[i] = facts_edge(edges[i].a, edges[i].b, lo, hi, edges[i].cap)
+    return Network(base.nodes, edges)
+
+
+def fresh_outcome(n: Network, assignment) -> MffOutcome:
+    """The outcome a new solve of n pinned at `assignment` gives."""
+    out = solve_mpf(pin_susceptances(n, assignment))
+    return MffOutcome(out.value, assignment, mff._relabel(n, out.solution), certified=not assignment)
+
+
+@given(facts_networks(), st.sampled_from([1, 2]))
+def test_each_returned_outcome_is_a_fresh_solve_of_its_own_assignment(n, k):
+    # the search keeps each winner's outcome from its one solve instead of solving it again
+    out = solve_mff_grid(n, k)
+    assert out == fresh_outcome(n, out.assignment)
+    optima = enumerate_endpoint_optima(n)
+    assert all(o == fresh_outcome(n, a) for a, o in optima)
+    if k == 1:
+        assert optima[0] == (out.assignment, out)
+
+
+def test_a_decision_builds_no_solution(monkeypatch):
+    built = []
+    build = mpf._solution
+    monkeypatch.setattr(mpf, "_solution", lambda *args: built.append(args) or build(*args))
+    n = network_sum(gfch(1, port="v", prefix="A."), gfch(2, port="w", prefix="B."))
+    for k in (1, 2):
+        assert decide_mff(n, F(183, 10), k=k) is MffDecision.YES
+        assert decide_mff(n, F(19), k=k) is MffDecision.UNKNOWN
+    assert decide_mff(facts_gadget(), F(1)) is MffDecision.YES
+    assert built == []
 
 
 def test_search_value_dominates_any_pinned_assignment():
@@ -160,6 +209,13 @@ def test_pin_susceptances_respects_intervals():
     assert pinned.is_fixed()
     with pytest.raises(ValueError):
         pin_susceptances(n, {e: F(9)})
+
+
+@pytest.mark.parametrize("value", [F(2, 5) - F(1, 10**9), F(8, 5) + F(1, 10**9), F(-1)])
+def test_a_susceptance_outside_its_interval_is_a_library_error(value):
+    n = facts_gadget()
+    with pytest.raises(LdcError, match="outside"):
+        pin_susceptances(n, {adjustable_edge(n): value})
 
 
 def test_pin_susceptances_rejects_a_key_that_is_not_an_edge():

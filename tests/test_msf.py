@@ -196,6 +196,18 @@ class TestSolveCounts:
         assert not decide_msf(n, classical_max_flow(n) + F(1, 2))
         assert bounds == [n] and solves == []
 
+    def test_a_decision_builds_no_solution(self, solves, monkeypatch):
+        built = []
+        build, zero = ldcflow.mpf._solution, ldcflow.msf.zero_solution
+        monkeypatch.setattr("ldcflow.mpf._solution", lambda *args: built.append(args) or build(*args))
+        monkeypatch.setattr("ldcflow.msf.zero_solution", lambda n: built.append(n) or zero(n))
+        n = self.pendant()
+        bound, msf = classical_max_flow(n), solve_msf_bnb(n).value
+        built.clear()
+        # at or below the root's bound the search runs; above it the root refuses
+        assert [decide_msf(n, x) for x in (msf, bound, bound + F(1, 2))] == [True, msf == bound, False]
+        assert solves and built == []
+
 
 def test_switch_key_orders_sets_lexicographically():
     e1 = fixed_edge("a", "b", 1, 1)
