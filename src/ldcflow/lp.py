@@ -53,11 +53,11 @@ rationals are those a `Fraction` presolve and tableau would hold: every
 choice is the same.
 
 The presolve folds fixed values and bound shifts into the objective
-row's rhs as into every other row's, so at the optimum that rhs is minus
-the value (the dictionary's constant; Chvatal 1983, ch. 2).  The vertex
-(`LpResult.assignment`: basic label values, then the eliminated variables
-by back-substitution) is built on its first read, so a caller that
-compares values never pays for it.
+row's rhs as into every row's, and pivots carry it: at the optimum it is
+minus the value (the dictionary's constant; Chvatal 1983, ch. 2).  The
+vertex (`LpResult.assignment`: basic label values, then the eliminated
+variables by back-substitution) is built on its first read, so a caller
+that compares values never pays for it.
 """
 
 from __future__ import annotations
