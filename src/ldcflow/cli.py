@@ -220,7 +220,7 @@ def _cmd_export(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    if not (text.isdecimal() and int(text) > 0):
+    if not (text.isascii() and text.isdecimal() and int(text) > 0):
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 

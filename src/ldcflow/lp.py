@@ -55,17 +55,18 @@ choice is the same.
 The presolve folds fixed values and bound shifts into the objective
 row's rhs as into every row's, and pivots carry it: at the optimum it is
 minus the value (the dictionary's constant; Chvatal 1983, ch. 2).  The
-vertex (`LpResult.assignment`: basic label values, then the eliminated
-variables by back-substitution) is built on its first read, so a caller
-that compares values never pays for it.
+vertex (basic label values, then the eliminated variables by
+back-substitution) is `LpResult.assignment`, a `Lazy` field built on its
+first read, so a caller that compares values never pays for it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
+from typing import Any, Callable
 
 from .errors import MalformedProgram
 from .rational import ONE, ZERO, Rational, decimal_str, is_decimal_exact, rat, rat_str
@@ -144,68 +145,48 @@ class LpStatus(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-class DeferredRecord:
-    """An immutable record whose last field may be built on its first read.
+class Lazy:
+    """A frozen dataclass field, `name: T = Lazy()` (or `Lazy(default=d)`), whose value may be built on first read.
 
-    A subclass names its fields in `FIELDS`, keeps the leading ones in
-    slots and exposes the last one as `property(DeferredRecord.last)`.
-    `deferred(*leading, build=f)` makes a record whose last field is
-    `f()`, called once, on first read.  Equality, hashing, repr and
-    pickling read every field, so a deferred record behaves like the
-    frozen dataclass it stands for, built eagerly.
+    A value `Lazy(build)`, kept under `_name` so that no record needs a
+    `__dict__`, becomes `build()` on the field's first read.  Equality,
+    hashing, repr and pickling (by `__reduce__ = Lazy.reduce`: a builder
+    may hold lambdas) read every field, as in the record built eagerly.
     """
 
-    __slots__ = ("_last", "_build")
-    FIELDS: tuple[str, ...] = ()
+    def __init__(self, build: Callable[[], Any] | None = None, *, default: Any = MISSING):
+        self.build, self.default = build, default
 
-    @classmethod
-    def deferred(cls, *leading, build):
-        record = cls(*leading, None)
-        object.__setattr__(record, "_build", build)
-        return record
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name, self.key = name, "_" + name
 
-    def _set(self, **fields) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+    def __get__(self, record, owner=None):
+        if record is None:  # dataclasses reads the default here; AttributeError means none
+            if self.default is MISSING:
+                raise AttributeError(self.name)
+            return self.default
+        value = getattr(record, self.key)
+        if type(value) is Lazy:
+            object.__setattr__(record, self.key, value := value.build())
+        return value
 
-    def last(self):
-        if self._build is not None:
-            self._set(_last=self._build(), _build=None)
-        return self._last
+    def __set__(self, record, value) -> None:
+        object.__setattr__(record, self.key, value)
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.FIELDS)
-
-    def __eq__(self, other):
-        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.FIELDS, self._fields()))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return (type(self), self._fields())
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    @staticmethod
+    def reduce(record) -> tuple:
+        return type(record), tuple(getattr(record, f.name) for f in fields(record))
 
 
-class LpResult(DeferredRecord):
-    """Status, optimal value and optimal vertex of one solve; `solve_lp` builds the vertex on first read."""
+@dataclass(frozen=True)
+class LpResult:
+    """Status, optimal value and optimal vertex of one solve; from `solve_lp` the vertex is built on first read."""
 
-    __slots__ = ("status", "value")
-    FIELDS = ("status", "value", "assignment")
+    status: LpStatus
+    value: Rational | None = None
+    assignment: dict[VarId, Rational] | None = Lazy(default=None)
 
-    def __init__(self, status: LpStatus, value: Rational | None = None, assignment: dict[VarId, Rational] | None = None):
-        self._set(status=status, value=value, _last=assignment, _build=None)
-
-    assignment = property(DeferredRecord.last)
+    __reduce__ = Lazy.reduce
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +495,7 @@ def _optimum(tableau: Tableau, names: list[VarId], fixed: dict[int, Rational]) -
         value_of.update(fixed)
         return {names[j]: x for j, x in value_of.items()}
 
-    return LpResult.deferred(LpStatus.OPTIMAL, Fraction(-Z[-2], Z[-1]), build=vertex)
+    return LpResult(LpStatus.OPTIMAL, Fraction(-Z[-2], Z[-1]), Lazy(vertex))
 
 
 def _check_rows(rows: list[list[int]], rels: list[str], nvars: int) -> None:

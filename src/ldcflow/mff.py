@@ -87,6 +87,12 @@ def grid_points(e: Edge, k: int) -> list[Rational]:
     return sorted({e.s_min + j * step for j in range(k + 1)})
 
 
+def _require_grid(n: Network, k: int) -> None:
+    if k < 1:
+        raise ValueError("grid refinement k must be >= 1")
+    require_valid(n)
+
+
 def _grid_optima(n: Network, k: int) -> list[tuple[SusAssignment, MpfOutcome]]:
     """All best assignments on the k-step grid with their pinned-network outcomes, in search order.
 
@@ -94,9 +100,7 @@ def _grid_optima(n: Network, k: int) -> list[tuple[SusAssignment, MpfOutcome]]:
     vector (edges in canonical order, points ascending), so the first
     optimum is the smallest vector.
     """
-    if k < 1:
-        raise ValueError("grid refinement k must be >= 1")
-    require_valid(n)
+    _require_grid(n, k)
     facts = n.facts_edges
     # (k + 1) ** len(facts) candidates; the first test keeps the power small
     if len(facts) > FACTS_EDGE_LIMIT or (k + 1) ** len(facts) > 2**FACTS_EDGE_LIMIT:
@@ -123,7 +127,11 @@ def enumerate_endpoint_optima(n: Network) -> list[tuple[SusAssignment, MffOutcom
 def decide_mff(n: Network, x: Rational, *, k: int = 1) -> MffDecision:
     """Yes when some assignment on the k-step grid reaches x; otherwise Unknown.
 
-    The search is a lower bound, so a sound "no" cannot be issued.
+    The search is a lower bound, so a sound "no" cannot be issued.  For
+    x <= 0 the zero flow answers Yes without a search, as in `decide_msf`.
     """
+    _require_grid(n, k)
+    if x <= 0:
+        return MffDecision.YES
     _, best = _grid_optima(n, k)[0]
     return MffDecision.YES if best.value >= x else MffDecision.UNKNOWN

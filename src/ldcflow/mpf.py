@@ -55,28 +55,27 @@ each such core once through `solve_mpf`.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import partial
 from operator import mul
 from typing import Callable
 
 from .classify import connected_components
 from .errors import NotFixedSusceptance
-from .lp import LE, DeferredRecord, LinearProgram, LpResult, LpStatus, _reduced, solve_lp
+from .lp import LE, Lazy, LinearProgram, LpResult, LpStatus, _reduced, solve_lp
 from .maxflow import _integer_flow
 from .network import Edge, Network, NodeId, NodeRole, Solution, require_valid
 from .rational import ONE, Rational, ZERO
 
 
-class MpfOutcome(DeferredRecord):
-    """MPF value and an optimal solution; `solve_mpf` builds the solution on first read."""
+@dataclass(frozen=True)
+class MpfOutcome:
+    """MPF value and an optimal solution; from `solve_mpf` the solution is built on first read (`Lazy`)."""
 
-    __slots__ = ("value",)
-    FIELDS = ("value", "solution")
+    value: Rational
+    solution: Solution = Lazy()
 
-    def __init__(self, value: Rational, solution: Solution):
-        self._set(value=value, _last=solution, _build=None)
-
-    solution = property(DeferredRecord.last)
+    __reduce__ = Lazy.reduce
 
 
 def _gen(v: NodeId) -> str:
@@ -365,7 +364,7 @@ def solve_mpf(n: Network) -> MpfOutcome:
             raise AssertionError(f"MPF solve ended {result.status}")
         value += result.value
         parts += [partial(_lp_part, *c, result) for c in cyclic]
-    return MpfOutcome.deferred(value, build=partial(_solution, n, parts))
+    return MpfOutcome(value, Lazy(partial(_solution, n, parts)))
 
 
 def flow_cores(n: Network) -> Callable[[int], int]:

@@ -37,7 +37,7 @@ from functools import partial
 from typing import Callable, Iterable
 
 from .errors import TooLarge
-from .lp import LinearProgram, VarId, write_lp_text
+from .lp import Lazy, LinearProgram, VarId, write_lp_text
 from .maxflow import classical_max_flow
 from .mpf import MpfOutcome, _gen, _load, _require_fixed, flow_cores, pinned_nodes, solve_mpf
 from .network import Edge, Network, NodeId, NodeRole, Solution, SwitchSet, require_valid, subnetwork, zero_solution
@@ -151,7 +151,7 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, 
     bounds: dict[int, Rational] = {root_core: classical_max_flow(n)}
     if threshold is not None and bounds[root_core] < threshold:
         # no sub-network reaches the threshold; the zero flow is feasible
-        return MpfOutcome.deferred(ZERO, build=partial(zero_solution, n)), ()
+        return MpfOutcome(ZERO, Lazy(partial(zero_solution, n))), ()
     best, best_removed = solve_mpf(n), ()
 
     def promising(bound: Rational) -> bool:

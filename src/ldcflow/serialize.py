@@ -10,6 +10,7 @@ round-trip byte-for-byte.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 from .mff import MffOutcome, SusAssignment
@@ -203,14 +204,18 @@ def mff_outcome_from_json(data: dict, n: Network) -> MffOutcome:
 # --- problem instances --------------------------------------------------------
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _int_in(value: Any, where: str) -> int:
-    if isinstance(value, (bool, float)):
-        raise ValueError(f"{where} must be an integer (int or string), got {value!r}")
-    return int(value)
+    """An int, or a string of ASCII digits with an optional sign; `int` alone would also take underscores and other digits."""
+    if isinstance(value, int) and not isinstance(value, bool) or isinstance(value, str) and _INTEGER.fullmatch(value.strip()):
+        return int(value)
+    raise ValueError(f"{where} must be an integer (int, or string of ASCII digits with an optional sign), got {value!r}")
 
 
 def subset_sum_from_json(data: dict) -> SubsetSumInstance:
-    """The instance a document describes; a float or a bool in M or w raises a ValueError naming the field."""
+    """The instance a document describes; an M or w entry that is not an int or a string of ASCII digits raises a ValueError naming the field."""
     values = tuple(_int_in(x, f"instance.M[{i}]") for i, x in enumerate(_get(data, "M", "instance", list)))
     return SubsetSumInstance(values=values, target=_int_in(_get(data, "w", "instance"), "instance.w"))
 

@@ -18,7 +18,7 @@ settings.register_profile("tier1", derandomize=True, database=None, deadline=Non
 settings.load_profile("tier1")
 
 from ldcflow.lp import LinearProgram
-from ldcflow.network import Network, NodeRole, fixed_edge
+from ldcflow.network import Network, NodeRole, facts_edge, fixed_edge
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
@@ -58,6 +58,13 @@ def random_tree(rng: random.Random, *, max_nodes: int = 15) -> Network:
     if not any(r is NodeRole.LOAD for r in roles.values()):
         roles[names[-1]] = NodeRole.LOAD
     return Network(roles.items(), edges)
+
+
+def facts_path(m: int = 26) -> Network:
+    """A valid generator-to-load path of m FACTS edges, more than any grid search takes."""
+    names = ["g", *(f"p{i}" for i in range(1, m)), "l"]
+    roles = {v: NodeRole.PLAIN for v in names} | {"g": NodeRole.GENERATOR, "l": NodeRole.LOAD}
+    return Network(roles.items(), [facts_edge(a, b, 1, 2, 3) for a, b in zip(names, names[1:])])
 
 
 def random_boxed_lp(rng: random.Random) -> LinearProgram:

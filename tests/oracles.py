@@ -2,7 +2,8 @@
 
 Everything here is deliberately brute force and shares no code with the
 solvers it cross-checks: the LP oracle enumerates constraint-intersection
-vertices, the min-cut oracle enumerates source-side node sets, and the
+vertices, the min-cut oracle enumerates source-side node sets, the
+cactus oracle enumerates the edge sets of simple cycles, and the
 combinatorial oracles enumerate subsets/permutations.  The one exception
 is `reference_mpf_program`, the MPF program in angle space built
 constraint by constraint over `Fraction`s through `LinearProgram`'s public
@@ -22,7 +23,7 @@ skip.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -312,6 +313,40 @@ def msf_by_every_mask(n: Network) -> tuple[Fraction, frozenset, Solution]:
             best = out.value, key, out
     value, key, out = best
     return value, frozenset(key), out.solution
+
+
+def simple_cycles(pairs: list[tuple[str, str]]) -> list[frozenset[tuple[str, str]]]:
+    """Every simple cycle of a simple graph, as its edge set: the connected edge subsets in which every vertex has degree 2.
+
+    Exponential in the number of edges; meant for at most about 9.
+    """
+    cycles = []
+    for r in range(3, len(pairs) + 1):
+        for subset in combinations(pairs, r):
+            degree = Counter(v for pair in subset for v in pair)
+            if any(d != 2 for d in degree.values()):
+                continue
+            # a 2-regular edge set is disjoint cycles on r vertices; grow the one through the first edge
+            reached, grown = set(subset[0]), True
+            while grown:
+                grown = False
+                for a, b in subset:
+                    if (a in reached) != (b in reached):
+                        reached |= {a, b}
+                        grown = True
+            if len(reached) == r:
+                cycles.append(frozenset(subset))
+    return cycles
+
+
+def is_cactus_by_cycles(n: Network) -> bool:
+    """True when no edge of n lies on two distinct simple cycles."""
+    covered: set[tuple[str, str]] = set()
+    for cycle in simple_cycles([e.pair for e in n.edges]):
+        if covered & cycle:
+            return False
+        covered |= cycle
+    return True
 
 
 def subset_sum_solvable(values, target) -> bool:

@@ -1,9 +1,10 @@
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import random_ldc_network, random_tree
 from ldcflow.classify import connected_components, is_cactus, is_connected, is_tree, max_degree
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.network import Network, NodeRole, fixed_edge
+from oracles import is_cactus_by_cycles
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
@@ -109,14 +110,21 @@ def union_find_components(n: Network) -> list[set[str]]:
 
 
 @st.composite
-def graphs(draw) -> Network:
+def graphs(draw, max_nodes: int = 9, max_edges: int | None = None) -> Network:
     """Plain nodes named so that name order and insertion order differ, and random edges between them."""
-    names = draw(st.lists(st.text("abcxyz", min_size=1, max_size=2), min_size=1, max_size=9, unique=True))
+    names = draw(st.lists(st.text("abcxyz", min_size=1, max_size=2), min_size=1, max_size=max_nodes, unique=True))
     pairs = [(a, b) for a in names for b in names if a < b]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_edges)) if pairs else []
     return Network([(v, PLAIN) for v in names], [fixed_edge(a, b, 1, 1) for a, b in chosen])
 
 
 @given(graphs())
 def test_components_are_the_union_find_classes_in_the_same_order(n):
     assert connected_components(n) == union_find_components(n)
+
+
+@given(graphs(max_nodes=7, max_edges=9))
+@example(complete4())
+def test_cactus_and_degree_match_their_brute_force_definitions(n):
+    assert is_cactus(n) == is_cactus_by_cycles(n)
+    assert max_degree(n) == max(len(n.incident[v]) for v in n.node_names)

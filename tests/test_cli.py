@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import facts_path
 from ldcflow import serialize
 from ldcflow.cli import main
 from ldcflow.gadgets import Polarity
@@ -179,6 +180,20 @@ class TestErrors:
             main(["solve", "mff", str(path), "--grid", k])
         assert exc.value.code == 2
 
+    def test_mff_decide_zero_is_yes_on_more_facts_edges_than_a_search_takes(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(serialize.network_to_json(facts_path())))
+        assert run(capsys, "solve", "mff", str(path), "--decide", "1")[0] == 4
+        assert run(capsys, "solve", "mff", str(path), "--decide", "0") == (0, "YES\n", "")
+
+    @pytest.mark.parametrize("k", ["٢", "２"])
+    def test_a_grid_in_other_than_ascii_digits_is_a_usage_error(self, capsys, tmp_path, k):
+        path = tmp_path / "f.json"
+        run(capsys, "gadget", "gfch", "--x", "1", "--polarity", "minus", "--out", str(path))
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "mff", str(path), "--grid", k])
+        assert exc.value.code == 2 and "expected a positive integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [[], ["--decide", "1"]])
     def test_a_grid_past_the_candidate_limit_is_exit_4(self, capsys, tmp_path, argv):
         path = tmp_path / "f.json"
@@ -265,6 +280,22 @@ class TestErrors:
         path.write_text(json.dumps({"M": [1.9, True, "3"], "w": 3.5}))
         code, out, err = run(capsys, "encode", "subset-sum-tree", str(path))
         assert code == 3 and out == "" and "instance.M[0]" in err
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"M": ["1_000", "3"], "w": 5}, "instance.M[0]"),
+            ({"M": [" 3 ", "٣"], "w": 5}, "instance.M[1]"),
+            ({"M": [3], "w": "５"}, "instance.w"),
+            ({"M": [[1], 2], "w": 5}, "instance.M[0]"),
+            ({"M": [1, 2], "w": None}, "instance.w"),
+        ],
+    )
+    def test_an_instance_integer_that_is_not_an_int_or_ascii_digits_is_exit_3(self, capsys, tmp_path, doc, field):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "encode", "subset-sum-tree", str(path))
+        assert code == 3 and out == "" and field in err
 
     @pytest.mark.parametrize(
         "kind, doc, field",

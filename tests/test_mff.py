@@ -6,9 +6,9 @@ import random
 
 from hypothesis import given, strategies as st
 
-from conftest import random_ldc_network
+from conftest import facts_path, random_ldc_network
 from ldcflow import mff, mpf
-from ldcflow.errors import LdcError, TooManyFactsEdges, UnknownEdge
+from ldcflow.errors import InvalidNetwork, LdcError, TooManyFactsEdges, UnknownEdge
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.mff import (
     MffDecision,
@@ -196,6 +196,16 @@ class TestDecide:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
             decide_mff(facts_gadget(), F(1), k=0)
+
+    def test_a_target_at_most_zero_is_yes_without_a_search(self):
+        n = facts_path()
+        with pytest.raises(TooManyFactsEdges):
+            decide_mff(n, F(1))
+        assert decide_mff(n, F(0)) is MffDecision.YES and decide_mff(n, F(-3), k=5) is MffDecision.YES
+        with pytest.raises(ValueError):
+            decide_mff(n, F(0), k=0)
+        with pytest.raises(InvalidNetwork):
+            decide_mff(Network([("g", GEN), ("l", LOAD)], [facts_edge("g", "l", 2, 1, 3)]), F(0))
 
     def test_no_facts_network_reaches_its_mpf(self):
         n = gsch(1, "v", Polarity.MINUS)

@@ -1,6 +1,6 @@
 import pickle
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction as F
 from unittest import mock
 
@@ -12,7 +12,7 @@ from ldcflow import mpf
 from ldcflow.classify import connected_components
 from ldcflow.errors import InvalidNetwork, NotFixedSusceptance
 from ldcflow.gadgets import Polarity, gfch, gsch
-from ldcflow.lp import LE, LpResult, LpStatus, solve_lp
+from ldcflow.lp import LE, Lazy, LpResult, LpStatus, solve_lp
 from ldcflow.maxflow import _integer_flow, classical_max_flow
 from ldcflow.mpf import MpfOutcome, _gen, _load, flow_cores, formulate_mpf, solve_mpf
 from ldcflow.msf import _th, solve_msf_bnb, solve_msf_exhaustive
@@ -165,6 +165,11 @@ def six_edges():
     return random_ldc_network(random.Random(0), max_edges=6, min_edges=6)
 
 
+def pending(record) -> list[Lazy]:
+    """The builders a record holds that have not run yet."""
+    return [v for v in vars(record).values() if type(v) is Lazy]
+
+
 class TestLazySolutions:
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -184,8 +189,8 @@ class TestLazySolutions:
     def test_reading_the_value_builds_nothing(self, builds):
         n = six_edges()
         r = solve_lp(formulate_mpf(n))
-        assert r.value > 0 and r._build is not None
-        assert r.assignment is r.assignment and r._build is None
+        assert r.value > 0 and len(pending(r)) == 1
+        assert r.assignment is r.assignment and pending(r) == []
         out = solve_mpf(n)
         assert out.value > 0 and builds == []
         assert out.solution is out.solution and len(builds) == 1
@@ -222,6 +227,61 @@ class TestLazySolutions:
         assert repr(solve_mpf(n)) == repr(eager)
         with pytest.raises(FrozenInstanceError):
             lazy.value = 0
+
+
+def _solve_lp(n: Network) -> LpResult:
+    return solve_lp(formulate_mpf(n))
+
+
+def _eager(record):
+    """The same record built with every field given."""
+    return type(record)(*(getattr(record, f.name) for f in fields(record)))
+
+
+class TestLazyFields:
+    """A `Lazy` field is built once, on its first read; otherwise the record is the frozen dataclass built eagerly."""
+
+    FIELDS = {LpResult: ["status", "value", "assignment"], MpfOutcome: ["value", "solution"]}
+    USES = {
+        "read": lambda r, eager: getattr(r, fields(r)[-1].name) is not None,
+        "eq": lambda r, eager: r == eager,
+        "repr": lambda r, eager: repr(r) == repr(eager),
+        "pickle": lambda r, eager: pickle.loads(pickle.dumps(r)) == eager,
+    }
+
+    @pytest.mark.parametrize("solve", [_solve_lp, solve_mpf])
+    @pytest.mark.parametrize("first", list(USES))
+    def test_a_builder_runs_once_whatever_reads_it_first(self, solve, first):
+        n = six_edges()
+        record, eager = solve(n), _eager(solve(n))
+        [lazy] = pending(record)
+        calls, build = [], lazy.build
+        lazy.build = lambda: calls.append(1) or build()
+        assert record.value == eager.value and calls == []
+        assert self.USES[first](record, eager) and calls == [1]
+        for use in self.USES.values():
+            assert use(record, eager) and use(record, eager)
+        assert calls == [1] and pending(record) == []
+
+    @pytest.mark.parametrize("solve", [_solve_lp, solve_mpf])
+    @pytest.mark.parametrize("built", ["solved", "eager"])
+    def test_records_are_frozen_dataclasses(self, solve, built):
+        record = solve(six_edges())
+        if built == "eager":
+            record = _eager(record)
+        assert [f.name for f in fields(record)] == self.FIELDS[type(record)]
+        assert replace(record) == record == _eager(record)
+        for f in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(record, f.name)
+
+    def test_constructors_keep_their_signatures(self):
+        assert LpResult(LpStatus.INFEASIBLE) == LpResult(LpStatus.INFEASIBLE, None, None)
+        with pytest.raises(TypeError):
+            MpfOutcome(F(1))
+        assert MpfOutcome(F(0), Lazy(lambda: "built")).solution == "built"
 
 
 def _reference(n: Network) -> tuple[F, Solution]:
