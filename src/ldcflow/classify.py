@@ -1,8 +1,9 @@
 """Graph-class predicates: connectivity, trees, cacti, degrees.
 
-Only the node-pair structure matters here; susceptances and capacities are
-ignored.  Empty and single-node networks count as trees by convention so
-the predicates are total.
+Only the node-pair structure matters here: susceptances, capacities,
+self-loops and edges to undeclared nodes are ignored, and `is_cactus`
+counts a repeated edge as a 2-cycle.  Empty and single-node networks count
+as trees by convention so the predicates are total.
 """
 
 from __future__ import annotations
@@ -58,58 +59,41 @@ def max_degree(n: Network) -> int:
     return max((len(vs) for vs in adj.values()), default=0)
 
 
-def _biconnected_edge_components(n: Network) -> list[list[tuple[NodeId, NodeId]]]:
-    """Edge sets of the biconnected components (iterative Hopcroft-Tarjan)."""
-    adj = _neighbours(n)
-    disc: dict[NodeId, int] = {}
-    low: dict[NodeId, int] = {}
-    comps: list[list[tuple[NodeId, NodeId]]] = []
-    edge_stack: list[tuple[NodeId, NodeId]] = []
-    counter = 0
-
-    for root in n.node_names:
-        if root in disc:
-            continue
-        stack: list[tuple[NodeId, NodeId | None, int]] = [(root, None, 0)]
-        disc[root] = low[root] = counter
-        counter += 1
-        while stack:
-            u, parent, i = stack.pop()
-            if i < len(adj[u]):
-                stack.append((u, parent, i + 1))
-                v = adj[u][i]
-                if v not in disc:
-                    edge_stack.append((u, v))
-                    disc[v] = low[v] = counter
-                    counter += 1
-                    stack.append((v, u, 0))
-                elif v != parent and disc[v] < disc[u]:
-                    edge_stack.append((u, v))
-                    low[u] = min(low[u], disc[v])
-            elif stack:
-                # u is fully explored; propagate low to its parent frame
-                pu, pparent, _ = stack[-1]
-                low[pu] = min(low[pu], low[u])
-                if low[u] >= disc[pu]:
-                    comp = []
-                    while edge_stack and edge_stack[-1] != (pu, u):
-                        comp.append(edge_stack.pop())
-                    if edge_stack:
-                        comp.append(edge_stack.pop())
-                    if comp:
-                        comps.append(comp)
-    return comps
-
-
 def is_cactus(n: Network) -> bool:
-    """True when every biconnected component is a single edge or a simple cycle.
+    """True when no edge lies on two distinct simple cycles.
 
-    Equivalently: no edge lies on two distinct simple cycles.
+    Each edge off a BFS spanning forest closes a fundamental cycle with the
+    forest path between its ends.  The network is a cactus exactly when no
+    forest edge lies on two of them: every cycle is a sum of fundamental
+    cycles, and a sum of edge-disjoint ones is a simple cycle only when it
+    is one of them.  A second edge on a node pair closes a 2-cycle.
     """
-    for comp in _biconnected_edge_components(n):
-        if len(comp) <= 1:
-            continue
-        vertices = {v for pair in comp for v in pair}
-        if len(comp) != len(vertices):
-            return False
+    adj = _neighbours(n)
+    parent: dict[NodeId, NodeId] = {}
+    depth: dict[NodeId, int] = {}
+    tree: set[tuple[NodeId, NodeId]] = set()  # forest edges as (smaller, larger) name pairs
+    for root in n.node_names:
+        if root not in depth:
+            depth[root] = 0
+            queue = [root]
+            for u in queue:
+                for v in adj[u]:
+                    if v not in depth:
+                        parent[v], depth[v] = u, depth[u] + 1
+                        tree.add((min(u, v), max(u, v)))
+                        queue.append(v)
+    crossed: set[NodeId] = set()  # nodes whose forest edge lies on a fundamental cycle
+    for u, vs in adj.items():
+        for v in vs:
+            if u < v and (u, v) in tree:
+                tree.remove((u, v))  # a pair's first edge is its forest edge, any other closes a cycle
+            elif u < v:
+                a, b = u, v
+                while a != b:
+                    if depth[a] < depth[b]:
+                        a, b = b, a
+                    if a in crossed:
+                        return False
+                    crossed.add(a)
+                    a = parent[a]
     return True

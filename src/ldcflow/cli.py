@@ -52,7 +52,7 @@ _ENCODERS = {
 }
 
 
-# `verify`'s readers of the outcome documents `solve --out` and `solve mpf --json` write
+# `verify`'s and `decode`'s readers of the outcome documents `solve --out` and `solve mpf --json` write
 _OUTCOME_READERS = {"mpf": serialize.mpf_outcome_from_json, "msf": serialize.msf_outcome_from_json, "mff": serialize.mff_outcome_from_json}
 
 
@@ -136,20 +136,15 @@ def _cmd_decode(args) -> int:
     n = encoder(inst).network
     doc = serialize.load(args.outcome)
     problem = doc.get("problem") if isinstance(doc, dict) else None
-    if problem == "msf":
-        outcome = serialize.msf_outcome_from_json(doc, n)
-    elif problem == "mff":
-        outcome = serialize.mff_outcome_from_json(doc, n)
-    else:
+    if problem not in ("msf", "mff"):
         raise ValueError("outcome file must come from `solve msf --out` or `solve mff --out`")
+    outcome = _OUTCOME_READERS[problem](doc, n)
     if args.kind in (KIND_EXACT_COVER_MFF, KIND_EXACT_COVER_MSF):
         cover = decode_exact_cover(outcome, inst)
         _emit({"cover": [list(x) for x in cover]}, None)
-    elif args.kind in (KIND_CACTUS_MSF, KIND_CACTUS_MFF, KIND_TREE):
+    else:
         chosen = decode_subset_sum(outcome, inst, args.kind)
         _emit({"V": sorted(chosen)}, None)
-    else:
-        raise LdcError(f"no decoder for kind {args.kind}")
     return 0
 
 

@@ -582,73 +582,64 @@ def solve_lp(p: LinearProgram) -> LpResult:
 # ---------------------------------------------------------------------------
 
 
-def _coef_str(c: Rational) -> tuple[str, bool]:
-    """Decimal rendering plus a flag telling whether it is exact."""
-    if is_decimal_exact(c):
-        return decimal_str(c), True
-    return decimal_str(c, 12), False
+def _decimal(r: Rational, note: str, notes: list[str]) -> str:
+    """r as a decimal, truncated to 12 places when it has no finite one; then a comment `exact {note}: p/q` goes to notes."""
+    if not is_decimal_exact(r):
+        notes.append(f"\\ exact {note}: {rat_str(r)}")
+    return decimal_str(r)
 
 
-def _expr_str(coeffs: dict[VarId, Rational], order: list[VarId]) -> tuple[str, list[str]]:
+def _expr_str(coeffs: dict[VarId, Rational], order: list[VarId], where: str, notes: list[str]) -> str:
     parts: list[str] = []
-    notes: list[str] = []
     for v in order:
-        if v not in coeffs or coeffs[v] == 0:
+        c = coeffs.get(v)
+        if not c:
             continue
-        c = coeffs[v]
-        mag, exact = _coef_str(abs(c))
-        if not exact:
-            notes.append(f"{v}: {rat_str(c)}")
+        mag = _decimal(c, f"{where} {v}", notes).lstrip("-")
         sign = "-" if c < 0 else "+"
         term = v if mag == "1" else f"{mag} {v}"
         parts.append(f"{sign} {term}")
     if not parts:
-        return "0 " + (order[0] if order else "x"), notes
+        return "0 " + (order[0] if order else "x")
     text = " ".join(parts)
-    return (text[2:] if text.startswith("+ ") else text), notes
+    return text[2:] if text.startswith("+ ") else text
 
 
 def write_lp_text(p: LinearProgram, *, binaries: list[VarId] | None = None, comments: list[str] | None = None) -> str:
     """Render a program in the conventional LP text format.
 
     Rationals print as decimals when exact; otherwise a truncated decimal
-    is emitted and the exact p/q value is preserved in a comment line.  A
-    program `solve_lp` would refuse raises `MalformedProgram`.
+    is emitted and the exact p/q value is preserved in a comment line.
+    Numbers are read as `solve_lp` reads them, and a program `solve_lp`
+    would refuse raises `MalformedProgram`.
     """
-    _read_program(p)
+    objective, lower, upper, fixed, _ = _read_program(p)
+    names = p.variables
     binaries = binaries or []
     out: list[str] = [f"\\ {line}" for line in (comments or [])]
-    expr, notes = _expr_str(p.objective, p.variables)
-    out += ["Maximize", f" obj: {expr}"]
-    for note in notes:
-        out.append(f"\\ exact obj coefficient {note}")
-    out.append("Subject To")
+    notes: list[str] = []
+    expr = _expr_str({names[j]: c for j, c in objective}, names, "obj coefficient", notes)
+    out += ["Maximize", f" obj: {expr}", *notes, "Subject To"]
     for i, con in enumerate(p.constraints):
-        expr, notes = _expr_str(con.coeffs, p.variables)
-        rhs, rhs_exact = _coef_str(con.rhs)
-        out.append(f" c{i}: {expr} {con.rel} {rhs}")
-        for note in notes:
-            out.append(f"\\ exact coefficient in c{i}: {note}")
-        if not rhs_exact:
-            out.append(f"\\ exact rhs of c{i}: {rat_str(con.rhs)}")
+        notes = []
+        expr = _expr_str(con.coeffs, names, f"coefficient in c{i}:", notes)
+        rhs = _decimal(con.rhs, f"rhs of c{i}", notes)
+        out += [f" c{i}: {expr} {con.rel} {rhs}", *notes]
     out.append("Bounds")
     binary_set = set(binaries)
-    for v in p.variables:
+    for j, v in enumerate(names):
         if v in binary_set:
             continue
-        lo, hi = p.lower[v], p.upper[v]
+        lo, hi, notes = lower[j], upper[j], []
         if lo is None and hi is None:
             out.append(f" {v} free")
-        elif lo is not None and hi is not None and lo == hi:
-            val, _ = _coef_str(lo)
-            out.append(f" {v} = {val}")
+        elif j in fixed:
+            out.append(f" {v} = {_decimal(lo, f'value of {v}', notes)}")
         else:
-            lo_s = "-inf" if lo is None else _coef_str(lo)[0]
-            hi_s = "+inf" if hi is None else _coef_str(hi)[0]
+            lo_s = "-inf" if lo is None else _decimal(lo, f"lower bound of {v}", notes)
+            hi_s = "+inf" if hi is None else _decimal(hi, f"upper bound of {v}", notes)
             out.append(f" {lo_s} <= {v} <= {hi_s}")
-            for bound, tag in ((lo, "lower"), (hi, "upper")):
-                if bound is not None and not is_decimal_exact(bound):
-                    out.append(f"\\ exact {tag} bound of {v}: {rat_str(bound)}")
+        out += notes
     if binaries:
         out.append("Binary")
         out.append(" " + " ".join(binaries))

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import random_ldc_network, random_tree
@@ -128,3 +129,58 @@ def test_components_are_the_union_find_classes_in_the_same_order(n):
 def test_cactus_and_degree_match_their_brute_force_definitions(n):
     assert is_cactus(n) == is_cactus_by_cycles(n)
     assert max_degree(n) == max(len(n.incident[v]) for v in n.node_names)
+
+
+def plain_network(names, pairs) -> Network:
+    return Network([(v, PLAIN) for v in names], [fixed_edge(a, b, 1, 1) for a, b in pairs])
+
+
+TRIANGLE = [("a", "b"), ("b", "c"), ("a", "c")]
+
+
+@pytest.mark.parametrize(
+    "pairs, cactus",
+    [
+        (TRIANGLE + [("a", "b")], False),
+        (TRIANGLE + [("b", "c")], False),
+        (TRIANGLE + [("a", "c")], False),
+        ([("a", "b")] * 3, False),
+        ([("a", "b")] * 2, True),
+    ],
+    ids=["triangle, a-b doubled", "triangle, b-c doubled", "triangle, a-c doubled", "tripled edge", "doubled edge"],
+)
+def test_a_repeated_edge_closes_a_2_cycle(pairs, cactus):
+    assert is_cactus(plain_network("abc", pairs)) is cactus
+
+
+def subdivided(names, pairs) -> Network:
+    """The simple graph with the same cycles: each repeat of a node pair after its first runs through a new plain node."""
+    seen, edges, middles = set(), [], []
+    for i, (a, b) in enumerate(pairs):
+        if (a, b) in seen:
+            middles.append(f"mid{i}")
+            edges += [(a, f"mid{i}"), (f"mid{i}", b)]
+        else:
+            seen.add((a, b))
+            edges.append((a, b))
+    return plain_network([*names, *middles], edges)
+
+
+@st.composite
+def multigraphs(draw):
+    """Node names, up to six node pairs with repeats allowed, and a renaming of the nodes."""
+    names = draw(st.lists(st.text("abcxyz", min_size=1, max_size=2), min_size=1, max_size=6, unique=True))
+    pairs = [(a, b) for a in names for b in names if a < b]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
+    return names, chosen, draw(st.permutations(names))
+
+
+@given(multigraphs())
+@example((["a", "b", "c"], TRIANGLE + [("a", "b")], ["a", "b", "c"]))
+@example((["a", "b", "c"], TRIANGLE + [("b", "c")], ["c", "a", "b"]))
+def test_a_repeated_edge_counts_as_a_subdivided_one_under_any_names(graph):
+    names, pairs, renamed = graph
+    rename = dict(zip(names, renamed))
+    expected = is_cactus_by_cycles(subdivided(names, pairs))
+    assert is_cactus(plain_network(names, pairs)) is expected
+    assert is_cactus(plain_network(renamed, [(rename[a], rename[b]) for a, b in pairs])) is expected

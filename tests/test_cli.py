@@ -17,6 +17,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# its one exact cover is abc + def; ade meets both
+COVER_ABCDEF_BY_ADE = {"M": ["a", "b", "c", "d", "e", "f"], "S": [["a", "b", "c"], ["d", "e", "f"], ["a", "d", "e"]]}
+
+
 @pytest.fixture
 def gsch_file(tmp_path, capsys):
     path = tmp_path / "gsch1.json"
@@ -58,6 +62,13 @@ class TestSolve:
         outcome = serialize.msf_outcome_from_json(doc, n)
         assert outcome.value == 3
 
+    def test_mff_json_output(self, capsys, tmp_path):
+        path = tmp_path / "f.json"
+        assert run(capsys, "gadget", "gfch", "--x", "1", "--polarity", "minus", "--out", str(path))[0] == 0
+        code, out, _ = run(capsys, "solve", "mff", str(path), "--json")
+        doc = json.loads(out)
+        assert code == 0 and (doc["problem"], doc["value"], doc["certified"]) == ("mff", "61/10", False)
+
 
 class TestChains:
     @pytest.mark.parametrize("gadget", ["gsch", "gfch"])
@@ -84,6 +95,32 @@ class TestChains:
         assert run(capsys, "solve", "msf", str(net), "--out", str(outcome))[0] == 0
         code, out, _ = run(capsys, "decode", "subset-sum-cactus-msf", str(inst), str(outcome))
         assert code == 0 and json.loads(out) == {"V": [2]}
+
+    @pytest.mark.parametrize(
+        "kind, instance, problem, decoded",
+        [
+            ("exact-cover-msf", COVER_ABCDEF_BY_ADE, "msf", {"cover": [["a", "b", "c"], ["d", "e", "f"]]}),
+            ("exact-cover-mff", COVER_ABCDEF_BY_ADE, "mff", {"cover": [["a", "b", "c"], ["d", "e", "f"]]}),
+            ("subset-sum-cactus-mff", {"M": [1, 2], "w": 2}, "mff", {"V": [2]}),
+        ],
+    )
+    def test_encode_solve_decode_chain_for_each_kind(self, capsys, tmp_path, kind, instance, problem, decoded):
+        inst, enc, net, outcome = (str(tmp_path / name) for name in ("inst.json", "enc.json", "net.json", "out.json"))
+        serialize.dump(instance, inst)
+        assert run(capsys, "encode", kind, inst, "--out", enc)[0] == 0
+        serialize.dump(serialize.load(enc)["network"], net)
+        assert run(capsys, "solve", problem, net, "--out", outcome)[0] == 0
+        code, out, _ = run(capsys, "decode", kind, inst, outcome)
+        assert code == 0 and json.loads(out) == decoded
+
+    def test_decode_refuses_an_mpf_document(self, capsys, tmp_path, gsch_file):
+        inst, doc = tmp_path / "inst.json", tmp_path / "mpf.json"
+        inst.write_text(json.dumps({"M": [1, 2], "w": 2}))
+        code, out, _ = run(capsys, "solve", "mpf", gsch_file, "--json")
+        assert code == 0 and json.loads(out)["problem"] == "mpf"
+        doc.write_text(out)
+        code, _, err = run(capsys, "decode", "subset-sum-cactus-msf", str(inst), str(doc))
+        assert code == 3 and "outcome file must come from `solve msf --out` or `solve mff --out`" in err
 
 
 class TestVerify:
@@ -134,6 +171,15 @@ class TestVerify:
         doc.write_text(json.dumps({**outcome, **changes}))
         assert run(capsys, "verify", str(net), str(doc)) == (1, "".join(line + "\n" for line in said), "")
 
+    def test_an_invalid_network_prints_its_report_and_fails(self, capsys, tmp_path, gsch_file):
+        net, sol = tmp_path / "net.json", tmp_path / "sol.json"
+        assert run(capsys, "solve", "mpf", gsch_file, "--out", str(sol))[0] == 0
+        doc = serialize.load(gsch_file)
+        doc["edges"].append(doc["edges"][0])
+        net.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(net), str(sol))
+        assert (code, out) == (1, "Structural at g--l: second edge on the same node pair\n")
+
 
 class TestClassify:
     def test_gadget_report(self, capsys, gsch_file):
@@ -147,6 +193,11 @@ class TestExport:
     def test_milp_to_stdout(self, capsys, gsch_file):
         code, out, _ = run(capsys, "export", "milp", gsch_file)
         assert code == 0 and out.startswith("\\") and "Binary" in out
+
+    def test_milp_to_a_file(self, capsys, tmp_path, gsch_file):
+        path = tmp_path / "gsch1.lp"
+        assert run(capsys, "export", "milp", gsch_file, "--out", str(path)) == (0, "", "")
+        assert path.read_text() == run(capsys, "export", "milp", gsch_file)[1]
 
 
 class TestErrors:

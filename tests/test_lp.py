@@ -371,6 +371,46 @@ def test_lp_text_has_conventional_sections():
     assert "1/3" in text  # inexact coefficient preserved in a comment
 
 
+def test_lp_text_keeps_the_exact_value_of_a_fixed_variable():
+    # It used to print " x = 0.333333333333" with no exact note.
+    p = LinearProgram()
+    p.add_variable("x", lower=F(1, 3), upper=F(1, 3))
+    p.set_objective({"x": F(1)})
+    assert write_lp_text(p).splitlines()[3:] == ["Bounds", " x = 0.333333333333", "\\ exact value of x: 1/3", "End"]
+
+
+def test_lp_text_reads_strings_as_solve_lp_does():
+    # It used to raise TypeError: bad operand type for abs(): 'str'.
+    p = LinearProgram()
+    p.add_variable("x", lower="0", upper="1/3")
+    p.set_objective({"x": "2"})
+    assert solve_lp(p).value == F(2, 3)
+    assert write_lp_text(p).splitlines() == [
+        "Maximize",
+        " obj: 2 x",
+        "Subject To",
+        "Bounds",
+        " 0 <= x <= 0.333333333333",
+        "\\ exact upper bound of x: 1/3",
+        "End",
+    ]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda p: p.add_variable("x"), "variable x declared twice"),
+        (lambda p: p.add_constraint({"x": F(1)}, "<", F(1)), "unknown relation '<'"),
+    ],
+    ids=["variable declared twice", "<"],
+)
+def test_building_a_malformed_program_is_refused(build, message):
+    p = LinearProgram()
+    p.add_variable("x", lower=F(0))
+    with pytest.raises(MalformedProgram, match=message):
+        build(p)
+
+
 def _canonical(r) -> str:
     value = None if r.value is None else rat_str(r.value)
     assignment = None if r.assignment is None else sorted((v, rat_str(x)) for v, x in r.assignment.items())

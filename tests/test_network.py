@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -102,6 +103,17 @@ class TestValidateNetwork:
             "Structural at b--c: capacity -5/7 is not positive",
             "Structural at c--zz: endpoint zz is not a declared node",
         ]
+
+    @pytest.mark.parametrize(
+        "nodes, line",
+        [
+            ([("", PLAIN)], "Structural at '': empty node name"),
+            ([("a", GEN), ("a", LOAD)], "Structural at a: node declared more than once"),
+        ],
+        ids=["empty name", "declared twice"],
+    )
+    def test_a_node_name_defect_is_reported(self, nodes, line):
+        assert str(validate_network(Network(nodes, []))).splitlines() == [line]
 
 
 class TestEdge:
@@ -268,6 +280,9 @@ class TestNetworkSum:
         assert network_sum(n1, n2).role("a") is GEN
 
 
+DANGLING = fixed_edge("g", "zz", 1, 1)  # an edge to a node no gadget declares
+
+
 class TestValidateSolution:
     def test_hand_solution_accepted(self, gsch1):
         sol = gsch1_solution(gsch1)
@@ -304,6 +319,29 @@ class TestValidateSolution:
         sus[edge] = F(2)
         report = validate_solution(gsch1, Solution(sus, sol.angle, sol.flow, sol.gen, sol.load))
         assert "SusceptanceBound" in report.kinds()
+
+    @pytest.mark.parametrize(
+        "change, line",
+        [
+            (lambda n, sol: (n, replace(sol, angle={**sol.angle, "zz": F(0)})), "Structural at zz: angle entry for unknown node"),
+            (
+                lambda n, sol: (n, replace(sol, flow={**sol.flow, DANGLING: F(0)})),
+                "Structural at g--zz(s=1,cap=1): flow entry for unknown edge",
+            ),
+            (
+                lambda n, sol: (
+                    Network(n.nodes, [*n.edges, DANGLING]),
+                    replace(sol, susceptance={**sol.susceptance, DANGLING: F(1)}, flow={**sol.flow, DANGLING: F(0)}),
+                ),
+                "Structural at g--zz: endpoint zz is not a declared node",
+            ),
+            (lambda n, sol: (n, replace(sol, load={**sol.load, "g": F(1)})), "RoleBound at g: load at a non-load"),
+        ],
+        ids=["unknown node", "unknown edge", "undeclared endpoint", "load at a non-load"],
+    )
+    def test_a_defect_is_reported(self, gsch1, change, line):
+        n, sol = change(gsch1, gsch1_solution(gsch1))
+        assert line in str(validate_solution(n, sol)).splitlines()
 
 
 def rename_network(n, mapping):

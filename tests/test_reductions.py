@@ -6,7 +6,7 @@ from ldcflow.classify import is_cactus, max_degree
 from ldcflow.errors import DecodingFailed, InvalidInstance, NotACertificate, NotOptimal
 from ldcflow.mff import solve_mff_endpoints
 from ldcflow.msf import MsfOutcome, solve_msf_bnb
-from ldcflow.network import subnetwork, total_generation, validate_network, validate_solution
+from ldcflow.network import subnetwork, total_generation, validate_network, validate_solution, zero_solution
 from ldcflow.reductions import (
     KIND_CACTUS_MFF,
     KIND_CACTUS_MSF,
@@ -94,6 +94,21 @@ class TestExactCoverEncoders:
         out = solve_mff_endpoints(enc.network)
         assert out.value == enc.predicted_value == 3
         assert decode_exact_cover(out, inst) == ()
+
+
+@pytest.mark.parametrize(
+    "encode, inst, message",
+    [
+        (encode_exact_cover_msf, ExactCover3Instance(("a", "b", "a"), ()), "universe elements must be distinct"),
+        (encode_hamiltonian, HamiltonianInstance(("a", "b", "a"), (), "a", "b"), "graph nodes must be distinct"),
+        (encode_hamiltonian, HamiltonianInstance(("a", "H.x", "b"), (), "a", "b"), "node name 'H.x' collides with generated node names"),
+        (encode_hamiltonian, HamiltonianInstance(("a", "b"), (("a", "b"), ("b", "a")), "a", "b"), r"duplicate edge \('b', 'a'\)"),
+    ],
+    ids=["repeated element", "repeated node", "generated node name", "repeated edge"],
+)
+def test_an_instance_defect_is_named(encode, inst, message):
+    with pytest.raises(InvalidInstance, match=message):
+        encode(inst)
 
 
 class TestHamiltonianEncoder:
@@ -273,6 +288,14 @@ class TestWitness:
             assert total_generation(sol) == encode_subset_sum_tree(inst).predicted_value
 
 
+SUBSET_SUM = SubsetSumInstance((2, 1, 3), 5)
+
+
+def pushing_nothing(enc, value=None) -> MsfOutcome:
+    """An MSF outcome with nothing switched and no flow that claims `value`, or else enc's predicted value."""
+    return MsfOutcome(enc.predicted_value if value is None else value, frozenset(), zero_solution(enc.network))
+
+
 class TestDecodeErrors:
     def test_below_predicted_is_not_optimal(self):
         inst = SubsetSumInstance((2, 3), 4)
@@ -290,6 +313,31 @@ class TestDecodeErrors:
         forged = MsfOutcome(enc.predicted_value, frozenset(), honest.solution)
         with pytest.raises(DecodingFailed):
             decode_subset_sum(forged, inst, KIND_TREE)
+
+    @pytest.mark.parametrize(
+        "decode, error, message",
+        [
+            (
+                lambda: decode_exact_cover(pushing_nothing(encode_exact_cover_msf(COVER_ABCDEF)), COVER_ABCDEF),
+                DecodingFailed,
+                "active sets do not cover every element exactly once",
+            ),
+            (
+                lambda: decode_subset_sum(pushing_nothing(encode_subset_sum_tree(SUBSET_SUM), F(11)), SUBSET_SUM, KIND_TREE),
+                NotOptimal,
+                "outcome value 11 is below the predicted 12",
+            ),
+            (
+                lambda: decode_subset_sum(pushing_nothing(encode_subset_sum_tree(SUBSET_SUM)), SUBSET_SUM, "subset-sum-path"),
+                InvalidInstance,
+                "unknown subset-sum encoding kind 'subset-sum-path'",
+            ),
+        ],
+        ids=["exact cover pushing nothing", "tree below the prediction", "unknown kind"],
+    )
+    def test_a_decoder_names_what_it_refuses(self, decode, error, message):
+        with pytest.raises(error, match=message):
+            decode()
 
 
 class TestEquivalenceAtDeskScale:
