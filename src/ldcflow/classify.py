@@ -1,9 +1,10 @@
 """Graph-class predicates: connectivity, trees, cacti, degrees.
 
-Only the node-pair structure matters here: susceptances, capacities,
-self-loops and edges to undeclared nodes are ignored, and `is_cactus`
-counts a repeated edge as a 2-cycle.  Empty and single-node networks count
-as trees by convention so the predicates are total.
+Only the node-pair structure matters; susceptances and capacities do not.
+Components, degrees and cacti leave out self-loops and edges to undeclared
+nodes (`is_tree` counts every edge), and `is_cactus` counts a repeated
+edge as a 2-cycle.  Empty and single-node networks count as trees by
+convention so the predicates are total.
 """
 
 from __future__ import annotations
