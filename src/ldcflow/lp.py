@@ -29,16 +29,20 @@ presolve would build that same tableau and skip phase 1, so the pivots
 and the vertex are the same.
 Every other program goes through the presolve (`_presolve`), and both
 routes end in the same phase 2 and value and vertex code (`_optimum`).
-The presolve folds variables fixed by their bounds into each row's rhs
-in one pass, over the LCM of the fixed values' denominators, and
-compares bounds through numerators and denominators.  Free variables are
-then eliminated through equality rows (a fraction-free Gaussian step:
-the first equality row holding a free variable, and in it the first
-such variable in declaration order).  Bounds become nonnegative columns
-through x = sign*y + shift, and free variables that survive are split
-into differences of nonnegatives.  These are affine bijections of the
-feasible region, so vertices map to vertices; eliminated variables are
-recovered from their stored pivot rows.
+The presolve first eliminates free variables through equality rows (a
+fraction-free Gaussian step: the first equality row holding a free
+variable, and in it the first such variable in declaration order).  Then
+every variable left gets one substitution x = shift + the sum of
+sign * y over its nonnegative columns y: a fixed variable is its value,
+with no column; a lower-bounded or boxed one is lo + y; an upper-only
+one is hi - y; a free one is y' - y''.  A boxed variable's upper bound
+becomes a row.  One pass over the rows substitutes each (`_substitute`:
+the shifts fold into the rhs over the LCM of their denominators), drops
+or refutes the rows left without a coefficient, and flips negative
+right-hand sides.  These are affine bijections of the feasible region,
+so vertices map to vertices: `_optimum` reads every variable left back
+by its substitution, then the eliminated ones from their stored pivot
+rows.
 
 A pivot swaps two labels: the pivot row is solved for the entering
 variable, whose column the leaving one takes at the row's old
@@ -52,11 +56,10 @@ every other, so the condensed rows hold the same integers, and the
 rationals are those a `Fraction` presolve and tableau would hold: every
 choice is the same.
 
-The presolve folds fixed values and bound shifts into the objective
-row's rhs as into every row's, and pivots carry it: at the optimum it is
-minus the value (the dictionary's constant; Chvatal 1983, ch. 2).  The
-vertex (basic label values, then the eliminated variables by
-back-substitution) is `LpResult.assignment`, a `Lazy` field built on its
+The presolve substitutes the objective row as every row, so the shifts
+fold into its rhs, and pivots carry it: at the optimum it is minus the
+value (the dictionary's constant; Chvatal 1983, ch. 2).  The vertex, in
+declaration order, is `LpResult.assignment`, a `Lazy` field built on its
 first read, so a caller that compares values never pays for it.
 """
 
@@ -220,27 +223,26 @@ def _support(row: list[int]) -> list[int]:
     return [k for k in range(len(row) - 1) if row[k]]
 
 
-def _fold(row: list[int], values: dict[int, Rational], drop: bool) -> list[int]:
-    """The row after x_j = y_j + values[j]: every c_j * values[j] moves into the rhs.
+def _substitute(row: list[int], shift: dict[int, Rational], var_cols: dict[int, list[tuple[int, int]]], ncols: int) -> list[int]:
+    """The row over ncols columns after x_j = shift[j] + the sum of sign * column over var_cols[j].
 
-    The row is scaled once by the LCM of the denominators of the values
-    it meets.  With `drop` the columns are zeroed (fixed variables);
-    otherwise they stay as the coefficients of y_j (bound shifts).
+    Every c_j * shift[j] moves into the rhs, over the LCM of the
+    denominators of the shifts the row meets; c_j goes to each column of
+    x_j with its sign.  A variable without a column (a fixed one) leaves
+    the row, so the row is reduced again.
     """
-    hits = [j for j in values if row[j]]
-    if not hits:
-        return row
-    m = math.lcm(*(values[j].denominator for j in hits))
+    hits = [j for j in shift if row[j]]
+    m = math.lcm(*(shift[j].denominator for j in hits))
     rhs = row[-2] * m
     for j in hits:
-        x = values[j]
+        x = shift[j]
         rhs -= row[j] * x.numerator * (m // x.denominator)
-    out = [c * m for c in row[:-2]] if m != 1 else row[:-2]
-    if drop:
-        for j in hits:
-            out[j] = 0
-    out += [rhs, row[-1] * m]
-    return _reduced(out)
+    out = [0] * ncols
+    for j, cols in var_cols.items():
+        if row[j]:
+            for col, sign in cols:
+                out[col] = row[j] * m * sign
+    return _reduced(out + [rhs, row[-1] * m])
 
 
 def _pivot_row(row: list[int], j: int, entry: int) -> list[int]:
@@ -309,9 +311,10 @@ _FLIP = {LE: GE, GE: LE, EQ: EQ}
 
 # A feasible tableau and phase 2's objective row, with what `_optimum` needs to
 # read the vertex back: (T, Z, basis, nonbasic, var_cols, shift, eliminated).
-# var_cols maps each live variable to its (label, sign) pairs, two for a split
-# free variable; shift holds the nonzero shifts of x = sign*y + shift;
-# eliminated lists (variable, row solved for it) in elimination order.
+# Every variable that is not eliminated is x_j = shift_j + the sum of sign * y
+# over its (label, sign) pairs var_cols[j]: none for a fixed variable, two for
+# a free one.  shift holds the nonzero shifts; eliminated lists (variable, row
+# solved for it) in elimination order.
 Tableau = tuple[
     list[list[int]], list[int], list[int], list[int], dict[int, list[tuple[int, int]]], dict[int, Rational], list[tuple[int, list[int]]]
 ]
@@ -329,10 +332,8 @@ def _slack_tableau(rows: list[list[int]], obj: list[int], nvars: int) -> Tableau
     return list(rows), obj, list(range(nvars, nvars + len(rows))), list(range(nvars)), {j: [(j, 1)] for j in range(nvars)}, {}, []
 
 
-def _presolve(
-    rows: list[list[int]], rels: list[str], lower: list[Rational | None], upper: list[Rational | None], fixed: dict[int, Rational], obj: list[int]
-) -> Tableau | None:
-    """Fold, eliminate, map and run phase 1 on a general program; None if it is infeasible.
+def _presolve(rows: list[list[int]], rels: list[str], lower: list[Rational | None], upper: list[Rational | None], obj: list[int]) -> Tableau | None:
+    """Eliminate, substitute and run phase 1 on a general program; None if it is infeasible.
 
     `rows` are copies of the program's rows, which are updated in place,
     and `obj` is the objective's integer row.  Phase 1 runs over the
@@ -340,10 +341,7 @@ def _presolve(
     basic, and carries phase 2's objective row along.
     """
     nvars = len(lower)
-    # Rows over the variables, with the variables fixed by their bounds folded in.
-    rows = [_fold(row, fixed, True) for row in rows]
     rels = list(rels)
-    obj = _fold(obj, fixed, True)
 
     # Gaussian elimination of free variables through equality rows: the first
     # equality row holding a free variable, and in it the first such variable.
@@ -367,67 +365,58 @@ def _presolve(
             obj = _eliminate(obj, prow, support, j)
         eliminated.append((j, prow))
 
-    # Constant rows are either trivially satisfied or witness infeasibility.
-    kept = []
-    for row, rel in zip(rows, rels):
-        if any(row[:nvars]):
-            kept.append((row, rel))
-            continue
-        rhs = row[-2]  # over a positive denominator
-        if not (rhs == 0 if rel == EQ else rhs >= 0 if rel == LE else rhs <= 0):
-            return None
-
-    # Map each live variable onto nonnegative columns: x = sign*y + shift.
-    gone = {j for j, _ in eliminated}.union(fixed)
-    live = [j for j in range(nvars) if j not in gone]
-    var_cols: dict[int, list[tuple[int, int]]] = {}  # (column, sign); free variables get two
+    # One substitution for every variable left, x = shift + the sum of sign * y
+    # over nonnegative columns y; a boxed variable's upper bound becomes a row.
+    gone = {j for j, _ in eliminated}
+    var_cols: dict[int, list[tuple[int, int]]] = {}
     shift: dict[int, Rational] = {}
     ncols = 0
-    for j in live:
+    for j in range(nvars):
+        if j in gone:
+            continue
         lo, hi = lower[j], upper[j]
         if lo is None and hi is None:
-            var_cols[j] = [(ncols, 1), (ncols + 1, -1)]
-            ncols += 2
-            continue
-        var_cols[j] = [(ncols, 1 if lo is not None else -1)]
-        ncols += 1
-        if lo is None:
-            shift[j] = hi
+            signs = (1, -1)
+        elif lo == hi:  # fixed
+            signs = ()
+        elif lo is None:
+            signs = (-1,)
         else:
-            shift[j] = lo
+            signs = (1,)
             if hi is not None:
-                kept.append((_int_row({j: ONE}, hi, nvars), LE))
-    shift = {j: s for j, s in shift.items() if s}
+                rows.append(_int_row({j: ONE}, hi, nvars))
+                rels.append(LE)
+        var_cols[j] = [(ncols + k, sign) for k, sign in enumerate(signs)]
+        ncols += len(signs)
+        if s := (hi if lo is None else lo):  # None for a free variable
+            shift[j] = s
 
+    # Constant rows are either trivially satisfied or witness infeasibility;
+    # the others get nonnegative right-hand sides.
     std: list[tuple[list[int], str]] = []
-    for row, rel in kept:
-        row = _fold(row, shift, False)
-        if row[-2] < 0:
-            row = [-x for x in row[:-1]] + [row[-1]]
-            rel = _FLIP[rel]
-        std.append((row, rel))
-
-    def to_columns(row: list[int], width: int) -> list[int]:
-        out = [0] * (width + 2)
-        for j in live:
-            if row[j]:
-                for col, sign in var_cols[j]:
-                    out[col] = row[j] if sign > 0 else -row[j]
-        out[-2], out[-1] = row[-2], row[-1]
-        return out
+    for row, rel in zip(rows, rels):
+        row = _substitute(row, shift, var_cols, ncols)
+        rhs = row[-2]  # over a positive denominator
+        if not any(row[:ncols]):
+            if not (rhs == 0 if rel == EQ else rhs >= 0 if rel == LE else rhs <= 0):
+                return None
+        elif rhs < 0:
+            std.append(([-x for x in row[:-1]] + [row[-1]], _FLIP[rel]))
+        else:
+            std.append((row, rel))
 
     # Labels: structural columns, then slack/surplus columns in row order, then
     # artificials.  The rows' columns are the structural and surplus labels.
+    surplus = [0] * sum(1 for _, rel in std if rel == GE)
+    width = ncols + len(surplus)
     first_art = ncols + sum(1 for _, rel in std if rel != EQ)
     nonbasic = list(range(ncols))
-    width = ncols + sum(1 for _, rel in std if rel == GE)
     T: list[list[int]] = []
     basis: list[int] = []
     slack_at, art_at = ncols, first_art
     z1_rows: list[list[int]] = []
     for row, rel in std:
-        # column mapping keeps each entry up to sign, so the row stays reduced
-        t = to_columns(row, width)
+        t = row[:ncols] + surplus + row[ncols:]
         if rel == LE:
             basis.append(slack_at)
         else:
@@ -440,7 +429,7 @@ def _presolve(
         slack_at += rel != EQ
         T.append(t)
 
-    Z2 = _reduced(to_columns(_fold(obj, shift, False), width))
+    Z2 = _substitute(obj, shift, var_cols, width)
     if z1_rows:
         # Phase-1 objective: minus the artificials, over the nonbasic columns the sum of their rows.
         m = math.lcm(*(t[-1] for t in z1_rows))
@@ -468,32 +457,26 @@ def _presolve(
     return T, Z2, basis, nonbasic, var_cols, shift, eliminated
 
 
-def _optimum(tableau: Tableau, names: list[VarId], fixed: dict[int, Rational]) -> LpResult:
+def _optimum(tableau: Tableau, names: list[VarId]) -> LpResult:
     """Phase 2 from a feasible tableau; the value is minus the objective row's rhs, and the vertex is built on first read."""
     T, Z, basis, nonbasic, var_cols, shift, eliminated = tableau
     if _simplex(T, [Z], basis, nonbasic) == "unbounded":
         return LpResult(LpStatus.UNBOUNDED)
 
     def vertex() -> dict[VarId, Fraction]:
-        """Basic label values, then live, eliminated and fixed variables."""
+        """Every variable left by its substitution over the basic label values, then the eliminated ones; in declaration order."""
         row_of = {b: i for i, b in enumerate(basis)}
-
-        def column(col: int) -> Fraction:
-            i = row_of.get(col)
-            return ZERO if i is None else Fraction(T[i][-2], T[i][-1])
-
         value_of = {}
         for j, cols in var_cols.items():
-            if len(cols) == 2:
-                value_of[j] = column(cols[0][0]) - column(cols[1][0])
-            else:
-                col, sign = cols[0]
-                value_of[j] = shift.get(j, ZERO) + (column(col) if sign > 0 else -column(col))
+            x = shift.get(j, ZERO)
+            for col, sign in cols:
+                if (i := row_of.get(col)) is not None:
+                    x += Fraction(sign * T[i][-2], T[i][-1])
+            value_of[j] = x
         for j, prow in reversed(eliminated):
             rest = sum((prow[k] * value_of[k] for k in range(len(names)) if prow[k]), ZERO)
             value_of[j] = Fraction(prow[-2] - rest, prow[-1])
-        value_of.update(fixed)
-        return {names[j]: x for j, x in value_of.items()}
+        return {v: value_of[j] for j, v in enumerate(names)}
 
     return LpResult(LpStatus.OPTIMAL, Fraction(-Z[-2], Z[-1]), Lazy(vertex))
 
@@ -511,8 +494,8 @@ def _check_rows(rows: list[list[int]], rels: list[str], nvars: int) -> None:
             raise MalformedProgram(f"unknown relation {rel!r}")
 
 
-def _read_program(p: LinearProgram) -> tuple[list[tuple[int, Rational]], list[Rational | None], list[Rational | None], dict[int, Rational], bool]:
-    """p's objective as (column, coefficient) pairs, its lower and upper bounds, its fixed columns, and whether it is in standard form.
+def _read_program(p: LinearProgram) -> tuple[list[tuple[int, Rational]], list[Rational | None], list[Rational | None], bool]:
+    """p's objective as (column, coefficient) pairs, its lower and upper bounds, and whether it is in standard form.
 
     Standard form is <= rows with nonnegative right-hand sides over
     variables in [0, inf).  A program `solve_lp` cannot read raises
@@ -529,52 +512,37 @@ def _read_program(p: LinearProgram) -> tuple[list[tuple[int, Rational]], list[Ra
             raise MalformedProgram(f"objective references undeclared variable {v}")
         objective.append((index[v], rat(c)))
 
-    # Bounds, compared through numerators over positive denominators.
     lower: list[Rational | None] = []
     upper: list[Rational | None] = []
-    fixed: dict[int, Rational] = {}
-    standard = True  # so far every variable is in [0, inf)
-    for j, v in enumerate(names):
+    for v in names:
         try:
             lo, hi = p.lower[v], p.upper[v]
         except KeyError:
             raise MalformedProgram(f"variable {v} has no {'lower' if v not in p.lower else 'upper'} bound entry") from None
-        if lo is not None:
-            lo = rat(lo)
-            if hi is not None:
-                standard = False
-                hi = rat(hi)
-                gap = hi.numerator * lo.denominator - lo.numerator * hi.denominator
-                if gap < 0:
-                    raise MalformedProgram(f"inverted bounds on {v}: [{lo}, {hi}]")
-                if gap == 0:
-                    fixed[j] = lo
-            elif lo.numerator:
-                standard = False
-        else:
-            standard = False
-            if hi is not None:
-                hi = rat(hi)
+        lo = None if lo is None else rat(lo)
+        hi = None if hi is None else rat(hi)
+        if lo is not None and hi is not None and hi < lo:
+            raise MalformedProgram(f"inverted bounds on {v}: [{lo}, {hi}]")
         lower.append(lo)
         upper.append(hi)
 
     rows = p.rows
     _check_rows(rows, p.rels, nvars)
-    standard = standard and p.rels.count(LE) == len(rows) and all(row[-2] >= 0 for row in rows)
-    return objective, lower, upper, fixed, standard
+    standard = p.rels.count(LE) == len(rows) and all(row[-2] >= 0 for row in rows) and all(lo == 0 and hi is None for lo, hi in zip(lower, upper))
+    return objective, lower, upper, standard
 
 
 def solve_lp(p: LinearProgram) -> LpResult:
     """Exact optimum of a maximization program; see the module docstring."""
-    objective, lower, upper, fixed, standard = _read_program(p)
+    objective, lower, upper, standard = _read_program(p)
     names = p.variables
     obj = _int_row(dict(objective), ZERO, len(names))
     if standard:
-        return _optimum(_slack_tableau(p.rows, obj, len(names)), names, fixed)
-    tableau = _presolve([row[:] for row in p.rows], p.rels, lower, upper, fixed, obj)
+        return _optimum(_slack_tableau(p.rows, obj, len(names)), names)
+    tableau = _presolve([row[:] for row in p.rows], p.rels, lower, upper, obj)
     if tableau is None:
         return LpResult(LpStatus.INFEASIBLE)
-    return _optimum(tableau, names, fixed)
+    return _optimum(tableau, names)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +581,7 @@ def write_lp_text(p: LinearProgram, *, binaries: list[VarId] | None = None, comm
     Numbers are read as `solve_lp` reads them, and a program `solve_lp`
     would refuse raises `MalformedProgram`.
     """
-    objective, lower, upper, fixed, _ = _read_program(p)
+    objective, lower, upper, _ = _read_program(p)
     names = p.variables
     binaries = binaries or []
     out: list[str] = [f"\\ {line}" for line in (comments or [])]
@@ -633,7 +601,7 @@ def write_lp_text(p: LinearProgram, *, binaries: list[VarId] | None = None, comm
         lo, hi, notes = lower[j], upper[j], []
         if lo is None and hi is None:
             out.append(f" {v} free")
-        elif j in fixed:
+        elif lo == hi:
             out.append(f" {v} = {_decimal(lo, f'value of {v}', notes)}")
         else:
             lo_s = "-inf" if lo is None else _decimal(lo, f"lower bound of {v}", notes)

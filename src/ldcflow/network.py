@@ -329,11 +329,13 @@ def validate_solution(n: Network, sol: Solution) -> ValidationReport:
     if out:
         return ValidationReport(tuple(out))
 
-    for v in n.node_names:
-        net_out = sum((sol.flow[e] for e in n.incident[v] if e.a == v), ZERO)
-        net_in = sum((sol.flow[e] for e in n.incident[v] if e.b == v), ZERO)
-        if net_out - net_in != sol.gen[v] - sol.load[v]:
-            out.append(Violation("Kirchhoff", v, f"outflow - inflow = {rat_str(net_out - net_in)} but gen - load = {rat_str(sol.gen[v] - sol.load[v])}"))
+    net = dict.fromkeys(n.node_names, ZERO)  # outflow - inflow
+    for e in n.edges:
+        net[e.a] += sol.flow[e]
+        net[e.b] -= sol.flow[e]
+    for v, x in net.items():
+        if x != sol.gen[v] - sol.load[v]:
+            out.append(Violation("Kirchhoff", v, f"outflow - inflow = {rat_str(x)} but gen - load = {rat_str(sol.gen[v] - sol.load[v])}"))
 
     for e in n.edges:
         loc = f"{e.a}--{e.b}"

@@ -75,16 +75,12 @@ def decimal_str(r: Fraction, places: int = 12) -> str:
     sign = "-" if r < 0 else ""
     a = abs(r)
     if is_decimal_exact(r):
-        # scale until the denominator divides a power of ten
-        k = 0
-        num, den = a.numerator, a.denominator
-        while den > 1:
-            num *= 10
-            k += 1
-            g = Fraction(num, den)
-            num, den = g.numerator, g.denominator
-        digits = str(num).rjust(k + 1, "0")
-        return f"{sign}{digits[:-k] or '0'}.{digits[-k:]}" if k else f"{sign}{num}"
+        # the least k with den | 10^k, so the last digit is not 0
+        k, scale = 1, 10
+        while scale % a.denominator:
+            k, scale = k + 1, scale * 10
+        digits = str(a.numerator * (scale // a.denominator)).rjust(k + 1, "0")
+        return f"{sign}{digits[:-k]}.{digits[-k:]}"
     scaled = (a.numerator * 10**places) // a.denominator
     digits = str(scaled).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}"

@@ -502,6 +502,9 @@ class TestMalformedDocuments:
             ({"problem": "msf", "value": 3.5, "switched": [], "solution": {}}, "outcome.value"),
             ({"susceptance": [], "flow": [{"a": "v", "value": "1"}], "angle": {}, "gen": {}, "load": {}}, "solution.flow[0] has no field 'b'"),
             ({"problem": "msf", "value": "3", "switched": [{"a": "v"}], "solution": {}}, "outcome.switched[0] has no field 'b'"),
+            ({"susceptance": [], "flow": [], "angle": {"g": "abc"}, "gen": {}, "load": {}}, "solution.angle.g: not a rational: 'abc'"),
+            ({"susceptance": [], "flow": [], "angle": {}, "gen": {"g": 1.5}, "load": {}}, "solution.gen.g: expected an exact rational (string or int), got 1.5"),
+            ({"susceptance": [], "flow": [], "angle": {}, "gen": {}, "load": {"l": "1/0"}}, "solution.load.l: zero denominator in '1/0'"),
         ],
     )
     def test_malformed_solution_is_exit_3_naming_the_field(self, capsys, documents, doc, field):

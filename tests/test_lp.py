@@ -12,7 +12,7 @@ from conftest import random_boxed_lp, random_ldc_network
 from ldcflow import lp, serialize
 from ldcflow.errors import MalformedProgram
 from ldcflow.gadgets import Polarity, gfch, gsch
-from ldcflow.lp import LinearProgram, LpStatus, _fold, solve_lp, write_lp_text
+from ldcflow.lp import LinearProgram, LpStatus, _substitute, solve_lp, write_lp_text
 from ldcflow.mff import pin_susceptances, solve_mff_grid
 from ldcflow.mpf import formulate_mpf
 from ldcflow.msf import solve_msf_bnb, solve_msf_exhaustive
@@ -604,9 +604,9 @@ def test_presolve_eliminates_the_first_free_variable_of_the_row():
 
 
 def test_a_column_fixed_at_zero_is_cleared_and_the_row_reduced():
-    # x/2 + y <= 1 reads as [1, 2, 2, 2]; with x = 0 what is left shares the factor 2
-    assert _fold([1, 2, 2, 2], {0: F(0)}, True) == [0, 1, 1, 1]
-    assert _fold([1, 2, 2, 2], {1: F(0)}, True) == [1, 0, 2, 2]
+    # x/2 + y <= 1 reads as [1, 2, 2, 2]; with x = 0 (no column) what is left shares the factor 2
+    assert _substitute([1, 2, 2, 2], {}, {0: [], 1: [(0, 1)]}, 1) == [1, 1, 1]
+    assert _substitute([1, 2, 2, 2], {}, {0: [(0, 1)], 1: []}, 1) == [1, 2, 2]
     p = LinearProgram()
     p.add_variable("x", lower=F(0), upper=F(0))
     p.add_variable("y", lower=F(0))
@@ -614,6 +614,32 @@ def test_a_column_fixed_at_zero_is_cleared_and_the_row_reduced():
     p.set_objective({"y": F(1)})
     r = solve_lp(p)
     assert (r.status, r.value, r.assignment) == (LpStatus.OPTIMAL, 1, {"x": 0, "y": 1})
+
+
+def test_each_variable_left_gets_one_substitution():
+    # x fixed at 7/3 has no column; y in [-3, 4] is -3 + y0 with y0 <= 7 a row
+    # after the program's; z <= 5/2 is 5/2 - y1; w free is y2 - y3.  The second
+    # row flips to <=, the third (y >= -2, so y0 >= 1) needs phase 1, whose
+    # pivot makes y0 basic.
+    p = LinearProgram()
+    p.add_variable("x", lower=F(7, 3), upper=F(7, 3))
+    p.add_variable("y", lower=F(-3), upper=F(4))
+    p.add_variable("z", upper=F(5, 2))
+    p.add_variable("w")
+    p.add_constraint({"x": F(1), "y": F(1), "z": F(1), "w": F(1)}, "<=", F(6))
+    p.add_constraint({"x": F(3), "y": F(1), "w": F(-1)}, ">=", F(1))
+    p.add_constraint({"y": F(1)}, ">=", F(-2))
+    p.set_objective({"y": F(1), "z": F(1)})
+    objective, lower, upper, standard = lp._read_program(p)
+    assert not standard
+    obj = lp._int_row(dict(objective), F(0), 4)
+    T, Z, basis, nonbasic, var_cols, shift, eliminated = lp._presolve([row[:] for row in p.rows], p.rels, lower, upper, obj)
+    assert var_cols == {0: [], 1: [(0, 1)], 2: [(1, -1)], 3: [(2, 1), (3, -1)]}
+    assert shift == {0: F(7, 3), 1: F(-3), 2: F(5, 2)} and eliminated == []
+    assert T == [[-6, 6, -6, 6, 19, 6], [0, 1, -1, -1, 4, 1], [0, 0, 0, -1, 1, 1], [0, 0, 0, 1, 6, 1]]
+    assert (Z, basis, nonbasic) == ([-2, 0, 0, 2, -1, 2], [4, 5, 0, 7], [1, 2, 3, 6])
+    r = assert_matches_oracle(p)
+    assert list(r.assignment.items()) == [("x", F(7, 3)), ("y", F(4)), ("z", F(5, 2)), ("w", F(-17, 6))] and r.value == F(13, 2)
 
 
 # --- Standard-form programs skip the presolve -----------------------------------

@@ -320,6 +320,15 @@ class TestValidateSolution:
         report = validate_solution(gsch1, Solution(sus, sol.angle, sol.flow, sol.gen, sol.load))
         assert "SusceptanceBound" in report.kinds()
 
+    def test_a_one_edge_flow_change_breaks_conservation_at_both_endpoints_in_node_order(self, gsch1):
+        sol = gsch1_solution(gsch1)
+        lv = next(e for e in gsch1.edges if {e.a, e.b} == {"l", "v"})
+        report = validate_solution(gsch1, replace(sol, flow={**sol.flow, lv: sol.flow[lv] + F(1, 2)}))
+        assert [line for line in str(report).splitlines() if line.startswith("Kirchhoff")] == [
+            "Kirchhoff at l: outflow - inflow = -5/2 but gen - load = -3",
+            "Kirchhoff at v: outflow - inflow = -1/2 but gen - load = 0",
+        ]
+
     @pytest.mark.parametrize(
         "change, line",
         [

@@ -2,6 +2,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import random_ldc_network
 from ldcflow import serialize
@@ -10,7 +11,7 @@ from ldcflow.mff import solve_mff_endpoints
 from ldcflow.mpf import solve_mpf
 from ldcflow.msf import solve_msf_bnb
 from ldcflow.network import Network
-from ldcflow.rational import rat, rat_str
+from ldcflow.rational import decimal_str, is_decimal_exact, rat, rat_str
 from ldcflow.reductions import SubsetSumInstance, encode_subset_sum_cactus_msf
 
 
@@ -47,6 +48,18 @@ class TestRationals:
     def test_rat_str_round_trips(self):
         for value in (F(0), F(-7, 3), F(61, 10), F(12)):
             assert rat(rat_str(value)) == value
+
+    @given(num=st.integers(-(10**30), 10**30), twos=st.integers(0, 40), fives=st.integers(0, 25), other=st.sampled_from([1, 1, 3, 7, 9, 11]))
+    @example(num=-3, twos=1, fives=0, other=1)
+    @example(num=1, twos=0, fives=1, other=3)
+    def test_decimal_str_is_exact_or_truncated_to_12_places(self, num, twos, fives, other):
+        r = F(num, 2**twos * 5**fives * other)
+        text = decimal_str(r)
+        if is_decimal_exact(r):
+            assert F(text) == r and not ("." in text and text.endswith("0"))
+        else:
+            truncated = F(int(abs(r) * 10**12), 10**12)
+            assert len(text.split(".")[1]) == 12 and F(text) == (-truncated if r < 0 else truncated)
 
 
 class TestNetworkJson:
