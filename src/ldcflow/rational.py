@@ -59,13 +59,19 @@ def rat_str(r: Fraction) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
+def _twos_fives(d: int) -> tuple[int, int, int]:
+    """(a, b, m) with d = 2^a * 5^b * m and m prime to 10."""
+    a = b = 0
+    while d % 2 == 0:
+        d, a = d // 2, a + 1
+    while d % 5 == 0:
+        d, b = d // 5, b + 1
+    return a, b, d
+
+
 def is_decimal_exact(r: Fraction) -> bool:
     """True when r has a finite decimal expansion (denominator is 2^a * 5^b)."""
-    d = r.denominator
-    for p in (2, 5):
-        while d % p == 0:
-            d //= p
-    return d == 1
+    return _twos_fives(r.denominator)[2] == 1
 
 
 def decimal_str(r: Fraction, places: int = 12) -> str:
@@ -74,12 +80,10 @@ def decimal_str(r: Fraction, places: int = 12) -> str:
         return str(r.numerator)
     sign = "-" if r < 0 else ""
     a = abs(r)
-    if is_decimal_exact(r):
-        # the least k with den | 10^k, so the last digit is not 0
-        k, scale = 1, 10
-        while scale % a.denominator:
-            k, scale = k + 1, scale * 10
-        digits = str(a.numerator * (scale // a.denominator)).rjust(k + 1, "0")
+    twos, fives, rest = _twos_fives(a.denominator)
+    if rest == 1:
+        k = max(twos, fives)  # the least k with den | 10^k, so the last digit is not 0
+        digits = str(a.numerator * 10**k // a.denominator).rjust(k + 1, "0")
         return f"{sign}{digits[:-k]}.{digits[-k:]}"
     scaled = (a.numerator * 10**places) // a.denominator
     digits = str(scaled).rjust(places + 1, "0")

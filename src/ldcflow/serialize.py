@@ -134,11 +134,8 @@ def solution_to_json(sol: Solution) -> dict:
 
 
 def _node_map_in(data: dict, key: str) -> dict:
-    values = _get(data, key, "solution", dict)
-    try:
-        return {v: _rat_in(x) for v, x in values.items()}
-    except (TypeError, ValueError):  # read again, naming the first bad value's field
-        return {v: _rat_field(values, v, f"solution.{key}") for v in values}
+    values, where = _get(data, key, "solution", dict), f"solution.{key}"
+    return {v: _rat_field(values, v, where) for v in values}
 
 
 def solution_from_json(data: dict, n: Network) -> Solution:
