@@ -4,7 +4,8 @@ Core objects: `Network` (nodes with roles, susceptance/capacity edges) and
 `Solution` (angles, flows, generation, load), all over exact rationals.
 Solvers: `solve_mpf` (fixed topology, an LP where a component has a
 cycle), `solve_msf_*` (optimal edge switching), `solve_mff_*` (FACTS
-susceptance search, a lower bound, certified only without FACTS edges).
+susceptance search, a lower bound, exact only on a network without FACTS
+edges).
 `gadgets` and `reductions` construct the choice gadgets and the
 NP-hardness problem encodings with their predicted optimal values.
 """

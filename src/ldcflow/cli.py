@@ -1,9 +1,13 @@
 """Command-line interface.
 
 Subcommands: solve (mpf | msf | mff), encode, decode, gadget, verify,
-classify, export.  Networks, solutions and instances travel as the JSON
-documents defined in `serialize`.  Exact values print as "p/q" with a
-decimal rendering when it differs.
+classify, export.  Networks, solutions, outcomes and instances travel as
+the JSON documents defined in `serialize`.  `solve` builds one outcome
+document and writes it for `--json` (to stdout) and for `--out` (to the
+file); `verify` and `decode` read it back, and `verify` also reads a bare
+solution.  `solve mff` reports its value as exact only on a network
+without FACTS edges.  Exact values print as "p/q" with a decimal
+rendering when it differs.
 
 Exit codes: 0 success (including a NO/UNKNOWN decision), 1 failed
 verification, 2 usage error, 3 file or parse error, 4 solver or encoder
@@ -20,9 +24,9 @@ import sys
 from . import classify, serialize
 from .errors import LdcError
 from .gadgets import Polarity, gfch, gsch
-from .mff import MffDecision, decide_mff, solve_mff_grid
-from .mpf import solve_mpf
-from .msf import decide_msf, export_milp, solve_msf_bnb, solve_msf_exhaustive
+from .mff import MffDecision, MffOutcome, decide_mff, solve_mff_grid
+from .mpf import MpfOutcome, solve_mpf
+from .msf import MsfOutcome, decide_msf, export_milp, solve_msf_bnb, solve_msf_exhaustive
 from .network import require_valid, subnetwork, total_generation, validate_network, validate_solution
 from .rational import format_value, rat, rat_str
 from .reductions import (
@@ -52,10 +56,6 @@ _ENCODERS = {
 }
 
 
-# `verify`'s and `decode`'s readers of the outcome documents `solve --out` and `solve mpf --json` write
-_OUTCOME_READERS = {"mpf": serialize.mpf_outcome_from_json, "msf": serialize.msf_outcome_from_json, "mff": serialize.mff_outcome_from_json}
-
-
 def _read_network(path: str):
     return serialize.network_from_json(serialize.load(path))
 
@@ -66,8 +66,8 @@ def _read_valid_network(path: str):
     return n
 
 
-def _emit(data: dict, out: str | None) -> None:
-    text = json.dumps(data, indent=1, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
+    """Write text to the file `out`, or to stdout when there is none."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -77,56 +77,42 @@ def _emit(data: dict, out: str | None) -> None:
 
 def _cmd_solve(args) -> int:
     n = _read_valid_network(args.network)
-    if args.problem == "mpf":
-        if args.decide is not None:
-            print("YES" if solve_mpf(n).value >= rat(args.decide) else "NO")
-            return 0
-        out = solve_mpf(n)
-        if args.json:
-            _emit({"problem": "mpf", "value": rat_str(out.value), "solution": serialize.solution_to_json(out.solution)}, None)
+    if args.decide is not None:
+        x = rat(args.decide)
+        if args.problem == "mpf":
+            yes = solve_mpf(n).value >= x
+        elif args.problem == "msf":
+            yes = decide_msf(n, x)
         else:
-            print(format_value(out.value))
-        if args.out:
-            serialize.dump(serialize.solution_to_json(out.solution), args.out)
+            yes = decide_mff(n, x, k=args.grid) is MffDecision.YES
+        print("YES" if yes else "UNKNOWN" if args.problem == "mff" else "NO")
         return 0
-    if args.problem == "msf":
-        if args.decide is not None:
-            print("YES" if decide_msf(n, rat(args.decide)) else "NO")
-            return 0
+    if args.problem == "mpf":
+        out = solve_mpf(n)
+        doc, details = serialize.mpf_outcome_to_json(out), []
+    elif args.problem == "msf":
         out = solve_msf_exhaustive(n) if args.method == "exhaustive" else solve_msf_bnb(n)
         doc = serialize.msf_outcome_to_json(out)
-        if args.json:
-            _emit(doc, None)
-        else:
-            print(format_value(out.value))
-            print("switched: " + (", ".join(f"{e.a}--{e.b}" for e in sorted(out.switched)) or "(none)"))
-        if args.out:
-            serialize.dump(doc, args.out)
-        return 0
-    # mff
-    if args.decide is not None:
-        decision = decide_mff(n, rat(args.decide), k=args.grid)
-        print("YES" if decision is MffDecision.YES else "UNKNOWN")
-        return 0
-    out = solve_mff_grid(n, args.grid)
-    doc = serialize.mff_outcome_to_json(out)
-    if args.json:
-        _emit(doc, None)
+        details = ["switched: " + (", ".join(f"{e.a}--{e.b}" for e in sorted(out.switched)) or "(none)")]
     else:
-        certainty = "exact (no FACTS edges)" if out.certified else "lower bound (search over sampled susceptances)"
-        print(format_value(out.value))
-        print(f"status: {certainty}")
-        for e, v in sorted(out.assignment.items()):
-            print(f"susceptance {e.a}--{e.b} = {rat_str(v)}")
+        out = solve_mff_grid(n, args.grid)
+        doc = serialize.mff_outcome_to_json(out)
+        details = ["status: " + ("lower bound (search over sampled susceptances)" if n.facts_edges else "exact (no FACTS edges)")]
+        details += [f"susceptance {e.a}--{e.b} = {rat_str(v)}" for e, v in sorted(out.assignment.items())]
+    text = serialize.dumps(doc)
+    if args.json:
+        _write(text, None)
+    else:
+        print(format_value(out.value), *details, sep="\n")
     if args.out:
-        serialize.dump(doc, args.out)
+        _write(text, args.out)
     return 0
 
 
 def _cmd_encode(args) -> int:
     encoder, parse = _ENCODERS[args.kind]
     enc = encoder(parse(serialize.load(args.instance)))
-    _emit(serialize.encoded_to_json(enc), args.out)
+    _write(serialize.dumps(serialize.encoded_to_json(enc)), args.out)
     return 0
 
 
@@ -134,24 +120,21 @@ def _cmd_decode(args) -> int:
     encoder, parse = _ENCODERS[args.kind]
     inst = parse(serialize.load(args.instance))
     n = encoder(inst).network
-    doc = serialize.load(args.outcome)
-    problem = doc.get("problem") if isinstance(doc, dict) else None
-    if problem not in ("msf", "mff"):
+    outcome = serialize.outcome_from_json(serialize.load(args.outcome), n)
+    if isinstance(outcome, MpfOutcome):
         raise ValueError("outcome file must come from `solve msf --out` or `solve mff --out`")
-    outcome = _OUTCOME_READERS[problem](doc, n)
     if args.kind in (KIND_EXACT_COVER_MFF, KIND_EXACT_COVER_MSF):
-        cover = decode_exact_cover(outcome, inst)
-        _emit({"cover": [list(x) for x in cover]}, None)
+        decoded = {"cover": [list(x) for x in decode_exact_cover(outcome, inst)]}
     else:
-        chosen = decode_subset_sum(outcome, inst, args.kind)
-        _emit({"V": sorted(chosen)}, None)
+        decoded = {"V": sorted(decode_subset_sum(outcome, inst, args.kind))}
+    _write(serialize.dumps(decoded), None)
     return 0
 
 
 def _cmd_gadget(args) -> int:
     build = gsch if args.gadget == "gsch" else gfch
     net = build(rat(args.x), port=args.port, polarity=Polarity(args.polarity), prefix=args.prefix)
-    _emit(serialize.network_to_json(net), args.out)
+    _write(serialize.dumps(serialize.network_to_json(net)), args.out)
     return 0
 
 
@@ -162,21 +145,18 @@ def _cmd_verify(args) -> int:
         print(report)
         return 1
     doc = serialize.load(args.solution)
-    problem = doc.get("problem") if isinstance(doc, dict) else None
     target, claims = n, []  # claims: what an outcome document says that its solution belies
-    if problem in _OUTCOME_READERS:
-        outcome = _OUTCOME_READERS[problem](doc, n)
+    if isinstance(doc, dict) and "problem" in doc:  # an outcome document; anything else is read as a bare solution
+        outcome = serialize.outcome_from_json(doc, n)
         sol, total = outcome.solution, total_generation(outcome.solution)
         if outcome.value != total:
             claims.append(f"value {rat_str(outcome.value)} is not the solution's total generation {rat_str(total)}")
-        if problem == "msf":
+        if isinstance(outcome, MsfOutcome):
             target = subnetwork(n, outcome.switched)
-        elif problem == "mff":
+        elif isinstance(outcome, MffOutcome):
             if set(outcome.assignment) != set(n.facts_edges):
                 claims.append("the assignment does not name exactly the network's FACTS edges")
             claims += [f"assignment {e.a}--{e.b} = {rat_str(x)} is not the solution's susceptance" for e, x in outcome.assignment.items() if sol.susceptance.get(e) != x]
-            if outcome.certified and n.facts_edges:
-                claims.append("certified, but the network has FACTS edges")
     else:
         sol = serialize.solution_from_json(doc, n)
     report = validate_solution(target, sol)
@@ -196,7 +176,7 @@ def _cmd_classify(args) -> int:
         "connected": classify.is_connected(n),
     }
     if args.json:
-        _emit(facts, None)
+        _write(serialize.dumps(facts), None)
     else:
         for key, value in facts.items():
             print(f"{key}: {str(value).lower() if isinstance(value, bool) else value}")
@@ -204,13 +184,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    n = _read_valid_network(args.network)
-    text = export_milp(n)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(export_milp(_read_valid_network(args.network)), args.out)
     return 0
 
 

@@ -6,10 +6,10 @@ general.  The searches here evaluate an exact MPF LP per candidate
 assignment on a uniform k-step grid per FACTS edge -- k = 1 is the
 interval endpoints -- and report the best value found.  That is a true lower
 bound on the MFF, and it is exact for the gadget family this package
-constructs, whose optima provably sit at interval endpoints.  An outcome
-is flagged `certified` only in the trivial case of zero FACTS edges,
-where MFF and MPF coincide; accordingly the decision operation answers
-Yes or Unknown, never No.
+constructs, whose optima provably sit at interval endpoints.  It is
+exact in general only on a network without FACTS edges (read from the
+network, `n.facts_edges`), where MFF and MPF coincide; accordingly the
+decision operation answers Yes or Unknown, never No.
 
 Each candidate is solved once, and only the best ones' outcomes are kept,
 their solutions unbuilt: a search relabels the winners it returns, and
@@ -39,7 +39,6 @@ class MffOutcome:
     value: Rational
     assignment: SusAssignment
     solution: Solution
-    certified: bool
 
 
 class MffDecision(enum.Enum):
@@ -111,7 +110,7 @@ def _grid_optima(n: Network, k: int) -> list[tuple[SusAssignment, MpfOutcome]]:
 
 
 def _outcome(n: Network, assignment: SusAssignment, out: MpfOutcome) -> MffOutcome:
-    return MffOutcome(out.value, assignment, _relabel(n, out.solution), certified=not assignment)
+    return MffOutcome(out.value, assignment, _relabel(n, out.solution))
 
 
 def solve_mff_grid(n: Network, k: int) -> MffOutcome:

@@ -74,20 +74,21 @@ def is_decimal_exact(r: Fraction) -> bool:
     return _twos_fives(r.denominator)[2] == 1
 
 
-def decimal_str(r: Fraction, places: int = 12) -> str:
-    """Decimal rendering; exact when possible, else truncated to `places`."""
+# digits after the point of a decimal rendering that has no finite exact one
+DECIMAL_PLACES = 12
+
+
+def decimal_str(r: Fraction) -> str:
+    """Decimal rendering; exact when possible, else truncated to `DECIMAL_PLACES` digits."""
     if r.denominator == 1:
         return str(r.numerator)
     sign = "-" if r < 0 else ""
     a = abs(r)
     twos, fives, rest = _twos_fives(a.denominator)
-    if rest == 1:
-        k = max(twos, fives)  # the least k with den | 10^k, so the last digit is not 0
-        digits = str(a.numerator * 10**k // a.denominator).rjust(k + 1, "0")
-        return f"{sign}{digits[:-k]}.{digits[-k:]}"
-    scaled = (a.numerator * 10**places) // a.denominator
-    digits = str(scaled).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    # exact: the least k with den | 10^k, so the last digit is not 0
+    k = max(twos, fives) if rest == 1 else DECIMAL_PLACES
+    digits = str(a.numerator * 10**k // a.denominator).rjust(k + 1, "0")
+    return f"{sign}{digits[:-k]}.{digits[-k:]}"
 
 
 def format_value(r: Fraction) -> str:

@@ -5,6 +5,12 @@ Rationals serialize as strings -- "p/q", an integer, or a finite decimal
 serialize as arrays of {"a", "b", ...} records in canonical edge order,
 node-keyed maps as plain objects, so files are deterministic and
 round-trip byte-for-byte.
+
+An outcome document is {"problem": "mpf" | "msf" | "mff", "value",
+"solution"} plus the MSF switch set (`switched`) or the MFF susceptance
+assignment (`assignment`).  The `*_outcome_to_json` functions write one,
+and `outcome_from_json` reads any of them; a reader ignores the keys it
+does not ask for.
 """
 
 from __future__ import annotations
@@ -149,8 +155,11 @@ def solution_from_json(data: dict, n: Network) -> Solution:
     )
 
 
+def mpf_outcome_to_json(out: MpfOutcome) -> dict:
+    return {"problem": "mpf", "value": rat_str(out.value), "solution": solution_to_json(out.solution)}
+
+
 def mpf_outcome_from_json(data: dict, n: Network) -> MpfOutcome:
-    """Read a `solve mpf --json` document."""
     return MpfOutcome(_rat_field(data, "value", "outcome"), solution_from_json(_get(data, "solution", "outcome"), n))
 
 
@@ -187,7 +196,6 @@ def mff_outcome_to_json(out: MffOutcome) -> dict:
         "problem": "mff",
         "value": rat_str(out.value),
         "assignment": _edge_map_out(out.assignment),
-        "certified": out.certified,
         "solution": solution_to_json(out.solution),
     }
 
@@ -197,9 +205,19 @@ def mff_outcome_from_json(data: dict, n: Network) -> MffOutcome:
     return MffOutcome(
         value=_rat_field(data, "value", "outcome"),
         assignment=assignment,
-        certified=_get(data, "certified", "outcome", bool),
         solution=solution_from_json(_get(data, "solution", "outcome"), n),
     )
+
+
+_OUTCOMES = {"mpf": mpf_outcome_from_json, "msf": msf_outcome_from_json, "mff": mff_outcome_from_json}
+
+
+def outcome_from_json(data: dict, n: Network) -> MpfOutcome | MsfOutcome | MffOutcome:
+    """The outcome a document describes, read by its `problem`; any other `problem` raises a ValueError naming the field."""
+    problem = _get(data, "problem", "outcome", str)
+    if problem not in _OUTCOMES:
+        raise ValueError(f"outcome.problem must be one of {', '.join(_OUTCOMES)}, got {problem!r}")
+    return _OUTCOMES[problem](data, n)
 
 
 # --- problem instances --------------------------------------------------------
@@ -278,10 +296,14 @@ def encoded_to_json(enc: EncodedInstance) -> dict:
 # --- files ---------------------------------------------------------------------
 
 
+def dumps(data: dict) -> str:
+    """The document as the text every writer here gives it: indented, keys sorted, one final newline."""
+    return json.dumps(data, indent=1, sort_keys=True) + "\n"
+
+
 def dump(data: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(dumps(data))
 
 
 def load(path: str) -> dict:

@@ -1,4 +1,3 @@
-import contextlib
 import copy
 import json
 
@@ -67,20 +66,22 @@ class TestSolve:
         assert run(capsys, "gadget", "gfch", "--x", "1", "--polarity", "minus", "--out", str(path))[0] == 0
         code, out, _ = run(capsys, "solve", "mff", str(path), "--json")
         doc = json.loads(out)
-        assert code == 0 and (doc["problem"], doc["value"], doc["certified"]) == ("mff", "61/10", False)
+        assert code == 0 and (doc["problem"], doc["value"]) == ("mff", "61/10") and "certified" not in doc
 
 
 class TestChains:
     @pytest.mark.parametrize("gadget", ["gsch", "gfch"])
     @pytest.mark.parametrize("polarity", [p.value for p in Polarity])
     def test_gadget_solve_verify_round_trip(self, capsys, tmp_path, gadget, polarity):
+        """`solve --out` writes exactly what `solve --json` prints, and `verify` accepts it."""
         net = tmp_path / "net.json"
         sol = tmp_path / "sol.json"
         assert run(capsys, "gadget", gadget, "--x", "2", "--polarity", polarity, "--out", str(net))[0] == 0
-        problem = "mff" if gadget == "gfch" else "msf"
-        assert run(capsys, "solve", problem, str(net), "--out", str(sol))[0] == 0
-        code, out, _ = run(capsys, "verify", str(net), str(sol))
-        assert code == 0 and out.strip().endswith("OK")
+        for problem in ["mff"] if gadget == "gfch" else ["mpf", "msf"]:
+            assert run(capsys, "solve", problem, str(net), "--out", str(sol))[0] == 0
+            code, printed, _ = run(capsys, "solve", problem, str(net), "--json")
+            assert code == 0 and sol.read_text() == printed and json.loads(printed)["problem"] == problem
+            assert run(capsys, "verify", str(net), str(sol)) == (0, "OK\n", "")
 
     def test_encode_solve_decode_chain(self, capsys, tmp_path):
         inst = tmp_path / "inst.json"
@@ -113,21 +114,28 @@ class TestChains:
         code, out, _ = run(capsys, "decode", kind, inst, outcome)
         assert code == 0 and json.loads(out) == decoded
 
-    def test_decode_refuses_an_mpf_document(self, capsys, tmp_path, gsch_file):
-        inst, doc = tmp_path / "inst.json", tmp_path / "mpf.json"
-        inst.write_text(json.dumps({"M": [1, 2], "w": 2}))
-        code, out, _ = run(capsys, "solve", "mpf", gsch_file, "--json")
-        assert code == 0 and json.loads(out)["problem"] == "mpf"
-        doc.write_text(out)
-        code, _, err = run(capsys, "decode", "subset-sum-cactus-msf", str(inst), str(doc))
+    def test_decode_refuses_an_mpf_document(self, capsys, tmp_path):
+        inst, enc, net, doc = (str(tmp_path / name) for name in ("inst.json", "enc.json", "net.json", "mpf.json"))
+        serialize.dump({"M": [1, 2], "w": 2}, inst)
+        assert run(capsys, "encode", "subset-sum-cactus-msf", inst, "--out", enc)[0] == 0
+        serialize.dump(serialize.load(enc)["network"], net)
+        assert run(capsys, "solve", "mpf", net, "--out", doc)[0] == 0 and serialize.load(doc)["problem"] == "mpf"
+        code, _, err = run(capsys, "decode", "subset-sum-cactus-msf", inst, doc)
         assert code == 3 and "outcome file must come from `solve msf --out` or `solve mff --out`" in err
+
+    def test_decode_refuses_a_problem_that_is_not_a_string(self, capsys, tmp_path):
+        inst, doc = tmp_path / "inst.json", tmp_path / "doc.json"
+        inst.write_text(json.dumps({"M": [1, 2], "w": 2}))
+        doc.write_text(json.dumps({"problem": [], "value": "3", "switched": [], "solution": {}}))
+        code, out, err = run(capsys, "decode", "subset-sum-cactus-msf", str(inst), str(doc))
+        assert code == 3 and out == "" and "outcome.problem must be a str, got list" in err
 
 
 class TestVerify:
     def test_tampered_solution_fails(self, capsys, tmp_path, gsch_file):
         sol = tmp_path / "sol.json"
         run(capsys, "solve", "mpf", gsch_file, "--out", str(sol))
-        doc = json.loads(sol.read_text())
+        doc = json.loads(sol.read_text())["solution"]  # a bare solution
         doc["flow"][0]["value"] = "99"
         sol.write_text(json.dumps(doc))
         code, out, _ = run(capsys, "verify", gsch_file, str(sol))
@@ -155,18 +163,17 @@ class TestVerify:
         "changes, said",
         [
             ({"assignment": [{"a": "e", "b": "v", "value": "1"}]}, ["assignment e--v = 1 is not the solution's susceptance"]),
-            ({"certified": True}, ["certified, but the network has FACTS edges"]),
             ({"assignment": []}, ["the assignment does not name exactly the network's FACTS edges"]),
             ({"assignment": [{"a": "e", "b": "v", "value": "2/5"}, {"a": "c", "b": "e", "value": "1"}]}, ["the assignment does not name exactly the network's FACTS edges"]),
         ],
-        ids=["susceptance", "certified", "missing", "foreign"],
+        ids=["susceptance", "missing", "foreign"],
     )
     def test_an_mff_outcome_that_its_solution_belies_fails(self, capsys, tmp_path, changes, said):
         net, doc = tmp_path / "net.json", tmp_path / "doc.json"
         run(capsys, "gadget", "gfch", "--x", "1", "--polarity", "minus", "--out", str(net))
         assert run(capsys, "solve", "mff", str(net), "--out", str(doc))[0] == 0
         outcome = json.loads(doc.read_text())
-        assert (outcome["assignment"], outcome["certified"]) == ([{"a": "e", "b": "v", "value": "2/5"}], False)
+        assert outcome["assignment"] == [{"a": "e", "b": "v", "value": "2/5"}] and "certified" not in outcome
         assert run(capsys, "verify", str(net), str(doc)) == (0, "OK\n", "")
         doc.write_text(json.dumps({**outcome, **changes}))
         assert run(capsys, "verify", str(net), str(doc)) == (1, "".join(line + "\n" for line in said), "")
@@ -401,12 +408,10 @@ def documents(tmp_path_factory):
     d = tmp_path_factory.mktemp("documents")
     paths = {name: str(d / f"{name}.json") for name in ("net", "inst", "enc", "tree", "mpf", "mpf_json", "msf", "mff", "tree_msf", "doc")}
     assert main(["gadget", "gsch", "--x", "1", "--polarity", "minus", "--out", paths["net"]]) == 0
-    for problem in ("mpf", "msf", "mff"):
-        assert main(["solve", problem, paths["net"], "--out", paths[problem]]) == 0
-        assert main(["verify", paths["net"], paths[problem]]) == 0
-    with open(paths["mpf_json"], "w") as fh, contextlib.redirect_stdout(fh):
-        assert main(["solve", "mpf", paths["net"], "--json"]) == 0
-    assert serialize.load(paths["mpf_json"])["problem"] == "mpf" and main(["verify", paths["net"], paths["mpf_json"]]) == 0
+    for problem, name in (("mpf", "mpf_json"), ("msf", "msf"), ("mff", "mff")):
+        assert main(["solve", problem, paths["net"], "--out", paths[name]]) == 0
+    serialize.dump(serialize.load(paths["mpf_json"])["solution"], paths["mpf"])  # a bare solution
+    assert all(main(["verify", paths["net"], paths[name]]) == 0 for name in ("mpf", "mpf_json", "msf", "mff"))
     serialize.dump({"M": [1, 2], "w": 2}, paths["inst"])
     assert main(["encode", "subset-sum-tree", paths["inst"], "--out", paths["enc"]]) == 0
     serialize.dump(serialize.load(paths["enc"])["network"], paths["tree"])
@@ -498,13 +503,16 @@ class TestMalformedDocuments:
             ([], "solution must be an object, got list"),
             ({"susceptance": [], "flow": [], "angle": [], "gen": {}, "load": {}}, "solution.angle must be a dict"),
             ({"problem": "msf", "value": "3", "switched": {}, "solution": {}}, "outcome.switched must be a list"),
-            ({"problem": "mff", "value": "3", "assignment": [], "certified": "yes", "solution": {}}, "outcome.certified must be a bool"),
+            ({"problem": [], "value": "3", "solution": {}}, "outcome.problem must be a str, got list"),
             ({"problem": "msf", "value": 3.5, "switched": [], "solution": {}}, "outcome.value"),
             ({"susceptance": [], "flow": [{"a": "v", "value": "1"}], "angle": {}, "gen": {}, "load": {}}, "solution.flow[0] has no field 'b'"),
             ({"problem": "msf", "value": "3", "switched": [{"a": "v"}], "solution": {}}, "outcome.switched[0] has no field 'b'"),
             ({"susceptance": [], "flow": [], "angle": {"g": "abc"}, "gen": {}, "load": {}}, "solution.angle.g: not a rational: 'abc'"),
             ({"susceptance": [], "flow": [], "angle": {}, "gen": {"g": 1.5}, "load": {}}, "solution.gen.g: expected an exact rational (string or int), got 1.5"),
             ({"susceptance": [], "flow": [], "angle": {}, "gen": {}, "load": {"l": "1/0"}}, "solution.load.l: zero denominator in '1/0'"),
+            ({"problem": {}, "value": "3", "solution": {}}, "outcome.problem must be a str, got dict"),
+            ({"problem": 3, "value": "3", "solution": {}}, "outcome.problem must be a str, got int"),
+            ({"problem": "foo", "value": "3", "solution": {}}, "outcome.problem must be one of mpf, msf, mff, got 'foo'"),
         ],
     )
     def test_malformed_solution_is_exit_3_naming_the_field(self, capsys, documents, doc, field):

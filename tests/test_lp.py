@@ -499,7 +499,7 @@ def _outcome_lines() -> list[str]:
 # sha256 over the canonical JSON of both MSF searches and the k = 2 MFF
 # grid search on every pinned network, one line each.  Unlike the LP pin
 # above it sees everything `solve_mpf` does around `solve_lp`.
-PINNED_OUTCOME_DIGEST = "5b0b32b54dbb35db88c10902c244d6ad6c87eba66e0dc05bbf856782a1e65b49"
+PINNED_OUTCOME_DIGEST = "a54b4837def497af4d9621a20ca0554457a209ed72ca57e17537ed34bc99af9b"
 
 
 def test_pinned_outcomes_are_unchanged():

@@ -36,10 +36,11 @@ def adjustable_edge(n):
 
 class TestEndpoints:
     def test_facts_gadget_value(self):
-        out = solve_mff_endpoints(facts_gadget())
+        n = facts_gadget()
+        out = solve_mff_endpoints(n)
         assert out.value == F(61, 10)
         assert total_generation(out.solution) == F(61, 10)
-        assert not out.certified
+        assert tuple(out.assignment) == n.facts_edges != ()
 
     def test_both_endpoint_choices_are_optimal_with_the_known_flows(self):
         n = facts_gadget()
@@ -55,7 +56,7 @@ class TestEndpoints:
     def test_no_facts_network_is_certified_mpf(self):
         n = gsch(1, "v", Polarity.MINUS)
         out = solve_mff_endpoints(n)
-        assert out.certified and out.value == solve_mpf(n).value
+        assert not n.facts_edges and out.value == solve_mpf(n).value
         assert out.assignment == {}
 
     def test_single_facts_edge_capacity_bound(self):
@@ -115,7 +116,7 @@ def facts_networks(draw) -> Network:
 def fresh_outcome(n: Network, assignment) -> MffOutcome:
     """The outcome a new solve of n pinned at `assignment` gives."""
     out = solve_mpf(pin_susceptances(n, assignment))
-    return MffOutcome(out.value, assignment, mff._relabel(n, out.solution), certified=not assignment)
+    return MffOutcome(out.value, assignment, mff._relabel(n, out.solution))
 
 
 @given(facts_networks(), st.sampled_from([1, 2]))
@@ -161,7 +162,7 @@ class TestGrid:
     def test_grid_on_a_fixed_network_is_its_mpf(self):
         n = gsch(1, "v", Polarity.MINUS)
         out = solve_mff_grid(n, 3)
-        assert out.certified and out.value == solve_mpf(n).value
+        assert not n.facts_edges and out.value == solve_mpf(n).value
 
     def test_nested_grids_are_monotone(self):
         # the k=2 points are a subset of the k=4 points

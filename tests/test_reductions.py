@@ -84,7 +84,7 @@ class TestExactCoverEncoders:
     def test_decode_requires_optimality(self):
         enc = encode_exact_cover_mff(COVER_ABCDEF)
         out = solve_mff_endpoints(enc.network)
-        lower = type(out)(out.value - 1, out.assignment, out.solution, out.certified)
+        lower = type(out)(out.value - 1, out.assignment, out.solution)
         with pytest.raises(NotOptimal):
             decode_exact_cover(lower, COVER_ABCDEF)
 
