@@ -22,7 +22,9 @@ checked wholesale.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -300,11 +302,15 @@ def total_generation(sol: Solution) -> Rational:
 
 
 def validate_solution(n: Network, sol: Solution) -> ValidationReport:
-    """Check a claimed solution with exact arithmetic.
+    """Check a claimed solution exactly, in integers.
 
     Verifies, in order: map domains, conservation at every node, the
     power law and both bound families on every edge, and the role/sign
-    constraints on generation and load.
+    constraints on generation and load.  Map values are `Fraction`s or
+    `int`s.  Flows, generations and loads are compared as multiples of
+    one common denominator and angles as multiples of another, so every
+    check is integer arithmetic; a `Fraction` is built only to word a
+    violation.
     """
     out: list[Violation] = []
     nodes = set(n.node_names)
@@ -329,34 +335,47 @@ def validate_solution(n: Network, sol: Solution) -> ValidationReport:
     if out:
         return ValidationReport(tuple(out))
 
-    net = dict.fromkeys(n.node_names, ZERO)  # outflow - inflow
-    for e in n.edges:
-        net[e.a] += sol.flow[e]
-        net[e.b] -= sol.flow[e]
-    for v, x in net.items():
-        if x != sol.gen[v] - sol.load[v]:
-            out.append(Violation("Kirchhoff", v, f"outflow - inflow = {rat_str(x)} but gen - load = {rat_str(sol.gen[v] - sol.load[v])}"))
+    names, gen, load, angle = n.node_names, sol.gen, sol.load, sol.angle
+    flows = [sol.flow[e] for e in n.edges]
+    # flow, gen and load as integer multiples of 1/unit, angles of 1/angle_unit
+    unit = math.lcm(*[x.denominator for x in flows], *[gen[v].denominator for v in names], *[load[v].denominator for v in names])
+    scaled = [x.numerator * (unit // x.denominator) for x in flows]
+    angle_unit = math.lcm(*[angle[v].denominator for v in names])
+    theta = {v: angle[v].numerator * (angle_unit // angle[v].denominator) for v in names}
 
-    for e in n.edges:
+    net = dict.fromkeys(names, 0)  # (outflow - inflow) * unit
+    for e, f in zip(n.edges, scaled):
+        net[e.a] += f
+        net[e.b] -= f
+    for v, x in net.items():
+        g, d = gen[v], load[v]
+        if x != g.numerator * (unit // g.denominator) - d.numerator * (unit // d.denominator):
+            out.append(Violation("Kirchhoff", v, f"outflow - inflow = {rat_str(Fraction(x, unit))} but gen - load = {rat_str(g - d)}"))
+
+    for e, x, f in zip(n.edges, flows, scaled):
         loc = f"{e.a}--{e.b}"
         s = sol.susceptance[e]
-        expected = s * (sol.angle[e.b] - sol.angle[e.a])
-        if sol.flow[e] != expected:
-            out.append(Violation("PowerLaw", loc, f"flow {rat_str(sol.flow[e])} != susceptance * angle difference {rat_str(expected)}"))
-        if not (e.s_min <= s <= e.s_max):
-            out.append(Violation("SusceptanceBound", loc, f"susceptance {rat_str(s)} outside [{rat_str(e.s_min)}, {rat_str(e.s_max)}]"))
-        if abs(sol.flow[e]) > e.cap:
-            out.append(Violation("CapacityBound", loc, f"|flow| = {rat_str(abs(sol.flow[e]))} exceeds capacity {rat_str(e.cap)}"))
+        p, q = s.numerator, s.denominator
+        # x = s * (angle(b) - angle(a)), both sides times unit * q * angle_unit
+        if f * q * angle_unit != p * (theta[e.b] - theta[e.a]) * unit:
+            expected = s * (angle[e.b] - angle[e.a])
+            out.append(Violation("PowerLaw", loc, f"flow {rat_str(x)} != susceptance * angle difference {rat_str(expected)}"))
+        lo, hi = e.s_min, e.s_max
+        if lo.numerator * q > p * lo.denominator or p * hi.denominator > hi.numerator * q:
+            out.append(Violation("SusceptanceBound", loc, f"susceptance {rat_str(s)} outside [{rat_str(lo)}, {rat_str(hi)}]"))
+        if abs(f) * e.cap.denominator > e.cap.numerator * unit:
+            out.append(Violation("CapacityBound", loc, f"|flow| = {rat_str(abs(x))} exceeds capacity {rat_str(e.cap)}"))
 
-    for v in n.node_names:
-        role = n.role(v)
-        if sol.gen[v] < 0:
+    roles = n.roles
+    for v in names:
+        role, g, d = roles[v], gen[v].numerator, load[v].numerator  # signs through numerators
+        if g < 0:
             out.append(Violation("RoleBound", v, "negative generation"))
-        if sol.load[v] < 0:
+        if d < 0:
             out.append(Violation("RoleBound", v, "negative load"))
-        if role is not NodeRole.GENERATOR and sol.gen[v] != 0:
+        if role is not NodeRole.GENERATOR and g != 0:
             out.append(Violation("RoleBound", v, "generation at a non-generator"))
-        if role is not NodeRole.LOAD and sol.load[v] != 0:
+        if role is not NodeRole.LOAD and d != 0:
             out.append(Violation("RoleBound", v, "load at a non-load"))
 
     return ValidationReport(tuple(out))

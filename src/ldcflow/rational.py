@@ -9,6 +9,10 @@ max flow (`maxflow`) scales all capacities by theirs, and both convert
 back to the same exact `Fraction`s at the end.  No floating point enters
 any solver path; floats are rejected at the parsing boundary so a lossy
 value can never masquerade as an exact one.
+
+`rat` reads a string in one pass: one regular expression splits it into
+sign, whole digits, denominator or fractional digits, the `int`s are
+built from those groups, and `Fraction` is called once on them.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ Rational = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# an optional sign, then ASCII digits with either "/q" or one decimal point
-_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+# an optional sign, then ASCII digits with either "/q" or one decimal point;
+# the groups are the sign, the whole digits, the denominator and the fraction
+_RATIONAL = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|\.([0-9]*))?")
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -34,6 +39,11 @@ def rat(value: int | str | Fraction) -> Fraction:
     raises ValueError: a zero denominator ("1/0"), and also the exponents
     ("1e9999999" would take minutes to expand), underscores and
     non-ASCII digits that `Fraction` itself would accept.
+
+    A string is matched once; its whole and fractional digits are
+    converted to `int` separately, as `Fraction` does, so a part longer
+    than Python's limit on integer string conversion raises that
+    ValueError just as `Fraction(text)` would.
     """
     if isinstance(value, Fraction):
         return value
@@ -42,13 +52,21 @@ def rat(value: int | str | Fraction) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}: pass an int or a string")
     if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL.fullmatch(text):
+        m = _RATIONAL.fullmatch(value.strip())
+        if m is None:
             raise ValueError(f"not a rational: {value!r} (expected p/q, an integer or a decimal)")
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+        sign, whole, den, frac = m.groups()
+        num, d = int(whole or "0"), 1
+        if den is not None:
+            d = int(den)
+            if not d:
+                raise ValueError(f"zero denominator in {value!r}")
+        elif frac:
+            d = 10 ** len(frac)
+            num = num * d + int(frac)
+        if sign == "-":
+            num = -num
+        return Fraction(num, d) if d != 1 else Fraction(num)  # one argument skips the gcd
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 

@@ -10,7 +10,12 @@ An outcome document is {"problem": "mpf" | "msf" | "mff", "value",
 "solution"} plus the MSF switch set (`switched`) or the MFF susceptance
 assignment (`assignment`).  The `*_outcome_to_json` functions write one,
 and `outcome_from_json` reads any of them; a reader ignores the keys it
-does not ask for.
+does not ask for.  An edge map that lists one edge twice is refused.
+
+Each top-level reader (`network_from_json`, `solution_from_json` and the
+outcome readers) parses each distinct rational string of its document
+once: a dict made for that call maps the strings it has read to their
+values.  No cache outlives the call.
 """
 
 from __future__ import annotations
@@ -30,12 +35,6 @@ from .reductions import (
     HamiltonianInstance,
     SubsetSumInstance,
 )
-
-
-def _rat_in(value: Any) -> Rational:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValueError(f"expected an exact rational (string or int), got {value!r}")
-    return rat(value)
 
 
 # --- networks ---------------------------------------------------------------
@@ -69,12 +68,24 @@ def _get(record: Any, key: str, where: str, kind: type = object) -> Any:
     return value
 
 
-def _rat_field(record: dict, key: str, where: str) -> Rational:
+# the strings one document has parsed so far, and their values
+Seen = dict[str, Rational]
+
+
+def _rat_field(record: dict, key: str, where: str, seen: Seen) -> Rational:
+    """record[key] as an exact rational (a string or an int), or a ValueError naming the field."""
     value = _get(record, key, where)
+    if isinstance(value, str) and value in seen:
+        return seen[value]
     try:
-        return _rat_in(value)
+        if isinstance(value, bool) or isinstance(value, float):
+            raise ValueError(f"expected an exact rational (string or int), got {value!r}")
+        r = rat(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}.{key}: {exc}") from None
+    if isinstance(value, str):
+        seen[value] = r
+    return r
 
 
 _ROLES = tuple(r.value for r in NodeRole)
@@ -89,11 +100,11 @@ def network_from_json(data: dict) -> Network:
         if role not in _ROLES:
             raise ValueError(f"{where}.role must be one of {', '.join(_ROLES)}, got {role!r}")
         nodes.append((name, NodeRole(role)))
-    edges = []
+    edges, seen = [], {}
     for i, ed in enumerate(_get(data, "edges", "network", list)):
         where = f"edges[{i}]"
         a, b = _get(ed, "a", where, str), _get(ed, "b", where, str)
-        edges.append(Edge(a, b, _rat_field(ed, "s_min", where), _rat_field(ed, "s_max", where), _rat_field(ed, "cap", where)))
+        edges.append(Edge(a, b, _rat_field(ed, "s_min", where, seen), _rat_field(ed, "s_max", where, seen), _rat_field(ed, "cap", where, seen)))
     return Network(nodes, edges)
 
 
@@ -120,12 +131,16 @@ def _edge_in(rec: Any, where: str, by_pair: dict[tuple[str, str], Edge]) -> Edge
     return by_pair[pair]
 
 
-def _edge_map_in(records: list, where: str, n: Network) -> dict[Edge, Rational]:
+def _edge_map_in(records: list, where: str, n: Network, seen: Seen) -> dict[Edge, Rational]:
+    """The map the records give; a record that names an edge an earlier one named raises a ValueError."""
     by_pair = {e.pair: e for e in n.edges}
     out = {}
     for i, rec in enumerate(records):
         at = f"{where}[{i}]"
-        out[_edge_in(rec, at, by_pair)] = _rat_field(rec, "value", at)
+        e = _edge_in(rec, at, by_pair)
+        if e in out:
+            raise ValueError(f"{at}: edge {e.a}--{e.b} listed twice")
+        out[e] = _rat_field(rec, "value", at, seen)
     return out
 
 
@@ -139,20 +154,24 @@ def solution_to_json(sol: Solution) -> dict:
     }
 
 
-def _node_map_in(data: dict, key: str) -> dict:
+def _node_map_in(data: dict, key: str, seen: Seen) -> dict:
     values, where = _get(data, key, "solution", dict), f"solution.{key}"
-    return {v: _rat_field(values, v, where) for v in values}
+    return {v: _rat_field(values, v, where, seen) for v in values}
+
+
+def _solution_in(data: dict, n: Network, seen: Seen) -> Solution:
+    return Solution(
+        susceptance=_edge_map_in(_get(data, "susceptance", "solution", list), "solution.susceptance", n, seen),
+        flow=_edge_map_in(_get(data, "flow", "solution", list), "solution.flow", n, seen),
+        angle=_node_map_in(data, "angle", seen),
+        gen=_node_map_in(data, "gen", seen),
+        load=_node_map_in(data, "load", seen),
+    )
 
 
 def solution_from_json(data: dict, n: Network) -> Solution:
     """Rebuild a solution against the network its maps refer to."""
-    return Solution(
-        susceptance=_edge_map_in(_get(data, "susceptance", "solution", list), "solution.susceptance", n),
-        flow=_edge_map_in(_get(data, "flow", "solution", list), "solution.flow", n),
-        angle=_node_map_in(data, "angle"),
-        gen=_node_map_in(data, "gen"),
-        load=_node_map_in(data, "load"),
-    )
+    return _solution_in(data, n, {})
 
 
 def mpf_outcome_to_json(out: MpfOutcome) -> dict:
@@ -160,7 +179,8 @@ def mpf_outcome_to_json(out: MpfOutcome) -> dict:
 
 
 def mpf_outcome_from_json(data: dict, n: Network) -> MpfOutcome:
-    return MpfOutcome(_rat_field(data, "value", "outcome"), solution_from_json(_get(data, "solution", "outcome"), n))
+    seen: Seen = {}
+    return MpfOutcome(_rat_field(data, "value", "outcome", seen), _solution_in(_get(data, "solution", "outcome"), n, seen))
 
 
 def _switch_set_out(switched: SwitchSet) -> list[dict]:
@@ -183,11 +203,11 @@ def msf_outcome_to_json(out: MsfOutcome) -> dict:
 
 def msf_outcome_from_json(data: dict, n: Network) -> MsfOutcome:
     switched = switch_set_from_json(_get(data, "switched", "outcome", list), n)
-    sub = subnetwork(n, switched)
+    sub, seen = subnetwork(n, switched), {}
     return MsfOutcome(
-        value=_rat_field(data, "value", "outcome"),
+        value=_rat_field(data, "value", "outcome", seen),
         switched=switched,
-        solution=solution_from_json(_get(data, "solution", "outcome"), sub),
+        solution=_solution_in(_get(data, "solution", "outcome"), sub, seen),
     )
 
 
@@ -201,11 +221,12 @@ def mff_outcome_to_json(out: MffOutcome) -> dict:
 
 
 def mff_outcome_from_json(data: dict, n: Network) -> MffOutcome:
-    assignment: SusAssignment = _edge_map_in(_get(data, "assignment", "outcome", list), "outcome.assignment", n)
+    seen: Seen = {}
+    assignment: SusAssignment = _edge_map_in(_get(data, "assignment", "outcome", list), "outcome.assignment", n, seen)
     return MffOutcome(
-        value=_rat_field(data, "value", "outcome"),
+        value=_rat_field(data, "value", "outcome", seen),
         assignment=assignment,
-        solution=solution_from_json(_get(data, "solution", "outcome"), n),
+        solution=_solution_in(_get(data, "solution", "outcome"), n, seen),
     )
 
 

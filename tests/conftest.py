@@ -24,6 +24,9 @@ GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
 SUSCEPTANCES = [Fraction(1), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2)]
 
+# signs, digits, a point or a slash, and maybe an exponent: near misses of the rational forms
+DECIMALS = r"[+-]{0,2}[0-9]{0,3}[./]?[0-9]{0,3}([eE_][+-]?[0-9]{1,2})?"
+
 
 def random_ldc_network(rng: random.Random, *, max_edges: int = 9, min_edges: int = 3) -> Network:
     """Small fixed-susceptance network with at least one generator and load."""

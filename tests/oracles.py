@@ -17,19 +17,25 @@ that the condensed tableau of `solve_lp` replaced, whose status, value and
 vertex `solve_lp` must return exactly on standard-form programs; and
 `msf_by_every_mask` calls `solve_mpf` on every
 sub-network, so that it checks the switching searches and nothing they
-skip.
+skip.  `reference_rat` (a regular-expression match, then `Fraction(text)`)
+and `reference_validate_solution` (every check in `Fraction`s) are the
+string parser and the solution check that the integer versions in
+`rational` and `network` replaced, and must agree with exactly, errors
+and violation texts included.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from ldcflow.lp import LinearProgram
 from ldcflow.mpf import solve_mpf
-from ldcflow.network import Network, NodeRole, Solution, subnetwork
+from ldcflow.network import Network, NodeRole, Solution, ValidationReport, Violation, subnetwork
+from ldcflow.rational import ZERO, rat_str
 from ldcflow.classify import connected_components
 
 
@@ -483,3 +489,97 @@ def reference_terminal_program(n: Network) -> LinearProgram | None:
 
     p.set_objective({f"gen[{g}]": Fraction(1) for g in n.generators})
     return p
+
+
+# an optional sign, then ASCII digits with either "/q" or one decimal point
+_REFERENCE_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+
+
+def reference_rat(value: int | str | Fraction) -> Fraction:
+    """Parse a rational from an int, a Fraction, or a string.
+
+    Accepted strings, after surrounding whitespace is stripped: an
+    optional sign, then ASCII digits with either "/q" ("7/3", "-3") or one
+    decimal point ("6.1", which parses exactly to 61/10).  Anything else
+    raises ValueError: a zero denominator ("1/0"), and also the exponents
+    ("1e9999999" would take minutes to expand), underscores and
+    non-ASCII digits that `Fraction` itself would accept.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise TypeError(f"refusing float {value!r}: pass an int or a string")
+    if isinstance(value, str):
+        text = value.strip()
+        if not _REFERENCE_RATIONAL.fullmatch(text):
+            raise ValueError(f"not a rational: {value!r} (expected p/q, an integer or a decimal)")
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def reference_validate_solution(n: Network, sol: Solution) -> ValidationReport:
+    """Check a claimed solution with exact arithmetic.
+
+    Verifies, in order: map domains, conservation at every node, the
+    power law and both bound families on every edge, and the role/sign
+    constraints on generation and load.
+    """
+    out: list[Violation] = []
+    nodes = set(n.node_names)
+    edges = set(n.edges)
+
+    for label, mapping, expect in (
+        ("susceptance", sol.susceptance, edges),
+        ("flow", sol.flow, edges),
+        ("angle", sol.angle, nodes),
+        ("gen", sol.gen, nodes),
+        ("load", sol.load, nodes),
+    ):
+        got = set(mapping)
+        for missing in sorted(expect - got, key=str):
+            out.append(Violation("Structural", str(missing), f"{label} entry missing"))
+        for extra in sorted(got - expect, key=str):
+            out.append(Violation("Structural", str(extra), f"{label} entry for unknown {'edge' if expect is edges else 'node'}"))
+    for e in n.edges:
+        for endpoint in (e.a, e.b):
+            if endpoint not in nodes:
+                out.append(Violation("Structural", f"{e.a}--{e.b}", f"endpoint {endpoint} is not a declared node"))
+    if out:
+        return ValidationReport(tuple(out))
+
+    net = dict.fromkeys(n.node_names, ZERO)  # outflow - inflow
+    for e in n.edges:
+        net[e.a] += sol.flow[e]
+        net[e.b] -= sol.flow[e]
+    for v, x in net.items():
+        if x != sol.gen[v] - sol.load[v]:
+            out.append(Violation("Kirchhoff", v, f"outflow - inflow = {rat_str(x)} but gen - load = {rat_str(sol.gen[v] - sol.load[v])}"))
+
+    for e in n.edges:
+        loc = f"{e.a}--{e.b}"
+        s = sol.susceptance[e]
+        expected = s * (sol.angle[e.b] - sol.angle[e.a])
+        if sol.flow[e] != expected:
+            out.append(Violation("PowerLaw", loc, f"flow {rat_str(sol.flow[e])} != susceptance * angle difference {rat_str(expected)}"))
+        if not (e.s_min <= s <= e.s_max):
+            out.append(Violation("SusceptanceBound", loc, f"susceptance {rat_str(s)} outside [{rat_str(e.s_min)}, {rat_str(e.s_max)}]"))
+        if abs(sol.flow[e]) > e.cap:
+            out.append(Violation("CapacityBound", loc, f"|flow| = {rat_str(abs(sol.flow[e]))} exceeds capacity {rat_str(e.cap)}"))
+
+    for v in n.node_names:
+        role = n.role(v)
+        if sol.gen[v] < 0:
+            out.append(Violation("RoleBound", v, "negative generation"))
+        if sol.load[v] < 0:
+            out.append(Violation("RoleBound", v, "negative load"))
+        if role is not NodeRole.GENERATOR and sol.gen[v] != 0:
+            out.append(Violation("RoleBound", v, "generation at a non-generator"))
+        if role is not NodeRole.LOAD and sol.load[v] != 0:
+            out.append(Violation("RoleBound", v, "load at a non-load"))
+
+    return ValidationReport(tuple(out))

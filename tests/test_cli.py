@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import facts_path
+from conftest import DECIMALS, facts_path
 from ldcflow import serialize
 from ldcflow.cli import main
 from ldcflow.gadgets import Polarity
@@ -379,9 +379,6 @@ JSON_VALUES = st.recursive(
 )
 
 
-# signs, digits, a point or a slash, and maybe an exponent: near misses of the rational forms
-DECIMALS = r"[+-]{0,2}[0-9]{0,3}[./]?[0-9]{0,3}([eE_][+-]?[0-9]{1,2})?"
-
 # One instance document per `encode` kind, each of which encodes as it stands.
 SUBSET_SUM = {"M": [1, 2], "w": 2}
 EXACT_COVER = {"M": ["a", "b", "c", "d", "e", "f"], "S": [["a", "b", "c"], ["d", "e", "f"], ["b", "c", "d"]]}
@@ -519,6 +516,26 @@ class TestMalformedDocuments:
         serialize.dump(doc, documents["doc"])
         code, out, err = run(capsys, "verify", documents["net"], documents["doc"])
         assert code == 3 and out == "" and field in err
+
+    @pytest.mark.parametrize("at_end", [False, True], ids=["prepended", "appended"])
+    @pytest.mark.parametrize("name, keys", [("mpf_json", ("solution", "flow")), ("msf", ("solution", "susceptance")), ("mff", ("assignment",))])
+    def test_an_edge_listed_twice_is_exit_3(self, capsys, documents, name, keys, at_end):
+        # the last record used to win: a prepended bogus flow passed `verify`, an appended one failed it
+        doc = serialize.load(documents[name])
+        *path, key = keys
+        parent = doc
+        for k in path:
+            parent = parent[k]
+        records = parent[key]
+        if not records:  # a network without FACTS edges assigns nothing, so give the assignment one record
+            records.append({"a": "g", "b": "l", "value": "1"})
+        first = next(i for i, r in enumerate(records) if (r["a"], r["b"]) == ("g", "l"))
+        records.insert(len(records) if at_end else 0, {"a": "g", "b": "l", "value": "999"})
+        where = ".".join(["outcome", *keys] if name == "mff" else keys)
+        second = len(records) - 1 if at_end else first + 1
+        serialize.dump(doc, documents["doc"])
+        code, out, err = run(capsys, "verify", documents["net"], documents["doc"])
+        assert code == 3 and out == "" and f"{where}[{second}]: edge g--l listed twice" in err
 
     def test_mff_outcome_of_the_tree_encoding_is_exit_4(self, capsys, documents):
         doc = serialize.load(documents["tree_msf"])

@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import random_ldc_network
 from ldcflow import network
@@ -17,6 +18,7 @@ from ldcflow.network import (
     Network,
     NodeRole,
     Solution,
+    facts_edge,
     fixed_edge,
     network_sum,
     subnetwork,
@@ -26,6 +28,7 @@ from ldcflow.network import (
     zero_solution,
 )
 from ldcflow.serialize import network_from_json
+from oracles import reference_validate_solution
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
@@ -351,6 +354,81 @@ class TestValidateSolution:
     def test_a_defect_is_reported(self, gsch1, change, line):
         n, sol = change(gsch1, gsch1_solution(gsch1))
         assert line in str(validate_solution(n, sol)).splitlines()
+
+
+MAPS = ("susceptance", "flow", "angle", "gen", "load")
+TAMPERS = ("none", "nudge", "susceptance outside its interval", "negative gen", "missing key", "extra key")
+
+
+@st.composite
+def solved_networks(draw) -> tuple[Network, Solution]:
+    """A random network's MPF, MSF or MFF solution, with the network it lives on (an MFF network gets FACTS edges)."""
+    n = random_ldc_network(random.Random(draw(st.integers(0, 2**32 - 1))))
+    problem = draw(st.sampled_from(["mpf", "msf", "mff"]))
+    if problem == "mpf":
+        return n, solve_mpf(n).solution
+    if problem == "msf":
+        out = solve_msf_bnb(n)
+        return subnetwork(n, out.switched), out.solution
+    widened = draw(st.sets(st.sampled_from(n.edges), min_size=1, max_size=2))
+    n = Network(n.nodes, [facts_edge(e.a, e.b, e.s_min, 2 * e.s_min, e.cap) if e in widened else e for e in n.edges])
+    return n, solve_mff_endpoints(n).solution
+
+
+class TestValidateSolutionMatchesReference:
+    """The integer check reports what the `Fraction` check it replaced reports: the same violations, in order, worded alike."""
+
+    @given(solved=solved_networks(), tamper=st.sampled_from(TAMPERS), as_ints=st.booleans(), data=st.data())
+    def test_the_same_report(self, solved, tamper, as_ints, data):
+        n, sol = solved
+        maps = {name: dict(getattr(sol, name)) for name in MAPS}
+        draw = data.draw
+        step = abs(draw(st.fractions(-5, 5, max_denominator=12))) + F(1, 7)
+        name = draw(st.sampled_from([name for name in MAPS if maps[name]]))
+        key = draw(st.sampled_from(sorted(maps[name], key=str)))
+        if tamper == "nudge":
+            maps[name][key] += draw(st.sampled_from([step, -step]))
+        elif tamper == "susceptance outside its interval" and n.edges:
+            e = draw(st.sampled_from(n.edges))
+            maps["susceptance"][e] = draw(st.sampled_from([e.s_min - step, e.s_max + step]))
+        elif tamper == "negative gen":
+            maps["gen"][draw(st.sampled_from(n.node_names))] = -step
+        elif tamper == "missing key":
+            del maps[name][key]
+        elif tamper == "extra key":
+            maps[name][fixed_edge("n0", "zz", 1, 1) if name in ("susceptance", "flow") else "zz"] = step
+        if as_ints:
+            maps = {name: {k: int(x) if x.denominator == 1 else x for k, x in m.items()} for name, m in maps.items()}
+        tampered = Solution(**maps)
+        assert validate_solution(n, tampered) == reference_validate_solution(n, tampered)
+
+    @pytest.mark.parametrize("name", MAPS)
+    def test_every_one_place_nudge_of_a_gadget_solution(self, gsch1, name):
+        sol = gsch1_solution(gsch1)
+        for key in getattr(sol, name):
+            for delta in (F(1, 7), F(-1, 2), F(3)):
+                tampered = replace(sol, **{name: {**getattr(sol, name), key: getattr(sol, name)[key] + delta}})
+                assert validate_solution(gsch1, tampered) == reference_validate_solution(gsch1, tampered)
+
+    @pytest.mark.parametrize("q", [1, 3, 7])
+    def test_values_at_and_just_past_their_bounds(self, q):
+        n = gfch(1, "v", Polarity.MINUS)
+        sol = solve_mff_endpoints(n).solution
+        for e in n.edges:
+            for s in (e.s_min, e.s_max, e.s_min - F(1, q), e.s_max + F(1, q)):
+                for f in (e.cap, -e.cap, e.cap + F(1, q), -e.cap - F(1, q)):
+                    tampered = replace(sol, susceptance={**sol.susceptance, e: s}, flow={**sol.flow, e: f})
+                    assert validate_solution(n, tampered) == reference_validate_solution(n, tampered)
+
+    def test_int_valued_maps(self, gsch1):
+        sol = gsch1_solution(gsch1)
+        as_ints = Solution(**{name: {k: int(x) for k, x in getattr(sol, name).items()} for name in MAPS})
+        assert validate_solution(gsch1, as_ints).ok
+        lv = next(e for e in gsch1.edges if {e.a, e.b} == {"l", "v"})
+        broken = replace(as_ints, flow={**as_ints.flow, lv: 5}, gen={**as_ints.gen, "v": -1})
+        report = validate_solution(gsch1, broken)
+        assert report == reference_validate_solution(gsch1, broken)
+        assert report.kinds() == {"Kirchhoff", "PowerLaw", "CapacityBound", "RoleBound"}
 
 
 def rename_network(n, mapping):

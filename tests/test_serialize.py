@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import random_ldc_network
+from conftest import DECIMALS, random_ldc_network
 from ldcflow import serialize
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.mff import solve_mff_endpoints
@@ -13,6 +13,7 @@ from ldcflow.msf import solve_msf_bnb
 from ldcflow.network import Network
 from ldcflow.rational import decimal_str, is_decimal_exact, rat, rat_str
 from ldcflow.reductions import SubsetSumInstance, encode_subset_sum_cactus_msf
+from oracles import reference_rat
 
 
 class TestRationals:
@@ -60,6 +61,56 @@ class TestRationals:
         else:
             truncated = F(int(abs(r) * 10**12), 10**12)
             assert len(text.split(".")[1]) == 12 and F(text) == (-truncated if r < 0 else truncated)
+
+
+# the accepted forms: an optional sign, then digits with "/q" or one decimal point
+GRAMMAR = r"[+-]?(?:[0-9]{1,25}(?:/[0-9]{1,25}|\.[0-9]{0,25})?|\.[0-9]{1,25})"
+# what str.strip removes, ASCII and not
+WHITESPACE = " \t\n\r\x0b\x0c\x1c\x85\xa0\u1680\u2003\u2028\u3000"
+
+
+def parsed(parse, value):
+    """What `parse(value)` gives: the value, or the type and message of the error it raises."""
+    try:
+        r = parse(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(r), r.numerator, r.denominator
+
+
+class TestRatMatchesReference:
+    """`rat` reads every string exactly as the match-then-`Fraction(text)` parser it replaced."""
+
+    @given(
+        core=st.from_regex(GRAMMAR, fullmatch=True) | st.from_regex(DECIMALS, fullmatch=True) | st.text(max_size=8),
+        before=st.text(WHITESPACE, max_size=2),
+        after=st.text(WHITESPACE, max_size=2),
+    )
+    @example(core="-.5", before="", after="")
+    @example(core="1.", before="", after="")
+    @example(core="+5", before="", after="")
+    @example(core="007", before="", after="")
+    @example(core="0/0", before="", after="")
+    @example(core="-12345678901234567890/3", before="", after="")
+    @example(core="1" * 3000 + "." + "7" * 3000, before="", after="")
+    @example(core="9" * 3000 + "/" + "3" * 3000, before="", after="")
+    @example(core="1" * 5000, before="", after="")
+    @example(core="." + "1" * 5000, before="", after="")
+    @example(core="1/" + "0" * 5000, before="", after="")
+    @example(core="1 /2", before="\u3000", after="\xa0")
+    def test_same_value_or_same_error(self, core, before, after):
+        text = before + core + after
+        assert parsed(rat, text) == parsed(reference_rat, text)
+
+    @given(value=st.integers() | st.fractions() | st.floats(allow_nan=False) | st.booleans() | st.none() | st.lists(st.integers(), max_size=1))
+    def test_other_values_alike(self, value):
+        assert parsed(rat, value) == parsed(reference_rat, value)
+
+    def test_the_digit_limit_applies_to_each_part(self):
+        # a whole part and a fraction of 3,000 digits each are read; an integer of 5,000 digits is not
+        assert rat("1" * 3000 + "." + "1" * 3000) == int("1" * 3000) + F(int("1" * 3000), 10**3000)
+        with pytest.raises(ValueError, match="Exceeds the limit"):
+            rat("1" * 5000)
 
 
 class TestNetworkJson:
@@ -138,6 +189,49 @@ class TestSolutionJson:
         doc["flow"].insert(0, record)
         with pytest.raises(ValueError, match=re.escape(field)):
             serialize.solution_from_json(doc, n)
+
+    @pytest.mark.parametrize("at_end", [False, True], ids=["first", "last"])
+    @pytest.mark.parametrize("key", ["susceptance", "flow"])
+    def test_an_edge_listed_twice_is_refused_naming_the_second_record(self, key, at_end):
+        n = gsch(1, "v", Polarity.MINUS)
+        doc = serialize.solution_to_json(solve_mpf(n).solution)
+        records = doc[key]
+        i = next(i for i, r in enumerate(records) if (r["a"], r["b"]) == ("g", "l"))
+        records.insert(len(records) if at_end else 0, {"a": "l", "b": "g", "value": "999"})
+        second = len(records) - 1 if at_end else i + 1
+        with pytest.raises(ValueError, match=re.escape(f"solution.{key}[{second}]: edge g--l listed twice")):
+            serialize.solution_from_json(doc, n)
+
+    def test_an_assignment_edge_listed_twice_is_refused(self):
+        n = gfch(2, "v", Polarity.MINUS)
+        doc = serialize.mff_outcome_to_json(solve_mff_endpoints(n))
+        first = doc["assignment"][0]
+        doc["assignment"].append(dict(first))
+        at = len(doc["assignment"]) - 1
+        with pytest.raises(ValueError, match=re.escape(f"outcome.assignment[{at}]: edge {first['a']}--{first['b']} listed twice")):
+            serialize.mff_outcome_from_json(doc, n)
+
+    def test_each_distinct_string_is_parsed_once_per_document(self, monkeypatch):
+        n = encode_subset_sum_cactus_msf(SubsetSumInstance((1, 2, 3), 5)).network
+        net_doc = serialize.network_to_json(n)
+        out_doc = serialize.msf_outcome_to_json(solve_msf_bnb(n))
+        calls = []
+        monkeypatch.setattr(serialize, "rat", lambda text: calls.append(text) or rat(text))
+
+        def strings(doc):
+            if isinstance(doc, dict):
+                return {s for k, v in doc.items() if k not in ("a", "b") for s in strings(v)}
+            if isinstance(doc, list):
+                return {s for v in doc for s in strings(v)}
+            return {doc}
+
+        for _ in range(2):  # no value outlives its call: the second read parses again
+            calls.clear()
+            assert serialize.network_from_json(net_doc) == n
+            assert sorted(calls) == sorted(strings(net_doc["edges"]))
+            calls.clear()
+            serialize.msf_outcome_from_json(out_doc, n)
+            assert sorted(calls) == sorted(strings({"value": out_doc["value"], "solution": out_doc["solution"]}))
 
     def test_switched_records_are_named_by_position(self):
         n = gsch(1, "v", Polarity.MINUS)
