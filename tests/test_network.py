@@ -382,17 +382,16 @@ class TestValidateSolutionMatchesReference:
     def test_the_same_report(self, solved, tamper, as_ints, data):
         n, sol = solved
         maps = {name: dict(getattr(sol, name)) for name in MAPS}
-        draw = data.draw
-        step = abs(draw(st.fractions(-5, 5, max_denominator=12))) + F(1, 7)
-        name = draw(st.sampled_from([name for name in MAPS if maps[name]]))
-        key = draw(st.sampled_from(sorted(maps[name], key=str)))
+        step = abs(data.draw(st.fractions(-5, 5, max_denominator=12))) + F(1, 7)
+        name = data.draw(st.sampled_from([name for name in MAPS if maps[name]]))
+        key = data.draw(st.sampled_from(sorted(maps[name], key=str)))
         if tamper == "nudge":
-            maps[name][key] += draw(st.sampled_from([step, -step]))
+            maps[name][key] += data.draw(st.sampled_from([step, -step]))
         elif tamper == "susceptance outside its interval" and n.edges:
-            e = draw(st.sampled_from(n.edges))
-            maps["susceptance"][e] = draw(st.sampled_from([e.s_min - step, e.s_max + step]))
+            e = data.draw(st.sampled_from(n.edges))
+            maps["susceptance"][e] = data.draw(st.sampled_from([e.s_min - step, e.s_max + step]))
         elif tamper == "negative gen":
-            maps["gen"][draw(st.sampled_from(n.node_names))] = -step
+            maps["gen"][data.draw(st.sampled_from(n.node_names))] = -step
         elif tamper == "missing key":
             del maps[name][key]
         elif tamper == "extra key":
