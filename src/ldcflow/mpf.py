@@ -49,7 +49,9 @@ stay at zero.
 
 One map serves the switching searches: `flow_cores` finds, on bitmasks,
 the edges of a sub-network that can carry flow, and both searches value
-each such core once through `solve_mpf`.
+each such core once through `solve_mpf`.  `core_maps` gives that map
+together with one that finds the bridges of an edge set, on the same
+tables, which branch-and-bound never removes.
 """
 
 from __future__ import annotations
@@ -378,15 +380,32 @@ def flow_cores(n: Network) -> Callable[[int], int]:
     edge outside the core leaves the core as it is.  The map works on ints
     only; n must be valid.
     """
+    return core_maps(n)[0]
+
+
+def core_maps(n: Network) -> tuple[Callable[[int], int], Callable[[int], int]]:
+    """`flow_cores(n)`, and a map from a kept-edge bitmask to the bitmask of its bridges.
+
+    Both work on one node index (`n.node_names` order) and one adjacency
+    table of (edge bit, other node) pairs.  A bridge is an edge whose
+    removal adds a component.  The second map finds them from one BFS
+    spanning forest of the kept edges, as `classify.is_cactus` does: each
+    kept edge off the forest closes a fundamental cycle with the forest
+    path between its ends, and a forest edge that no such cycle crosses is
+    a bridge.  Removing a bridge never raises the MPF value: shifting the
+    angles on one side lets it carry nothing.
+    """
     index = {v: i for i, v in enumerate(n.node_names)}
     incident = [0] * len(index)
     adjacent: list[list[tuple[int, int]]] = [[] for _ in index]
+    ends = []
     for j, e in enumerate(n.edges):
         a, b = index[e.a], index[e.b]
         incident[a] |= 1 << j
         incident[b] |= 1 << j
         adjacent[a].append((1 << j, b))
         adjacent[b].append((1 << j, a))
+        ends.append((a, b))
     plain = [incident[index[v]] for v, role in n.nodes if role is NodeRole.PLAIN]
     gens = sum(1 << index[v] for v in n.generators)
     loads = sum(1 << index[v] for v in n.loads)
@@ -419,4 +438,32 @@ def flow_cores(n: Network) -> Callable[[int], int]:
                 flowing |= comp
         return flowing
 
-    return core
+    def bridges(kept: int) -> int:
+        depth = [-1] * len(incident)
+        parent = [0] * len(incident)
+        up = [0] * len(incident)  # the forest edge from a node to its parent
+        forest = 0
+        for root, edges in enumerate(incident):
+            if depth[root] >= 0 or not edges & kept:
+                continue
+            depth[root] = 0
+            queue = [root]
+            for u in queue:
+                for bit, w in adjacent[u]:
+                    if bit & kept and depth[w] < 0:
+                        depth[w], parent[w], up[w] = depth[u] + 1, u, bit
+                        forest |= bit
+                        queue.append(w)
+        crossed, closing = 0, kept & ~forest
+        while closing:
+            bit = closing & -closing
+            closing ^= bit
+            a, b = ends[bit.bit_length() - 1]
+            while a != b:
+                if depth[a] < depth[b]:
+                    a, b = b, a
+                crossed |= up[a]
+                a = parent[a]
+        return forest & ~crossed
+
+    return core, bridges

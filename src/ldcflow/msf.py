@@ -3,10 +3,10 @@
 Removing edges can increase the maximum deliverable power because an edge
 on a cycle couples phase angles (the Braess effect), so every subset of
 edges is a candidate.  Two searches are provided: a plain exhaustive scan
-bounded to small edge counts, and a depth-first branch-and-bound that
-prunes with the classical max-flow upper bound (valid because ignoring
-the power law only relaxes the problem, and removing more edges never
-raises the classical value).
+bounded to small edge counts, and a branch-and-bound that visits switch
+sets one size at a time and prunes with the classical max-flow upper
+bound (valid because ignoring the power law only relaxes the problem, and
+removing more edges never raises the classical value).
 
 Many switch sets leave the same edges able to carry flow: a plain leaf's
 edge carries nothing, and neither does a component without both a
@@ -23,10 +23,15 @@ before is neither bounded nor solved again, and never becomes the
 incumbent.  It solves full sub-networks, since its incumbent's solution
 comes from its own solve.  It visits switch sets in tie-break order, so a
 bound that only ties the incumbent prunes, and a node stops scanning its
-children once its own bound does.
+children once its own bound does.  It never creates a child that removes
+an edge outside its parent's core or a bridge of the core's edges: such
+a set is dominated by the smaller set without that edge, since removing
+a bridge never raises MPF.
 
-Both return identical outcomes: among all optimal switch sets, the one
-whose canonically-ordered edge tuple is lexicographically smallest.
+Both return identical outcomes: among all optimal switch sets, the one of
+smallest `switch_key`, fewest edges first and then the lexicographically
+smallest canonically-ordered edge tuple.  So the returned set is
+inclusion-minimal: putting back any one of its edges loses value.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from typing import Callable, Iterable
 from .errors import TooLarge
 from .lp import Lazy, LinearProgram, VarId, write_lp_text
 from .maxflow import classical_max_flow
-from .mpf import MpfOutcome, _gen, _load, _require_fixed, flow_cores, pinned_nodes, solve_mpf
+from .mpf import MpfOutcome, _gen, _load, _require_fixed, core_maps, flow_cores, pinned_nodes, solve_mpf
 from .network import Edge, Network, NodeId, NodeRole, Solution, SwitchSet, require_valid, subnetwork, zero_solution
 from .rational import ONE, Rational, ZERO, rat_str
 
@@ -55,9 +60,10 @@ class MsfOutcome:
     solution: Solution
 
 
-def switch_key(edges) -> tuple[Edge, ...]:
-    """Canonical tie-break key: the sorted edge tuple, compared lexicographically."""
-    return tuple(sorted(edges))
+def switch_key(edges) -> tuple[int, tuple[Edge, ...]]:
+    """Canonical tie-break key: fewest removed edges first, then the sorted edge tuple, compared lexicographically."""
+    edges = tuple(sorted(edges))
+    return len(edges), edges
 
 
 def optima(items: Iterable, key: Callable) -> list:
@@ -104,7 +110,7 @@ def _optimal_sets(n: Network) -> list[int]:
 
 def solve_msf_exhaustive(n: Network) -> MsfOutcome:
     """Scan all 2^|E| switch sets; exact but only sensible at desk scale."""
-    removed = min(switch_key(_removed(n, mask)) for mask in _optimal_sets(n))
+    _, removed = min(switch_key(_removed(n, mask)) for mask in _optimal_sets(n))
     out = solve_mpf(subnetwork(n, removed))
     return MsfOutcome(out.value, frozenset(removed), out.solution)
 
@@ -112,41 +118,48 @@ def solve_msf_exhaustive(n: Network) -> MsfOutcome:
 def optimal_switch_sets(n: Network) -> list[tuple[SwitchSet, MpfOutcome]]:
     """All switch sets attaining the MSF value, in canonical order."""
     keys = sorted(switch_key(_removed(n, mask)) for mask in _optimal_sets(n))
-    return [(frozenset(removed), solve_mpf(subnetwork(n, removed))) for removed in keys]
+    return [(frozenset(removed), solve_mpf(subnetwork(n, removed))) for _, removed in keys]
 
 
 def _solve_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, tuple[Edge, ...]]:
-    """Depth-first subset search over edges in canonical order: the incumbent's MPF outcome and removed-set.
+    """Branch-and-bound over switch sets one size at a time: the incumbent's MPF outcome and removed-set.
 
-    Each recursion level owns a fixed removed-set and scans extensions by
-    ever-larger edges, so the lexicographically smallest completion of a
-    branch is its own removed-set; that makes the exhaustive tie-break
-    reproducible under pruning.  With `threshold` set, the search stops as
-    soon as the incumbent proves the decision and prunes anything that
-    cannot reach the threshold; when the root's classical bound is below
-    the threshold, no LP is solved and the zero flow is returned.  No
-    solution is built until it is read, so a decision builds none.
+    Each level holds the nodes of one size that may still have children.
+    A node's children add one edge past its last, in increasing index, and
+    the levels keep their parents' order, so switch sets are visited in
+    switch-key order (`n.edges` is sorted).  With `threshold` set, the
+    search stops as soon as the incumbent proves the decision and prunes
+    anything that cannot reach the threshold; when the root's classical
+    bound is below the threshold, no LP is solved and the zero flow is
+    returned.  No solution is built until it is read, so a decision builds
+    none.
 
-    The search visits removed-sets in switch-key order (a set comes before
-    its extensions, and `n.edges` is sorted), so every incumbent's key is
-    smaller than that of any child met later: a child whose bound equals
-    the incumbent's value cannot win and is pruned.  A child's bound is
-    never above its parent's, so once a node's own bound (`limit`) can no
-    longer win, neither can any of its remaining children, and the node
-    stops.
+    Every incumbent's key is smaller than that of any set met later, so a
+    child whose bound equals the incumbent's value cannot win and is
+    pruned.  A child's bound is never above its parent's, so once a node's
+    own bound (`limit`) can no longer win, neither can any of its
+    remaining children, and the node stops.
 
-    A node carries its flow core (`flow_cores`), and both the MPF value
-    and the classical bound are the core's.  A child whose new edge lies
-    outside its parent's core has the parent's core.  Each core is bounded
-    once, when it is first met, and solved right then if its bound does not
-    prune it; a core met again is neither bounded nor solved again.  Its
-    value was first reached at a removed-set the search visited earlier,
-    so it cannot beat the incumbent, whose solution therefore comes from
-    its own solve; and if its bound pruned it once, it prunes it again.
+    A child is created only when its new edge lies in its parent's flow
+    core (`core_maps`) and is not a bridge of the core's edges.  An edge
+    outside the core carries nothing, and removing a bridge never raises
+    MPF; both stay so as more edges are removed.  So a set whose sorted
+    prefix adds such an edge is no better than the set without that edge,
+    which has a smaller key, and the winner, the optimal set of smallest
+    key, is inclusion-minimal: every prefix of it is created.  A pruned
+    child takes no core, sub-network, bound or solve.
+
+    Both the MPF value and the classical bound are the core's.  Each core
+    is bounded once, when it is first met, and solved right then if its
+    bound does not prune it; a core met again is neither bounded nor
+    solved again.  Its value was first reached at a removed-set the search
+    visited earlier, so it cannot beat the incumbent, whose solution
+    therefore comes from its own solve; and if its bound pruned it once,
+    it prunes it again.
     """
     _require_fixed(n)
-    edges = list(n.edges)
-    core_of = flow_cores(n)
+    edges = n.edges
+    core_of, bridges_of = core_maps(n)
     root_core = core_of(0)
     bounds: dict[int, Rational] = {root_core: classical_max_flow(n)}
     if threshold is not None and bounds[root_core] < threshold:
@@ -160,26 +173,31 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, 
             return best.value < threshold <= bound
         return bound > best.value
 
-    def explore(start: int, removed: tuple[Edge, ...], mask: int, core: int, limit: Rational) -> None:
-        nonlocal best, best_removed
-        for i in range(start, len(edges)):
-            if not promising(limit):
-                return
-            child, child_mask = removed + (edges[i],), mask | 1 << i
-            child_core = core_of(child_mask) if core >> i & 1 else core
-            bound = bounds.get(child_core)
-            first = bound is None
-            if first:
-                sub = subnetwork(n, child)
-                bound = bounds[child_core] = classical_max_flow(sub)
-            if promising(bound):
+    # (removed-set, its mask, the index its children start at, its core, its bound)
+    level = [((), 0, 0, root_core, bounds[root_core])]
+    while level:
+        children = []
+        for removed, mask, start, core, limit in level:
+            free = core >> start << start
+            if free and promising(limit):
+                free &= ~bridges_of(core)
+            while free and promising(limit):
+                bit = free & -free
+                free ^= bit
+                child, child_mask = removed + (edges[bit.bit_length() - 1],), mask | bit
+                child_core = core_of(child_mask)
+                bound = bounds.get(child_core)
+                first = bound is None
                 if first:
-                    out = solve_mpf(sub)
-                    if out.value > best.value:  # a tie never wins: the incumbent's key is smaller
-                        best, best_removed = out, child
-                explore(i + 1, child, child_mask, child_core, bound)
-
-    explore(0, (), 0, root_core, bounds[root_core])
+                    sub = subnetwork(n, child)
+                    bound = bounds[child_core] = classical_max_flow(sub)
+                if promising(bound):
+                    if first:
+                        out = solve_mpf(sub)
+                        if out.value > best.value:  # a tie never wins: the incumbent's key is smaller
+                            best, best_removed = out, child
+                    children.append((child, child_mask, bit.bit_length(), child_core, bound))
+        level = children
     return best, best_removed
 
 

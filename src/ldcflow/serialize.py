@@ -10,12 +10,15 @@ An outcome document is {"problem": "mpf" | "msf" | "mff", "value",
 "solution"} plus the MSF switch set (`switched`) or the MFF susceptance
 assignment (`assignment`).  The `*_outcome_to_json` functions write one,
 and `outcome_from_json` reads any of them; a reader ignores the keys it
-does not ask for.  An edge map that lists one edge twice is refused.
+does not ask for.  An edge map or a switch set that lists one edge
+twice is refused.
 
 Each top-level reader (`network_from_json`, `solution_from_json` and the
 outcome readers) parses each distinct rational string of its document
 once: a dict made for that call maps the strings it has read to their
-values.  No cache outlives the call.
+values.  No cache outlives the call.  Each of them likewise maps the
+network's edges by node pair once; an MSF outcome's solution is read
+against that map without the switched edges.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from typing import Any
 from .mff import MffOutcome, SusAssignment
 from .mpf import MpfOutcome
 from .msf import MsfOutcome
-from .network import Edge, Network, NodeRole, Solution, SwitchSet, subnetwork
+from .network import Edge, Network, NodeRole, Solution, SwitchSet
+from .network import subnetwork  # noqa: F401  no reader calls it; perfbench's tracer still hooks this name
 from .rational import Rational, rat, rat_str
 from .reductions import (
     EncodedInstance,
@@ -122,7 +126,7 @@ def _node_map_out(mapping) -> dict:
     return {v: rat_str(x) for v, x in sorted(mapping.items())}
 
 
-def _edge_in(rec: Any, where: str, by_pair: dict[tuple[str, str], Edge]) -> Edge:
+def _edge_in(rec: Any, where: str, by_pair: ByPair) -> Edge:
     """The network's edge an {"a", "b", ...} record names."""
     a, b = _get(rec, "a", where, str), _get(rec, "b", where, str)
     pair = tuple(sorted((a, b)))
@@ -131,9 +135,16 @@ def _edge_in(rec: Any, where: str, by_pair: dict[tuple[str, str], Edge]) -> Edge
     return by_pair[pair]
 
 
-def _edge_map_in(records: list, where: str, n: Network, seen: Seen) -> dict[Edge, Rational]:
+# a document's edges by their node pair, built once per top-level reader
+ByPair = dict[tuple[str, str], Edge]
+
+
+def _by_pair(n: Network) -> ByPair:
+    return {e.pair: e for e in n.edges}
+
+
+def _edge_map_in(records: list, where: str, by_pair: ByPair, seen: Seen) -> dict[Edge, Rational]:
     """The map the records give; a record that names an edge an earlier one named raises a ValueError."""
-    by_pair = {e.pair: e for e in n.edges}
     out = {}
     for i, rec in enumerate(records):
         at = f"{where}[{i}]"
@@ -159,10 +170,10 @@ def _node_map_in(data: dict, key: str, seen: Seen) -> dict:
     return {v: _rat_field(values, v, where, seen) for v in values}
 
 
-def _solution_in(data: dict, n: Network, seen: Seen) -> Solution:
+def _solution_in(data: dict, by_pair: ByPair, seen: Seen) -> Solution:
     return Solution(
-        susceptance=_edge_map_in(_get(data, "susceptance", "solution", list), "solution.susceptance", n, seen),
-        flow=_edge_map_in(_get(data, "flow", "solution", list), "solution.flow", n, seen),
+        susceptance=_edge_map_in(_get(data, "susceptance", "solution", list), "solution.susceptance", by_pair, seen),
+        flow=_edge_map_in(_get(data, "flow", "solution", list), "solution.flow", by_pair, seen),
         angle=_node_map_in(data, "angle", seen),
         gen=_node_map_in(data, "gen", seen),
         load=_node_map_in(data, "load", seen),
@@ -171,7 +182,7 @@ def _solution_in(data: dict, n: Network, seen: Seen) -> Solution:
 
 def solution_from_json(data: dict, n: Network) -> Solution:
     """Rebuild a solution against the network its maps refer to."""
-    return _solution_in(data, n, {})
+    return _solution_in(data, _by_pair(n), {})
 
 
 def mpf_outcome_to_json(out: MpfOutcome) -> dict:
@@ -180,16 +191,23 @@ def mpf_outcome_to_json(out: MpfOutcome) -> dict:
 
 def mpf_outcome_from_json(data: dict, n: Network) -> MpfOutcome:
     seen: Seen = {}
-    return MpfOutcome(_rat_field(data, "value", "outcome", seen), _solution_in(_get(data, "solution", "outcome"), n, seen))
+    return MpfOutcome(_rat_field(data, "value", "outcome", seen), _solution_in(_get(data, "solution", "outcome"), _by_pair(n), seen))
 
 
 def _switch_set_out(switched: SwitchSet) -> list[dict]:
     return [{"a": e.a, "b": e.b} for e in sorted(switched)]
 
 
-def switch_set_from_json(records: list, n: Network) -> SwitchSet:
-    by_pair = {e.pair: e for e in n.edges}
-    return frozenset(_edge_in(rec, f"outcome.switched[{i}]", by_pair) for i, rec in enumerate(records))
+def _switch_set_in(records: list, by_pair: ByPair) -> SwitchSet:
+    """The set the records give; a record that names an edge an earlier one named raises a ValueError."""
+    switched = set()
+    for i, rec in enumerate(records):
+        at = f"outcome.switched[{i}]"
+        e = _edge_in(rec, at, by_pair)
+        if e in switched:
+            raise ValueError(f"{at}: edge {e.a}--{e.b} listed twice")
+        switched.add(e)
+    return frozenset(switched)
 
 
 def msf_outcome_to_json(out: MsfOutcome) -> dict:
@@ -202,12 +220,14 @@ def msf_outcome_to_json(out: MsfOutcome) -> dict:
 
 
 def msf_outcome_from_json(data: dict, n: Network) -> MsfOutcome:
-    switched = switch_set_from_json(_get(data, "switched", "outcome", list), n)
-    sub, seen = subnetwork(n, switched), {}
+    by_pair, seen = _by_pair(n), {}
+    switched = _switch_set_in(_get(data, "switched", "outcome", list), by_pair)
+    for e in switched:
+        del by_pair[e.pair]  # the solution lives on the sub-network without them
     return MsfOutcome(
         value=_rat_field(data, "value", "outcome", seen),
         switched=switched,
-        solution=_solution_in(_get(data, "solution", "outcome"), sub, seen),
+        solution=_solution_in(_get(data, "solution", "outcome"), by_pair, seen),
     )
 
 
@@ -221,12 +241,12 @@ def mff_outcome_to_json(out: MffOutcome) -> dict:
 
 
 def mff_outcome_from_json(data: dict, n: Network) -> MffOutcome:
-    seen: Seen = {}
-    assignment: SusAssignment = _edge_map_in(_get(data, "assignment", "outcome", list), "outcome.assignment", n, seen)
+    by_pair, seen = _by_pair(n), {}
+    assignment: SusAssignment = _edge_map_in(_get(data, "assignment", "outcome", list), "outcome.assignment", by_pair, seen)
     return MffOutcome(
         value=_rat_field(data, "value", "outcome", seen),
         assignment=assignment,
-        solution=_solution_in(_get(data, "solution", "outcome"), n, seen),
+        solution=_solution_in(_get(data, "solution", "outcome"), by_pair, seen),
     )
 
 

@@ -17,7 +17,8 @@ that the condensed tableau of `solve_lp` replaced, whose status, value and
 vertex `solve_lp` must return exactly on standard-form programs; and
 `msf_by_every_mask` calls `solve_mpf` on every
 sub-network, so that it checks the switching searches and nothing they
-skip.  `reference_rat` (a regular-expression match, then `Fraction(text)`)
+skip; `bridges_by_removal` finds bridges by deleting each edge in turn
+and counting components.  `reference_rat` (a regular-expression match, then `Fraction(text)`)
 and `reference_validate_solution` (every check in `Fraction`s) are the
 string parser and the solution check that the integer versions in
 `rational` and `network` replaced, and must agree with exactly, errors
@@ -307,18 +308,25 @@ def min_cut_value(n: Network) -> Fraction:
 def msf_by_every_mask(n: Network) -> tuple[Fraction, frozenset, Solution]:
     """Maximum switching flow by solving MPF on all 2^|E| sub-networks.
 
-    Returns the largest value, the switch set of smallest switch key (its
-    sorted edge tuple) among those attaining it, and that sub-network's
-    MPF solution.
+    Returns the largest value, the switch set of smallest switch key
+    (fewest edges, then its sorted edge tuple) among those attaining it,
+    and that sub-network's MPF solution.
     """
     best = None
     for mask in range(1 << len(n.edges)):
-        key = tuple(sorted(e for i, e in enumerate(n.edges) if mask >> i & 1))
-        out = solve_mpf(subnetwork(n, key))
+        removed = tuple(sorted(e for i, e in enumerate(n.edges) if mask >> i & 1))
+        key = len(removed), removed
+        out = solve_mpf(subnetwork(n, removed))
         if best is None or out.value > best[0] or (out.value == best[0] and key < best[1]):
             best = out.value, key, out
-    value, key, out = best
-    return value, frozenset(key), out.solution
+    value, (_, removed), out = best
+    return value, frozenset(removed), out.solution
+
+
+def bridges_by_removal(n: Network, kept: frozenset) -> frozenset:
+    """The edges of `kept` whose removal adds a component to n's nodes joined by `kept`."""
+    count = len(connected_components(Network(n.nodes, kept)))
+    return frozenset(e for e in kept if len(connected_components(Network(n.nodes, kept - {e}))) > count)
 
 
 def simple_cycles(pairs: list[tuple[str, str]]) -> list[frozenset[tuple[str, str]]]:

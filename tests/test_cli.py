@@ -537,6 +537,23 @@ class TestMalformedDocuments:
         code, out, err = run(capsys, "verify", documents["net"], documents["doc"])
         assert code == 3 and out == "" and f"{where}[{second}]: edge g--l listed twice" in err
 
+    def test_a_switched_edge_listed_twice_is_exit_3(self, capsys, tmp_path):
+        # the switch set used to collapse the repeat: `verify` printed OK and `decode` the subset
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("inst", "enc", "net", "out")}
+        serialize.dump({"M": [1, 2, 3], "w": 5}, paths["inst"])
+        assert main(["encode", "subset-sum-cactus-msf", paths["inst"], "--out", paths["enc"]]) == 0
+        serialize.dump(serialize.load(paths["enc"])["network"], paths["net"])
+        assert main(["solve", "msf", paths["net"], "--out", paths["out"]]) == 0
+        doc = serialize.load(paths["out"])
+        first = doc["switched"][0]
+        doc["switched"].append(dict(first))
+        serialize.dump(doc, paths["out"])
+        capsys.readouterr()
+        message = f"outcome.switched[{len(doc['switched']) - 1}]: edge {first['a']}--{first['b']} listed twice"
+        for argv in (["verify", paths["net"]], ["decode", "subset-sum-cactus-msf", paths["inst"]]):
+            code, out, err = run(capsys, *argv, paths["out"])
+            assert code == 3 and out == "" and message in err
+
     def test_mff_outcome_of_the_tree_encoding_is_exit_4(self, capsys, documents):
         doc = serialize.load(documents["tree_msf"])
         doc.update(problem="mff", assignment=[], certified=True)

@@ -499,7 +499,7 @@ def _outcome_lines() -> list[str]:
 # sha256 over the canonical JSON of both MSF searches and the k = 2 MFF
 # grid search on every pinned network, one line each.  Unlike the LP pin
 # above it sees everything `solve_mpf` does around `solve_lp`.
-PINNED_OUTCOME_DIGEST = "a54b4837def497af4d9621a20ca0554457a209ed72ca57e17537ed34bc99af9b"
+PINNED_OUTCOME_DIGEST = "7a19cf51ddefddf97493bad60e3f26a814c8ebc05260168e3ab5057c248f6f8b"
 
 
 def test_pinned_outcomes_are_unchanged():

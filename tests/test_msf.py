@@ -8,7 +8,7 @@ import ldcflow.msf
 from ldcflow.errors import NotFixedSusceptance, TooLarge
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.maxflow import classical_max_flow
-from ldcflow.mpf import flow_cores, solve_mpf
+from ldcflow.mpf import core_maps, flow_cores, solve_mpf
 from ldcflow.msf import (
     decide_msf,
     optimal_switch_sets,
@@ -17,7 +17,7 @@ from ldcflow.msf import (
     switch_key,
 )
 from ldcflow.network import Network, NodeRole, fixed_edge, network_sum, subnetwork, validate_solution
-from oracles import msf_by_every_mask
+from oracles import bridges_by_removal, msf_by_every_mask
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
@@ -114,16 +114,42 @@ def diamond():
     )
 
 
+any_network = st.one_of(networks_with_idle_edges(), series_parallel_networks(), networks_with_chains())
+
+
 @settings(max_examples=120)
-@given(st.one_of(networks_with_idle_edges(), series_parallel_networks(), networks_with_chains()))
+@given(any_network)
 def test_searches_agree_with_solving_every_sub_network(n):
     value, switched, solution = msf_by_every_mask(n)
     for search in (solve_msf_bnb, solve_msf_exhaustive):
         out = search(n)
         assert (out.value, out.switched, out.solution) == (value, switched, solution)
         assert validate_solution(subnetwork(n, out.switched), out.solution).ok
+    # inclusion-minimal: putting back any one switched edge loses value
+    assert all(solve_mpf(subnetwork(n, switched - {e})).value < value for e in switched)
     assert decide_msf(n, value)
     assert not decide_msf(n, value + F(1, 1000))
+
+
+def kept_edges(n: Network, mask: int) -> frozenset:
+    return frozenset(e for i, e in enumerate(n.edges) if mask >> i & 1)
+
+
+@settings(max_examples=120)
+@given(any_network, st.integers(min_value=0))
+def test_bridges_are_the_edges_whose_removal_adds_a_component(n, mask):
+    mask &= (1 << len(n.edges)) - 1
+    bridges = core_maps(n)[1](mask)
+    assert kept_edges(n, bridges) == bridges_by_removal(n, kept_edges(n, mask))
+
+
+@settings(max_examples=120)
+@given(any_network, st.integers(min_value=0))
+def test_removing_a_bridge_never_raises_mpf(n, mask):
+    sub = Network(n.nodes, kept_edges(n, mask))
+    value = solve_mpf(sub).value
+    for e in bridges_by_removal(n, frozenset(sub.edges)):
+        assert solve_mpf(subnetwork(sub, [e])).value <= value
 
 
 class TestSolveCounts:
@@ -169,8 +195,8 @@ class TestSolveCounts:
     def test_branch_and_bound_solves_each_core_once_and_never_again_at_the_end(self, solves):
         n = self.pendant()
         out = solve_msf_bnb(n)
-        # the search visits 7 sub-networks here; 3 of them repeat a core already solved
-        assert len(solves) == 4
+        # the root, 5 sets of one edge and 2 of two; 2 of the single edges have a bound that prunes them
+        assert len(solves) == 5
         solved = [self.core_of(n, m) for m, _ in solves]
         assert len(set(solved)) == len(solved)
         (incumbent,) = [o for m, o in solves if m == subnetwork(n, out.switched)]
@@ -179,12 +205,25 @@ class TestSolveCounts:
     def test_branch_and_bound_bounds_each_core_once(self, solves, bounds):
         n = self.pendant()
         solve_msf_bnb(n)
-        assert len(solves) == 4 and bounds[0] == n
+        assert len(solves) == 5 and bounds[0] == n
         # the root's core and 7 more, each bounded once
         bounded = [self.core_of(n, m) for m in bounds]
         assert len(set(bounded)) == len(bounded) == 8
         # every solved core was bounded first, at the same sub-network
         assert [m for m, _ in solves] == [m for m in bounds if m in {m for m, _ in solves}]
+
+    def test_branch_and_bound_bounds_no_dominated_child(self, solves, bounds, rng):
+        # a set's largest edge lies in the flow core of the rest and is no bridge of that core's edges
+        for _ in range(30):
+            n = random_ldc_network(rng, max_edges=7)
+            bounds.clear()
+            solves.clear()
+            solve_msf_bnb(n)
+            for m in bounds[1:]:
+                *rest, last = sorted(e for e in n.edges if e not in m.edges)
+                core = kept_edges(n, flow_cores(n)(sum(1 << n.edges.index(e) for e in rest)))
+                assert last in core and last not in bridges_by_removal(n, core)
+            assert {m for m, _ in solves} <= set(bounds)
 
     def test_a_tree_takes_one_bound_and_one_solve(self, solves, bounds, rng):
         n = random_tree(rng, max_nodes=8)
@@ -209,10 +248,12 @@ class TestSolveCounts:
         assert solves and built == []
 
 
-def test_switch_key_orders_sets_lexicographically():
+def test_switch_key_orders_sets_by_size_then_lexicographically():
     e1 = fixed_edge("a", "b", 1, 1)
     e2 = fixed_edge("a", "c", 1, 1)
     e3 = fixed_edge("b", "c", 1, 1)
     assert switch_key(()) < switch_key((e1,))
     assert switch_key((e1,)) < switch_key((e1, e2))
-    assert switch_key((e1, e3)) < switch_key((e2,))
+    assert switch_key((e3,)) < switch_key((e1, e2))
+    assert switch_key((e2,)) < switch_key((e3,))
+    assert switch_key((e3, e1)) == switch_key((e1, e3)) < switch_key((e2, e3))

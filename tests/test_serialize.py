@@ -233,6 +233,40 @@ class TestSolutionJson:
             serialize.msf_outcome_from_json(out_doc, n)
             assert sorted(calls) == sorted(strings({"value": out_doc["value"], "solution": out_doc["solution"]}))
 
+    def test_a_switched_edge_listed_twice_is_refused_naming_the_second_record(self):
+        n = encode_subset_sum_cactus_msf(SubsetSumInstance((1, 2, 3), 5)).network
+        doc = serialize.msf_outcome_to_json(solve_msf_bnb(n))
+        first = doc["switched"][0]
+        doc["switched"].append(dict(first))
+        at = len(doc["switched"]) - 1
+        with pytest.raises(ValueError, match=re.escape(f"outcome.switched[{at}]: edge {first['a']}--{first['b']} listed twice")):
+            serialize.msf_outcome_from_json(doc, n)
+
+    def test_a_solution_record_naming_a_switched_edge_is_refused(self):
+        n = encode_subset_sum_cactus_msf(SubsetSumInstance((1, 2, 3), 5)).network
+        doc = serialize.msf_outcome_to_json(solve_msf_bnb(n))
+        e = doc["switched"][0]
+        doc["solution"]["flow"].append({**e, "value": "0"})
+        with pytest.raises(ValueError, match=re.escape(f"solution.flow[{len(doc['solution']['flow']) - 1}]: no edge {e['a']}--{e['b']} in the network")):
+            serialize.msf_outcome_from_json(doc, n)
+
+    def test_each_reader_maps_the_edges_by_pair_once(self, monkeypatch):
+        n = gfch(2, "v", Polarity.MINUS)
+        fixed = encode_subset_sum_cactus_msf(SubsetSumInstance((1, 2, 3), 5)).network
+        calls = []
+        by_pair = serialize._by_pair
+        monkeypatch.setattr(serialize, "_by_pair", lambda m: calls.append(m) or by_pair(m))
+        reads = [
+            (serialize.solution_from_json, serialize.solution_to_json(solve_mpf(fixed).solution), fixed),
+            (serialize.outcome_from_json, serialize.mpf_outcome_to_json(solve_mpf(fixed)), fixed),
+            (serialize.outcome_from_json, serialize.msf_outcome_to_json(solve_msf_bnb(fixed)), fixed),
+            (serialize.outcome_from_json, serialize.mff_outcome_to_json(solve_mff_endpoints(n)), n),
+        ]
+        for read, doc, m in reads:
+            calls.clear()
+            read(doc, m)
+            assert calls == [m]
+
     def test_switched_records_are_named_by_position(self):
         n = gsch(1, "v", Polarity.MINUS)
         doc = serialize.msf_outcome_to_json(solve_msf_bnb(n))
