@@ -16,6 +16,16 @@ are scanned in ascending number, so the node order fixes the augmenting
 paths, and with them the integer per-edge flows, whose net outflows `mpf`
 takes as a tree component's injections.  `classical_max_flow` validates
 its network first, so no two edges share a pair of arcs.
+
+The last search, the one that fails to reach the sink, also yields a
+witness: the nodes it reached are the source side of a minimum cut.  Every
+edge leaving that side is saturated, so its capacity is the flow's value.
+It is the minimal min cut: the source side of every minimum cut contains
+it, so it is the same whichever max flow the search found.  Branch-and-bound
+(`msf`) reads, with `witness=True`, which edges a max flow uses and that
+cut.  An edge that carries nothing can be removed without lowering the
+value, and removing edges lowers the cut's capacity by the capacities of
+those that cross it, which still bounds the smaller network's max flow.
 """
 
 from __future__ import annotations
@@ -27,8 +37,8 @@ from fractions import Fraction
 from .network import Edge, Network, NodeId, require_valid
 
 
-def _integer_flow(names: Sequence[NodeId], edges: Sequence[Edge], generators: Sequence[NodeId], loads: Sequence[NodeId]) -> tuple[int, int, list[int]]:
-    """(value, scale, signed flow per edge from a to b), all over the scale L of the capacities.
+def _integer_flow(names: Sequence[NodeId], edges: Sequence[Edge], generators: Sequence[NodeId], loads: Sequence[NodeId]) -> tuple[int, int, list[int], int]:
+    """(value, scale, signed flow per edge from a to b, source side), the numbers over the scale L of the capacities.
 
     `names` are every node an edge touches; their order numbers the nodes,
     and so fixes which max flow Edmonds-Karp returns when there are several.
@@ -42,9 +52,10 @@ def _integer_flow(names: Sequence[NodeId], edges: Sequence[Edge], generators: Se
     so the net flow from a to b is c - residual[a][b], which is
     (residual[b][a] - residual[a][b]) / 2.  Parallel edges, which a valid
     network does not hold, add up, and each reports their merged flow.
+    The source side is a bitmask over `names`: the nodes the last search
+    reached, which found no augmenting path.  Without a generator or a load
+    nothing flows, and the value is 0 over 1.
     """
-    if not (generators and loads and edges):
-        return 0, 1, [0] * len(edges)
     index = {name: i for i, name in enumerate(names)}
     size = len(index) + 2
     source, sink = size - 2, size - 1
@@ -91,15 +102,23 @@ def _integer_flow(names: Sequence[NodeId], edges: Sequence[Edge], generators: Se
             residual[v][u] += bottleneck
 
     flows = [(residual[v][u] - residual[u][v]) // 2 for u, v in ends]
+    side = sum(1 << i for i in range(len(index)) if parent[i] >= 0)
     # the arc g -> source starts empty and gains what source -> g carries
-    return sum(residual[g][source] for g in gens), scale, flows
+    return sum(residual[g][source] for g in gens), scale if generators and loads else 1, flows, side
 
 
-def classical_max_flow(n: Network) -> Fraction:
+def classical_max_flow(n: Network, *, witness: bool = False) -> Fraction | tuple[Fraction, int, int]:
     """Standard max flow from all generators to all loads, capacities only.
 
-    An invalid network raises `InvalidNetwork`.
+    With `witness`, return (value, flowing, side): `flowing` is a bitmask
+    over `n.edges` of the edges the max flow uses, and `side` a bitmask
+    over `n.node_names` of the source side of the minimal min cut, which
+    holds every generator and no load and whose crossing edges add up to
+    the value.  A sub-network keeps both orders.  An invalid network
+    raises `InvalidNetwork`.
     """
     require_valid(n)
-    value, scale, _ = _integer_flow(n.node_names, n.edges, n.generators, n.loads)
-    return Fraction(value, scale)
+    value, scale, flows, side = _integer_flow(n.node_names, n.edges, n.generators, n.loads)
+    if not witness:
+        return Fraction(value, scale)
+    return Fraction(value, scale), sum(1 << i for i, x in enumerate(flows) if x), side

@@ -355,7 +355,7 @@ def solve_mpf(n: Network) -> MpfOutcome:
             parts.append(part)
         elif len(edges) == len(comp) - 1:
             names = sorted(comp)
-            t, scale, flows = _integer_flow(names, edges, gens, loads)
+            t, scale, flows, _ = _integer_flow(names, edges, gens, loads)
             value += Rational(t, scale)
             parts.append(partial(_tree_part, names, edges, scale, flows))
         else:

@@ -16,13 +16,20 @@ alone (an edge outside the core carries no generator-to-load flow), so
 each search solves every such core once.  The scan solves only the
 distinct non-empty cores (an empty one is worth zero), each on its own
 sub-network, reads their values alone, and re-solves only the winners it
-returns on their own sub-networks for their solutions.
-Branch-and-bound bounds each core once, when it first meets it, and
-solves it then unless the bound prunes it; a node whose core it has met
-before is neither bounded nor solved again, and never becomes the
-incumbent.  It solves full sub-networks, since its incumbent's solution
-comes from its own solve.  It visits switch sets in tie-break order, so a
-bound that only ties the incumbent prunes, and a node stops scanning its
+returns on their own sub-networks for their solutions.  Branch-and-bound
+bounds each core once, when it first meets it, and solves it then unless
+the bound prunes it; a node whose core it has met before is neither
+bounded nor solved again, and never becomes the incumbent.  It solves
+full sub-networks, since its incumbent's solution comes from its own
+solve.  A first-met core is settled in the first of three ways that
+applies: it inherits its parent's bound when the parent's max flow leaves
+the removed edge empty; a min cut of a max flow run on its path, less the
+removed edges that cross it, prunes it; or else a max flow on its own
+sub-network bounds it.  A cut's capacity is never
+below the exact bound, so every prune is one the exact bound makes, and
+the solves, the incumbents and the stops are the same as with a max flow
+on every core.  It visits switch sets in tie-break order, so a bound
+that only ties the incumbent prunes, and a node stops scanning its
 children once its own bound does.  It never creates a child that removes
 an edge outside its parent's core or a bridge of the core's edges: such
 a set is dominated by the smaller set without that edge, since removing
@@ -36,6 +43,7 @@ inclusion-minimal: putting back any one of its edges loses value.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from functools import partial
@@ -132,7 +140,8 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, 
     anything that cannot reach the threshold; when the root's classical
     bound is below the threshold, no LP is solved and the zero flow is
     returned.  No solution is built until it is read, so a decision builds
-    none.
+    none.  The root is solved first, and the core and bridge maps are
+    built only if its bound leaves room to beat it.
 
     Every incumbent's key is smaller than that of any set met later, so a
     child whose bound equals the incumbent's value cannot win and is
@@ -149,20 +158,41 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, 
     key, is inclusion-minimal: every prefix of it is created.  A pruned
     child takes no core, sub-network, bound or solve.
 
-    Both the MPF value and the classical bound are the core's.  Each core
-    is bounded once, when it is first met, and solved right then if its
-    bound does not prune it; a core met again is neither bounded nor
-    solved again.  Its value was first reached at a removed-set the search
-    visited earlier, so it cannot beat the incumbent, whose solution
-    therefore comes from its own solve; and if its bound pruned it once,
-    it prunes it again.
+    Both the MPF value and the classical bound are the core's.  A core is
+    settled once, when it is first met, in the first of three ways that
+    applies, and solved right then if its bound does not prune it:
+
+    1. The parent's max flow (`flowing`, a bitmask of the edges it uses)
+       carries nothing on the new edge.  Then it is a max flow of the
+       child too, and the child inherits the parent's bound and flow.  Its
+       min cut is the parent's: every edge crossing that cut is saturated,
+       so the new edge crosses none.
+    2. A min cut on the node's path prunes it.  Each max flow the search
+       runs leaves the minimal min cut of its network (`classical_max_flow`'s
+       witness), and its descendants keep it with its capacity in their
+       own network (`cuts`): removing an edge that crosses it lowers it
+       by that edge's capacity.  Such a side holds every generator and no
+       load, so its capacity bounds the child's max flow.  If the least
+       one cannot win, it is kept as the core's bound and the child is
+       pruned.
+    3. Otherwise a max flow on the child's sub-network bounds it, and its
+       cut joins the path of the child's descendants.
+
+    Every bound in 1 and 3 is the core's classical max flow, as before.
+    A cut bound is at least that, so it prunes only a core the exact
+    bound would prune; and since the incumbent only grows, it prunes the
+    core again whenever it is met.  So every solve, incumbent and stop is
+    the one an exact bound on every core gives.  A core met again is
+    neither bounded nor solved again.  Its value was first reached at a
+    removed-set the search visited earlier, so it cannot beat the
+    incumbent, whose solution therefore comes from its own solve.
+    Capacities are compared as integers over the LCM of their
+    denominators, so every comparison is exact.
     """
     _require_fixed(n)
     edges = n.edges
-    core_of, bridges_of = core_maps(n)
-    root_core = core_of(0)
-    bounds: dict[int, Rational] = {root_core: classical_max_flow(n)}
-    if threshold is not None and bounds[root_core] < threshold:
+    root_bound, root_flowing, root_side = classical_max_flow(n, witness=True)
+    if threshold is not None and root_bound < threshold:
         # no sub-network reaches the threshold; the zero flow is feasible
         return MpfOutcome(ZERO, Lazy(partial(zero_solution, n))), ()
     best, best_removed = solve_mpf(n), ()
@@ -173,30 +203,61 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, 
             return best.value < threshold <= bound
         return bound > best.value
 
-    # (removed-set, its mask, the index its children start at, its core, its bound)
-    level = [((), 0, 0, root_core, bounds[root_core])]
+    if not promising(root_bound):
+        return best, best_removed
+    core_of, bridges_of = core_maps(n)
+    scale = math.lcm(*(e.cap.denominator for e in edges))
+    caps = [e.cap.numerator * (scale // e.cap.denominator) for e in edges]
+    index = {v: i for i, v in enumerate(n.node_names)}
+    ends = [(index[e.a], index[e.b]) for e in edges]
+
+    def cut(bound: Rational, side: int) -> tuple[int, int]:
+        """A min cut of value `bound`: the edges crossing `side`, and their capacity over the scale."""
+        crossing = sum(1 << i for i, (a, b) in enumerate(ends) if (side >> a ^ side >> b) & 1)
+        return crossing, bound.numerator * (scale // bound.denominator)
+
+    root_core = core_of(0)
+    # a core's bound and the edges its max flow uses; None for a cut bound that pruned it
+    known: dict[int, tuple[Rational, int | None]] = {root_core: (root_bound, root_flowing)}
+    # (removed-set, its mask, the index its children start at, its core, its bound, its flow's edges, its path's cuts)
+    level = [((), 0, 0, root_core, root_bound, root_flowing, (cut(root_bound, root_side),))]
     while level:
         children = []
-        for removed, mask, start, core, limit in level:
+        for removed, mask, start, core, limit, flowing, cuts in level:
             free = core >> start << start
             if free and promising(limit):
                 free &= ~bridges_of(core)
             while free and promising(limit):
                 bit = free & -free
                 free ^= bit
-                child, child_mask = removed + (edges[bit.bit_length() - 1],), mask | bit
+                i = bit.bit_length() - 1
+                child, child_mask = removed + (edges[i],), mask | bit
                 child_core = core_of(child_mask)
-                bound = bounds.get(child_core)
-                first = bound is None
-                if first:
+                child_cuts = tuple((crossing, c - caps[i] if crossing & bit else c) for crossing, c in cuts)
+                seen, sub = known.get(child_core), None
+                if seen is not None:
+                    bound, child_flowing = seen
+                elif not flowing & bit:  # 1. the parent's max flow is the child's
+                    bound, child_flowing = limit, flowing
+                else:
+                    least = Rational(min(c for _, c in child_cuts), scale)
+                    if not promising(least):  # 2. a cut on the path prunes it
+                        known[child_core] = least, None
+                        continue
+                    # 3. a max flow of its own; the edge masks of `sub` skip the removed edges
                     sub = subnetwork(n, child)
-                    bound = bounds[child_core] = classical_max_flow(sub)
+                    bound, used, side = classical_max_flow(sub, witness=True)
+                    kept = [1 << j for j in range(len(edges)) if not child_mask >> j & 1]
+                    child_flowing = sum(b for j, b in enumerate(kept) if used >> j & 1)
+                    child_cuts += (cut(bound, side),)
+                if seen is None:
+                    known[child_core] = bound, child_flowing
                 if promising(bound):
-                    if first:
-                        out = solve_mpf(sub)
+                    if seen is None:
+                        out = solve_mpf(sub if sub is not None else subnetwork(n, child))
                         if out.value > best.value:  # a tie never wins: the incumbent's key is smaller
                             best, best_removed = out, child
-                    children.append((child, child_mask, bit.bit_length(), child_core, bound))
+                    children.append((child, child_mask, i + 1, child_core, bound, child_flowing, child_cuts))
         level = children
     return best, best_removed
 

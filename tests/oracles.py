@@ -17,7 +17,9 @@ that the condensed tableau of `solve_lp` replaced, whose status, value and
 vertex `solve_lp` must return exactly on standard-form programs; and
 `msf_by_every_mask` calls `solve_mpf` on every
 sub-network, so that it checks the switching searches and nothing they
-skip; `bridges_by_removal` finds bridges by deleting each edge in turn
+skip; `reference_msf_bnb` is the branch-and-bound that runs a max flow on
+every child core it meets first, whose solves `msf._solve_msf_bnb` must
+repeat in the same order with no more max flows; `bridges_by_removal` finds bridges by deleting each edge in turn
 and counting components.  `reference_rat` (a regular-expression match, then `Fraction(text)`)
 and `reference_validate_solution` (every check in `Fraction`s) are the
 string parser and the solution check that the integer versions in
@@ -31,12 +33,14 @@ import math
 import re
 from collections import Counter, deque
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations
 
-from ldcflow.lp import LinearProgram
-from ldcflow.mpf import solve_mpf
-from ldcflow.network import Network, NodeRole, Solution, ValidationReport, Violation, subnetwork
-from ldcflow.rational import ZERO, rat_str
+from ldcflow.lp import Lazy, LinearProgram
+from ldcflow.maxflow import classical_max_flow
+from ldcflow.mpf import MpfOutcome, _require_fixed, core_maps, solve_mpf
+from ldcflow.network import Edge, Network, NodeRole, Solution, ValidationReport, Violation, subnetwork, zero_solution
+from ldcflow.rational import Rational, ZERO, rat_str
 from ldcflow.classify import connected_components
 
 
@@ -321,6 +325,86 @@ def msf_by_every_mask(n: Network) -> tuple[Fraction, frozenset, Solution]:
             best = out.value, key, out
     value, (_, removed), out = best
     return value, frozenset(removed), out.solution
+
+
+def reference_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, tuple[Edge, ...]]:
+    """Branch-and-bound over switch sets one size at a time: the incumbent's MPF outcome and removed-set.
+
+    Each level holds the nodes of one size that may still have children.
+    A node's children add one edge past its last, in increasing index, and
+    the levels keep their parents' order, so switch sets are visited in
+    switch-key order (`n.edges` is sorted).  With `threshold` set, the
+    search stops as soon as the incumbent proves the decision and prunes
+    anything that cannot reach the threshold; when the root's classical
+    bound is below the threshold, no LP is solved and the zero flow is
+    returned.  No solution is built until it is read, so a decision builds
+    none.
+
+    Every incumbent's key is smaller than that of any set met later, so a
+    child whose bound equals the incumbent's value cannot win and is
+    pruned.  A child's bound is never above its parent's, so once a node's
+    own bound (`limit`) can no longer win, neither can any of its
+    remaining children, and the node stops.
+
+    A child is created only when its new edge lies in its parent's flow
+    core (`core_maps`) and is not a bridge of the core's edges.  An edge
+    outside the core carries nothing, and removing a bridge never raises
+    MPF; both stay so as more edges are removed.  So a set whose sorted
+    prefix adds such an edge is no better than the set without that edge,
+    which has a smaller key, and the winner, the optimal set of smallest
+    key, is inclusion-minimal: every prefix of it is created.  A pruned
+    child takes no core, sub-network, bound or solve.
+
+    Both the MPF value and the classical bound are the core's.  Each core
+    is bounded once, when it is first met, and solved right then if its
+    bound does not prune it; a core met again is neither bounded nor
+    solved again.  Its value was first reached at a removed-set the search
+    visited earlier, so it cannot beat the incumbent, whose solution
+    therefore comes from its own solve; and if its bound pruned it once,
+    it prunes it again.
+    """
+    _require_fixed(n)
+    edges = n.edges
+    core_of, bridges_of = core_maps(n)
+    root_core = core_of(0)
+    bounds: dict[int, Rational] = {root_core: classical_max_flow(n)}
+    if threshold is not None and bounds[root_core] < threshold:
+        # no sub-network reaches the threshold; the zero flow is feasible
+        return MpfOutcome(ZERO, Lazy(partial(zero_solution, n))), ()
+    best, best_removed = solve_mpf(n), ()
+
+    def promising(bound: Rational) -> bool:
+        """Can a sub-network bounded by `bound` still change the answer?"""
+        if threshold is not None:
+            return best.value < threshold <= bound
+        return bound > best.value
+
+    # (removed-set, its mask, the index its children start at, its core, its bound)
+    level = [((), 0, 0, root_core, bounds[root_core])]
+    while level:
+        children = []
+        for removed, mask, start, core, limit in level:
+            free = core >> start << start
+            if free and promising(limit):
+                free &= ~bridges_of(core)
+            while free and promising(limit):
+                bit = free & -free
+                free ^= bit
+                child, child_mask = removed + (edges[bit.bit_length() - 1],), mask | bit
+                child_core = core_of(child_mask)
+                bound = bounds.get(child_core)
+                first = bound is None
+                if first:
+                    sub = subnetwork(n, child)
+                    bound = bounds[child_core] = classical_max_flow(sub)
+                if promising(bound):
+                    if first:
+                        out = solve_mpf(sub)
+                        if out.value > best.value:  # a tie never wins: the incumbent's key is smaller
+                            best, best_removed = out, child
+                    children.append((child, child_mask, bit.bit_length(), child_core, bound))
+        level = children
+    return best, best_removed
 
 
 def bridges_by_removal(n: Network, kept: frozenset) -> frozenset:

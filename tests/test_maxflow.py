@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import random_ldc_network
+from conftest import networks_with_chains, networks_with_idle_edges, random_ldc_network, series_parallel_networks
 from ldcflow.errors import InvalidNetwork
 from ldcflow.gadgets import Polarity, gsch
 from ldcflow.maxflow import _integer_flow, classical_max_flow
@@ -65,7 +66,7 @@ def with_rational_capacities(rng, n):
 def test_matches_brute_force_min_cut_with_rational_capacities(rng):
     for _ in range(60):
         n = with_rational_capacities(rng, random_ldc_network(rng))
-        value, scale, flows = _integer_flow(n.node_names, n.edges, n.generators, n.loads)
+        value, scale, flows, _ = _integer_flow(n.node_names, n.edges, n.generators, n.loads)
         value = F(value, scale)
         assert classical_max_flow(n) == value == min_cut_value(n)
         net_out = {v: F(0) for v in n.node_names}
@@ -106,7 +107,7 @@ def flow_inputs(draw):
     )
 )
 def test_the_flows_are_the_residual_dicts(args):
-    assert _integer_flow(*args) == reference_integer_flow(*args)
+    assert _integer_flow(*args)[:3] == reference_integer_flow(*args)
 
 
 def test_an_undeclared_endpoint_is_an_invalid_network():
@@ -114,3 +115,34 @@ def test_an_undeclared_endpoint_is_an_invalid_network():
     with pytest.raises(InvalidNetwork, match="endpoint zz is not a declared node") as raised:
         classical_max_flow(n)
     assert raised.value.report.kinds() == {"Structural"}
+
+
+@st.composite
+def rational_networks(draw):
+    """A `conftest` network with each capacity divided by 1, 2, 3 or 7."""
+    n = draw(st.one_of(networks_with_idle_edges(), series_parallel_networks(), networks_with_chains()))
+    return with_rational_capacities(random.Random(draw(st.integers(0, 2**32 - 1))), n)
+
+
+@given(rational_networks(), st.integers(min_value=0))
+def test_the_witness_is_a_min_cut_and_the_edges_the_flow_uses(n, mask):
+    value, flowing, side = classical_max_flow(n, witness=True)
+    assert value == classical_max_flow(n) == min_cut_value(n)
+    names = n.node_names
+    inside = {v for i, v in enumerate(names) if side >> i & 1}
+    assert set(n.generators) <= inside and not set(n.loads) & inside
+    total, scale, flows, same_side = _integer_flow(names, n.edges, n.generators, n.loads)
+    assert same_side == side and flowing == sum(1 << i for i, x in enumerate(flows) if x)
+    crossing = [e for e in n.edges if (e.a in inside) != (e.b in inside)]
+    for e, x in zip(n.edges, flows):
+        if e in crossing:  # saturated, out of the source side
+            assert F(x if e.a in inside else -x, scale) == e.cap
+    assert sum((e.cap for e in crossing), F(0)) == value
+    for i, e in enumerate(n.edges):
+        if not flowing >> i & 1:
+            assert classical_max_flow(subnetwork(n, [e])) == value
+    removed = [e for i, e in enumerate(n.edges) if mask >> i & 1]
+    left = value - sum((e.cap for e in removed if e in crossing), F(0))
+    sub = subnetwork(n, removed)
+    assert left == sum((e.cap for e in sub.edges if e in crossing), F(0))
+    assert classical_max_flow(sub) <= left

@@ -324,7 +324,7 @@ def assert_exact(n: Network) -> MpfOutcome:
         loads = [v for v in names if roles[v] is LOAD]
         several = gens and loads and len(gens) + len(loads) > 2
         if several and len(edges) == len(comp) - 1:
-            _, scale, flows = _integer_flow(names, edges, gens, loads)
+            _, scale, flows, _ = _integer_flow(names, edges, gens, loads)
             assert [solution.flow[e] for e in edges] == [F(f, scale) for f in flows]
             assert solution.angle[names[0]] == 0
             replayed |= {_gen(v) for v in gens} | {_load(v) for v in loads}

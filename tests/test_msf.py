@@ -1,15 +1,18 @@
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import networks_with_chains, networks_with_idle_edges, random_ldc_network, random_tree, series_parallel_networks
 import ldcflow.msf
+import oracles
 from ldcflow.errors import NotFixedSusceptance, TooLarge
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.maxflow import classical_max_flow
 from ldcflow.mpf import core_maps, flow_cores, solve_mpf
 from ldcflow.msf import (
+    _solve_msf_bnb,
     decide_msf,
     optimal_switch_sets,
     solve_msf_bnb,
@@ -17,7 +20,7 @@ from ldcflow.msf import (
     switch_key,
 )
 from ldcflow.network import Network, NodeRole, fixed_edge, network_sum, subnetwork, validate_solution
-from oracles import bridges_by_removal, msf_by_every_mask
+from oracles import bridges_by_removal, msf_by_every_mask, reference_msf_bnb
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
@@ -152,6 +155,55 @@ def test_removing_a_bridge_never_raises_mpf(n, mask):
         assert solve_mpf(subnetwork(sub, [e])).value <= value
 
 
+def search_calls(module, search, n, threshold):
+    """`search(n, threshold)` with `module`'s solve and bound hooked: its result, and ("solve", network, value)
+    and ("bound", network, None) for each call in order."""
+    calls = []
+    solve, bound = module.solve_mpf, module.classical_max_flow
+
+    def solved(m):
+        out = solve(m)
+        calls.append(("solve", m, out.value))
+        return out
+
+    def bounded(m, **kw):
+        calls.append(("bound", m, None))
+        return bound(m, **kw)
+
+    with patch.object(module, "solve_mpf", solved), patch.object(module, "classical_max_flow", bounded):
+        return search(n, threshold), calls
+
+
+def cut_capacity(m: Network, side: int) -> F:
+    """The capacity of m's edges crossing `side`, a bitmask over `m.node_names`."""
+    index = {v: i for i, v in enumerate(m.node_names)}
+    return sum((e.cap for e in m.edges if (side >> index[e.a] ^ side >> index[e.b]) & 1), F(0))
+
+
+@settings(max_examples=120)
+@given(any_network, st.one_of(st.none(), st.fractions(-2, 2, max_denominator=4)))
+def test_branch_and_bound_repeats_the_reference_search_with_no_more_max_flows(n, offset):
+    x = None if offset is None else reference_msf_bnb(n, None)[0].value + offset
+    (ref, ref_removed), ref_calls = search_calls(oracles, reference_msf_bnb, n, x)
+    (out, removed), calls = search_calls(ldcflow.msf, _solve_msf_bnb, n, x)
+    assert (out.value, removed, out.solution) == (ref.value, ref_removed, ref.solution)
+    assert [(m, v) for kind, m, v in calls if kind == "solve"] == [(m, v) for kind, m, v in ref_calls if kind == "solve"]
+    bounded = [m for kind, m, _ in calls if kind == "bound"]
+    assert len(bounded) <= sum(kind == "bound" for kind, _, _ in ref_calls)
+    if x is not None:
+        assert decide_msf(n, x) == (x <= 0 or ref.value >= x)
+    # no child takes a max flow that a min cut of a bounded prefix, less the edges removed since, rules out
+    best = None
+    for kind, m, value in calls:
+        if kind == "solve":
+            best = value if best is None or value > best else best
+        elif best is not None:
+            gone = sorted(e for e in n.edges if e not in m.edges)
+            prefixes = [p for p in (subnetwork(n, gone[:k]) for k in range(len(gone))) if p in bounded]
+            least = min(cut_capacity(m, classical_max_flow(p, witness=True)[2]) for p in prefixes)
+            assert least > best if x is None else best < x <= least
+
+
 class TestSolveCounts:
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -164,13 +216,23 @@ class TestSolveCounts:
     def bounds(self, monkeypatch):
         calls = []
         bound = classical_max_flow
-        monkeypatch.setattr("ldcflow.msf.classical_max_flow", lambda n: calls.append(n) or bound(n))
+        monkeypatch.setattr("ldcflow.msf.classical_max_flow", lambda n, **kw: calls.append(n) or bound(n, **kw))
         return calls
 
     @staticmethod
     def core_of(n: Network, m: Network) -> int:
         """The flow core of m, a sub-network of n."""
         return flow_cores(n)(sum(1 << i for i, e in enumerate(n.edges) if e not in m.edges))
+
+    @staticmethod
+    def inherits(m: Network, bounds: list[Network]) -> bool:
+        """Is some bounded network's max flow one of m: of m's classical value, and on edges m keeps?"""
+        value, kept = classical_max_flow(m), set(m.edges)
+        for b in bounds:
+            bound, flowing, _ = classical_max_flow(b, witness=True)
+            if bound == value and {e for i, e in enumerate(b.edges) if flowing >> i & 1} <= kept:
+                return True
+        return False
 
     @staticmethod
     def pendant():
@@ -206,11 +268,15 @@ class TestSolveCounts:
         n = self.pendant()
         solve_msf_bnb(n)
         assert len(solves) == 5 and bounds[0] == n
-        # the root's core and 7 more, each bounded once
+        # the root's core and 5 more, each bounded at most once; the others inherit a bound or a path cut prunes them
         bounded = [self.core_of(n, m) for m in bounds]
-        assert len(set(bounded)) == len(bounded) == 8
-        # every solved core was bounded first, at the same sub-network
-        assert [m for m, _ in solves] == [m for m in bounds if m in {m for m, _ in solves}]
+        assert len(set(bounded)) == len(bounded) == 6
+        solved = [m for m, _ in solves]
+        # every solved core was bounded first: by a max flow at the same sub-network, in the same order ...
+        assert [m for m in solved if m in bounds] == [m for m in bounds if m in solved]
+        # ... or by its parent's, which used none of the removed edges
+        inherited = [m for m in solved if m not in bounds]
+        assert inherited and all(self.inherits(m, bounds) for m in inherited)
 
     def test_branch_and_bound_bounds_no_dominated_child(self, solves, bounds, rng):
         # a set's largest edge lies in the flow core of the rest and is no bridge of that core's edges
@@ -219,11 +285,13 @@ class TestSolveCounts:
             bounds.clear()
             solves.clear()
             solve_msf_bnb(n)
-            for m in bounds[1:]:
+            solved = [m for m, _ in solves]
+            for m in {*bounds, *solved} - {n}:
                 *rest, last = sorted(e for e in n.edges if e not in m.edges)
                 core = kept_edges(n, flow_cores(n)(sum(1 << n.edges.index(e) for e in rest)))
                 assert last in core and last not in bridges_by_removal(n, core)
-            assert {m for m, _ in solves} <= set(bounds)
+            # a solved set is bounded by a max flow on it or inherits one that uses only edges it keeps
+            assert all(m in bounds or self.inherits(m, bounds) for m in solved)
 
     def test_a_tree_takes_one_bound_and_one_solve(self, solves, bounds, rng):
         n = random_tree(rng, max_nodes=8)
