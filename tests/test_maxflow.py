@@ -131,7 +131,7 @@ def test_the_witness_is_a_min_cut_and_the_edges_the_flow_uses(n, mask):
     names = n.node_names
     inside = {v for i, v in enumerate(names) if side >> i & 1}
     assert set(n.generators) <= inside and not set(n.loads) & inside
-    total, scale, flows, same_side = _integer_flow(names, n.edges, n.generators, n.loads)
+    _, scale, flows, same_side = _integer_flow(names, n.edges, n.generators, n.loads)
     assert same_side == side and flowing == sum(1 << i for i, x in enumerate(flows) if x)
     crossing = [e for e in n.edges if (e.a in inside) != (e.b in inside)]
     for e, x in zip(n.edges, flows):
