@@ -24,9 +24,10 @@ every MPF program's rows itself, over generations and loads only.
 each row's width, denominator (a positive int) and relation.  A program
 in standard form -- only <= rows with nonnegative right-hand sides,
 every variable in [0, inf) -- then goes straight to its slack-basis
-tableau (`_slack_tableau`), its own rows, as every MPF program does: the
-presolve would build that same tableau and skip phase 1, so the pivots
-and the vertex are the same.
+tableau (`_slack_tableau`), its own rows with each range pair folded
+(below), as every MPF program does: the presolve would build that same
+tableau, unfolded, and skip phase 1, so the pivots and the vertex are
+the same.
 Every other program goes through the presolve (`_presolve`), and both
 routes end in the same phase 2 and value and vertex code (`_optimum`).
 The presolve first eliminates free variables through equality rows (a
@@ -56,6 +57,34 @@ every other, so the condensed rows hold the same integers, and the
 rationals are those a `Fraction` presolve and tableau would hold: every
 choice is the same.
 
+A standard-form row followed by its exact negation -- the same
+denominator, every coefficient negated -- is one range row (Koberstein
+2005 treats bounded variables so).  Every MPF edge pair and balance pair
+is one; a balance pair has width 0.  Its two slacks add up to the pair's
+width w, the sum of the right-hand sides over their denominator, so the
+tableau keeps one row for both, under one of the two labels; the other
+slack's row is its complement: negated coefficients, rhs w - rhs.  At
+most one slack of a pair is ever nonbasic, since s+ + s- = w among
+nonbasic columns would make the basis singular; so a pair is either one
+kept row standing for two basic slacks, or one column whose partner is
+basic in the implied row partner = w - column.  An elimination is
+linear, so a kept row and its partner's stay complements through every
+pivot; and when a range column enters at another row, that row becomes
+the pair's kept row under the column's label.  `_simplex` sees every
+row the full-width tableau would hold, compared by integer
+cross-multiplication:
+- a kept row whose entry is positive leaves at 0 under its own label;
+- one whose entry is negative leaves at w under its partner's label: its
+  partner's row has the positive entry and rhs w - rhs, so the row is
+  complemented and then pivoted;
+- an entering range column meets its partner's implied row at ratio w:
+  when that is the least, the column flips to its partner (each row's
+  column is complemented, its rhs lowered by entry * w) with no
+  elimination, as the full-width pivot on that row would leave it.
+So the candidates, their ratios and their labels are the full-width
+Bland simplex's, and every pivot and the vertex are the same; only the
+second row of each pair is never held or eliminated.
+
 The presolve substitutes the objective row as every row, so the shifts
 fold into its rhs, and pivots carry it: at the optimum it is minus the
 value (the dictionary's constant; Chvatal 1983, ch. 2).  The vertex, in
@@ -69,6 +98,7 @@ import enum
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
+from operator import add
 from typing import Any, Callable
 
 from .errors import MalformedProgram
@@ -283,27 +313,66 @@ def _pivot(T: list[list[int]], objs: list[list[int]], basis: list[int], nonbasic
     basis[r], nonbasic[s] = nonbasic[s], basis[r]
 
 
-def _simplex(T: list[list[int]], objs: list[list[int]], basis: list[int], nonbasic: list[int]) -> str:
-    """Bland-rule simplex on a feasible tableau, priced by objs[0]; every row of `objs` is pivoted in place.  Returns a status."""
+def _complement_row(row: list[int], wn: int, wd: int) -> list[int]:
+    """The row of a range pair's other slack, w - (this one), w = wn/wd: negated coefficients, rhs w - rhs."""
+    den = row[-1]
+    return _reduced([-x * wd for x in row[:-2]] + [wn * den - row[-2] * wd, den * wd])
+
+
+def _complement_column(row: list[int], s: int, wn: int, wd: int) -> list[int]:
+    """The row with its column at s, a range slack y, taken over by the partner w - y, w = wn/wd: that entry negated, the rhs lowered by entry * w."""
+    out = [x * wd for x in row] if wd != 1 else row[:]
+    out[s] = -out[s]
+    out[-2] -= row[s] * wn
+    return _reduced(out)
+
+
+def _simplex(T: list[list[int]], objs: list[list[int]], basis: list[int], nonbasic: list[int], ranges: Ranges) -> str:
+    """Bland-rule simplex on a feasible tableau, priced by objs[0]; every row of `objs` is pivoted in place.  Returns a status.
+
+    `ranges` names the labels of the range pairs (see `_slack_tableau`):
+    a row basic on one of them stands for its partner's row too, and a
+    column that is one of them meets its partner's bound, so each takes
+    part in the ratio test as the full-width tableau's rows would.
+    """
     Z = objs[0]
     while True:
         enter = min((s for s in range(len(nonbasic)) if Z[s] > 0), key=nonbasic.__getitem__, default=-1)
         if enter < 0:
             return "optimal"
-        leave = -1
+        # the least ratio num/den (den > 0), its label, its row (-1 for the column's
+        # own bound) and whether that row leaves under its partner's label
+        leave, num, den, name, under = -1, 0, 1, -1, False
+        if bound := ranges.get(nonbasic[enter]):
+            name, num, den = bound
         for i, row in enumerate(T):
             t = row[enter]
-            if t <= 0:
+            if t > 0:
+                a, b, label, partner = row[-2], t, basis[i], False
+            elif t and (pair := ranges.get(basis[i])):
+                label, wn, wd = pair  # the partner's row: coefficients negated, rhs w - rhs
+                a, b, partner = wn * row[-1] - row[-2] * wd, -t * wd, True
+            else:
                 continue
-            if leave < 0:
-                leave = i
-                continue
-            # rhs_i / t against the best ratio so far, cross-multiplied (both t > 0)
-            a, b = row[-2] * T[leave][enter], T[leave][-2] * t
-            if a < b or (a == b and basis[i] < basis[leave]):
-                leave = i
-        if leave < 0:
+            # a / b against the least ratio so far, cross-multiplied (both b > 0)
+            if name < 0 or (c := a * den - num * b) < 0 or (c == 0 and label < name):
+                leave, num, den, name, under = i, a, b, label, partner
+        if name < 0:
             return "unbounded"
+        if leave < 0:  # a bound flip: the column's partner takes its place
+            _, wn, wd = bound
+            for i, row in enumerate(T):
+                if row[enter]:
+                    T[i] = _complement_column(row, enter, wn, wd)
+            for z in objs:
+                if z[enter]:
+                    z[:] = _complement_column(z, enter, wn, wd)
+            nonbasic[enter] = name
+            continue
+        if under:
+            _, wn, wd = ranges[name]
+            T[leave] = _complement_row(T[leave], wn, wd)
+            basis[leave] = name
         _pivot(T, objs, basis, nonbasic, leave, enter)
 
 
@@ -318,18 +387,41 @@ _FLIP = {LE: GE, GE: LE, EQ: EQ}
 Tableau = tuple[
     list[list[int]], list[int], list[int], list[int], dict[int, list[tuple[int, int]]], dict[int, Rational], list[tuple[int, list[int]]]
 ]
+# Each label of a range pair: (its partner's label, the pair's width as numerator and denominator).
+Ranges = dict[int, tuple[int, int, int]]
 
 
-def _slack_tableau(rows: list[list[int]], obj: list[int], nvars: int) -> Tableau:
-    """The starting tableau of a standard-form program: every row <= with rhs >= 0, every variable in [0, inf).
+def _slack_tableau(rows: list[list[int]], obj: list[int], nvars: int) -> tuple[Tableau, Ranges]:
+    """The starting tableau of a standard-form program, and its range pairs: every row <= with rhs >= 0, every variable in [0, inf).
 
     The program's rows are its rows as they stand: the variables (labels 0
     to nvars - 1) are nonbasic and row i's slack (label nvars + i) basic,
     so phase 1 has nothing to do.  The presolve builds this tableau for
     such a program, except that it drops a row without a coefficient, whose
     slack stays basic here and no pivot touches, so every pivot is the same.
+
+    A row followed by its exact negation (the same denominator, negated
+    coefficients) becomes one range row, kept under its own slack's label:
+    the two slacks add up to w, the sum of the rows' right-hand sides over
+    their denominator.  `ranges` maps each of the two labels to (the other
+    label, w's numerator, w's denominator).
     """
-    return list(rows), obj, list(range(nvars, nvars + len(rows))), list(range(nvars)), {j: [(j, 1)] for j in range(nvars)}, {}, []
+    T: list[list[int]] = []
+    basis: list[int] = []
+    ranges: Ranges = {}
+    last = None  # the row before, when it is not yet in a pair
+    for label, row in enumerate(rows, nvars):
+        if last is not None and row[-1] == last[-1] and not any(map(add, row[:-2], last[:-2])):
+            w = row[-2] + last[-2]
+            g = math.gcd(w, row[-1])
+            ranges[label - 1] = (label, w // g, row[-1] // g)
+            ranges[label] = (label - 1, w // g, row[-1] // g)
+            last = None
+        else:
+            T.append(row)
+            basis.append(label)
+            last = row
+    return (T, obj, basis, list(range(nvars)), {j: [(j, 1)] for j in range(nvars)}, {}, []), ranges
 
 
 def _presolve(rows: list[list[int]], rels: list[str], lower: list[Rational | None], upper: list[Rational | None], obj: list[int]) -> Tableau | None:
@@ -434,7 +526,7 @@ def _presolve(rows: list[list[int]], rels: list[str], lower: list[Rational | Non
         # Phase-1 objective: minus the artificials, over the nonbasic columns the sum of their rows.
         m = math.lcm(*(t[-1] for t in z1_rows))
         Z1 = _reduced([sum(m // t[-1] * t[k] for t in z1_rows) for k in range(width + 1)] + [m])
-        status = _simplex(T, [Z1, Z2], basis, nonbasic)
+        status = _simplex(T, [Z1, Z2], basis, nonbasic, {})
         assert status == "optimal"  # phase 1 is bounded below by 0
         if Z1[-2] > 0:  # the artificials' sum stays positive
             return None
@@ -457,10 +549,10 @@ def _presolve(rows: list[list[int]], rels: list[str], lower: list[Rational | Non
     return T, Z2, basis, nonbasic, var_cols, shift, eliminated
 
 
-def _optimum(tableau: Tableau, names: list[VarId]) -> LpResult:
+def _optimum(tableau: Tableau, ranges: Ranges, names: list[VarId]) -> LpResult:
     """Phase 2 from a feasible tableau; the value is minus the objective row's rhs, and the vertex is built on first read."""
     T, Z, basis, nonbasic, var_cols, shift, eliminated = tableau
-    if _simplex(T, [Z], basis, nonbasic) == "unbounded":
+    if _simplex(T, [Z], basis, nonbasic, ranges) == "unbounded":
         return LpResult(LpStatus.UNBOUNDED)
 
     def vertex() -> dict[VarId, Fraction]:
@@ -538,11 +630,11 @@ def solve_lp(p: LinearProgram) -> LpResult:
     names = p.variables
     obj = _int_row(dict(objective), ZERO, len(names))
     if standard:
-        return _optimum(_slack_tableau(p.rows, obj, len(names)), names)
+        return _optimum(*_slack_tableau(p.rows, obj, len(names)), names)
     tableau = _presolve([row[:] for row in p.rows], p.rels, lower, upper, obj)
     if tableau is None:
         return LpResult(LpStatus.INFEASIBLE)
-    return _optimum(tableau, names)
+    return _optimum(tableau, {}, names)
 
 
 # ---------------------------------------------------------------------------

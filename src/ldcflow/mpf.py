@@ -40,12 +40,15 @@ flowing components with a cycle, which `formulate_mpf` writes for those
 components alone, and none when there is no such component; the
 program is block-diagonal across components, and the simplex's every
 choice stays within one block.  Each component hands
-over its part of an optimal solution as net injections: the LP's vertex,
-the unique one-pair optimum or the tree's max flow.  Those fix its
-angles, smallest node at zero, and its flows, so one more `_potentials`
-solve gives them (a one-pair component scales its unit solve instead).
-The solution is built from the parts on first read; nodes no part names
-stay at zero.
+over its part of an optimal solution: net injections, angles (smallest
+node at zero) and flows, from the elimination its value already made or
+from none.  The LP's vertex times the shift factors `formulate_mpf`
+computed (`shift=True`) gives a cyclic component's angles; a one-pair
+component scales its unit solve; a tree's angles are one walk from its
+pinned node along the max flow, th_b = th_a + f / s.  Each part's flows
+come from the same integers as its angles, and no reading of a solution
+runs `_potentials`.  The solution is built from the parts on first read;
+nodes and edges no part names stay at zero.
 
 One map serves the switching searches: `flow_cores` finds, on bitmasks,
 the edges of a sub-network that can carry flow, and both searches value
@@ -107,6 +110,10 @@ def _component_edges(n: Network, components: list[set[NodeId]]) -> list[list[Edg
         if e.a in where:
             grouped[where[e.a]].append(e)
     return grouped
+
+
+# a component's shift factors (det, y): y maps each terminal to its unit injection's angles, over det
+Shift = tuple[int, dict[NodeId, dict[NodeId, int]]]
 
 
 def _potentials(names: list[NodeId], edges: list[Edge], injections: list[dict[NodeId, int]]) -> tuple[int, list[dict[NodeId, int]]]:
@@ -179,7 +186,7 @@ def _potentials(names: list[NodeId], edges: list[Edge], injections: list[dict[No
     return det, [dict(zip(names, [0, *y])) for y in columns]
 
 
-def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None) -> LinearProgram:
+def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None, *, shift: bool = False) -> LinearProgram | tuple[LinearProgram, list[Shift | None]]:
     """The MPF linear program in terminal space: nonnegative gen/load variables only.
 
     For each component holding a generator and a load, one
@@ -191,12 +198,17 @@ def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None) -> Li
     whose flow is zero under every injection is left out.  Then come the
     component's balance rows sum(gen) - sum(load) <= 0 and its negation,
     also written for a component with terminals on one side only, which
-    they pin at zero.  Every row is <= with a nonnegative right-hand side.
-    The objective is the total generation.
+    they pin at zero.  Every row is <= with a nonnegative right-hand side,
+    and each is followed by its exact negation, so the simplex holds every
+    pair as one range row.  The objective is the total generation.
 
     `components`, when given, lists some of n's connected components (they
     are not checked), and the program covers those alone: it is the one
-    of the network that holds just their nodes and edges.  An invalid
+    of the network that holds just their nodes and edges.  With `shift`,
+    return (program, shifts): per listed component, in order, its shift
+    factors (det, y), y mapping each terminal to the angles of a unit
+    injection there (a load's is -1) as `_potentials` gives them, or None
+    for a component without both a generator and a load.  An invalid
     network raises `InvalidNetwork`.
     """
     require_valid(n)
@@ -211,13 +223,15 @@ def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None) -> Li
     unit.update((l, (len(gens) + j, -1)) for j, l in enumerate(loads))
     width = len(variables) + 2
     rows: list[list[int]] = []
+    shifts: list[Shift | None] = []
     for comp, edges in zip(comps, _component_edges(n, comps)):
         names = sorted(comp)
-        terminals = [unit[v] for v in names if v in unit]
-        if not terminals:
-            continue
+        ends = [v for v in names if v in unit]
+        terminals = [unit[v] for v in ends]
+        factors = None
         if {sign for _, sign in terminals} == {1, -1}:
-            det, y = _potentials(names, edges, [{v: unit[v][1]} for v in names if v in unit])
+            det, y = _potentials(names, edges, [{v: unit[v][1]} for v in ends])
+            factors = det, dict(zip(ends, y))
             for e in edges:
                 k = e.s_min.numerator * e.cap.denominator
                 row = [0] * width
@@ -229,47 +243,79 @@ def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None) -> Li
                 row[-1] = e.s_min.denominator * e.cap.denominator * det
                 row = _reduced(row)
                 rows += (row, [-x for x in row[:-2]] + row[-2:])
-        balance = [0] * width
-        for j, sign in terminals:
-            balance[j] = sign
-        balance[-1] = 1
-        rows += (balance, [-x for x in balance[:-1]] + [1])
-    return LinearProgram(
+        shifts.append(factors)
+        if terminals:
+            balance = [0] * width
+            for j, sign in terminals:
+                balance[j] = sign
+            balance[-1] = 1
+            rows += (balance, [-x for x in balance[:-1]] + [1])
+    p = LinearProgram(
         variables, dict.fromkeys(variables, ZERO), dict.fromkeys(variables), rows, [LE] * len(rows), {_gen(g): ONE for g in gens}
     )
+    return (p, shifts) if shift else p
 
 
 NodeValues = dict[NodeId, Rational]
-Part = tuple[NodeValues, NodeValues]  # a component's (angles, net injections)
+Part = tuple[NodeValues, NodeValues, dict[Edge, Rational]]  # a component's (angles, net injections, flows)
 
 
-def _with_angles(names: list[NodeId], edges: list[Edge], injection: NodeValues) -> Part:
-    """(angles, injection) of a component: the angles its net injections fix.
-
-    `names` are the component's nodes, sorted, and `edges` its edges.
-    One `_potentials` elimination over the LCM of the injections'
-    denominators gives them, names[0] pinned at zero.
-    """
-    scale = math.lcm(*(x.denominator for x in injection.values()))
-    det, (y,) = _potentials(names, edges, [{v: x.numerator * (scale // x.denominator) for v, x in injection.items()}])
-    return {v: Rational(y_v, det * scale) for v, y_v in y.items()}, injection
+def _part(edges: list[Edge], y: dict[NodeId, int], den: int, injection: NodeValues) -> Part:
+    """The (angles, injection, flows) part of a component whose angles are y / den: an edge's flow is s * (y_b - y_a) / den."""
+    angles = {v: Rational(y_v, den) for v, y_v in y.items()}
+    flows = {e: Rational(e.s_min.numerator * (y[e.b] - y[e.a]), e.s_min.denominator * den) for e in edges}
+    return angles, injection, flows
 
 
 def _tree_part(names: list[NodeId], edges: list[Edge], scale: int, flows: list[int]) -> Part:
-    """A tree component's (angles, injection) under its max flow, each edge (a, b) carrying f / scale."""
+    """A tree component's part under its max flow, each edge (a, b) carrying f / scale.
+
+    One walk from names[0], pinned at zero, fixes the angles: an edge's
+    flow is s * (th_b - th_a), so th_b = th_a + f / (scale * s).  Over
+    scale * M, M the LCM of the susceptances' numerators, every step is
+    the integer f * den(s) * (M / num(s)).
+    """
+    m = math.lcm(*(e.s_min.numerator for e in edges))
+    steps: dict[NodeId, list[tuple[NodeId, int]]] = {v: [] for v in names}
     net = dict.fromkeys(names, 0)
     for e, f in zip(edges, flows):
+        step = f * e.s_min.denominator * (m // e.s_min.numerator)
+        steps[e.a].append((e.b, step))
+        steps[e.b].append((e.a, -step))
         net[e.a] += f
         net[e.b] -= f
-    return _with_angles(names, edges, {v: Rational(x, scale) for v, x in net.items() if x})
+    y = {names[0]: 0}
+    stack = [names[0]]
+    while stack:
+        u = stack.pop()
+        for w, step in steps[u]:
+            if w not in y:
+                y[w] = y[u] + step
+                stack.append(w)
+    angles = {v: Rational(y_v, scale * m) for v, y_v in y.items()}
+    return angles, {v: Rational(x, scale) for v, x in net.items() if x}, {e: Rational(f, scale) for e, f in zip(edges, flows)}
 
 
-def _lp_part(comp: set[NodeId], edges: list[Edge], gens: list[NodeId], loads: list[NodeId], result: LpResult) -> Part:
-    """A cyclic component's (angles, injection) at the terminal program's optimal vertex."""
+def _lp_part(edges: list[Edge], gens: list[NodeId], loads: list[NodeId], shift: Shift, result: LpResult) -> Part:
+    """A cyclic component's part at the terminal program's optimal vertex.
+
+    Its angles are the sum over terminals of the terminal's variable
+    times its shift factors y / det (`formulate_mpf`), summed in integers
+    over det times the LCM of the variables' denominators.
+    """
+    det, y = shift
     a = result.assignment
+    xs = [(a[_gen(v)], y[v]) for v in gens] + [(a[_load(v)], y[v]) for v in loads]
+    scale = math.lcm(*(x.denominator for x, _ in xs))
+    total = dict.fromkeys(y[gens[0]], 0)
+    for x, y_v in xs:
+        if x:
+            k = x.numerator * (scale // x.denominator)
+            for u, y_u in y_v.items():
+                total[u] += k * y_u
     injection = {v: a[_gen(v)] for v in gens}
     injection.update((v, -a[_load(v)]) for v in loads)
-    return _with_angles(sorted(comp), edges, injection)
+    return _part(edges, total, det * scale, injection)
 
 
 def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tuple[Rational, Callable[[], Part]]:
@@ -281,9 +327,9 @@ def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tup
     det times the least cap / |s * dy| over the edges with dy != 0 (an
     edge with dy = 0 carries nothing at any t), compared by
     cross-multiplication.  For that least ratio num/least the angles
-    t * phi are num * y / least.  Returns the value and a builder of the
-    (angles, injection) part, so a caller that reads the value alone
-    never makes it.
+    t * phi are num * y / least, and the flows follow from them.  Returns
+    the value and a builder of the part, so a caller that reads the value
+    alone never makes it.
     """
     det, (y,) = _potentials(sorted(comp), edges, [{g: 1, l: -1}])
     # the least cap / |s * dy| as num/least; least = 0 stands for no bound, so
@@ -295,29 +341,29 @@ def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tup
         if n_e * least < num * d_e:
             num, least = n_e, d_e
     value = Rational(det * num, least)
-    return value, lambda: ({v: Rational(num * y_v, least) for v, y_v in y.items()}, {g: value, l: -value})
+    return value, lambda: _part(edges, {v: num * y_v for v, y_v in y.items()}, least, {g: value, l: -value})
 
 
 def _solution(n: Network, parts: list[Callable[[], Part]]) -> Solution:
-    """The solution the components' (angles, injection) parts make up; nodes no part names stay at zero.
+    """The solution the components' parts make up; nodes and edges no part names stay at zero.
 
-    An edge between such nodes carries `ZERO` without any arithmetic.  A
-    positive net injection is a generation, a negative one a load (read
+    A positive net injection is a generation, a negative one a load (read
     off the numerator's sign, which is cheaper than a `Fraction` comparison).
     """
     named: NodeValues = {}
     injection: NodeValues = {}
+    flow: dict[Edge, Rational] = {}
     for part in parts:
-        a, p = part()
+        a, p, f = part()
         named.update(a)
         injection.update(p)
+        flow.update(f)
     names = n.node_names
-    angle = {v: named.get(v, ZERO) for v in names}
     p = [injection.get(v, ZERO) for v in names]
     return Solution(
         susceptance={e: e.s_min for e in n.edges},
-        angle=angle,
-        flow={e: e.s_min * (angle[e.b] - angle[e.a]) if e.a in named or e.b in named else ZERO for e in n.edges},
+        angle={v: named.get(v, ZERO) for v in names},
+        flow={e: flow.get(e, ZERO) for e in n.edges},
         gen={v: x if x.numerator > 0 else ZERO for v, x in zip(names, p)},
         load={v: -x if x.numerator < 0 else ZERO for v, x in zip(names, p)},
     )
@@ -334,10 +380,11 @@ def solve_mpf(n: Network) -> MpfOutcome:
     valued by one integer max flow (`maxflow._integer_flow`), with no LP.
     Only the other components, those with a cycle, go to the LP, as one
     terminal-space program (`formulate_mpf`).  Each component hands over
-    its part of the solution as net injections with the angles they fix,
-    and the solution, built from the parts on first read, is an optimal
-    one: on a tree the max flow's injections, on a component with a cycle
-    the LP's gen/load vertex.  An invalid network raises `InvalidNetwork`.
+    its part of the solution, built from the parts on first read, and it
+    is an optimal one: on a tree the max flow's, with the angles walked
+    from its pinned node; on a component with a cycle the LP's gen/load
+    vertex, with the angles of the program's own shift factors.  An
+    invalid network raises `InvalidNetwork`.
     """
     require_valid(n)
     _require_fixed(n)
@@ -361,11 +408,12 @@ def solve_mpf(n: Network) -> MpfOutcome:
         else:
             cyclic.append((comp, edges, gens, loads))
     if cyclic:
-        result = solve_lp(formulate_mpf(n, [comp for comp, *_ in cyclic]))
+        p, shifts = formulate_mpf(n, [comp for comp, *_ in cyclic], shift=True)
+        result = solve_lp(p)
         if result.status is not LpStatus.OPTIMAL:  # pragma: no cover - MPF is always bounded
             raise AssertionError(f"MPF solve ended {result.status}")
         value += result.value
-        parts += [partial(_lp_part, *c, result) for c in cyclic]
+        parts += [partial(_lp_part, edges, gens, loads, shift, result) for (_, edges, gens, loads), shift in zip(cyclic, shifts)]
     return MpfOutcome(value, Lazy(partial(_solution, n, parts)))
 
 

@@ -186,8 +186,13 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, 
     neither bounded nor solved again.  Its value was first reached at a
     removed-set the search visited earlier, so it cannot beat the
     incumbent, whose solution therefore comes from its own solve.
-    Capacities are compared as integers over the LCM of their
-    denominators, so every comparison is exact.
+    Bounds are kept as integers over the LCM of the capacities'
+    denominators, and each is compared with one integer, recomputed when
+    the incumbent changes: the largest bound that cannot change the
+    answer.  A cut's crossing edges are the XOR of its side's per-node
+    incidence masks, and a sub-network's flowing edges go back onto the
+    network's bits by putting a zero in at each removed edge.  So every
+    comparison is exact, and no check builds a `Fraction`.
     """
     _require_fixed(n)
     edges = n.edges
@@ -196,67 +201,86 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, 
         # no sub-network reaches the threshold; the zero flow is feasible
         return MpfOutcome(ZERO, Lazy(partial(zero_solution, n))), ()
     best, best_removed = solve_mpf(n), ()
+    # bounds are ints over the capacities' scale; one beats the incumbent when it exceeds `need`
+    scale = math.lcm(*(e.cap.denominator for e in edges))
 
-    def promising(bound: Rational) -> bool:
-        """Can a sub-network bounded by `bound` still change the answer?"""
-        if threshold is not None:
-            return best.value < threshold <= bound
-        return bound > best.value
+    def needed() -> int | None:
+        """The largest bound that cannot change the answer, or None when nothing can."""
+        if threshold is None:
+            return best.value.numerator * scale // best.value.denominator
+        if best.value >= threshold:
+            return None
+        return -(-threshold.numerator * scale // threshold.denominator) - 1
 
-    if not promising(root_bound):
+    need = needed()
+    root = root_bound.numerator * (scale // root_bound.denominator)
+    if need is None or root <= need:
         return best, best_removed
     core_of, bridges_of = core_maps(n)
-    scale = math.lcm(*(e.cap.denominator for e in edges))
     caps = [e.cap.numerator * (scale // e.cap.denominator) for e in edges]
     index = {v: i for i, v in enumerate(n.node_names)}
-    ends = [(index[e.a], index[e.b]) for e in edges]
+    incident = [0] * len(index)  # per node, the bitmask of its edges
+    for j, e in enumerate(edges):
+        incident[index[e.a]] |= 1 << j
+        incident[index[e.b]] |= 1 << j
 
-    def cut(bound: Rational, side: int) -> tuple[int, int]:
-        """A min cut of value `bound`: the edges crossing `side`, and their capacity over the scale."""
-        crossing = sum(1 << i for i, (a, b) in enumerate(ends) if (side >> a ^ side >> b) & 1)
-        return crossing, bound.numerator * (scale // bound.denominator)
+    def crossing(side: int) -> int:
+        """The edges crossing a node mask: the XOR of its nodes' edges, in which an edge inside it cancels."""
+        edges_out = 0
+        while side:
+            low = side & -side
+            edges_out ^= incident[low.bit_length() - 1]
+            side ^= low
+        return edges_out
 
     root_core = core_of(0)
     # a core's bound and the edges its max flow uses; None for a cut bound that pruned it
-    known: dict[int, tuple[Rational, int | None]] = {root_core: (root_bound, root_flowing)}
+    known: dict[int, tuple[int, int | None]] = {root_core: (root, root_flowing)}
     # (removed-set, its mask, the index its children start at, its core, its bound, its flow's edges, its path's cuts)
-    level = [((), 0, 0, root_core, root_bound, root_flowing, (cut(root_bound, root_side),))]
+    level = [((), 0, 0, root_core, root, root_flowing, ((crossing(root_side), root),))]
     while level:
         children = []
         for removed, mask, start, core, limit, flowing, cuts in level:
             free = core >> start << start
-            if free and promising(limit):
+            if free and limit > need:
                 free &= ~bridges_of(core)
-            while free and promising(limit):
+            while free and limit > need:
                 bit = free & -free
                 free ^= bit
                 i = bit.bit_length() - 1
                 child, child_mask = removed + (edges[i],), mask | bit
                 child_core = core_of(child_mask)
-                child_cuts = tuple((crossing, c - caps[i] if crossing & bit else c) for crossing, c in cuts)
-                seen, sub = known.get(child_core), None
+                seen, sub, own = known.get(child_core), None, ()
                 if seen is not None:
                     bound, child_flowing = seen
                 elif not flowing & bit:  # 1. the parent's max flow is the child's
                     bound, child_flowing = limit, flowing
                 else:
-                    least = Rational(min(c for _, c in child_cuts), scale)
-                    if not promising(least):  # 2. a cut on the path prunes it
+                    least = min(c - caps[i] if edges_out & bit else c for edges_out, c in cuts)
+                    if least <= need:  # 2. a cut on the path prunes it
                         known[child_core] = least, None
                         continue
-                    # 3. a max flow of its own; the edge masks of `sub` skip the removed edges
+                    # 3. a max flow of its own; `sub` numbers its edges without the removed ones
                     sub = subnetwork(n, child)
-                    bound, used, side = classical_max_flow(sub, witness=True)
-                    kept = [1 << j for j in range(len(edges)) if not child_mask >> j & 1]
-                    child_flowing = sum(b for j, b in enumerate(kept) if used >> j & 1)
-                    child_cuts += (cut(bound, side),)
+                    value, used, side = classical_max_flow(sub, witness=True)
+                    bound = value.numerator * (scale // value.denominator)
+                    removing = child_mask
+                    while removing:  # put each removed edge's bit back in, lowest first
+                        low = removing & -removing
+                        removing ^= low
+                        used = used & (low - 1) | (used & -low) << 1
+                    child_flowing, own = used, ((crossing(side), bound),)
                 if seen is None:
                     known[child_core] = bound, child_flowing
-                if promising(bound):
+                if bound > need:
                     if seen is None:
                         out = solve_mpf(sub if sub is not None else subnetwork(n, child))
                         if out.value > best.value:  # a tie never wins: the incumbent's key is smaller
                             best, best_removed = out, child
+                            need = needed()
+                            if need is None:  # the decision is proven
+                                return best, best_removed
+                    child_cuts = tuple((edges_out, c - caps[i] if edges_out & bit else c) for edges_out, c in cuts) + own
                     children.append((child, child_mask, i + 1, child_core, bound, child_flowing, child_cuts))
         level = children
     return best, best_removed

@@ -756,3 +756,91 @@ def test_the_condensed_tableau_matches_the_full_width_simplex_on_pinned_exact_co
     for ends in itertools.product(*((e.s_min, e.s_max) for e in facts)):
         p = formulate_mpf(pin_susceptances(n, dict(zip(facts, ends))))
         assert assert_matches_the_full_width_simplex(p) is LpStatus.OPTIMAL
+
+
+# --- Range rows ------------------------------------------------------------------
+#
+# In the slack tableau a row followed by its exact negation is one range row, its
+# two slacks adding up to the pair's width w.  The full-width simplex holds both
+# rows, and every status, value and vertex must be the one it reaches.
+
+
+@st.composite
+def range_pair_programs(draw) -> LinearProgram:
+    """Standard-form programs whose rows come mostly as a row and its exact negation.
+
+    A pair's coefficients are 0, +-1 or +-2 over a rational scale, and its
+    right-hand sides, multiples of that scale, are drawn apart, equal, or
+    both 0 (a pair of width 0).  Plain rows of nonnegative coefficients sit
+    between the pairs, and the objective is positive.
+    """
+    p = LinearProgram()
+    for v in ["v", "w", "x", "y", "z"][: draw(st.integers(2, 5))]:
+        p.add_variable(v, lower=F(0))
+    for _ in range(draw(st.integers(1, 6))):
+        scale = draw(st.sampled_from((F(1), F(1), F(1, 3), F(5, 2))))
+        kind = draw(st.sampled_from(("apart", "equal", "width 0", "plain")))
+        if kind == "plain":
+            coeffs = {v: c * scale for v in p.variables if (c := draw(st.sampled_from((0, 1, 1, 2))))}
+            p.add_constraint(coeffs, "<=", draw(st.integers(1, 2)) * scale)
+            continue
+        coeffs = {v: c * scale for v in p.variables if (c := draw(st.sampled_from((0, 1, -1, 2, -2))))}
+        upper = 0 if kind == "width 0" else draw(st.integers(0, 3))
+        lower = {"apart": draw(st.integers(0, 3)), "equal": upper, "width 0": 0}[kind]
+        p.add_constraint(coeffs, "<=", upper * scale)
+        p.add_constraint({v: -c for v, c in coeffs.items()}, "<=", lower * scale)
+    p.set_objective({v: F(draw(st.integers(1, 2))) for v in p.variables})
+    return p
+
+
+@settings(max_examples=300)
+@given(range_pair_programs())
+def test_range_rows_match_the_full_width_simplex_and_the_presolve(p):
+    assert_matches_the_full_width_simplex(p)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        solve_both_ways(p, monkeypatch)
+
+
+def ranges_and_complements(p: LinearProgram, monkeypatch) -> tuple[dict, list[str]]:
+    """p's range pairs, and the complements its solve makes ("row" or "column"), after checking it against the full-width simplex."""
+    made = []
+    row, column = lp._complement_row, lp._complement_column
+    monkeypatch.setattr(lp, "_complement_row", lambda *args: made.append("row") or row(*args))
+    monkeypatch.setattr(lp, "_complement_column", lambda *args: made.append("column") or column(*args))
+    assert assert_matches_the_full_width_simplex(p) is LpStatus.OPTIMAL
+    _, ranges = lp._slack_tableau(p.rows, [], len(p.variables))
+    return ranges, made
+
+
+def test_a_range_row_leaves_at_its_width_under_its_partners_label(monkeypatch):
+    # -1 <= x <= 2, written with the lower side first: x's entry in the kept row
+    # (-x + s1 = 1) is negative, so its partner x + s2 = 2 limits x, at ratio 2;
+    # the row is complemented to s2's and then pivoted
+    p = LinearProgram()
+    p.add_variable("x", lower=F(0))
+    p.add_constraint({"x": F(-1)}, "<=", F(1))
+    p.add_constraint({"x": F(1)}, "<=", F(2))
+    p.set_objective({"x": F(1)})
+    ranges, made = ranges_and_complements(p, monkeypatch)
+    assert ranges == {1: (2, 3, 1), 2: (1, 3, 1)} and made == ["row"]
+    r = solve_lp(p)
+    assert (r.value, r.assignment) == (2, {"x": 2})
+
+
+def test_an_entering_range_column_flips_to_its_width(monkeypatch):
+    # 2x <= 1 and 0 <= 2y - 2x <= 2, a pair whose slacks add up to w = 2.  x
+    # enters and the pair's row leaves at ratio 0; y enters and 2x <= 1 leaves;
+    # then the pair's slack s3 enters, and its own bound w is the least ratio:
+    # it flips to its partner s4, complementing the column in both rows with no
+    # elimination
+    p = LinearProgram()
+    p.add_variable("x", lower=F(0))
+    p.add_variable("y", lower=F(0))
+    p.add_constraint({"x": F(2)}, "<=", F(1))
+    p.add_constraint({"x": F(2), "y": F(-2)}, "<=", F(0))
+    p.add_constraint({"x": F(-2), "y": F(2)}, "<=", F(2))
+    p.set_objective({"x": F(1), "y": F(1)})
+    ranges, made = ranges_and_complements(p, monkeypatch)
+    assert ranges == {3: (4, 2, 1), 4: (3, 2, 1)} and made == ["column", "column"]
+    r = solve_lp(p)
+    assert (r.value, r.assignment) == (2, {"x": F(1, 2), "y": F(3, 2)})

@@ -195,10 +195,24 @@ class TestLazySolutions:
         assert out.value > 0 and builds == []
         assert out.solution is out.solution and len(builds) == 1
 
-    @pytest.mark.parametrize("n, cyclic", [(triangle(), []), (network_sum(triangle(), SEVERAL), [["x0", "x1", "x2"]])], ids=["pair", "mixed"])
-    def test_a_closed_form_solution_is_built_on_first_read(self, builds, monkeypatch, n, cyclic):
-        # the one-pair part scales the unit solve its value made, so reading the
-        # solution runs one more elimination only for the LP's injections
+    # a third of the pair's flow goes via b, so b--l's cap 4 binds at 12; SEVERAL's
+    # x1 and x0 send 3 and 1 to x2 at their caps, and x1 sends 1/2 on to x0
+    PAIR_ANGLES = {"b": 0, "g": F(-4), "l": F(4)}
+    SEVERAL_ANGLES = {"x0": 0, "x1": F(-1, 2), "x2": F(1)}
+
+    @pytest.mark.parametrize(
+        "n, eliminated, angles",
+        [
+            (triangle(), [["b", "g", "l"]], PAIR_ANGLES),
+            (network_sum(triangle(), SEVERAL), [["b", "g", "l"], ["x0", "x1", "x2"]], {**PAIR_ANGLES, **SEVERAL_ANGLES}),
+        ],
+        ids=["pair", "mixed"],
+    )
+    def test_a_closed_form_solution_is_built_on_first_read(self, builds, monkeypatch, n, eliminated, angles):
+        # the value runs one elimination per one-pair component and one per LP
+        # component (its shift factors); reading the solution runs none: the
+        # one-pair part scales its unit solve, and the LP's part sums its vertex
+        # times the program's own shift factors
         parts, solved = [], []
         one_pair, potentials = mpf._one_pair, mpf._potentials
 
@@ -209,10 +223,12 @@ class TestLazySolutions:
         monkeypatch.setattr(mpf, "_one_pair", counted)
         monkeypatch.setattr(mpf, "_potentials", lambda names, *args: solved.append(names) or potentials(names, *args))
         out = solve_mpf(n)
-        read = len(solved)
-        assert out.value > 0 and builds == [] and parts == [] and ["b", "g", "l"] in solved
-        assert out.solution is out.solution and builds == [n] and len(parts) == 1
-        assert solved[read:] == cyclic
+        assert out.value > 0 and builds == [] and parts == [] and solved == eliminated
+        solution = out.solution
+        assert out.solution is solution and builds == [n] and len(parts) == 1 and solved == eliminated
+        # every component carries the angle-space program's vertex, edge by edge and node by node
+        assert solution == _reference(n)[1]
+        assert solution.angle == angles and solution.gen["g"] == 12
 
     def test_results_pickle_and_compare_like_eager_ones(self):
         n = six_edges()
@@ -522,23 +538,26 @@ class TestTreeComponents:
         assert (names, edges, sorted(gens), loads) == (["h", "i", "j", "k"], list(STAR.edges), ["h", "i"], ["j"])
         assert out.solution.flow[STAR.edges[0]] == 3 and len(calls) == 1
 
-    @pytest.mark.parametrize("extra", [None, SEVERAL, triangle(), LONELY], ids=["tree", "cyclic", "pair", "flowless"])
-    def test_the_solution_runs_one_potentials_solve_on_the_max_flows_injections(self, monkeypatch, extra):
+    @pytest.mark.parametrize(
+        "extra, eliminated",
+        [(None, []), (SEVERAL, [["x0", "x1", "x2"]]), (triangle(), [["b", "g", "l"]]), (LONELY, [])],
+        ids=["tree", "cyclic", "pair", "flowless"],
+    )
+    def test_the_solution_walks_the_max_flow_from_the_pinned_node(self, monkeypatch, extra, eliminated):
         n = STAR if extra is None else network_sum(STAR, extra)
-        on_star, potentials = [], mpf._potentials
-
-        def solve(names, edges, injections):
-            if set(names) & set(STAR.node_names):
-                on_star.append((names, injections))
-            return potentials(names, edges, injections)
-
-        monkeypatch.setattr("ldcflow.mpf._potentials", solve)
+        solved, potentials = [], mpf._potentials
+        monkeypatch.setattr("ldcflow.mpf._potentials", lambda names, *args: solved.append(names) or potentials(names, *args))
         out = solve_mpf(n)
-        assert on_star == []
+        assert solved == eliminated
         solution = out.solution
-        # net outflows over the capacities' scale 2: h sends 3, i 1/2, and j takes 7/2
-        assert on_star == [(["h", "i", "j", "k"], [{"h": 6, "i": 1, "j": -7}])]
+        # reading the solution runs no elimination, on the tree or anywhere else
+        assert solved == eliminated
+        # from h at zero: th_k = 0 + 3/1, th_i = th_k - (1/2)/2 and th_j = th_k - (7/2)/1
+        h, i, j = STAR.edges
+        assert {e: solution.flow[e] for e in STAR.edges} == {h: 3, i: F(1, 2), j: F(-7, 2)}
         assert {v: solution.angle[v] for v in "hijk"} == {"h": 0, "i": F(11, 4), "j": F(13, 2), "k": 3}
+        assert {v: (solution.gen[v], solution.load[v]) for v in "hijk"} == {"h": (3, 0), "i": (F(1, 2), 0), "j": (0, F(7, 2)), "k": (0, 0)}
+        assert validate_solution(n, solution).ok
 
 
 @st.composite

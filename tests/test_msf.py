@@ -204,6 +204,21 @@ def test_branch_and_bound_repeats_the_reference_search_with_no_more_max_flows(n,
             assert least > best if x is None else best < x <= least
 
 
+@settings(max_examples=60)
+@given(any_network)
+def test_a_threshold_just_above_a_bound_prunes_as_the_reference_does(n):
+    # the search compares integer bounds over the capacities' scale with the
+    # least one that reaches the threshold, so a threshold a little above a
+    # sub-network's bound must prune that sub-network, not round down to it
+    bounds = {classical_max_flow(subnetwork(n, [e for i, e in enumerate(n.edges) if mask >> i & 1])) for mask in range(1 << len(n.edges))}
+    for bound in sorted(bounds):
+        x = bound + F(1, 997)
+        (ref, ref_removed), ref_calls = search_calls(oracles, reference_msf_bnb, n, x)
+        (out, removed), calls = search_calls(ldcflow.msf, _solve_msf_bnb, n, x)
+        assert (out.value, removed) == (ref.value, ref_removed)
+        assert [(m, v) for kind, m, v in calls if kind == "solve"] == [(m, v) for kind, m, v in ref_calls if kind == "solve"]
+
+
 class TestSolveCounts:
     @pytest.fixture
     def solves(self, monkeypatch):
