@@ -10,7 +10,8 @@ without FACTS edges.  Exact values print as "p/q" with a decimal
 rendering when it differs.
 
 Exit codes: 0 success (including a NO/UNKNOWN decision), 1 failed
-verification, 2 usage error, 3 file or parse error, 4 solver or encoder
+verification, 2 usage error (including `solve --decide` with `--out` or
+`--json`), 3 file or parse error, 4 solver or encoder
 precondition error (including a network that fails validation, whose
 report goes to stderr).
 """
@@ -249,7 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "solve" and args.decide is not None and (args.out or args.json):
+        # a decision prints only its answer and builds no outcome to write
+        parser.error("argument --decide: not allowed with " + " or ".join(o for o, v in (("--out", args.out), ("--json", args.json)) if v))
     try:
         return args.func(args)
     except LdcError as exc:

@@ -17,18 +17,19 @@ each search solves every such core once.  The scan solves only the
 distinct non-empty cores (an empty one is worth zero), each on its own
 sub-network, reads their values alone, and re-solves only the winners it
 returns on their own sub-networks for their solutions.  Branch-and-bound
-bounds each core once, when it first meets it, and solves it then unless
-the bound prunes it; a node whose core it has met before is neither
-bounded nor solved again, and never becomes the incumbent.  It solves
+bounds each core when it first meets it, and solves it then unless the
+bound prunes it; a node whose core it has met before takes no max flow
+and no solve, and never becomes the incumbent.  It solves
 full sub-networks, since its incumbent's solution comes from its own
 solve.  A first-met core is settled in the first of three ways that
 applies: it inherits its parent's bound when the parent's max flow leaves
-the removed edge empty; a min cut of a max flow run on its path, less the
-removed edges that cross it, prunes it; or else a max flow on its own
-sub-network bounds it.  A cut's capacity is never
-below the exact bound, so every prune is one the exact bound makes, and
-the solves, the incumbents and the stops are the same as with a max flow
-on every core.  It visits switch sets in tie-break order, so a bound
+the removed edge empty; the min cut of any max flow the search has run,
+counted on the core's edges alone, prunes it; or else a max flow on its
+own sub-network bounds it, and its min cut joins that one pool of cuts.
+A sub-network's classical max flow is its core's, and a cut's capacity on
+the core is never below it, so every prune is one the exact bound makes,
+and the solves, the incumbents and the stops are the same as with a max
+flow on every core.  It visits switch sets in tie-break order, so a bound
 that only ties the incumbent prunes, and a node stops scanning its
 children once its own bound does.  It never creates a child that removes
 an edge outside its parent's core or a bridge of the core's edges: such
@@ -132,10 +133,13 @@ def optimal_switch_sets(n: Network) -> list[tuple[SwitchSet, MpfOutcome]]:
 def _solve_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, tuple[Edge, ...]]:
     """Branch-and-bound over switch sets one size at a time: the incumbent's MPF outcome and removed-set.
 
-    Each level holds the nodes of one size that may still have children.
-    A node's children add one edge past its last, in increasing index, and
-    the levels keep their parents' order, so switch sets are visited in
-    switch-key order (`n.edges` is sorted).  With `threshold` set, the
+    Each level holds the nodes of one size that may still have children,
+    each as (removed-edge mask, core, bound, flowing).  A node's children
+    add one edge past its last, in increasing index (from
+    `mask.bit_length()`), and the levels keep their parents' order, so
+    switch sets are visited in switch-key order (`n.edges` is sorted).
+    The removed-edge tuple is built only for a sub-network or a new
+    incumbent.  With `threshold` set, the
     search stops as soon as the incumbent proves the decision and prunes
     anything that cannot reach the threshold; when the root's classical
     bound is below the threshold, no LP is solved and the zero flow is
@@ -164,35 +168,38 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, 
 
     1. The parent's max flow (`flowing`, a bitmask of the edges it uses)
        carries nothing on the new edge.  Then it is a max flow of the
-       child too, and the child inherits the parent's bound and flow.  Its
-       min cut is the parent's: every edge crossing that cut is saturated,
-       so the new edge crosses none.
-    2. A min cut on the node's path prunes it.  Each max flow the search
-       runs leaves the minimal min cut of its network (`classical_max_flow`'s
-       witness), and its descendants keep it with its capacity in their
-       own network (`cuts`): removing an edge that crosses it lowers it
-       by that edge's capacity.  Such a side holds every generator and no
-       load, so its capacity bounds the child's max flow.  If the least
-       one cannot win, it is kept as the core's bound and the child is
-       pruned.
+       child too, and the child inherits the parent's bound and flow, a
+       bound that beats `need` since the parent scans only while its own
+       does.
+    2. A pooled min cut prunes it.  Each max flow the search runs leaves
+       the minimal min cut of its network (`classical_max_flow`'s
+       witness), and `pool` keeps every one, keyed by its source side,
+       as the (bit, capacity) pairs of the edges crossing it, starting
+       with the root's.  Such a side holds every generator and no load,
+       so the capacity of the crossing edges inside the child's core
+       bounds the core's max flow, which is the child's.  If one of
+       these cannot win, the least cannot, and the child is pruned.
     3. Otherwise a max flow on the child's sub-network bounds it, and its
-       cut joins the path of the child's descendants.
+       cut joins the pool.
 
-    Every bound in 1 and 3 is the core's classical max flow, as before.
-    A cut bound is at least that, so it prunes only a core the exact
-    bound would prune; and since the incumbent only grows, it prunes the
-    core again whenever it is met.  So every solve, incumbent and stop is
-    the one an exact bound on every core gives.  A core met again is
-    neither bounded nor solved again.  Its value was first reached at a
-    removed-set the search visited earlier, so it cannot beat the
-    incumbent, whose solution therefore comes from its own solve.
-    Bounds are kept as integers over the LCM of the capacities'
-    denominators, and each is compared with one integer, recomputed when
-    the incumbent changes: the largest bound that cannot change the
-    answer.  A cut's crossing edges are the XOR of its side's per-node
-    incidence masks, and a sub-network's flowing edges go back onto the
-    network's bits by putting a zero in at each removed edge.  So every
-    comparison is exact, and no check builds a `Fraction`.
+    Every bound in 1 and 3 is the core's classical max flow, as before,
+    and `known` holds only these exact bounds.  A cut bound is at least
+    the exact one, so it prunes only a core the exact bound would prune.
+    A pruned core needs no entry in `known`: the pool only grows and
+    `need` only rises, so the same cut prunes it again whenever it is
+    met, and 1 never meets it, since the bound 1 inherits beats `need`.
+    So every solve, incumbent and stop is the one an exact bound on every
+    core gives.  A core met again takes no max flow and no solve.
+    Its value was first reached at a removed-set the search visited
+    earlier, so it cannot beat the incumbent, whose solution therefore
+    comes from its own solve.  Bounds are kept as integers over the LCM
+    of the capacities' denominators, and each is compared with one
+    integer, recomputed when the incumbent changes: the largest bound
+    that cannot change the answer.  A new cut's crossing edges come from
+    one scan of the edges' node indices, and a sub-network's flowing
+    edges go back onto the network's bits by putting a zero in at each
+    removed edge.  So every comparison is exact, and no check builds a
+    `Fraction`.
     """
     _require_fixed(n)
     edges = n.edges
@@ -219,69 +226,58 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, 
     core_of, bridges_of = core_maps(n)
     caps = [e.cap.numerator * (scale // e.cap.denominator) for e in edges]
     index = {v: i for i, v in enumerate(n.node_names)}
-    incident = [0] * len(index)  # per node, the bitmask of its edges
-    for j, e in enumerate(edges):
-        incident[index[e.a]] |= 1 << j
-        incident[index[e.b]] |= 1 << j
+    ends = [(index[e.a], index[e.b], 1 << j, cap) for j, (e, cap) in enumerate(zip(edges, caps))]
 
-    def crossing(side: int) -> int:
-        """The edges crossing a node mask: the XOR of its nodes' edges, in which an edge inside it cancels."""
-        edges_out = 0
-        while side:
-            low = side & -side
-            edges_out ^= incident[low.bit_length() - 1]
-            side ^= low
-        return edges_out
+    def crossing(side: int) -> list[tuple[int, int]]:
+        """The (bit, capacity) pairs of the edges with one end in a node mask."""
+        return [(bit, cap) for a, b, bit, cap in ends if (side >> a ^ side >> b) & 1]
 
+    # every min cut found, by its source side: a side holds every generator and no load
+    pool = {root_side: crossing(root_side)}
     root_core = core_of(0)
-    # a core's bound and the edges its max flow uses; None for a cut bound that pruned it
-    known: dict[int, tuple[int, int | None]] = {root_core: (root, root_flowing)}
-    # (removed-set, its mask, the index its children start at, its core, its bound, its flow's edges, its path's cuts)
-    level = [((), 0, 0, root_core, root, root_flowing, ((crossing(root_side), root),))]
+    # a core's exact bound and the edges its max flow uses
+    known = {root_core: (root, root_flowing)}
+    # (removed-edge mask, its core, its bound, its max flow's edges); children start at mask.bit_length()
+    level = [(0, root_core, root, root_flowing)]
     while level:
         children = []
-        for removed, mask, start, core, limit, flowing, cuts in level:
-            free = core >> start << start
+        for mask, core, limit, flowing in level:
+            free = core >> mask.bit_length() << mask.bit_length()
             if free and limit > need:
                 free &= ~bridges_of(core)
             while free and limit > need:
                 bit = free & -free
                 free ^= bit
-                i = bit.bit_length() - 1
-                child, child_mask = removed + (edges[i],), mask | bit
-                child_core = core_of(child_mask)
-                seen, sub, own = known.get(child_core), None, ()
-                if seen is not None:
-                    bound, child_flowing = seen
-                elif not flowing & bit:  # 1. the parent's max flow is the child's
-                    bound, child_flowing = limit, flowing
-                else:
-                    least = min(c - caps[i] if edges_out & bit else c for edges_out, c in cuts)
-                    if least <= need:  # 2. a cut on the path prunes it
-                        known[child_core] = least, None
-                        continue
-                    # 3. a max flow of its own; `sub` numbers its edges without the removed ones
-                    sub = subnetwork(n, child)
-                    value, used, side = classical_max_flow(sub, witness=True)
-                    bound = value.numerator * (scale // value.denominator)
-                    removing = child_mask
-                    while removing:  # put each removed edge's bit back in, lowest first
-                        low = removing & -removing
-                        removing ^= low
-                        used = used & (low - 1) | (used & -low) << 1
-                    child_flowing, own = used, ((crossing(side), bound),)
+                child = mask | bit
+                child_core = core_of(child)
+                seen = known.get(child_core)
                 if seen is None:
-                    known[child_core] = bound, child_flowing
-                if bound > need:
-                    if seen is None:
-                        out = solve_mpf(sub if sub is not None else subnetwork(n, child))
+                    if flowing & bit and any(sum(c for b, c in cut if b & child_core) <= need for cut in pool.values()):
+                        continue  # 2. a pooled cut prunes it
+                    removed = _removed(n, child)
+                    sub = subnetwork(n, removed)
+                    if flowing & bit:  # 3. a max flow of its own; `sub` numbers its edges without the removed ones
+                        value, used, side = classical_max_flow(sub, witness=True)
+                        if side not in pool:
+                            pool[side] = crossing(side)
+                        removing = child
+                        while removing:  # put each removed edge's bit back in, lowest first
+                            low = removing & -removing
+                            removing ^= low
+                            used = used & (low - 1) | (used & -low) << 1
+                        seen = value.numerator * (scale // value.denominator), used
+                    else:  # 1. the parent's max flow is the child's
+                        seen = limit, flowing
+                    known[child_core] = seen
+                    if seen[0] > need:
+                        out = solve_mpf(sub)
                         if out.value > best.value:  # a tie never wins: the incumbent's key is smaller
-                            best, best_removed = out, child
+                            best, best_removed = out, removed
                             need = needed()
                             if need is None:  # the decision is proven
                                 return best, best_removed
-                    child_cuts = tuple((edges_out, c - caps[i] if edges_out & bit else c) for edges_out, c in cuts) + own
-                    children.append((child, child_mask, i + 1, child_core, bound, child_flowing, child_cuts))
+                if seen[0] > need:
+                    children.append((child, child_core, *seen))
         level = children
     return best, best_removed
 

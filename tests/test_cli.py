@@ -230,6 +230,17 @@ class TestErrors:
             main(["solve", "nonsense", "x.json"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("given", [["--out"], ["--json"], ["--out", "--json"]])
+    def test_a_decision_with_an_outcome_option_is_a_usage_error(self, capsys, gsch_file, tmp_path, given):
+        # a decision builds no outcome, so --out would write no file and --json print no document
+        out = tmp_path / "o.json"
+        argv = ["solve", "msf", gsch_file, "--decide", "3"] + [x for o in given for x in ([o, str(out)] if o == "--out" else [o])]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == "" and not out.exists()
+        assert f"argument --decide: not allowed with {' or '.join(given)}" in captured.err
+
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_grid_below_one_is_a_usage_error(self, capsys, tmp_path, k):
         path = tmp_path / "f.json"

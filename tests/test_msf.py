@@ -20,6 +20,7 @@ from ldcflow.msf import (
     switch_key,
 )
 from ldcflow.network import Network, NodeRole, fixed_edge, network_sum, subnetwork, validate_solution
+from ldcflow.reductions import ExactCover3Instance, encode_exact_cover_msf
 from oracles import bridges_by_removal, msf_by_every_mask, reference_msf_bnb
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
@@ -174,10 +175,10 @@ def search_calls(module, search, n, threshold):
         return search(n, threshold), calls
 
 
-def cut_capacity(m: Network, side: int) -> F:
-    """The capacity of m's edges crossing `side`, a bitmask over `m.node_names`."""
-    index = {v: i for i, v in enumerate(m.node_names)}
-    return sum((e.cap for e in m.edges if (side >> index[e.a] ^ side >> index[e.b]) & 1), F(0))
+def cut_capacity(n: Network, core: int, side: int) -> F:
+    """The capacity of the edges of n in `core`, a bitmask over `n.edges`, that cross `side`, a bitmask over `n.node_names`."""
+    index = {v: i for i, v in enumerate(n.node_names)}
+    return sum((e.cap for i, e in enumerate(n.edges) if core >> i & 1 and (side >> index[e.a] ^ side >> index[e.b]) & 1), F(0))
 
 
 @settings(max_examples=120)
@@ -192,16 +193,17 @@ def test_branch_and_bound_repeats_the_reference_search_with_no_more_max_flows(n,
     assert len(bounded) <= sum(kind == "bound" for kind, _, _ in ref_calls)
     if x is not None:
         assert decide_msf(n, x) == (x <= 0 or ref.value >= x)
-    # no child takes a max flow that a min cut of a bounded prefix, less the edges removed since, rules out
-    best = None
+    # no child takes a max flow that the min cut of an earlier bounded network, on the child's core, rules out
+    cores, best, sides = flow_cores(n), None, []
     for kind, m, value in calls:
         if kind == "solve":
             best = value if best is None or value > best else best
-        elif best is not None:
-            gone = sorted(e for e in n.edges if e not in m.edges)
-            prefixes = [p for p in (subnetwork(n, gone[:k]) for k in range(len(gone))) if p in bounded]
-            least = min(cut_capacity(m, classical_max_flow(p, witness=True)[2]) for p in prefixes)
+            continue
+        if best is not None:
+            core = cores(sum(1 << i for i, e in enumerate(n.edges) if e not in m.edges))
+            least = min(cut_capacity(n, core, side) for side in sides)
             assert least > best if x is None else best < x <= least
+        sides.append(classical_max_flow(m, witness=True)[2])
 
 
 @settings(max_examples=60)
@@ -283,9 +285,9 @@ class TestSolveCounts:
         n = self.pendant()
         solve_msf_bnb(n)
         assert len(solves) == 5 and bounds[0] == n
-        # the root's core and 5 more, each bounded at most once; the others inherit a bound or a path cut prunes them
+        # the root's core and 4 more, each bounded at most once; the others inherit a bound or a pooled cut prunes them
         bounded = [self.core_of(n, m) for m in bounds]
-        assert len(set(bounded)) == len(bounded) == 6
+        assert len(set(bounded)) == len(bounded) == 5
         solved = [m for m, _ in solves]
         # every solved core was bounded first: by a max flow at the same sub-network, in the same order ...
         assert [m for m in solved if m in bounds] == [m for m in bounds if m in solved]
@@ -329,6 +331,18 @@ class TestSolveCounts:
         # at or below the root's bound the search runs; above it the root refuses
         assert [decide_msf(n, x) for x in (msf, bound, bound + F(1, 2))] == [True, msf == bound, False]
         assert solves and built == []
+
+    def test_an_exact_cover_no_instance_makes_the_reference_solves_with_fewer_max_flows(self, solves, bounds):
+        # {abc, cde} has no exact cover of a-f, so the search must bound or solve every switch set
+        n = encode_exact_cover_msf(ExactCover3Instance(tuple("abcdef"), (("a", "b", "c"), ("c", "d", "e")))).network
+        assert len(n.edges) == 25
+        (ref, _), ref_calls = search_calls(oracles, reference_msf_bnb, n, None)
+        out = solve_msf_bnb(n)
+        assert (out.value, out.switched) == (ref.value, frozenset()) == (26, frozenset())
+        assert [(m, o.value) for m, o in solves] == [(m, v) for kind, m, v in ref_calls if kind == "solve"]
+        assert len(solves) == 244
+        # the reference bounds every first-met core by a max flow; inherited bounds and pooled cuts leave 128
+        assert sum(kind == "bound" for kind, _, _ in ref_calls) == 1225 and len(bounds) == 128
 
 
 def test_switch_key_orders_sets_by_size_then_lexicographically():
