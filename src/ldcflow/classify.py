@@ -60,41 +60,79 @@ def max_degree(n: Network) -> int:
     return max((len(vs) for vs in adj.values()), default=0)
 
 
+def _tables(n: Network) -> tuple[dict[NodeId, int], list[int], list[list[tuple[int, int]]], list[tuple[int, int]], int]:
+    """n's integer tables, in edge bits 1 << j over `n.edges`.
+
+    They are: the node index in `n.node_names` order; each node's
+    incident-edge mask and its (edge bit, other node) pairs, which hold
+    only the edges between two distinct declared nodes; each edge's end
+    numbers (-1 for an undeclared node); and the mask of those edges.
+    """
+    index = {v: i for i, v in enumerate(n.node_names)}
+    incident = [0] * len(index)
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in index]
+    ends, proper = [], 0
+    for j, e in enumerate(n.edges):
+        a, b = index.get(e.a, -1), index.get(e.b, -1)
+        ends.append((a, b))
+        if min(a, b) >= 0 and a != b:
+            proper |= 1 << j
+            incident[a] |= 1 << j
+            incident[b] |= 1 << j
+            adjacent[a].append((1 << j, b))
+            adjacent[b].append((1 << j, a))
+    return index, incident, adjacent, ends, proper
+
+
+def _forest_walk(tables, kept: int) -> tuple[int, int, int]:
+    """(forest, crossed, crossed twice): edge masks of a BFS spanning forest of the kept edges.
+
+    `tables` are `_tables(n)` and `kept` lies within their last mask.
+    Each kept edge off the forest closes a fundamental cycle with the
+    forest path between its ends; `crossed` holds the forest edges on at
+    least one such cycle and the third mask those on two or more.  A
+    forest edge on none is a bridge.
+    """
+    _, incident, adjacent, ends, _ = tables
+    depth = [-1] * len(incident)
+    parent = [0] * len(incident)
+    up = [0] * len(incident)  # the forest edge from a node to its parent
+    forest = 0
+    for root, edges in enumerate(incident):
+        if depth[root] >= 0 or not edges & kept:
+            continue
+        depth[root] = 0
+        queue = [root]
+        for u in queue:
+            for bit, w in adjacent[u]:
+                if bit & kept and depth[w] < 0:
+                    depth[w], parent[w], up[w] = depth[u] + 1, u, bit
+                    forest |= bit
+                    queue.append(w)
+    crossed = twice = 0
+    closing = kept & ~forest
+    while closing:
+        bit = closing & -closing
+        closing ^= bit
+        a, b = ends[bit.bit_length() - 1]
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            twice |= crossed & up[a]
+            crossed |= up[a]
+            a = parent[a]
+    return forest, crossed, twice
+
+
 def is_cactus(n: Network) -> bool:
     """True when no edge lies on two distinct simple cycles.
 
     Each edge off a BFS spanning forest closes a fundamental cycle with the
-    forest path between its ends.  The network is a cactus exactly when no
-    forest edge lies on two of them: every cycle is a sum of fundamental
-    cycles, and a sum of edge-disjoint ones is a simple cycle only when it
-    is one of them.  A second edge on a node pair closes a 2-cycle.
+    forest path between its ends (`_forest_walk`).  The network is a cactus
+    exactly when no forest edge lies on two of them: every cycle is a sum
+    of fundamental cycles, and a sum of edge-disjoint ones is a simple
+    cycle only when it is one of them.  A second edge on a node pair
+    closes a 2-cycle.
     """
-    adj = _neighbours(n)
-    parent: dict[NodeId, NodeId] = {}
-    depth: dict[NodeId, int] = {}
-    tree: set[tuple[NodeId, NodeId]] = set()  # forest edges as (smaller, larger) name pairs
-    for root in n.node_names:
-        if root not in depth:
-            depth[root] = 0
-            queue = [root]
-            for u in queue:
-                for v in adj[u]:
-                    if v not in depth:
-                        parent[v], depth[v] = u, depth[u] + 1
-                        tree.add((min(u, v), max(u, v)))
-                        queue.append(v)
-    crossed: set[NodeId] = set()  # nodes whose forest edge lies on a fundamental cycle
-    for u, vs in adj.items():
-        for v in vs:
-            if u < v and (u, v) in tree:
-                tree.remove((u, v))  # a pair's first edge is its forest edge, any other closes a cycle
-            elif u < v:
-                a, b = u, v
-                while a != b:
-                    if depth[a] < depth[b]:
-                        a, b = b, a
-                    if a in crossed:
-                        return False
-                    crossed.add(a)
-                    a = parent[a]
-    return True
+    tables = _tables(n)
+    return not _forest_walk(tables, tables[-1])[2]

@@ -3,17 +3,17 @@
 Subcommands: solve (mpf | msf | mff), encode, decode, gadget, verify,
 classify, export.  Networks, solutions, outcomes and instances travel as
 the JSON documents defined in `serialize`.  `solve` builds one outcome
-document and writes it for `--json` (to stdout) and for `--out` (to the
-file); `verify` and `decode` read it back, and `verify` also reads a bare
-solution.  `solve mff` reports its value as exact only on a network
-without FACTS edges.  Exact values print as "p/q" with a decimal
-rendering when it differs.
+document only when `--json` or `--out` asks for it, and writes it to
+stdout for `--json` and to the file for `--out`; `verify` and `decode`
+read it back, and `verify` also reads a bare solution.  `solve mff`
+reports its value as exact only on a network without FACTS edges.
+Exact values print as "p/q" with a decimal rendering when it differs.
 
 Exit codes: 0 success (including a NO/UNKNOWN decision), 1 failed
 verification, 2 usage error (including `solve --decide` with `--out` or
-`--json`), 3 file or parse error, 4 solver or encoder
-precondition error (including a network that fails validation, whose
-report goes to stderr).
+`--json`, `--method` on mpf or mff, and `--grid` on mpf or msf), 3 file
+or parse error, 4 solver or encoder precondition error (including a
+network that fails validation, whose report goes to stderr).
 """
 
 from __future__ import annotations
@@ -85,22 +85,21 @@ def _cmd_solve(args) -> int:
         elif args.problem == "msf":
             yes = decide_msf(n, x)
         else:
-            yes = decide_mff(n, x, k=args.grid) is MffDecision.YES
+            yes = decide_mff(n, x, k=args.grid or 1) is MffDecision.YES
         print("YES" if yes else "UNKNOWN" if args.problem == "mff" else "NO")
         return 0
     if args.problem == "mpf":
-        out = solve_mpf(n)
-        doc, details = serialize.mpf_outcome_to_json(out), []
+        out, to_json, details = solve_mpf(n), serialize.mpf_outcome_to_json, []
     elif args.problem == "msf":
         out = solve_msf_exhaustive(n) if args.method == "exhaustive" else solve_msf_bnb(n)
-        doc = serialize.msf_outcome_to_json(out)
+        to_json = serialize.msf_outcome_to_json
         details = ["switched: " + (", ".join(f"{e.a}--{e.b}" for e in sorted(out.switched)) or "(none)")]
     else:
-        out = solve_mff_grid(n, args.grid)
-        doc = serialize.mff_outcome_to_json(out)
+        out = solve_mff_grid(n, args.grid or 1)
+        to_json = serialize.mff_outcome_to_json
         details = ["status: " + ("lower bound (search over sampled susceptances)" if n.facts_edges else "exact (no FACTS edges)")]
         details += [f"susceptance {e.a}--{e.b} = {rat_str(v)}" for e, v in sorted(out.assignment.items())]
-    text = serialize.dumps(doc)
+    text = serialize.dumps(to_json(out)) if args.json or args.out else ""
     if args.json:
         _write(text, None)
     else:
@@ -204,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("network")
     solve.add_argument("--out", help="write the solution/outcome JSON here")
     solve.add_argument("--decide", metavar="X", help="print YES/NO (mpf, msf) or YES/UNKNOWN (mff) for value >= X")
-    solve.add_argument("--method", choices=["exhaustive", "bnb"], default="bnb", help="msf search strategy")
-    solve.add_argument("--grid", type=_positive_int, default=1, metavar="K", help="mff: search a K-step grid per FACTS edge (default 1: the endpoints)")
+    solve.add_argument("--method", choices=["exhaustive", "bnb"], help="msf search strategy (default bnb)")
+    solve.add_argument("--grid", type=_positive_int, metavar="K", help="mff: search a K-step grid per FACTS edge (default 1: the endpoints)")
     solve.add_argument("--json", action="store_true")
     solve.set_defaults(func=_cmd_solve)
 
@@ -252,9 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "solve" and args.decide is not None and (args.out or args.json):
-        # a decision prints only its answer and builds no outcome to write
-        parser.error("argument --decide: not allowed with " + " or ".join(o for o, v in (("--out", args.out), ("--json", args.json)) if v))
+    if args.command == "solve":
+        if args.decide is not None and (args.out or args.json):
+            # a decision prints only its answer and builds no outcome to write
+            parser.error("argument --decide: not allowed with " + " or ".join(o for o, v in (("--out", args.out), ("--json", args.json)) if v))
+        for option, value, problem in (("--method", args.method, "msf"), ("--grid", args.grid, "mff")):
+            if value is not None and args.problem != problem:
+                parser.error(f"argument {option}: not allowed with {args.problem}, only with {problem}")
     try:
         return args.func(args)
     except LdcError as exc:

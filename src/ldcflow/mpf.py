@@ -50,11 +50,13 @@ come from the same integers as its angles, and no reading of a solution
 runs `_potentials`.  The solution is built from the parts on first read;
 nodes and edges no part names stay at zero.
 
-One map serves the switching searches: `flow_cores` finds, on bitmasks,
-the edges of a sub-network that can carry flow, and both searches value
-each such core once through `solve_mpf`.  `core_maps` gives that map
-together with one that finds the bridges of an edge set, on the same
-tables, which branch-and-bound never removes.
+One map serves the switching searches: `core_maps(n)[0]` finds, on
+bitmasks, the edges of a sub-network that can carry flow, and both
+searches value each such core once through `solve_mpf`.  `core_maps`
+gives that map together with one that finds the bridges of an edge set,
+which branch-and-bound never removes; both work on the integer tables of
+`classify._tables`, and the bridges come from the spanning-forest walk
+`classify.is_cactus` makes.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from functools import partial
 from operator import mul
 from typing import Callable
 
-from .classify import connected_components
+from .classify import _forest_walk, _tables, connected_components
 from .errors import NotFixedSusceptance
 from .lp import LE, Lazy, LinearProgram, LpResult, LpStatus, _reduced, solve_lp
 from .maxflow import _integer_flow
@@ -417,47 +419,28 @@ def solve_mpf(n: Network) -> MpfOutcome:
     return MpfOutcome(value, Lazy(partial(_solution, n, parts)))
 
 
-def flow_cores(n: Network) -> Callable[[int], int]:
-    """A map from a removed-edge bitmask over `n.edges` to its flow core.
+def core_maps(n: Network) -> tuple[Callable[[int], int], Callable[[int], int]]:
+    """A map from a removed-edge bitmask over `n.edges` to its flow core, and one from a kept-edge bitmask to its bridges.
 
     The core is the bitmask of the edges that can still carry flow: strip
     plain leaves until none is left (a plain leaf's edge carries nothing,
     and the angle it pins is its own), then keep the components that hold
     both a generator and a load (`solve_mpf` gives the others zero).  The
     MPF value of a sub-network is that of its core alone, and removing an
-    edge outside the core leaves the core as it is.  The map works on ints
-    only; n must be valid.
+    edge outside the core leaves the core as it is.
+
+    A bridge is an edge whose removal adds a component: a forest edge that
+    no fundamental cycle crosses in `classify._forest_walk`, the walk
+    `classify.is_cactus` makes.  Removing a bridge never raises the MPF
+    value: shifting the angles on one side lets it carry nothing.  Both
+    maps work on ints only, over the tables of `classify._tables`; n must
+    be valid.
     """
-    return core_maps(n)[0]
-
-
-def core_maps(n: Network) -> tuple[Callable[[int], int], Callable[[int], int]]:
-    """`flow_cores(n)`, and a map from a kept-edge bitmask to the bitmask of its bridges.
-
-    Both work on one node index (`n.node_names` order) and one adjacency
-    table of (edge bit, other node) pairs.  A bridge is an edge whose
-    removal adds a component.  The second map finds them from one BFS
-    spanning forest of the kept edges, as `classify.is_cactus` does: each
-    kept edge off the forest closes a fundamental cycle with the forest
-    path between its ends, and a forest edge that no such cycle crosses is
-    a bridge.  Removing a bridge never raises the MPF value: shifting the
-    angles on one side lets it carry nothing.
-    """
-    index = {v: i for i, v in enumerate(n.node_names)}
-    incident = [0] * len(index)
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in index]
-    ends = []
-    for j, e in enumerate(n.edges):
-        a, b = index[e.a], index[e.b]
-        incident[a] |= 1 << j
-        incident[b] |= 1 << j
-        adjacent[a].append((1 << j, b))
-        adjacent[b].append((1 << j, a))
-        ends.append((a, b))
+    tables = _tables(n)
+    index, incident, adjacent, _, everything = tables
     plain = [incident[index[v]] for v, role in n.nodes if role is NodeRole.PLAIN]
     gens = sum(1 << index[v] for v in n.generators)
     loads = sum(1 << index[v] for v in n.loads)
-    everything = (1 << len(n.edges)) - 1
 
     def core(removed: int) -> int:
         kept = everything & ~removed
@@ -487,31 +470,7 @@ def core_maps(n: Network) -> tuple[Callable[[int], int], Callable[[int], int]]:
         return flowing
 
     def bridges(kept: int) -> int:
-        depth = [-1] * len(incident)
-        parent = [0] * len(incident)
-        up = [0] * len(incident)  # the forest edge from a node to its parent
-        forest = 0
-        for root, edges in enumerate(incident):
-            if depth[root] >= 0 or not edges & kept:
-                continue
-            depth[root] = 0
-            queue = [root]
-            for u in queue:
-                for bit, w in adjacent[u]:
-                    if bit & kept and depth[w] < 0:
-                        depth[w], parent[w], up[w] = depth[u] + 1, u, bit
-                        forest |= bit
-                        queue.append(w)
-        crossed, closing = 0, kept & ~forest
-        while closing:
-            bit = closing & -closing
-            closing ^= bit
-            a, b = ends[bit.bit_length() - 1]
-            while a != b:
-                if depth[a] < depth[b]:
-                    a, b = b, a
-                crossed |= up[a]
-                a = parent[a]
+        forest, crossed, _ = _forest_walk(tables, kept)
         return forest & ~crossed
 
     return core, bridges

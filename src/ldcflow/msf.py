@@ -10,8 +10,8 @@ removing more edges never raises the classical value).
 
 Many switch sets leave the same edges able to carry flow: a plain leaf's
 edge carries nothing, and neither does a component without both a
-generator and a load.  `flow_cores` maps a switch set to the edges that
-remain, and the MPF value and the classical max flow depend on them
+generator and a load.  `core_maps(n)[0]` maps a switch set to the edges
+that remain, and the MPF value and the classical max flow depend on them
 alone (an edge outside the core carries no generator-to-load flow), so
 each search solves every such core once.  The scan solves only the
 distinct non-empty cores (an empty one is worth zero), each on its own
@@ -53,7 +53,7 @@ from typing import Callable, Iterable
 from .errors import TooLarge
 from .lp import Lazy, LinearProgram, VarId, write_lp_text
 from .maxflow import classical_max_flow
-from .mpf import MpfOutcome, _gen, _load, _require_fixed, core_maps, flow_cores, pinned_nodes, solve_mpf
+from .mpf import MpfOutcome, _gen, _load, _require_fixed, core_maps, pinned_nodes, solve_mpf
 from .network import Edge, Network, NodeId, NodeRole, Solution, SwitchSet, require_valid, subnetwork, zero_solution
 from .rational import ONE, Rational, ZERO, rat_str
 
@@ -111,7 +111,7 @@ def _optimal_sets(n: Network) -> list[int]:
     if len(n.edges) > EXHAUSTIVE_EDGE_LIMIT:
         raise TooLarge(f"{len(n.edges)} edges exceed the exhaustive limit of {EXHAUSTIVE_EDGE_LIMIT}")
     masks = range(1 << len(n.edges))
-    cores = array("L", map(flow_cores(n), masks))
+    cores = array("L", map(core_maps(n)[0], masks))
     solved = [core for core in dict.fromkeys(cores) if core]
     values = dict(zip(solved, ordered_map(partial(_core_value, n), solved)))
     return optima(masks, key=lambda mask: values.get(cores[mask], ZERO))

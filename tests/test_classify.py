@@ -63,6 +63,17 @@ def test_two_cycles_sharing_an_edge_is_not_a_cactus():
     assert not is_cactus(n)
 
 
+def test_self_loops_and_edges_to_undeclared_nodes_are_left_out():
+    triangle = Network(
+        [(v, PLAIN) for v in "abc"],
+        [fixed_edge(a, b, 1, 1) for a, b in [("a", "b"), ("b", "c"), ("a", "c"), ("a", "a"), ("b", "z")]],
+    )
+    assert is_cactus(triangle) and max_degree(triangle) == 2
+    assert connected_components(triangle) == [{"a", "b", "c"}]
+    k4 = Network(complete4().nodes, complete4().edges + (fixed_edge("d", "d", 1, 1),))
+    assert not is_cactus(k4) and max_degree(k4) == 3
+
+
 def test_trees_are_cacti(rng):
     for _ in range(20):
         assert is_cactus(random_tree(rng))

@@ -1,11 +1,12 @@
 import copy
+import hashlib
 import json
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import DECIMALS, facts_path
-from ldcflow import serialize
+from ldcflow import mpf, serialize
 from ldcflow.cli import main
 from ldcflow.gadgets import Polarity
 
@@ -67,6 +68,32 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "mff", str(path), "--json")
         doc = json.loads(out)
         assert code == 0 and (doc["problem"], doc["value"]) == ("mff", "61/10") and "certified" not in doc
+
+    def test_a_plain_solve_builds_no_solution(self, capsys, gsch_file, monkeypatch):
+        # the value alone is printed, so the lazily built solution is never read
+        builds = []
+        build = mpf._solution
+        monkeypatch.setattr(mpf, "_solution", lambda *a: builds.append(a) or build(*a))
+        assert run(capsys, "solve", "mpf", gsch_file) == (0, "3\n", "")
+        assert builds == []
+        assert run(capsys, "solve", "mpf", gsch_file, "--json")[0] == 0 and len(builds) == 1
+
+    @pytest.mark.parametrize(
+        "problem, digest",
+        [
+            ("mpf", "f13ac7b9867d6d139a5201a7e050ce060a991055d8d5634dfaadf41923f7449e"),
+            ("msf", "a5390065a87ac27a984f13b6902851a58aa178995b11817793804b10fc7a94ab"),
+            ("mff", "d4b52ec012afebb82b06a5625bc2e5326cbea042eae16eef5df360a541ae5582"),
+        ],
+    )
+    def test_the_outcome_document_is_the_same_text_on_stdout_and_in_the_file(self, capsys, gsch_file, tmp_path, problem, digest):
+        # sha256 of the document `solve <problem> --json` prints for gsch with x = 1
+        out = tmp_path / "o.json"
+        code, printed, _ = run(capsys, "solve", problem, gsch_file, "--json", "--out", str(out))
+        assert code == 0 and hashlib.sha256(printed.encode()).hexdigest() == digest
+        assert out.read_text() == printed
+        assert run(capsys, "solve", problem, gsch_file, "--out", str(out))[1] == run(capsys, "solve", problem, gsch_file)[1]
+        assert out.read_text() == printed
 
 
 class TestChains:
@@ -240,6 +267,24 @@ class TestErrors:
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == "" and not out.exists()
         assert f"argument --decide: not allowed with {' or '.join(given)}" in captured.err
+
+    @pytest.mark.parametrize(
+        "problem, option",
+        [
+            ("mpf", ["--grid", "5"]),
+            ("msf", ["--grid", "1"]),
+            ("mpf", ["--method", "exhaustive"]),
+            ("mff", ["--method", "bnb"]),
+            ("mpf", ["--grid", "2", "--decide", "3"]),
+        ],
+        ids=["grid on mpf", "grid on msf", "method on mpf", "method on mff", "grid on an mpf decision"],
+    )
+    def test_an_option_of_another_problem_is_a_usage_error(self, capsys, gsch_file, problem, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", problem, gsch_file, *option])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"argument {option[0]}: not allowed with {problem}" in captured.err
 
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_grid_below_one_is_a_usage_error(self, capsys, tmp_path, k):

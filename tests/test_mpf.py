@@ -14,7 +14,7 @@ from ldcflow.errors import InvalidNetwork, NotFixedSusceptance
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.lp import LE, Lazy, LpResult, LpStatus, solve_lp
 from ldcflow.maxflow import _integer_flow, classical_max_flow
-from ldcflow.mpf import MpfOutcome, _gen, _load, flow_cores, formulate_mpf, solve_mpf
+from ldcflow.mpf import MpfOutcome, _gen, _load, core_maps, formulate_mpf, solve_mpf
 from ldcflow.msf import _th, solve_msf_bnb, solve_msf_exhaustive
 from ldcflow.network import Network, NodeRole, Solution, fixed_edge, network_sum, subnetwork, total_generation, validate_network, validate_solution
 from oracles import reference_mpf_program, reference_terminal_program
@@ -649,32 +649,32 @@ TRIANGLE_PAIRS = (("g", "b"), ("b", "l"), ("g", "l"))
 class TestFlowCores:
     def test_a_plain_pendant_path_is_stripped(self):
         n = network_sum(triangle(), Network([("p", PLAIN), ("q", PLAIN)], [fixed_edge("b", "p", 1, 1), fixed_edge("p", "q", 2, 1)]))
-        assert flow_cores(n)(0) == edge_bits(n, *TRIANGLE_PAIRS)
+        assert core_maps(n)[0](0) == edge_bits(n, *TRIANGLE_PAIRS)
 
     def test_a_plain_node_left_with_one_edge_is_stripped(self):
         n = triangle()
         # without b--l, b is a plain leaf and g--b carries nothing
-        assert flow_cores(n)(edge_bits(n, ("b", "l"))) == edge_bits(n, ("g", "l"))
+        assert core_maps(n)[0](edge_bits(n, ("b", "l"))) == edge_bits(n, ("g", "l"))
 
     def test_generator_and_load_leaves_are_kept(self):
         leaves = Network([("h", GEN), ("m", LOAD)], [fixed_edge("b", "h", 1, 1), fixed_edge("g", "m", 1, 1)])
         n = network_sum(triangle(), leaves)
-        assert flow_cores(n)(0) == (1 << len(n.edges)) - 1
+        assert core_maps(n)[0](0) == (1 << len(n.edges)) - 1
 
     def test_flowless_components_are_dropped(self):
         gens = Network([("x", GEN), ("y", GEN), ("z", PLAIN)], [fixed_edge("x", "y", 1, 2), fixed_edge("y", "z", 1, 2), fixed_edge("x", "z", 1, 2)])
         loads = Network([("u", LOAD), ("w", LOAD)], [fixed_edge("u", "w", 1, 1)])
         n = network_sum(network_sum(triangle(), gens), loads)
-        cores = flow_cores(n)
+        cores = core_maps(n)[0]
         assert cores(0) == edge_bits(n, *TRIANGLE_PAIRS)
         assert cores(edge_bits(n, ("g", "l"), ("g", "b"))) == 0
-        assert flow_cores(network_sum(gens, loads))(0) == 0
+        assert core_maps(network_sum(gens, loads))[0](0) == 0
 
     def test_the_core_carries_the_value_and_outside_edges_leave_it(self):
         rng = random.Random(7)
         for _ in range(25):
             n = random_ldc_network(rng, max_edges=6)
-            cores, every = flow_cores(n), (1 << len(n.edges)) - 1
+            cores, every = core_maps(n)[0], (1 << len(n.edges)) - 1
             assert solve_mpf(subnetwork(n, [e for i, e in enumerate(n.edges) if not cores(0) >> i & 1])).value == solve_mpf(n).value
             for mask in range(every + 1):
                 core = cores(mask)
@@ -687,7 +687,7 @@ class TestFlowCores:
     @given(st.one_of(networks_with_idle_edges(), series_parallel_networks()))
     def test_the_classical_bound_is_the_cores(self, n):
         """Edges outside the core carry no generator-to-load flow, so the core fixes the max flow too."""
-        cores, bounds = flow_cores(n), {}
+        cores, bounds = core_maps(n)[0], {}
         for mask in range(1 << len(n.edges)):
             bound = classical_max_flow(subnetwork(n, [e for i, e in enumerate(n.edges) if mask >> i & 1]))
             assert bounds.setdefault(cores(mask), bound) == bound

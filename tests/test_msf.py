@@ -10,7 +10,7 @@ import oracles
 from ldcflow.errors import NotFixedSusceptance, TooLarge
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.maxflow import classical_max_flow
-from ldcflow.mpf import core_maps, flow_cores, solve_mpf
+from ldcflow.mpf import core_maps, solve_mpf
 from ldcflow.msf import (
     _solve_msf_bnb,
     decide_msf,
@@ -194,7 +194,7 @@ def test_branch_and_bound_repeats_the_reference_search_with_no_more_max_flows(n,
     if x is not None:
         assert decide_msf(n, x) == (x <= 0 or ref.value >= x)
     # no child takes a max flow that the min cut of an earlier bounded network, on the child's core, rules out
-    cores, best, sides = flow_cores(n), None, []
+    cores, best, sides = core_maps(n)[0], None, []
     for kind, m, value in calls:
         if kind == "solve":
             best = value if best is None or value > best else best
@@ -239,7 +239,7 @@ class TestSolveCounts:
     @staticmethod
     def core_of(n: Network, m: Network) -> int:
         """The flow core of m, a sub-network of n."""
-        return flow_cores(n)(sum(1 << i for i, e in enumerate(n.edges) if e not in m.edges))
+        return core_maps(n)[0](sum(1 << i for i, e in enumerate(n.edges) if e not in m.edges))
 
     @staticmethod
     def inherits(m: Network, bounds: list[Network]) -> bool:
@@ -259,7 +259,7 @@ class TestSolveCounts:
 
     def test_the_scan_solves_each_core_once_and_then_its_winners(self, solves):
         n = network_sum(self.pendant(), Network([("x", GEN), ("y", PLAIN)], [fixed_edge("x", "y", 1, 1)]))
-        cores = flow_cores(n)
+        cores = core_maps(n)[0]
         distinct = [core for core in dict.fromkeys(map(cores, range(1 << len(n.edges)))) if core]
         assert len(distinct) == 10
         # each distinct non-empty core is solved once, on its own sub-network, in first-seen mask order
@@ -305,7 +305,7 @@ class TestSolveCounts:
             solved = [m for m, _ in solves]
             for m in {*bounds, *solved} - {n}:
                 *rest, last = sorted(e for e in n.edges if e not in m.edges)
-                core = kept_edges(n, flow_cores(n)(sum(1 << n.edges.index(e) for e in rest)))
+                core = kept_edges(n, core_maps(n)[0](sum(1 << n.edges.index(e) for e in rest)))
                 assert last in core and last not in bridges_by_removal(n, core)
             # a solved set is bounded by a max flow on it or inherits one that uses only edges it keeps
             assert all(m in bounds or self.inherits(m, bounds) for m in solved)
