@@ -5,7 +5,8 @@ classify, export.  Networks, solutions, outcomes and instances travel as
 the JSON documents defined in `serialize`.  `solve` builds one outcome
 document only when `--json` or `--out` asks for it, and writes it to
 stdout for `--json` and to the file for `--out`; `verify` and `decode`
-read it back, and `verify` also reads a bare solution.  `solve mff`
+read it back, and `verify` also reads a bare solution.  `solve msf
+--decide` searches by `--method` as a full solve does.  `solve mff`
 reports its value as exact only on a network without FACTS edges.
 Exact values print as "p/q" with a decimal rendering when it differs.
 
@@ -83,7 +84,7 @@ def _cmd_solve(args) -> int:
         if args.problem == "mpf":
             yes = solve_mpf(n).value >= x
         elif args.problem == "msf":
-            yes = decide_msf(n, x)
+            yes = solve_msf_exhaustive(n).value >= x if args.method == "exhaustive" else decide_msf(n, x)
         else:
             yes = decide_mff(n, x, k=args.grid or 1) is MffDecision.YES
         print("YES" if yes else "UNKNOWN" if args.problem == "mff" else "NO")

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping
 
 from .errors import EdgeOverlap, InvalidNetwork, RoleConflict, UnknownEdge
@@ -38,6 +39,10 @@ class NodeRole(enum.Enum):
     GENERATOR = "generator"
     LOAD = "load"
     PLAIN = "plain"
+
+
+# each role's place in the order of the role names, which ranks two declarations of one node
+_ROLE_RANK = {role: rank for rank, role in enumerate(sorted(NodeRole, key=lambda r: r.value))}
 
 
 @dataclass(frozen=True, order=True)
@@ -77,6 +82,15 @@ class Edge:
         return f"{self.a}--{self.b}(s={s},cap={rat_str(self.cap)})"
 
 
+# the fields in declaration order: sorting by this key gives the order of the generated `Edge.__lt__`
+edge_key = attrgetter("a", "b", "s_min", "s_max", "cap")
+_node_name = itemgetter(0)
+
+
+def _node_key(node: tuple[NodeId, NodeRole]) -> tuple[NodeId, int]:
+    return node[0], _ROLE_RANK[node[1]]
+
+
 def fixed_edge(a: NodeId, b: NodeId, s, cap) -> Edge:
     """Edge with a fixed susceptance."""
     sv = rat(s)
@@ -92,17 +106,21 @@ def facts_edge(a: NodeId, b: NodeId, s_min, s_max, cap) -> Edge:
 class Network:
     """Nodes with roles plus undirected susceptance/capacity edges.
 
-    `nodes` is stored as a sorted tuple of (name, role) pairs and `edges`
-    as a sorted tuple, so equal networks compare and hash equal and all
-    iteration orders are deterministic.
+    `nodes` is stored as a tuple of (name, role) pairs sorted by name and
+    then role name, and `edges` as a tuple sorted by `edge_key`, so equal
+    networks compare and hash equal and all iteration orders are
+    deterministic.
     """
 
     nodes: tuple[tuple[NodeId, NodeRole], ...]
     edges: tuple[Edge, ...]
 
     def __init__(self, nodes: Iterable[tuple[NodeId, NodeRole]], edges: Iterable[Edge] = ()):
-        object.__setattr__(self, "nodes", tuple(sorted(nodes, key=lambda nr: (nr[0], nr[1].value))))
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
+        nodes = sorted(nodes, key=_node_name)
+        if len(set(map(_node_name, nodes))) < len(nodes):  # a name declared twice: its declarations by role
+            nodes.sort(key=_node_key)
+        object.__setattr__(self, "nodes", tuple(nodes))
+        object.__setattr__(self, "edges", tuple(sorted(edges, key=edge_key)))
 
     @cached_property
     def roles(self) -> dict[NodeId, NodeRole]:
@@ -275,25 +293,32 @@ def subnetwork(n: Network, switched: Iterable[Edge]) -> Network:
     return sub
 
 
-def network_sum(n1: Network, n2: Network) -> Network:
-    """Componentwise union of two networks sharing no edge pair.
+def network_sum(first: Network, *rest: Network) -> Network:
+    """Componentwise union of networks of which no two share an edge pair.
 
     Shared node names merge into a single node; a plain node may be
-    promoted by the other operand's generator or load role, but a node
-    that would be both generator and load is an error.
+    promoted by a later operand's generator or load role, but a node
+    that would be both generator and load is an error.  The operands are
+    taken in turn, so `network_sum(a, b, c)` equals
+    `network_sum(network_sum(a, b), c)` and raises the same error for the
+    same operand, but sorts the edges of all of them once.
     """
-    pairs1 = {e.pair for e in n1.edges}
-    for e in n2.edges:
-        if e.pair in pairs1:
-            raise EdgeOverlap(f"both networks carry an edge on {e.a}--{e.b}")
-    roles: dict[NodeId, NodeRole] = dict(n1.nodes)
-    for name, role in n2.nodes:
-        old = roles.get(name)
-        if old is None or old is NodeRole.PLAIN:
-            roles[name] = role
-        elif role is not NodeRole.PLAIN and role is not old:
-            raise RoleConflict(f"node {name} would be both generator and load")
-    return Network(roles.items(), n1.edges + n2.edges)
+    pairs = {e.pair for e in first.edges}
+    roles: dict[NodeId, NodeRole] = dict(first.nodes)
+    edges = list(first.edges)
+    for n in rest:
+        for e in n.edges:
+            if e.pair in pairs:
+                raise EdgeOverlap(f"both networks carry an edge on {e.a}--{e.b}")
+        for name, role in n.nodes:
+            old = roles.get(name)
+            if old is None or old is NodeRole.PLAIN:
+                roles[name] = role
+            elif role is not NodeRole.PLAIN and role is not old:
+                raise RoleConflict(f"node {name} would be both generator and load")
+        pairs.update(e.pair for e in n.edges)
+        edges += n.edges
+    return Network(roles.items(), edges)
 
 
 def total_generation(sol: Solution) -> Rational:

@@ -12,7 +12,10 @@ value can never masquerade as an exact one.
 
 `rat` reads a string in one pass: one regular expression splits it into
 sign, whole digits, denominator or fractional digits, the `int`s are
-built from those groups, and `Fraction` is called once on them.
+built from those groups, and `Fraction` is called once on them.  It asks
+whether a value is a `str` or an `int` before it asks whether it is a
+`Fraction`, since that last test goes through the ABC machinery of
+`numbers` for any other type.
 """
 
 from __future__ import annotations
@@ -45,12 +48,6 @@ def rat(value: int | str | Fraction) -> Fraction:
     than Python's limit on integer string conversion raises that
     ValueError just as `Fraction(text)` would.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise TypeError(f"refusing float {value!r}: pass an int or a string")
     if isinstance(value, str):
         m = _RATIONAL.fullmatch(value.strip())
         if m is None:
@@ -67,6 +64,12 @@ def rat(value: int | str | Fraction) -> Fraction:
         if sign == "-":
             num = -num
         return Fraction(num, d) if d != 1 else Fraction(num)  # one argument skips the gcd
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"refusing float {value!r}: pass an int or a string")
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 

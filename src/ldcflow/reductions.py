@@ -3,10 +3,17 @@
 Each encoder takes a problem instance and emits a network together with a
 closed-form predicted value: the reconfiguration optimum equals the
 predicted value exactly when the combinatorial instance is solvable, and
-stays strictly below it otherwise.  Decoders read a certificate back out
-of an optimal outcome; `witness_tree` builds the explicit switch set and
-solution showing a solvable subset-sum instance attains its predicted
-value on the two-level tree encoding.
+stays strictly below it otherwise.  `predicted_value` is that formula, one
+per kind, and the encoders and decoders both take it from there.  An
+encoder that sums choice gadgets into a glue network does so with one
+`network_sum`, so it builds and sorts one `Network` per encoding.
+
+Decoders read a certificate back out of an optimal outcome alone: the
+port flows come from the outcome's own solution and the predicted value
+from the instance, so no decoder encodes the instance again.
+`witness_tree` builds the explicit switch set and solution showing a
+solvable subset-sum instance attains its predicted value on the two-level
+tree encoding.
 
 Encodings provided:
   exact cover by 3-sets  -> FACTS network,  value 3 + 18.3|S| + |M|
@@ -32,7 +39,6 @@ from .gadgets import Polarity, gfch, gsch
 from .mff import MffOutcome
 from .msf import MsfOutcome
 from .network import (
-    Edge,
     Network,
     NodeId,
     NodeRole,
@@ -83,6 +89,32 @@ class EncodedInstance:
     network: Network
     predicted_value: Rational
     kind: str
+
+
+# the stand-alone optimum of one gadget (exact cover) or of one unit of gadget size (cactus)
+_GADGET_VALUE = {
+    KIND_EXACT_COVER_MFF: Fraction(183, 10),
+    KIND_EXACT_COVER_MSF: Fraction(9),
+    KIND_CACTUS_MSF: Fraction(3),
+    KIND_CACTUS_MFF: Fraction(61, 10),
+}
+
+
+def predicted_value(kind: str, inst) -> Rational:
+    """The value the `kind` encoding of `inst` attains exactly when `inst` is solvable.
+
+    The instance is not checked here; the encoders and decoders check it first.
+    """
+    if kind in (KIND_EXACT_COVER_MFF, KIND_EXACT_COVER_MSF):
+        return 3 + _GADGET_VALUE[kind] * len(inst.sets) + len(inst.universe)
+    if kind in (KIND_CACTUS_MSF, KIND_CACTUS_MFF):
+        return 3 + inst.target + _GADGET_VALUE[kind] * sum(inst.values)
+    if kind == KIND_TREE:
+        m = sum(inst.values) - 1
+        return Fraction(m + 2 + inst.target)
+    if kind == KIND_HAMILTONIAN:
+        return Fraction(2)
+    raise InvalidInstance(f"unknown encoding kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,36 +207,38 @@ def _exact_cover_glue(inst: ExactCover3Instance) -> Network:
     return Network(nodes, edges)
 
 
-def _encode_exact_cover(inst: ExactCover3Instance, gadget, per_gadget: Rational, kind: str) -> EncodedInstance:
+def _encode_exact_cover(inst: ExactCover3Instance, gadget, kind: str) -> EncodedInstance:
     _check_exact_cover(inst)
-    net = _exact_cover_glue(inst)
-    for i in range(1, len(inst.sets) + 1):
-        net = network_sum(net, gadget(3, port=f"v{i}", polarity=Polarity.PORT, prefix=f"X{i}."))
-    predicted = 3 + per_gadget * len(inst.sets) + len(inst.universe)
-    return EncodedInstance(net, predicted, kind)
+    gadgets = (gadget(3, port=f"v{i}", polarity=Polarity.PORT, prefix=f"X{i}.") for i in range(1, len(inst.sets) + 1))
+    return EncodedInstance(network_sum(_exact_cover_glue(inst), *gadgets), predicted_value(kind, inst), kind)
 
 
 def encode_exact_cover_mff(inst: ExactCover3Instance) -> EncodedInstance:
     """FACTS-choice encoding; predicted value 3 + 18.3|S| + |M|."""
-    return _encode_exact_cover(inst, gfch, Fraction(183, 10), KIND_EXACT_COVER_MFF)
+    return _encode_exact_cover(inst, gfch, KIND_EXACT_COVER_MFF)
 
 
 def encode_exact_cover_msf(inst: ExactCover3Instance) -> EncodedInstance:
     """Switching-choice encoding; predicted value 3 + 9|S| + |M|."""
-    return _encode_exact_cover(inst, gsch, Fraction(9), KIND_EXACT_COVER_MSF)
+    return _encode_exact_cover(inst, gsch, KIND_EXACT_COVER_MSF)
 
 
-def _port_outflows(enc: EncodedInstance, sol: Solution, port: NodeId, prefix: str) -> dict[Edge, Rational]:
-    """Signed flow out of `port` on its glue edges (gadget edges excluded)."""
-    out = {}
-    for e in enc.network.incident[port]:
-        other = e.b if e.a == port else e.a
-        if other.startswith(prefix):
-            continue
-        if e not in sol.flow:  # switched away
-            continue
-        out[e] = sol.flow[e] if e.a == port else -sol.flow[e]
-    return out
+def _port_outflows(sol: Solution, ports: int) -> list[list[Rational]]:
+    """The signed flows out of each port v1 .. v<ports> on its glue edges, in one pass over the solution's flows.
+
+    A port's glue edges are its edges to nodes outside its own gadget (the
+    nodes named X<i>.*); a switched edge has no flow and is left out.
+    """
+    flows: list[list[Rational]] = [[] for _ in range(ports)]
+    at = {f"v{i}": (flows[i - 1], f"X{i}.") for i in range(1, ports + 1)}
+    for e, f in sol.flow.items():
+        port = at.get(e.a)
+        if port is not None and not e.b.startswith(port[1]):
+            port[0].append(f)
+        port = at.get(e.b)
+        if port is not None and not e.a.startswith(port[1]):
+            port[0].append(-f)
+    return flows
 
 
 def decode_exact_cover(outcome: MffOutcome | MsfOutcome, inst: ExactCover3Instance) -> tuple[tuple[str, str, str], ...]:
@@ -216,14 +250,11 @@ def decode_exact_cover(outcome: MffOutcome | MsfOutcome, inst: ExactCover3Instan
     """
     _check_exact_cover(inst)
     kind = KIND_EXACT_COVER_MFF if isinstance(outcome, MffOutcome) else KIND_EXACT_COVER_MSF
-    enc = encode_exact_cover_mff(inst) if kind == KIND_EXACT_COVER_MFF else encode_exact_cover_msf(inst)
-    if outcome.value != enc.predicted_value:
-        raise NotOptimal(f"outcome value {outcome.value} is below the predicted {enc.predicted_value}")
-    cover = []
-    for i, X in enumerate(inst.sets, start=1):
-        flows = _port_outflows(enc, outcome.solution, f"v{i}", f"X{i}.")
-        if all(f == 1 for f in flows.values()) and len(flows) == 3:
-            cover.append(X)
+    predicted = predicted_value(kind, inst)
+    if outcome.value != predicted:
+        raise NotOptimal(f"outcome value {outcome.value} is below the predicted {predicted}")
+    outflows = _port_outflows(outcome.solution, len(inst.sets))
+    cover = [X for X, flows in zip(inst.sets, outflows) if len(flows) == 3 and all(f == 1 for f in flows)]
     counts = {x: 0 for x in inst.universe}
     for X in cover:
         for x in X:
@@ -259,7 +290,7 @@ def encode_hamiltonian(inst: HamiltonianInstance) -> EncodedInstance:
     edges.append(fixed_edge(inst.b, "H.t", 1, 1))
     chain = ["H.s"] + [f"H.p{i}" for i in range(1, n + 1)] + ["H.t"]
     edges += [fixed_edge(u, v, 1, 1) for u, v in zip(chain, chain[1:])]
-    return EncodedInstance(Network(nodes, edges), Fraction(2), KIND_HAMILTONIAN)
+    return EncodedInstance(Network(nodes, edges), predicted_value(KIND_HAMILTONIAN, inst), KIND_HAMILTONIAN)
 
 
 # ---------------------------------------------------------------------------
@@ -282,24 +313,20 @@ def _cactus_glue(inst: SubsetSumInstance) -> Network:
     return Network(nodes, edges)
 
 
-def _encode_cactus(inst: SubsetSumInstance, gadget, per_unit: Rational, kind: str) -> EncodedInstance:
+def _encode_cactus(inst: SubsetSumInstance, gadget, kind: str) -> EncodedInstance:
     _check_subset_sum(inst)
-    net = _cactus_glue(inst)
-    for i, x in enumerate(inst.values, start=1):
-        net = network_sum(net, gadget(x, port=f"v{i}", polarity=Polarity.PORT, prefix=f"X{i}."))
-    m = sum(inst.values)
-    predicted = 3 + inst.target + per_unit * m
-    return EncodedInstance(net, predicted, kind)
+    gadgets = (gadget(x, port=f"v{i}", polarity=Polarity.PORT, prefix=f"X{i}.") for i, x in enumerate(inst.values, start=1))
+    return EncodedInstance(network_sum(_cactus_glue(inst), *gadgets), predicted_value(kind, inst), kind)
 
 
 def encode_subset_sum_cactus_msf(inst: SubsetSumInstance) -> EncodedInstance:
     """Cactus switching encoding; predicted value 3 + w + 3m with m = sum(M)."""
-    return _encode_cactus(inst, gsch, Fraction(3), KIND_CACTUS_MSF)
+    return _encode_cactus(inst, gsch, KIND_CACTUS_MSF)
 
 
 def encode_subset_sum_cactus_mff(inst: SubsetSumInstance) -> EncodedInstance:
     """Cactus FACTS encoding; predicted value 3 + w + 6.1m with m = sum(M)."""
-    return _encode_cactus(inst, gfch, Fraction(61, 10), KIND_CACTUS_MFF)
+    return _encode_cactus(inst, gfch, KIND_CACTUS_MFF)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +371,7 @@ def encode_subset_sum_tree(inst: SubsetSumInstance) -> EncodedInstance:
         fixed_edge(f"g{n + 1}", f"a{n + 1}", Fraction(2, n + 1), 1),
         fixed_edge(f"a{n + 1}", f"l{n + 1}", 1, m + 1),
     ]
-    return EncodedInstance(Network(nodes, edges), Fraction(m + 2 + w), KIND_TREE)
+    return EncodedInstance(Network(nodes, edges), predicted_value(KIND_TREE, inst), KIND_TREE)
 
 
 def witness_tree(inst: SubsetSumInstance, chosen: set[int]) -> tuple[SwitchSet, Solution]:
@@ -416,26 +443,21 @@ def decode_subset_sum(outcome: MsfOutcome | MffOutcome, inst: SubsetSumInstance,
     if kind == KIND_TREE:
         if not isinstance(outcome, MsfOutcome):
             raise DecodingFailed("the tree encoding is a switching instance: decode it from an MSF outcome")
-        enc = encode_subset_sum_tree(inst)
-        if outcome.value != enc.predicted_value:
-            raise NotOptimal(f"outcome value {outcome.value} is below the predicted {enc.predicted_value}")
+    elif kind not in (KIND_CACTUS_MSF, KIND_CACTUS_MFF):
+        raise InvalidInstance(f"unknown subset-sum encoding kind {kind!r}")
+    predicted = predicted_value(kind, inst)
+    if outcome.value != predicted:
+        raise NotOptimal(f"outcome value {outcome.value} is below the predicted {predicted}")
+    if kind == KIND_TREE:
         switched_pairs = {e.pair for e in outcome.switched}
         chosen = {
             inst.values[i - 2]
             for i in range(2, len(inst.values) + 2)
             if tuple(sorted(("p", f"a{i}"))) not in switched_pairs
         }
-    elif kind in (KIND_CACTUS_MSF, KIND_CACTUS_MFF):
-        enc = encode_subset_sum_cactus_msf(inst) if kind == KIND_CACTUS_MSF else encode_subset_sum_cactus_mff(inst)
-        if outcome.value != enc.predicted_value:
-            raise NotOptimal(f"outcome value {outcome.value} is below the predicted {enc.predicted_value}")
-        chosen = set()
-        for i, x in enumerate(inst.values, start=1):
-            outflows = _port_outflows(enc, outcome.solution, f"v{i}", f"X{i}.")
-            if sum(outflows.values(), ZERO) == x:
-                chosen.add(x)
     else:
-        raise InvalidInstance(f"unknown subset-sum encoding kind {kind!r}")
+        outflows = _port_outflows(outcome.solution, len(inst.values))
+        chosen = {x for x, flows in zip(inst.values, outflows) if sum(flows, ZERO) == x}
     if sum(chosen) != inst.target:
         raise DecodingFailed(f"extracted subset {sorted(chosen)} does not sum to {inst.target}")
     return chosen

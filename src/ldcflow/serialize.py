@@ -19,6 +19,15 @@ once: a dict made for that call maps the strings it has read to their
 values.  No cache outlives the call.  Each of them likewise maps the
 network's edges by node pair once; an MSF outcome's solution is read
 against that map without the switched edges.
+
+Writers format each rational with `str`, which gives the text `rat_str`
+does, and order an edge map by `edge_key`.  Readers take each record on
+a fast path that checks the exact type of each field.  A record that
+fails it is read again by the checks that name the field (`_get`,
+`_rat_field`): they raise the error, or return the same value for a
+subclass of `dict`, `str` or `int`.  So a field path such as `edges[3]`
+is formatted only for a record the fast path refuses, and every message
+is the one those checks give.
 """
 
 from __future__ import annotations
@@ -30,9 +39,9 @@ from typing import Any
 from .mff import MffOutcome, SusAssignment
 from .mpf import MpfOutcome
 from .msf import MsfOutcome
-from .network import Edge, Network, NodeRole, Solution, SwitchSet
+from .network import Edge, Network, NodeRole, Solution, SwitchSet, edge_key
 from .network import subnetwork  # noqa: F401  no reader calls it; perfbench's tracer still hooks this name
-from .rational import Rational, rat, rat_str
+from .rational import Rational, rat
 from .reductions import (
     EncodedInstance,
     ExactCover3Instance,
@@ -43,17 +52,21 @@ from .reductions import (
 
 # --- networks ---------------------------------------------------------------
 
+_ROLE_NAME = {role: role.value for role in NodeRole}
+_ROLE_OF = {role.value: role for role in NodeRole}
+_ROLES = tuple(_ROLE_OF)
+
 
 def network_to_json(n: Network) -> dict:
     return {
-        "nodes": [{"id": name, "role": role.value} for name, role in n.nodes],
+        "nodes": [{"id": name, "role": _ROLE_NAME[role]} for name, role in n.nodes],
         "edges": [
             {
                 "a": e.a,
                 "b": e.b,
-                "s_min": rat_str(e.s_min),
-                "s_max": rat_str(e.s_max),
-                "cap": rat_str(e.cap),
+                "s_min": str(e.s_min),
+                "s_max": str(e.s_max),
+                "cap": str(e.cap),
             }
             for e in n.edges
         ],
@@ -92,20 +105,42 @@ def _rat_field(record: dict, key: str, where: str, seen: Seen) -> Rational:
     return r
 
 
-_ROLES = tuple(r.value for r in NodeRole)
+def _rat_in(value: Any, seen: Seen) -> Rational | None:
+    """A str or int `value` as an exact rational, parsing a string at most once per document; None for any other value and for a string that is not a rational."""
+    if type(value) is str:
+        r = seen.get(value)
+        if r is None:
+            try:
+                r = seen[value] = rat(value)
+            except ValueError:
+                return None
+        return r
+    return rat(value) if type(value) is int else None
 
 
 def network_from_json(data: dict) -> Network:
     """The network a document describes; a document of the wrong shape raises a ValueError naming the field."""
     nodes = []
     for i, nd in enumerate(_get(data, "nodes", "network", list)):
-        where = f"nodes[{i}]"
-        name, role = _get(nd, "id", where, str), _get(nd, "role", where)
-        if role not in _ROLES:
-            raise ValueError(f"{where}.role must be one of {', '.join(_ROLES)}, got {role!r}")
-        nodes.append((name, NodeRole(role)))
+        name = role = None
+        if type(nd) is dict:
+            name, role = nd.get("id"), nd.get("role")
+            role = _ROLE_OF.get(role) if type(role) is str else None
+        if type(name) is not str or role is None:
+            where = f"nodes[{i}]"
+            name, role = _get(nd, "id", where, str), _get(nd, "role", where)
+            if role not in _ROLES:
+                raise ValueError(f"{where}.role must be one of {', '.join(_ROLES)}, got {role!r}")
+            role = NodeRole(role)
+        nodes.append((name, role))
     edges, seen = [], {}
     for i, ed in enumerate(_get(data, "edges", "network", list)):
+        if type(ed) is dict:
+            a, b = ed.get("a"), ed.get("b")
+            s_min, s_max, cap = _rat_in(ed.get("s_min"), seen), _rat_in(ed.get("s_max"), seen), _rat_in(ed.get("cap"), seen)
+            if type(a) is str and type(b) is str and s_min is not None and s_max is not None and cap is not None:
+                edges.append(Edge(a, b, s_min, s_max, cap))
+                continue
         where = f"edges[{i}]"
         a, b = _get(ed, "a", where, str), _get(ed, "b", where, str)
         edges.append(Edge(a, b, _rat_field(ed, "s_min", where, seen), _rat_field(ed, "s_max", where, seen), _rat_field(ed, "cap", where, seen)))
@@ -116,14 +151,15 @@ def network_from_json(data: dict) -> Network:
 
 
 def _edge_map_out(mapping) -> list[dict]:
+    # sorted by key tuple, the order of `edge_key`; distinct edges have distinct key tuples
     return [
-        {"a": e.a, "b": e.b, "value": rat_str(v)}
-        for e, v in sorted(mapping.items())
+        {"a": key[0], "b": key[1], "value": str(v)}
+        for key, v in sorted(zip(map(edge_key, mapping), mapping.values()))
     ]
 
 
 def _node_map_out(mapping) -> dict:
-    return {v: rat_str(x) for v, x in sorted(mapping.items())}
+    return {v: str(x) for v, x in sorted(mapping.items())}
 
 
 def _edge_in(rec: Any, where: str, by_pair: ByPair) -> Edge:
@@ -135,18 +171,34 @@ def _edge_in(rec: Any, where: str, by_pair: ByPair) -> Edge:
     return by_pair[pair]
 
 
+def _edge_of(rec: Any, by_pair: ByPair) -> Edge | None:
+    """The network's edge a record of the right types names, or None."""
+    if type(rec) is dict:
+        a, b = rec.get("a"), rec.get("b")
+        if type(a) is str and type(b) is str:
+            return by_pair.get((a, b) if a <= b else (b, a))
+    return None
+
+
 # a document's edges by their node pair, built once per top-level reader
 ByPair = dict[tuple[str, str], Edge]
 
 
 def _by_pair(n: Network) -> ByPair:
-    return {e.pair: e for e in n.edges}
+    return {(e.a, e.b): e for e in n.edges}
 
 
 def _edge_map_in(records: list, where: str, by_pair: ByPair, seen: Seen) -> dict[Edge, Rational]:
     """The map the records give; a record that names an edge an earlier one named raises a ValueError."""
     out = {}
     for i, rec in enumerate(records):
+        e = _edge_of(rec, by_pair)
+        r = None if e is None else _rat_in(rec.get("value"), seen)
+        if r is not None:
+            size = len(out)
+            out[e] = r
+            if len(out) > size:
+                continue
         at = f"{where}[{i}]"
         e = _edge_in(rec, at, by_pair)
         if e in out:
@@ -166,8 +218,12 @@ def solution_to_json(sol: Solution) -> dict:
 
 
 def _node_map_in(data: dict, key: str, seen: Seen) -> dict:
-    values, where = _get(data, key, "solution", dict), f"solution.{key}"
-    return {v: _rat_field(values, v, where, seen) for v in values}
+    values = _get(data, key, "solution", dict)
+    out = {}
+    for v, x in values.items():
+        r = _rat_in(x, seen)
+        out[v] = r if r is not None else _rat_field(values, v, f"solution.{key}", seen)
+    return out
 
 
 def _solution_in(data: dict, by_pair: ByPair, seen: Seen) -> Solution:
@@ -186,7 +242,7 @@ def solution_from_json(data: dict, n: Network) -> Solution:
 
 
 def mpf_outcome_to_json(out: MpfOutcome) -> dict:
-    return {"problem": "mpf", "value": rat_str(out.value), "solution": solution_to_json(out.solution)}
+    return {"problem": "mpf", "value": str(out.value), "solution": solution_to_json(out.solution)}
 
 
 def mpf_outcome_from_json(data: dict, n: Network) -> MpfOutcome:
@@ -195,13 +251,19 @@ def mpf_outcome_from_json(data: dict, n: Network) -> MpfOutcome:
 
 
 def _switch_set_out(switched: SwitchSet) -> list[dict]:
-    return [{"a": e.a, "b": e.b} for e in sorted(switched)]
+    return [{"a": e.a, "b": e.b} for e in sorted(switched, key=edge_key)]
 
 
 def _switch_set_in(records: list, by_pair: ByPair) -> SwitchSet:
     """The set the records give; a record that names an edge an earlier one named raises a ValueError."""
     switched = set()
     for i, rec in enumerate(records):
+        e = _edge_of(rec, by_pair)
+        if e is not None:
+            size = len(switched)
+            switched.add(e)
+            if len(switched) > size:
+                continue
         at = f"outcome.switched[{i}]"
         e = _edge_in(rec, at, by_pair)
         if e in switched:
@@ -213,7 +275,7 @@ def _switch_set_in(records: list, by_pair: ByPair) -> SwitchSet:
 def msf_outcome_to_json(out: MsfOutcome) -> dict:
     return {
         "problem": "msf",
-        "value": rat_str(out.value),
+        "value": str(out.value),
         "switched": _switch_set_out(out.switched),
         "solution": solution_to_json(out.solution),
     }
@@ -223,7 +285,7 @@ def msf_outcome_from_json(data: dict, n: Network) -> MsfOutcome:
     by_pair, seen = _by_pair(n), {}
     switched = _switch_set_in(_get(data, "switched", "outcome", list), by_pair)
     for e in switched:
-        del by_pair[e.pair]  # the solution lives on the sub-network without them
+        del by_pair[e.a, e.b]  # the solution lives on the sub-network without them
     return MsfOutcome(
         value=_rat_field(data, "value", "outcome", seen),
         switched=switched,
@@ -234,7 +296,7 @@ def msf_outcome_from_json(data: dict, n: Network) -> MsfOutcome:
 def mff_outcome_to_json(out: MffOutcome) -> dict:
     return {
         "problem": "mff",
-        "value": rat_str(out.value),
+        "value": str(out.value),
         "assignment": _edge_map_out(out.assignment),
         "solution": solution_to_json(out.solution),
     }
@@ -330,7 +392,7 @@ def encoded_to_json(enc: EncodedInstance) -> dict:
     return {
         "kind": enc.kind,
         "network": network_to_json(enc.network),
-        "predicted_value": rat_str(enc.predicted_value),
+        "predicted_value": str(enc.predicted_value),
     }
 
 

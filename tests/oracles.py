@@ -24,7 +24,11 @@ and counting components.  `reference_rat` (a regular-expression match, then `Fra
 and `reference_validate_solution` (every check in `Fraction`s) are the
 string parser and the solution check that the integer versions in
 `rational` and `network` replaced, and must agree with exactly, errors
-and violation texts included.
+and violation texts included.  `reference_decode_exact_cover` and
+`reference_decode_subset_sum` encode the instance again and read each
+port's flows edge by edge off the encoded network; the decoders in
+`reductions`, which read the outcome alone, must return the same
+certificate or raise the same error with the same message.
 """
 
 from __future__ import annotations
@@ -42,6 +46,23 @@ from ldcflow.mpf import MpfOutcome, _require_fixed, core_maps, solve_mpf
 from ldcflow.network import Edge, Network, NodeRole, Solution, ValidationReport, Violation, subnetwork, zero_solution
 from ldcflow.rational import Rational, ZERO, rat_str
 from ldcflow.classify import connected_components
+from ldcflow.errors import DecodingFailed, InvalidInstance, NotOptimal
+from ldcflow.mff import MffOutcome
+from ldcflow.msf import MsfOutcome
+from ldcflow.reductions import (
+    KIND_CACTUS_MFF,
+    KIND_CACTUS_MSF,
+    KIND_EXACT_COVER_MFF,
+    KIND_EXACT_COVER_MSF,
+    KIND_TREE,
+    _check_exact_cover,
+    _check_subset_sum,
+    encode_exact_cover_mff,
+    encode_exact_cover_msf,
+    encode_subset_sum_cactus_mff,
+    encode_subset_sum_cactus_msf,
+    encode_subset_sum_tree,
+)
 
 
 def gauss_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -675,3 +696,68 @@ def reference_validate_solution(n: Network, sol: Solution) -> ValidationReport:
             out.append(Violation("RoleBound", v, "load at a non-load"))
 
     return ValidationReport(tuple(out))
+
+
+def _reference_port_outflows(enc, sol: Solution, port: str, prefix: str) -> dict[Edge, Rational]:
+    """Signed flow out of `port` on its glue edges (gadget edges excluded)."""
+    out = {}
+    for e in enc.network.incident[port]:
+        other = e.b if e.a == port else e.a
+        if other.startswith(prefix):
+            continue
+        if e not in sol.flow:  # switched away
+            continue
+        out[e] = sol.flow[e] if e.a == port else -sol.flow[e]
+    return out
+
+
+def reference_decode_exact_cover(outcome, inst) -> tuple[tuple[str, str, str], ...]:
+    """The exact cover an optimal outcome shows, read against the instance encoded again."""
+    _check_exact_cover(inst)
+    kind = KIND_EXACT_COVER_MFF if isinstance(outcome, MffOutcome) else KIND_EXACT_COVER_MSF
+    enc = encode_exact_cover_mff(inst) if kind == KIND_EXACT_COVER_MFF else encode_exact_cover_msf(inst)
+    if outcome.value != enc.predicted_value:
+        raise NotOptimal(f"outcome value {outcome.value} is below the predicted {enc.predicted_value}")
+    cover = []
+    for i, X in enumerate(inst.sets, start=1):
+        flows = _reference_port_outflows(enc, outcome.solution, f"v{i}", f"X{i}.")
+        if all(f == 1 for f in flows.values()) and len(flows) == 3:
+            cover.append(X)
+    counts = {x: 0 for x in inst.universe}
+    for X in cover:
+        for x in X:
+            counts[x] += 1
+    if any(c != 1 for c in counts.values()):
+        raise DecodingFailed(f"active sets do not cover every element exactly once: {counts}")
+    return tuple(cover)
+
+
+def reference_decode_subset_sum(outcome, inst, kind: str) -> set[int]:
+    """The subset an optimal outcome shows, read against the instance encoded again."""
+    _check_subset_sum(inst)
+    if kind == KIND_TREE:
+        if not isinstance(outcome, MsfOutcome):
+            raise DecodingFailed("the tree encoding is a switching instance: decode it from an MSF outcome")
+        enc = encode_subset_sum_tree(inst)
+        if outcome.value != enc.predicted_value:
+            raise NotOptimal(f"outcome value {outcome.value} is below the predicted {enc.predicted_value}")
+        switched_pairs = {e.pair for e in outcome.switched}
+        chosen = {
+            inst.values[i - 2]
+            for i in range(2, len(inst.values) + 2)
+            if tuple(sorted(("p", f"a{i}"))) not in switched_pairs
+        }
+    elif kind in (KIND_CACTUS_MSF, KIND_CACTUS_MFF):
+        enc = encode_subset_sum_cactus_msf(inst) if kind == KIND_CACTUS_MSF else encode_subset_sum_cactus_mff(inst)
+        if outcome.value != enc.predicted_value:
+            raise NotOptimal(f"outcome value {outcome.value} is below the predicted {enc.predicted_value}")
+        chosen = set()
+        for i, x in enumerate(inst.values, start=1):
+            outflows = _reference_port_outflows(enc, outcome.solution, f"v{i}", f"X{i}.")
+            if sum(outflows.values(), ZERO) == x:
+                chosen.add(x)
+    else:
+        raise InvalidInstance(f"unknown subset-sum encoding kind {kind!r}")
+    if sum(chosen) != inst.target:
+        raise DecodingFailed(f"extracted subset {sorted(chosen)} does not sum to {inst.target}")
+    return chosen

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import DECIMALS, facts_path
-from ldcflow import mpf, serialize
+from ldcflow import cli, mpf, serialize
 from ldcflow.cli import main
 from ldcflow.gadgets import Polarity
 
@@ -47,6 +47,17 @@ class TestSolve:
     def test_msf_decide_yes(self, capsys, gsch_file):
         code, out, _ = run(capsys, "solve", "msf", gsch_file, "--decide", "3")
         assert code == 0 and out.strip() == "YES"
+
+    @pytest.mark.parametrize("x, answer", [("3", "YES"), ("31/10", "NO")])
+    def test_msf_decide_by_either_method(self, capsys, gsch_file, monkeypatch, x, answer):
+        scans = []
+        scan = cli.solve_msf_exhaustive
+        monkeypatch.setattr(cli, "solve_msf_exhaustive", lambda n: scans.append(n) or scan(n))
+        assert run(capsys, "solve", "msf", gsch_file, "--decide", x, "--method", "bnb") == (0, answer + "\n", "")
+        assert run(capsys, "solve", "msf", gsch_file, "--decide", x) == (0, answer + "\n", "")
+        assert scans == []
+        assert run(capsys, "solve", "msf", gsch_file, "--decide", x, "--method", "exhaustive") == (0, answer + "\n", "")
+        assert len(scans) == 1
 
     def test_mff_decide_unknown(self, capsys, tmp_path):
         path = tmp_path / "f.json"
@@ -250,6 +261,13 @@ class TestErrors:
         path = tmp_path / "facts.json"
         run(capsys, "gadget", "gfch", "--x", "1", "--polarity", "minus", "--out", str(path))
         code, out, err = run(capsys, "solve", "msf", str(path), "--decide", x)
+        assert code == 4 and out == "" and "susceptance" in err
+
+    @pytest.mark.parametrize("x", ["0", "1"])
+    def test_an_exhaustive_msf_decision_on_facts_edges_is_exit_4_too(self, capsys, tmp_path, x):
+        path = tmp_path / "facts.json"
+        run(capsys, "gadget", "gfch", "--x", "1", "--polarity", "minus", "--out", str(path))
+        code, out, err = run(capsys, "solve", "msf", str(path), "--decide", x, "--method", "exhaustive")
         assert code == 4 and out == "" and "susceptance" in err
 
     def test_usage_error_is_exit_2(self, capsys):

@@ -251,6 +251,36 @@ class TestInheritedSubnetwork:
             subnetwork(twice, {real, foreign})
 
 
+def returned_or_raised(call):
+    """What call() returns, or the type and message of the `EdgeOverlap` or `RoleConflict` it raises."""
+    try:
+        return call()
+    except (EdgeOverlap, RoleConflict) as exc:
+        return type(exc), str(exc)
+
+
+NAMES = ("a", "b", "c", "d")
+ROLES = st.sampled_from([GEN, LOAD, PLAIN])
+
+
+@st.composite
+def small_networks(draw) -> Network:
+    """Up to three nodes and two edges on four names; operands drawn together often share a pair or a node."""
+    nodes = draw(st.lists(st.tuples(st.sampled_from(NAMES), ROLES), max_size=3))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES)), max_size=2))
+    return Network(nodes, [fixed_edge(u, v, draw(st.sampled_from([1, 2])), 1) for u, v in pairs])
+
+
+@st.composite
+def edge_lists(draw) -> list[Edge]:
+    """Drawn edges plus a repeated pair with two susceptances, an exact repeat and a self-loop, in a drawn order."""
+    edge = st.builds(fixed_edge, st.sampled_from(NAMES), st.sampled_from(NAMES), st.sampled_from([F(1, 2), F(1), F(2)]), st.integers(1, 3))
+    u, v = draw(st.permutations(NAMES))[:2]
+    twin = fixed_edge(u, v, 1, 2)
+    edges = draw(st.lists(edge, max_size=8)) + [twin, fixed_edge(v, u, 2, 2), replace(twin), fixed_edge(u, u, 1, 1), facts_edge(u, v, 1, 2, 2)]
+    return draw(st.permutations(edges))
+
+
 class TestNetworkSum:
     def test_shared_port(self, gsch1):
         other = Network([("v", PLAIN), ("w", LOAD)], [fixed_edge("v", "w", 1, 1)])
@@ -281,6 +311,35 @@ class TestNetworkSum:
         n1 = Network([("a", PLAIN)], [])
         n2 = Network([("a", GEN)], [])
         assert network_sum(n1, n2).role("a") is GEN
+
+    @given(operands=st.lists(small_networks(), min_size=3, max_size=3))
+    def test_many_operands_sum_as_nested_pairs(self, operands):
+        a, b, c = operands
+        assert returned_or_raised(lambda: network_sum(a, b, c)) == returned_or_raised(lambda: network_sum(network_sum(a, b), c))
+
+    def test_the_error_names_the_same_operand(self):
+        a = Network([("a", GEN), ("b", PLAIN)], [fixed_edge("a", "b", 1, 1)])
+        b = Network([("b", LOAD), ("c", PLAIN)], [fixed_edge("b", "c", 1, 1)])
+        for c, error in (
+            (Network([("c", PLAIN), ("d", PLAIN)], [fixed_edge("c", "d", 1, 1), fixed_edge("c", "b", 2, 2)]), (EdgeOverlap, "both networks carry an edge on b--c")),
+            (Network([("a", LOAD)], []), (RoleConflict, "node a would be both generator and load")),
+        ):
+            assert returned_or_raised(lambda: network_sum(a, b, c)) == error
+            assert returned_or_raised(lambda: network_sum(network_sum(a, b), c)) == error
+
+
+class TestOrders:
+    """`Network` sorts by key tuples; the order is the one the generated `Edge.__lt__` and the role names give."""
+
+    @given(edges=edge_lists())
+    def test_edges_keep_the_order_of_sorted(self, edges):
+        got = Network([], edges).edges
+        assert [id(e) for e in got] == [id(e) for e in sorted(edges)]
+
+    @given(nodes=st.lists(st.tuples(st.sampled_from(NAMES), ROLES), max_size=8))
+    def test_nodes_keep_the_order_of_name_then_role_name(self, nodes):
+        got = Network(nodes, []).nodes
+        assert got == tuple(sorted(nodes, key=lambda nr: (nr[0], nr[1].value)))
 
 
 DANGLING = fixed_edge("g", "zz", 1, 1)  # an edge to a node no gadget declares

@@ -1,15 +1,21 @@
+from dataclasses import replace
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ldcflow.classify import is_cactus, max_degree
-from ldcflow.errors import DecodingFailed, InvalidInstance, NotACertificate, NotOptimal
-from ldcflow.mff import solve_mff_endpoints
+from ldcflow.errors import DecodingFailed, InvalidInstance, LdcError, NotACertificate, NotOptimal
+from ldcflow.mff import MffOutcome, solve_mff_endpoints
 from ldcflow.msf import MsfOutcome, solve_msf_bnb
 from ldcflow.network import subnetwork, total_generation, validate_network, validate_solution, zero_solution
 from ldcflow.reductions import (
     KIND_CACTUS_MFF,
     KIND_CACTUS_MSF,
+    KIND_EXACT_COVER_MFF,
+    KIND_EXACT_COVER_MSF,
+    KIND_HAMILTONIAN,
     KIND_TREE,
     ExactCover3Instance,
     HamiltonianInstance,
@@ -22,9 +28,16 @@ from ldcflow.reductions import (
     encode_subset_sum_cactus_mff,
     encode_subset_sum_cactus_msf,
     encode_subset_sum_tree,
+    predicted_value,
     witness_tree,
 )
-from oracles import exact_cover_exists, hamiltonian_path_exists, subset_sum_solvable
+from oracles import (
+    exact_cover_exists,
+    hamiltonian_path_exists,
+    reference_decode_exact_cover,
+    reference_decode_subset_sum,
+    subset_sum_solvable,
+)
 
 COVER_ABCDEF = ExactCover3Instance(
     ("a", "b", "c", "d", "e", "f"),
@@ -376,3 +389,96 @@ class TestEquivalenceAtDeskScale:
         out = solve_msf_bnb(enc.network)
         assert out.value == enc.predicted_value == 36
         assert decode_exact_cover(out, COVER_ABCDEF) == (("a", "b", "c"), ("d", "e", "f"))
+
+
+def returned_or_raised(call):
+    """What call() returns, or the type and message of the `LdcError` it raises."""
+    try:
+        return call()
+    except LdcError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def subset_sums(draw) -> SubsetSumInstance:
+    values = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=2, unique=True)))
+    return SubsetSumInstance(values, draw(st.integers(1, sum(values) + 1)))
+
+
+@st.composite
+def exact_covers(draw) -> ExactCover3Instance:
+    """Three or six elements and at most two sets: a planted cover, or sets drawn at random."""
+    universe = tuple("abcdef"[: draw(st.sampled_from([3, 6]))])
+    if draw(st.booleans()):
+        order = draw(st.permutations(universe))
+        sets = [tuple(sorted(order[i : i + 3])) for i in range(0, len(order), 3)]
+    else:
+        sets = draw(st.lists(st.sampled_from(list(combinations(universe, 3))), min_size=1, max_size=2, unique=True))
+    return ExactCover3Instance(universe, tuple(draw(st.permutations(sets))))
+
+
+# kind, encoder, solver, drawn instances, the new decoder and the reference one as (outcome, instance) -> certificate
+DECODABLE = [
+    (KIND_EXACT_COVER_MSF, encode_exact_cover_msf, solve_msf_bnb, exact_covers(), decode_exact_cover, reference_decode_exact_cover),
+    (KIND_EXACT_COVER_MFF, encode_exact_cover_mff, solve_mff_endpoints, exact_covers(), decode_exact_cover, reference_decode_exact_cover),
+    *[
+        (
+            kind,
+            encode,
+            solve,
+            subset_sums(),
+            lambda out, inst, kind=kind: decode_subset_sum(out, inst, kind),
+            lambda out, inst, kind=kind: reference_decode_subset_sum(out, inst, kind),
+        )
+        for kind, encode, solve in (
+            (KIND_CACTUS_MSF, encode_subset_sum_cactus_msf, solve_msf_bnb),
+            (KIND_CACTUS_MFF, encode_subset_sum_cactus_mff, solve_mff_endpoints),
+            (KIND_TREE, encode_subset_sum_tree, solve_msf_bnb),
+        )
+    ],
+]
+
+
+class TestDecodersMatchTheReference:
+    """The decoders read the outcome alone and agree with decoders that encode the instance again."""
+
+    @pytest.mark.parametrize("kind, encode, solve, instances, decode, reference", DECODABLE, ids=[d[0] for d in DECODABLE])
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_same_certificate_or_same_error(self, kind, encode, solve, instances, decode, reference, data):
+        inst = data.draw(instances)
+        enc = encode(inst)
+        honest = solve(enc.network)
+        outcomes = [
+            honest,
+            replace(honest, value=enc.predicted_value - 1),
+            pushing_nothing(enc),
+            MffOutcome(enc.predicted_value, {}, zero_solution(enc.network)),
+            replace(honest, value=enc.predicted_value),
+        ]
+        if isinstance(honest, MsfOutcome):
+            outcomes.append(replace(honest, value=enc.predicted_value, switched=frozenset()))
+        for out in outcomes:
+            got = returned_or_raised(lambda: decode(out, inst))
+            assert got == returned_or_raised(lambda: reference(out, inst))
+        solvable = exact_cover_exists(inst.universe, inst.sets) if kind.startswith("exact-cover") else subset_sum_solvable(inst.values, inst.target)
+        assert (honest.value == enc.predicted_value) == solvable
+
+    def test_each_encoder_takes_the_predicted_value_from_the_one_formula(self):
+        for kind, encode, _, _, _, _ in DECODABLE:
+            inst = COVER_ABCDEF if kind.startswith("exact-cover") else SUBSET_SUM
+            assert encode(inst).predicted_value == predicted_value(kind, inst)
+        graph = TestHamiltonianEncoder.FIG_GRAPH
+        assert encode_hamiltonian(graph).predicted_value == predicted_value(KIND_HAMILTONIAN, graph) == 2
+
+    def test_a_decoder_encodes_nothing(self, monkeypatch):
+        import ldcflow.reductions as reductions
+
+        out = solve_msf_bnb(encode_exact_cover_msf(COVER_ABCDEF).network)
+        tree = solve_msf_bnb(encode_subset_sum_tree(SUBSET_SUM).network)
+        cactus = solve_mff_endpoints(encode_subset_sum_cactus_mff(SubsetSumInstance((1, 2), 2)).network)
+        for name in ("_exact_cover_glue", "_cactus_glue", "network_sum", "gsch", "gfch", "Network"):
+            monkeypatch.setattr(reductions, name, None)
+        assert decode_exact_cover(out, COVER_ABCDEF) == (("a", "b", "c"), ("d", "e", "f"))
+        assert decode_subset_sum(tree, SUBSET_SUM, KIND_TREE) == {2, 3}
+        assert decode_subset_sum(cactus, SubsetSumInstance((1, 2), 2), KIND_CACTUS_MFF) == {2}

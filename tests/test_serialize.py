@@ -50,6 +50,11 @@ class TestRationals:
         for value in (F(0), F(-7, 3), F(61, 10), F(12)):
             assert rat(rat_str(value)) == value
 
+    @given(num=st.integers(-(10**30), 10**30), den=st.integers(1, 10**12), as_int=st.booleans())
+    def test_the_writers_str_is_rat_str(self, num, den, as_int):
+        value = num if as_int else F(num, den)
+        assert str(value) == rat_str(value)
+
     @given(num=st.integers(-(10**30), 10**30), twos=st.integers(0, 40), fives=st.integers(0, 25), other=st.sampled_from([1, 1, 3, 7, 9, 11]))
     @example(num=-3, twos=1, fives=0, other=1)
     @example(num=1, twos=0, fives=1, other=3)
