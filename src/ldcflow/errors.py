@@ -55,6 +55,10 @@ class NonpositiveX(LdcError):
     """Gadget constructors require a strictly positive size parameter."""
 
 
+class NonpositiveRefinement(LdcError, ValueError):
+    """A FACTS grid search was asked for a refinement k below 1."""
+
+
 class PortCollision(LdcError, ValueError):
     """A gadget's port name is the name of one of its internal nodes."""
 

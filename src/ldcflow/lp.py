@@ -2,10 +2,16 @@
 
 The solver is a two-phase simplex with Bland's anti-cycling rule on a
 condensed tableau, run entirely over exact rationals: the optimum it
-reports is the true optimum, and the returned assignment is a vertex of
-the feasible region.  Determinism is part of the contract -- variable
-order, pivot selection and presolve order are all fixed -- so repeated
-solves of the same program return identical results.
+reports is the true optimum, and the returned assignment is an optimal
+point of the feasible region.  For a program in standard form (below;
+every program `solve_mpf` sends) that point is a vertex.  On the general
+route it is a vertex unless a free variable is left after the presolve's
+eliminations: such a variable is split into two nonnegative columns, and
+when both end nonbasic the point need not be a vertex (maximize y
+subject to y <= 1 and x - y <= 0, x free, y >= 0, returns x = 0, y = 1;
+the optimal vertex is x = y = 1).  Determinism is part of the contract
+-- variable order, pivot selection and presolve order are all fixed --
+so repeated solves of the same program return identical results.
 
 Everything between reading the program and building the returned
 assignment runs on integer rows (Edmonds 1967; Bareiss 1968): each
@@ -29,7 +35,7 @@ tableau (`_slack_tableau`), its own rows with each range pair folded
 tableau, unfolded, and skip phase 1, so the pivots and the vertex are
 the same.
 Every other program goes through the presolve (`_presolve`), and both
-routes end in the same phase 2 and value and vertex code (`_optimum`).
+routes end in the same phase 2 and value and assignment code (`_optimum`).
 The presolve first eliminates free variables through equality rows (a
 fraction-free Gaussian step: the first equality row holding a free
 variable, and in it the first such variable in declaration order).  Then
@@ -40,10 +46,10 @@ one is hi - y; a free one is y' - y''.  A boxed variable's upper bound
 becomes a row.  One pass over the rows substitutes each (`_substitute`:
 the shifts fold into the rhs over the LCM of their denominators), drops
 or refutes the rows left without a coefficient, and flips negative
-right-hand sides.  These are affine bijections of the feasible region,
-so vertices map to vertices: `_optimum` reads every variable left back
-by its substitution, then the eliminated ones from their stored pivot
-rows.
+right-hand sides.  Every substitution but the split of a free variable
+is an affine bijection of the feasible region, so vertices map to
+vertices: `_optimum` reads every variable left back by its substitution,
+then the eliminated ones from their stored pivot rows.
 
 A pivot swaps two labels: the pivot row is solved for the entering
 variable, whose column the leaving one takes at the row's old
@@ -213,7 +219,11 @@ class Lazy:
 
 @dataclass(frozen=True)
 class LpResult:
-    """Status, optimal value and optimal vertex of one solve; from `solve_lp` the vertex is built on first read."""
+    """Status, optimal value and an optimal assignment of one solve; from `solve_lp` the assignment is built on first read.
+
+    The assignment is a vertex for a program in standard form; the module
+    docstring says when the general route's may not be.
+    """
 
     status: LpStatus
     value: Rational | None = None
@@ -550,7 +560,7 @@ def _presolve(rows: list[list[int]], rels: list[str], lower: list[Rational | Non
 
 
 def _optimum(tableau: Tableau, ranges: Ranges, names: list[VarId]) -> LpResult:
-    """Phase 2 from a feasible tableau; the value is minus the objective row's rhs, and the vertex is built on first read."""
+    """Phase 2 from a feasible tableau; the value is minus the objective row's rhs, and the assignment is built on first read."""
     T, Z, basis, nonbasic, var_cols, shift, eliminated = tableau
     if _simplex(T, [Z], basis, nonbasic, ranges) == "unbounded":
         return LpResult(LpStatus.UNBOUNDED)

@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from functools import partial
 
-from .errors import SusceptanceOutOfRange, TooManyFactsEdges, UnknownEdge
+from .errors import NonpositiveRefinement, SusceptanceOutOfRange, TooManyFactsEdges, UnknownEdge
 from .mpf import MpfOutcome, solve_mpf
 from .msf import optima, ordered_map
 from .network import Edge, Network, Solution, fixed_edge, require_valid
@@ -88,7 +88,7 @@ def grid_points(e: Edge, k: int) -> list[Rational]:
 
 def _require_grid(n: Network, k: int) -> None:
     if k < 1:
-        raise ValueError("grid refinement k must be >= 1")
+        raise NonpositiveRefinement("grid refinement k must be >= 1")
     require_valid(n)
 
 

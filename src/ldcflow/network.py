@@ -14,9 +14,9 @@ a bookkeeping convention only; reversing it and negating the flow
 describes the same physical state.
 
 Construction is deliberately permissive: `validate_network` reports
-structural defects (duplicate pairs, self-loops, empty intervals, ...)
-instead of the constructors raising, so that candidate inputs can be
-checked wholesale.
+structural defects (duplicate pairs, self-loops, empty intervals, roles
+that are not a `NodeRole`, ...) instead of the constructors raising, so
+that candidate inputs can be checked wholesale.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ _node_name = itemgetter(0)
 
 
 def _node_key(node: tuple[NodeId, NodeRole]) -> tuple[NodeId, int]:
-    return node[0], _ROLE_RANK[node[1]]
+    # a role that is not a NodeRole sorts after the roles; `validate_network` reports it
+    return node[0], _ROLE_RANK[node[1]] if type(node[1]) is NodeRole else len(_ROLE_RANK)
 
 
 def fixed_edge(a: NodeId, b: NodeId, s, cap) -> Edge:
@@ -219,11 +220,13 @@ def validate_network(n: Network) -> ValidationReport:
     """Report every structural defect; never raises."""
     out: list[Violation] = []
     names = set()
-    for name, _role in n.nodes:
+    for name, role in n.nodes:
         if not name:
             out.append(Violation("Structural", repr(name), "empty node name"))
         if name in names:
             out.append(Violation("Structural", name, "node declared more than once"))
+        if type(role) is not NodeRole:
+            out.append(Violation("Structural", name, f"role {role!r} is not a NodeRole"))
         names.add(name)
     seen_pairs: set[tuple[NodeId, NodeId]] = set()
     for e in n.edges:

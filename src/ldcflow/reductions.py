@@ -169,6 +169,8 @@ def _check_exact_cover(inst: ExactCover3Instance) -> None:
 def _check_hamiltonian(inst: HamiltonianInstance) -> None:
     _check_names((*inst.nodes, inst.a, inst.b), "node")
     for edge in inst.edges:
+        if not isinstance(edge, (tuple, list)) or len(edge) != 2:
+            raise InvalidInstance(f"edge {edge!r} is not a pair of nodes")
         _check_names(edge, "node")
     nodes = set(inst.nodes)
     if len(nodes) != len(inst.nodes):

@@ -10,8 +10,11 @@ An outcome document is {"problem": "mpf" | "msf" | "mff", "value",
 "solution"} plus the MSF switch set (`switched`) or the MFF susceptance
 assignment (`assignment`).  The `*_outcome_to_json` functions write one,
 and `outcome_from_json` reads any of them; a reader ignores the keys it
-does not ask for.  An edge map or a switch set that lists one edge
-twice is refused.
+does not ask for.  The edge maps (a solution's `flow` and
+`susceptance`, an MFF outcome's `assignment`) and the switch set are
+read by one reader of edge-record lists (`_edge_records`): it resolves
+each record to the network's edge and refuses an edge that an earlier
+record named; an edge map then reads each record's `value` as it comes.
 
 Each top-level reader (`network_from_json`, `solution_from_json` and the
 outcome readers) parses each distinct rational string of its document
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any
+from typing import Any, Iterator
 
 from .mff import MffOutcome, SusAssignment
 from .mpf import MpfOutcome
@@ -188,22 +191,35 @@ def _by_pair(n: Network) -> ByPair:
     return {(e.a, e.b): e for e in n.edges}
 
 
-def _edge_map_in(records: list, where: str, by_pair: ByPair, seen: Seen) -> dict[Edge, Rational]:
-    """The map the records give; a record that names an edge an earlier one named raises a ValueError."""
-    out = {}
+def _edge_records(records: list, where: str, by_pair: ByPair) -> Iterator[tuple[Edge, Any]]:
+    """Each record's edge, with the record, in record order.
+
+    A record is resolved on the exact-type fast path (`_edge_of`) or else by
+    the checks that name its fields (`_edge_in`); one that names an edge an
+    earlier record named raises a ValueError.  The loop stops at the first
+    error, so a caller that reads each record as it comes raises errors in
+    record order.
+    """
+    edges: set[Edge] = set()
     for i, rec in enumerate(records):
         e = _edge_of(rec, by_pair)
-        r = None if e is None else _rat_in(rec.get("value"), seen)
-        if r is not None:
-            size = len(out)
-            out[e] = r
-            if len(out) > size:
-                continue
-        at = f"{where}[{i}]"
-        e = _edge_in(rec, at, by_pair)
-        if e in out:
-            raise ValueError(f"{at}: edge {e.a}--{e.b} listed twice")
-        out[e] = _rat_field(rec, "value", at, seen)
+        size = len(edges)
+        if e is not None:
+            edges.add(e)
+        if len(edges) == size:  # the fast path did not resolve it, or an earlier record named its edge
+            e = _edge_in(rec, f"{where}[{i}]", by_pair)
+            if e in edges:
+                raise ValueError(f"{where}[{i}]: edge {e.a}--{e.b} listed twice")
+            edges.add(e)
+        yield e, rec
+
+
+def _edge_map_in(records: list, where: str, by_pair: ByPair, seen: Seen) -> dict[Edge, Rational]:
+    """The map the records give, each record's edge to its `value`."""
+    out = {}
+    for i, (e, rec) in enumerate(_edge_records(records, where, by_pair)):
+        r = _rat_in(rec.get("value"), seen)
+        out[e] = r if r is not None else _rat_field(rec, "value", f"{where}[{i}]", seen)
     return out
 
 
@@ -255,21 +271,8 @@ def _switch_set_out(switched: SwitchSet) -> list[dict]:
 
 
 def _switch_set_in(records: list, by_pair: ByPair) -> SwitchSet:
-    """The set the records give; a record that names an edge an earlier one named raises a ValueError."""
-    switched = set()
-    for i, rec in enumerate(records):
-        e = _edge_of(rec, by_pair)
-        if e is not None:
-            size = len(switched)
-            switched.add(e)
-            if len(switched) > size:
-                continue
-        at = f"outcome.switched[{i}]"
-        e = _edge_in(rec, at, by_pair)
-        if e in switched:
-            raise ValueError(f"{at}: edge {e.a}--{e.b} listed twice")
-        switched.add(e)
-    return frozenset(switched)
+    """The set of the edges the records name."""
+    return frozenset(e for e, _ in _edge_records(records, "outcome.switched", by_pair))
 
 
 def msf_outcome_to_json(out: MsfOutcome) -> dict:

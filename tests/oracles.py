@@ -29,6 +29,11 @@ and violation texts included.  `reference_decode_exact_cover` and
 port's flows edge by edge off the encoded network; the decoders in
 `reductions`, which read the outcome alone, must return the same
 certificate or raise the same error with the same message.
+`reference_edge_map_in` and `reference_switch_set_in` are the two
+edge-record loops that `serialize`'s one reader replaced, each with its
+own resolution and listed-twice check over `serialize`'s record and
+value checks; the readers on top of it must return the same map or set,
+or raise the same error with the same message.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from itertools import combinations, permutations
 from ldcflow.lp import Lazy, LinearProgram
 from ldcflow.maxflow import classical_max_flow
 from ldcflow.mpf import MpfOutcome, _require_fixed, core_maps, solve_mpf
-from ldcflow.network import Edge, Network, NodeRole, Solution, ValidationReport, Violation, subnetwork, zero_solution
+from ldcflow.network import Edge, Network, NodeRole, Solution, SwitchSet, ValidationReport, Violation, subnetwork, zero_solution
 from ldcflow.rational import Rational, ZERO, rat_str
 from ldcflow.classify import connected_components
 from ldcflow.errors import DecodingFailed, InvalidInstance, NotOptimal
@@ -63,6 +68,7 @@ from ldcflow.reductions import (
     encode_subset_sum_cactus_msf,
     encode_subset_sum_tree,
 )
+from ldcflow.serialize import ByPair, Seen, _edge_in, _edge_of, _rat_field, _rat_in
 
 
 def gauss_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -761,3 +767,40 @@ def reference_decode_subset_sum(outcome, inst, kind: str) -> set[int]:
     if sum(chosen) != inst.target:
         raise DecodingFailed(f"extracted subset {sorted(chosen)} does not sum to {inst.target}")
     return chosen
+
+
+def reference_edge_map_in(records: list, where: str, by_pair: ByPair, seen: Seen) -> dict[Edge, Rational]:
+    """The map the records give; a record that names an edge an earlier one named raises a ValueError."""
+    out = {}
+    for i, rec in enumerate(records):
+        e = _edge_of(rec, by_pair)
+        r = None if e is None else _rat_in(rec.get("value"), seen)
+        if r is not None:
+            size = len(out)
+            out[e] = r
+            if len(out) > size:
+                continue
+        at = f"{where}[{i}]"
+        e = _edge_in(rec, at, by_pair)
+        if e in out:
+            raise ValueError(f"{at}: edge {e.a}--{e.b} listed twice")
+        out[e] = _rat_field(rec, "value", at, seen)
+    return out
+
+
+def reference_switch_set_in(records: list, by_pair: ByPair) -> SwitchSet:
+    """The set the records give; a record that names an edge an earlier one named raises a ValueError."""
+    switched = set()
+    for i, rec in enumerate(records):
+        e = _edge_of(rec, by_pair)
+        if e is not None:
+            size = len(switched)
+            switched.add(e)
+            if len(switched) > size:
+                continue
+        at = f"outcome.switched[{i}]"
+        e = _edge_in(rec, at, by_pair)
+        if e in switched:
+            raise ValueError(f"{at}: edge {e.a}--{e.b} listed twice")
+        switched.add(e)
+    return frozenset(switched)

@@ -748,6 +748,37 @@ def test_the_condensed_tableau_matches_the_full_width_simplex(p):
     assert_matches_the_full_width_simplex(p)
 
 
+def rank(rows: list[list[F]]) -> int:
+    """The rank of a rational matrix, by Gaussian elimination."""
+    rows = [row[:] for row in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c] / rows[r][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1).map(lambda seed: random_standard_lp(random.Random(seed))))
+def test_a_standard_form_optimum_is_a_vertex(p):
+    # a vertex: the rows and the bounds x >= 0 that hold with equality there have full rank
+    r = solve_lp(p)
+    if r.status is not LpStatus.OPTIMAL:
+        return
+    x = [r.assignment[v] for v in p.variables]
+    n = len(x)
+    active = [[F(c) for c in row[:n]] for row in p.rows if sum(c * xj for c, xj in zip(row, x)) == row[-2]]
+    active += [[F(int(k == j)) for k in range(n)] for j in range(n) if x[j] == 0]
+    assert rank(active) == n
+
+
 def test_the_condensed_tableau_matches_the_full_width_simplex_on_pinned_exact_cover_programs():
     # 88 rows over 14 variables at each of the 8 endpoint assignments of 3 FACTS edges
     fig = ExactCover3Instance(("a", "b", "c", "d", "e", "f"), (("a", "b", "c"), ("b", "c", "d"), ("d", "e", "f")))

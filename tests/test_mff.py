@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from conftest import facts_path, random_ldc_network
 from ldcflow import mff, mpf
-from ldcflow.errors import InvalidNetwork, LdcError, TooManyFactsEdges, UnknownEdge
+from ldcflow.errors import InvalidNetwork, LdcError, NonpositiveRefinement, TooManyFactsEdges, UnknownEdge
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.mff import (
     MffDecision,
@@ -173,6 +173,12 @@ class TestGrid:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
             solve_mff_grid(facts_gadget(), 0)
+
+    @pytest.mark.parametrize("search", [lambda n: solve_mff_grid(n, 0), lambda n: decide_mff(n, F(1), k=0), lambda n: decide_mff(n, F(0), k=-2)], ids=["grid", "decide", "decide at 0"])
+    def test_a_refinement_below_one_is_an_ldc_error_and_a_value_error(self, search):
+        with pytest.raises(NonpositiveRefinement, match="grid refinement k must be >= 1") as caught:
+            search(gfch(1))
+        assert isinstance(caught.value, LdcError) and isinstance(caught.value, ValueError)
 
     def test_a_grid_past_the_candidate_limit_is_refused_before_any_point_is_built(self, monkeypatch):
         built = []

@@ -118,6 +118,30 @@ class TestValidateNetwork:
     def test_a_node_name_defect_is_reported(self, nodes, line):
         assert str(validate_network(Network(nodes, []))).splitlines() == [line]
 
+    @pytest.mark.parametrize(
+        "solve",
+        [solve_mpf, solve_msf_bnb, solve_msf_exhaustive, classical_max_flow, solve_mff_endpoints, lambda n: decide_msf(n, F(1))],
+        ids=["mpf", "msf_bnb", "msf_exhaustive", "max_flow", "mff", "decide_msf"],
+    )
+    def test_a_role_that_is_not_a_node_role_is_refused(self, solve):
+        # a role name in place of the role matches no generator and no load, so every solver would answer 0
+        n = Network([("a", "generator"), ("b", "load")], [fixed_edge("a", "b", 1, 1)])
+        with pytest.raises(InvalidNetwork) as caught:
+            solve(n)
+        assert str(caught.value.report).splitlines() == [
+            "Structural at a: role 'generator' is not a NodeRole",
+            "Structural at b: role 'load' is not a NodeRole",
+        ]
+
+    def test_a_name_declared_twice_with_a_role_that_is_not_a_node_role_is_reported(self):
+        n = Network([("a", "generator"), ("a", LOAD), ("b", PLAIN), ("a", PLAIN)])
+        assert n.nodes == (("a", LOAD), ("a", PLAIN), ("a", "generator"), ("b", PLAIN))
+        assert str(validate_network(n)).splitlines() == [
+            "Structural at a: node declared more than once",
+            "Structural at a: node declared more than once",
+            "Structural at a: role 'generator' is not a NodeRole",
+        ]
+
 
 class TestEdge:
     def test_canonical_orientation(self):

@@ -116,8 +116,12 @@ class TestExactCoverEncoders:
         (encode_hamiltonian, HamiltonianInstance(("a", "b", "a"), (), "a", "b"), "graph nodes must be distinct"),
         (encode_hamiltonian, HamiltonianInstance(("a", "H.x", "b"), (), "a", "b"), "node name 'H.x' collides with generated node names"),
         (encode_hamiltonian, HamiltonianInstance(("a", "b"), (("a", "b"), ("b", "a")), "a", "b"), r"duplicate edge \('b', 'a'\)"),
+        (encode_hamiltonian, HamiltonianInstance(("a", "b", "c"), (("a", "b", "c"),), "a", "c"), r"edge \('a', 'b', 'c'\) is not a pair of nodes"),
+        (encode_hamiltonian, HamiltonianInstance(("a", "b"), (("a",),), "a", "b"), r"edge \('a',\) is not a pair of nodes"),
+        (encode_hamiltonian, HamiltonianInstance(("a", "b"), (5,), "a", "b"), "edge 5 is not a pair of nodes"),
+        (encode_hamiltonian, HamiltonianInstance(("a", "b"), ("ab",), "a", "b"), "edge 'ab' is not a pair of nodes"),
     ],
-    ids=["repeated element", "repeated node", "generated node name", "repeated edge"],
+    ids=["repeated element", "repeated node", "generated node name", "repeated edge", "edge of three nodes", "edge of one node", "edge that is a number", "edge that is a string"],
 )
 def test_an_instance_defect_is_named(encode, inst, message):
     with pytest.raises(InvalidInstance, match=message):

@@ -2,7 +2,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import DECIMALS, random_ldc_network
 from ldcflow import serialize
@@ -10,10 +10,10 @@ from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.mff import solve_mff_endpoints
 from ldcflow.mpf import solve_mpf
 from ldcflow.msf import solve_msf_bnb
-from ldcflow.network import Network
+from ldcflow.network import Network, NodeRole, fixed_edge
 from ldcflow.rational import decimal_str, is_decimal_exact, rat, rat_str
 from ldcflow.reductions import SubsetSumInstance, encode_subset_sum_cactus_msf
-from oracles import reference_rat
+from oracles import reference_edge_map_in, reference_rat, reference_switch_set_in
 
 
 class TestRationals:
@@ -278,6 +278,77 @@ class TestSolutionJson:
         doc["switched"].append({"a": "v"})
         with pytest.raises(ValueError, match=re.escape(f"outcome.switched[{len(doc['switched']) - 1}] has no field 'b'")):
             serialize.msf_outcome_from_json(doc, n)
+
+
+class Record(dict):
+    """A record that is a dict subclass: the exact-type fast path refuses it and the field checks read it."""
+
+
+class Name(str):
+    """A name or value string that is a str subclass."""
+
+
+# edges a--b, a--c, b--c and c--d: the pairs a--d and b--d name no edge, and z is no node
+RECORD_NET = Network(
+    [("a", NodeRole.GENERATOR), ("b", NodeRole.PLAIN), ("c", NodeRole.PLAIN), ("d", NodeRole.LOAD)],
+    [fixed_edge("a", "b", 1, 1), fixed_edge("a", "c", 2, 1), fixed_edge("b", "c", 1, 3), fixed_edge("c", "d", 1, 1)],
+)
+GOOD_VALUES = st.sampled_from(["1", "2/3", "-1.5", "0", "1/2", 7, 0, -2])
+ENDS = st.sampled_from("abcdz") | st.builds(Name, st.sampled_from("abcd")) | st.sampled_from([1, None, ["a"]])
+OTHER_VALUES = st.builds(Name, st.sampled_from(["1", "2/3"])) | st.sampled_from([1.5, True, "x", None, "1/0", ["1"]])
+VALUES = GOOD_VALUES | OTHER_VALUES
+PAIRS = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")]
+
+
+@st.composite
+def valid_record(draw, pair=st.sampled_from(PAIRS), values=GOOD_VALUES):
+    a, b = draw(pair)
+    if draw(st.booleans()):
+        a, b = b, a
+    return {"a": a, "b": b, "value": draw(values)}
+
+
+@st.composite
+def odd_record(draw):
+    rec = {"a": draw(ENDS), "b": draw(ENDS), "value": draw(VALUES)}
+    for key in draw(st.sets(st.sampled_from(["a", "b", "value"]), max_size=2)):
+        del rec[key]
+    return Record(rec) if draw(st.booleans()) else rec
+
+
+@st.composite
+def record_lists(draw):
+    """Valid records on distinct edges, with up to two others put in anywhere: a repeat, a bad value, an odd record, a subclass or a non-object."""
+    pairs = draw(st.permutations(PAIRS))[: draw(st.integers(0, len(PAIRS)))]
+    records = [draw(valid_record(st.just(pair))) for pair in pairs]
+    for _ in range(draw(st.integers(0, 2))):
+        other = valid_record() | valid_record(values=OTHER_VALUES) | odd_record() | st.builds(Record, valid_record()) | st.sampled_from(["a--b", 3, None, [["a", "b"]]])
+        records.insert(draw(st.integers(0, len(records))), draw(other))
+    return records
+
+
+def read(reader, *args):
+    """What `reader(*args)` gives: its result, or the type and message of the ValueError it raises."""
+    try:
+        return reader(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestEdgeReadersMatchTheReference:
+    """The edge maps and the switch set, read on one shared reader, as the two loops it replaced read them."""
+
+    @settings(max_examples=300)  # records are cheap to read; most lists carry an odd record or a repeat
+    @given(records=record_lists())
+    @example(records=[{"a": "a", "b": "b", "value": "1"}, {"a": "b", "b": "a", "value": 1.5}])
+    @example(records=[{"a": "a", "b": "b", "value": 1.5}, {"a": "z", "b": "a", "value": "1"}])
+    @example(records=[Record(a="c", b="d", value="1"), {"a": "d", "b": "c", "value": "2"}])
+    @example(records=[{"a": Name("a"), "b": "c", "value": Name("2/3")}, {"a": "c", "b": "a"}])
+    def test_same_result_or_same_error(self, records):
+        by_pair = serialize._by_pair(RECORD_NET)
+        for where in ("solution.flow", "outcome.assignment"):
+            assert read(serialize._edge_map_in, records, where, by_pair, {}) == read(reference_edge_map_in, records, where, by_pair, {})
+        assert read(serialize._switch_set_in, records, by_pair) == read(reference_switch_set_in, records, by_pair)
 
 
 class TestInstanceJson:
