@@ -26,12 +26,15 @@ class InvalidNetwork(LdcError):
 
 
 class MalformedProgram(LdcError):
-    """A linear program that `solve_lp` or `write_lp_text` cannot read.
+    """A linear program that `solve_lp` or `write_lp_text` cannot read, or one out of standard form, which `solve_lp` refuses.
 
-    Its variables are declared twice or lack a bound entry, its bounds are
-    inverted, its objective or a constraint names an undeclared variable,
-    or a row has the wrong width, a denominator that is not a positive
-    int or a relation other than <=, = and >=.
+    A program cannot be read when its variables are declared twice or lack
+    a bound entry, its bounds are inverted, its objective or a constraint
+    names an undeclared variable, or a row has the wrong width, a
+    denominator that is not a positive int or a relation other than <=, =
+    and >=.  It is out of standard form when a variable is not in
+    [0, inf), a row is not <= or a right-hand side is negative; the
+    message names the first such variable or row.
     """
 
 

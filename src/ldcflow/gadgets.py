@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 
-from .errors import NonpositiveX, PortCollision
+from .errors import InvalidInstance, NonpositiveX, PortCollision
 from .network import Network, NodeId, NodeRole, facts_edge, fixed_edge
 from .rational import Rational, rat
 
@@ -40,11 +40,15 @@ _ROLE = {
 }
 
 
-def _check(x: Rational, port: NodeId, internal: tuple[NodeId, ...]) -> None:
+def _check(x: Rational, port: NodeId, polarity: Polarity, internal: tuple[NodeId, ...]) -> NodeRole:
+    """The port's role, once the size, the port name and the polarity are checked."""
     if x <= 0:
         raise NonpositiveX(f"gadget size must be positive, got {x}")
     if port in internal:
         raise PortCollision(f"port name {port!r} collides with an internal gadget node")
+    if not isinstance(polarity, Polarity):
+        raise InvalidInstance(f"polarity {polarity!r} is not one of {', '.join(map(str, Polarity))}")
+    return _ROLE[polarity]
 
 
 def gsch(x, port: NodeId = "v", polarity: Polarity = Polarity.MINUS, prefix: str = "") -> Network:
@@ -55,9 +59,9 @@ def gsch(x, port: NodeId = "v", polarity: Polarity = Polarity.MINUS, prefix: str
     """
     x = rat(x)
     g, l = prefix + "g", prefix + "l"
-    _check(x, port, (g, l))
+    role = _check(x, port, polarity, (g, l))
     return Network(
-        [(g, NodeRole.GENERATOR), (l, NodeRole.LOAD), (port, _ROLE[polarity])],
+        [(g, NodeRole.GENERATOR), (l, NodeRole.LOAD), (port, role)],
         [
             fixed_edge(g, port, 1, x),
             fixed_edge(g, l, 1, 2 * x),
@@ -75,7 +79,7 @@ def gfch(x, port: NodeId = "v", polarity: Polarity = Polarity.MINUS, prefix: str
     """
     x = rat(x)
     g, e, t, l, c = (prefix + s for s in ("g", "e", "t", "l", "c"))
-    _check(x, port, (g, e, t, l, c))
+    role = _check(x, port, polarity, (g, e, t, l, c))
     return Network(
         [
             (g, NodeRole.GENERATOR),
@@ -83,7 +87,7 @@ def gfch(x, port: NodeId = "v", polarity: Polarity = Polarity.MINUS, prefix: str
             (t, NodeRole.GENERATOR),
             (l, NodeRole.LOAD),
             (c, NodeRole.PLAIN),
-            (port, _ROLE[polarity]),
+            (port, role),
         ],
         [
             fixed_edge(g, port, 1, x),

@@ -144,8 +144,14 @@ def _check_names(names, what: str) -> None:
 
 
 def _check_exact_cover(inst: ExactCover3Instance) -> None:
+    if not isinstance(inst.universe, (tuple, list)):
+        raise InvalidInstance(f"universe {inst.universe!r} is not a tuple or list of elements")
+    if not isinstance(inst.sets, (tuple, list)):
+        raise InvalidInstance(f"sets {inst.sets!r} is not a tuple or list of sets")
     _check_names(inst.universe, "element")
     for X in inst.sets:
+        if not isinstance(X, (tuple, list)):
+            raise InvalidInstance(f"set {X!r} is not a tuple or list of elements")
         _check_names(X, "element")
     universe = set(inst.universe)
     if len(universe) != len(inst.universe):

@@ -88,6 +88,24 @@ def random_boxed_lp(rng: random.Random) -> LinearProgram:
     return p
 
 
+def random_standard_lp(rng: random.Random) -> LinearProgram:
+    """<= rows with nonnegative right-hand sides over variables in [0, inf), and a positive objective.
+
+    As in the pinned programs, rows of 0/1/2 over rhs 1 or 2 tie the ratio
+    test often; here each row is also scaled by a rational, and a row may
+    hold no coefficient.  A variable that no row holds leaves the program
+    unbounded.
+    """
+    p = LinearProgram()
+    for v in ["v", "w", "x", "y", "z"][: rng.randint(2, 5)]:
+        p.add_variable(v, lower=Fraction(0))
+    for _ in range(rng.randint(2, 7)):
+        scale = rng.choice((Fraction(1), Fraction(1), Fraction(1, 3), Fraction(5, 2)))
+        p.add_constraint({v: c * scale for v in p.variables if (c := rng.choice((0, 1, 1, 2, 2)))}, "<=", rng.randint(1, 2) * scale)
+    p.set_objective({v: Fraction(rng.randint(1, 2)) for v in p.variables})
+    return p
+
+
 @st.composite
 def networks_with_idle_edges(draw) -> Network:
     """A seeded network with a pendant path of plain nodes and, maybe, a generator-only component."""

@@ -14,7 +14,15 @@ reproduce exactly; `reference_integer_flow`, Edmonds-Karp on a residual
 dict keyed by node pairs, whose flows `maxflow._integer_flow` must return
 exactly; `reference_standard_lp`, the full-width simplex over integer rows
 that the condensed tableau of `solve_lp` replaced, whose status, value and
-vertex `solve_lp` must return exactly on standard-form programs; and
+vertex `solve_lp` must return exactly on standard-form programs;
+`reference_general_lp`, the presolve and two-phase simplex that `solve_lp`
+ran on every other program before it took standard form only, built on
+`lp`'s reader and row helpers (`_read_program`, `_int_row`, `_reduced`,
+`_support`, `_pivot_row`, `_eliminate`), which solves the general
+programs `solve_lp` refuses (the angle-space `reference_mpf_program`
+among them) as `solve_lp` once did, and must return the status, value
+and point of a standard-form program padded by a variable fixed at 0
+that `solve_lp` returns for the program; and
 `msf_by_every_mask` calls `solve_mpf` on every
 sub-network, so that it checks the switching searches and nothing they
 skip; `reference_msf_bnb` is the branch-and-bound that runs a max flow on
@@ -45,7 +53,8 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations, permutations
 
-from ldcflow.lp import Lazy, LinearProgram
+from ldcflow import lp
+from ldcflow.lp import Lazy, LinearProgram, LpResult, LpStatus
 from ldcflow.maxflow import classical_max_flow
 from ldcflow.mpf import MpfOutcome, _require_fixed, core_maps, solve_mpf
 from ldcflow.network import Edge, Network, NodeRole, Solution, SwitchSet, ValidationReport, Violation, subnetwork, zero_solution
@@ -314,6 +323,258 @@ def reference_standard_lp(p: LinearProgram) -> tuple[str, Fraction | None, dict 
     row_of = {b: i for i, b in enumerate(basis)}
     x = [Fraction(T[row_of[j]][-2], T[row_of[j]][-1]) if j in row_of else Fraction(0) for j in range(len(names))]
     return "optimal", sum((c * x[j] for j, c in objective.items()), Fraction(0)), dict(zip(names, x))
+
+
+# The general route `solve_lp` ran on every program not in standard form
+# before it was narrowed to standard form, on `lp`'s reader and row helpers.
+
+_FLIP = {"<=": ">=", ">=": "<=", "=": "="}
+
+
+def _substitute(row: list[int], shift: dict[int, Fraction], var_cols: dict[int, list[tuple[int, int]]], ncols: int) -> list[int]:
+    """The row over ncols columns after x_j = shift[j] + the sum of sign * column over var_cols[j].
+
+    Every c_j * shift[j] moves into the rhs, over the LCM of the
+    denominators of the shifts the row meets; c_j goes to each column of
+    x_j with its sign.  A variable without a column (a fixed one) leaves
+    the row, so the row is reduced again.
+    """
+    hits = [j for j in shift if row[j]]
+    m = math.lcm(*(shift[j].denominator for j in hits))
+    rhs = row[-2] * m
+    for j in hits:
+        x = shift[j]
+        rhs -= row[j] * x.numerator * (m // x.denominator)
+    out = [0] * ncols
+    for j, cols in var_cols.items():
+        if row[j]:
+            for col, sign in cols:
+                out[col] = row[j] * m * sign
+    return lp._reduced(out + [rhs, row[-1] * m])
+
+
+def _solved_for(row: list[int], j: int) -> list[int]:
+    """The row solved for its variable at j, x_j = (rhs - the rest) / row[j]: the same integers over row[j], made positive, with 0 at j."""
+    p = row[j]
+    out = row[:-1] + [p]
+    out[j] = 0
+    return lp._reduced(out if p > 0 else [-x for x in out])
+
+
+def _general_pivot(T: list[list[int]], objs: list[list[int]], basis: list[int], nonbasic: list[int], r: int, s: int) -> None:
+    """`lp._pivot`, carrying every objective row of `objs`."""
+    T[r] = prow = lp._pivot_row(T[r], s)
+    support = lp._support(prow)
+    for i, row in enumerate(T):
+        if i != r and row[s]:
+            T[i] = lp._eliminate(row, prow, support, s)
+    for Z in objs:
+        if Z[s]:
+            Z[:] = lp._eliminate(Z, prow, support, s)
+    basis[r], nonbasic[s] = nonbasic[s], basis[r]
+
+
+def _general_simplex(T: list[list[int]], objs: list[list[int]], basis: list[int], nonbasic: list[int]) -> str:
+    """`lp._simplex` without range pairs, priced by objs[0]; every row of `objs` is pivoted in place.  Returns a status."""
+    Z = objs[0]
+    while True:
+        enter = min((s for s in range(len(nonbasic)) if Z[s] > 0), key=nonbasic.__getitem__, default=-1)
+        if enter < 0:
+            return "optimal"
+        leave, num, den, name = -1, 0, 1, -1
+        for i, row in enumerate(T):
+            t = row[enter]
+            # row[-2] / t against the least ratio so far, cross-multiplied (both t, den > 0)
+            if t > 0 and (name < 0 or (c := row[-2] * den - num * t) < 0 or (c == 0 and basis[i] < name)):
+                leave, num, den, name = i, row[-2], t, basis[i]
+        if leave < 0:
+            return "unbounded"
+        _general_pivot(T, objs, basis, nonbasic, leave, enter)
+
+
+def _presolve(rows: list[list[int]], rels: list[str], lower: list[Fraction | None], upper: list[Fraction | None], obj: list[int]):
+    """Eliminate, substitute and run phase 1 on a general program; None if it is infeasible.
+
+    `rows` are copies of the program's rows, which are updated in place,
+    and `obj` is the objective's integer row.  Phase 1 runs over the
+    structural and surplus columns, with each row's slack or artificial
+    basic, and carries phase 2's objective row along.  Returns a feasible
+    tableau and phase 2's objective row, with what the read-back needs:
+    (T, Z, basis, nonbasic, var_cols, shift, eliminated).  Every variable
+    that is not eliminated is x_j = shift_j + the sum of sign * y over its
+    (label, sign) pairs var_cols[j]: none for a fixed variable, two for a
+    free one.  shift holds the nonzero shifts; eliminated lists (variable,
+    row solved for it) in elimination order.
+    """
+    nvars = len(lower)
+    rels = list(rels)
+
+    # Gaussian elimination of free variables through equality rows: the first
+    # equality row holding a free variable, and in it the first such variable.
+    free = [j for j in range(nvars) if lower[j] is None and upper[j] is None]
+    eliminated: list[tuple[int, list[int]]] = []
+    while True:
+        found = next(
+            ((i, j) for i, row in enumerate(rows) if rels[i] == "=" for j in free if row[j]),
+            None,
+        )
+        if found is None:
+            break
+        i, j = found
+        prow = _solved_for(rows.pop(i), j)
+        del rels[i]
+        support = lp._support(prow)
+        for k, row in enumerate(rows):
+            if row[j]:
+                rows[k] = lp._eliminate(row, prow, support, j)
+        if obj[j]:
+            obj = lp._eliminate(obj, prow, support, j)
+        eliminated.append((j, prow))
+
+    # One substitution for every variable left, x = shift + the sum of sign * y
+    # over nonnegative columns y; a boxed variable's upper bound becomes a row.
+    gone = {j for j, _ in eliminated}
+    var_cols: dict[int, list[tuple[int, int]]] = {}
+    shift: dict[int, Fraction] = {}
+    ncols = 0
+    for j in range(nvars):
+        if j in gone:
+            continue
+        lo, hi = lower[j], upper[j]
+        if lo is None and hi is None:
+            signs = (1, -1)
+        elif lo == hi:  # fixed
+            signs = ()
+        elif lo is None:
+            signs = (-1,)
+        else:
+            signs = (1,)
+            if hi is not None:
+                rows.append(lp._int_row({j: Fraction(1)}, hi, nvars))
+                rels.append("<=")
+        var_cols[j] = [(ncols + k, sign) for k, sign in enumerate(signs)]
+        ncols += len(signs)
+        if s := (hi if lo is None else lo):  # None for a free variable
+            shift[j] = s
+
+    # Constant rows are either trivially satisfied or witness infeasibility;
+    # the others get nonnegative right-hand sides.
+    std: list[tuple[list[int], str]] = []
+    for row, rel in zip(rows, rels):
+        row = _substitute(row, shift, var_cols, ncols)
+        rhs = row[-2]  # over a positive denominator
+        if not any(row[:ncols]):
+            if not (rhs == 0 if rel == "=" else rhs >= 0 if rel == "<=" else rhs <= 0):
+                return None
+        elif rhs < 0:
+            std.append(([-x for x in row[:-1]] + [row[-1]], _FLIP[rel]))
+        else:
+            std.append((row, rel))
+
+    # Labels: structural columns, then slack/surplus columns in row order, then
+    # artificials.  The rows' columns are the structural and surplus labels.
+    surplus = [0] * sum(1 for _, rel in std if rel == ">=")
+    width = ncols + len(surplus)
+    first_art = ncols + sum(1 for _, rel in std if rel != "=")
+    nonbasic = list(range(ncols))
+    T: list[list[int]] = []
+    basis: list[int] = []
+    slack_at, art_at = ncols, first_art
+    z1_rows: list[list[int]] = []
+    for row, rel in std:
+        t = row[:ncols] + surplus + row[ncols:]
+        if rel == "<=":
+            basis.append(slack_at)
+        else:
+            if rel == ">=":
+                t[len(nonbasic)] = -t[-1]
+                nonbasic.append(slack_at)
+            z1_rows.append(t)
+            basis.append(art_at)
+            art_at += 1
+        slack_at += rel != "="
+        T.append(t)
+
+    Z2 = _substitute(obj, shift, var_cols, width)
+    if z1_rows:
+        # Phase-1 objective: minus the artificials, over the nonbasic columns the sum of their rows.
+        m = math.lcm(*(t[-1] for t in z1_rows))
+        Z1 = lp._reduced([sum(m // t[-1] * t[k] for t in z1_rows) for k in range(width + 1)] + [m])
+        status = _general_simplex(T, [Z1, Z2], basis, nonbasic)
+        assert status == "optimal"  # phase 1 is bounded below by 0
+        if Z1[-2] > 0:  # the artificials' sum stays positive
+            return None
+        # pivot leftover artificials out of the basis, dropping redundant rows
+        keep: list[int] = []
+        for i in range(len(T)):
+            if basis[i] < first_art:
+                keep.append(i)
+                continue
+            s = min((s for s, b in enumerate(nonbasic) if b < first_art and T[i][s]), key=nonbasic.__getitem__, default=-1)
+            if s < 0:
+                continue  # redundant row
+            _general_pivot(T, [Z2], basis, nonbasic, i, s)
+            keep.append(i)
+        cols = [s for s, b in enumerate(nonbasic) if b < first_art]
+        T = [lp._reduced([T[i][s] for s in cols] + T[i][-2:]) for i in keep]
+        Z2 = lp._reduced([Z2[s] for s in cols] + Z2[-2:])
+        basis = [basis[i] for i in keep]
+        nonbasic = [nonbasic[s] for s in cols]
+    return T, Z2, basis, nonbasic, var_cols, shift, eliminated
+
+
+def in_standard_form(p: LinearProgram) -> bool:
+    """Whether `solve_lp` takes p: only <= rows with nonnegative right-hand sides, every variable in [0, inf)."""
+    return all(rel == "<=" for rel in p.rels) and all(row[-2] >= 0 for row in p.rows) and all(p.lower[v] == 0 and p.upper[v] is None for v in p.variables)
+
+
+def reference_general_lp(p: LinearProgram) -> LpResult:
+    """Status, optimal value and an optimal point of any program, by the presolve and two-phase simplex above.
+
+    The presolve first eliminates free variables through equality rows (a
+    fraction-free Gaussian step: the first equality row holding a free
+    variable, and in it the first such variable in declaration order).
+    Then every variable left gets one substitution x = shift + the sum of
+    sign * y over its nonnegative columns y: a fixed variable is its
+    value, with no column; a lower-bounded or boxed one is lo + y; an
+    upper-only one is hi - y; a free one is y' - y''.  A boxed variable's
+    upper bound becomes a row.  One pass over the rows substitutes each
+    (`_substitute`: the shifts fold into the rhs over the LCM of their
+    denominators), drops or refutes the rows left without a coefficient,
+    and flips negative right-hand sides.  The objective row is substituted
+    as every row, so the shifts fold into its rhs, and the value is minus
+    its rhs at the optimum.  Phase 1 runs when a row needs an artificial;
+    phase 2 prices by the objective.  Every variable left is read back by
+    its substitution, then the eliminated ones from their stored rows.
+
+    Every substitution but the split of a free variable is an affine
+    bijection of the feasible region, so vertices map to vertices.  The
+    point is a vertex unless a free variable is left after the
+    eliminations: when both its split columns end nonbasic the point need
+    not be one (maximize y subject to y <= 1 and x - y <= 0, x free,
+    y >= 0, returns x = 0, y = 1; the optimal vertex is x = y = 1).
+    """
+    objective, lower, upper = lp._read_program(p)
+    names = p.variables
+    obj = lp._int_row(dict(objective), ZERO, len(names))
+    tableau = _presolve([row[:] for row in p.rows], p.rels, lower, upper, obj)
+    if tableau is None:
+        return LpResult(LpStatus.INFEASIBLE)
+    T, Z, basis, nonbasic, var_cols, shift, eliminated = tableau
+    if _general_simplex(T, [Z], basis, nonbasic) == "unbounded":
+        return LpResult(LpStatus.UNBOUNDED)
+    row_of = {b: i for i, b in enumerate(basis)}
+    value_of = {}
+    for j, cols in var_cols.items():
+        x = shift.get(j, ZERO)
+        for col, sign in cols:
+            if (i := row_of.get(col)) is not None:
+                x += Fraction(sign * T[i][-2], T[i][-1])
+        value_of[j] = x
+    for j, prow in reversed(eliminated):
+        rest = sum((prow[k] * value_of[k] for k in range(len(names)) if prow[k]), ZERO)
+        value_of[j] = Fraction(prow[-2] - rest, prow[-1])
+    return LpResult(LpStatus.OPTIMAL, Fraction(-Z[-2], Z[-1]), {v: value_of[j] for j, v in enumerate(names)})
 
 
 def min_cut_value(n: Network) -> Fraction:

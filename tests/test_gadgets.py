@@ -1,14 +1,16 @@
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from ldcflow.classify import is_cactus, max_degree
-from ldcflow.errors import LdcError, NonpositiveX
+from ldcflow.errors import InvalidInstance, LdcError, NonpositiveX
 from ldcflow.gadgets import Polarity, gfch, gsch
-from ldcflow.lp import LpStatus, solve_lp
+from ldcflow.lp import LpStatus
 from ldcflow.mpf import _gen, formulate_mpf
 from ldcflow.msf import optimal_switch_sets, solve_msf_exhaustive
 from ldcflow.network import NodeRole, network_sum, subnetwork, validate_network
+from oracles import reference_general_lp
 
 
 class TestGsch:
@@ -69,6 +71,12 @@ class TestGfch:
         with pytest.raises(ValueError):
             gsch(1, "g", Polarity.MINUS)
 
+    @pytest.mark.parametrize("gadget, polarity", [(gsch, "minus"), (gfch, "plus"), (gsch, None), (gfch, NodeRole.LOAD)])
+    def test_a_polarity_that_is_not_a_polarity_is_an_invalid_instance(self, gadget, polarity):
+        # "minus" and "plus" used to raise KeyError from the role table
+        with pytest.raises(InvalidInstance, match=re.escape(f"polarity {polarity!r} is not one of Polarity.MINUS, Polarity.PLUS, Polarity.PORT")):
+            gadget(1, "v", polarity)
+
     @pytest.mark.parametrize("gadget, port", [(gsch, "g"), (gsch, "A.l"), (gfch, "c"), (gfch, "A.e")])
     def test_port_name_collision_is_a_library_error(self, gadget, port):
         with pytest.raises(LdcError, match="collides with an internal gadget node"):
@@ -97,7 +105,7 @@ def test_generator_port_cannot_help_without_displacing_internal_supply():
         p.add_constraint({_gen(g): F(1) for g in sub.generators}, "=", best)
         p.add_constraint({_gen("v"): F(1)}, ">=", F(1, 100))
         p.set_objective({_gen("g"): F(1)})
-        r = solve_lp(p)
+        r = reference_general_lp(p)
         if r.status is LpStatus.OPTIMAL:
             assert r.value < 3 * x
 
@@ -107,6 +115,6 @@ def test_generator_port_cannot_help_without_displacing_internal_supply():
         q.add_constraint({_gen(g): F(1) for g in sub.generators}, "=", best)
         q.add_constraint({_gen("g"): F(1)}, "=", 3 * x)
         q.set_objective({_gen("v"): F(1)})
-        r = solve_lp(q)
+        r = reference_general_lp(q)
         if r.status is LpStatus.OPTIMAL:
             assert r.value == 0

@@ -1,3 +1,13 @@
+"""`solve_lp` on programs in standard form, and the general route beside it.
+
+`solve_lp` takes standard form only and refuses every other program.
+`oracles.reference_general_lp`, the presolve and two-phase simplex it
+once ran on those, solves the general programs other tests need (the
+angle-space MPF program among them); its own tests (boxed, free and
+fixed variables, = and >= rows, the presolve's eliminations,
+substitutions and flips, phase 1) are here too.
+"""
+
 import hashlib
 import itertools
 import json
@@ -8,18 +18,18 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_boxed_lp, random_ldc_network
+from conftest import random_boxed_lp, random_ldc_network, random_standard_lp
 from ldcflow import lp, serialize
 from ldcflow.errors import MalformedProgram
 from ldcflow.gadgets import Polarity, gfch, gsch
-from ldcflow.lp import LinearProgram, LpStatus, _substitute, solve_lp, write_lp_text
+from ldcflow.lp import LinearProgram, LpStatus, solve_lp, write_lp_text
 from ldcflow.mff import pin_susceptances, solve_mff_grid
 from ldcflow.mpf import formulate_mpf
 from ldcflow.msf import solve_msf_bnb, solve_msf_exhaustive
 from ldcflow.network import Network, NodeRole, facts_edge, fixed_edge, network_sum, subnetwork
 from ldcflow.rational import rat_str
 from ldcflow.reductions import ExactCover3Instance, encode_exact_cover_mff
-from oracles import lp_vertex_oracle, reference_mpf_program, reference_standard_lp
+from oracles import _presolve, _substitute, in_standard_form, lp_vertex_oracle, reference_general_lp, reference_mpf_program, reference_standard_lp
 
 
 def boxed(name, lo, hi, p):
@@ -30,7 +40,7 @@ def test_single_boxed_variable():
     p = LinearProgram()
     p.add_variable("x", lower=F(0), upper=F(4))
     p.set_objective({"x": F(1)})
-    r = solve_lp(p)
+    r = reference_general_lp(p)
     assert r.status is LpStatus.OPTIMAL and r.value == 4
 
 
@@ -46,7 +56,7 @@ def test_gadget_angle_program_reaches_three():
     p.add_constraint({"tv": F(2), "tl": F(-1)}, ">=", F(0))
     p.add_constraint({"tl": F(2), "tv": F(-1)}, ">=", F(0))
     p.set_objective({"tv": F(1), "tl": F(1)})
-    r = solve_lp(p)
+    r = reference_general_lp(p)
     assert r.status is LpStatus.OPTIMAL and r.value == 3
     status, value = lp_vertex_oracle(p)
     assert (status, value) == ("optimal", F(3))
@@ -56,7 +66,7 @@ def test_infeasible_detected():
     p = LinearProgram()
     p.add_variable("x", lower=F(0))
     p.add_constraint({"x": F(1)}, "<=", F(-1))
-    assert solve_lp(p).status is LpStatus.INFEASIBLE
+    assert reference_general_lp(p).status is LpStatus.INFEASIBLE
 
 
 def test_unbounded_detected():
@@ -70,7 +80,7 @@ def test_free_variable_unbounded_both_ways():
     p = LinearProgram()
     p.add_variable("x")
     p.set_objective({"x": F(-1)})
-    assert solve_lp(p).status is LpStatus.UNBOUNDED
+    assert reference_general_lp(p).status is LpStatus.UNBOUNDED
 
 
 def test_optimal_assignment_satisfies_constraints_exactly():
@@ -170,7 +180,7 @@ def test_fixed_variable_is_substituted():
     p.add_variable("y", lower=F(0), upper=F(10))
     p.add_constraint({"x": F(1), "y": F(1)}, "<=", F(5))
     p.set_objective({"x": F(1), "y": F(1)})
-    r = solve_lp(p)
+    r = reference_general_lp(p)
     assert r.value == 5 and r.assignment["x"] == 3
 
 
@@ -178,7 +188,7 @@ def test_matches_vertex_oracle_on_random_programs(rng):
     agreements = {"optimal": 0, "infeasible": 0}
     for _ in range(100):
         p = random_boxed_lp(rng)
-        r = solve_lp(p)
+        r = reference_general_lp(p)
         status, value = lp_vertex_oracle(p)
         assert r.status.value == status
         if status == "optimal":
@@ -218,7 +228,7 @@ def test_matches_vertex_oracle_on_rational_coefficients(rng):
     agreements = {"optimal": 0, "infeasible": 0}
     for _ in range(100):
         p = rational_boxed_lp(rng)
-        r = solve_lp(p)
+        r = reference_general_lp(p)
         status, value = lp_vertex_oracle(p)
         assert r.status.value == status
         if status == "optimal":
@@ -228,8 +238,9 @@ def test_matches_vertex_oracle_on_rational_coefficients(rng):
     assert agreements["optimal"] > 0 and agreements["infeasible"] > 0
 
 
-# The value is read off the objective row, whose right-hand side carries the
-# fixed values and bound shifts the presolve folds in: a program whose
+# The general route (`oracles.reference_general_lp`) reads the value off the
+# objective row, whose right-hand side carries the fixed values and bound
+# shifts the presolve folds in: a program whose
 # objective weights every kind of variable checks each of those constants.
 VARIABLE_KINDS = ("fixed", "lower", "upper", "boxed", "eliminated", "split")
 SMALL = st.fractions(-4, 4, max_denominator=3)
@@ -281,7 +292,7 @@ def programs_over_every_variable_kind(draw) -> tuple[LinearProgram, bool]:
 @given(programs_over_every_variable_kind())
 def test_the_value_off_the_objective_row_is_the_objective_at_the_vertex(drawn):
     p, boxed = drawn
-    r = solve_lp(p)
+    r = reference_general_lp(p)
     assert r.status is not LpStatus.UNBOUNDED
     if r.status is LpStatus.OPTIMAL:
         assert_feasible_optimum(p, r)  # value == sum of c * x over the objective
@@ -300,7 +311,7 @@ def test_redundant_equality_rows_are_dropped_after_phase_one(scale):
     p.add_constraint({"x": 2 * scale, "y": 2 * scale}, "=", 4 * scale)
     p.add_constraint({"x": F(-1, 3), "y": F(-1, 3)}, "=", F(-2, 3))
     p.set_objective({"x": F(1), "y": F(3)})
-    r = solve_lp(p)
+    r = reference_general_lp(p)
     assert r.status is LpStatus.OPTIMAL
     assert r.assignment == {"x": F(1, 3), "y": F(5, 3)} and r.value == F(16, 3)
     assert lp_vertex_oracle(p) == ("optimal", r.value)
@@ -324,7 +335,7 @@ def test_negative_rhs_flips_the_relation(rel, rhs, expected):
     p.add_constraint({"x": F(-1), "y": F(-1)}, rel, rhs)
     # maximize x - 2y when the row bounds x + y from above, -x - 2y otherwise
     p.set_objective({"x": F(1) if rel == ">=" else F(-1), "y": F(-2)})
-    r = solve_lp(p)
+    r = reference_general_lp(p)
     assert r.status is LpStatus.OPTIMAL and r.assignment == expected
     assert lp_vertex_oracle(p) == ("optimal", r.value)
 
@@ -332,7 +343,7 @@ def test_negative_rhs_flips_the_relation(rel, rhs, expected):
 def test_row_and_column_permutations_do_not_change_value(rng):
     for _ in range(20):
         p = random_boxed_lp(rng)
-        base = solve_lp(p)
+        base = reference_general_lp(p)
         perm = LinearProgram()
         names = p.variables[:]
         rng.shuffle(names)
@@ -343,17 +354,17 @@ def test_row_and_column_permutations_do_not_change_value(rng):
         for c in cons:
             perm.add_constraint(c.coeffs, c.rel, c.rhs)
         perm.set_objective(p.objective)
-        again = solve_lp(perm)
+        again = reference_general_lp(perm)
         assert again.status == base.status
         if base.status is LpStatus.OPTIMAL:
             assert again.value == base.value
 
 
 def test_repeated_solves_are_identical(rng):
-    p = random_boxed_lp(rng)
-    first = solve_lp(p)
-    second = solve_lp(p)
-    assert first == second
+    for solve, p in ((solve_lp, random_standard_lp(rng)), (reference_general_lp, random_boxed_lp(rng))):
+        first = solve(p)
+        second = solve(p)
+        assert first == second
 
 
 def test_lp_text_has_conventional_sections():
@@ -384,7 +395,12 @@ def test_lp_text_reads_strings_as_solve_lp_does():
     p = LinearProgram()
     p.add_variable("x", lower="0", upper="1/3")
     p.set_objective({"x": "2"})
-    assert solve_lp(p).value == F(2, 3)
+    assert reference_general_lp(p).value == F(2, 3)
+    q = LinearProgram()
+    q.add_variable("x", lower="0")
+    q.add_constraint({"x": "3"}, "<=", "1")
+    q.set_objective({"x": "2"})
+    assert solve_lp(q).value == F(2, 3)
     assert write_lp_text(p).splitlines() == [
         "Maximize",
         " obj: 2 x",
@@ -418,7 +434,12 @@ def _canonical(r) -> str:
 
 
 def _pinned_programs() -> list[LinearProgram]:
-    """Seeded boxed, unboxed and tie-prone LPs, and angle-space MPF programs of random networks and of both gadgets."""
+    """Seeded boxed, unboxed and tie-prone LPs, and angle-space MPF programs of random networks and of both gadgets.
+
+    The tie-prone ones are in standard form; `solve_lp` refuses the others,
+    which the general route solves as `solve_lp` did before it took
+    standard form only.
+    """
     rng = random.Random(1507)
     programs = [random_boxed_lp(rng) for _ in range(200)]
     for _ in range(40):
@@ -463,7 +484,7 @@ PINNED_DIGEST = "4e272a676a8590813bb8a7ddb899491b6398d7759ec8884b76fa7e82c36b40b
 
 
 def test_pinned_results_are_unchanged():
-    lines = "\n".join(_canonical(solve_lp(p)) for p in _pinned_programs())
+    lines = "\n".join(_canonical((solve_lp if in_standard_form(p) else reference_general_lp)(p)) for p in _pinned_programs())
     assert hashlib.sha256(lines.encode()).hexdigest() == PINNED_DIGEST
 
 
@@ -525,7 +546,7 @@ def test_bland_tie_break_decides_among_optimal_vertices():
 
 
 def assert_matches_oracle(p: LinearProgram):
-    r = solve_lp(p)
+    r = reference_general_lp(p)
     status, value = lp_vertex_oracle(p)
     assert r.status.value == status
     if status == "optimal":
@@ -588,7 +609,7 @@ def test_equality_row_reducing_to_a_nonzero_constant_is_infeasible():
     p.add_constraint({"x": F(1), "y": F(1)}, "=", F(1))
     p.add_constraint({"x": F(3), "y": F(3)}, "=", F(10, 3))
     p.set_objective({"y": F(1)})
-    assert solve_lp(p).status is LpStatus.INFEASIBLE
+    assert reference_general_lp(p).status is LpStatus.INFEASIBLE
     assert lp_vertex_oracle(p) == ("infeasible", None)
 
 
@@ -599,7 +620,7 @@ def test_presolve_eliminates_the_first_free_variable_of_the_row():
     p.add_variable("a")
     p.add_variable("b")
     p.add_constraint({"b": F(-1), "a": F(1)}, "=", F(1))
-    r = solve_lp(p)
+    r = reference_general_lp(p)
     assert r.status is LpStatus.OPTIMAL and r.assignment == {"a": F(1), "b": F(0)}
 
 
@@ -612,7 +633,7 @@ def test_a_column_fixed_at_zero_is_cleared_and_the_row_reduced():
     p.add_variable("y", lower=F(0))
     p.add_constraint({"x": F(1, 2), "y": F(1)}, "<=", F(1))
     p.set_objective({"y": F(1)})
-    r = solve_lp(p)
+    r = reference_general_lp(p)
     assert (r.status, r.value, r.assignment) == (LpStatus.OPTIMAL, 1, {"x": 0, "y": 1})
 
 
@@ -630,10 +651,10 @@ def test_each_variable_left_gets_one_substitution():
     p.add_constraint({"x": F(3), "y": F(1), "w": F(-1)}, ">=", F(1))
     p.add_constraint({"y": F(1)}, ">=", F(-2))
     p.set_objective({"y": F(1), "z": F(1)})
-    objective, lower, upper, standard = lp._read_program(p)
-    assert not standard
+    objective, lower, upper = lp._read_program(p)
+    assert not in_standard_form(p)
     obj = lp._int_row(dict(objective), F(0), 4)
-    T, Z, basis, nonbasic, var_cols, shift, eliminated = lp._presolve([row[:] for row in p.rows], p.rels, lower, upper, obj)
+    T, Z, basis, nonbasic, var_cols, shift, eliminated = _presolve([row[:] for row in p.rows], p.rels, lower, upper, obj)
     assert var_cols == {0: [], 1: [(0, 1)], 2: [(1, -1)], 3: [(2, 1), (3, -1)]}
     assert shift == {0: F(7, 3), 1: F(-3), 2: F(5, 2)} and eliminated == []
     assert T == [[-6, 6, -6, 6, 19, 6], [0, 1, -1, -1, 4, 1], [0, 0, 0, -1, 1, 1], [0, 0, 0, 1, 6, 1]]
@@ -642,11 +663,12 @@ def test_each_variable_left_gets_one_substitution():
     assert list(r.assignment.items()) == [("x", F(7, 3)), ("y", F(4)), ("z", F(5, 2)), ("w", F(-17, 6))] and r.value == F(13, 2)
 
 
-# --- Standard-form programs skip the presolve -----------------------------------
+# --- Standard-form programs against the general route -------------------------
 #
 # A program with only <= rows, nonnegative right-hand sides and every variable in
-# [0, inf) starts from its slack tableau; one more variable fixed at 0, held by no
-# row, leaves the program the same but sends it through the presolve.
+# [0, inf) is what `solve_lp` takes; one more variable fixed at 0, held by no row,
+# leaves the program the same but out of standard form, so `solve_lp` refuses it
+# and the general route solves it.
 
 
 def with_a_fixed_variable(p: LinearProgram) -> LinearProgram:
@@ -661,52 +683,32 @@ def with_a_fixed_variable(p: LinearProgram) -> LinearProgram:
     )
 
 
-def solve_both_ways(p: LinearProgram, monkeypatch) -> tuple:
-    """solve_lp of p, which must skip the presolve, and of p with a fixed variable, which must not."""
-    presolved = []
-    presolve = lp._presolve
-    monkeypatch.setattr(lp, "_presolve", lambda *args: presolved.append(args) or presolve(*args))
+def solve_both_ways(p: LinearProgram) -> tuple:
+    """solve_lp of p, and the general route of p with a fixed variable, which `solve_lp` must refuse."""
+    padded = with_a_fixed_variable(p)
     direct = solve_lp(p)
-    assert not presolved
-    padded = solve_lp(with_a_fixed_variable(p))
-    assert len(presolved) == 1
-    assert (direct.status, direct.value) == (padded.status, padded.value)
+    with pytest.raises(MalformedProgram, match="variable fixed has upper bound 0, not"):
+        solve_lp(padded)
+    general = reference_general_lp(padded)
+    assert (direct.status, direct.value) == (general.status, general.value)
     if direct.status is LpStatus.OPTIMAL:
-        assert list(padded.assignment.items()) == [*direct.assignment.items(), ("fixed", 0)]
-    return direct, padded
+        assert list(general.assignment.items()) == [*direct.assignment.items(), ("fixed", 0)]
+    return direct, general
 
 
-def test_mpf_programs_solve_alike_with_and_without_the_presolve(monkeypatch):
+def test_mpf_programs_solve_alike_with_and_without_the_presolve():
     rng = random.Random(1701)
     networks = [random_ldc_network(rng) for _ in range(60)]
     networks += [gsch(1, "v", Polarity.MINUS), gsch(2, "v", Polarity.PLUS)]
     for n in networks:
-        direct, _ = solve_both_ways(formulate_mpf(n), monkeypatch)
+        direct, _ = solve_both_ways(formulate_mpf(n))
         assert direct.status is LpStatus.OPTIMAL
 
 
-def random_standard_lp(rng: random.Random) -> LinearProgram:
-    """<= rows with nonnegative right-hand sides over variables in [0, inf), and a positive objective.
-
-    As in the pinned programs, rows of 0/1/2 over rhs 1 or 2 tie the ratio
-    test often; here each row is also scaled by a rational, and a row may
-    hold no coefficient.  A variable that no row holds leaves the program
-    unbounded.
-    """
-    p = LinearProgram()
-    for v in ["v", "w", "x", "y", "z"][: rng.randint(2, 5)]:
-        p.add_variable(v, lower=F(0))
-    for _ in range(rng.randint(2, 7)):
-        scale = rng.choice((F(1), F(1), F(1, 3), F(5, 2)))
-        p.add_constraint({v: c * scale for v in p.variables if (c := rng.choice((0, 1, 1, 2, 2)))}, "<=", rng.randint(1, 2) * scale)
-    p.set_objective({v: F(rng.randint(1, 2)) for v in p.variables})
-    return p
-
-
-def test_standard_form_programs_match_the_vertex_oracle_and_the_presolve(rng, monkeypatch):
+def test_standard_form_programs_match_the_vertex_oracle_and_the_presolve(rng):
     for k in range(300):
         p = random_standard_lp(rng)
-        r, _ = solve_both_ways(p, monkeypatch)
+        r, _ = solve_both_ways(p)
         bounded = all(any(row[j] for row in p.rows) for j in range(len(p.variables)))
         assert r.status is (LpStatus.OPTIMAL if bounded else LpStatus.UNBOUNDED)
         if bounded:
@@ -727,6 +729,36 @@ def test_standard_form_programs_match_the_vertex_oracle_and_the_presolve(rng, mo
 def test_a_standard_form_program_is_checked_before_its_slack_tableau(program, message):
     with pytest.raises(MalformedProgram, match=message):
         solve_lp(program)
+
+
+def out_of_form(x_lower=F(0), x_upper=None, rel="<=", rhs=F(1)) -> LinearProgram:
+    """y, then x, both in [0, inf) unless x's bounds say otherwise; c0: x + y <= 2, then c1: x `rel` rhs."""
+    p = LinearProgram()
+    p.add_variable("y", lower=F(0))
+    p.add_variable("x", lower=x_lower, upper=x_upper)
+    p.add_constraint({"x": F(1), "y": F(1)}, "<=", F(2))
+    p.add_constraint({"x": F(1)}, rel, rhs)
+    p.set_objective({"x": F(1), "y": F(1)})
+    return p
+
+
+@pytest.mark.parametrize(
+    "program, message, c1, x_bound",
+    [
+        (out_of_form(rel=">="), "row c1 is a >= row", " c1: x >= 1", " 0 <= x <= +inf"),
+        (out_of_form(rel="="), "row c1 is a = row", " c1: x = 1", " 0 <= x <= +inf"),
+        (out_of_form(rhs=F(-1)), "row c1 has right-hand side -1", " c1: x <= -1", " 0 <= x <= +inf"),
+        (out_of_form(x_lower=F(1)), "variable x has lower bound 1, not 0", " c1: x <= 1", " 1 <= x <= +inf"),
+        (out_of_form(x_upper=F(4)), "variable x has upper bound 4, not +inf", " c1: x <= 1", " 0 <= x <= 4"),
+        (out_of_form(x_lower=None), "variable x has lower bound -inf, not 0", " c1: x <= 1", " x free"),
+    ],
+    ids=[">= row", "= row", "negative rhs", "lower bound", "finite upper bound", "free variable"],
+)
+def test_solve_lp_refuses_a_program_out_of_standard_form_that_write_lp_text_renders(program, message, c1, x_bound):
+    with pytest.raises(MalformedProgram, match=re.escape(message + "; solve_lp takes only <= rows")):
+        solve_lp(program)
+    lines = ["Maximize", " obj: y + x", "Subject To", " c0: y + x <= 2", c1, "Bounds", " 0 <= y <= +inf", x_bound, "End"]
+    assert write_lp_text(program) == "\n".join(lines) + "\n"
 
 
 # The condensed tableau pivots only the nonbasic columns; the full-width simplex
@@ -828,8 +860,7 @@ def range_pair_programs(draw) -> LinearProgram:
 @given(range_pair_programs())
 def test_range_rows_match_the_full_width_simplex_and_the_presolve(p):
     assert_matches_the_full_width_simplex(p)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        solve_both_ways(p, monkeypatch)
+    solve_both_ways(p)
 
 
 def ranges_and_complements(p: LinearProgram, monkeypatch) -> tuple[dict, list[str]]:
@@ -839,7 +870,7 @@ def ranges_and_complements(p: LinearProgram, monkeypatch) -> tuple[dict, list[st
     monkeypatch.setattr(lp, "_complement_row", lambda *args: made.append("row") or row(*args))
     monkeypatch.setattr(lp, "_complement_column", lambda *args: made.append("column") or column(*args))
     assert assert_matches_the_full_width_simplex(p) is LpStatus.OPTIMAL
-    _, ranges = lp._slack_tableau(p.rows, [], len(p.variables))
+    _, _, ranges = lp._slack_tableau(p.rows, len(p.variables))
     return ranges, made
 
 

@@ -87,3 +87,52 @@ def test_single_edge_has_one_binary():
     program, binaries = build_switching_milp(n)
     assert len(binaries) == 1
     assert solve_with_scipy(program, binaries) == pytest.approx(7.0, abs=TOL)
+
+
+# The whole export of gsch(1): free angles, the pinned angle of the first
+# node, = balance rows and a Binary section, which `solve_lp` would refuse
+# and `write_lp_text` renders.
+GSCH1_EXPORT = [
+    r"\ Switching reconfiguration as a big-M MILP.",
+    r"\ Binary z[a|b] = 1 keeps edge a--b, 0 removes it.",
+    r"\ Per edge: |f| <= cap * z  and  |f - s*(th_b - th_a)| <= M * (1 - z),",
+    r"\ with M = s * Theta and Theta = sum over edges of cap/s = 4.",
+    r"\ Theta bounds the attainable angle spread after translating each",
+    r"\ connected component, so the M never cuts off an optimal solution.",
+    r"\ Objective: total generation.",
+    "Maximize",
+    " obj: gen[g]",
+    "Subject To",
+    " c0: f[g|l] + f[g|v] - gen[g] = 0",
+    " c1: - f[g|l] + f[l|v] + load[l] = 0",
+    " c2: - f[g|v] - f[l|v] + load[v] = 0",
+    " c3: f[g|l] - 2 z[g|l] <= 0",
+    " c4: - f[g|l] - 2 z[g|l] <= 0",
+    " c5: th[g] - th[l] + f[g|l] + 4 z[g|l] <= 4",
+    " c6: - th[g] + th[l] - f[g|l] + 4 z[g|l] <= 4",
+    " c7: f[g|v] - z[g|v] <= 0",
+    " c8: - f[g|v] - z[g|v] <= 0",
+    " c9: th[g] - th[v] + f[g|v] + 4 z[g|v] <= 4",
+    " c10: - th[g] + th[v] - f[g|v] + 4 z[g|v] <= 4",
+    " c11: f[l|v] - z[l|v] <= 0",
+    " c12: - f[l|v] - z[l|v] <= 0",
+    " c13: th[l] - th[v] + f[l|v] + 4 z[l|v] <= 4",
+    " c14: - th[l] + th[v] - f[l|v] + 4 z[l|v] <= 4",
+    "Bounds",
+    " th[g] = 0",
+    " th[l] free",
+    " th[v] free",
+    " f[g|l] free",
+    " f[g|v] free",
+    " f[l|v] free",
+    " 0 <= gen[g] <= +inf",
+    " 0 <= load[l] <= +inf",
+    " 0 <= load[v] <= +inf",
+    "Binary",
+    " z[g|l] z[g|v] z[l|v]",
+    "End",
+]
+
+
+def test_the_export_of_the_switching_gadget_is_pinned():
+    assert export_milp(gsch(1)) == "\n".join(GSCH1_EXPORT) + "\n"

@@ -17,7 +17,7 @@ from ldcflow.maxflow import _integer_flow, classical_max_flow
 from ldcflow.mpf import MpfOutcome, _gen, _load, core_maps, formulate_mpf, solve_mpf
 from ldcflow.msf import _th, solve_msf_bnb, solve_msf_exhaustive
 from ldcflow.network import Network, NodeRole, Solution, fixed_edge, network_sum, subnetwork, total_generation, validate_network, validate_solution
-from oracles import reference_mpf_program, reference_terminal_program
+from oracles import reference_general_lp, reference_mpf_program, reference_terminal_program
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
@@ -301,8 +301,8 @@ class TestLazyFields:
 
 
 def _reference(n: Network) -> tuple[F, Solution]:
-    """MPF by one angle-space LP over the whole network, flowless components included."""
-    r = solve_lp(reference_mpf_program(n))
+    """MPF by one angle-space LP over the whole network, flowless components included, on the general route."""
+    r = reference_general_lp(reference_mpf_program(n))
     a = r.assignment
     angle = {v: a[_th(v)] for v in n.node_names}
     return r.value, Solution(
@@ -593,8 +593,7 @@ def slack_basis_programs(monkeypatch) -> list:
     """Every program `solve_mpf` hands `ldcflow.mpf.solve_lp`, after checking that its slack basis is feasible.
 
     Only <= rows with nonnegative right-hand sides, and every variable at
-    lower bound 0 with no upper bound: `solve_lp` then neither eliminates
-    a variable nor runs phase 1.
+    lower bound 0 with no upper bound: the standard form `solve_lp` takes.
     """
     calls = []
 
@@ -619,7 +618,7 @@ class TestTerminalSpace:
             programs = slack_basis_programs(monkeypatch)
             out = solve_mpf(n)
             solution = out.solution
-        assert out.value == solve_lp(reference_mpf_program(n)).value == total_generation(solution)
+        assert out.value == reference_general_lp(reference_mpf_program(n)).value == total_generation(solution)
         assert validate_solution(n, solution).ok
         # the one LP holds the generations and loads of the cyclic components alone
         cyclic = set()

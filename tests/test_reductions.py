@@ -120,8 +120,16 @@ class TestExactCoverEncoders:
         (encode_hamiltonian, HamiltonianInstance(("a", "b"), (("a",),), "a", "b"), r"edge \('a',\) is not a pair of nodes"),
         (encode_hamiltonian, HamiltonianInstance(("a", "b"), (5,), "a", "b"), "edge 5 is not a pair of nodes"),
         (encode_hamiltonian, HamiltonianInstance(("a", "b"), ("ab",), "a", "b"), "edge 'ab' is not a pair of nodes"),
+        # these three used to raise TypeError
+        (encode_exact_cover_mff, ExactCover3Instance(("a", "b", "c"), (5,)), "set 5 is not a tuple or list of elements"),
+        (encode_exact_cover_msf, ExactCover3Instance(None, ()), "universe None is not a tuple or list of elements"),
+        (encode_exact_cover_msf, ExactCover3Instance(("a", "b", "c"), None), "sets None is not a tuple or list of sets"),
+        (encode_exact_cover_mff, ExactCover3Instance(("a", "b", "c"), ("abc",)), "set 'abc' is not a tuple or list of elements"),
     ],
-    ids=["repeated element", "repeated node", "generated node name", "repeated edge", "edge of three nodes", "edge of one node", "edge that is a number", "edge that is a string"],
+    ids=[
+        "repeated element", "repeated node", "generated node name", "repeated edge", "edge of three nodes", "edge of one node", "edge that is a number", "edge that is a string",
+        "set that is a number", "universe of None", "sets of None", "set that is a string",
+    ],
 )
 def test_an_instance_defect_is_named(encode, inst, message):
     with pytest.raises(InvalidInstance, match=message):
