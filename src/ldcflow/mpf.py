@@ -141,23 +141,28 @@ def _potentials(names: list[NodeId], edges: list[Edge], injections: list[dict[No
     positive definite and every pivot, a leading principal minor of A, is
     positive.
     """
-    index = {v: i for i, v in enumerate(names)}
+    # each node's row and column of A; names[0]'s is -1, since its row and column are dropped
+    index = {v: i for i, v in enumerate(names, -1)}
     m = len(names) - 1
-    scale = math.lcm(*(e.s_min.denominator for e in edges))
-    # [A | -D * p] over all nodes; names[0]'s row and column are dropped below
-    lap = [[0] * (m + 1 + len(injections)) for _ in names]
-    for e in edges:
-        k = e.s_min.numerator * (scale // e.s_min.denominator)
-        a, b = index[e.a], index[e.b]
-        lap[a][a] += k
-        lap[b][b] += k
-        lap[a][b] -= k
-        lap[b][a] -= k
-    for c, injection in enumerate(injections, m + 1):
-        for v, p in injection.items():
-            lap[index[v]][c] = -scale * p
-    rows = [row[1:] for row in lap[1:]]
     width = m + len(injections)
+    # each susceptance's (numerator, denominator), read once: two `Fraction` properties cost more than one call
+    sus = [e.s_min.as_integer_ratio() for e in edges]
+    scale = math.lcm(*[den for _, den in sus])
+    # [A | -D * p] over the other nodes
+    rows = [[0] * width for _ in range(m)]
+    for e, (num, den) in zip(edges, sus):
+        k = num if scale == 1 else num * (scale // den)
+        a, b = index[e.a], index[e.b]
+        rows[b][b] += k  # b sorts after a, so it is never names[0]
+        if a >= 0:
+            rows[a][a] += k
+            rows[a][b] -= k
+            rows[b][a] -= k
+    for c, injection in enumerate(injections, m):
+        for v, p in injection.items():
+            i = index[v]
+            if i >= 0:
+                rows[i][c] = -scale * p
     pivots = [1]  # pivots[s + 1] is step s's pivot
     seen = [0] * m  # per row, the index into pivots of the step it was last brought up to date at
     for i in range(m):
@@ -334,14 +339,16 @@ def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tup
     alone never makes it.
     """
     det, (y,) = _potentials(sorted(comp), edges, [{g: 1, l: -1}])
-    # the least cap / |s * dy| as num/least; least = 0 stands for no bound, so
-    # an edge with dy = 0 never becomes the least
+    # the least cap / |s * dy| as num/least; least = 0 stands for no bound
     num, least = 1, 0
     for e in edges:
-        n_e = e.cap.numerator * e.s_min.denominator
-        d_e = e.cap.denominator * e.s_min.numerator * abs(y[e.b] - y[e.a])
-        if n_e * least < num * d_e:
-            num, least = n_e, d_e
+        dy = y[e.b] - y[e.a]
+        if dy:
+            (cap_num, cap_den), (s_num, s_den) = e.cap.as_integer_ratio(), e.s_min.as_integer_ratio()
+            n_e = cap_num * s_den
+            d_e = cap_den * s_num * abs(dy)
+            if n_e * least < num * d_e:
+                num, least = n_e, d_e
     value = Rational(det * num, least)
     return value, lambda: _part(edges, {v: num * y_v for v, y_v in y.items()}, least, {g: value, l: -value})
 
@@ -385,27 +392,32 @@ def solve_mpf(n: Network) -> MpfOutcome:
     its part of the solution, built from the parts on first read, and it
     is an optimal one: on a tree the max flow's, with the angles walked
     from its pinned node; on a component with a cycle the LP's gen/load
-    vertex, with the angles of the program's own shift factors.  An
+    vertex, with the angles of the program's own shift factors.  Only
+    the components that hold both a generator and a load are grouped into
+    their edges; each one's terminals are read off `n.generators` and
+    `n.loads`, and a single part's value is the total as it is.  An
     invalid network raises `InvalidNetwork`.
     """
     require_valid(n)
     _require_fixed(n)
-    roles = n.roles
     comps = connected_components(n)
-    value, parts, cyclic = ZERO, [], []
-    for comp, edges in zip(comps, _component_edges(n, comps)):
-        gens = [v for v in comp if roles[v] is NodeRole.GENERATOR]
-        loads = [v for v in comp if roles[v] is NodeRole.LOAD]
-        if not gens or not loads:
-            continue
+    flowing = []  # (component, its generators, its loads) for those holding both
+    for comp in comps:
+        gens = [v for v in n.generators if v in comp]
+        if gens:
+            loads = [v for v in n.loads if v in comp]
+            if loads:
+                flowing.append((comp, gens, loads))
+    values, parts, cyclic = [], [], []
+    for (comp, gens, loads), edges in zip(flowing, _component_edges(n, [comp for comp, _, _ in flowing])):
         if len(gens) == len(loads) == 1:
             t, part = _one_pair(edges, comp, gens[0], loads[0])
-            value += t
+            values.append(t)
             parts.append(part)
         elif len(edges) == len(comp) - 1:
             names = sorted(comp)
             t, scale, flows, _ = _integer_flow(names, edges, gens, loads)
-            value += Rational(t, scale)
+            values.append(Rational(t, scale))
             parts.append(partial(_tree_part, names, edges, scale, flows))
         else:
             cyclic.append((comp, edges, gens, loads))
@@ -414,8 +426,10 @@ def solve_mpf(n: Network) -> MpfOutcome:
         result = solve_lp(p)
         if result.status is not LpStatus.OPTIMAL:  # pragma: no cover - MPF is always bounded
             raise AssertionError(f"MPF solve ended {result.status}")
-        value += result.value
+        values.append(result.value)
         parts += [partial(_lp_part, edges, gens, loads, shift, result) for (_, edges, gens, loads), shift in zip(cyclic, shifts)]
+    # the first part's value as it is: one part, the common case, takes no Fraction add
+    value = sum(values[1:], values[0]) if values else ZERO
     return MpfOutcome(value, Lazy(partial(_solution, n, parts)))
 
 

@@ -13,10 +13,17 @@ edge carries nothing, and neither does a component without both a
 generator and a load.  `core_maps(n)[0]` maps a switch set to the edges
 that remain, and the MPF value and the classical max flow depend on them
 alone (an edge outside the core carries no generator-to-load flow), so
-each search solves every such core once.  The scan solves only the
-distinct non-empty cores (an empty one is worth zero), each on its own
-sub-network, reads their values alone, and re-solves only the winners it
-returns on their own sub-networks for their solutions.  Branch-and-bound
+each search solves every such core once.  The scan finds every mask's
+core first, from the core of the mask without its lowest removed edge:
+when that edge lies outside it, the mask takes that core as it is, since
+removing an edge outside a core leaves the core unchanged, and otherwise
+the core map runs once per distinct kept-edge set, that core without the
+edge.  It solves only the distinct non-empty cores (an empty one is
+worth zero), each on its own sub-network, reads their values alone, and
+takes the largest among the distinct values: per mask one integer
+lookup, per distinct core one solve, per distinct value one comparison.
+It re-solves only the winners it returns on their own sub-networks for
+their solutions.  Branch-and-bound
 bounds each core when it first meets it, and solves it then unless the
 bound prunes it; a node whose core it has met before takes no max flow
 and no solve, and never becomes the incumbent.  It solves
@@ -100,21 +107,53 @@ def _core_value(n: Network, core: int) -> Rational:
     return solve_mpf(subnetwork(n, _removed(n, ~core))).value
 
 
+def _cores(n: Network) -> array:
+    """The flow core of every removed-edge mask, indexed by the mask.
+
+    Removing edges never adds to a core, and removing an edge outside a
+    core leaves the core as it is (`core_maps`).  So a mask's core is that
+    of its parent, the mask without its lowest removed edge, when that
+    edge lies outside the parent's core; otherwise it is the core of the
+    parent's core without that edge, since every other kept edge lies
+    outside both cores.  Only the distinct such kept-edge sets run the
+    core map.
+    """
+    core_of = core_maps(n)[0]
+    cores = array("L", [core_of(0)]) * (1 << len(n.edges))
+    of_kept: dict[int, int] = {}  # a kept-edge mask's core
+    for mask in range(1, len(cores)):
+        low = mask & -mask
+        core = cores[mask ^ low]
+        if core & low:
+            kept = core ^ low
+            core = of_kept.get(kept)
+            if core is None:
+                core = of_kept[kept] = core_of(~kept)
+        cores[mask] = core
+    return cores
+
+
 def _optimal_sets(n: Network) -> list[int]:
     """All optimal switch sets, as removed-edge masks in ascending order.
 
-    Each mask's flow core is found first and only the distinct non-empty
-    cores are valued (`_core_value`).
+    Each mask's flow core is found first (`_cores`) and only the distinct
+    non-empty cores are valued (`_core_value`), in first-seen mask order;
+    the empty core is worth zero.  The largest value is taken once over
+    the distinct values, and the masks whose core reaches it are the
+    winners: per mask one integer lookup, per distinct core one solve,
+    per distinct value one comparison.
     """
     require_valid(n)
     _require_fixed(n)
     if len(n.edges) > EXHAUSTIVE_EDGE_LIMIT:
         raise TooLarge(f"{len(n.edges)} edges exceed the exhaustive limit of {EXHAUSTIVE_EDGE_LIMIT}")
-    masks = range(1 << len(n.edges))
-    cores = array("L", map(core_maps(n)[0], masks))
+    cores = _cores(n)
     solved = [core for core in dict.fromkeys(cores) if core]
     values = dict(zip(solved, ordered_map(partial(_core_value, n), solved)))
-    return optima(masks, key=lambda mask: values.get(cores[mask], ZERO))
+    values[0] = ZERO  # the all-removed mask's core is always empty
+    best = max(values.values())
+    winners = {core for core, value in values.items() if value == best}
+    return [mask for mask, core in enumerate(cores) if core in winners]
 
 
 def solve_msf_exhaustive(n: Network) -> MsfOutcome:

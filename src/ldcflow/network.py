@@ -274,20 +274,32 @@ def subnetwork(n: Network, switched: Iterable[Edge]) -> Network:
     `generators`, `loads`).  Removing edges adds no FACTS edge and no
     defect, so a sub-network of a fixed network knows it is fixed, and
     one of a network that passed `require_valid` is not validated again.
+
+    The searches switch n's own `Edge` objects, so for a valid parent the
+    switched edges are first found by identity, which hashes no `Edge`.
+    A valid network holds no edge twice, so the count shows whether every
+    switched object is one of n's; if any is not (an equal copy, or an
+    edge n does not hold), the edges are matched by equality as for any
+    other parent, and an unknown one raises `UnknownEdge`.
     """
-    removed = frozenset(switched)
-    kept = tuple([e for e in n.edges if e not in removed])  # a list first: a tuple grown from a generator raised peak RSS
+    switched = tuple(switched)
     report = n.__dict__.get("_report")
     valid = report is not None and report.ok
-    # a valid network holds no edge twice, so then the count shows that every removed edge was found
-    if not valid or len(kept) + len(removed) != len(n.edges):
-        have = set(n.edges)
-        for e in removed:
-            if e not in have:
-                raise UnknownEdge(f"{e} is not an edge of the network")
+    if valid:
+        ids = set(map(id, switched))
+        kept = [e for e in n.edges if id(e) not in ids]
+    if not valid or len(kept) + len(ids) != len(n.edges):
+        removed = frozenset(switched)
+        kept = [e for e in n.edges if e not in removed]
+        # on a valid network, the count shows that every removed edge was found
+        if not valid or len(kept) + len(removed) != len(n.edges):
+            have = set(n.edges)
+            for e in removed:
+                if e not in have:
+                    raise UnknownEdge(f"{e} is not an edge of the network")
     sub = object.__new__(Network)
     cache = vars(sub)
-    cache.update(nodes=n.nodes, edges=kept)
+    cache.update(nodes=n.nodes, edges=tuple(kept))  # a list first: a tuple grown from a generator raised peak RSS
     cache.update((name, getattr(n, name)) for name in _NODE_CACHES)
     if not n.facts_edges:
         cache["facts_edges"] = ()

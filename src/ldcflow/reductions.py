@@ -173,6 +173,10 @@ def _check_exact_cover(inst: ExactCover3Instance) -> None:
 
 
 def _check_hamiltonian(inst: HamiltonianInstance) -> None:
+    if not isinstance(inst.nodes, (tuple, list)):
+        raise InvalidInstance(f"nodes {inst.nodes!r} is not a tuple or list of nodes")
+    if not isinstance(inst.edges, (tuple, list)):
+        raise InvalidInstance(f"edges {inst.edges!r} is not a tuple or list of edges")
     _check_names((*inst.nodes, inst.a, inst.b), "node")
     for edge in inst.edges:
         if not isinstance(edge, (tuple, list)) or len(edge) != 2:

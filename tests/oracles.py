@@ -25,7 +25,9 @@ and point of a standard-form program padded by a variable fixed at 0
 that `solve_lp` returns for the program; and
 `msf_by_every_mask` calls `solve_mpf` on every
 sub-network, so that it checks the switching searches and nothing they
-skip; `reference_msf_bnb` is the branch-and-bound that runs a max flow on
+skip, and `optimal_sets_by_every_mask` does so on every sub-network
+built from scratch and keeps each one of the largest value;
+`reference_msf_bnb` is the branch-and-bound that runs a max flow on
 every child core it meets first, whose solves `msf._solve_msf_bnb` must
 repeat in the same order with no more max flows; `bridges_by_removal` finds bridges by deleting each edge in turn
 and counting components.  `reference_rat` (a regular-expression match, then `Fraction(text)`)
@@ -613,6 +615,23 @@ def msf_by_every_mask(n: Network) -> tuple[Fraction, frozenset, Solution]:
             best = out.value, key, out
     value, (_, removed), out = best
     return value, frozenset(removed), out.solution
+
+
+def optimal_sets_by_every_mask(n: Network) -> list[tuple[SwitchSet, MpfOutcome]]:
+    """Every switch set whose sub-network's MPF value is the largest over all 2^|E|, with its outcome.
+
+    Each sub-network is built from scratch, `Network(n.nodes, kept)`, and
+    solved by `solve_mpf`: no flow core, no shared value and no winner
+    selection.  The sets come in switch-key order, fewest edges first and
+    then the sorted edge tuple.
+    """
+    outcomes = []
+    for mask in range(1 << len(n.edges)):
+        removed = tuple(sorted(e for i, e in enumerate(n.edges) if mask >> i & 1))
+        kept = [e for i, e in enumerate(n.edges) if not mask >> i & 1]
+        outcomes.append(((len(removed), removed), solve_mpf(Network(n.nodes, kept))))
+    best = max(out.value for _, out in outcomes)
+    return [(frozenset(removed), out) for (_, removed), out in sorted(outcomes, key=lambda pair: pair[0]) if out.value == best]
 
 
 def reference_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, tuple[Edge, ...]]:

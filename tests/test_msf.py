@@ -1,3 +1,5 @@
+import random
+from array import array
 from fractions import Fraction as F
 from unittest.mock import patch
 
@@ -133,6 +135,34 @@ def test_searches_agree_with_solving_every_sub_network(n):
     assert all(solve_mpf(subnetwork(n, switched - {e})).value < value for e in switched)
     assert decide_msf(n, value)
     assert not decide_msf(n, value + F(1, 1000))
+
+
+def with_roles(n: Network, keep: NodeRole, prefix: str = "") -> Network:
+    """n with every node renamed by `prefix` and every generator or load that is not a `keep` made plain."""
+    nodes = [(prefix + v, role if role in (keep, PLAIN) else PLAIN) for v, role in n.nodes]
+    return Network(nodes, [fixed_edge(prefix + e.a, prefix + e.b, e.s_min, e.cap) for e in n.edges])
+
+
+@st.composite
+def networks_without_a_pair(draw) -> Network:
+    """A seeded network in which no component holds both a generator and a load.
+
+    It has generators and no load, loads and no generator, or both, on
+    two separate networks side by side.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    gens = with_roles(random_ldc_network(rng, max_edges=5), GEN)
+    loads = with_roles(random_ldc_network(rng, max_edges=4), LOAD, "x")
+    return draw(st.sampled_from([gens, loads, network_sum(gens, loads)]))
+
+
+@settings(max_examples=80)
+@given(st.one_of(any_network, networks_without_a_pair()))
+def test_the_scan_returns_every_set_of_the_largest_value_over_every_mask(n):
+    masks = range(1 << len(n.edges))
+    # the inherited core array is the core map's on every mask
+    assert ldcflow.msf._cores(n) == array("L", map(core_maps(n)[0], masks))
+    assert optimal_switch_sets(n) == oracles.optimal_sets_by_every_mask(n)
 
 
 def kept_edges(n: Network, mask: int) -> frozenset:

@@ -27,7 +27,7 @@ from ldcflow.network import (
     validate_solution,
     zero_solution,
 )
-from ldcflow.serialize import network_from_json
+from ldcflow.serialize import network_from_json, network_to_json
 from oracles import reference_validate_solution
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
@@ -273,6 +273,76 @@ class TestInheritedSubnetwork:
             network.require_valid(twice)
         with pytest.raises(UnknownEdge):
             subnetwork(twice, {real, foreign})
+
+
+def copy_of(e: Edge) -> Edge:
+    """An edge equal to e but a distinct object."""
+    return fixed_edge(e.a, e.b, e.s_min, e.cap)
+
+
+class TestSwitchedEdgesByIdentity:
+    """A valid parent's own edge objects are found by identity; any other switch set goes the hashed way, with the same result."""
+
+    @staticmethod
+    def parents() -> list[tuple[Network, bool]]:
+        """(network, valid) pairs: validated valid parents, the same never validated, and validated invalid ones."""
+        rng = random.Random(3701)
+        good = [gsch(1, "v", Polarity.MINUS), *(random_ldc_network(rng) for _ in range(6))]
+        for n in good:
+            network.require_valid(n)
+        unchecked = [Network(n.nodes, n.edges) for n in good[:3]]
+        sound = [fixed_edge("g", "m", 2, 3), fixed_edge("m", "l", 1, 4), fixed_edge("g", "l", 1, 1)]
+        bad = [Network([("g", GEN), ("m", PLAIN), ("l", LOAD)], [*sound, defect]) for defect in (fixed_edge("m", "p", 1, 2), fixed_edge("l", "m", 1, -1))]
+        for n in bad:
+            with pytest.raises(InvalidNetwork):
+                network.require_valid(n)
+        return [(n, True) for n in good] + [(n, False) for n in unchecked + bad]
+
+    @staticmethod
+    def switch_sets(n: Network) -> list[list[Edge]]:
+        first, second, *_ = n.edges
+        read_back = network_from_json(network_to_json(n)).edges if validate_network(n).ok else [copy_of(e) for e in n.edges]
+        return [
+            [copy_of(first)],
+            [copy_of(e) for e in n.edges[::2]],
+            list(read_back[1::2]),
+            [first, copy_of(second)],  # own objects and copies together
+            [first, first],  # one edge listed twice
+            [first, copy_of(first)],
+            [copy_of(first), copy_of(first), second],
+            list(n.edges),
+        ]
+
+    def test_each_switch_set_gives_the_network_of_the_kept_edges(self):
+        for n, valid in self.parents():
+            for switched in self.switch_sets(n):
+                sub, removed = subnetwork(n, switched), set(switched)
+                fresh = Network(n.nodes, [e for e in n.edges if e not in removed])
+                assert (sub.nodes, sub.edges) == (fresh.nodes, fresh.edges)
+                # the report is handed on from a valid parent only
+                assert ("_report" in vars(sub)) is valid
+                if valid:
+                    assert validate_network(sub).ok
+
+    def test_an_unknown_edge_raises_the_same_error_on_a_valid_or_an_invalid_parent(self):
+        for n, valid in self.parents():
+            first = n.edges[0]
+            for unknown in (fixed_edge(first.a, first.b, first.s_min, first.cap + 1), fixed_edge("zz0", "zz1", 1, 1)):
+                for switched in ([unknown], [first, unknown], [copy_of(first), unknown, first]):
+                    with pytest.raises(UnknownEdge) as caught:
+                        subnetwork(n, switched)
+                    assert str(caught.value) == f"{unknown} is not an edge of the network"
+
+    def test_a_valid_parents_own_edges_are_found_without_hashing_an_edge(self, monkeypatch):
+        n = random_ldc_network(random.Random(3702), min_edges=5)
+        network.require_valid(n)
+        hashed = []
+        monkeypatch.setattr(Edge, "__hash__", lambda e: hashed.append(e) or hash((e.a, e.b)))
+        for switched in ([], n.edges[:1], n.edges[1::2], [n.edges[0], n.edges[0]], n.edges):
+            subnetwork(n, switched)
+        assert hashed == []
+        subnetwork(n, [copy_of(n.edges[0])])
+        assert hashed
 
 
 def returned_or_raised(call):

@@ -125,10 +125,16 @@ class TestExactCoverEncoders:
         (encode_exact_cover_msf, ExactCover3Instance(None, ()), "universe None is not a tuple or list of elements"),
         (encode_exact_cover_msf, ExactCover3Instance(("a", "b", "c"), None), "sets None is not a tuple or list of sets"),
         (encode_exact_cover_mff, ExactCover3Instance(("a", "b", "c"), ("abc",)), "set 'abc' is not a tuple or list of elements"),
+        # these two used to raise TypeError, and the last two were read as sequences of characters
+        (encode_hamiltonian, HamiltonianInstance(None, (), "a", "b"), "nodes None is not a tuple or list of nodes"),
+        (encode_hamiltonian, HamiltonianInstance(("a", "b"), None, "a", "b"), "edges None is not a tuple or list of edges"),
+        (encode_hamiltonian, HamiltonianInstance("ab", (), "a", "b"), "nodes 'ab' is not a tuple or list of nodes"),
+        (encode_hamiltonian, HamiltonianInstance(("a", "b"), "ab", "a", "b"), "edges 'ab' is not a tuple or list of edges"),
     ],
     ids=[
         "repeated element", "repeated node", "generated node name", "repeated edge", "edge of three nodes", "edge of one node", "edge that is a number", "edge that is a string",
         "set that is a number", "universe of None", "sets of None", "set that is a string",
+        "nodes of None", "edges of None", "nodes that are a string", "edges that are a string",
     ],
 )
 def test_an_instance_defect_is_named(encode, inst, message):
