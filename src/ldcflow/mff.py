@@ -27,7 +27,7 @@ from .errors import NonpositiveRefinement, SusceptanceOutOfRange, TooManyFactsEd
 from .mpf import MpfOutcome, solve_mpf
 from .msf import optima, ordered_map
 from .network import Edge, Network, Solution, fixed_edge, require_valid
-from .rational import Rational
+from .rational import Rational, rat
 
 FACTS_EDGE_LIMIT = 12
 
@@ -128,8 +128,10 @@ def decide_mff(n: Network, x: Rational, *, k: int = 1) -> MffDecision:
 
     The search is a lower bound, so a sound "no" cannot be issued.  For
     x <= 0 the zero flow answers Yes without a search, as in `decide_msf`.
+    x is read by `rat`.
     """
     _require_grid(n, k)
+    x = rat(x)
     if x <= 0:
         return MffDecision.YES
     _, best = _grid_optima(n, k)[0]

@@ -45,10 +45,12 @@ node at zero) and flows, from the elimination its value already made or
 from none.  The LP's vertex times the shift factors `formulate_mpf`
 computed (`shift=True`) gives a cyclic component's angles; a one-pair
 component scales its unit solve; a tree's angles are one walk from its
-pinned node along the max flow, th_b = th_a + f / s.  Each part's flows
-come from the same integers as its angles, and no reading of a solution
-runs `_potentials`.  The solution is built from the parts on first read;
-nodes and edges no part names stay at zero.
+pinned node along the max flow, th_b = th_a + f / s.  A part is the
+angles as integers over one denominator, the component's edges and its
+net injections; `network._solution`, the one assembler of solutions,
+makes the solution from the parts on first read, each part's flows from
+the same integers as its angles, and nodes and edges no part names stay
+at zero.  No reading of a solution runs `_potentials`.
 
 One map serves the switching searches: `core_maps(n)[0]` finds, on
 bitmasks, the edges of a sub-network that can carry flow, and both
@@ -71,7 +73,7 @@ from .classify import _forest_walk, _tables, connected_components
 from .errors import NotFixedSusceptance
 from .lp import LE, Lazy, LinearProgram, LpResult, LpStatus, _reduced, solve_lp
 from .maxflow import _integer_flow
-from .network import Edge, Network, NodeId, NodeRole, Solution, require_valid
+from .network import Edge, Network, NodeId, NodeRole, Part, Solution, _solution, require_valid
 from .rational import ONE, Rational, ZERO
 
 
@@ -263,24 +265,14 @@ def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None, *, sh
     return (p, shifts) if shift else p
 
 
-NodeValues = dict[NodeId, Rational]
-Part = tuple[NodeValues, NodeValues, dict[Edge, Rational]]  # a component's (angles, net injections, flows)
-
-
-def _part(edges: list[Edge], y: dict[NodeId, int], den: int, injection: NodeValues) -> Part:
-    """The (angles, injection, flows) part of a component whose angles are y / den: an edge's flow is s * (y_b - y_a) / den."""
-    angles = {v: Rational(y_v, den) for v, y_v in y.items()}
-    flows = {e: Rational(e.s_min.numerator * (y[e.b] - y[e.a]), e.s_min.denominator * den) for e in edges}
-    return angles, injection, flows
-
-
 def _tree_part(names: list[NodeId], edges: list[Edge], scale: int, flows: list[int]) -> Part:
     """A tree component's part under its max flow, each edge (a, b) carrying f / scale.
 
     One walk from names[0], pinned at zero, fixes the angles: an edge's
     flow is s * (th_b - th_a), so th_b = th_a + f / (scale * s).  Over
     scale * M, M the LCM of the susceptances' numerators, every step is
-    the integer f * den(s) * (M / num(s)).
+    the integer f * den(s) * (M / num(s)), and the assembler's flow
+    s * step / (scale * M) is the max flow's f / scale again.
     """
     m = math.lcm(*(e.s_min.numerator for e in edges))
     steps: dict[NodeId, list[tuple[NodeId, int]]] = {v: [] for v in names}
@@ -299,8 +291,7 @@ def _tree_part(names: list[NodeId], edges: list[Edge], scale: int, flows: list[i
             if w not in y:
                 y[w] = y[u] + step
                 stack.append(w)
-    angles = {v: Rational(y_v, scale * m) for v, y_v in y.items()}
-    return angles, {v: Rational(x, scale) for v, x in net.items() if x}, {e: Rational(f, scale) for e, f in zip(edges, flows)}
+    return edges, y, scale * m, {v: Rational(x, scale) for v, x in net.items() if x}
 
 
 def _lp_part(edges: list[Edge], gens: list[NodeId], loads: list[NodeId], shift: Shift, result: LpResult) -> Part:
@@ -322,7 +313,7 @@ def _lp_part(edges: list[Edge], gens: list[NodeId], loads: list[NodeId], shift: 
                 total[u] += k * y_u
     injection = {v: a[_gen(v)] for v in gens}
     injection.update((v, -a[_load(v)]) for v in loads)
-    return _part(edges, total, det * scale, injection)
+    return edges, total, det * scale, injection
 
 
 def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tuple[Rational, Callable[[], Part]]:
@@ -350,32 +341,7 @@ def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tup
             if n_e * least < num * d_e:
                 num, least = n_e, d_e
     value = Rational(det * num, least)
-    return value, lambda: _part(edges, {v: num * y_v for v, y_v in y.items()}, least, {g: value, l: -value})
-
-
-def _solution(n: Network, parts: list[Callable[[], Part]]) -> Solution:
-    """The solution the components' parts make up; nodes and edges no part names stay at zero.
-
-    A positive net injection is a generation, a negative one a load (read
-    off the numerator's sign, which is cheaper than a `Fraction` comparison).
-    """
-    named: NodeValues = {}
-    injection: NodeValues = {}
-    flow: dict[Edge, Rational] = {}
-    for part in parts:
-        a, p, f = part()
-        named.update(a)
-        injection.update(p)
-        flow.update(f)
-    names = n.node_names
-    p = [injection.get(v, ZERO) for v in names]
-    return Solution(
-        susceptance={e: e.s_min for e in n.edges},
-        angle={v: named.get(v, ZERO) for v in names},
-        flow={e: flow.get(e, ZERO) for e in n.edges},
-        gen={v: x if x.numerator > 0 else ZERO for v, x in zip(names, p)},
-        load={v: -x if x.numerator < 0 else ZERO for v, x in zip(names, p)},
-    )
+    return value, lambda: (edges, {v: num * y_v for v, y_v in y.items()}, least, {g: value, l: -value})
 
 
 def solve_mpf(n: Network) -> MpfOutcome:
@@ -430,7 +396,7 @@ def solve_mpf(n: Network) -> MpfOutcome:
         parts += [partial(_lp_part, edges, gens, loads, shift, result) for (_, edges, gens, loads), shift in zip(cyclic, shifts)]
     # the first part's value as it is: one part, the common case, takes no Fraction add
     value = sum(values[1:], values[0]) if values else ZERO
-    return MpfOutcome(value, Lazy(partial(_solution, n, parts)))
+    return MpfOutcome(value, Lazy(lambda: _solution(n, [part() for part in parts])))
 
 
 def core_maps(n: Network) -> tuple[Callable[[int], int], Callable[[int], int]]:

@@ -62,7 +62,7 @@ from .lp import Lazy, LinearProgram, VarId, write_lp_text
 from .maxflow import classical_max_flow
 from .mpf import MpfOutcome, _gen, _load, _require_fixed, core_maps, pinned_nodes, solve_mpf
 from .network import Edge, Network, NodeId, NodeRole, Solution, SwitchSet, require_valid, subnetwork, zero_solution
-from .rational import ONE, Rational, ZERO, rat_str
+from .rational import ONE, Rational, ZERO, rat, rat_str
 
 EXHAUSTIVE_EDGE_LIMIT = 20
 
@@ -329,9 +329,10 @@ def solve_msf_bnb(n: Network) -> MsfOutcome:
 
 
 def decide_msf(n: Network, x: Rational) -> bool:
-    """Is the maximum switching flow at least x?  Exact in both directions."""
+    """Is the maximum switching flow at least x?  Exact in both directions; x is read by `rat`."""
     require_valid(n)
     _require_fixed(n)
+    x = rat(x)
     if x <= 0:
         return True  # the zero solution is always available
     return _solve_msf_bnb(n, x)[0].value >= x

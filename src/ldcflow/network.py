@@ -14,9 +14,19 @@ a bookkeeping convention only; reversing it and negating the flow
 describes the same physical state.
 
 Construction is deliberately permissive: `validate_network` reports
-structural defects (duplicate pairs, self-loops, empty intervals, roles
-that are not a `NodeRole`, ...) instead of the constructors raising, so
-that candidate inputs can be checked wholesale.
+structural defects (duplicate pairs, self-loops, empty intervals, node
+records that are not (name, role) pairs, roles that are not a
+`NodeRole`, ...) instead of the constructors raising, so that candidate
+inputs can be checked wholesale.
+
+Solutions are assembled here, by one private assembler, `_solution`,
+from parts: each part gives the angles y / den of some nodes, the edges
+whose flows s * (y_b - y_a) / den follow from them, and net injections,
+which split by sign into generation and load.  `zero_solution` is the
+assembler with no parts, `mpf` hands it one part per flowing component
+and `reductions.witness_tree` one part for the whole tree encoding.
+Only `mff`'s relabelling of a pinned network's solution and
+`serialize`'s reader build a `Solution` otherwise.
 """
 
 from __future__ import annotations
@@ -88,8 +98,8 @@ _node_name = itemgetter(0)
 
 
 def _node_key(node: tuple[NodeId, NodeRole]) -> tuple[NodeId, int]:
-    # a role that is not a NodeRole sorts after the roles; `validate_network` reports it
-    return node[0], _ROLE_RANK[node[1]] if type(node[1]) is NodeRole else len(_ROLE_RANK)
+    # a role that is not a NodeRole, or a record that is not a pair, sorts after the roles; `validate_network` reports it
+    return node[0], _ROLE_RANK[node[1]] if len(node) == 2 and type(node[1]) is NodeRole else len(_ROLE_RANK)
 
 
 def fixed_edge(a: NodeId, b: NodeId, s, cap) -> Edge:
@@ -181,15 +191,39 @@ class Solution:
     load: Mapping[NodeId, Rational]
 
 
-def zero_solution(n: Network) -> Solution:
-    """The all-zero state; it satisfies both flow laws on any network."""
+# a part of a solution: (edges, y, den, injection) -- the angles y / den of some
+# nodes, the edges whose flows follow from them and those nodes' net injections
+Part = tuple[Iterable[Edge], Mapping[NodeId, int], int, Mapping[NodeId, Rational]]
+
+
+def _solution(n: Network, parts: Iterable[Part] = ()) -> Solution:
+    """The one assembler of solutions: the state the parts make up, zero wherever no part names a node or an edge.
+
+    A part's edge carries s * (y_b - y_a) / den.  A positive net injection
+    is a generation, a negative one a load (read off the numerator's
+    sign, which is cheaper than a `Fraction` comparison).
+    """
+    angle: dict[NodeId, Rational] = {}
+    injection: dict[NodeId, Rational] = {}
+    flow: dict[Edge, Rational] = {}
+    for edges, y, den, p in parts:
+        angle.update((v, Rational(y_v, den)) for v, y_v in y.items())
+        flow.update((e, Rational(e.s_min.numerator * (y[e.b] - y[e.a]), e.s_min.denominator * den)) for e in edges)
+        injection.update(p)
+    names = n.node_names
+    p = [injection.get(v, ZERO) for v in names]
     return Solution(
         susceptance={e: e.s_min for e in n.edges},
-        angle={v: ZERO for v in n.node_names},
-        flow={e: ZERO for e in n.edges},
-        gen={v: ZERO for v in n.node_names},
-        load={v: ZERO for v in n.node_names},
+        angle={v: angle.get(v, ZERO) for v in names},
+        flow={e: flow.get(e, ZERO) for e in n.edges},
+        gen={v: x if x.numerator > 0 else ZERO for v, x in zip(names, p)},
+        load={v: -x if x.numerator < 0 else ZERO for v, x in zip(names, p)},
     )
+
+
+def zero_solution(n: Network) -> Solution:
+    """The all-zero state; it satisfies both flow laws on any network."""
+    return _solution(n)
 
 
 @dataclass(frozen=True)
@@ -220,7 +254,11 @@ def validate_network(n: Network) -> ValidationReport:
     """Report every structural defect; never raises."""
     out: list[Violation] = []
     names = set()
-    for name, role in n.nodes:
+    for node in n.nodes:
+        if len(node) != 2:
+            out.append(Violation("Structural", repr(node), "node record is not a (name, role) pair"))
+            continue
+        name, role = node
         if not name:
             out.append(Violation("Structural", repr(name), "empty node name"))
         if name in names:

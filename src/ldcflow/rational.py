@@ -34,7 +34,7 @@ _RATIONAL = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)(?:/([0-9]+)|\.([0-9]*))?")
 
 
 def rat(value: int | str | Fraction) -> Fraction:
-    """Parse a rational from an int, a Fraction, or a string.
+    """Parse a rational from an int, a Fraction, or a string; a float or a bool is refused.
 
     Accepted strings, after surrounding whitespace is stripped: an
     optional sign, then ASCII digits with either "/q" ("7/3", "-3") or one
@@ -64,12 +64,12 @@ def rat(value: int | str | Fraction) -> Fraction:
         if sign == "-":
             num = -num
         return Fraction(num, d) if d != 1 else Fraction(num)  # one argument skips the gcd
-    if isinstance(value, int):
+    if isinstance(value, int) and type(value) is not bool:
         return Fraction(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, float):
-        raise TypeError(f"refusing float {value!r}: pass an int or a string")
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"refusing {type(value).__name__} {value!r}: pass an int or a string")
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 

@@ -13,7 +13,9 @@ port flows come from the outcome's own solution and the predicted value
 from the instance, so no decoder encodes the instance again.
 `witness_tree` builds the explicit switch set and solution showing a
 solvable subset-sum instance attains its predicted value on the two-level
-tree encoding.
+tree encoding: it writes the congestion-forced angles as integers over 2,
+and the net injections, and `network`'s one assembler of solutions makes
+the flows, generations and loads from them.
 
 Encodings provided:
   exact cover by 3-sets  -> FACTS network,  value 3 + 18.3|S| + |M|
@@ -40,10 +42,10 @@ from .mff import MffOutcome
 from .msf import MsfOutcome
 from .network import (
     Network,
-    NodeId,
     NodeRole,
     Solution,
     SwitchSet,
+    _solution,
     fixed_edge,
     network_sum,
     subnetwork,
@@ -127,6 +129,8 @@ def _is_int(x) -> bool:
 
 
 def _check_subset_sum(inst: SubsetSumInstance) -> None:
+    if not isinstance(inst.values, (tuple, list)):
+        raise InvalidInstance(f"values {inst.values!r} is not a tuple or list of integers")
     if not all(map(_is_int, inst.values)) or not _is_int(inst.target):
         raise InvalidInstance("subset-sum values and target must be integers")
     if not inst.values:
@@ -293,7 +297,6 @@ def encode_hamiltonian(inst: HamiltonianInstance) -> EncodedInstance:
     n = len(inst.nodes)
     middle = [v for v in inst.nodes if v not in (inst.a, inst.b)]
     ordered = [inst.a, *middle, inst.b]
-    assert len(ordered) == n
     nodes = [("H.s", NodeRole.GENERATOR), ("H.t", NodeRole.LOAD)]
     nodes += [(v, NodeRole.PLAIN) for v in ordered]
     nodes += [(f"H.p{i}", NodeRole.PLAIN) for i in range(1, n + 1)]
@@ -410,38 +413,18 @@ def witness_tree(inst: SubsetSumInstance, chosen: set[int]) -> tuple[SwitchSet, 
     )
     sub = subnetwork(net, switched)
 
-    angle: dict[NodeId, Rational] = {
-        "g": ZERO,
-        "g1": Fraction(1, 2),
-        f"g{n + 1}": Fraction(n + 1, 2),
-        "p": ONE,
-        "l1": Fraction(2),
-        f"l{n + 1}": Fraction(n + 2 + m),
-    }
+    # the angles times 2, and the net injections
+    y = {"g": 0, "g1": 1, f"g{n + 1}": n + 1, "p": 2, "l1": 4, f"l{n + 1}": 2 * (n + 2 + m)}
+    injection = {"g": Fraction(m + 2 + w), "l1": -ONE, f"l{n + 1}": Fraction(-m - 1)}
     for i in range(1, n + 2):
-        angle[f"a{i}"] = Fraction(i)
+        y[f"a{i}"] = 2 * i
     for i in range(2, n + 1):
         a_i = inst.values[i - 2]
-        angle[f"l{i}"] = Fraction(i + a_i) if a_i in chosen else Fraction(i)
-
-    flow = {e: e.s_min * (angle[e.b] - angle[e.a]) for e in sub.edges}
-    gen = {v: ZERO for v in sub.node_names}
-    gen["g"] = Fraction(m + 2 + w)
-    load = {v: ZERO for v in sub.node_names}
-    load["l1"] = ONE
-    load[f"l{n + 1}"] = Fraction(m + 1)
-    for i in range(2, n + 1):
-        a_i = inst.values[i - 2]
-        load[f"l{i}"] = Fraction(a_i) if a_i in chosen else ZERO
-
-    sol = Solution(
-        susceptance={e: e.s_min for e in sub.edges},
-        angle=angle,
-        flow=flow,
-        gen=gen,
-        load=load,
-    )
-    return switched, sol
+        y[f"l{i}"] = 2 * i
+        if a_i in chosen:
+            y[f"l{i}"] += 2 * a_i
+            injection[f"l{i}"] = Fraction(-a_i)
+    return switched, _solution(sub, [(sub.edges, y, 2, injection)])
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,9 @@ def networks_with_chains(draw) -> Network:
     return Network(nodes, edges)
 
 
+any_network = st.one_of(networks_with_idle_edges(), series_parallel_networks(), networks_with_chains())
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260810)

@@ -44,6 +44,9 @@ edge-record loops that `serialize`'s one reader replaced, each with its
 own resolution and listed-twice check over `serialize`'s record and
 value checks; the readers on top of it must return the same map or set,
 or raise the same error with the same message.
+`reference_zero_solution` and `reference_witness_tree` write out each
+map of a solution as `zero_solution` and `witness_tree` did before both
+went through `network`'s one assembler; those must return equal solutions.
 """
 
 from __future__ import annotations
@@ -60,9 +63,9 @@ from ldcflow.lp import Lazy, LinearProgram, LpResult, LpStatus
 from ldcflow.maxflow import classical_max_flow
 from ldcflow.mpf import MpfOutcome, _require_fixed, core_maps, solve_mpf
 from ldcflow.network import Edge, Network, NodeRole, Solution, SwitchSet, ValidationReport, Violation, subnetwork, zero_solution
-from ldcflow.rational import Rational, ZERO, rat_str
+from ldcflow.rational import ONE, Rational, ZERO, rat_str
 from ldcflow.classify import connected_components
-from ldcflow.errors import DecodingFailed, InvalidInstance, NotOptimal
+from ldcflow.errors import DecodingFailed, InvalidInstance, NotACertificate, NotOptimal
 from ldcflow.mff import MffOutcome
 from ldcflow.msf import MsfOutcome
 from ldcflow.reductions import (
@@ -71,6 +74,7 @@ from ldcflow.reductions import (
     KIND_EXACT_COVER_MFF,
     KIND_EXACT_COVER_MSF,
     KIND_TREE,
+    SubsetSumInstance,
     _check_exact_cover,
     _check_subset_sum,
     encode_exact_cover_mff,
@@ -906,10 +910,10 @@ def reference_rat(value: int | str | Fraction) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, (float, bool)):  # bool refused as float is, since the contract change that made `rat` refuse it
+        raise TypeError(f"refusing {type(value).__name__} {value!r}: pass an int or a string")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        raise TypeError(f"refusing float {value!r}: pass an int or a string")
     if isinstance(value, str):
         text = value.strip()
         if not _REFERENCE_RATIONAL.fullmatch(text):
@@ -1084,3 +1088,67 @@ def reference_switch_set_in(records: list, by_pair: ByPair) -> SwitchSet:
             raise ValueError(f"{at}: edge {e.a}--{e.b} listed twice")
         switched.add(e)
     return frozenset(switched)
+
+
+def reference_zero_solution(n: Network) -> Solution:
+    """The all-zero state, each map written out, as `zero_solution` built it before it went through the assembler."""
+    return Solution(
+        susceptance={e: e.s_min for e in n.edges},
+        angle={v: ZERO for v in n.node_names},
+        flow={e: ZERO for e in n.edges},
+        gen={v: ZERO for v in n.node_names},
+        load={v: ZERO for v in n.node_names},
+    )
+
+
+def reference_witness_tree(inst: SubsetSumInstance, chosen: set[int]) -> tuple[SwitchSet, Solution]:
+    """The tree encoding's witness with its susceptance, flow, gen and load maps written out, as `witness_tree` built it."""
+    _check_subset_sum(inst)
+    if sum(chosen) != inst.target or not chosen <= set(inst.values):
+        raise NotACertificate(f"{sorted(chosen)} does not certify target {inst.target}")
+    enc = encode_subset_sum_tree(inst)
+    net = enc.network
+    n = len(inst.values) + 1
+    m = sum(inst.values) - 1
+    w = inst.target
+
+    by_pair = {e.pair: e for e in net.edges}
+    switched = frozenset(
+        by_pair[tuple(sorted(("p", f"a{i}")))]
+        for i in range(2, n + 1)
+        if inst.values[i - 2] not in chosen
+    )
+    sub = subnetwork(net, switched)
+
+    angle: dict[str, Rational] = {
+        "g": ZERO,
+        "g1": Fraction(1, 2),
+        f"g{n + 1}": Fraction(n + 1, 2),
+        "p": ONE,
+        "l1": Fraction(2),
+        f"l{n + 1}": Fraction(n + 2 + m),
+    }
+    for i in range(1, n + 2):
+        angle[f"a{i}"] = Fraction(i)
+    for i in range(2, n + 1):
+        a_i = inst.values[i - 2]
+        angle[f"l{i}"] = Fraction(i + a_i) if a_i in chosen else Fraction(i)
+
+    flow = {e: e.s_min * (angle[e.b] - angle[e.a]) for e in sub.edges}
+    gen = {v: ZERO for v in sub.node_names}
+    gen["g"] = Fraction(m + 2 + w)
+    load = {v: ZERO for v in sub.node_names}
+    load["l1"] = ONE
+    load[f"l{n + 1}"] = Fraction(m + 1)
+    for i in range(2, n + 1):
+        a_i = inst.values[i - 2]
+        load[f"l{i}"] = Fraction(a_i) if a_i in chosen else ZERO
+
+    sol = Solution(
+        susceptance={e: e.s_min for e in sub.edges},
+        angle=angle,
+        flow=flow,
+        gen=gen,
+        load=load,
+    )
+    return switched, sol

@@ -40,6 +40,12 @@ class TestGsch:
         with pytest.raises(NonpositiveX):
             gsch(F(-1, 2), "v", Polarity.MINUS)
 
+    @pytest.mark.parametrize("gadget", [gsch, gfch])
+    def test_a_bool_size_is_refused(self, gadget):
+        # True was read as the size 1
+        with pytest.raises(TypeError, match="refusing bool True"):
+            gadget(True, "v", Polarity.MINUS)
+
     def test_prefix_isolates_internal_nodes(self):
         a = gsch(1, "shared", Polarity.PORT, prefix="A.")
         b = gsch(2, "shared", Polarity.PORT, prefix="B.")

@@ -204,6 +204,16 @@ class TestDecide:
         with pytest.raises(ValueError):
             decide_mff(facts_gadget(), F(1), k=0)
 
+    @pytest.mark.parametrize("x, refused", [(0.5, "float 0.5"), (float("nan"), "float nan"), (True, "bool True")])
+    def test_a_float_or_bool_threshold_is_refused(self, x, refused):
+        # nan answered UNKNOWN
+        with pytest.raises(TypeError, match=f"refusing {refused}"):
+            decide_mff(facts_gadget(), x)
+
+    def test_the_threshold_is_read_by_rat(self):
+        assert decide_mff(facts_gadget(), "6.1") is MffDecision.YES
+        assert decide_mff(facts_gadget(), 7) is MffDecision.UNKNOWN
+
     def test_a_target_at_most_zero_is_yes_without_a_search(self):
         n = facts_path()
         with pytest.raises(TooManyFactsEdges):

@@ -6,7 +6,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import networks_with_chains, networks_with_idle_edges, random_ldc_network, random_tree, series_parallel_networks
+from conftest import any_network, random_ldc_network, random_tree
 import ldcflow.msf
 import oracles
 from ldcflow.errors import NotFixedSusceptance, TooLarge
@@ -89,6 +89,16 @@ class TestDecide:
     def test_zero_is_always_reachable(self, rng):
         assert decide_msf(random_ldc_network(rng), F(0))
 
+    @pytest.mark.parametrize("x, refused", [(0.5, "float 0.5"), (float("nan"), "float nan"), (True, "bool True")])
+    def test_a_float_or_bool_threshold_is_refused(self, x, refused):
+        # 0.5 answered True, nan raised AttributeError and True was read as 1
+        with pytest.raises(TypeError, match=f"refusing {refused}"):
+            decide_msf(gsch(1, "v", Polarity.MINUS), x)
+
+    def test_the_threshold_is_read_by_rat(self):
+        n = gsch(1, "v", Polarity.MINUS)
+        assert decide_msf(n, 3) and not decide_msf(n, "31/10")
+
 
 class TestInvariants:
     def test_switching_never_hurts_and_classical_bounds(self, rng):
@@ -118,9 +128,6 @@ def diamond():
             fixed_edge("b", "c", 1, 1),
         ],
     )
-
-
-any_network = st.one_of(networks_with_idle_edges(), series_parallel_networks(), networks_with_chains())
 
 
 @settings(max_examples=120)

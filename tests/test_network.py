@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_ldc_network
+from conftest import any_network, random_ldc_network
 from ldcflow import network
 from ldcflow.errors import EdgeOverlap, InvalidNetwork, RoleConflict, UnknownEdge
 from ldcflow.gadgets import Polarity, gfch, gsch
@@ -28,7 +28,7 @@ from ldcflow.network import (
     zero_solution,
 )
 from ldcflow.serialize import network_from_json, network_to_json
-from oracles import reference_validate_solution
+from oracles import reference_validate_solution, reference_zero_solution
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
@@ -132,6 +132,27 @@ class TestValidateNetwork:
             "Structural at a: role 'generator' is not a NodeRole",
             "Structural at b: role 'load' is not a NodeRole",
         ]
+
+    @pytest.mark.parametrize(
+        "solve",
+        [solve_mpf, solve_msf_bnb, solve_msf_exhaustive, classical_max_flow, solve_mff_endpoints, lambda n: decide_msf(n, F(1))],
+        ids=["mpf", "msf_bnb", "msf_exhaustive", "max_flow", "mff", "decide_msf"],
+    )
+    def test_a_node_record_that_is_not_a_pair_is_refused(self, solve):
+        # unpacking the three-field record raised ValueError: too many values to unpack
+        n = Network([("a", GEN, 1), ("b", LOAD)], [fixed_edge("a", "b", 1, 1)])
+        with pytest.raises(InvalidNetwork) as caught:
+            solve(n)
+        assert str(caught.value.report).splitlines() == [
+            "Structural at ('a', <NodeRole.GENERATOR: 'generator'>, 1): node record is not a (name, role) pair",
+            "Structural at a--b: endpoint a is not a declared node",
+        ]
+
+    def test_a_name_declared_twice_in_a_record_that_is_not_a_pair_is_reported(self):
+        # sorting the declarations of "a" by role raised IndexError
+        n = Network([("a", GEN), ("a",), ("b", LOAD)])
+        assert n.nodes == (("a", GEN), ("a",), ("b", LOAD))
+        assert str(validate_network(n)).splitlines() == ["Structural at ('a',): node record is not a (name, role) pair"]
 
     def test_a_name_declared_twice_with_a_role_that_is_not_a_node_role_is_reported(self):
         n = Network([("a", "generator"), ("a", LOAD), ("b", PLAIN), ("a", PLAIN)])
@@ -453,6 +474,10 @@ class TestValidateSolution:
         sol = zero_solution(gsch1)
         assert validate_solution(gsch1, sol).ok
         assert total_generation(sol) == 0
+
+    @given(any_network)
+    def test_zero_solution_matches_the_reference(self, n):
+        assert zero_solution(n) == reference_zero_solution(n)
 
     def test_missing_entry_is_structural(self, gsch1):
         sol = gsch1_solution(gsch1)

@@ -36,6 +36,7 @@ from oracles import (
     hamiltonian_path_exists,
     reference_decode_exact_cover,
     reference_decode_subset_sum,
+    reference_witness_tree,
     subset_sum_solvable,
 )
 
@@ -130,11 +131,15 @@ class TestExactCoverEncoders:
         (encode_hamiltonian, HamiltonianInstance(("a", "b"), None, "a", "b"), "edges None is not a tuple or list of edges"),
         (encode_hamiltonian, HamiltonianInstance("ab", (), "a", "b"), "nodes 'ab' is not a tuple or list of nodes"),
         (encode_hamiltonian, HamiltonianInstance(("a", "b"), "ab", "a", "b"), "edges 'ab' is not a tuple or list of edges"),
+        # these two used to raise TypeError
+        (encode_subset_sum_tree, SubsetSumInstance(None, 3), "values None is not a tuple or list of integers"),
+        (encode_subset_sum_cactus_msf, SubsetSumInstance(5, 3), "values 5 is not a tuple or list of integers"),
     ],
     ids=[
         "repeated element", "repeated node", "generated node name", "repeated edge", "edge of three nodes", "edge of one node", "edge that is a number", "edge that is a string",
         "set that is a number", "universe of None", "sets of None", "set that is a string",
         "nodes of None", "edges of None", "nodes that are a string", "edges that are a string",
+        "values of None", "values that are a number",
     ],
 )
 def test_an_instance_defect_is_named(encode, inst, message):
@@ -288,6 +293,22 @@ class TestTreeEncoder:
 
 
 class TestWitness:
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=6, unique=True), st.data())
+    def test_every_certificate_gives_the_reference_witness(self, values, data):
+        # a drawn subset makes the instance solvable; every subset of the same sum is then a certificate
+        target = sum(data.draw(st.lists(st.sampled_from(values), min_size=1, unique=True)))
+        inst = SubsetSumInstance(tuple(values), target)
+        enc = encode_subset_sum_tree(inst)
+        assert enc.predicted_value == sum(values) - 1 + 2 + target
+        for k in range(1, len(values) + 1):
+            for chosen in map(set, combinations(values, k)):
+                if sum(chosen) != target:
+                    continue
+                switched, sol = witness_tree(inst, chosen)
+                assert (switched, sol) == reference_witness_tree(inst, chosen)
+                assert validate_solution(subnetwork(enc.network, switched), sol).ok
+                assert total_generation(sol) == enc.predicted_value
+
     def test_figure_witness_validates_at_the_predicted_value(self):
         inst = SubsetSumInstance((2, 1, 3), 5)
         switched, sol = witness_tree(inst, {2, 3})

@@ -31,6 +31,12 @@ class TestRationals:
         with pytest.raises(TypeError):
             rat(0.1)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bools_rejected(self, value):
+        # a bool is an int to Python, and was read as 1 or 0
+        with pytest.raises(TypeError, match=f"refusing bool {value}"):
+            rat(value)
+
     @pytest.mark.parametrize("text", ["1/0", "-3/0", " 0/0 "])
     def test_zero_denominator_is_a_value_error(self, text):
         with pytest.raises(ValueError, match="zero denominator"):
