@@ -23,15 +23,18 @@ variables of the rows and of the columns.
 
 A `LinearProgram` holds its constraints as such rows over its declared
 variables: `add_constraint` writes one, and `mpf.formulate_mpf` writes
-every MPF program's rows itself, over generations and loads only.  A
-program may also hold free, boxed and fixed variables and = and >= rows,
-which `write_lp_text` renders (the switching MILP export needs them) and
-`solve_lp` refuses.  Both check every program the same way first
-(`_read_program`): variable names, objective, bound entries, bounds, and
-each row's width, denominator (a positive int) and relation.  `solve_lp`
-then checks standard form (`_check_standard`) and starts from the
-slack-basis tableau (`_slack_tableau`): the program's own rows, with each
-range pair folded (below).
+every MPF program's rows itself, over generations and loads only.  A row
+may be a range row (relation `RANGE`): |c.x| <= rhs/den, held once, and
+read everywhere outside the simplex as the two rows c.x <= rhs/den and
+-c.x <= rhs/den, in that order.  A program may also hold free, boxed and
+fixed variables and = and >= rows, which `write_lp_text` renders (the
+switching MILP export needs them) and `solve_lp` refuses.  Both check
+every program the same way first (`_read_program`): variable names,
+objective, bound entries, bounds, and each row's width, denominator (a
+positive int) and relation.  `solve_lp` then checks standard form
+(`_check_standard`) and starts from the slack-basis tableau
+(`_slack_tableau`): the program's own rows, a range row holding one row
+for its two slacks (below).
 
 A pivot swaps two labels: the pivot row is solved for the entering
 variable, whose column the leaving one takes at the row's old
@@ -45,20 +48,19 @@ every other, so the condensed rows hold the same integers, and the
 rationals are those a full-width `Fraction` tableau would hold: every
 choice is the same.
 
-A row followed by its exact negation -- the same denominator, every
-coefficient negated -- is one range row (Koberstein 2005 treats bounded
-variables so).  Every MPF edge pair and balance pair is one; a balance
-pair has width 0.  Its two slacks add up to the pair's width w, the sum
-of the right-hand sides over their denominator, so the tableau keeps one
-row for both, under one of the two labels; the other slack's row is its
-complement: negated coefficients, rhs w - rhs.  At most one slack of a
-pair is ever nonbasic, since s+ + s- = w among nonbasic columns would
-make the basis singular; so a pair is either one kept row standing for
-two basic slacks, or one column whose partner is basic in the implied
-row partner = w - column.  An elimination is linear, so a kept row and
-its partner's stay complements through every pivot; and when a range
-column enters at another row, that row becomes the pair's kept row under
-the column's label.  `_simplex` sees every row the full-width tableau
+A range row is declared, never detected (Koberstein 2005 treats bounded
+variables so).  Every MPF edge row and balance row is one; a balance row
+has width 0.  Its two slacks, labelled as the slacks of the two rows it
+stands for, add up to the pair's width w = 2 * rhs / den, so the tableau
+keeps one row for both, under one of the two labels; the other slack's
+row is its complement: negated coefficients, rhs w - rhs.  At most one
+slack of a pair is ever nonbasic, since s+ + s- = w among nonbasic
+columns would make the basis singular; so a pair is either one kept row
+standing for two basic slacks, or one column whose partner is basic in
+the implied row partner = w - column.  An elimination is linear, so a
+kept row and its partner's stay complements through every pivot; and
+when a range column enters at another row, that row becomes the pair's
+kept row under the column's label.  `_simplex` sees every row the full-width tableau
 would hold, compared by integer cross-multiplication:
 - a kept row whose entry is positive leaves at 0 under its own label;
 - one whose entry is negative leaves at w under its partner's label: its
@@ -69,8 +71,10 @@ would hold, compared by integer cross-multiplication:
   column is complemented, its rhs lowered by entry * w) with no
   elimination, as the full-width pivot on that row would leave it.
 So the candidates, their ratios and their labels are the full-width
-Bland simplex's, and every pivot and the vertex are the same; only the
-second row of each pair is never held or eliminated.
+Bland simplex's on the two rows, and every pivot and the vertex are the
+same; only the second row of each pair is never held or eliminated.  A
+program that lists a row and its negation as two rows gets the same
+results: it is the full-width tableau of the pair.
 
 Pivots carry the objective row as every row: at the optimum its rhs is
 minus the value (the dictionary's constant; Chvatal 1983, ch. 2).  The
@@ -85,7 +89,6 @@ import enum
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
-from operator import add
 from typing import Any, Callable
 
 from .errors import MalformedProgram
@@ -94,6 +97,7 @@ from .rational import ZERO, Rational, decimal_str, is_decimal_exact, rat, rat_st
 VarId = str
 
 LE, EQ, GE = "<=", "=", ">="
+RANGE = "|<=|"  # |c.x| <= rhs: the rows c.x <= rhs and -c.x <= rhs
 
 
 @dataclass
@@ -115,8 +119,8 @@ class LinearProgram:
     the whole list 1), `rels[i]` being the relation of `rows[i]`; that is
     the form `solve_lp` reads.  `constraints` is a view of them as a
     `Constraint` list, built on each read, that leaves out zero
-    coefficients and lists the others in declaration order; it checks the
-    rows first (`_check_rows`).
+    coefficients and lists the others in declaration order, a range row
+    as its two <= rows; it checks the rows first (`_check_rows`).
     """
 
     variables: list[VarId] = field(default_factory=list)
@@ -130,10 +134,11 @@ class LinearProgram:
     def constraints(self) -> list[Constraint]:
         names = self.variables
         _check_rows(self.rows, self.rels, len(names))
-        return [
-            Constraint({v: Fraction(c, row[-1]) for v, c in zip(names, row) if c}, rel, Fraction(row[-2], row[-1]))
-            for row, rel in zip(self.rows, self.rels)
-        ]
+        out = []
+        for row, rel in zip(self.rows, self.rels):
+            coeffs, rhs = {v: Fraction(c, row[-1]) for v, c in zip(names, row) if c}, Fraction(row[-2], row[-1])
+            out += [Constraint(coeffs, LE, rhs), Constraint({v: -c for v, c in coeffs.items()}, LE, rhs)] if rel == RANGE else [Constraint(coeffs, rel, rhs)]
+        return out
 
     def add_variable(self, name: VarId, lower: Rational | None = None, upper: Rational | None = None) -> VarId:
         if name in self.lower:
@@ -146,7 +151,7 @@ class LinearProgram:
         return name
 
     def add_constraint(self, coeffs: dict[VarId, Rational], rel: str, rhs: Rational) -> None:
-        if rel not in (LE, EQ, GE):
+        if rel not in (LE, EQ, GE, RANGE):
             raise MalformedProgram(f"unknown relation {rel!r}")
         index = {v: j for j, v in enumerate(self.variables)}
         for v in coeffs:
@@ -341,36 +346,30 @@ def _simplex(T: list[list[int]], Z: list[int], basis: list[int], nonbasic: list[
 Ranges = dict[int, tuple[int, int, int]]
 
 
-def _slack_tableau(rows: list[list[int]], nvars: int) -> tuple[list[list[int]], list[int], Ranges]:
+def _slack_tableau(rows: list[list[int]], rels: list[str], nvars: int) -> tuple[list[list[int]], list[int], Ranges]:
     """The starting tableau of a program in standard form, its basic labels and its range pairs.
 
     The program's rows are its rows as they stand: the variables (labels 0
-    to nvars - 1) are nonbasic and row i's slack (label nvars + i) basic,
-    at the row's right-hand side, which standard form makes nonnegative: so
-    the slack basis is feasible.
-
-    A row followed by its exact negation (the same denominator, negated
-    coefficients) becomes one range row, kept under its own slack's label:
-    the two slacks add up to w, the sum of the rows' right-hand sides over
-    their denominator.  `ranges` maps each of the two labels to (the other
-    label, w's numerator, w's denominator).
+    to nvars - 1) are nonbasic and each row's slack basic, at the row's
+    right-hand side, which standard form makes nonnegative: so the slack
+    basis is feasible.  Slacks are labelled from nvars on in row order, a
+    range row taking two labels, those of the two rows it stands for: the
+    row is kept under the first, and the two slacks add up to w = 2 * rhs /
+    den.  `ranges` maps each of the two labels to (the other label, w's
+    numerator, w's denominator).
     """
-    T: list[list[int]] = []
     basis: list[int] = []
     ranges: Ranges = {}
-    last = None  # the row before, when it is not yet in a pair
-    for label, row in enumerate(rows, nvars):
-        if last is not None and row[-1] == last[-1] and not any(map(add, row[:-2], last[:-2])):
-            w = row[-2] + last[-2]
-            g = math.gcd(w, row[-1])
-            ranges[label - 1] = (label, w // g, row[-1] // g)
-            ranges[label] = (label - 1, w // g, row[-1] // g)
-            last = None
-        else:
-            T.append(row)
-            basis.append(label)
-            last = row
-    return T, basis, ranges
+    label = nvars
+    for row, rel in zip(rows, rels):
+        basis.append(label)
+        if rel == RANGE:
+            g = math.gcd(2 * row[-2], row[-1])
+            width = 2 * row[-2] // g, row[-1] // g
+            ranges[label], ranges[label + 1] = (label + 1, *width), (label, *width)
+            label += 1
+        label += 1
+    return list(rows), basis, ranges
 
 
 def _check_rows(rows: list[list[int]], rels: list[str], nvars: int) -> None:
@@ -382,7 +381,7 @@ def _check_rows(rows: list[list[int]], rels: list[str], nvars: int) -> None:
             raise MalformedProgram(f"a constraint row has {len(row) - 2} columns for {nvars} variables")
         if type(row[-1]) is not int or row[-1] <= 0:
             raise MalformedProgram(f"a constraint row has denominator {row[-1]!r}, not a positive int")
-        if rel not in (LE, EQ, GE):
+        if rel not in (LE, EQ, GE, RANGE):
             raise MalformedProgram(f"unknown relation {rel!r}")
 
 
@@ -421,17 +420,17 @@ _STANDARD = "solve_lp takes only <= rows with nonnegative right-hand sides over 
 
 
 def _check_standard(p: LinearProgram, lower: list[Rational | None], upper: list[Rational | None]) -> None:
-    """Raise `MalformedProgram` naming the first variable bound, then the first row (by index), that is out of standard form."""
+    """Raise `MalformedProgram` naming the first variable bound, then the first row (numbered as `write_lp_text` numbers it), that is out of standard form."""
     for v, lo, hi in zip(p.variables, lower, upper):
         if lo != 0:
             raise MalformedProgram(f"variable {v} has lower bound {'-inf' if lo is None else lo}, not 0; {_STANDARD}")
         if hi is not None:
             raise MalformedProgram(f"variable {v} has upper bound {hi}, not +inf; {_STANDARD}")
-    for i, (row, rel) in enumerate(zip(p.rows, p.rels)):
-        if rel != LE:
-            raise MalformedProgram(f"row c{i} is a {rel} row; {_STANDARD}")
+    for i, (row, rel) in enumerate(zip(p.rows, p.rels)):  # a range row before row i counts twice in its name
+        if rel not in (LE, RANGE):
+            raise MalformedProgram(f"row c{i + p.rels[:i].count(RANGE)} is a {rel} row; {_STANDARD}")
         if row[-2] < 0:
-            raise MalformedProgram(f"row c{i} has right-hand side {Fraction(row[-2], row[-1])}; {_STANDARD}")
+            raise MalformedProgram(f"row c{i + p.rels[:i].count(RANGE)} has right-hand side {Fraction(row[-2], row[-1])}; {_STANDARD}")
 
 
 def solve_lp(p: LinearProgram) -> LpResult:
@@ -444,7 +443,7 @@ def solve_lp(p: LinearProgram) -> LpResult:
     _check_standard(p, lower, upper)
     names = p.variables
     Z = _int_row(dict(objective), ZERO, len(names))
-    T, basis, ranges = _slack_tableau(p.rows, len(names))
+    T, basis, ranges = _slack_tableau(p.rows, p.rels, len(names))
     if _simplex(T, Z, basis, list(range(len(names))), ranges) == "unbounded":
         return LpResult(LpStatus.UNBOUNDED)
 

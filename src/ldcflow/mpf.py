@@ -14,13 +14,13 @@ function of the component's generations and loads, its shift factors.
 Laplacian, with one right-hand side per injection pattern, that touches
 only the rows with a non-zero in the pivot column.  `formulate_mpf`
 takes one right-hand side per generator and load and writes a program
-over the gen/load variables alone, all nonnegative: per edge
-+-flow <= cap as integer rows over the elimination's determinant (an
-edge whose shift factors are all zero is left out, since it can never
-bind), and per component the balance sum(gen) - sum(load) = 0 as two
-<= 0 rows.  Every right-hand side is nonnegative, so the simplex starts
-from its slack basis, with no phase 1 and no free variable to
-eliminate.
+over the gen/load variables alone, all nonnegative: per edge the range
+row |flow| <= cap as one integer row over the elimination's determinant
+(an edge whose shift factors are all zero is left out, since it can
+never bind), and per component the balance sum(gen) - sum(load) = 0 as
+the range row |sum(gen) - sum(load)| <= 0.  Every right-hand side is
+nonnegative, so the simplex starts from its slack basis, with no phase
+1 and no free variable to eliminate.
 
 A component without both a generator and a load is solved in closed
 form: its only feasible point is zero.  So is a component with exactly
@@ -66,12 +66,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from operator import mul
 from typing import Callable
 
 from .classify import _forest_walk, _tables, connected_components
 from .errors import NotFixedSusceptance
-from .lp import LE, Lazy, LinearProgram, LpResult, LpStatus, _reduced, solve_lp
+from .lp import RANGE, Lazy, LinearProgram, LpResult, LpStatus, _reduced, solve_lp
 from .maxflow import _integer_flow
 from .network import Edge, Network, NodeId, NodeRole, Part, Solution, _solution, require_valid
 from .rational import ONE, Rational, ZERO
@@ -142,6 +141,16 @@ def _potentials(names: list[NodeId], edges: list[Edge], injections: list[dict[No
     next touched.  A valid network's susceptances are positive, so A is
     positive definite and every pivot, a leading principal minor of A, is
     positive.
+
+    Back substitution reads each row's non-zeros right of the diagonal
+    from one list, made when the row is final, for every pattern.  They
+    sit exactly at the rows its pivot step touches: each entry of the
+    eliminated matrix is a minor of A bordered by one row and one column,
+    so it stays symmetric, and a row some steps behind differs from its
+    up-to-date self by a positive factor.  Under a pattern, y is zero
+    below the last row whose right-hand side is non-zero, so substitution
+    starts there; a pattern at the pinned node alone gets zero angles with
+    none.
     """
     # each node's row and column of A; names[0]'s is -1, since its row and column are dropped
     index = {v: i for i, v in enumerate(names, -1)}
@@ -167,12 +176,14 @@ def _potentials(names: list[NodeId], edges: list[Edge], injections: list[dict[No
                 rows[i][c] = -scale * p
     pivots = [1]  # pivots[s + 1] is step s's pivot
     seen = [0] * m  # per row, the index into pivots of the step it was last brought up to date at
+    tails = []  # per row, its final non-zeros right of the diagonal as (column, entry)
     for i in range(m):
         prow = rows[i]
         if seen[i] != i:
             up, down = pivots[i], pivots[seen[i]]
             prow = rows[i] = [x * up // down for x in prow]
         p = prow[i]
+        tails.append(tail := [])
         for k in range(i + 1, m):
             row = rows[k]
             f = row[i]
@@ -182,17 +193,22 @@ def _potentials(names: list[NodeId], edges: list[Edge], injections: list[dict[No
                     row[j] = (p * row[j] - f * prow[j]) // down
                 row[i] = 0
                 seen[k] = i + 1
+                tail.append((k, prow[k]))
         pivots.append(p)
     det = pivots[-1]
-    # back substitution, one injection pattern at a time: det * th is integral
-    columns = []
+    angles = []
     for c in range(m, width):
+        # y = det * th, integral
         y = [0] * m
-        for i in range(m - 1, -1, -1):
-            row = rows[i]
-            y[i] = (det * row[c] - sum(map(mul, row[i + 1 : m], y[i + 1 :]))) // row[i]
-        columns.append(y)
-    return det, [dict(zip(names, [0, *y])) for y in columns]
+        top = next((i for i in range(m - 1, -1, -1) if rows[i][c]), -1)
+        for i in range(top, -1, -1):
+            s = det * rows[i][c]
+            for j, a in tails[i]:
+                s -= a * y[j]
+            if s:
+                y[i] = s // pivots[i + 1]
+        angles.append(dict(zip(names, [0, *y])))
+    return det, angles
 
 
 def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None, *, shift: bool = False) -> LinearProgram | tuple[LinearProgram, list[Shift | None]]:
@@ -201,15 +217,16 @@ def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None, *, sh
     For each component holding a generator and a load, one
     `_potentials` elimination with one right-hand side per generator and
     load gives every edge's flow as a linear function of them.  Per such
-    edge, in edge order, the program holds flow <= cap and -flow <= cap,
-    written over the elimination's determinant as the integer rows the
-    program holds (see `LinearProgram`), reduced by their gcd; an edge
-    whose flow is zero under every injection is left out.  Then come the
-    component's balance rows sum(gen) - sum(load) <= 0 and its negation,
-    also written for a component with terminals on one side only, which
-    they pin at zero.  Every row is <= with a nonnegative right-hand side,
-    and each is followed by its exact negation, so the simplex holds every
-    pair as one range row.  The objective is the total generation.
+    edge, in edge order, the program holds the range row |flow| <= cap,
+    written once over the elimination's determinant as the integer row
+    the program holds (see `LinearProgram`), reduced by its gcd; an edge
+    whose flow is zero under every injection is left out.  Then comes the
+    component's balance, the range row |sum(gen) - sum(load)| <= 0, also
+    written for a component with terminals on one side only, which it
+    pins at zero.  Every right-hand side is nonnegative, and the simplex
+    holds each range row as one tableau row; `constraints` and the LP
+    text read each as flow <= cap then -flow <= cap (balance <= 0 then
+    -balance <= 0).  The objective is the total generation.
 
     `components`, when given, lists some of n's connected components (they
     are not checked), and the program covers those alone: it is the one
@@ -242,25 +259,22 @@ def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None, *, sh
             det, y = _potentials(names, edges, [{v: unit[v][1]} for v in ends])
             factors = det, dict(zip(ends, y))
             for e in edges:
-                k = e.s_min.numerator * e.cap.denominator
+                (s_num, s_den), (cap_num, cap_den) = e.s_min.as_integer_ratio(), e.cap.as_integer_ratio()
                 row = [0] * width
                 for (j, _), y_c in zip(terminals, y):
-                    row[j] = k * (y_c[e.b] - y_c[e.a])
+                    row[j] = s_num * cap_den * (y_c[e.b] - y_c[e.a])
                 if not any(row):
                     continue
-                row[-2] = e.cap.numerator * e.s_min.denominator * det
-                row[-1] = e.s_min.denominator * e.cap.denominator * det
-                row = _reduced(row)
-                rows += (row, [-x for x in row[:-2]] + row[-2:])
+                row[-2:] = cap_num * s_den * det, s_den * cap_den * det
+                rows.append(_reduced(row))
         shifts.append(factors)
         if terminals:
-            balance = [0] * width
+            balance = [0] * (width - 1) + [1]  # rhs 0 over 1
             for j, sign in terminals:
                 balance[j] = sign
-            balance[-1] = 1
-            rows += (balance, [-x for x in balance[:-1]] + [1])
+            rows.append(balance)
     p = LinearProgram(
-        variables, dict.fromkeys(variables, ZERO), dict.fromkeys(variables), rows, [LE] * len(rows), {_gen(g): ONE for g in gens}
+        variables, dict.fromkeys(variables, ZERO), dict.fromkeys(variables), rows, [RANGE] * len(rows), {_gen(g): ONE for g in gens}
     )
     return (p, shifts) if shift else p
 

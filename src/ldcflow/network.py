@@ -97,9 +97,12 @@ edge_key = attrgetter("a", "b", "s_min", "s_max", "cap")
 _node_name = itemgetter(0)
 
 
-def _node_key(node: tuple[NodeId, NodeRole]) -> tuple[NodeId, int]:
-    # a role that is not a NodeRole, or a record that is not a pair, sorts after the roles; `validate_network` reports it
-    return node[0], _ROLE_RANK[node[1]] if len(node) == 2 and type(node[1]) is NodeRole else len(_ROLE_RANK)
+def _node_key(node: tuple[NodeId, NodeRole]) -> tuple:
+    # a role that is not a NodeRole, or a record that is not a pair, sorts after the roles, and a record
+    # without a name after every named one, by its repr; `validate_network` reports each
+    if type(node) is not tuple or not node:
+        return 1, repr(node), 0
+    return 0, node[0], _ROLE_RANK[node[1]] if len(node) == 2 and type(node[1]) is NodeRole else len(_ROLE_RANK)
 
 
 def fixed_edge(a: NodeId, b: NodeId, s, cap) -> Edge:
@@ -118,17 +121,23 @@ class Network:
     """Nodes with roles plus undirected susceptance/capacity edges.
 
     `nodes` is stored as a tuple of (name, role) pairs sorted by name and
-    then role name, and `edges` as a tuple sorted by `edge_key`, so equal
-    networks compare and hash equal and all iteration orders are
-    deterministic.
+    then role name (a record given as a list is stored as a tuple), and
+    `edges` as a tuple sorted by `edge_key`, so equal networks compare and
+    hash equal and all iteration orders are deterministic.  A record that
+    is not a pair is stored as it is, for `validate_network` to report.
     """
 
     nodes: tuple[tuple[NodeId, NodeRole], ...]
     edges: tuple[Edge, ...]
 
     def __init__(self, nodes: Iterable[tuple[NodeId, NodeRole]], edges: Iterable[Edge] = ()):
-        nodes = sorted(nodes, key=_node_name)
-        if len(set(map(_node_name, nodes))) < len(nodes):  # a name declared twice: its declarations by role
+        nodes = [tuple(node) if type(node) is list else node for node in nodes]
+        try:
+            nodes.sort(key=_node_name)
+            by_role = len(set(map(_node_name, nodes))) < len(nodes)  # a name declared twice: its declarations by role
+        except (TypeError, LookupError):  # a record without a name
+            by_role = True
+        if by_role:
             nodes.sort(key=_node_key)
         object.__setattr__(self, "nodes", tuple(nodes))
         object.__setattr__(self, "edges", tuple(sorted(edges, key=edge_key)))
@@ -255,7 +264,7 @@ def validate_network(n: Network) -> ValidationReport:
     out: list[Violation] = []
     names = set()
     for node in n.nodes:
-        if len(node) != 2:
+        if type(node) is not tuple or len(node) != 2:
             out.append(Violation("Structural", repr(node), "node record is not a (name, role) pair"))
             continue
         name, role = node

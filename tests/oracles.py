@@ -47,6 +47,11 @@ or raise the same error with the same message.
 `reference_zero_solution` and `reference_witness_tree` write out each
 map of a solution as `zero_solution` and `witness_tree` did before both
 went through `network`'s one assembler; those must return equal solutions.
+`expanded` writes each declared range row of a program out as the two
+<= rows it stands for, the form the LP oracles read; and
+`reference_potentials` is the back substitution `mpf._potentials` ran one
+pattern at a time over whole row slices, whose determinant and angles it
+must return exactly.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ from collections import Counter, deque
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, permutations
+from operator import mul
 
 from ldcflow import lp
 from ldcflow.lp import Lazy, LinearProgram, LpResult, LpStatus
@@ -102,6 +108,20 @@ def gauss_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [a[i][n] for i in range(n)]
+
+
+def expanded(p: LinearProgram) -> LinearProgram:
+    """p with each range row written out as the two <= rows it stands for, c.x <= rhs and then -c.x <= rhs."""
+    rows: list[list[int]] = []
+    rels: list[str] = []
+    for row, rel in zip(p.rows, p.rels):
+        if rel == lp.RANGE:
+            rows += [row[:], [-x for x in row[:-2]] + row[-2:]]
+            rels += ["<=", "<="]
+        else:
+            rows.append(row[:])
+            rels.append(rel)
+    return LinearProgram(list(p.variables), dict(p.lower), dict(p.upper), rows, rels, dict(p.objective))
 
 
 def lp_vertex_oracle(p: LinearProgram) -> tuple[str, Fraction | None]:
@@ -316,6 +336,7 @@ def reference_standard_lp(p: LinearProgram) -> tuple[str, Fraction | None, dict 
     declaration order, to its basic value or 0; `solve_lp` must return the
     same status, value and vertex items in the same order.
     """
+    p = expanded(p)
     names = p.variables
     assert all(p.lower[v] == 0 and p.upper[v] is None for v in names) and set(p.rels) <= {"<="}
     objective = {names.index(v): Fraction(c) for v, c in p.objective.items()}
@@ -531,6 +552,7 @@ def _presolve(rows: list[list[int]], rels: list[str], lower: list[Fraction | Non
 
 def in_standard_form(p: LinearProgram) -> bool:
     """Whether `solve_lp` takes p: only <= rows with nonnegative right-hand sides, every variable in [0, inf)."""
+    p = expanded(p)
     return all(rel == "<=" for rel in p.rels) and all(row[-2] >= 0 for row in p.rows) and all(p.lower[v] == 0 and p.upper[v] is None for v in p.variables)
 
 
@@ -561,6 +583,7 @@ def reference_general_lp(p: LinearProgram) -> LpResult:
     y >= 0, returns x = 0, y = 1; the optimal vertex is x = y = 1).
     """
     objective, lower, upper = lp._read_program(p)
+    p = expanded(p)
     names = p.variables
     obj = lp._int_row(dict(objective), ZERO, len(names))
     tableau = _presolve([row[:] for row in p.rows], p.rels, lower, upper, obj)
@@ -838,7 +861,7 @@ def reference_mpf_program(n: Network) -> LinearProgram:
     return p
 
 
-def reference_terminal_program(n: Network) -> LinearProgram | None:
+def reference_terminal_program(n: Network, declared: bool = True) -> LinearProgram | None:
     """The MPF program of a fixed-susceptance network over its gen/load variables, built over `Fraction`s.
 
     Per component with a generator or a load, in `connected_components`
@@ -846,10 +869,21 @@ def reference_terminal_program(n: Network) -> LinearProgram | None:
     variable (a generation injects +1, a load -1) solve L_r th = -p over
     the component's nodes but its smallest, pinned at zero, L_r the
     reduced Laplacian; then each edge with a non-zero flow under some
-    terminal gets flow <= cap and -flow <= cap, in edge order.  Then the
-    component's balance sum(gen) - sum(load) <= 0 and its negation.
-    Returns None when `gauss_solve` finds some such L_r singular.
+    terminal gets the range row |flow| <= cap, in edge order.  Then the
+    component's balance, the range row |sum(gen) - sum(load)| <= 0.
+    Without `declared`, each range row is written as two <= rows instead,
+    the row and its negation, as `formulate_mpf` wrote them before range
+    rows were declared.  Returns None when `gauss_solve` finds some such
+    L_r singular.
     """
+
+    def limit(coeffs: dict[str, Fraction], rhs: Fraction) -> None:
+        if declared:
+            p.add_constraint(coeffs, lp.RANGE, rhs)
+        else:
+            p.add_constraint(coeffs, "<=", rhs)
+            p.add_constraint({name: -c for name, c in coeffs.items()}, "<=", rhs)
+
     p = LinearProgram()
     for g in n.generators:
         p.add_variable(f"gen[{g}]", lower=Fraction(0))
@@ -884,14 +918,66 @@ def reference_terminal_program(n: Network) -> LinearProgram | None:
                 flow = {unit[v][0]: e.s_min * (angles[v][e.b] - angles[v][e.a]) for v in terminals}
                 flow = {name: c for name, c in flow.items() if c}
                 if flow:
-                    p.add_constraint(flow, "<=", e.cap)
-                    p.add_constraint({name: -c for name, c in flow.items()}, "<=", e.cap)
-        balance = {unit[v][0]: unit[v][1] for v in terminals}
-        p.add_constraint(balance, "<=", Fraction(0))
-        p.add_constraint({name: -c for name, c in balance.items()}, "<=", Fraction(0))
+                    limit(flow, e.cap)
+        limit({unit[v][0]: unit[v][1] for v in terminals}, Fraction(0))
 
     p.set_objective({f"gen[{g}]": Fraction(1) for g in n.generators})
     return p
+
+
+def reference_potentials(names: list[str], edges: list[Edge], injections: list[dict[str, int]]) -> tuple[int, list[dict[str, int]]]:
+    """`mpf._potentials` with its back substitution run one pattern at a time over whole row slices.
+
+    The same sparse fraction-free elimination of [A | -D * p]; then, per
+    pattern, every row from the last up solved for its y against the
+    slice of the row right of its diagonal, zeros included.
+    """
+    index = {v: i for i, v in enumerate(names, -1)}
+    m = len(names) - 1
+    width = m + len(injections)
+    sus = [e.s_min.as_integer_ratio() for e in edges]
+    scale = math.lcm(*[den for _, den in sus])
+    rows = [[0] * width for _ in range(m)]
+    for e, (num, den) in zip(edges, sus):
+        k = num if scale == 1 else num * (scale // den)
+        a, b = index[e.a], index[e.b]
+        rows[b][b] += k
+        if a >= 0:
+            rows[a][a] += k
+            rows[a][b] -= k
+            rows[b][a] -= k
+    for c, injection in enumerate(injections, m):
+        for v, p in injection.items():
+            i = index[v]
+            if i >= 0:
+                rows[i][c] = -scale * p
+    pivots = [1]
+    seen = [0] * m
+    for i in range(m):
+        prow = rows[i]
+        if seen[i] != i:
+            up, down = pivots[i], pivots[seen[i]]
+            prow = rows[i] = [x * up // down for x in prow]
+        p = prow[i]
+        for k in range(i + 1, m):
+            row = rows[k]
+            f = row[i]
+            if f:
+                down = pivots[seen[k]]
+                for j in range(i + 1, width):
+                    row[j] = (p * row[j] - f * prow[j]) // down
+                row[i] = 0
+                seen[k] = i + 1
+        pivots.append(p)
+    det = pivots[-1]
+    columns = []
+    for c in range(m, width):
+        y = [0] * m
+        for i in range(m - 1, -1, -1):
+            row = rows[i]
+            y[i] = (det * row[c] - sum(map(mul, row[i + 1 : m], y[i + 1 :]))) // row[i]
+        columns.append(y)
+    return det, [dict(zip(names, [0, *y])) for y in columns]
 
 
 # an optional sign, then ASCII digits with either "/q" or one decimal point

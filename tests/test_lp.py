@@ -29,7 +29,7 @@ from ldcflow.msf import solve_msf_bnb, solve_msf_exhaustive
 from ldcflow.network import Network, NodeRole, facts_edge, fixed_edge, network_sum, subnetwork
 from ldcflow.rational import rat_str
 from ldcflow.reductions import ExactCover3Instance, encode_exact_cover_mff
-from oracles import _presolve, _substitute, in_standard_form, lp_vertex_oracle, reference_general_lp, reference_mpf_program, reference_standard_lp
+from oracles import _presolve, _substitute, expanded, in_standard_form, lp_vertex_oracle, reference_general_lp, reference_mpf_program, reference_standard_lp
 
 
 def boxed(name, lo, hi, p):
@@ -821,46 +821,87 @@ def test_the_condensed_tableau_matches_the_full_width_simplex_on_pinned_exact_co
         assert assert_matches_the_full_width_simplex(p) is LpStatus.OPTIMAL
 
 
-# --- Range rows ------------------------------------------------------------------
+# --- Range rows ---------------------------------------------------------------
 #
-# In the slack tableau a row followed by its exact negation is one range row, its
-# two slacks adding up to the pair's width w.  The full-width simplex holds both
-# rows, and every status, value and vertex must be the one it reaches.
+# A declared range row |c.x| <= rhs is one tableau row, its two slacks adding up
+# to w = 2 * rhs.  The full-width simplex holds both of the rows it stands for,
+# and every status, value and vertex must be the one it reaches; so must
+# `solve_lp` on the expansion, which holds the two rows as plain rows.
 
 
 @st.composite
-def range_pair_programs(draw) -> LinearProgram:
-    """Standard-form programs whose rows come mostly as a row and its exact negation.
+def range_row_programs(draw) -> LinearProgram:
+    """Standard-form programs with declared range rows among plain rows and rows written next to their negation.
 
-    A pair's coefficients are 0, +-1 or +-2 over a rational scale, and its
-    right-hand sides, multiples of that scale, are drawn apart, equal, or
-    both 0 (a pair of width 0).  Plain rows of nonnegative coefficients sit
-    between the pairs, and the objective is positive.
+    A range row's coefficients are 0, +-1 or +-2 over a rational scale,
+    and its right-hand side, a multiple of that scale, is 0 (width 0) or
+    positive.  A written-out pair is a row and its exact negation as two
+    <= rows with right-hand sides drawn apart or equal.  Plain rows of
+    nonnegative coefficients sit between them, and the objective is
+    positive.
     """
     p = LinearProgram()
-    for v in ["v", "w", "x", "y", "z"][: draw(st.integers(2, 5))]:
+    for v in ["w", "x", "y", "z"][: draw(st.integers(2, 4))]:
         p.add_variable(v, lower=F(0))
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, 5))):
         scale = draw(st.sampled_from((F(1), F(1), F(1, 3), F(5, 2))))
-        kind = draw(st.sampled_from(("apart", "equal", "width 0", "plain")))
+        kind = draw(st.sampled_from(("range", "range", "width 0", "pair", "plain")))
         if kind == "plain":
             coeffs = {v: c * scale for v in p.variables if (c := draw(st.sampled_from((0, 1, 1, 2))))}
             p.add_constraint(coeffs, "<=", draw(st.integers(1, 2)) * scale)
             continue
         coeffs = {v: c * scale for v in p.variables if (c := draw(st.sampled_from((0, 1, -1, 2, -2))))}
-        upper = 0 if kind == "width 0" else draw(st.integers(0, 3))
-        lower = {"apart": draw(st.integers(0, 3)), "equal": upper, "width 0": 0}[kind]
-        p.add_constraint(coeffs, "<=", upper * scale)
-        p.add_constraint({v: -c for v, c in coeffs.items()}, "<=", lower * scale)
+        if kind == "pair":
+            p.add_constraint(coeffs, "<=", draw(st.integers(0, 3)) * scale)
+            p.add_constraint({v: -c for v, c in coeffs.items()}, "<=", draw(st.integers(0, 3)) * scale)
+        else:
+            p.add_constraint(coeffs, lp.RANGE, (0 if kind == "width 0" else draw(st.integers(1, 3))) * scale)
     p.set_objective({v: F(draw(st.integers(1, 2))) for v in p.variables})
     return p
 
 
 @settings(max_examples=300)
-@given(range_pair_programs())
+@given(range_row_programs())
 def test_range_rows_match_the_full_width_simplex_and_the_presolve(p):
-    assert_matches_the_full_width_simplex(p)
+    status = assert_matches_the_full_width_simplex(p)
+    r, e = solve_lp(p), solve_lp(expanded(p))
+    assert (r.status, r.value) == (e.status, e.value) and status is r.status
+    if r.status is LpStatus.OPTIMAL:
+        assert list(r.assignment.items()) == list(e.assignment.items())
     solve_both_ways(p)
+
+
+@settings(max_examples=100)  # the oracle enumerates every vertex
+@given(range_row_programs())
+def test_a_range_row_optimum_is_the_vertex_oracles(p):
+    r = solve_lp(p)
+    if r.status is LpStatus.OPTIMAL:  # x >= 0 makes the region pointed, so some vertex is optimal
+        assert lp_vertex_oracle(p) == ("optimal", r.value)
+        assert_feasible_optimum(expanded(p), r)
+
+
+def numbered(range_rhs: F, rel: str) -> LinearProgram:
+    """c0: x <= 2, then the range row |x - y/2| <= range_rhs (c1 and c2), then c3: y `rel` 1."""
+    p = LinearProgram()
+    p.add_variable("x", lower=F(0))
+    p.add_variable("y", lower=F(0))
+    p.add_constraint({"x": F(1)}, "<=", F(2))
+    p.add_constraint({"x": F(1), "y": F(-1, 2)}, lp.RANGE, range_rhs)
+    p.add_constraint({"y": F(1)}, rel, F(1))
+    p.set_objective({"x": F(1)})
+    return p
+
+
+@pytest.mark.parametrize("range_rhs, rel, message", [(F(-1), "<=", "row c1 has right-hand side -1"), (F(1), ">=", "row c3 is a >= row")])
+def test_a_range_row_is_numbered_and_written_as_its_two_rows(range_rhs, rel, message):
+    p = numbered(range_rhs, rel)
+    assert p.constraints == expanded(p).constraints and len(p.constraints) == 4
+    text = write_lp_text(p)
+    assert text == write_lp_text(expanded(p))
+    assert f"\n c1: x - 0.5 y <= {range_rhs}\n c2: - x + 0.5 y <= {range_rhs}\n c3: y {rel} 1\n" in text
+    for q in (p, expanded(p)):
+        with pytest.raises(MalformedProgram, match=re.escape(message + "; solve_lp takes only <= rows")):
+            solve_lp(q)
 
 
 def ranges_and_complements(p: LinearProgram, monkeypatch) -> tuple[dict, list[str]]:
@@ -870,39 +911,52 @@ def ranges_and_complements(p: LinearProgram, monkeypatch) -> tuple[dict, list[st
     monkeypatch.setattr(lp, "_complement_row", lambda *args: made.append("row") or row(*args))
     monkeypatch.setattr(lp, "_complement_column", lambda *args: made.append("column") or column(*args))
     assert assert_matches_the_full_width_simplex(p) is LpStatus.OPTIMAL
-    _, _, ranges = lp._slack_tableau(p.rows, len(p.variables))
+    _, _, ranges = lp._slack_tableau(p.rows, p.rels, len(p.variables))
     return ranges, made
 
 
 def test_a_range_row_leaves_at_its_width_under_its_partners_label(monkeypatch):
-    # -1 <= x <= 2, written with the lower side first: x's entry in the kept row
-    # (-x + s1 = 1) is negative, so its partner x + s2 = 2 limits x, at ratio 2;
-    # the row is complemented to s2's and then pivoted
+    # |-x| <= 2, its slacks s1 and s2 adding up to w = 4: x's entry in the kept
+    # row (-x + s1 = 2) is negative, so its partner x + s2 = 2 limits x, at
+    # ratio 4 - 2 = 2; the row is complemented to s2's and then pivoted
     p = LinearProgram()
     p.add_variable("x", lower=F(0))
-    p.add_constraint({"x": F(-1)}, "<=", F(1))
-    p.add_constraint({"x": F(1)}, "<=", F(2))
+    p.add_constraint({"x": F(-1)}, lp.RANGE, F(2))
     p.set_objective({"x": F(1)})
     ranges, made = ranges_and_complements(p, monkeypatch)
-    assert ranges == {1: (2, 3, 1), 2: (1, 3, 1)} and made == ["row"]
+    assert ranges == {1: (2, 4, 1), 2: (1, 4, 1)} and made == ["row"]
     r = solve_lp(p)
     assert (r.value, r.assignment) == (2, {"x": 2})
 
 
 def test_an_entering_range_column_flips_to_its_width(monkeypatch):
-    # 2x <= 1 and 0 <= 2y - 2x <= 2, a pair whose slacks add up to w = 2.  x
-    # enters and the pair's row leaves at ratio 0; y enters and 2x <= 1 leaves;
-    # then the pair's slack s3 enters, and its own bound w is the least ratio:
-    # it flips to its partner s4, complementing the column in both rows with no
-    # elimination
+    # |x - y| <= 1, slacks s2 and s3 adding up to w = 2, and x <= 1 (slack s4).
+    # x enters and ties both rows at ratio 1; the range row leaves, x = 1 - s2 + y.
+    # y enters and x <= 1 leaves at ratio 0, y = s2 - s4.  Then s2 enters: no row
+    # limits it, and its own bound w is the least ratio, so it flips to its
+    # partner s3 = 2 - s2, complementing its column in y's row and the
+    # objective with no elimination
     p = LinearProgram()
     p.add_variable("x", lower=F(0))
     p.add_variable("y", lower=F(0))
-    p.add_constraint({"x": F(2)}, "<=", F(1))
-    p.add_constraint({"x": F(2), "y": F(-2)}, "<=", F(0))
-    p.add_constraint({"x": F(-2), "y": F(2)}, "<=", F(2))
+    p.add_constraint({"x": F(1), "y": F(-1)}, lp.RANGE, F(1))
+    p.add_constraint({"x": F(1)}, "<=", F(1))
     p.set_objective({"x": F(1), "y": F(1)})
     ranges, made = ranges_and_complements(p, monkeypatch)
-    assert ranges == {3: (4, 2, 1), 4: (3, 2, 1)} and made == ["column", "column"]
+    assert ranges == {2: (3, 2, 1), 3: (2, 2, 1)} and made == ["column", "column"]
     r = solve_lp(p)
-    assert (r.value, r.assignment) == (2, {"x": F(1, 2), "y": F(3, 2)})
+    assert (r.value, r.assignment) == (3, {"x": 1, "y": 2})
+
+
+def test_a_row_written_next_to_its_negation_is_not_folded(monkeypatch):
+    # the first test's range row written out as two rows: no range pair, the
+    # same result
+    p = LinearProgram()
+    p.add_variable("x", lower=F(0))
+    p.add_constraint({"x": F(-1)}, "<=", F(2))
+    p.add_constraint({"x": F(1)}, "<=", F(2))
+    p.set_objective({"x": F(1)})
+    ranges, made = ranges_and_complements(p, monkeypatch)
+    assert ranges == {} and made == []
+    r = solve_lp(p)
+    assert (r.value, r.assignment) == (2, {"x": 2})

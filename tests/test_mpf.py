@@ -12,12 +12,12 @@ from ldcflow import mpf
 from ldcflow.classify import connected_components
 from ldcflow.errors import InvalidNetwork, NotFixedSusceptance
 from ldcflow.gadgets import Polarity, gfch, gsch
-from ldcflow.lp import LE, Lazy, LpResult, LpStatus, solve_lp
+from ldcflow.lp import LE, RANGE, Lazy, LpResult, LpStatus, solve_lp
 from ldcflow.maxflow import _integer_flow, classical_max_flow
 from ldcflow.mpf import MpfOutcome, _gen, _load, core_maps, formulate_mpf, solve_mpf
 from ldcflow.msf import _th, solve_msf_bnb, solve_msf_exhaustive
 from ldcflow.network import Network, NodeRole, Solution, fixed_edge, network_sum, subnetwork, total_generation, validate_network, validate_solution
-from oracles import reference_general_lp, reference_mpf_program, reference_terminal_program
+from oracles import expanded, reference_general_lp, reference_mpf_program, reference_potentials, reference_terminal_program
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
@@ -43,7 +43,9 @@ class TestFormulate:
         assert p == reference_terminal_program(n)
         # a unit of load at l lifts its angle by 1/2, so the edge carries all of it
         assert p.variables == ["gen[g]", "load[l]"]
-        assert p.rows == [[0, 1, 4, 1], [0, -1, 4, 1], [1, -1, 0, 1], [-1, 1, 0, 1]]
+        # one range row per edge and per balance, each standing for the row and its negation
+        assert p.rows == [[0, 1, 4, 1], [1, -1, 0, 1]] and p.rels == [RANGE, RANGE]
+        assert expanded(p).rows == [[0, 1, 4, 1], [0, -1, 4, 1], [1, -1, 0, 1], [-1, 1, 0, 1]]
         r = solve_lp(p)
         assert r.status is LpStatus.OPTIMAL and r.value == 4
 
@@ -58,7 +60,8 @@ class TestFormulate:
         p = formulate_mpf(n)
         # two components, each with its balance alone, which pins its terminal at zero
         assert p == reference_terminal_program(n)
-        assert p.rows == [[1, 0, 0, 1], [-1, 0, 0, 1], [0, -1, 0, 1], [0, 1, 0, 1]]
+        assert p.rows == [[1, 0, 0, 1], [0, -1, 0, 1]] and p.rels == [RANGE, RANGE]
+        assert expanded(p).rows == [[1, 0, 0, 1], [-1, 0, 0, 1], [0, -1, 0, 1], [0, 1, 0, 1]]
         assert solve_lp(p).value == 0
 
     def test_facts_edge_rejected(self):
@@ -382,6 +385,45 @@ def wheatstone() -> Network:
 
 
 @st.composite
+def potential_cases(draw) -> tuple[list[str], list, list[dict[str, int]]]:
+    """A connected component (sorted names, edges) and one to four injection patterns.
+
+    A spanning tree with up to eight chords over up to ten nodes, its
+    susceptances with denominators; a pattern is a unit injection at one
+    node (the pinned one too), a generator-load pair, or small integers at
+    a few nodes.
+    """
+    names = [f"v{i:02d}" for i in range(draw(st.integers(2, 10)))]
+    pairs = {(names[draw(st.integers(0, i - 1))], names[i]) for i in range(1, len(names))}
+    every = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    pairs |= set(draw(st.lists(st.sampled_from(every), max_size=8)))
+    edges = [fixed_edge(a, b, draw(st.sampled_from(SUSCEPTANCES + [F(2, 3), F(5, 7)])), 1) for a, b in sorted(pairs)]
+    node = st.sampled_from(names)
+    pattern = st.one_of(
+        st.tuples(node, st.sampled_from((1, -1))).map(lambda unit: dict([unit])),
+        st.lists(node, min_size=2, max_size=2, unique=True).map(lambda gl: {gl[0]: 1, gl[1]: -1}),
+        st.dictionaries(node, st.integers(-3, 3), min_size=1, max_size=3),
+    )
+    return names, edges, draw(st.lists(pattern, min_size=1, max_size=4))
+
+
+PINNED_PATTERNS = (["a", "b", "c"], [fixed_edge("a", "b", 1, 1), fixed_edge("b", "c", F(1, 2), 1), fixed_edge("a", "c", F(3, 2), 1)], [{"a": 1}])
+
+
+@given(potential_cases())
+@example(PINNED_PATTERNS)
+@example((PINNED_PATTERNS[0], PINNED_PATTERNS[1], [{"c": -1}, {"a": 1}, {"b": 1, "c": -1}]))
+@example((["a", "b"], [fixed_edge("a", "b", F(2, 3), 1)], [{"b": 2}]))
+def test_potentials_equal_the_one_pattern_at_a_time_reference(case):
+    det, angles = mpf._potentials(*case)
+    assert (det, angles) == reference_potentials(*case)
+    names, _, patterns = case
+    for pattern, y in zip(patterns, angles):
+        if all(v == names[0] for v in pattern):  # an injection at the pinned node alone moves no angle
+            assert set(y.values()) == {0}
+
+
+@st.composite
 def one_pair_components(draw, prefix: str) -> Network:
     """A connected network on prefixed names with one generator, one load and plain nodes.
 
@@ -592,13 +634,14 @@ def mixed_networks(draw) -> Network:
 def slack_basis_programs(monkeypatch) -> list:
     """Every program `solve_mpf` hands `ldcflow.mpf.solve_lp`, after checking that its slack basis is feasible.
 
-    Only <= rows with nonnegative right-hand sides, and every variable at
-    lower bound 0 with no upper bound: the standard form `solve_lp` takes.
+    Only <= rows (a range row stands for two) with nonnegative right-hand
+    sides, and every variable at lower bound 0 with no upper bound: the
+    standard form `solve_lp` takes.
     """
     calls = []
 
     def solve(p):
-        assert set(p.rels) <= {LE} and all(row[-2] >= 0 for row in p.rows)
+        assert set(p.rels) <= {LE, RANGE} and all(row[-2] >= 0 for row in p.rows)
         assert all(p.lower[v] == 0 and p.upper[v] is None for v in p.variables)
         calls.append(p)
         return solve_lp(p)

@@ -25,12 +25,12 @@ from hypothesis import assume, example, given, strategies as st
 import ldcflow.classify
 from ldcflow.classify import connected_components
 from ldcflow.errors import InvalidNetwork, MalformedProgram
-from ldcflow.lp import LinearProgram, _int_row, solve_lp
+from ldcflow.lp import RANGE, LinearProgram, _int_row, solve_lp, write_lp_text
 from ldcflow.mpf import formulate_mpf, solve_mpf
 from ldcflow.network import Network, NodeRole, fixed_edge, network_sum, validate_network
 
 from conftest import random_ldc_network
-from oracles import in_standard_form, reference_general_lp, reference_terminal_program
+from oracles import expanded, in_standard_form, reference_general_lp, reference_terminal_program
 
 NAMES = ["a", "b", "c", "d", "e"]
 POSITIVE = [F(1), F(2), F(1, 2), F(3, 2), F(2, 3)]
@@ -168,8 +168,12 @@ def test_the_program_of_some_components_is_that_of_the_network_holding_them(case
 @example(COMPONENTS)
 def test_rows_are_the_ones_solve_lp_reads_from_the_reference(n):
     p, ref = programs(n)
-    assert p.rows == ref.rows == reads(ref)
-    assert p.rels == ref.rels == [con.rel for con in ref.constraints]
+    # a range row reads as its two <= rows, the ones formulate_mpf wrote before they were declared
+    assert p.rows == ref.rows and p.rels == ref.rels == [RANGE] * len(p.rows)
+    assert expanded(p).rows == reads(ref) == reads(reference_terminal_program(n, declared=False))
+    assert expanded(p).rels == [con.rel for con in ref.constraints] == ["<="] * 2 * len(p.rows)
+    assert p.constraints == ref.constraints == reference_terminal_program(n, declared=False).constraints
+    assert write_lp_text(p) == write_lp_text(reference_terminal_program(n, declared=False))
 
 
 @given(networks)
@@ -246,7 +250,7 @@ def test_a_variable_declared_after_the_constraints_pads_the_rows(n):
     first.set_objective(ref.objective)
     for q in (p, first):
         q.objective["x"] = F(1)
-    assert p == first
+    assert expanded(p) == first
     same_result(p, first, reference_general_lp)  # x is boxed: out of standard form
 
 

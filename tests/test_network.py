@@ -148,6 +148,28 @@ class TestValidateNetwork:
             "Structural at a--b: endpoint a is not a declared node",
         ]
 
+    @pytest.mark.parametrize("solve", [solve_mpf, solve_msf_bnb, classical_max_flow], ids=["mpf", "msf_bnb", "max_flow"])
+    @pytest.mark.parametrize("record", [5, (), ("a", GEN, 1), None], ids=["int", "empty", "three fields", "None"])
+    def test_a_record_that_is_not_a_pair_builds_and_is_refused_as_structural(self, record, solve):
+        # `Network` raised TypeError or IndexError for 5 and () while sorting the records by name
+        n = Network([record, ("b", LOAD)], [fixed_edge("a", "b", 1, 1)])
+        assert n == Network([("b", LOAD), record], [fixed_edge("a", "b", 1, 1)])
+        assert [v.kind for v in validate_network(n).violations] == ["Structural", "Structural"]
+        assert str(validate_network(n)).splitlines()[0] == f"Structural at {record!r}: node record is not a (name, role) pair"
+        with pytest.raises(InvalidNetwork) as caught:
+            solve(n)
+        assert caught.value.report == validate_network(n)
+
+    @pytest.mark.parametrize("solve", [solve_mpf, solve_msf_bnb, classical_max_flow], ids=["mpf", "msf_bnb", "max_flow"])
+    def test_a_record_given_as_a_list_is_stored_as_a_tuple(self, solve):
+        # a list record validated and solved, but hash(network) raised TypeError and it compared unequal to its twin
+        n = Network([["a", GEN], ["b", LOAD]], [fixed_edge("a", "b", 1, 2)])
+        twin = Network([("a", GEN), ("b", LOAD)], [fixed_edge("a", "b", 1, 2)])
+        assert n.nodes == (("a", GEN), ("b", LOAD)) and all(type(node) is tuple for node in n.nodes)
+        assert n == twin and hash(n) == hash(twin)
+        assert validate_network(n).ok
+        assert solve(n) == solve(twin)
+
     def test_a_name_declared_twice_in_a_record_that_is_not_a_pair_is_reported(self):
         # sorting the declarations of "a" by role raised IndexError
         n = Network([("a", GEN), ("a",), ("b", LOAD)])
