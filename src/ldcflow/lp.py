@@ -136,8 +136,11 @@ class LinearProgram:
         _check_rows(self.rows, self.rels, len(names))
         out = []
         for row, rel in zip(self.rows, self.rels):
-            coeffs, rhs = {v: Fraction(c, row[-1]) for v, c in zip(names, row) if c}, Fraction(row[-2], row[-1])
-            out += [Constraint(coeffs, LE, rhs), Constraint({v: -c for v, c in coeffs.items()}, LE, rhs)] if rel == RANGE else [Constraint(coeffs, rel, rhs)]
+            coeffs = {v: Fraction(c, row[-1]) for v, c in zip(names, row) if c}
+            rhs = Fraction(row[-2], row[-1])
+            out.append(Constraint(coeffs, LE if rel == RANGE else rel, rhs))
+            if rel == RANGE:  # and its negation: a range row reads as its two <= rows
+                out.append(Constraint({v: -c for v, c in coeffs.items()}, LE, rhs))
         return out
 
     def add_variable(self, name: VarId, lower: Rational | None = None, upper: Rational | None = None) -> VarId:
@@ -354,9 +357,9 @@ def _slack_tableau(rows: list[list[int]], rels: list[str], nvars: int) -> tuple[
     right-hand side, which standard form makes nonnegative: so the slack
     basis is feasible.  Slacks are labelled from nvars on in row order, a
     range row taking two labels, those of the two rows it stands for: the
-    row is kept under the first, and the two slacks add up to w = 2 * rhs /
-    den.  `ranges` maps each of the two labels to (the other label, w's
-    numerator, w's denominator).
+    row is kept under the first, and the two slacks add up to
+    w = 2 * rhs / den.  `ranges` maps each of the two labels to (the other
+    label, w's numerator, w's denominator).
     """
     basis: list[int] = []
     ranges: Ranges = {}
@@ -366,7 +369,8 @@ def _slack_tableau(rows: list[list[int]], rels: list[str], nvars: int) -> tuple[
         if rel == RANGE:
             g = math.gcd(2 * row[-2], row[-1])
             width = 2 * row[-2] // g, row[-1] // g
-            ranges[label], ranges[label + 1] = (label + 1, *width), (label, *width)
+            ranges[label] = (label + 1, *width)
+            ranges[label + 1] = (label, *width)
             label += 1
         label += 1
     return list(rows), basis, ranges
@@ -426,11 +430,13 @@ def _check_standard(p: LinearProgram, lower: list[Rational | None], upper: list[
             raise MalformedProgram(f"variable {v} has lower bound {'-inf' if lo is None else lo}, not 0; {_STANDARD}")
         if hi is not None:
             raise MalformedProgram(f"variable {v} has upper bound {hi}, not +inf; {_STANDARD}")
-    for i, (row, rel) in enumerate(zip(p.rows, p.rels)):  # a range row before row i counts twice in its name
+    for i, (row, rel) in enumerate(zip(p.rows, p.rels)):
+        if rel in (LE, RANGE) and row[-2] >= 0:
+            continue
+        name = f"c{i + p.rels[:i].count(RANGE)}"  # a range row before row i counts twice
         if rel not in (LE, RANGE):
-            raise MalformedProgram(f"row c{i + p.rels[:i].count(RANGE)} is a {rel} row; {_STANDARD}")
-        if row[-2] < 0:
-            raise MalformedProgram(f"row c{i + p.rels[:i].count(RANGE)} has right-hand side {Fraction(row[-2], row[-1])}; {_STANDARD}")
+            raise MalformedProgram(f"row {name} is a {rel} row; {_STANDARD}")
+        raise MalformedProgram(f"row {name} has right-hand side {Fraction(row[-2], row[-1])}; {_STANDARD}")
 
 
 def solve_lp(p: LinearProgram) -> LpResult:

@@ -259,17 +259,20 @@ def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None, *, sh
             det, y = _potentials(names, edges, [{v: unit[v][1]} for v in ends])
             factors = det, dict(zip(ends, y))
             for e in edges:
-                (s_num, s_den), (cap_num, cap_den) = e.s_min.as_integer_ratio(), e.cap.as_integer_ratio()
+                s_num, s_den = e.s_min.as_integer_ratio()
+                cap_num, cap_den = e.cap.as_integer_ratio()
                 row = [0] * width
                 for (j, _), y_c in zip(terminals, y):
                     row[j] = s_num * cap_den * (y_c[e.b] - y_c[e.a])
                 if not any(row):
                     continue
-                row[-2:] = cap_num * s_den * det, s_den * cap_den * det
+                row[-2] = cap_num * s_den * det
+                row[-1] = s_den * cap_den * det
                 rows.append(_reduced(row))
         shifts.append(factors)
         if terminals:
-            balance = [0] * (width - 1) + [1]  # rhs 0 over 1
+            balance = [0] * width
+            balance[-1] = 1
             for j, sign in terminals:
                 balance[j] = sign
             rows.append(balance)

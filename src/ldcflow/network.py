@@ -121,17 +121,18 @@ class Network:
     """Nodes with roles plus undirected susceptance/capacity edges.
 
     `nodes` is stored as a tuple of (name, role) pairs sorted by name and
-    then role name (a record given as a list is stored as a tuple), and
-    `edges` as a tuple sorted by `edge_key`, so equal networks compare and
-    hash equal and all iteration orders are deterministic.  A record that
-    is not a pair is stored as it is, for `validate_network` to report.
+    then role name (a record given as a list or as a tuple subclass, such
+    as a namedtuple, is stored as a plain tuple), and `edges` as a tuple
+    sorted by `edge_key`, so equal networks compare and hash equal and all
+    iteration orders are deterministic.  A record that is not a sequence
+    is stored as it is, for `validate_network` to report.
     """
 
     nodes: tuple[tuple[NodeId, NodeRole], ...]
     edges: tuple[Edge, ...]
 
     def __init__(self, nodes: Iterable[tuple[NodeId, NodeRole]], edges: Iterable[Edge] = ()):
-        nodes = [tuple(node) if type(node) is list else node for node in nodes]
+        nodes = [node if type(node) is tuple else tuple(node) if isinstance(node, (list, tuple)) else node for node in nodes]
         try:
             nodes.sort(key=_node_name)
             by_role = len(set(map(_node_name, nodes))) < len(nodes)  # a name declared twice: its declarations by role

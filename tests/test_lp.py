@@ -830,7 +830,7 @@ def test_the_condensed_tableau_matches_the_full_width_simplex_on_pinned_exact_co
 
 
 @st.composite
-def range_row_programs(draw) -> LinearProgram:
+def range_row_programs(draw, max_vars: int = 5, max_groups: int = 6) -> LinearProgram:
     """Standard-form programs with declared range rows among plain rows and rows written next to their negation.
 
     A range row's coefficients are 0, +-1 or +-2 over a rational scale,
@@ -838,12 +838,13 @@ def range_row_programs(draw) -> LinearProgram:
     positive.  A written-out pair is a row and its exact negation as two
     <= rows with right-hand sides drawn apart or equal.  Plain rows of
     nonnegative coefficients sit between them, and the objective is
-    positive.
+    positive.  It has 2 to `max_vars` variables and 1 to `max_groups`
+    groups (a range row, a pair or a plain row).
     """
     p = LinearProgram()
-    for v in ["w", "x", "y", "z"][: draw(st.integers(2, 4))]:
+    for v in ["v", "w", "x", "y", "z"][: draw(st.integers(2, max_vars))]:
         p.add_variable(v, lower=F(0))
-    for _ in range(draw(st.integers(1, 5))):
+    for _ in range(draw(st.integers(1, max_groups))):
         scale = draw(st.sampled_from((F(1), F(1), F(1, 3), F(5, 2))))
         kind = draw(st.sampled_from(("range", "range", "width 0", "pair", "plain")))
         if kind == "plain":
@@ -871,8 +872,8 @@ def test_range_rows_match_the_full_width_simplex_and_the_presolve(p):
     solve_both_ways(p)
 
 
-@settings(max_examples=100)  # the oracle enumerates every vertex
-@given(range_row_programs())
+@settings(max_examples=100)  # the oracle enumerates every vertex, so the programs are smaller
+@given(range_row_programs(max_vars=4, max_groups=5))
 def test_a_range_row_optimum_is_the_vertex_oracles(p):
     r = solve_lp(p)
     if r.status is LpStatus.OPTIMAL:  # x >= 0 makes the region pointed, so some vertex is optimal

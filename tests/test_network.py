@@ -1,4 +1,5 @@
 import random
+from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -31,6 +32,7 @@ from ldcflow.serialize import network_from_json, network_to_json
 from oracles import reference_validate_solution, reference_zero_solution
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
+NamedRecord = namedtuple("NamedRecord", "name role")
 
 
 def flows_by_pair(n, signed):
@@ -161,9 +163,10 @@ class TestValidateNetwork:
         assert caught.value.report == validate_network(n)
 
     @pytest.mark.parametrize("solve", [solve_mpf, solve_msf_bnb, classical_max_flow], ids=["mpf", "msf_bnb", "max_flow"])
-    def test_a_record_given_as_a_list_is_stored_as_a_tuple(self, solve):
+    @pytest.mark.parametrize("record", [list, NamedRecord._make], ids=["list", "namedtuple"])
+    def test_a_record_given_as_a_list_or_a_tuple_subclass_is_stored_as_a_tuple(self, record, solve):
         # a list record validated and solved, but hash(network) raised TypeError and it compared unequal to its twin
-        n = Network([["a", GEN], ["b", LOAD]], [fixed_edge("a", "b", 1, 2)])
+        n = Network([record(("a", GEN)), record(("b", LOAD))], [fixed_edge("a", "b", 1, 2)])
         twin = Network([("a", GEN), ("b", LOAD)], [fixed_edge("a", "b", 1, 2)])
         assert n.nodes == (("a", GEN), ("b", LOAD)) and all(type(node) is tuple for node in n.nodes)
         assert n == twin and hash(n) == hash(twin)
