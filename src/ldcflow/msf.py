@@ -13,22 +13,26 @@ edge carries nothing, and neither does a component without both a
 generator and a load.  `core_maps(n)[0]` maps a switch set to the edges
 that remain, and the MPF value and the classical max flow depend on them
 alone (an edge outside the core carries no generator-to-load flow), so
-each search solves every such core once.  The scan finds every mask's
-core first, from the core of the mask without its lowest removed edge:
+each search solves every such core at most once.  The scan finds every
+mask's core first, from the core of the mask without its lowest removed edge:
 when that edge lies outside it, the mask takes that core as it is, since
 removing an edge outside a core leaves the core unchanged, and otherwise
 the core map runs once per distinct kept-edge set, that core without the
-edge.  It solves only the distinct non-empty cores (an empty one is
-worth zero), each on its own sub-network, reads their values alone, and
-takes the largest among the distinct values: per mask one integer
-lookup, per distinct core one solve, per distinct value one comparison.
-It re-solves only the winners it returns on their own sub-networks for
-their solutions.  Branch-and-bound
-bounds each core when it first meets it, and solves it then unless the
-bound prunes it; a node whose core it has met before takes no max flow
-and no solve, and never becomes the incumbent.  It solves
-full sub-networks, since its incumbent's solution comes from its own
-solve.  A first-met core is settled in the first of three ways that
+edge.  An empty core is worth zero.  Each distinct non-empty core gets
+a cut bound, the capacity of its edges with one end at a generator or,
+if less, of those with one end at a load: no flow from the generators to
+the loads exceeds either cut.  The scan solves the cores in descending
+bound order, each on its own sub-network, and stops at the first whose
+bound is below the best value found so far, since neither it nor any
+core after it can reach that value.  Per mask it makes one integer
+lookup, and per core still in play one solve.  It re-solves only the
+winners it returns on their own sub-networks for their solutions.
+
+Branch-and-bound bounds each core when it first meets it, and solves it
+then unless the bound prunes it; a node whose core it has met before
+takes no max flow and no solve, and never becomes the incumbent.  It
+solves full sub-networks, since its incumbent's solution comes from its
+own solve.  A first-met core is settled in the first of three ways that
 applies: it inherits its parent's bound when the parent's max flow leaves
 the removed edge empty; the min cut of any max flow the search has run,
 counted on the core's edges alone, prunes it; or else a max flow on its
@@ -55,6 +59,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import partial
+from itertools import takewhile
 from typing import Callable, Iterable
 
 from .errors import TooLarge
@@ -136,22 +141,39 @@ def _cores(n: Network) -> array:
 def _optimal_sets(n: Network) -> list[int]:
     """All optimal switch sets, as removed-edge masks in ascending order.
 
-    Each mask's flow core is found first (`_cores`) and only the distinct
-    non-empty cores are valued (`_core_value`), in first-seen mask order;
-    the empty core is worth zero.  The largest value is taken once over
-    the distinct values, and the masks whose core reaches it are the
-    winners: per mask one integer lookup, per distinct core one solve,
-    per distinct value one comparison.
+    Each mask's flow core is found first (`_cores`); the empty core is
+    worth zero.  Each distinct non-empty core gets an integer cut bound
+    over the capacities' scale: the smaller of the capacity of its edges
+    with exactly one end at a generator and that of its edges with
+    exactly one end at a load.  Either edge set separates every
+    generator from every load, so the core's max flow, and with it its
+    MPF value, is at most the bound.  The cores are valued
+    (`_core_value`) in descending bound order, ties in first-seen mask
+    order, until the first core whose bound is below the best value so
+    far: neither it nor any later core can reach that value, so none of
+    them is valued, and the winners, the masks whose core reaches the
+    largest value, are those of valuing every core.  The map's results
+    are zipped behind the stopping iterator, so it is never asked for a
+    skipped core.
     """
     require_valid(n)
     _require_fixed(n)
     if len(n.edges) > EXHAUSTIVE_EDGE_LIMIT:
         raise TooLarge(f"{len(n.edges)} edges exceed the exhaustive limit of {EXHAUSTIVE_EDGE_LIMIT}")
     cores = _cores(n)
-    solved = [core for core in dict.fromkeys(cores) if core]
-    values = dict(zip(solved, ordered_map(partial(_core_value, n), solved)))
-    values[0] = ZERO  # the all-removed mask's core is always empty
-    best = max(values.values())
+    scale = math.lcm(*(e.cap.denominator for e in n.edges))
+    cuts = [
+        [(1 << i, e.cap.numerator * (scale // e.cap.denominator)) for i, e in enumerate(n.edges) if (e.a in ends) != (e.b in ends)]
+        for ends in (set(n.generators), set(n.loads))
+    ]
+    bounds = {core: min(sum(cap for bit, cap in cut if core & bit) for cut in cuts) for core in dict.fromkeys(cores) if core}
+    order = sorted(bounds, key=bounds.__getitem__, reverse=True)  # a stable sort: ties stay in first-seen order
+    values = {0: ZERO}  # the all-removed mask's core is always empty
+    best = ZERO
+    in_play = takewhile(lambda core: bounds[core] * best.denominator >= best.numerator * scale, order)
+    for core, value in zip(in_play, ordered_map(partial(_core_value, n), order)):
+        values[core] = value
+        best = max(best, value)
     winners = {core for core, value in values.items() if value == best}
     return [mask for mask, core in enumerate(cores) if core in winners]
 

@@ -35,7 +35,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping
 
@@ -97,10 +97,16 @@ edge_key = attrgetter("a", "b", "s_min", "s_max", "cap")
 _node_name = itemgetter(0)
 
 
-def _node_key(node: tuple[NodeId, NodeRole]) -> tuple:
+def _name_type(nodes: Iterable) -> type:
+    """The one type of the records' names, or str when they have several: a name that is no instance of it is refused."""
+    types = {type(node[0]) for node in nodes if type(node) is tuple and node}
+    return types.pop() if len(types) == 1 else str
+
+
+def _node_key(name_type: type, node: tuple[NodeId, NodeRole]) -> tuple:
     # a role that is not a NodeRole, or a record that is not a pair, sorts after the roles, and a record
-    # without a name after every named one, by its repr; `validate_network` reports each
-    if type(node) is not tuple or not node:
+    # without a name of `name_type` after every one with such a name, by its repr; `validate_network` reports each
+    if type(node) is not tuple or not node or not isinstance(node[0], name_type):
         return 1, repr(node), 0
     return 0, node[0], _ROLE_RANK[node[1]] if len(node) == 2 and type(node[1]) is NodeRole else len(_ROLE_RANK)
 
@@ -125,7 +131,9 @@ class Network:
     as a namedtuple, is stored as a plain tuple), and `edges` as a tuple
     sorted by `edge_key`, so equal networks compare and hash equal and all
     iteration orders are deterministic.  A record that is not a sequence
-    is stored as it is, for `validate_network` to report.
+    is stored as it is, for `validate_network` to report.  When the names
+    are of several types, the records whose name is a str come first, and
+    every other record after them in the order of its repr.
     """
 
     nodes: tuple[tuple[NodeId, NodeRole], ...]
@@ -136,10 +144,10 @@ class Network:
         try:
             nodes.sort(key=_node_name)
             by_role = len(set(map(_node_name, nodes))) < len(nodes)  # a name declared twice: its declarations by role
-        except (TypeError, LookupError):  # a record without a name
+        except (TypeError, LookupError):  # a record without a name, or names of several types
             by_role = True
         if by_role:
-            nodes.sort(key=_node_key)
+            nodes.sort(key=partial(_node_key, _name_type(nodes)))
         object.__setattr__(self, "nodes", tuple(nodes))
         object.__setattr__(self, "edges", tuple(sorted(edges, key=edge_key)))
 
@@ -264,11 +272,15 @@ def validate_network(n: Network) -> ValidationReport:
     """Report every structural defect; never raises."""
     out: list[Violation] = []
     names = set()
+    name_type = _name_type(n.nodes)
     for node in n.nodes:
         if type(node) is not tuple or len(node) != 2:
             out.append(Violation("Structural", repr(node), "node record is not a (name, role) pair"))
             continue
         name, role = node
+        if not isinstance(name, name_type):
+            out.append(Violation("Structural", repr(name), f"name of type {type(name).__name__} among names of type {name_type.__name__}"))
+            continue
         if not name:
             out.append(Violation("Structural", repr(name), "empty node name"))
         if name in names:

@@ -1,6 +1,7 @@
 import random
 from array import array
 from fractions import Fraction as F
+from functools import partial
 from unittest.mock import patch
 
 import pytest
@@ -168,7 +169,12 @@ def networks_without_a_pair(draw) -> Network:
 def test_the_scan_returns_every_set_of_the_largest_value_over_every_mask(n):
     masks = range(1 << len(n.edges))
     # the inherited core array is the core map's on every mask
-    assert ldcflow.msf._cores(n) == array("L", map(core_maps(n)[0], masks))
+    cores = ldcflow.msf._cores(n)
+    assert cores == array("L", map(core_maps(n)[0], masks))
+    # the cut bound the scan prunes with is at least every core's classical max flow, and so its value
+    for core in set(cores) - {0}:
+        assert scan_bound(n, core) >= classical_max_flow(subnetwork(n, [e for i, e in enumerate(n.edges) if not core >> i & 1]))
+    # the pruned scan keeps every optimal set, with no core and no bound in the oracle
     assert optimal_switch_sets(n) == oracles.optimal_sets_by_every_mask(n)
 
 
@@ -216,6 +222,22 @@ def cut_capacity(n: Network, core: int, side: int) -> F:
     """The capacity of the edges of n in `core`, a bitmask over `n.edges`, that cross `side`, a bitmask over `n.node_names`."""
     index = {v: i for i, v in enumerate(n.node_names)}
     return sum((e.cap for i, e in enumerate(n.edges) if core >> i & 1 and (side >> index[e.a] ^ side >> index[e.b]) & 1), F(0))
+
+
+def scan_bound(n: Network, core: int) -> F:
+    """The scan's cut bound on a core: the capacity of its edges with one end at a generator, or at a load if less."""
+    index = {v: i for i, v in enumerate(n.node_names)}
+    return min(cut_capacity(n, core, sum(1 << index[v] for v in ends)) for ends in (n.generators, n.loads))
+
+
+def test_the_scan_skips_at_least_half_the_cores_of_the_diamond(monkeypatch):
+    n = diamond()
+    valued = []
+    value = ldcflow.msf._core_value
+    monkeypatch.setattr("ldcflow.msf._core_value", lambda n, core: valued.append(core) or value(n, core))
+    assert solve_msf_exhaustive(n).value == msf_by_every_mask(n)[0]
+    distinct = {*map(core_maps(n)[0], range(1 << len(n.edges)))} - {0}
+    assert len(distinct) == 10 and len(set(valued)) == len(valued) <= len(distinct) // 2
 
 
 @settings(max_examples=120)
@@ -299,9 +321,23 @@ class TestSolveCounts:
         cores = core_maps(n)[0]
         distinct = [core for core in dict.fromkeys(map(cores, range(1 << len(n.edges)))) if core]
         assert len(distinct) == 10
-        # each distinct non-empty core is solved once, on its own sub-network, in first-seen mask order
-        solved = [subnetwork(n, [e for i, e in enumerate(n.edges) if not core >> i & 1]) for core in distinct]
+        # the distinct non-empty cores in descending cut bound order, ties in first-seen mask order,
+        # are solved once each, on their own sub-networks, up to the first whose bound is below the best so far
+        order = sorted(distinct, key=partial(scan_bound, n), reverse=True)
+        value = partial(ldcflow.msf._core_value, n)
+        best, played = F(0), []
+        for core in order:
+            if scan_bound(n, core) < best:
+                break
+            played.append(core)
+            best = max(best, value(core))
+        skipped = order[len(played) :]
+        assert len(skipped) == 5
+        assert all(value(core) < best for core in skipped)
+        solves.clear()
+        solved = [subnetwork(n, [e for i, e in enumerate(n.edges) if not core >> i & 1]) for core in played]
         out = solve_msf_exhaustive(n)
+        assert out.value == best
         assert [m for m, _ in solves] == solved + [subnetwork(n, out.switched)]
         solves.clear()
         sets = optimal_switch_sets(n)

@@ -173,6 +173,26 @@ class TestValidateNetwork:
         assert validate_network(n).ok
         assert solve(n) == solve(twin)
 
+    @pytest.mark.parametrize("solve", [solve_mpf, solve_msf_bnb, classical_max_flow], ids=["mpf", "msf_bnb", "max_flow"])
+    @pytest.mark.parametrize("name", [1, None, ["c"]], ids=["int", "None", "list"])
+    def test_a_name_of_another_type_builds_and_is_refused_as_structural(self, name, solve):
+        # `Network` raised TypeError from sorting names of several types
+        records = [(name, GEN), ("a", GEN), ("b", LOAD)]
+        n = Network(records, [fixed_edge("a", "b", 1, 1)])
+        assert n.nodes == (("a", GEN), ("b", LOAD), (name, GEN))
+        assert n == Network(records[::-1], [fixed_edge("a", "b", 1, 1)])
+        assert str(validate_network(n)).splitlines() == [f"Structural at {name!r}: name of type {type(name).__name__} among names of type str"]
+        with pytest.raises(InvalidNetwork) as caught:
+            solve(n)
+        assert caught.value.report == validate_network(n)
+
+    def test_names_of_one_type_other_than_str_sort_by_name(self):
+        n = Network([(10, LOAD), (2, GEN)], [fixed_edge(2, 10, 1, 3)])
+        assert n.nodes == ((2, GEN), (10, LOAD)) and validate_network(n).ok
+        assert solve_mpf(n).value == 3
+        # a name declared twice: its declarations by role, the names still by value, not by repr
+        assert Network([(10, PLAIN), (2, GEN), (10, LOAD)]).nodes == ((2, GEN), (10, LOAD), (10, PLAIN))
+
     def test_a_name_declared_twice_in_a_record_that_is_not_a_pair_is_reported(self):
         # sorting the declarations of "a" by role raised IndexError
         n = Network([("a", GEN), ("a",), ("b", LOAD)])
