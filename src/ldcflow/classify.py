@@ -5,41 +5,46 @@ Components, degrees and cacti leave out self-loops and edges to undeclared
 nodes (`is_tree` counts every edge), and `is_cactus` counts a repeated
 edge as a 2-cycle.  Empty and single-node networks count as trees by
 convention so the predicates are total.
+
+Every predicate reads the network's integer view (`network._View`): node
+numbers, and the edges of its root network as bits, of which
+`Network._kept` marks the network's own.  A sub-network shares its
+root's view, so a component walk on it builds no table and only tests
+kept-edge bits.
 """
 
 from __future__ import annotations
 
-from .network import Network, NodeId
+from typing import Iterator
+
+from .network import Network, NodeId, _View
 
 
-def _neighbours(n: Network) -> dict[NodeId, list[NodeId]]:
-    adj: dict[NodeId, list[NodeId]] = {v: [] for v in n.node_names}
-    for e in n.edges:
-        if e.a in adj and e.b in adj and e.a != e.b:
-            adj[e.a].append(e.b)
-            adj[e.b].append(e.a)
-    return adj
+def _components(view: _View, kept: int, starts: int) -> Iterator[tuple[list[int], int, int]]:
+    """Each component of the nodes under the kept edges that holds a node of the mask `starts` (-1 for every node).
+
+    In order of its smallest such node, each is (node numbers, node mask, edge mask).
+    """
+    seen, adjacent = 0, view.adjacent
+    for start in range(len(adjacent)):
+        if seen >> start & 1 or not starts >> start & 1:
+            continue
+        before, nodes, edges = seen, [start], 0
+        seen |= 1 << start
+        for u in nodes:
+            for bit, w in adjacent[u]:
+                if bit & kept:
+                    edges |= bit
+                    if not seen >> w & 1:
+                        seen |= 1 << w
+                        nodes.append(w)
+        yield nodes, seen ^ before, edges
 
 
 def connected_components(n: Network) -> list[set[NodeId]]:
     """Components in order of their smallest node name."""
-    adj = _neighbours(n)
-    seen: set[NodeId] = set()
-    out: list[set[NodeId]] = []
-    for start in n.node_names:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        out.append(comp)
-    return out
+    names = n.node_names
+    return [{names[i] for i in nodes} for nodes, _, _ in _components(n._view, n._kept, -1)]
 
 
 def is_connected(n: Network) -> bool:
@@ -56,44 +61,19 @@ def is_tree(n: Network) -> bool:
 
 
 def max_degree(n: Network) -> int:
-    adj = _neighbours(n)
-    return max((len(vs) for vs in adj.values()), default=0)
+    return max(((x & n._kept).bit_count() for x in n._view.incident), default=0)
 
 
-def _tables(n: Network) -> tuple[dict[NodeId, int], list[int], list[list[tuple[int, int]]], list[tuple[int, int]], int]:
-    """n's integer tables, in edge bits 1 << j over `n.edges`.
-
-    They are: the node index in `n.node_names` order; each node's
-    incident-edge mask and its (edge bit, other node) pairs, which hold
-    only the edges between two distinct declared nodes; each edge's end
-    numbers (-1 for an undeclared node); and the mask of those edges.
-    """
-    index = {v: i for i, v in enumerate(n.node_names)}
-    incident = [0] * len(index)
-    adjacent: list[list[tuple[int, int]]] = [[] for _ in index]
-    ends, proper = [], 0
-    for j, e in enumerate(n.edges):
-        a, b = index.get(e.a, -1), index.get(e.b, -1)
-        ends.append((a, b))
-        if min(a, b) >= 0 and a != b:
-            proper |= 1 << j
-            incident[a] |= 1 << j
-            incident[b] |= 1 << j
-            adjacent[a].append((1 << j, b))
-            adjacent[b].append((1 << j, a))
-    return index, incident, adjacent, ends, proper
-
-
-def _forest_walk(tables, kept: int) -> tuple[int, int, int]:
+def _forest_walk(view: _View, kept: int) -> tuple[int, int, int]:
     """(forest, crossed, crossed twice): edge masks of a BFS spanning forest of the kept edges.
 
-    `tables` are `_tables(n)` and `kept` lies within their last mask.
+    `kept` lies within the view's `proper` mask.
     Each kept edge off the forest closes a fundamental cycle with the
     forest path between its ends; `crossed` holds the forest edges on at
     least one such cycle and the third mask those on two or more.  A
     forest edge on none is a bridge.
     """
-    _, incident, adjacent, ends, _ = tables
+    incident, adjacent, ends = view.incident, view.adjacent, view.ends
     depth = [-1] * len(incident)
     parent = [0] * len(incident)
     up = [0] * len(incident)  # the forest edge from a node to its parent
@@ -134,5 +114,4 @@ def is_cactus(n: Network) -> bool:
     cycle only when it is one of them.  A second edge on a node pair
     closes a 2-cycle.
     """
-    tables = _tables(n)
-    return not _forest_walk(tables, tables[-1])[2]
+    return not _forest_walk(n._view, n._kept & n._view.proper)[2]

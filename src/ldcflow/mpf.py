@@ -56,8 +56,9 @@ One map serves the switching searches: `core_maps(n)[0]` finds, on
 bitmasks, the edges of a sub-network that can carry flow, and both
 searches value each such core once through `solve_mpf`.  `core_maps`
 gives that map together with one that finds the bridges of an edge set,
-which branch-and-bound never removes; both work on the integer tables of
-`classify._tables`, and the bridges come from the spanning-forest walk
+which branch-and-bound never removes; both work on the network's integer
+view (`network._View`), built once per root network and shared by its
+sub-networks, and the bridges come from the spanning-forest walk
 `classify.is_cactus` makes.
 """
 
@@ -68,11 +69,11 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .classify import _forest_walk, _tables, connected_components
+from .classify import _components, _forest_walk, connected_components
 from .errors import NotFixedSusceptance
 from .lp import RANGE, Lazy, LinearProgram, LpResult, LpStatus, _reduced, solve_lp
 from .maxflow import _integer_flow
-from .network import Edge, Network, NodeId, NodeRole, Part, Solution, _solution, require_valid
+from .network import Edge, Network, NodeId, Part, Solution, _solution, _spread, _squeeze, require_valid
 from .rational import ONE, Rational, ZERO
 
 
@@ -430,17 +431,17 @@ def core_maps(n: Network) -> tuple[Callable[[int], int], Callable[[int], int]]:
     no fundamental cycle crosses in `classify._forest_walk`, the walk
     `classify.is_cactus` makes.  Removing a bridge never raises the MPF
     value: shifting the angles on one side lets it carry nothing.  Both
-    maps work on ints only, over the tables of `classify._tables`; n must
-    be valid.
+    maps work on ints only, over n's integer view (`network._View`), whose
+    edge bits are its root's; a sub-network's masks are put into them and
+    taken back out (`network._spread`, `network._squeeze`).  n must be
+    valid.
     """
-    tables = _tables(n)
-    index, incident, adjacent, _, everything = tables
-    plain = [incident[index[v]] for v, role in n.nodes if role is NodeRole.PLAIN]
-    gens = sum(1 << index[v] for v in n.generators)
-    loads = sum(1 << index[v] for v in n.loads)
+    view, everything = n._view, n._kept
+    gaps = ~everything & (1 << len(view.edges)) - 1  # the root's edges that n does not hold
+    plain = [x for i, x in enumerate(view.incident) if view.plain >> i & 1]
 
     def core(removed: int) -> int:
-        kept = everything & ~removed
+        kept = everything & ~_spread(removed, gaps)
         stripped = True
         while stripped:
             stripped = False
@@ -449,25 +450,14 @@ def core_maps(n: Network) -> tuple[Callable[[int], int], Callable[[int], int]]:
                 if x and not x & (x - 1):  # a plain node with one edge left
                     kept ^= x
                     stripped = True
-        flowing, seen = 0, 0
-        for start, edges in enumerate(incident):
-            if seen >> start & 1 or not edges & kept:
-                continue
-            nodes, comp, stack = 1 << start, 0, [start]
-            while stack:
-                for bit, w in adjacent[stack.pop()]:
-                    if bit & kept:
-                        comp |= bit
-                        if not nodes >> w & 1:
-                            nodes |= 1 << w
-                            stack.append(w)
-            seen |= nodes
-            if nodes & gens and nodes & loads:
-                flowing |= comp
-        return flowing
+        flowing = 0
+        for _, nodes, edges in _components(view, kept, view.gens):
+            if nodes & view.loads:
+                flowing |= edges
+        return _squeeze(flowing, gaps)
 
     def bridges(kept: int) -> int:
-        forest, crossed, _ = _forest_walk(tables, kept)
-        return forest & ~crossed
+        forest, crossed, _ = _forest_walk(view, _spread(kept, gaps))
+        return _squeeze(forest & ~crossed, gaps)
 
     return core, bridges

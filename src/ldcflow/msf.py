@@ -55,7 +55,6 @@ inclusion-minimal: putting back any one of its edges loses value.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
 from functools import partial
@@ -66,7 +65,7 @@ from .errors import TooLarge
 from .lp import Lazy, LinearProgram, VarId, write_lp_text
 from .maxflow import classical_max_flow
 from .mpf import MpfOutcome, _gen, _load, _require_fixed, core_maps, pinned_nodes, solve_mpf
-from .network import Edge, Network, NodeId, NodeRole, Solution, SwitchSet, require_valid, subnetwork, zero_solution
+from .network import Edge, Network, NodeId, NodeRole, Solution, SwitchSet, _spread, require_valid, subnetwork, zero_solution
 from .rational import ONE, Rational, ZERO, rat, rat_str
 
 EXHAUSTIVE_EDGE_LIMIT = 20
@@ -107,6 +106,16 @@ def _removed(n: Network, mask: int) -> tuple[Edge, ...]:
     return tuple(e for i, e in enumerate(n.edges) if mask >> i & 1)
 
 
+def _crossing(n: Network, side: int) -> list[tuple[int, int]]:
+    """The (bit, capacity) pairs of n's edges with exactly one end in the node mask `side`: bits over `n.edges`, capacities over its view's scale.
+
+    A view edge j that n holds is n's edge number k, where k counts the
+    edges n holds below j.
+    """
+    view, kept = n._view, n._kept
+    return [(1 << (kept & (1 << j) - 1).bit_count(), cap) for j, ((a, b), cap) in enumerate(zip(view.ends, view.caps)) if kept >> j & 1 and (side >> a ^ side >> b) & 1]
+
+
 def _core_value(n: Network, core: int) -> Rational:
     """The MPF value of a flow core: its sub-network's, whose solution is never built."""
     return solve_mpf(subnetwork(n, _removed(n, ~core))).value
@@ -143,11 +152,11 @@ def _optimal_sets(n: Network) -> list[int]:
 
     Each mask's flow core is found first (`_cores`); the empty core is
     worth zero.  Each distinct non-empty core gets an integer cut bound
-    over the capacities' scale: the smaller of the capacity of its edges
-    with exactly one end at a generator and that of its edges with
-    exactly one end at a load.  Either edge set separates every
-    generator from every load, so the core's max flow, and with it its
-    MPF value, is at most the bound.  The cores are valued
+    over the view's capacity scale (`_crossing`): the smaller of the
+    capacity of its edges with exactly one end at a generator and that
+    of its edges with exactly one end at a load.  Either edge set
+    separates every generator from every load, so the core's max flow,
+    and with it its MPF value, is at most the bound.  The cores are valued
     (`_core_value`) in descending bound order, ties in first-seen mask
     order, until the first core whose bound is below the best value so
     far: neither it nor any later core can reach that value, so none of
@@ -161,16 +170,12 @@ def _optimal_sets(n: Network) -> list[int]:
     if len(n.edges) > EXHAUSTIVE_EDGE_LIMIT:
         raise TooLarge(f"{len(n.edges)} edges exceed the exhaustive limit of {EXHAUSTIVE_EDGE_LIMIT}")
     cores = _cores(n)
-    scale = math.lcm(*(e.cap.denominator for e in n.edges))
-    cuts = [
-        [(1 << i, e.cap.numerator * (scale // e.cap.denominator)) for i, e in enumerate(n.edges) if (e.a in ends) != (e.b in ends)]
-        for ends in (set(n.generators), set(n.loads))
-    ]
+    cuts = [_crossing(n, n._view.gens), _crossing(n, n._view.loads)]
     bounds = {core: min(sum(cap for bit, cap in cut if core & bit) for cut in cuts) for core in dict.fromkeys(cores) if core}
     order = sorted(bounds, key=bounds.__getitem__, reverse=True)  # a stable sort: ties stay in first-seen order
     values = {0: ZERO}  # the all-removed mask's core is always empty
     best = ZERO
-    in_play = takewhile(lambda core: bounds[core] * best.denominator >= best.numerator * scale, order)
+    in_play = takewhile(lambda core: bounds[core] * best.denominator >= best.numerator * n._view.scale, order)
     for core, value in zip(in_play, ordered_map(partial(_core_value, n), order)):
         values[core] = value
         best = max(best, value)
@@ -253,24 +258,24 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, 
     core gives.  A core met again takes no max flow and no solve.
     Its value was first reached at a removed-set the search visited
     earlier, so it cannot beat the incumbent, whose solution therefore
-    comes from its own solve.  Bounds are kept as integers over the LCM
-    of the capacities' denominators, and each is compared with one
-    integer, recomputed when the incumbent changes: the largest bound
-    that cannot change the answer.  A new cut's crossing edges come from
-    one scan of the edges' node indices, and a sub-network's flowing
-    edges go back onto the network's bits by putting a zero in at each
-    removed edge.  So every comparison is exact, and no check builds a
-    `Fraction`.
+    comes from its own solve.  Bounds are kept as integers over the
+    capacity scale of n's integer view (`network._View`), and each is
+    compared with one integer, recomputed when the incumbent changes:
+    the largest bound that cannot change the answer.  A new cut's
+    crossing edges come from `_crossing`, which the scan's cut bounds
+    also use, and a sub-network's flowing edges go back onto the
+    network's bits by putting a zero in at each removed edge
+    (`network._spread`).  So every comparison is exact, and no check
+    builds a `Fraction`.
     """
     _require_fixed(n)
-    edges = n.edges
     root_bound, root_flowing, root_side = classical_max_flow(n, witness=True)
     if threshold is not None and root_bound < threshold:
         # no sub-network reaches the threshold; the zero flow is feasible
         return MpfOutcome(ZERO, Lazy(partial(zero_solution, n))), ()
     best, best_removed = solve_mpf(n), ()
-    # bounds are ints over the capacities' scale; one beats the incumbent when it exceeds `need`
-    scale = math.lcm(*(e.cap.denominator for e in edges))
+    # bounds are ints over the view's capacity scale; one beats the incumbent when it exceeds `need`
+    scale = n._view.scale
 
     def needed() -> int | None:
         """The largest bound that cannot change the answer, or None when nothing can."""
@@ -285,16 +290,8 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, 
     if need is None or root <= need:
         return best, best_removed
     core_of, bridges_of = core_maps(n)
-    caps = [e.cap.numerator * (scale // e.cap.denominator) for e in edges]
-    index = {v: i for i, v in enumerate(n.node_names)}
-    ends = [(index[e.a], index[e.b], 1 << j, cap) for j, (e, cap) in enumerate(zip(edges, caps))]
-
-    def crossing(side: int) -> list[tuple[int, int]]:
-        """The (bit, capacity) pairs of the edges with one end in a node mask."""
-        return [(bit, cap) for a, b, bit, cap in ends if (side >> a ^ side >> b) & 1]
-
     # every min cut found, by its source side: a side holds every generator and no load
-    pool = {root_side: crossing(root_side)}
+    pool = {root_side: _crossing(n, root_side)}
     root_core = core_of(0)
     # a core's exact bound and the edges its max flow uses
     known = {root_core: (root, root_flowing)}
@@ -320,13 +317,9 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, 
                     if flowing & bit:  # 3. a max flow of its own; `sub` numbers its edges without the removed ones
                         value, used, side = classical_max_flow(sub, witness=True)
                         if side not in pool:
-                            pool[side] = crossing(side)
-                        removing = child
-                        while removing:  # put each removed edge's bit back in, lowest first
-                            low = removing & -removing
-                            removing ^= low
-                            used = used & (low - 1) | (used & -low) << 1
-                        seen = value.numerator * (scale // value.denominator), used
+                            pool[side] = _crossing(n, side)
+                        # put each removed edge's bit back in
+                        seen = value.numerator * (scale // value.denominator), _spread(used, child)
                     else:  # 1. the parent's max flow is the child's
                         seen = limit, flowing
                     known[child_core] = seen

@@ -177,6 +177,26 @@ class Network:
         return validate_network(self)
 
     @cached_property
+    def _view(self) -> _View:
+        # built on first read; `subnetwork` hands on its parent's
+        return _View(self)
+
+    @cached_property
+    def _kept(self) -> int:
+        """The edges as a mask over the view's: every bit for a root, the bits of the root's edges it kept for a sub-network.
+
+        `subnetwork` keeps its parent's `Edge` objects in their order, so
+        a sub-network's edges are found among its root's by identity.
+        """
+        mask, j, edges = 0, 0, self._view.edges
+        for e in self.edges:
+            while edges[j] is not e:
+                j += 1
+            mask |= 1 << j
+            j += 1
+        return mask
+
+    @cached_property
     def incident(self) -> dict[NodeId, tuple[Edge, ...]]:
         by_node: dict[NodeId, list[Edge]] = {n: [] for n in self.node_names}
         for e in self.edges:
@@ -192,6 +212,57 @@ class Network:
     def is_fixed(self) -> bool:
         """True when every susceptance interval is a single point (no FACTS)."""
         return not self.facts_edges
+
+
+class _View:
+    """A root network's integer tables: node numbers in `node_names` order, and each edge as the bit 1 << j over `edges`.
+
+    They are the node index; each edge's end numbers (-1 for an
+    undeclared node); each node's incident-edge mask and its (edge bit,
+    other node) pairs, which hold only the edges between two distinct
+    declared nodes, and the mask of those edges (`proper`); the masks of
+    the generators, of the loads and of the other nodes (`plain`); and
+    the capacities as integers over `scale`, the LCM of their
+    denominators.  A sub-network shares its root's view and reads its
+    own edges from it as the mask `Network._kept`.
+    """
+
+    def __init__(self, n: Network):
+        self.edges = n.edges
+        self.index = index = {v: i for i, v in enumerate(n.node_names)}
+        self.ends = ends = [(index.get(e.a, -1), index.get(e.b, -1)) for e in n.edges]
+        self.adjacent = adjacent = [[] for _ in index]
+        self.proper = 0
+        for j, (a, b) in enumerate(ends):
+            if a >= 0 and b >= 0 and a != b:
+                self.proper |= 1 << j
+                adjacent[a].append((1 << j, b))
+                adjacent[b].append((1 << j, a))
+        self.incident = [sum([bit for bit, _ in pairs]) for pairs in adjacent]
+        # sets, since a node declared twice with one role is one bit
+        self.gens = sum({1 << index[v] for v in n.generators})
+        self.loads = sum({1 << index[v] for v in n.loads})
+        self.plain = (1 << len(index)) - 1 & ~(self.gens | self.loads)
+        self.scale = scale = math.lcm(*(e.cap.denominator for e in n.edges))
+        self.caps = [e.cap.numerator * (scale // e.cap.denominator) for e in n.edges]
+
+
+def _spread(mask: int, gaps: int) -> int:
+    """`mask` with a zero bit put in at each bit of `gaps`, lowest first: a sub-network's edge bits as its parent's, `gaps` its removed edges."""
+    while gaps:
+        low = gaps & -gaps
+        gaps ^= low
+        mask = mask & (low - 1) | (mask & -low) << 1
+    return mask
+
+
+def _squeeze(mask: int, gaps: int) -> int:
+    """`mask` with the bit at each bit of `gaps` taken out, highest first: the inverse of `_spread`."""
+    while gaps:
+        high = 1 << gaps.bit_length() - 1
+        gaps ^= high
+        mask = mask & (high - 1) | mask >> 1 & -high
+    return mask
 
 
 # A switch set designates edges of a reference network as removed.
@@ -281,6 +352,11 @@ def validate_network(n: Network) -> ValidationReport:
         if not isinstance(name, name_type):
             out.append(Violation("Structural", repr(name), f"name of type {type(name).__name__} among names of type {name_type.__name__}"))
             continue
+        try:
+            hash(name)
+        except TypeError:
+            out.append(Violation("Structural", repr(name), f"name of unhashable type {type(name).__name__}"))
+            continue
         if not name:
             out.append(Violation("Structural", repr(name), "empty node name"))
         if name in names:
@@ -322,8 +398,9 @@ def require_valid(n: Network) -> None:
         raise InvalidNetwork(report)
 
 
-# the cached properties that depend on the nodes alone
-_NODE_CACHES = ("roles", "node_names", "generators", "loads")
+# what a sub-network takes from its parent: the cached properties that depend on the nodes
+# alone, and the integer view of its root
+_SHARED = ("roles", "node_names", "generators", "loads", "_view")
 
 
 def subnetwork(n: Network, switched: Iterable[Edge]) -> Network:
@@ -331,7 +408,9 @@ def subnetwork(n: Network, switched: Iterable[Edge]) -> Network:
 
     It equals `Network(n.nodes, kept)` but keeps n's sorted order and
     starts from what n knows of its nodes (`roles`, `node_names`,
-    `generators`, `loads`).  Removing edges adds no FACTS edge and no
+    `generators`, `loads`).  It shares n's integer view, its root's
+    (`_View`), and so builds no tables of its own: its kept edges are a
+    mask in the root's edge bits.  Removing edges adds no FACTS edge and no
     defect, so a sub-network of a fixed network knows it is fixed, and
     one of a network that passed `require_valid` is not validated again.
 
@@ -360,7 +439,7 @@ def subnetwork(n: Network, switched: Iterable[Edge]) -> Network:
     sub = object.__new__(Network)
     cache = vars(sub)
     cache.update(nodes=n.nodes, edges=tuple(kept))  # a list first: a tuple grown from a generator raised peak RSS
-    cache.update((name, getattr(n, name)) for name in _NODE_CACHES)
+    cache.update((name, getattr(n, name)) for name in _SHARED)
     if not n.facts_edges:
         cache["facts_edges"] = ()
     if valid:

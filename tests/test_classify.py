@@ -1,10 +1,12 @@
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_ldc_network, random_tree
+from conftest import any_network, random_ldc_network, random_tree
 from ldcflow.classify import connected_components, is_cactus, is_connected, is_tree, max_degree
 from ldcflow.gadgets import Polarity, gfch, gsch
-from ldcflow.network import Network, NodeRole, fixed_edge
+from ldcflow.maxflow import classical_max_flow
+from ldcflow.mpf import core_maps
+from ldcflow.network import Network, NodeRole, fixed_edge, subnetwork
 from oracles import is_cactus_by_cycles
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
@@ -105,7 +107,7 @@ def test_classification_is_name_invariant(rng):
 
 
 def union_find_components(n: Network) -> list[set[str]]:
-    """Reference: merge the endpoints of every edge, then order the classes by their smallest name."""
+    """Reference: merge the endpoints of every edge between declared nodes, then order the classes by their smallest name."""
     parent = {v: v for v in n.node_names}
 
     def root(v):
@@ -114,7 +116,8 @@ def union_find_components(n: Network) -> list[set[str]]:
         return v
 
     for e in n.edges:
-        parent[root(e.a)] = root(e.b)
+        if e.a in parent and e.b in parent:
+            parent[root(e.a)] = root(e.b)
     classes: dict[str, set[str]] = {}
     for v in n.node_names:
         classes.setdefault(root(v), set()).add(v)
@@ -130,9 +133,50 @@ def graphs(draw, max_nodes: int = 9, max_edges: int | None = None) -> Network:
     return Network([(v, PLAIN) for v in names], [fixed_edge(a, b, 1, 1) for a, b in chosen])
 
 
-@given(graphs())
+@st.composite
+def defective_graphs(draw) -> Network:
+    """A `graphs` network with self-loops, edges to the undeclared node "q" and second edges on its pairs added."""
+    n = draw(graphs(max_nodes=6))
+    loops = draw(st.lists(st.sampled_from(n.node_names), max_size=2, unique=True))
+    strays = draw(st.lists(st.sampled_from(n.node_names), max_size=2, unique=True))
+    repeats = draw(st.lists(st.sampled_from(n.edges), max_size=2, unique=True)) if n.edges else []
+    edges = [fixed_edge(v, v, 1, 1) for v in loops] + [fixed_edge(v, "q", 1, 1) for v in strays]
+    return Network(n.nodes, [*n.edges, *edges, *(fixed_edge(e.a, e.b, 2, 1) for e in repeats)])
+
+
+@given(st.one_of(graphs(), defective_graphs()))
 def test_components_are_the_union_find_classes_in_the_same_order(n):
     assert connected_components(n) == union_find_components(n)
+    # a sub-network walks its root's tables
+    assert connected_components(subnetwork(n, n.edges[:1])) == union_find_components(Network(n.nodes, n.edges[1:]))
+
+
+@st.composite
+def removals(draw) -> tuple[Network, list, list]:
+    """A valid network, a switch set of it and a second switch set, of the sub-network the first leaves."""
+    n = draw(st.one_of(any_network, st.builds(random_ldc_network, st.randoms(use_true_random=False), max_edges=st.just(8))))
+    first = draw(st.lists(st.sampled_from(n.edges), unique=True))
+    rest = [e for e in n.edges if e not in first]
+    return n, first, draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+
+
+@settings(max_examples=40)
+@given(removals())
+def test_a_sub_network_shares_its_roots_view_and_classifies_as_one_built_afresh(removal):
+    n, first, second = removal
+    sub = subnetwork(n, first)
+    for part, kept in ((sub, sub.edges), (subnetwork(sub, second), [e for e in sub.edges if e not in second])):
+        fresh = Network(n.nodes, kept)
+        assert part._view is n._view
+        assert connected_components(part) == connected_components(fresh)
+        for predicate in (max_degree, is_tree, is_connected, is_cactus):
+            assert predicate(part) == predicate(fresh)
+        masks = range(1 << min(len(kept), 8))
+        for ours, theirs in zip(core_maps(part), core_maps(fresh)):
+            assert [ours(m) for m in masks] == [theirs(m) for m in masks]
+        core, fresh_core = core_maps(part)[0], core_maps(fresh)[0]
+        assert [core(~m) for m in masks] == [fresh_core(~m) for m in masks]
+        assert classical_max_flow(part, witness=True) == classical_max_flow(fresh, witness=True)
 
 
 @given(graphs(max_nodes=7, max_edges=9))

@@ -23,11 +23,12 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 import ldcflow.classify
+import ldcflow.network
 from ldcflow.classify import connected_components
 from ldcflow.errors import InvalidNetwork, MalformedProgram
 from ldcflow.lp import RANGE, LinearProgram, _int_row, solve_lp, write_lp_text
 from ldcflow.mpf import formulate_mpf, solve_mpf
-from ldcflow.network import Network, NodeRole, fixed_edge, network_sum, validate_network
+from ldcflow.network import Network, NodeRole, fixed_edge, network_sum, subnetwork, validate_network
 
 from conftest import random_ldc_network
 from oracles import expanded, in_standard_form, reference_general_lp, reference_terminal_program
@@ -254,26 +255,31 @@ def test_a_variable_declared_after_the_constraints_pads_the_rows(n):
     same_result(p, first, reference_general_lp)  # x is boxed: out of standard form
 
 
-@pytest.fixture
-def traversals(monkeypatch):
-    """Count neighbour-list builds: `connected_components` makes one per traversal."""
+def counting(monkeypatch, module, name) -> list:
+    """The arguments of every call of `module.name` from here on."""
     calls = []
-    neighbours = ldcflow.classify._neighbours
-
-    def counted(n):
-        calls.append(n)
-        return neighbours(n)
-
-    monkeypatch.setattr(ldcflow.classify, "_neighbours", counted)
+    wrapped = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or wrapped(*args))
     return calls
 
 
-def test_solve_mpf_traverses_the_components_once(traversals):
+def test_solve_mpf_traverses_the_components_once(monkeypatch):
+    """One component walk per solve; a network builds its integer view once, and its sub-networks build none."""
+    traversals = counting(monkeypatch, ldcflow.classify, "_components")
+    views = counting(monkeypatch, ldcflow.network, "_View")
     rng = random.Random(1601)
     lonely = Network([("x0", GEN), ("x1", GEN)], [fixed_edge("x0", "x1", 1, 2)])
     for _ in range(20):
         n = random_ldc_network(rng)
-        for m in (n, network_sum(n, lonely), lonely):
+        for m in (n, network_sum(n, lonely), Network(lonely.nodes, lonely.edges)):
             traversals.clear()
+            views.clear()
             solve_mpf(m)
-            assert len(traversals) == 1
+            assert len(traversals) == 1 and views == [(m,)]
+            for e in m.edges:
+                sub = subnetwork(m, [e])
+                for k in (sub, subnetwork(sub, sub.edges[:1])):
+                    traversals.clear()
+                    solve_mpf(k)
+                    assert len(traversals) == 1
+            assert views == [(m,)]

@@ -145,6 +145,20 @@ def test_searches_agree_with_solving_every_sub_network(n):
     assert not decide_msf(n, value + F(1, 1000))
 
 
+@settings(max_examples=60)
+@given(any_network, st.integers(min_value=0))
+def test_the_searches_on_a_sub_network_match_those_on_one_built_afresh(n, mask):
+    # a sub-network's searches read its root's view, in the root's edge bits
+    removed = [e for i, e in enumerate(n.edges) if mask >> i & 1]
+    sub, fresh = subnetwork(n, removed), Network(n.nodes, [e for e in n.edges if e not in removed])
+    for search in (solve_msf_bnb, solve_msf_exhaustive):
+        assert search(sub) == search(fresh)
+    # every cut either search builds: bits over the network's own edges, capacities over its view's scale
+    for side in range(1 << len(n.node_names)):
+        cuts = [[(bit, F(cap, m._view.scale)) for bit, cap in ldcflow.msf._crossing(m, side)] for m in (sub, fresh)]
+        assert cuts[0] == cuts[1]
+
+
 def with_roles(n: Network, keep: NodeRole, prefix: str = "") -> Network:
     """n with every node renamed by `prefix` and every generator or load that is not a `keep` made plain."""
     nodes = [(prefix + v, role if role in (keep, PLAIN) else PLAIN) for v, role in n.nodes]

@@ -186,6 +186,17 @@ class TestValidateNetwork:
             solve(n)
         assert caught.value.report == validate_network(n)
 
+    def test_unhashable_names_of_one_type_are_refused_as_structural(self):
+        # `validate_network` raised TypeError: unhashable type: 'list'
+        n = Network([(["a"], GEN), (["b"], LOAD)])
+        assert str(validate_network(n)).splitlines() == [
+            "Structural at ['a']: name of unhashable type list",
+            "Structural at ['b']: name of unhashable type list",
+        ]
+        with pytest.raises(InvalidNetwork) as caught:
+            solve_mpf(n)
+        assert caught.value.report == validate_network(n)
+
     def test_names_of_one_type_other_than_str_sort_by_name(self):
         n = Network([(10, LOAD), (2, GEN)], [fixed_edge(2, 10, 1, 3)])
         assert n.nodes == ((2, GEN), (10, LOAD)) and validate_network(n).ok
