@@ -39,18 +39,19 @@ So the only LP `solve_mpf` runs is the terminal-space program of the
 flowing components with a cycle, which `formulate_mpf` writes for those
 components alone, and none when there is no such component; the
 program is block-diagonal across components, and the simplex's every
-choice stays within one block.  Each component hands
-over its part of an optimal solution: net injections, angles (smallest
-node at zero) and flows, from the elimination its value already made or
-from none.  The LP's vertex times the shift factors `formulate_mpf`
-computed (`shift=True`) gives a cyclic component's angles; a one-pair
-component scales its unit solve; a tree's angles are one walk from its
-pinned node along the max flow, th_b = th_a + f / s.  A part is the
-angles as integers over one denominator, the component's edges and its
-net injections; `network._solution`, the one assembler of solutions,
-makes the solution from the parts on first read, each part's flows from
-the same integers as its angles, and nodes and edges no part names stay
-at zero.  No reading of a solution runs `_potentials`.
+choice stays within one block.  Each flowing component hands over its
+part of an optimal solution: net injections, angles (smallest node at
+zero) and flows.  Since the angles follow from the injections alone, a
+part's angles are the `_potentials` solve of its own net injections
+(`_part`): a tree's from its max flow, summed per node, and a cyclic
+component's from the LP's gen/load vertex.  A one-pair component's
+unit solve, made for its value, already is that solve, scaled by t.  A
+part is the angles as integers over one denominator, the component's
+edges and its net injections; `network._solution`, the one assembler of
+solutions, makes the solution from the parts on first read, each part's
+flows from the same integers as its angles, and nodes and edges no part
+names stay at zero.  So reading a solution runs one `_potentials` per
+flowing tree or cyclic component, and none for the value alone.
 
 One map serves the switching searches: `core_maps(n)[0]` finds, on
 bitmasks, the edges of a sub-network that can carry flow, and both
@@ -114,10 +115,6 @@ def _component_edges(n: Network, components: list[set[NodeId]]) -> list[list[Edg
         if e.a in where:
             grouped[where[e.a]].append(e)
     return grouped
-
-
-# a component's shift factors (det, y): y maps each terminal to its unit injection's angles, over det
-Shift = tuple[int, dict[NodeId, dict[NodeId, int]]]
 
 
 def _potentials(names: list[NodeId], edges: list[Edge], injections: list[dict[NodeId, int]]) -> tuple[int, list[dict[NodeId, int]]]:
@@ -212,7 +209,7 @@ def _potentials(names: list[NodeId], edges: list[Edge], injections: list[dict[No
     return det, angles
 
 
-def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None, *, shift: bool = False) -> LinearProgram | tuple[LinearProgram, list[Shift | None]]:
+def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None) -> LinearProgram:
     """The MPF linear program in terminal space: nonnegative gen/load variables only.
 
     For each component holding a generator and a load, one
@@ -231,11 +228,7 @@ def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None, *, sh
 
     `components`, when given, lists some of n's connected components (they
     are not checked), and the program covers those alone: it is the one
-    of the network that holds just their nodes and edges.  With `shift`,
-    return (program, shifts): per listed component, in order, its shift
-    factors (det, y), y mapping each terminal to the angles of a unit
-    injection there (a load's is -1) as `_potentials` gives them, or None
-    for a component without both a generator and a load.  An invalid
+    of the network that holds just their nodes and edges.  An invalid
     network raises `InvalidNetwork`.
     """
     require_valid(n)
@@ -250,15 +243,12 @@ def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None, *, sh
     unit.update((l, (len(gens) + j, -1)) for j, l in enumerate(loads))
     width = len(variables) + 2
     rows: list[list[int]] = []
-    shifts: list[Shift | None] = []
     for comp, edges in zip(comps, _component_edges(n, comps)):
         names = sorted(comp)
         ends = [v for v in names if v in unit]
         terminals = [unit[v] for v in ends]
-        factors = None
         if {sign for _, sign in terminals} == {1, -1}:
             det, y = _potentials(names, edges, [{v: unit[v][1]} for v in ends])
-            factors = det, dict(zip(ends, y))
             for e in edges:
                 s_num, s_den = e.s_min.as_integer_ratio()
                 cap_num, cap_den = e.cap.as_integer_ratio()
@@ -270,68 +260,38 @@ def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None, *, sh
                 row[-2] = cap_num * s_den * det
                 row[-1] = s_den * cap_den * det
                 rows.append(_reduced(row))
-        shifts.append(factors)
         if terminals:
             balance = [0] * width
             balance[-1] = 1
             for j, sign in terminals:
                 balance[j] = sign
             rows.append(balance)
-    p = LinearProgram(
+    return LinearProgram(
         variables, dict.fromkeys(variables, ZERO), dict.fromkeys(variables), rows, [RANGE] * len(rows), {_gen(g): ONE for g in gens}
     )
-    return (p, shifts) if shift else p
+
+
+def _part(names: list[NodeId], edges: list[Edge], injection: dict[NodeId, int], den: int) -> Part:
+    """A flowing component's part under the net injections injection / den, its angles from one `_potentials` solve."""
+    det, (y,) = _potentials(names, edges, [injection])
+    return edges, y, det * den, {v: Rational(p, den) for v, p in injection.items()}
 
 
 def _tree_part(names: list[NodeId], edges: list[Edge], scale: int, flows: list[int]) -> Part:
-    """A tree component's part under its max flow, each edge (a, b) carrying f / scale.
-
-    One walk from names[0], pinned at zero, fixes the angles: an edge's
-    flow is s * (th_b - th_a), so th_b = th_a + f / (scale * s).  Over
-    scale * M, M the LCM of the susceptances' numerators, every step is
-    the integer f * den(s) * (M / num(s)), and the assembler's flow
-    s * step / (scale * M) is the max flow's f / scale again.
-    """
-    m = math.lcm(*(e.s_min.numerator for e in edges))
-    steps: dict[NodeId, list[tuple[NodeId, int]]] = {v: [] for v in names}
+    """A tree component's part under its max flow, each edge (a, b) carrying f / scale: each node's net outflow is its injection."""
     net = dict.fromkeys(names, 0)
     for e, f in zip(edges, flows):
-        step = f * e.s_min.denominator * (m // e.s_min.numerator)
-        steps[e.a].append((e.b, step))
-        steps[e.b].append((e.a, -step))
         net[e.a] += f
         net[e.b] -= f
-    y = {names[0]: 0}
-    stack = [names[0]]
-    while stack:
-        u = stack.pop()
-        for w, step in steps[u]:
-            if w not in y:
-                y[w] = y[u] + step
-                stack.append(w)
-    return edges, y, scale * m, {v: Rational(x, scale) for v, x in net.items() if x}
+    return _part(names, edges, net, scale)
 
 
-def _lp_part(edges: list[Edge], gens: list[NodeId], loads: list[NodeId], shift: Shift, result: LpResult) -> Part:
-    """A cyclic component's part at the terminal program's optimal vertex.
-
-    Its angles are the sum over terminals of the terminal's variable
-    times its shift factors y / det (`formulate_mpf`), summed in integers
-    over det times the LCM of the variables' denominators.
-    """
-    det, y = shift
+def _lp_part(comp: set[NodeId], edges: list[Edge], gens: list[NodeId], loads: list[NodeId], result: LpResult) -> Part:
+    """A cyclic component's part at the terminal program's optimal vertex, its injections over their LCM."""
     a = result.assignment
-    xs = [(a[_gen(v)], y[v]) for v in gens] + [(a[_load(v)], y[v]) for v in loads]
-    scale = math.lcm(*(x.denominator for x, _ in xs))
-    total = dict.fromkeys(y[gens[0]], 0)
-    for x, y_v in xs:
-        if x:
-            k = x.numerator * (scale // x.denominator)
-            for u, y_u in y_v.items():
-                total[u] += k * y_u
-    injection = {v: a[_gen(v)] for v in gens}
-    injection.update((v, -a[_load(v)]) for v in loads)
-    return edges, total, det * scale, injection
+    xs = [(v, a[_gen(v)]) for v in gens] + [(v, -a[_load(v)]) for v in loads]
+    den = math.lcm(*(x.denominator for _, x in xs))
+    return _part(sorted(comp), edges, {v: x.numerator * (den // x.denominator) for v, x in xs}, den)
 
 
 def _one_pair(edges: list[Edge], comp: set[NodeId], g: NodeId, l: NodeId) -> tuple[Rational, Callable[[], Part]]:
@@ -374,13 +334,12 @@ def solve_mpf(n: Network) -> MpfOutcome:
     Only the other components, those with a cycle, go to the LP, as one
     terminal-space program (`formulate_mpf`).  Each component hands over
     its part of the solution, built from the parts on first read, and it
-    is an optimal one: on a tree the max flow's, with the angles walked
-    from its pinned node; on a component with a cycle the LP's gen/load
-    vertex, with the angles of the program's own shift factors.  Only
-    the components that hold both a generator and a load are grouped into
-    their edges; each one's terminals are read off `n.generators` and
-    `n.loads`, and a single part's value is the total as it is.  An
-    invalid network raises `InvalidNetwork`.
+    is an optimal one: the net injections of the tree's max flow or of
+    the LP's gen/load vertex, with the angles of one `_potentials` solve
+    of them (`_part`).  Only the components that hold both a generator
+    and a load are grouped into their edges; each one's terminals are
+    read off `n.generators` and `n.loads`, and a single part's value is
+    the total as it is.  An invalid network raises `InvalidNetwork`.
     """
     require_valid(n)
     _require_fixed(n)
@@ -406,12 +365,11 @@ def solve_mpf(n: Network) -> MpfOutcome:
         else:
             cyclic.append((comp, edges, gens, loads))
     if cyclic:
-        p, shifts = formulate_mpf(n, [comp for comp, *_ in cyclic], shift=True)
-        result = solve_lp(p)
+        result = solve_lp(formulate_mpf(n, [comp for comp, *_ in cyclic]))
         if result.status is not LpStatus.OPTIMAL:  # pragma: no cover - MPF is always bounded
             raise AssertionError(f"MPF solve ended {result.status}")
         values.append(result.value)
-        parts += [partial(_lp_part, edges, gens, loads, shift, result) for (_, edges, gens, loads), shift in zip(cyclic, shifts)]
+        parts += [partial(_lp_part, *component, result) for component in cyclic]
     # the first part's value as it is: one part, the common case, takes no Fraction add
     value = sum(values[1:], values[0]) if values else ZERO
     return MpfOutcome(value, Lazy(lambda: _solution(n, [part() for part in parts])))

@@ -367,7 +367,11 @@ def validate_network(n: Network) -> ValidationReport:
     seen_pairs: set[tuple[NodeId, NodeId]] = set()
     for e in n.edges:
         a, b, s_min, s_max = e.a, e.b, e.s_min, e.s_max
-        repeated = (a, b) in seen_pairs
+        try:
+            repeated = (a, b) in seen_pairs
+        except TypeError:
+            out.append(Violation("Structural", f"{a}--{b}", "an endpoint is of an unhashable type"))
+            continue
         seen_pairs.add((a, b))
         # signs through numerators (denominators are positive); the location only for a defect
         interval_ok = s_min.numerator > 0 and (s_min is s_max or s_min.numerator * s_max.denominator <= s_max.numerator * s_min.denominator)

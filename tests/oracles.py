@@ -51,7 +51,11 @@ went through `network`'s one assembler; those must return equal solutions.
 <= rows it stands for, the form the LP oracles read; and
 `reference_potentials` is the back substitution `mpf._potentials` ran one
 pattern at a time over whole row slices, whose determinant and angles it
-must return exactly.
+must return exactly.  `reference_tree_part` (a walk from the pinned node
+along a tree's max flow) and `reference_lp_part` (the LP vertex times the
+shift factors of unit injections at the terminals) are the two angle
+constructions that `mpf` replaced by one `_potentials` solve of a
+component's net injections; the solutions built from either must be equal.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from ldcflow import lp
 from ldcflow.lp import Lazy, LinearProgram, LpResult, LpStatus
 from ldcflow.maxflow import classical_max_flow
 from ldcflow.mpf import MpfOutcome, _require_fixed, core_maps, solve_mpf
-from ldcflow.network import Edge, Network, NodeRole, Solution, SwitchSet, ValidationReport, Violation, subnetwork, zero_solution
+from ldcflow.network import Edge, Network, NodeRole, Part, Solution, SwitchSet, ValidationReport, Violation, subnetwork, zero_solution
 from ldcflow.rational import ONE, Rational, ZERO, rat_str
 from ldcflow.classify import connected_components
 from ldcflow.errors import DecodingFailed, InvalidInstance, NotACertificate, NotOptimal
@@ -978,6 +982,55 @@ def reference_potentials(names: list[str], edges: list[Edge], injections: list[d
             y[i] = (det * row[c] - sum(map(mul, row[i + 1 : m], y[i + 1 :]))) // row[i]
         columns.append(y)
     return det, [dict(zip(names, [0, *y])) for y in columns]
+
+
+def reference_tree_part(names: list[str], edges: list[Edge], scale: int, flows: list[int]) -> Part:
+    """A tree component's part under its max flow, each edge (a, b) carrying f / scale, by one walk from names[0].
+
+    An edge's flow is s * (th_b - th_a), so th_b = th_a + f / (scale * s).
+    Over scale * M, M the LCM of the susceptances' numerators, every step
+    is the integer f * den(s) * (M / num(s)).
+    """
+    m = math.lcm(*(e.s_min.numerator for e in edges))
+    steps: dict[str, list[tuple[str, int]]] = {v: [] for v in names}
+    net = dict.fromkeys(names, 0)
+    for e, f in zip(edges, flows):
+        step = f * e.s_min.denominator * (m // e.s_min.numerator)
+        steps[e.a].append((e.b, step))
+        steps[e.b].append((e.a, -step))
+        net[e.a] += f
+        net[e.b] -= f
+    y = {names[0]: 0}
+    stack = [names[0]]
+    while stack:
+        u = stack.pop()
+        for w, step in steps[u]:
+            if w not in y:
+                y[w] = y[u] + step
+                stack.append(w)
+    return edges, y, scale * m, {v: Rational(x, scale) for v, x in net.items() if x}
+
+
+def reference_lp_part(names: list[str], edges: list[Edge], gens: list[str], loads: list[str], result: LpResult) -> Part:
+    """A cyclic component's part at the terminal program's vertex: the sum over terminals of its variable times its shift factors.
+
+    The shift factors y / det are the angles of a unit injection at each
+    terminal (a load's is -1), from `reference_potentials`; the sum is
+    taken in integers over det times the LCM of the variables' denominators.
+    """
+    det, angles = reference_potentials(names, edges, [{v: 1} for v in gens] + [{v: -1} for v in loads])
+    a = result.assignment
+    xs = [(a[f"gen[{v}]"], y_v) for v, y_v in zip(gens, angles)] + [(a[f"load[{v}]"], y_v) for v, y_v in zip(loads, angles[len(gens) :])]
+    scale = math.lcm(*(x.denominator for x, _ in xs))
+    total = dict.fromkeys(names, 0)
+    for x, y_v in xs:
+        if x:
+            k = x.numerator * (scale // x.denominator)
+            for u, y_u in y_v.items():
+                total[u] += k * y_u
+    injection = {v: a[f"gen[{v}]"] for v in gens}
+    injection.update((v, -a[f"load[{v}]"]) for v in loads)
+    return edges, total, det * scale, injection
 
 
 # an optional sign, then ASCII digits with either "/q" or one decimal point

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import SUSCEPTANCES, networks_with_idle_edges, random_ldc_network, random_tree, series_parallel_networks
 from ldcflow import mpf
@@ -16,8 +16,16 @@ from ldcflow.lp import LE, RANGE, Lazy, LpResult, LpStatus, solve_lp
 from ldcflow.maxflow import _integer_flow, classical_max_flow
 from ldcflow.mpf import MpfOutcome, _gen, _load, core_maps, formulate_mpf, solve_mpf
 from ldcflow.msf import _th, solve_msf_bnb, solve_msf_exhaustive
-from ldcflow.network import Network, NodeRole, Solution, fixed_edge, network_sum, subnetwork, total_generation, validate_network, validate_solution
-from oracles import expanded, reference_general_lp, reference_mpf_program, reference_potentials, reference_terminal_program
+from ldcflow.network import Network, NodeRole, Solution, _solution, fixed_edge, network_sum, subnetwork, total_generation, validate_network, validate_solution
+from oracles import (
+    expanded,
+    reference_general_lp,
+    reference_lp_part,
+    reference_mpf_program,
+    reference_potentials,
+    reference_terminal_program,
+    reference_tree_part,
+)
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
@@ -204,18 +212,18 @@ class TestLazySolutions:
     SEVERAL_ANGLES = {"x0": 0, "x1": F(-1, 2), "x2": F(1)}
 
     @pytest.mark.parametrize(
-        "n, eliminated, angles",
+        "n, eliminated, read, angles",
         [
-            (triangle(), [["b", "g", "l"]], PAIR_ANGLES),
-            (network_sum(triangle(), SEVERAL), [["b", "g", "l"], ["x0", "x1", "x2"]], {**PAIR_ANGLES, **SEVERAL_ANGLES}),
+            (triangle(), [["b", "g", "l"]], [], PAIR_ANGLES),
+            (network_sum(triangle(), SEVERAL), [["b", "g", "l"], ["x0", "x1", "x2"]], [["x0", "x1", "x2"]], {**PAIR_ANGLES, **SEVERAL_ANGLES}),
         ],
         ids=["pair", "mixed"],
     )
-    def test_a_closed_form_solution_is_built_on_first_read(self, builds, monkeypatch, n, eliminated, angles):
+    def test_a_closed_form_solution_is_built_on_first_read(self, builds, monkeypatch, n, eliminated, read, angles):
         # the value runs one elimination per one-pair component and one per LP
-        # component (its shift factors); reading the solution runs none: the
-        # one-pair part scales its unit solve, and the LP's part sums its vertex
-        # times the program's own shift factors
+        # component (its shift factors); reading the solution runs one more per
+        # LP component, of its vertex's injections, and none per one-pair
+        # component, whose part scales its unit solve
         parts, solved = [], []
         one_pair, potentials = mpf._one_pair, mpf._potentials
 
@@ -228,7 +236,7 @@ class TestLazySolutions:
         out = solve_mpf(n)
         assert out.value > 0 and builds == [] and parts == [] and solved == eliminated
         solution = out.solution
-        assert out.solution is solution and builds == [n] and len(parts) == 1 and solved == eliminated
+        assert out.solution is solution and builds == [n] and len(parts) == 1 and solved == eliminated + read
         # every component carries the angle-space program's vertex, edge by edge and node by node
         assert solution == _reference(n)[1]
         assert solution.angle == angles and solution.gen["g"] == 12
@@ -581,20 +589,26 @@ class TestTreeComponents:
         assert out.solution.flow[STAR.edges[0]] == 3 and len(calls) == 1
 
     @pytest.mark.parametrize(
-        "extra, eliminated",
-        [(None, []), (SEVERAL, [["x0", "x1", "x2"]]), (triangle(), [["b", "g", "l"]]), (LONELY, [])],
+        "extra, eliminated, read",
+        [
+            (None, [], [["h", "i", "j", "k"]]),
+            (SEVERAL, [["x0", "x1", "x2"]], [["h", "i", "j", "k"], ["x0", "x1", "x2"]]),
+            (triangle(), [["b", "g", "l"]], [["h", "i", "j", "k"]]),
+            (LONELY, [], [["h", "i", "j", "k"]]),
+        ],
         ids=["tree", "cyclic", "pair", "flowless"],
     )
-    def test_the_solution_walks_the_max_flow_from_the_pinned_node(self, monkeypatch, extra, eliminated):
+    def test_the_solution_solves_the_max_flows_injections_once(self, monkeypatch, extra, eliminated, read):
         n = STAR if extra is None else network_sum(STAR, extra)
         solved, potentials = [], mpf._potentials
         monkeypatch.setattr("ldcflow.mpf._potentials", lambda names, *args: solved.append(names) or potentials(names, *args))
         out = solve_mpf(n)
         assert solved == eliminated
         solution = out.solution
-        # reading the solution runs no elimination, on the tree or anywhere else
-        assert solved == eliminated
-        # from h at zero: th_k = 0 + 3/1, th_i = th_k - (1/2)/2 and th_j = th_k - (7/2)/1
+        # reading the solution runs one elimination per flowing tree or cyclic
+        # component, of its net injections, and none per one-pair or flowless one
+        assert solved == eliminated + read
+        # injections 3, 1/2, -7/2 at h, i, j: th_k = 0 + 3/1, th_i = th_k - (1/2)/2 and th_j = th_k - (7/2)/1
         h, i, j = STAR.edges
         assert {e: solution.flow[e] for e in STAR.edges} == {h: 3, i: F(1, 2), j: F(-7, 2)}
         assert {v: solution.angle[v] for v in "hijk"} == {"h": 0, "i": F(11, 4), "j": F(13, 2), "k": 3}
@@ -678,6 +692,26 @@ class TestTerminalSpace:
             n = random_ldc_network(rng, max_edges=6)
             assert solve_msf_bnb(n).value == solve_msf_exhaustive(n).value
         assert programs
+
+
+class TestPartsAgainstReferences:
+    """A flowing component's angles, one `_potentials` solve of its net injections, are the ones the replaced constructions gave."""
+
+    @settings(max_examples=15)
+    @given(tree_components("t"))
+    @example(STAR)
+    def test_a_tree_part_is_the_walk_along_its_max_flow(self, n):
+        names = sorted(n.node_names)
+        _, scale, flows, _ = _integer_flow(names, list(n.edges), n.generators, n.loads)
+        assert solve_mpf(n).solution == _solution(n, [reference_tree_part(names, list(n.edges), scale, flows)])
+
+    @settings(max_examples=15)
+    @given(cyclic_components("c"))
+    @example(SEVERAL)
+    def test_a_cyclic_part_is_the_vertex_times_the_shift_factors(self, n):
+        result = solve_lp(formulate_mpf(n))
+        reference = reference_lp_part(sorted(n.node_names), list(n.edges), list(n.generators), list(n.loads), result)
+        assert solve_mpf(n).solution == _solution(n, [reference])
 
 
 def edge_bits(n: Network, *pairs: tuple[str, str]) -> int:

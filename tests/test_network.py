@@ -197,6 +197,17 @@ class TestValidateNetwork:
             solve_mpf(n)
         assert caught.value.report == validate_network(n)
 
+    @pytest.mark.parametrize("names", [["a", "b"], [["a"], ["b"]]], ids=["str", "list"])
+    def test_unhashable_edge_endpoints_are_refused_as_structural(self, names):
+        # the repeated-pair check raised TypeError: unhashable type: 'list'
+        n = Network([(names[0], GEN), (names[1], LOAD)], [Edge(["a"], ["b"], F(1), F(1), F(1))])
+        report = validate_network(n)
+        assert report.kinds() == {"Structural"}
+        assert "Structural at ['a']--['b']: an endpoint is of an unhashable type" in str(report).splitlines()
+        with pytest.raises(InvalidNetwork) as caught:
+            solve_mpf(n)
+        assert caught.value.report == report
+
     def test_names_of_one_type_other_than_str_sort_by_name(self):
         n = Network([(10, LOAD), (2, GEN)], [fixed_edge(2, 10, 1, 3)])
         assert n.nodes == ((2, GEN), (10, LOAD)) and validate_network(n).ok
