@@ -87,6 +87,8 @@ def grid_points(e: Edge, k: int) -> list[Rational]:
 
 
 def _require_grid(n: Network, k: int) -> None:
+    if not isinstance(k, int) or type(k) is bool:  # as `rat`, a bool is refused with every other non-int
+        raise NonpositiveRefinement(f"grid refinement k must be an int, got {k!r}")
     if k < 1:
         raise NonpositiveRefinement("grid refinement k must be >= 1")
     require_valid(n)

@@ -33,7 +33,8 @@ only be that same point.
 
 Trees never need the LP: absent cycles the angles carry no constraints
 of their own, so MPF is the classical max flow.  `solve_mpf` values any
-other tree component by one integer max flow of `maxflow`.
+other tree component by one integer max flow of `maxflow`, run on the
+network's integer view over the component's nodes.
 
 So the only LP `solve_mpf` runs is the terminal-space program of the
 flowing components with a cycle, which `formulate_mpf` writes for those
@@ -277,8 +278,9 @@ def _part(names: list[NodeId], edges: list[Edge], injection: dict[NodeId, int], 
     return edges, y, det * den, {v: Rational(p, den) for v, p in injection.items()}
 
 
-def _tree_part(names: list[NodeId], edges: list[Edge], scale: int, flows: list[int]) -> Part:
+def _tree_part(comp: set[NodeId], edges: list[Edge], scale: int, flows: list[int]) -> Part:
     """A tree component's part under its max flow, each edge (a, b) carrying f / scale: each node's net outflow is its injection."""
+    names = sorted(comp)
     net = dict.fromkeys(names, 0)
     for e, f in zip(edges, flows):
         net[e.a] += f
@@ -330,7 +332,8 @@ def solve_mpf(n: Network) -> MpfOutcome:
     form (`_one_pair`): conservation makes every feasible point t times
     the angles of a unit injection from g to l, so its optimum is unique
     and is the vertex the LP would return.  Any other tree component is
-    valued by one integer max flow (`maxflow._integer_flow`), with no LP.
+    valued by one integer max flow (`maxflow._integer_flow`) on n's integer
+    view, over the component's nodes, with no LP.
     Only the other components, those with a cycle, go to the LP, as one
     terminal-space program (`formulate_mpf`).  Each component hands over
     its part of the solution, built from the parts on first read, and it
@@ -358,10 +361,10 @@ def solve_mpf(n: Network) -> MpfOutcome:
             values.append(t)
             parts.append(part)
         elif len(edges) == len(comp) - 1:
-            names = sorted(comp)
-            t, scale, flows, _ = _integer_flow(names, edges, gens, loads)
-            values.append(Rational(t, scale))
-            parts.append(partial(_tree_part, names, edges, scale, flows))
+            view = n._view
+            t, flows, _ = _integer_flow(view, n._kept, sum(1 << view.index[v] for v in comp))
+            values.append(Rational(t, view.scale))
+            parts.append(partial(_tree_part, comp, edges, view.scale, flows))
         else:
             cyclic.append((comp, edges, gens, loads))
     if cyclic:

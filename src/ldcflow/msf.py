@@ -65,7 +65,7 @@ from .errors import TooLarge
 from .lp import Lazy, LinearProgram, VarId, write_lp_text
 from .maxflow import classical_max_flow
 from .mpf import MpfOutcome, _gen, _load, _require_fixed, core_maps, pinned_nodes, solve_mpf
-from .network import Edge, Network, NodeId, NodeRole, Solution, SwitchSet, _spread, require_valid, subnetwork, zero_solution
+from .network import Edge, Network, NodeId, Solution, SwitchSet, _spread, require_valid, subnetwork, zero_solution
 from .rational import ONE, Rational, ZERO, rat, rat_str
 
 EXHAUSTIVE_EDGE_LIMIT = 20
@@ -404,14 +404,15 @@ def build_switching_milp(n: Network) -> tuple[LinearProgram, list[VarId]]:
         p.add_variable(_load(l), lower=ZERO)
     binaries = [p.add_variable(_z_var(e), lower=ZERO, upper=ONE) for e in n.edges]
 
-    for v in n.node_names:
-        coeffs: dict[str, Rational] = {}
-        for e in n.incident[v]:
-            coeffs[_flow_var(e)] = ONE if e.a == v else -ONE
-        if n.role(v) is NodeRole.GENERATOR:
-            coeffs[_gen(v)] = -ONE
-        if n.role(v) is NodeRole.LOAD:
-            coeffs[_load(v)] = ONE
+    # each node's balance, outflow - inflow - gen + load = 0, its coefficients in one pass over the edges
+    balance: dict[NodeId, dict[str, Rational]] = {v: {} for v in n.node_names}
+    for e in n.edges:
+        balance[e.a][_flow_var(e)], balance[e.b][_flow_var(e)] = ONE, -ONE
+    for g in n.generators:
+        balance[g][_gen(g)] = -ONE
+    for l in n.loads:
+        balance[l][_load(l)] = ONE
+    for coeffs in balance.values():
         p.add_constraint(coeffs, "=", ZERO)
 
     for e in n.edges:

@@ -157,7 +157,12 @@ class Network:
 
     @cached_property
     def node_names(self) -> tuple[NodeId, ...]:
-        return tuple(sorted({name for name, _ in self.nodes}))
+        """The names, sorted; node records that cannot be numbered so raise `InvalidNetwork`, carrying the `validate_network` report."""
+        try:
+            return tuple(sorted({name for name, _ in self.nodes}))
+        except (TypeError, ValueError):  # a record that is not a pair, or names that cannot be hashed or ordered
+            require_valid(self)
+            raise
 
     @cached_property
     def generators(self) -> tuple[NodeId, ...]:
@@ -196,16 +201,6 @@ class Network:
             j += 1
         return mask
 
-    @cached_property
-    def incident(self) -> dict[NodeId, tuple[Edge, ...]]:
-        by_node: dict[NodeId, list[Edge]] = {n: [] for n in self.node_names}
-        for e in self.edges:
-            if e.a in by_node:
-                by_node[e.a].append(e)
-            if e.b in by_node and e.b != e.a:
-                by_node[e.b].append(e)
-        return {n: tuple(es) for n, es in by_node.items()}
-
     def role(self, name: NodeId) -> NodeRole:
         return self.roles[name]
 
@@ -225,6 +220,11 @@ class _View:
     the capacities as integers over `scale`, the LCM of their
     denominators.  A sub-network shares its root's view and reads its
     own edges from it as the mask `Network._kept`.
+
+    Its readers: `classify`'s component walk and spanning forest,
+    `mpf.core_maps`, the masks and cut bounds of both `msf` searches, and
+    `maxflow`'s Edmonds-Karp, whose arcs are the kept edges' ends and
+    capacities, scaled once here for the root and all its sub-networks.
     """
 
     def __init__(self, n: Network):
@@ -403,8 +403,9 @@ def require_valid(n: Network) -> None:
 
 
 # what a sub-network takes from its parent: the cached properties that depend on the nodes
-# alone, and the integer view of its root
-_SHARED = ("roles", "node_names", "generators", "loads", "_view")
+# alone, and the integer view of its root; `node_names` first, so that node records it
+# cannot number raise `InvalidNetwork` before `roles` reads them
+_SHARED = ("node_names", "roles", "generators", "loads", "_view")
 
 
 def subnetwork(n: Network, switched: Iterable[Edge]) -> Network:

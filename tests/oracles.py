@@ -841,7 +841,7 @@ def reference_mpf_program(n: Network) -> LinearProgram:
     for v in n.node_names:
         coeffs: dict[str, Fraction] = {}
         total = Fraction(0)
-        for e in n.incident[v]:
+        for e in [e for e in n.edges if v in e.pair]:
             other = e.b if e.a == v else e.a
             if other == v:
                 continue
@@ -1130,7 +1130,7 @@ def reference_validate_solution(n: Network, sol: Solution) -> ValidationReport:
 def _reference_port_outflows(enc, sol: Solution, port: str, prefix: str) -> dict[Edge, Rational]:
     """Signed flow out of `port` on its glue edges (gadget edges excluded)."""
     out = {}
-    for e in enc.network.incident[port]:
+    for e in [e for e in enc.network.edges if port in e.pair]:
         other = e.b if e.a == port else e.a
         if other.startswith(prefix):
             continue

@@ -3,10 +3,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import any_network, random_ldc_network, random_tree
 from ldcflow.classify import connected_components, is_cactus, is_connected, is_tree, max_degree
+from ldcflow.errors import InvalidNetwork
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.maxflow import classical_max_flow
 from ldcflow.mpf import core_maps
-from ldcflow.network import Network, NodeRole, fixed_edge, subnetwork
+from ldcflow.network import Network, NodeRole, fixed_edge, subnetwork, validate_network, validate_solution, zero_solution
 from oracles import is_cactus_by_cycles
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
@@ -89,7 +90,7 @@ def test_max_degree_examples():
 
 def test_gfch_degree_four_sits_at_the_junction_node():
     n = gfch(1, "v", Polarity.MINUS)
-    degree = {v: len(n.incident[v]) for v in n.node_names}
+    degree = {v: len([e for e in n.edges if v in e.pair]) for v in n.node_names}
     assert degree["c"] == 4 and max(degree.values()) == 4
 
 
@@ -183,7 +184,7 @@ def test_a_sub_network_shares_its_roots_view_and_classifies_as_one_built_afresh(
 @example(complete4())
 def test_cactus_and_degree_match_their_brute_force_definitions(n):
     assert is_cactus(n) == is_cactus_by_cycles(n)
-    assert max_degree(n) == max(len(n.incident[v]) for v in n.node_names)
+    assert max_degree(n) == max(len([e for e in n.edges if v in e.pair]) for v in n.node_names)
 
 
 def plain_network(names, pairs) -> Network:
@@ -239,3 +240,36 @@ def test_a_repeated_edge_counts_as_a_subdivided_one_under_any_names(graph):
     expected = is_cactus_by_cycles(subdivided(names, pairs))
     assert is_cactus(plain_network(names, pairs)) is expected
     assert is_cactus(plain_network(renamed, [(rename[a], rename[b]) for a, b in pairs])) is expected
+
+
+PREDICATES = [connected_components, is_connected, is_tree, max_degree, is_cactus]
+# node records that cannot be numbered: `node_names` can neither unpack, order nor hash their names
+UNNUMBERABLE = {
+    "three fields": lambda: Network([("a", GEN, 1), ("b", LOAD)], [fixed_edge("a", "b", 1, 1)]),
+    "names of two types": lambda: Network([("a", GEN), (1, LOAD)]),
+    "list names": lambda: Network([(["a"], GEN), (["b"], LOAD)]),
+}
+
+
+@pytest.mark.parametrize(
+    "check",
+    [*PREDICATES, lambda n: subnetwork(n, ()), zero_solution, lambda n: validate_solution(n, zero_solution(path3()))],
+    ids=[f.__name__ for f in PREDICATES] + ["subnetwork", "zero_solution", "validate_solution"],
+)
+@pytest.mark.parametrize("kind", UNNUMBERABLE)
+def test_node_records_that_cannot_be_numbered_raise_the_invalid_network_report(kind, check):
+    n = UNNUMBERABLE[kind]()
+    with pytest.raises(InvalidNetwork) as raised:
+        check(n)
+    assert raised.value.report == validate_network(n) and raised.value.report.kinds() == {"Structural"}
+
+
+@pytest.mark.parametrize(
+    "nodes, answers",
+    [([("a", GEN), ("a", LOAD), ("b", LOAD)], [[{"a", "b"}], True, True, 1, True]), ([("a", "gen"), ("b", LOAD)], [[{"a", "b"}], True, True, 1, True])],
+    ids=["declared twice", "role not a NodeRole"],
+)
+def test_other_defective_node_records_keep_their_answers(nodes, answers):
+    n = Network(nodes, [fixed_edge("a", "b", 1, 1)])
+    assert not validate_network(n).ok
+    assert [predicate(n) for predicate in PREDICATES] == answers

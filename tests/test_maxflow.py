@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import networks_with_chains, networks_with_idle_edges, random_ldc_network, series_parallel_networks
+from ldcflow.classify import _components
 from ldcflow.errors import InvalidNetwork
 from ldcflow.gadgets import Polarity, gsch
 from ldcflow.maxflow import _integer_flow, classical_max_flow
@@ -66,7 +67,8 @@ def with_rational_capacities(rng, n):
 def test_matches_brute_force_min_cut_with_rational_capacities(rng):
     for _ in range(60):
         n = with_rational_capacities(rng, random_ldc_network(rng))
-        value, scale, flows, _ = _integer_flow(n.node_names, n.edges, n.generators, n.loads)
+        value, flows, _ = _integer_flow(n._view, n._kept, -1)
+        scale = n._view.scale
         value = F(value, scale)
         assert classical_max_flow(n) == value == min_cut_value(n)
         net_out = {v: F(0) for v in n.node_names}
@@ -85,29 +87,47 @@ def test_matches_brute_force_min_cut_with_rational_capacities(rng):
 
 
 @st.composite
-def flow_inputs(draw):
-    """`_integer_flow`'s arguments: parallel edges, any roles, capacities over several denominators, isolated nodes."""
+def flow_networks(draw):
+    """Networks for `_integer_flow`: parallel edges, any roles, capacities over several denominators, isolated nodes."""
     names = [f"v{i}" for i in range(draw(st.integers(2, 7)))]
     roles = [draw(st.sampled_from([GEN, LOAD, PLAIN])) for _ in names]
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
     drawn = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 12), st.sampled_from([1, 2, 3, 5, 6])), max_size=10))
-    edges = [fixed_edge(a, b, 1, F(num, den)) for (a, b), num, den in drawn]
-    gens = [v for v, r in zip(names, roles) if r is GEN]
-    loads = [v for v, r in zip(names, roles) if r is LOAD]
-    return draw(st.permutations(names)), edges, gens, loads
+    return Network(zip(names, roles), [fixed_edge(a, b, 1, F(num, den)) for (a, b), num, den in drawn])
 
 
-@given(flow_inputs())
-@example(
-    (
-        ["v3", "v0", "v2", "v1", "v4"],
-        [fixed_edge("v0", "v1", 1, F(3, 2)), fixed_edge("v0", "v1", 1, F(1, 3)), fixed_edge("v1", "v2", 1, 2), fixed_edge("v0", "v2", 1, F(5, 6))],
-        ["v0", "v3"],
-        ["v1", "v2"],
-    )
+def exact(value, scale, flows):
+    """A max flow's value and flows as the rationals their integers over `scale` stand for."""
+    return F(value, scale), [F(x, scale) for x in flows]
+
+
+EXAMPLE = Network(
+    [("v0", GEN), ("v1", LOAD), ("v2", LOAD), ("v3", GEN), ("v4", PLAIN)],
+    [fixed_edge("v0", "v1", 1, F(3, 2)), fixed_edge("v0", "v1", 1, F(1, 3)), fixed_edge("v1", "v2", 1, 2), fixed_edge("v0", "v2", 1, F(5, 6))],
 )
-def test_the_flows_are_the_residual_dicts(args):
-    assert _integer_flow(*args)[:3] == reference_integer_flow(*args)
+
+
+@given(flow_networks())
+@example(EXAMPLE)
+def test_the_flows_are_the_residual_dicts(n):
+    value, flows, _ = _integer_flow(n._view, n._kept, -1)
+    assert exact(value, n._view.scale, flows) == exact(*reference_integer_flow(n.node_names, n.edges, n.generators, n.loads))
+
+
+@given(flow_networks(), st.integers(min_value=0))
+@example(EXAMPLE, 0b1011)
+def test_a_kept_mask_with_gaps_and_each_component_of_it_match_the_residual_dicts(n, mask):
+    """Over the view of n: the kept edges of `mask` numbered as n's nodes, and each component on its own, its nodes in sorted order."""
+    view, kept = n._view, mask & n._kept
+    edges = [e for j, e in enumerate(n.edges) if kept >> j & 1]
+    value, flows, _ = _integer_flow(view, kept, -1)
+    assert exact(value, view.scale, flows) == exact(*reference_integer_flow(n.node_names, edges, n.generators, n.loads))
+    for numbers, nodes, _ in _components(view, kept, -1):
+        comp = sorted(n.node_names[i] for i in numbers)
+        value, flows, _ = _integer_flow(view, kept, nodes)
+        gens, loads = [v for v in n.generators if v in comp], [v for v in n.loads if v in comp]
+        reference = reference_integer_flow(comp, [e for e in edges if e.a in comp], gens, loads)
+        assert exact(value, view.scale, flows) == exact(*reference)
 
 
 def test_an_undeclared_endpoint_is_an_invalid_network():
@@ -131,7 +151,8 @@ def test_the_witness_is_a_min_cut_and_the_edges_the_flow_uses(n, mask):
     names = n.node_names
     inside = {v for i, v in enumerate(names) if side >> i & 1}
     assert set(n.generators) <= inside and not set(n.loads) & inside
-    _, scale, flows, same_side = _integer_flow(names, n.edges, n.generators, n.loads)
+    _, flows, same_side = _integer_flow(n._view, n._kept, -1)
+    scale = n._view.scale
     assert same_side == side and flowing == sum(1 << i for i, x in enumerate(flows) if x)
     crossing = [e for e in n.edges if (e.a in inside) != (e.b in inside)]
     for e, x in zip(n.edges, flows):

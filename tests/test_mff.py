@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -178,6 +179,13 @@ class TestGrid:
     def test_a_refinement_below_one_is_an_ldc_error_and_a_value_error(self, search):
         with pytest.raises(NonpositiveRefinement, match="grid refinement k must be >= 1") as caught:
             search(gfch(1))
+        assert isinstance(caught.value, LdcError) and isinstance(caught.value, ValueError)
+
+    @pytest.mark.parametrize("k", ["a", None, 1.5, 2.0, True, False], ids=["str", "none", "float", "whole float", "true", "false"])
+    @pytest.mark.parametrize("search", [lambda n, k: solve_mff_grid(n, k), lambda n, k: decide_mff(n, 5, k=k)], ids=["grid", "decide"])
+    def test_a_refinement_that_is_not_an_int_is_refused_by_name(self, search, k):
+        with pytest.raises(NonpositiveRefinement, match=f"grid refinement k must be an int, got {re.escape(repr(k))}") as caught:
+            search(gfch(1), k)
         assert isinstance(caught.value, LdcError) and isinstance(caught.value, ValueError)
 
     def test_a_grid_past_the_candidate_limit_is_refused_before_any_point_is_built(self, monkeypatch):

@@ -351,8 +351,9 @@ def assert_exact(n: Network) -> MpfOutcome:
         loads = [v for v in names if roles[v] is LOAD]
         several = gens and loads and len(gens) + len(loads) > 2
         if several and len(edges) == len(comp) - 1:
-            _, scale, flows, _ = _integer_flow(names, edges, gens, loads)
-            assert [solution.flow[e] for e in edges] == [F(f, scale) for f in flows]
+            view = n._view
+            _, flows, _ = _integer_flow(view, n._kept, sum(1 << view.index[v] for v in comp))
+            assert [solution.flow[e] for e in edges] == [F(f, view.scale) for f in flows]
             assert solution.angle[names[0]] == 0
             replayed |= {_gen(v) for v in gens} | {_load(v) for v in loads}
             continue
@@ -584,8 +585,12 @@ class TestTreeComponents:
         calls = []
         monkeypatch.setattr("ldcflow.mpf._integer_flow", lambda *args: calls.append(args) or _integer_flow(*args))
         out = solve_mpf(n)
-        ((names, edges, gens, loads),) = calls
-        assert (names, edges, sorted(gens), loads) == (["h", "i", "j", "k"], list(STAR.edges), ["h", "i"], ["j"])
+        ((view, kept, nodes),) = calls
+        assert (view, kept) == (n._view, n._kept)
+        names = [v for v in n.node_names if nodes >> view.index[v] & 1]
+        edges = [e for j, (e, (a, _)) in enumerate(zip(view.edges, view.ends)) if kept >> j & 1 and nodes >> a & 1]
+        gens, loads = [v for v in n.generators if v in names], [v for v in n.loads if v in names]
+        assert (names, edges, gens, loads) == (["h", "i", "j", "k"], list(STAR.edges), ["h", "i"], ["j"])
         assert out.solution.flow[STAR.edges[0]] == 3 and len(calls) == 1
 
     @pytest.mark.parametrize(
@@ -701,9 +706,8 @@ class TestPartsAgainstReferences:
     @given(tree_components("t"))
     @example(STAR)
     def test_a_tree_part_is_the_walk_along_its_max_flow(self, n):
-        names = sorted(n.node_names)
-        _, scale, flows, _ = _integer_flow(names, list(n.edges), n.generators, n.loads)
-        assert solve_mpf(n).solution == _solution(n, [reference_tree_part(names, list(n.edges), scale, flows)])
+        _, flows, _ = _integer_flow(n._view, n._kept, -1)
+        assert solve_mpf(n).solution == _solution(n, [reference_tree_part(list(n.node_names), list(n.edges), n._view.scale, flows)])
 
     @settings(max_examples=15)
     @given(cyclic_components("c"))

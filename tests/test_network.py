@@ -299,7 +299,7 @@ class TestInheritedSubnetwork:
                 fresh = Network(n.nodes, [e for e in n.edges if e not in removed])
                 assert sub == fresh and hash(sub) == hash(fresh)
                 assert (sub.nodes, sub.edges) == (fresh.nodes, fresh.edges)
-                for name in ("roles", "node_names", "generators", "loads", "facts_edges", "incident"):
+                for name in ("roles", "node_names", "generators", "loads", "facts_edges"):
                     assert getattr(sub, name) == getattr(fresh, name)
                 assert subnetwork(sub, ()) == sub
 
