@@ -18,7 +18,12 @@ class RoleConflict(LdcError):
 
 
 class InvalidNetwork(LdcError):
-    """A network fails structural validation; `report` holds every violation found."""
+    """A network fails structural validation, or `Network` or `Edge` refuses its records; `report` holds every violation found.
+
+    `Network` refuses a node record that is not a (str, NodeRole) pair and
+    an edge record that is not an `Edge`, and `Edge` an endpoint that is
+    not a str; every other defect is found by `validate_network`.
+    """
 
     def __init__(self, report):
         super().__init__(f"invalid network:\n{report}")

@@ -13,11 +13,16 @@ angles as flow = susceptance * (angle(b) - angle(a)).  The orientation is
 a bookkeeping convention only; reversing it and negating the flow
 describes the same physical state.
 
-Construction is deliberately permissive: `validate_network` reports
-structural defects (duplicate pairs, self-loops, empty intervals, node
-records that are not (name, role) pairs, roles that are not a
-`NodeRole`, ...) instead of the constructors raising, so that candidate
-inputs can be checked wholesale.
+Construction refuses records of the wrong type or shape: `Network`
+raises `InvalidNetwork` for a node record that is not a (str, NodeRole)
+pair or an edge record that is not an `Edge`, and `Edge` for an endpoint
+that is not a str, each report naming every such record.  Construction
+is otherwise permissive: `validate_network` reports the structural
+defects of well-typed records (an empty name, a node declared twice, a
+self-loop, a repeated pair, an undeclared endpoint, a susceptance
+interval not within the positive reals, a capacity that is not positive,
+a field that is not an int or a `Fraction`) instead of the constructors
+raising, so that candidate inputs can be checked wholesale.
 
 Solutions are assembled here, by one private assembler, `_solution`,
 from parts: each part gives the angles y / den of some nodes, the edges
@@ -35,9 +40,9 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import EdgeOverlap, InvalidNetwork, RoleConflict, UnknownEdge
 from .rational import Rational, ZERO, rat, rat_str
@@ -51,13 +56,9 @@ class NodeRole(enum.Enum):
     PLAIN = "plain"
 
 
-# each role's place in the order of the role names, which ranks two declarations of one node
-_ROLE_RANK = {role: rank for rank, role in enumerate(sorted(NodeRole, key=lambda r: r.value))}
-
-
 @dataclass(frozen=True, order=True)
 class Edge:
-    """Undirected edge; endpoints are stored in canonical (lexicographic) order."""
+    """Undirected edge; endpoints are stored in canonical (lexicographic) order, and one that is not a str raises `InvalidNetwork`."""
 
     a: NodeId
     b: NodeId
@@ -66,8 +67,10 @@ class Edge:
     cap: Rational
 
     def __post_init__(self):
-        if self.a > self.b:
-            a, b = self.a, self.b
+        a, b = self.a, self.b
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise InvalidNetwork(ValidationReport(tuple(Violation("Structural", f"{a}--{b}", f"endpoint {x!r} is not a str") for x in (a, b) if not isinstance(x, str))))
+        if a > b:
             object.__setattr__(self, "a", b)
             object.__setattr__(self, "b", a)
         if self.s_max is not self.s_min and self.s_max == self.s_min:
@@ -97,20 +100,6 @@ edge_key = attrgetter("a", "b", "s_min", "s_max", "cap")
 _node_name = itemgetter(0)
 
 
-def _name_type(nodes: Iterable) -> type:
-    """The one type of the records' names, or str when they have several: a name that is no instance of it is refused."""
-    types = {type(node[0]) for node in nodes if type(node) is tuple and node}
-    return types.pop() if len(types) == 1 else str
-
-
-def _node_key(name_type: type, node: tuple[NodeId, NodeRole]) -> tuple:
-    # a role that is not a NodeRole, or a record that is not a pair, sorts after the roles, and a record
-    # without a name of `name_type` after every one with such a name, by its repr; `validate_network` reports each
-    if type(node) is not tuple or not node or not isinstance(node[0], name_type):
-        return 1, repr(node), 0
-    return 0, node[0], _ROLE_RANK[node[1]] if len(node) == 2 and type(node[1]) is NodeRole else len(_ROLE_RANK)
-
-
 def fixed_edge(a: NodeId, b: NodeId, s, cap) -> Edge:
     """Edge with a fixed susceptance."""
     sv = rat(s)
@@ -130,10 +119,9 @@ class Network:
     then role name (a record given as a list or as a tuple subclass, such
     as a namedtuple, is stored as a plain tuple), and `edges` as a tuple
     sorted by `edge_key`, so equal networks compare and hash equal and all
-    iteration orders are deterministic.  A record that is not a sequence
-    is stored as it is, for `validate_network` to report.  When the names
-    are of several types, the records whose name is a str come first, and
-    every other record after them in the order of its repr.
+    iteration orders are deterministic.  A node record that is not a
+    (str, NodeRole) pair, or an edge record that is not an `Edge`, raises
+    `InvalidNetwork`, whose report names every such record.
     """
 
     nodes: tuple[tuple[NodeId, NodeRole], ...]
@@ -141,15 +129,19 @@ class Network:
 
     def __init__(self, nodes: Iterable[tuple[NodeId, NodeRole]], edges: Iterable[Edge] = ()):
         nodes = [node if type(node) is tuple else tuple(node) if isinstance(node, (list, tuple)) else node for node in nodes]
+        edges = list(edges)
+        refused = tuple(_record_violations(nodes, edges))
+        if refused:
+            raise InvalidNetwork(ValidationReport(refused))
+        nodes.sort(key=_node_name)
+        if len(set(map(_node_name, nodes))) < len(nodes):  # a name declared twice: its declarations by role name
+            nodes.sort(key=lambda node: (node[0], node[1].value))
         try:
-            nodes.sort(key=_node_name)
-            by_role = len(set(map(_node_name, nodes))) < len(nodes)  # a name declared twice: its declarations by role
-        except (TypeError, LookupError):  # a record without a name, or names of several types
-            by_role = True
-        if by_role:
-            nodes.sort(key=partial(_node_key, _name_type(nodes)))
+            edges.sort(key=edge_key)
+        except TypeError:  # fields of types that do not compare, on one node pair
+            raise InvalidNetwork(ValidationReport(tuple(v for e in edges for v in _field_violations(e)))) from None
         object.__setattr__(self, "nodes", tuple(nodes))
-        object.__setattr__(self, "edges", tuple(sorted(edges, key=edge_key)))
+        object.__setattr__(self, "edges", tuple(edges))
 
     @cached_property
     def roles(self) -> dict[NodeId, NodeRole]:
@@ -157,12 +149,7 @@ class Network:
 
     @cached_property
     def node_names(self) -> tuple[NodeId, ...]:
-        """The names, sorted; node records that cannot be numbered so raise `InvalidNetwork`, carrying the `validate_network` report."""
-        try:
-            return tuple(sorted({name for name, _ in self.nodes}))
-        except (TypeError, ValueError):  # a record that is not a pair, or names that cannot be hashed or ordered
-            require_valid(self)
-            raise
+        return tuple(sorted({name for name, _ in self.nodes}))
 
     @cached_property
     def generators(self) -> tuple[NodeId, ...]:
@@ -340,42 +327,32 @@ class ValidationReport:
 
 
 def validate_network(n: Network) -> ValidationReport:
-    """Report every structural defect; never raises."""
+    """Report every structural defect; never raises.
+
+    The defects are those of well-typed records, which `Network` and
+    `Edge` build: an empty name, a node declared twice, a self-loop, a
+    second edge on a node pair, an undeclared endpoint, a field that is
+    not an int or a `Fraction`, a susceptance interval not within the
+    positive reals and a capacity that is not positive.
+    """
     out: list[Violation] = []
     names = set()
-    name_type = _name_type(n.nodes)
-    for node in n.nodes:
-        if type(node) is not tuple or len(node) != 2:
-            out.append(Violation("Structural", repr(node), "node record is not a (name, role) pair"))
-            continue
-        name, role = node
-        if not isinstance(name, name_type):
-            out.append(Violation("Structural", repr(name), f"name of type {type(name).__name__} among names of type {name_type.__name__}"))
-            continue
-        try:
-            hash(name)
-        except TypeError:
-            out.append(Violation("Structural", repr(name), f"name of unhashable type {type(name).__name__}"))
-            continue
+    for name, _ in n.nodes:
         if not name:
             out.append(Violation("Structural", repr(name), "empty node name"))
         if name in names:
             out.append(Violation("Structural", name, "node declared more than once"))
-        if type(role) is not NodeRole:
-            out.append(Violation("Structural", name, f"role {role!r} is not a NodeRole"))
         names.add(name)
     seen_pairs: set[tuple[NodeId, NodeId]] = set()
     for e in n.edges:
-        a, b, s_min, s_max = e.a, e.b, e.s_min, e.s_max
-        try:
-            repeated = (a, b) in seen_pairs
-        except TypeError:
-            out.append(Violation("Structural", f"{a}--{b}", "an endpoint is of an unhashable type"))
-            continue
+        a, b, s_min, s_max, cap = e.a, e.b, e.s_min, e.s_max, e.cap
+        repeated = (a, b) in seen_pairs
         seen_pairs.add((a, b))
+        fields = () if type(s_min) is type(s_max) is type(cap) is Fraction else _field_violations(e)
         # signs through numerators (denominators are positive); the location only for a defect
-        interval_ok = s_min.numerator > 0 and (s_min is s_max or s_min.numerator * s_max.denominator <= s_max.numerator * s_min.denominator)
-        if a != b and not repeated and a in names and b in names and interval_ok and e.cap.numerator > 0:
+        interval_ok = not fields and s_min.numerator > 0 and (s_min is s_max or s_min.numerator * s_max.denominator <= s_max.numerator * s_min.denominator)
+        cap_ok = not fields and cap.numerator > 0
+        if a != b and not repeated and a in names and b in names and interval_ok and cap_ok:
             continue
         loc = f"{a}--{b}"
         if a == b:
@@ -385,11 +362,35 @@ def validate_network(n: Network) -> ValidationReport:
         for endpoint in (a, b):
             if endpoint not in names:
                 out.append(Violation("Structural", loc, f"endpoint {endpoint} is not a declared node"))
-        if not interval_ok:
+        out += fields
+        if not (fields or interval_ok):
             out.append(Violation("Structural", loc, f"susceptance interval [{rat_str(s_min)}, {rat_str(s_max)}] is not within the positive reals"))
-        if e.cap.numerator <= 0:
-            out.append(Violation("Structural", loc, f"capacity {rat_str(e.cap)} is not positive"))
+        if not (fields or cap_ok):
+            out.append(Violation("Structural", loc, f"capacity {rat_str(cap)} is not positive"))
     return ValidationReport(tuple(out))
+
+
+def _record_violations(nodes: list, edges: list) -> Iterator[Violation]:
+    """What `Network` refuses: node records that are not (str, NodeRole) pairs, and edge records that are not an `Edge`."""
+    for node in nodes:
+        if type(node) is not tuple or len(node) != 2:
+            yield Violation("Structural", repr(node), "node record is not a (name, role) pair")
+            continue
+        name, role = node
+        if not isinstance(name, str):
+            name = repr(name)
+            yield Violation("Structural", name, f"name of type {type(node[0]).__name__} is not a str")
+        if type(role) is not NodeRole:
+            yield Violation("Structural", name, f"role {role!r} is not a NodeRole")
+    for e in edges:
+        if not isinstance(e, Edge):
+            yield Violation("Structural", repr(e), "edge record is not an Edge")
+
+
+def _field_violations(e: Edge) -> list[Violation]:
+    """One violation per field of e that is not an int or a `Fraction`; a bool is not taken for an int, as `rat` refuses it."""
+    fields = (("s_min", e.s_min), ("s_max", e.s_max), ("cap", e.cap))
+    return [Violation("Structural", f"{e.a}--{e.b}", f"{label} {x!r} is not an int or a Fraction") for label, x in fields if type(x) is bool or not isinstance(x, (int, Fraction))]
 
 
 def require_valid(n: Network) -> None:
@@ -403,8 +404,7 @@ def require_valid(n: Network) -> None:
 
 
 # what a sub-network takes from its parent: the cached properties that depend on the nodes
-# alone, and the integer view of its root; `node_names` first, so that node records it
-# cannot number raise `InvalidNetwork` before `roles` reads them
+# alone, and the integer view of its root
 _SHARED = ("node_names", "roles", "generators", "loads", "_view")
 
 
@@ -424,7 +424,8 @@ def subnetwork(n: Network, switched: Iterable[Edge]) -> Network:
     A valid network holds no edge twice, so the count shows whether every
     switched object is one of n's; if any is not (an equal copy, or an
     edge n does not hold), the edges are matched by equality as for any
-    other parent, and an unknown one raises `UnknownEdge`.
+    other parent, and an unknown one, or an item that is not an `Edge`,
+    raises `UnknownEdge`.
     """
     switched = tuple(switched)
     report = n.__dict__.get("_report")
@@ -433,13 +434,13 @@ def subnetwork(n: Network, switched: Iterable[Edge]) -> Network:
         ids = set(map(id, switched))
         kept = [e for e in n.edges if id(e) not in ids]
     if not valid or len(kept) + len(ids) != len(n.edges):
-        removed = frozenset(switched)
+        removed = frozenset(e for e in switched if isinstance(e, Edge))
         kept = [e for e in n.edges if e not in removed]
-        # on a valid network, the count shows that every removed edge was found
-        if not valid or len(kept) + len(removed) != len(n.edges):
+        # on a valid network, the counts show that every switched item is an edge and was found
+        if not valid or len(kept) + len(removed) != len(n.edges) or len(removed) != len(switched):
             have = set(n.edges)
-            for e in removed:
-                if e not in have:
+            for e in switched:
+                if not isinstance(e, Edge) or e not in have:
                     raise UnknownEdge(f"{e} is not an edge of the network")
     sub = object.__new__(Network)
     cache = vars(sub)

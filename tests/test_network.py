@@ -4,11 +4,11 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import any_network, random_ldc_network
 from ldcflow import network
-from ldcflow.errors import EdgeOverlap, InvalidNetwork, RoleConflict, UnknownEdge
+from ldcflow.errors import EdgeOverlap, InvalidNetwork, LdcError, RoleConflict, UnknownEdge
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.maxflow import classical_max_flow
 from ldcflow.mff import decide_mff, enumerate_endpoint_optima, solve_mff_endpoints, solve_mff_grid
@@ -120,48 +120,6 @@ class TestValidateNetwork:
     def test_a_node_name_defect_is_reported(self, nodes, line):
         assert str(validate_network(Network(nodes, []))).splitlines() == [line]
 
-    @pytest.mark.parametrize(
-        "solve",
-        [solve_mpf, solve_msf_bnb, solve_msf_exhaustive, classical_max_flow, solve_mff_endpoints, lambda n: decide_msf(n, F(1))],
-        ids=["mpf", "msf_bnb", "msf_exhaustive", "max_flow", "mff", "decide_msf"],
-    )
-    def test_a_role_that_is_not_a_node_role_is_refused(self, solve):
-        # a role name in place of the role matches no generator and no load, so every solver would answer 0
-        n = Network([("a", "generator"), ("b", "load")], [fixed_edge("a", "b", 1, 1)])
-        with pytest.raises(InvalidNetwork) as caught:
-            solve(n)
-        assert str(caught.value.report).splitlines() == [
-            "Structural at a: role 'generator' is not a NodeRole",
-            "Structural at b: role 'load' is not a NodeRole",
-        ]
-
-    @pytest.mark.parametrize(
-        "solve",
-        [solve_mpf, solve_msf_bnb, solve_msf_exhaustive, classical_max_flow, solve_mff_endpoints, lambda n: decide_msf(n, F(1))],
-        ids=["mpf", "msf_bnb", "msf_exhaustive", "max_flow", "mff", "decide_msf"],
-    )
-    def test_a_node_record_that_is_not_a_pair_is_refused(self, solve):
-        # unpacking the three-field record raised ValueError: too many values to unpack
-        n = Network([("a", GEN, 1), ("b", LOAD)], [fixed_edge("a", "b", 1, 1)])
-        with pytest.raises(InvalidNetwork) as caught:
-            solve(n)
-        assert str(caught.value.report).splitlines() == [
-            "Structural at ('a', <NodeRole.GENERATOR: 'generator'>, 1): node record is not a (name, role) pair",
-            "Structural at a--b: endpoint a is not a declared node",
-        ]
-
-    @pytest.mark.parametrize("solve", [solve_mpf, solve_msf_bnb, classical_max_flow], ids=["mpf", "msf_bnb", "max_flow"])
-    @pytest.mark.parametrize("record", [5, (), ("a", GEN, 1), None], ids=["int", "empty", "three fields", "None"])
-    def test_a_record_that_is_not_a_pair_builds_and_is_refused_as_structural(self, record, solve):
-        # `Network` raised TypeError or IndexError for 5 and () while sorting the records by name
-        n = Network([record, ("b", LOAD)], [fixed_edge("a", "b", 1, 1)])
-        assert n == Network([("b", LOAD), record], [fixed_edge("a", "b", 1, 1)])
-        assert [v.kind for v in validate_network(n).violations] == ["Structural", "Structural"]
-        assert str(validate_network(n)).splitlines()[0] == f"Structural at {record!r}: node record is not a (name, role) pair"
-        with pytest.raises(InvalidNetwork) as caught:
-            solve(n)
-        assert caught.value.report == validate_network(n)
-
     @pytest.mark.parametrize("solve", [solve_mpf, solve_msf_bnb, classical_max_flow], ids=["mpf", "msf_bnb", "max_flow"])
     @pytest.mark.parametrize("record", [list, NamedRecord._make], ids=["list", "namedtuple"])
     def test_a_record_given_as_a_list_or_a_tuple_subclass_is_stored_as_a_tuple(self, record, solve):
@@ -173,62 +131,153 @@ class TestValidateNetwork:
         assert validate_network(n).ok
         assert solve(n) == solve(twin)
 
-    @pytest.mark.parametrize("solve", [solve_mpf, solve_msf_bnb, classical_max_flow], ids=["mpf", "msf_bnb", "max_flow"])
-    @pytest.mark.parametrize("name", [1, None, ["c"]], ids=["int", "None", "list"])
-    def test_a_name_of_another_type_builds_and_is_refused_as_structural(self, name, solve):
-        # `Network` raised TypeError from sorting names of several types
-        records = [(name, GEN), ("a", GEN), ("b", LOAD)]
-        n = Network(records, [fixed_edge("a", "b", 1, 1)])
-        assert n.nodes == (("a", GEN), ("b", LOAD), (name, GEN))
-        assert n == Network(records[::-1], [fixed_edge("a", "b", 1, 1)])
-        assert str(validate_network(n)).splitlines() == [f"Structural at {name!r}: name of type {type(name).__name__} among names of type str"]
-        with pytest.raises(InvalidNetwork) as caught:
-            solve(n)
-        assert caught.value.report == validate_network(n)
-
-    def test_unhashable_names_of_one_type_are_refused_as_structural(self):
-        # `validate_network` raised TypeError: unhashable type: 'list'
-        n = Network([(["a"], GEN), (["b"], LOAD)])
-        assert str(validate_network(n)).splitlines() == [
-            "Structural at ['a']: name of unhashable type list",
-            "Structural at ['b']: name of unhashable type list",
-        ]
-        with pytest.raises(InvalidNetwork) as caught:
-            solve_mpf(n)
-        assert caught.value.report == validate_network(n)
-
-    @pytest.mark.parametrize("names", [["a", "b"], [["a"], ["b"]]], ids=["str", "list"])
-    def test_unhashable_edge_endpoints_are_refused_as_structural(self, names):
-        # the repeated-pair check raised TypeError: unhashable type: 'list'
-        n = Network([(names[0], GEN), (names[1], LOAD)], [Edge(["a"], ["b"], F(1), F(1), F(1))])
+    @pytest.mark.parametrize("field", ["s_min", "s_max", "cap"])
+    @pytest.mark.parametrize("value", [1.5, "3/2", True, None], ids=["float", "str", "bool", "None"])
+    def test_a_field_that_is_not_an_int_or_a_fraction_is_reported(self, value, field):
+        # a float or a str raised AttributeError, and a bool validated and solved like the int 1
+        fields = dict(s_min=F(2), s_max=F(2), cap=F(2)) | {field: value}
+        n = Network([("a", GEN), ("b", LOAD)], [Edge("a", "b", **fields)])
         report = validate_network(n)
-        assert report.kinds() == {"Structural"}
-        assert "Structural at ['a']--['b']: an endpoint is of an unhashable type" in str(report).splitlines()
-        with pytest.raises(InvalidNetwork) as caught:
-            solve_mpf(n)
-        assert caught.value.report == report
+        assert str(report).splitlines() == [f"Structural at a--b: {field} {value!r} is not an int or a Fraction"]
+        for solve in (solve_mpf, classical_max_flow):
+            with pytest.raises(InvalidNetwork) as caught:
+                solve(n)
+            assert caught.value.report == report
 
-    def test_names_of_one_type_other_than_str_sort_by_name(self):
-        n = Network([(10, LOAD), (2, GEN)], [fixed_edge(2, 10, 1, 3)])
-        assert n.nodes == ((2, GEN), (10, LOAD)) and validate_network(n).ok
-        assert solve_mpf(n).value == 3
-        # a name declared twice: its declarations by role, the names still by value, not by repr
-        assert Network([(10, PLAIN), (2, GEN), (10, LOAD)]).nodes == ((2, GEN), (10, LOAD), (10, PLAIN))
+    def test_int_fields_are_exact(self):
+        n = Network([("a", GEN), ("b", LOAD)], [Edge("a", "b", 1, 2, 3)])
+        assert validate_network(n).ok and classical_max_flow(n) == 3
 
-    def test_a_name_declared_twice_in_a_record_that_is_not_a_pair_is_reported(self):
-        # sorting the declarations of "a" by role raised IndexError
-        n = Network([("a", GEN), ("a",), ("b", LOAD)])
-        assert n.nodes == (("a", GEN), ("a",), ("b", LOAD))
-        assert str(validate_network(n)).splitlines() == ["Structural at ('a',): node record is not a (name, role) pair"]
 
-    def test_a_name_declared_twice_with_a_role_that_is_not_a_node_role_is_reported(self):
-        n = Network([("a", "generator"), ("a", LOAD), ("b", PLAIN), ("a", PLAIN)])
-        assert n.nodes == (("a", LOAD), ("a", PLAIN), ("a", "generator"), ("b", PLAIN))
-        assert str(validate_network(n)).splitlines() == [
-            "Structural at a: node declared more than once",
-            "Structural at a: node declared more than once",
-            "Structural at a: role 'generator' is not a NodeRole",
+class Name(str):
+    """A str subclass, which `Network` and `Edge` take as a name."""
+
+
+def refusal(build) -> list[str]:
+    """The lines of the `InvalidNetwork` report that `build()` raises, every one `Structural`."""
+    with pytest.raises(InvalidNetwork) as caught:
+        build()
+    assert caught.value.report.kinds() == {"Structural"}
+    return str(caught.value.report).splitlines()
+
+
+class TestConstruction:
+    """`Network` refuses node records that are not (str, NodeRole) pairs and edge records that are not an `Edge`, naming each."""
+
+    @pytest.mark.parametrize("role", ["generator", "load", "plain", None, 0, "GENERATOR"])
+    def test_a_role_that_is_not_a_node_role_is_refused(self, role):
+        # a role name in place of the role matches no generator and no load, so every solver would answer 0
+        assert refusal(lambda: Network([("a", role), ("b", LOAD)], [fixed_edge("a", "b", 1, 1)])) == [f"Structural at a: role {role!r} is not a NodeRole"]
+
+    def test_every_bad_record_is_named_in_the_order_given(self):
+        nodes = [("a", GEN, 1), ("b", "load"), (1, LOAD), ("c", PLAIN), (None, "plain")]
+        assert refusal(lambda: Network(nodes, [fixed_edge("a", "b", 1, 1), ("a", "c")])) == [
+            "Structural at ('a', <NodeRole.GENERATOR: 'generator'>, 1): node record is not a (name, role) pair",
+            "Structural at b: role 'load' is not a NodeRole",
+            "Structural at 1: name of type int is not a str",
+            "Structural at None: name of type NoneType is not a str",
+            "Structural at None: role 'plain' is not a NodeRole",
+            "Structural at ('a', 'c'): edge record is not an Edge",
         ]
+
+    @pytest.mark.parametrize("record", [5, (), ("a", GEN, 1), None, "ab", ["a"]], ids=["int", "empty", "three fields", "None", "str", "one-field list"])
+    def test_a_record_that_is_not_a_pair_is_refused(self, record):
+        line = f"Structural at {tuple(record) if type(record) is list else record!r}: node record is not a (name, role) pair"
+        assert refusal(lambda: Network([record, ("b", LOAD)], [fixed_edge("a", "b", 1, 1)])) == [line]
+        assert refusal(lambda: Network([("b", LOAD), record])) == [line]
+
+    @pytest.mark.parametrize("name", [1, None, ["c"], True, b"c"], ids=["int", "None", "list", "bool", "bytes"])
+    def test_a_name_of_another_type_is_refused(self, name):
+        # `Network` raised TypeError from sorting names of several types, and then sorted such records by their repr
+        records = [(name, GEN), ("a", GEN), ("b", LOAD)]
+        line = f"Structural at {name!r}: name of type {type(name).__name__} is not a str"
+        assert refusal(lambda: Network(records, [fixed_edge("a", "b", 1, 1)])) == [line]
+        assert refusal(lambda: Network(records[::-1])) == [line]
+
+    def test_unhashable_names_are_refused(self):
+        # `validate_network` raised TypeError: unhashable type: 'list'
+        assert refusal(lambda: Network([(["a"], GEN), (["b"], LOAD)])) == [
+            "Structural at ['a']: name of type list is not a str",
+            "Structural at ['b']: name of type list is not a str",
+        ]
+
+    @pytest.mark.parametrize("ends", [(["a"], ["b"]), ("a", ["b"])], ids=["both", "one"])
+    def test_unhashable_edge_endpoints_are_refused(self, ends):
+        # the repeated-pair check raised TypeError: unhashable type: 'list'
+        a, b = ends
+        lines = [f"Structural at {a}--{b}: endpoint {x!r} is not a str" for x in ends if type(x) is list]
+        assert refusal(lambda: Network([("a", GEN), ("b", LOAD)], [Edge(a, b, F(1), F(1), F(1))])) == lines
+
+    def test_names_that_are_not_str_are_refused_and_str_subclasses_sort_by_name(self):
+        assert refusal(lambda: Network([(10, LOAD), (2, GEN)])) == ["Structural at 10: name of type int is not a str", "Structural at 2: name of type int is not a str"]
+        assert refusal(lambda: fixed_edge(2, 10, 1, 3)) == ["Structural at 2--10: endpoint 2 is not a str", "Structural at 2--10: endpoint 10 is not a str"]
+        n = Network([(Name("b"), LOAD), (Name("a"), GEN)], [fixed_edge(Name("b"), Name("a"), 1, 3)])
+        assert n.nodes == (("a", GEN), ("b", LOAD)) and validate_network(n).ok
+        assert solve_mpf(n).value == 3
+        # a name declared twice: its declarations by role name
+        assert Network([(Name("b"), PLAIN), ("a", GEN), ("b", LOAD)]).nodes == (("a", GEN), ("b", LOAD), ("b", PLAIN))
+
+    def test_a_name_declared_twice_in_a_record_that_is_not_a_pair_is_refused(self):
+        # sorting the declarations of "a" by role raised IndexError
+        assert refusal(lambda: Network([("a", GEN), ("a",), ("b", LOAD)])) == ["Structural at ('a',): node record is not a (name, role) pair"]
+
+    def test_a_name_declared_twice_with_a_role_that_is_not_a_node_role_is_refused(self):
+        assert refusal(lambda: Network([("a", "generator"), ("a", LOAD), ("b", PLAIN), ("a", PLAIN)])) == ["Structural at a: role 'generator' is not a NodeRole"]
+        n = Network([("a", GEN), ("a", LOAD), ("b", PLAIN), ("a", PLAIN)])
+        assert n.nodes == (("a", GEN), ("a", LOAD), ("a", PLAIN), ("b", PLAIN))
+        assert str(validate_network(n)).splitlines() == ["Structural at a: node declared more than once"] * 2
+
+    @pytest.mark.parametrize("record", [("a", "b"), ["a", "b"], None, "a--b", {"a": "b"}], ids=["tuple", "list", "None", "str", "dict"])
+    def test_an_edge_record_that_is_not_an_edge_is_refused(self, record):
+        assert refusal(lambda: Network([("a", GEN), ("b", LOAD)], [fixed_edge("a", "b", 1, 1), record])) == [f"Structural at {record!r}: edge record is not an Edge"]
+
+    def test_edges_on_one_pair_whose_fields_do_not_compare_are_refused(self):
+        # sorting the edges compares the fields of two edges on one pair: a str and a Fraction raised TypeError
+        edges = [Edge("a", "b", "1", "1", F(1)), Edge("a", "b", F(1), F(1), F(1))]
+        assert refusal(lambda: Network([("a", GEN), ("b", LOAD)], edges)) == [
+            "Structural at a--b: s_min '1' is not an int or a Fraction",
+            "Structural at a--b: s_max '1' is not an int or a Fraction",
+        ]
+
+
+# near misses of the records: names and roles of the wrong type, fields that are not exact; each
+# list begins with well-typed values, so that some drawn networks are built and go on to the solvers
+NEAR_NAMES = st.sampled_from(["a", "b", "c", "a", "b", "", Name("a"), 0, None, True, ["a"]])
+NEAR_ROLES = st.sampled_from([GEN, LOAD, PLAIN, GEN, LOAD, "generator", "load", "plain"])
+NEAR_FIELDS = st.sampled_from([F(1), F(2), F(1, 2), F(1), 2, F(0), -1, 1.5, float("nan"), "1", "3/2", True, None])
+
+
+@st.composite
+def near_miss_nodes(draw):
+    """A node record: a pair, a list, a namedtuple, or a tuple of the wrong length."""
+    name, role = draw(NEAR_NAMES), draw(NEAR_ROLES)
+    return draw(st.sampled_from([(name, role), (name, role), [name, role], NamedRecord(name, role), (name,), (name, role, 1)]))
+
+
+@st.composite
+def near_miss_edges(draw):
+    """(True, fields) for an edge to build from the fields, or (False, record) for a record that is not an edge."""
+    fields = tuple(draw(NEAR_NAMES) for _ in range(2)) + tuple(draw(NEAR_FIELDS) for _ in range(3))
+    return draw(st.sampled_from([(True, fields), (True, fields), (False, fields[:2]), (False, fields)]))
+
+
+@settings(max_examples=300)  # one drawn network in ten is built: about thirty reach the solvers
+@given(nodes=st.lists(near_miss_nodes(), max_size=4), edges=st.lists(near_miss_edges(), max_size=3))
+def test_construction_refuses_near_miss_records_or_builds_a_network_every_solver_answers(nodes, edges):
+    try:
+        n = Network(nodes, [Edge(*record) if build else record for build, record in edges])
+    except InvalidNetwork as caught:
+        assert not caught.report.ok and caught.report.kinds() == {"Structural"}
+        return
+    assert all(type(node) is tuple and isinstance(node[0], str) and type(node[1]) is NodeRole for node in n.nodes)
+    report = validate_network(n)
+    for solve in (solve_mpf, classical_max_flow):
+        try:
+            solve(n)
+        except LdcError:
+            pass
+        else:
+            assert report.ok
 
 
 class TestEdge:
@@ -254,6 +303,17 @@ class TestEdge:
         assert fixed == Edge("a", "b", F(3, 2), F(3, 2), F(2))
         assert facts.is_facts and (facts.s_min, facts.s_max) == (1, 2)
 
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("value", [1, None, True, ["a"], b"a"], ids=["int", "None", "bool", "list", "bytes"])
+    def test_an_endpoint_that_is_not_a_str_is_refused(self, value, side):
+        # an int beside a str raised TypeError from the orientation's comparison
+        ends = {"a": "z", "b": "z", side: value}
+        assert refusal(lambda: Edge(ends["a"], ends["b"], F(1), F(1), F(1))) == [f"Structural at {ends['a']}--{ends['b']}: endpoint {value!r} is not a str"]
+
+    def test_a_str_subclass_endpoint_is_taken_as_a_name(self):
+        e = Edge(Name("z"), "a", F(1), F(1), F(1))
+        assert e.pair == ("a", "z") and e == fixed_edge("a", "z", 1, 1)
+
 
 class TestSubnetwork:
     def test_empty_switch_set_is_identity(self, gsch1):
@@ -272,6 +332,15 @@ class TestSubnetwork:
     def test_unknown_edge_raises(self, gsch1):
         with pytest.raises(UnknownEdge):
             subnetwork(gsch1, {fixed_edge("g", "v", 1, 99)})
+
+    @pytest.mark.parametrize("validated", [True, False], ids=["validated", "unchecked"])
+    @pytest.mark.parametrize("item", [["g", "v"], ("g", "v"), None, "g--v"], ids=["list", "tuple", "None", "str"])
+    def test_an_item_that_is_not_an_edge_is_unknown(self, gsch1, item, validated):
+        # a list raised TypeError: unhashable type: 'list'
+        if validated:
+            network.require_valid(gsch1)
+        with pytest.raises(UnknownEdge, match="is not an edge of the network"):
+            subnetwork(gsch1, [gsch1.edges[0], item])
 
     def test_sequential_removal_composes(self, gsch1):
         e1, e2 = gsch1.edges[0], gsch1.edges[1]
