@@ -22,7 +22,8 @@ class InvalidNetwork(LdcError):
 
     `Network` refuses a node record that is not a (str, NodeRole) pair and
     an edge record that is not an `Edge`, and `Edge` an endpoint that is
-    not a str; every other defect is found by `validate_network`.
+    not a str and a susceptance or capacity that is not an int or a
+    `Fraction`; every other defect is found by `validate_network`.
     """
 
     def __init__(self, report):

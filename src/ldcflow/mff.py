@@ -26,7 +26,7 @@ from functools import partial
 from .errors import NonpositiveRefinement, SusceptanceOutOfRange, TooManyFactsEdges, UnknownEdge
 from .mpf import MpfOutcome, solve_mpf
 from .msf import optima, ordered_map
-from .network import Edge, Network, Solution, fixed_edge, require_valid
+from .network import Edge, Network, Solution, require_valid
 from .rational import Rational, rat
 
 FACTS_EDGE_LIMIT = 12
@@ -47,7 +47,7 @@ class MffDecision(enum.Enum):
 
 
 def pin_susceptances(n: Network, assignment: SusAssignment) -> Network:
-    """Fix every assigned edge to its value: `UnknownEdge` for a key not in n, `SusceptanceOutOfRange` off its interval."""
+    """Fix every assigned edge to its value: `UnknownEdge` for a key not in n, `InvalidNetwork` for a value that is not an int or a `Fraction`, `SusceptanceOutOfRange` off its interval."""
     unknown = assignment.keys() - n.edges
     if unknown:
         raise UnknownEdge(f"{min(unknown)} is not an edge of the network")
@@ -55,9 +55,10 @@ def pin_susceptances(n: Network, assignment: SusAssignment) -> Network:
     for e in n.edges:
         if e in assignment:
             value = assignment[e]
-            if not (e.s_min <= value <= e.s_max):
+            pinned = Edge(e.a, e.b, value, value, e.cap)
+            if not (e.s_min <= pinned.s_min <= e.s_max):
                 raise SusceptanceOutOfRange(f"susceptance {value} outside {e}")
-            new_edges.append(fixed_edge(e.a, e.b, value, e.cap))
+            new_edges.append(pinned)
         else:
             new_edges.append(e)
     return Network(n.nodes, new_edges)

@@ -16,12 +16,14 @@ describes the same physical state.
 Construction refuses records of the wrong type or shape: `Network`
 raises `InvalidNetwork` for a node record that is not a (str, NodeRole)
 pair or an edge record that is not an `Edge`, and `Edge` for an endpoint
-that is not a str, each report naming every such record.  Construction
-is otherwise permissive: `validate_network` reports the structural
-defects of well-typed records (an empty name, a node declared twice, a
-self-loop, a repeated pair, an undeclared endpoint, a susceptance
-interval not within the positive reals, a capacity that is not positive,
-a field that is not an int or a `Fraction`) instead of the constructors
+that is not a str or a numeric field that is not an int or a `Fraction`
+(a bool, a float, a str, None), each report naming every such record or
+field.  `Edge` stores an int field as a `Fraction`, so every edge holds
+exact rationals.  Construction is otherwise permissive:
+`validate_network` reports the structural defects of well-typed records
+(an empty name, a node declared twice, a self-loop, a repeated pair, an
+undeclared endpoint, a susceptance interval not within the positive
+reals, a capacity that is not positive) instead of the constructors
 raising, so that candidate inputs can be checked wholesale.
 
 Solutions are assembled here, by one private assembler, `_solution`,
@@ -58,7 +60,13 @@ class NodeRole(enum.Enum):
 
 @dataclass(frozen=True, order=True)
 class Edge:
-    """Undirected edge; endpoints are stored in canonical (lexicographic) order, and one that is not a str raises `InvalidNetwork`."""
+    """Undirected edge; endpoints are stored in canonical (lexicographic) order, and fields as `Fraction`s.
+
+    An endpoint that is not a str, or a field that is not an int or a
+    `Fraction` (a bool is not taken for an int, as `rat` refuses it),
+    raises `InvalidNetwork` naming each; an int field is stored as a
+    `Fraction`.
+    """
 
     a: NodeId
     b: NodeId
@@ -68,8 +76,14 @@ class Edge:
 
     def __post_init__(self):
         a, b = self.a, self.b
-        if not (isinstance(a, str) and isinstance(b, str)):
-            raise InvalidNetwork(ValidationReport(tuple(Violation("Structural", f"{a}--{b}", f"endpoint {x!r} is not a str") for x in (a, b) if not isinstance(x, str))))
+        if not (type(self.s_min) is type(self.s_max) is type(self.cap) is Fraction and isinstance(a, str) and isinstance(b, str)):
+            ends = [x for x in (a, b) if not isinstance(x, str)]
+            fields = [(label, getattr(self, label)) for label in ("s_min", "s_max", "cap")]
+            refused = [f"endpoint {x!r} is not a str" for x in ends] + [f"{label} {x!r} is not an int or a Fraction" for label, x in fields if type(x) is bool or not isinstance(x, (int, Fraction))]
+            if refused:  # located in canonical order once both ends are names
+                raise InvalidNetwork(ValidationReport(tuple(Violation("Structural", f"{b}--{a}" if not ends and a > b else f"{a}--{b}", line) for line in refused)))
+            for label, x in fields:
+                object.__setattr__(self, label, Fraction(x))
         if a > b:
             object.__setattr__(self, "a", b)
             object.__setattr__(self, "b", a)
@@ -136,10 +150,7 @@ class Network:
         nodes.sort(key=_node_name)
         if len(set(map(_node_name, nodes))) < len(nodes):  # a name declared twice: its declarations by role name
             nodes.sort(key=lambda node: (node[0], node[1].value))
-        try:
-            edges.sort(key=edge_key)
-        except TypeError:  # fields of types that do not compare, on one node pair
-            raise InvalidNetwork(ValidationReport(tuple(v for e in edges for v in _field_violations(e)))) from None
+        edges.sort(key=edge_key)
         object.__setattr__(self, "nodes", tuple(nodes))
         object.__setattr__(self, "edges", tuple(edges))
 
@@ -330,10 +341,11 @@ def validate_network(n: Network) -> ValidationReport:
     """Report every structural defect; never raises.
 
     The defects are those of well-typed records, which `Network` and
-    `Edge` build: an empty name, a node declared twice, a self-loop, a
-    second edge on a node pair, an undeclared endpoint, a field that is
-    not an int or a `Fraction`, a susceptance interval not within the
-    positive reals and a capacity that is not positive.
+    `Edge` build (`Edge` refuses a field that is not an int or a
+    `Fraction`): an empty name, a node declared twice, a self-loop, a
+    second edge on a node pair, an undeclared endpoint, a susceptance
+    interval not within the positive reals and a capacity that is not
+    positive.
     """
     out: list[Violation] = []
     names = set()
@@ -348,10 +360,9 @@ def validate_network(n: Network) -> ValidationReport:
         a, b, s_min, s_max, cap = e.a, e.b, e.s_min, e.s_max, e.cap
         repeated = (a, b) in seen_pairs
         seen_pairs.add((a, b))
-        fields = () if type(s_min) is type(s_max) is type(cap) is Fraction else _field_violations(e)
         # signs through numerators (denominators are positive); the location only for a defect
-        interval_ok = not fields and s_min.numerator > 0 and (s_min is s_max or s_min.numerator * s_max.denominator <= s_max.numerator * s_min.denominator)
-        cap_ok = not fields and cap.numerator > 0
+        interval_ok = s_min.numerator > 0 and (s_min is s_max or s_min.numerator * s_max.denominator <= s_max.numerator * s_min.denominator)
+        cap_ok = cap.numerator > 0
         if a != b and not repeated and a in names and b in names and interval_ok and cap_ok:
             continue
         loc = f"{a}--{b}"
@@ -362,10 +373,9 @@ def validate_network(n: Network) -> ValidationReport:
         for endpoint in (a, b):
             if endpoint not in names:
                 out.append(Violation("Structural", loc, f"endpoint {endpoint} is not a declared node"))
-        out += fields
-        if not (fields or interval_ok):
+        if not interval_ok:
             out.append(Violation("Structural", loc, f"susceptance interval [{rat_str(s_min)}, {rat_str(s_max)}] is not within the positive reals"))
-        if not (fields or cap_ok):
+        if not cap_ok:
             out.append(Violation("Structural", loc, f"capacity {rat_str(cap)} is not positive"))
     return ValidationReport(tuple(out))
 
@@ -385,12 +395,6 @@ def _record_violations(nodes: list, edges: list) -> Iterator[Violation]:
     for e in edges:
         if not isinstance(e, Edge):
             yield Violation("Structural", repr(e), "edge record is not an Edge")
-
-
-def _field_violations(e: Edge) -> list[Violation]:
-    """One violation per field of e that is not an int or a `Fraction`; a bool is not taken for an int, as `rat` refuses it."""
-    fields = (("s_min", e.s_min), ("s_max", e.s_max), ("cap", e.cap))
-    return [Violation("Structural", f"{e.a}--{e.b}", f"{label} {x!r} is not an int or a Fraction") for label, x in fields if type(x) is bool or not isinstance(x, (int, Fraction))]
 
 
 def require_valid(n: Network) -> None:
@@ -492,10 +496,11 @@ def validate_solution(n: Network, sol: Solution) -> ValidationReport:
     Verifies, in order: map domains, conservation at every node, the
     power law and both bound families on every edge, and the role/sign
     constraints on generation and load.  Map values are `Fraction`s or
-    `int`s.  Flows, generations and loads are compared as multiples of
-    one common denominator and angles as multiples of another, so every
-    check is integer arithmetic; a `Fraction` is built only to word a
-    violation.
+    `int`s; any other value (a bool, a float, a str, None) is a
+    `Structural` violation naming its map and key.  Flows, generations
+    and loads are compared as multiples of one common denominator and
+    angles as multiples of another, so every check is integer
+    arithmetic; a `Fraction` is built only to word a violation.
     """
     out: list[Violation] = []
     nodes = set(n.node_names)
@@ -513,6 +518,7 @@ def validate_solution(n: Network, sol: Solution) -> ValidationReport:
             out.append(Violation("Structural", str(missing), f"{label} entry missing"))
         for extra in sorted(got - expect, key=str):
             out.append(Violation("Structural", str(extra), f"{label} entry for unknown {'edge' if expect is edges else 'node'}"))
+        out += [Violation("Structural", str(k), f"{label} value {x!r} is not an int or a Fraction") for k, x in mapping.items() if type(x) is not Fraction and (type(x) is bool or not isinstance(x, int))]
     for e in n.edges:
         for endpoint in (e.a, e.b):
             if endpoint not in nodes:

@@ -1,3 +1,5 @@
+from fractions import Fraction as F
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -7,7 +9,7 @@ from ldcflow.errors import InvalidNetwork
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.maxflow import classical_max_flow
 from ldcflow.mpf import core_maps
-from ldcflow.network import Network, NodeRole, fixed_edge, subnetwork, validate_network, validate_solution, zero_solution
+from ldcflow.network import Edge, Network, NodeRole, fixed_edge, subnetwork, validate_network, validate_solution, zero_solution
 from oracles import is_cactus_by_cycles
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
@@ -24,6 +26,15 @@ def complete4():
     names = ["a", "b", "c", "d"]
     edges = [fixed_edge(u, v, 1, 1) for i, u in enumerate(names) for v in names[i + 1 :]]
     return Network([(v, PLAIN) for v in names], edges)
+
+
+def test_a_float_capacity_is_refused_before_any_predicate_reads_it():
+    # `is_tree` on this network raised AttributeError: building the view scales every capacity
+    with pytest.raises(InvalidNetwork) as caught:
+        Network([("a", GEN), ("b", LOAD)], [Edge("a", "b", F(1), F(1), 1.5)])
+    assert str(caught.value.report).splitlines() == ["Structural at a--b: cap 1.5 is not an int or a Fraction"]
+    n = Network([("a", GEN), ("b", LOAD)], [Edge("a", "b", F(1), F(1), F(3, 2))])
+    assert is_tree(n) and max_degree(n) == 1 and connected_components(n) == [{"a", "b"}]
 
 
 def test_path_is_tree():

@@ -241,7 +241,7 @@ def test_pin_susceptances_respects_intervals():
     n = facts_gadget()
     e = adjustable_edge(n)
     pinned = pin_susceptances(n, {e: F(1)})
-    assert pinned.is_fixed()
+    assert pinned.is_fixed() and pin_susceptances(n, {e: 1}) == pinned
     with pytest.raises(ValueError):
         pin_susceptances(n, {e: F(9)})
 
@@ -251,6 +251,16 @@ def test_a_susceptance_outside_its_interval_is_a_library_error(value):
     n = facts_gadget()
     with pytest.raises(LdcError, match="outside"):
         pin_susceptances(n, {adjustable_edge(n): value})
+
+
+@pytest.mark.parametrize("value", ["3/2", None, 1.5, True], ids=["str", "None", "float", "bool"])
+def test_a_pinned_value_that_is_not_an_int_or_a_fraction_is_refused(value):
+    # a str or None raised TypeError from the interval comparison, a float or a bool `rat`'s TypeError
+    n = facts_gadget()
+    e = adjustable_edge(n)
+    with pytest.raises(InvalidNetwork) as caught:
+        pin_susceptances(n, {e: value})
+    assert str(caught.value.report).splitlines() == [f"Structural at {e.a}--{e.b}: {field} {value!r} is not an int or a Fraction" for field in ("s_min", "s_max")]
 
 
 def test_pin_susceptances_rejects_a_key_that_is_not_an_edge():
