@@ -45,7 +45,6 @@ from .network import (
     network_sum,
     subnetwork,
     total_generation,
-    validate_network,
     validate_solution,
     zero_solution,
 )

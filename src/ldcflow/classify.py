@@ -1,10 +1,8 @@
 """Graph-class predicates: connectivity, trees, cacti, degrees.
 
 Only the node-pair structure matters; susceptances and capacities do not.
-Components, degrees and cacti leave out self-loops and edges to undeclared
-nodes (`is_tree` counts every edge), and `is_cactus` counts a repeated
-edge as a 2-cycle.  Empty and single-node networks count as trees by
-convention so the predicates are total.
+Empty and single-node networks count as trees by convention so the
+predicates are total.
 
 Every predicate reads the network's integer view (`network._View`): node
 numbers, and the edges of its root network as bits, of which
@@ -67,7 +65,6 @@ def max_degree(n: Network) -> int:
 def _forest_walk(view: _View, kept: int) -> tuple[int, int, int]:
     """(forest, crossed, crossed twice): edge masks of a BFS spanning forest of the kept edges.
 
-    `kept` lies within the view's `proper` mask.
     Each kept edge off the forest closes a fundamental cycle with the
     forest path between its ends; `crossed` holds the forest edges on at
     least one such cycle and the third mask those on two or more.  A
@@ -111,7 +108,6 @@ def is_cactus(n: Network) -> bool:
     forest path between its ends (`_forest_walk`).  The network is a cactus
     exactly when no forest edge lies on two of them: every cycle is a sum
     of fundamental cycles, and a sum of edge-disjoint ones is a simple
-    cycle only when it is one of them.  A second edge on a node pair
-    closes a 2-cycle.
+    cycle only when it is one of them.
     """
-    return not _forest_walk(n._view, n._kept & n._view.proper)[2]
+    return not _forest_walk(n._view, n._kept)[2]

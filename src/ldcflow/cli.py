@@ -14,7 +14,8 @@ Exit codes: 0 success (including a NO/UNKNOWN decision), 1 failed
 verification, 2 usage error (including `solve --decide` with `--out` or
 `--json`, `--method` on mpf or mff, and `--grid` on mpf or msf), 3 file
 or parse error, 4 solver or encoder precondition error (including a
-network that fails validation, whose report goes to stderr).
+network document that `Network` refuses, whose report goes to stderr;
+`verify` prints that report to stdout and exits 1).
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ import json
 import sys
 
 from . import classify, serialize
-from .errors import LdcError
+from .errors import InvalidNetwork, LdcError
 from .gadgets import Polarity, gfch, gsch
 from .mff import MffDecision, MffOutcome, decide_mff, solve_mff_grid
 from .mpf import MpfOutcome, solve_mpf
 from .msf import MsfOutcome, decide_msf, export_milp, solve_msf_bnb, solve_msf_exhaustive
-from .network import require_valid, subnetwork, total_generation, validate_network, validate_solution
+from .network import subnetwork, total_generation, validate_solution
 from .rational import format_value, rat, rat_str
 from .reductions import (
     KIND_CACTUS_MFF,
@@ -62,12 +63,6 @@ def _read_network(path: str):
     return serialize.network_from_json(serialize.load(path))
 
 
-def _read_valid_network(path: str):
-    n = _read_network(path)
-    require_valid(n)
-    return n
-
-
 def _write(text: str, out: str | None) -> None:
     """Write text to the file `out`, or to stdout when there is none."""
     if out:
@@ -78,7 +73,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_solve(args) -> int:
-    n = _read_valid_network(args.network)
+    n = _read_network(args.network)
     if args.decide is not None:
         x = rat(args.decide)
         if args.problem == "mpf":
@@ -140,10 +135,10 @@ def _cmd_gadget(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    n = _read_network(args.network)
-    report = validate_network(n)
-    if not report.ok:
-        print(report)
+    try:
+        n = _read_network(args.network)
+    except InvalidNetwork as exc:
+        print(exc.report)
         return 1
     doc = serialize.load(args.solution)
     target, claims = n, []  # claims: what an outcome document says that its solution belies
@@ -169,7 +164,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    n = _read_valid_network(args.network)
+    n = _read_network(args.network)
     facts = {
         "tree": classify.is_tree(n),
         "cactus": classify.is_cactus(n),
@@ -185,7 +180,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    _write(export_milp(_read_valid_network(args.network)), args.out)
+    _write(export_milp(_read_network(args.network)), args.out)
     return 0
 
 

@@ -18,12 +18,17 @@ class RoleConflict(LdcError):
 
 
 class InvalidNetwork(LdcError):
-    """A network fails structural validation, or `Network` or `Edge` refuses its records; `report` holds every violation found.
+    """`Network` or `Edge` refuses its records; `report` holds every violation found.
 
-    `Network` refuses a node record that is not a (str, NodeRole) pair and
-    an edge record that is not an `Edge`, and `Edge` an endpoint that is
-    not a str and a susceptance or capacity that is not an int or a
-    `Fraction`; every other defect is found by `validate_network`.
+    `Edge` refuses an endpoint that is not a str and a susceptance or
+    capacity that is not an int or a `Fraction`.  `Network` refuses nodes
+    or edges that are not iterable, a node record that is not a (str,
+    NodeRole) pair and an edge record that is not an `Edge`, and then
+    every structural defect of the records: an empty name, a node
+    declared twice, a self-loop, a second edge on a node pair, an
+    undeclared endpoint, a susceptance interval not within the positive
+    reals and a capacity that is not positive.  `network_sum` refuses an
+    operand that is not a `Network`.
     """
 
     def __init__(self, report):

@@ -16,8 +16,8 @@ matrix of lists indexed by node number, which these small networks make
 cheaper to build and scan than a dict of arcs.  Neighbours are scanned in
 ascending number, so the node order fixes the augmenting paths, and with
 them the integer per-edge flows, whose net outflows `mpf` takes as a tree
-component's injections.  `classical_max_flow` validates its network
-first, so no two edges share a pair of arcs.
+component's injections.  A network holds no two edges on one node
+pair, so no two edges share a pair of arcs.
 
 The last search, the one that fails to reach the sink, also yields a
 witness: the nodes it reached are the source side of a minimum cut.  Every
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .network import Network, _View, require_valid
+from .network import Network, _View
 
 
 def _integer_flow(view: _View, kept: int, nodes: int) -> tuple[int, list[int], int]:
@@ -55,10 +55,9 @@ def _integer_flow(view: _View, kept: int, nodes: int) -> tuple[int, list[int], i
     comes first in that order.  Both directions of an edge start at its
     capacity c and an augmentation moves residual from one to the other,
     so the net flow from a to b is c - residual[a][b], which is
-    (residual[b][a] - residual[a][b]) / 2.  Parallel edges, which a valid
-    network does not hold, add up, and each reports their merged flow.
-    The flows come in edge-bit order, so for `kept = n._kept` they follow
-    `n.edges`, and for a component `mpf._component_edges`.  The source side is a mask over the
+    (residual[b][a] - residual[a][b]) / 2.  The flows come in edge-bit
+    order, so for `kept = n._kept` they follow `n.edges`, and for a
+    component `mpf._component_edges`.  The source side is a mask over the
     view's nodes: those the last search reached, which found no augmenting
     path.  Without a generator or a load nothing flows.
     """
@@ -118,10 +117,8 @@ def classical_max_flow(n: Network, *, witness: bool = False) -> Fraction | tuple
     `n.edges` of the edges the max flow uses, and `side` a bitmask over
     `n.node_names` of the source side of the minimal min cut, which holds
     every generator and no load and whose crossing edges add up to the
-    value.  A sub-network keeps both orders.  An invalid network raises
-    `InvalidNetwork`.
+    value.  A sub-network keeps both orders.
     """
-    require_valid(n)
     view = n._view
     value, flows, side = _integer_flow(view, n._kept, -1)
     value = Fraction(value, view.scale)

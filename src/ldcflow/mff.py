@@ -26,7 +26,7 @@ from functools import partial
 from .errors import NonpositiveRefinement, SusceptanceOutOfRange, TooManyFactsEdges, UnknownEdge
 from .mpf import MpfOutcome, solve_mpf
 from .msf import optima, ordered_map
-from .network import Edge, Network, Solution, require_valid
+from .network import Edge, Network, Solution
 from .rational import Rational, rat
 
 FACTS_EDGE_LIMIT = 12
@@ -92,7 +92,6 @@ def _require_grid(n: Network, k: int) -> None:
         raise NonpositiveRefinement(f"grid refinement k must be an int, got {k!r}")
     if k < 1:
         raise NonpositiveRefinement("grid refinement k must be >= 1")
-    require_valid(n)
 
 
 def _grid_optima(n: Network, k: int) -> list[tuple[SusAssignment, MpfOutcome]]:

@@ -6,9 +6,9 @@ the edge capacities.  Fixing the smallest node of each connected
 component at angle zero removes the translation degeneracy without
 losing solutions, and then a component's angles are fixed by its
 injections alone: the pinned Laplacian is positive definite, since a
-valid network's susceptances are positive (`solve_mpf` and
-`formulate_mpf` validate first).  So an edge's flow is a fixed linear
-function of the component's generations and loads, its shift factors.
+network's susceptances are positive (`Network` refuses any other).  So
+an edge's flow is a fixed linear function of the component's generations
+and loads, its shift factors.
 
 `_potentials` finds them: one fraction-free elimination of the reduced
 Laplacian, with one right-hand side per injection pattern, that touches
@@ -75,7 +75,7 @@ from .classify import _components, _forest_walk, connected_components
 from .errors import NotFixedSusceptance
 from .lp import RANGE, Lazy, LinearProgram, LpResult, LpStatus, _reduced, solve_lp
 from .maxflow import _integer_flow
-from .network import Edge, Network, NodeId, Part, Solution, _solution, _spread, _squeeze, require_valid
+from .network import Edge, Network, NodeId, Part, Solution, _solution, _spread, _squeeze
 from .rational import ONE, Rational, ZERO
 
 
@@ -137,7 +137,7 @@ def _potentials(names: list[NodeId], edges: list[Edge], injections: list[dict[No
     pivot column.  A row it skips would only be scaled by pivot / previous
     pivot, and such factors telescope, so a row keeps the step it was last
     brought up to date at and catches up by one exact division when it is
-    next touched.  A valid network's susceptances are positive, so A is
+    next touched.  A network's susceptances are positive, so A is
     positive definite and every pivot, a leading principal minor of A, is
     positive.
 
@@ -229,10 +229,8 @@ def formulate_mpf(n: Network, components: list[set[NodeId]] | None = None) -> Li
 
     `components`, when given, lists some of n's connected components (they
     are not checked), and the program covers those alone: it is the one
-    of the network that holds just their nodes and edges.  An invalid
-    network raises `InvalidNetwork`.
+    of the network that holds just their nodes and edges.
     """
-    require_valid(n)
     _require_fixed(n)
     comps = connected_components(n) if components is None else components
     listed = set().union(*comps)
@@ -342,9 +340,8 @@ def solve_mpf(n: Network) -> MpfOutcome:
     of them (`_part`).  Only the components that hold both a generator
     and a load are grouped into their edges; each one's terminals are
     read off `n.generators` and `n.loads`, and a single part's value is
-    the total as it is.  An invalid network raises `InvalidNetwork`.
+    the total as it is.
     """
-    require_valid(n)
     _require_fixed(n)
     comps = connected_components(n)
     flowing = []  # (component, its generators, its loads) for those holding both
@@ -394,8 +391,7 @@ def core_maps(n: Network) -> tuple[Callable[[int], int], Callable[[int], int]]:
     value: shifting the angles on one side lets it carry nothing.  Both
     maps work on ints only, over n's integer view (`network._View`), whose
     edge bits are its root's; a sub-network's masks are put into them and
-    taken back out (`network._spread`, `network._squeeze`).  n must be
-    valid.
+    taken back out (`network._spread`, `network._squeeze`).
     """
     view, everything = n._view, n._kept
     gaps = ~everything & (1 << len(view.edges)) - 1  # the root's edges that n does not hold

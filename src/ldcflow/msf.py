@@ -65,7 +65,7 @@ from .errors import TooLarge
 from .lp import Lazy, LinearProgram, VarId, write_lp_text
 from .maxflow import classical_max_flow
 from .mpf import MpfOutcome, _gen, _load, _require_fixed, core_maps, pinned_nodes, solve_mpf
-from .network import Edge, Network, NodeId, Solution, SwitchSet, _spread, require_valid, subnetwork, zero_solution
+from .network import Edge, Network, NodeId, Solution, SwitchSet, _spread, subnetwork, zero_solution
 from .rational import ONE, Rational, ZERO, rat, rat_str
 
 EXHAUSTIVE_EDGE_LIMIT = 20
@@ -165,7 +165,6 @@ def _optimal_sets(n: Network) -> list[int]:
     are zipped behind the stopping iterator, so it is never asked for a
     skipped core.
     """
-    require_valid(n)
     _require_fixed(n)
     if len(n.edges) > EXHAUSTIVE_EDGE_LIMIT:
         raise TooLarge(f"{len(n.edges)} edges exceed the exhaustive limit of {EXHAUSTIVE_EDGE_LIMIT}")
@@ -338,14 +337,12 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, 
 
 def solve_msf_bnb(n: Network) -> MsfOutcome:
     """Branch-and-bound MSF; same outcome as the exhaustive search."""
-    require_valid(n)
     best, removed = _solve_msf_bnb(n, None)
     return MsfOutcome(best.value, frozenset(removed), best.solution)
 
 
 def decide_msf(n: Network, x: Rational) -> bool:
     """Is the maximum switching flow at least x?  Exact in both directions; x is read by `rat`."""
-    require_valid(n)
     _require_fixed(n)
     x = rat(x)
     if x <= 0:
@@ -384,9 +381,8 @@ def build_switching_milp(n: Network) -> tuple[LinearProgram, list[VarId]]:
     the sum of cap/s over all edges: within any kept component the angle
     spread along a path is at most Theta, and disconnected components can
     always be translated to overlap, so some optimal solution survives
-    every cut the M introduces.  An invalid network raises `InvalidNetwork`.
+    every cut the M introduces.
     """
-    require_valid(n)
     _require_fixed(n)
     p = LinearProgram()
     pins = pinned_nodes(n)

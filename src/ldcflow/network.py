@@ -13,18 +13,18 @@ angles as flow = susceptance * (angle(b) - angle(a)).  The orientation is
 a bookkeeping convention only; reversing it and negating the flow
 describes the same physical state.
 
-Construction refuses records of the wrong type or shape: `Network`
-raises `InvalidNetwork` for a node record that is not a (str, NodeRole)
-pair or an edge record that is not an `Edge`, and `Edge` for an endpoint
-that is not a str or a numeric field that is not an int or a `Fraction`
-(a bool, a float, a str, None), each report naming every such record or
-field.  `Edge` stores an int field as a `Fraction`, so every edge holds
-exact rationals.  Construction is otherwise permissive:
-`validate_network` reports the structural defects of well-typed records
-(an empty name, a node declared twice, a self-loop, a repeated pair, an
-undeclared endpoint, a susceptance interval not within the positive
-reals, a capacity that is not positive) instead of the constructors
-raising, so that candidate inputs can be checked wholesale.
+Construction refuses what the model cannot hold, so every `Network` is
+valid and no solver checks one again.  `Network` raises `InvalidNetwork`
+for nodes or edges that are not iterable, a node record that is not a
+(str, NodeRole) pair or an edge record that is not an `Edge`, and `Edge`
+for an endpoint that is not a str or a numeric field that is not an int
+or a `Fraction` (a bool, a float, a str, None), each report naming every
+such record or field.  `Edge` stores an int field as a `Fraction`, so
+every edge holds exact rationals.  Well-typed records are then checked
+for the structural defects, and `Network` raises `InvalidNetwork` naming
+each: an empty name, a node declared twice, a self-loop, a second edge
+on a node pair, an undeclared endpoint, a susceptance interval not
+within the positive reals and a capacity that is not positive.
 
 Solutions are assembled here, by one private assembler, `_solution`,
 from parts: each part gives the angles y / den of some nodes, the edges
@@ -40,11 +40,11 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Mapping
 
 from .errors import EdgeOverlap, InvalidNetwork, RoleConflict, UnknownEdge
 from .rational import Rational, ZERO, rat, rat_str
@@ -129,28 +129,33 @@ def facts_edge(a: NodeId, b: NodeId, s_min, s_max, cap) -> Edge:
 class Network:
     """Nodes with roles plus undirected susceptance/capacity edges.
 
-    `nodes` is stored as a tuple of (name, role) pairs sorted by name and
-    then role name (a record given as a list or as a tuple subclass, such
-    as a namedtuple, is stored as a plain tuple), and `edges` as a tuple
-    sorted by `edge_key`, so equal networks compare and hash equal and all
-    iteration orders are deterministic.  A node record that is not a
-    (str, NodeRole) pair, or an edge record that is not an `Edge`, raises
-    `InvalidNetwork`, whose report names every such record.
+    `nodes` is stored as a tuple of (name, role) pairs sorted by name (a
+    record given as a list or as a tuple subclass, such as a namedtuple,
+    is stored as a plain tuple), and `edges` as a tuple sorted by
+    `edge_key`, so equal networks compare and hash equal and all
+    iteration orders are deterministic.  Nodes or edges that are not
+    iterable, a node record that is not a (str, NodeRole) pair, an edge
+    record that is not an `Edge`, and then each structural defect of the
+    sorted records raise `InvalidNetwork`, whose report names every one
+    (see the module docstring).
     """
 
     nodes: tuple[tuple[NodeId, NodeRole], ...]
     edges: tuple[Edge, ...]
 
     def __init__(self, nodes: Iterable[tuple[NodeId, NodeRole]], edges: Iterable[Edge] = ()):
-        nodes = [node if type(node) is tuple else tuple(node) if isinstance(node, (list, tuple)) else node for node in nodes]
-        edges = list(edges)
-        refused = tuple(_record_violations(nodes, edges))
+        # three stages, each run only on what the one before it let through
+        refused = tuple(Violation("Structural", repr(x), f"{label} is not an iterable of records") for label, x in (("nodes", nodes), ("edges", edges)) if not isinstance(x, Iterable))
+        if not refused:
+            nodes = [node if type(node) is tuple else tuple(node) if isinstance(node, (list, tuple)) else node for node in nodes]
+            edges = list(edges)
+            refused = tuple(_record_violations(nodes, edges))
+        if not refused:
+            nodes.sort(key=_node_name)
+            edges.sort(key=edge_key)
+            refused = tuple(_structural_violations(nodes, edges))
         if refused:
             raise InvalidNetwork(ValidationReport(refused))
-        nodes.sort(key=_node_name)
-        if len(set(map(_node_name, nodes))) < len(nodes):  # a name declared twice: its declarations by role name
-            nodes.sort(key=lambda node: (node[0], node[1].value))
-        edges.sort(key=edge_key)
         object.__setattr__(self, "nodes", tuple(nodes))
         object.__setattr__(self, "edges", tuple(edges))
 
@@ -160,7 +165,7 @@ class Network:
 
     @cached_property
     def node_names(self) -> tuple[NodeId, ...]:
-        return tuple(sorted({name for name, _ in self.nodes}))
+        return tuple(map(_node_name, self.nodes))
 
     @cached_property
     def generators(self) -> tuple[NodeId, ...]:
@@ -173,11 +178,6 @@ class Network:
     @cached_property
     def facts_edges(self) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.is_facts)
-
-    @cached_property
-    def _report(self) -> ValidationReport:
-        # what `require_valid` reads; `subnetwork` hands on a passed one
-        return validate_network(self)
 
     @cached_property
     def _view(self) -> _View:
@@ -210,10 +210,8 @@ class Network:
 class _View:
     """A root network's integer tables: node numbers in `node_names` order, and each edge as the bit 1 << j over `edges`.
 
-    They are the node index; each edge's end numbers (-1 for an
-    undeclared node); each node's incident-edge mask and its (edge bit,
-    other node) pairs, which hold only the edges between two distinct
-    declared nodes, and the mask of those edges (`proper`); the masks of
+    They are the node index; each edge's end numbers; each node's
+    incident-edge mask and its (edge bit, other node) pairs; the masks of
     the generators, of the loads and of the other nodes (`plain`); and
     the capacities as integers over `scale`, the LCM of their
     denominators.  A sub-network shares its root's view and reads its
@@ -228,18 +226,14 @@ class _View:
     def __init__(self, n: Network):
         self.edges = n.edges
         self.index = index = {v: i for i, v in enumerate(n.node_names)}
-        self.ends = ends = [(index.get(e.a, -1), index.get(e.b, -1)) for e in n.edges]
+        self.ends = ends = [(index[e.a], index[e.b]) for e in n.edges]
         self.adjacent = adjacent = [[] for _ in index]
-        self.proper = 0
         for j, (a, b) in enumerate(ends):
-            if a >= 0 and b >= 0 and a != b:
-                self.proper |= 1 << j
-                adjacent[a].append((1 << j, b))
-                adjacent[b].append((1 << j, a))
+            adjacent[a].append((1 << j, b))
+            adjacent[b].append((1 << j, a))
         self.incident = [sum([bit for bit, _ in pairs]) for pairs in adjacent]
-        # sets, since a node declared twice with one role is one bit
-        self.gens = sum({1 << index[v] for v in n.generators})
-        self.loads = sum({1 << index[v] for v in n.loads})
+        self.gens = sum([1 << index[v] for v in n.generators])
+        self.loads = sum([1 << index[v] for v in n.loads])
         self.plain = (1 << len(index)) - 1 & ~(self.gens | self.loads)
         self.scale = scale = math.lcm(*(e.cap.denominator for e in n.edges))
         self.caps = [e.cap.numerator * (scale // e.cap.denominator) for e in n.edges]
@@ -337,49 +331,6 @@ class ValidationReport:
         return "\n".join(f"{v.kind} at {v.location}: {v.detail}" for v in self.violations)
 
 
-def validate_network(n: Network) -> ValidationReport:
-    """Report every structural defect; never raises.
-
-    The defects are those of well-typed records, which `Network` and
-    `Edge` build (`Edge` refuses a field that is not an int or a
-    `Fraction`): an empty name, a node declared twice, a self-loop, a
-    second edge on a node pair, an undeclared endpoint, a susceptance
-    interval not within the positive reals and a capacity that is not
-    positive.
-    """
-    out: list[Violation] = []
-    names = set()
-    for name, _ in n.nodes:
-        if not name:
-            out.append(Violation("Structural", repr(name), "empty node name"))
-        if name in names:
-            out.append(Violation("Structural", name, "node declared more than once"))
-        names.add(name)
-    seen_pairs: set[tuple[NodeId, NodeId]] = set()
-    for e in n.edges:
-        a, b, s_min, s_max, cap = e.a, e.b, e.s_min, e.s_max, e.cap
-        repeated = (a, b) in seen_pairs
-        seen_pairs.add((a, b))
-        # signs through numerators (denominators are positive); the location only for a defect
-        interval_ok = s_min.numerator > 0 and (s_min is s_max or s_min.numerator * s_max.denominator <= s_max.numerator * s_min.denominator)
-        cap_ok = cap.numerator > 0
-        if a != b and not repeated and a in names and b in names and interval_ok and cap_ok:
-            continue
-        loc = f"{a}--{b}"
-        if a == b:
-            out.append(Violation("Structural", loc, "self-loop"))
-        if repeated:
-            out.append(Violation("Structural", loc, "second edge on the same node pair"))
-        for endpoint in (a, b):
-            if endpoint not in names:
-                out.append(Violation("Structural", loc, f"endpoint {endpoint} is not a declared node"))
-        if not interval_ok:
-            out.append(Violation("Structural", loc, f"susceptance interval [{rat_str(s_min)}, {rat_str(s_max)}] is not within the positive reals"))
-        if not cap_ok:
-            out.append(Violation("Structural", loc, f"capacity {rat_str(cap)} is not positive"))
-    return ValidationReport(tuple(out))
-
-
 def _record_violations(nodes: list, edges: list) -> Iterator[Violation]:
     """What `Network` refuses: node records that are not (str, NodeRole) pairs, and edge records that are not an `Edge`."""
     for node in nodes:
@@ -397,14 +348,37 @@ def _record_violations(nodes: list, edges: list) -> Iterator[Violation]:
             yield Violation("Structural", repr(e), "edge record is not an Edge")
 
 
-def require_valid(n: Network) -> None:
-    """Raise `InvalidNetwork`, carrying the `validate_network` report, unless n is valid.
-
-    The report is made once per network and kept with it.
-    """
-    report = n._report
-    if not report.ok:
-        raise InvalidNetwork(report)
+def _structural_violations(nodes: list, edges: list) -> Iterator[Violation]:
+    """What `Network` refuses of well-typed records, sorted as it stores them: the defects the module docstring lists, in that order per record."""
+    names = set()
+    for name, _ in nodes:
+        if not name:
+            yield Violation("Structural", repr(name), "empty node name")
+        if name in names:
+            yield Violation("Structural", name, "node declared more than once")
+        names.add(name)
+    pair = None
+    for e in edges:
+        a, b, s_min, s_max, cap = e.a, e.b, e.s_min, e.s_max, e.cap
+        repeated = pair == (a, b)  # sorted, a repeated pair follows its first edge
+        pair = (a, b)
+        # signs through numerators (denominators are positive); the location only for a defect
+        interval_ok = s_min.numerator > 0 and (s_min is s_max or s_min.numerator * s_max.denominator <= s_max.numerator * s_min.denominator)
+        cap_ok = cap.numerator > 0
+        if a != b and not repeated and a in names and b in names and interval_ok and cap_ok:
+            continue
+        loc = f"{a}--{b}"
+        if a == b:
+            yield Violation("Structural", loc, "self-loop")
+        if repeated:
+            yield Violation("Structural", loc, "second edge on the same node pair")
+        for endpoint in (a, b):
+            if endpoint not in names:
+                yield Violation("Structural", loc, f"endpoint {endpoint} is not a declared node")
+        if not interval_ok:
+            yield Violation("Structural", loc, f"susceptance interval [{rat_str(s_min)}, {rat_str(s_max)}] is not within the positive reals")
+        if not cap_ok:
+            yield Violation("Structural", loc, f"capacity {rat_str(cap)} is not positive")
 
 
 # what a sub-network takes from its parent: the cached properties that depend on the nodes
@@ -420,28 +394,26 @@ def subnetwork(n: Network, switched: Iterable[Edge]) -> Network:
     `generators`, `loads`).  It shares n's integer view, its root's
     (`_View`), and so builds no tables of its own: its kept edges are a
     mask in the root's edge bits.  Removing edges adds no FACTS edge and no
-    defect, so a sub-network of a fixed network knows it is fixed, and
-    one of a network that passed `require_valid` is not validated again.
+    defect, so a sub-network of a fixed network knows it is fixed.
 
-    The searches switch n's own `Edge` objects, so for a valid parent the
-    switched edges are first found by identity, which hashes no `Edge`.
-    A valid network holds no edge twice, so the count shows whether every
-    switched object is one of n's; if any is not (an equal copy, or an
-    edge n does not hold), the edges are matched by equality as for any
-    other parent, and an unknown one, or an item that is not an `Edge`,
-    raises `UnknownEdge`.
+    The searches switch n's own `Edge` objects, so the switched edges are
+    first found by identity, which hashes no `Edge`.  n holds no edge
+    twice, so the count shows whether every switched object is one of
+    n's; if any is not (an equal copy, or an edge n does not hold), the
+    edges are matched by equality, and an unknown one, an item that is
+    not an `Edge`, or a `switched` that is not iterable raises
+    `UnknownEdge`.
     """
+    if not isinstance(switched, Iterable):
+        raise UnknownEdge(f"{switched!r} is not an iterable of edges")
     switched = tuple(switched)
-    report = n.__dict__.get("_report")
-    valid = report is not None and report.ok
-    if valid:
-        ids = set(map(id, switched))
-        kept = [e for e in n.edges if id(e) not in ids]
-    if not valid or len(kept) + len(ids) != len(n.edges):
+    ids = set(map(id, switched))
+    kept = [e for e in n.edges if id(e) not in ids]
+    if len(kept) + len(ids) != len(n.edges):
         removed = frozenset(e for e in switched if isinstance(e, Edge))
         kept = [e for e in n.edges if e not in removed]
-        # on a valid network, the counts show that every switched item is an edge and was found
-        if not valid or len(kept) + len(removed) != len(n.edges) or len(removed) != len(switched):
+        # the counts show that every switched item is an edge and was found
+        if len(kept) + len(removed) != len(n.edges) or len(removed) != len(switched):
             have = set(n.edges)
             for e in switched:
                 if not isinstance(e, Edge) or e not in have:
@@ -452,8 +424,6 @@ def subnetwork(n: Network, switched: Iterable[Edge]) -> Network:
     cache.update((name, getattr(n, name)) for name in _SHARED)
     if not n.facts_edges:
         cache["facts_edges"] = ()
-    if valid:
-        cache["_report"] = report
     return sub
 
 
@@ -465,8 +435,12 @@ def network_sum(first: Network, *rest: Network) -> Network:
     that would be both generator and load is an error.  The operands are
     taken in turn, so `network_sum(a, b, c)` equals
     `network_sum(network_sum(a, b), c)` and raises the same error for the
-    same operand, but sorts the edges of all of them once.
+    same operand, but sorts the edges of all of them once.  An operand
+    that is not a `Network` raises `InvalidNetwork` naming it.
     """
+    refused = tuple(Violation("Structural", repr(x), f"operand {i} is not a Network") for i, x in enumerate((first, *rest)) if not isinstance(x, Network))
+    if refused:
+        raise InvalidNetwork(ValidationReport(refused))
     pairs = {e.pair for e in first.edges}
     roles: dict[NodeId, NodeRole] = dict(first.nodes)
     edges = list(first.edges)
@@ -500,8 +474,11 @@ def validate_solution(n: Network, sol: Solution) -> ValidationReport:
     `Structural` violation naming its map and key.  Flows, generations
     and loads are compared as multiples of one common denominator and
     angles as multiples of another, so every check is integer
-    arithmetic; a `Fraction` is built only to word a violation.
+    arithmetic; a `Fraction` is built only to word a violation.  A `sol`
+    that is not a `Solution` is one `Structural` violation.
     """
+    if not isinstance(sol, Solution):
+        return ValidationReport((Violation("Structural", repr(sol), "solution is not a Solution"),))
     out: list[Violation] = []
     nodes = set(n.node_names)
     edges = set(n.edges)
@@ -519,10 +496,6 @@ def validate_solution(n: Network, sol: Solution) -> ValidationReport:
         for extra in sorted(got - expect, key=str):
             out.append(Violation("Structural", str(extra), f"{label} entry for unknown {'edge' if expect is edges else 'node'}"))
         out += [Violation("Structural", str(k), f"{label} value {x!r} is not an int or a Fraction") for k, x in mapping.items() if type(x) is not Fraction and (type(x) is bool or not isinstance(x, int))]
-    for e in n.edges:
-        for endpoint in (e.a, e.b):
-            if endpoint not in nodes:
-                out.append(Violation("Structural", f"{e.a}--{e.b}", f"endpoint {endpoint} is not a declared node"))
     if out:
         return ValidationReport(tuple(out))
 

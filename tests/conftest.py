@@ -17,8 +17,10 @@ from hypothesis import settings, strategies as st
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=60)
 settings.load_profile("tier1")
 
+from ldcflow.errors import InvalidNetwork
 from ldcflow.lp import LinearProgram
 from ldcflow.network import Network, NodeRole, facts_edge, fixed_edge
+from oracles import reference_validate_network
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 
@@ -26,6 +28,14 @@ SUSCEPTANCES = [Fraction(1), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(
 
 # signs, digits, a point or a slash, and maybe an exponent: near misses of the rational forms
 DECIMALS = r"[+-]{0,2}[0-9]{0,3}[./]?[0-9]{0,3}([eE_][+-]?[0-9]{1,2})?"
+
+
+def refused(nodes, edges) -> list[str]:
+    """The lines of the report `Network(nodes, edges)` raises, which must equal `oracles.reference_validate_network`'s."""
+    with pytest.raises(InvalidNetwork) as caught:
+        Network(nodes, edges)
+    assert caught.value.report == reference_validate_network(nodes, edges)
+    return str(caught.value.report).splitlines()
 
 
 def random_ldc_network(rng: random.Random, *, max_edges: int = 9, min_edges: int = 3) -> Network:

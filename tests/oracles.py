@@ -34,7 +34,10 @@ and counting components.  `reference_rat` (a regular-expression match, then `Fra
 and `reference_validate_solution` (every check in `Fraction`s) are the
 string parser and the solution check that the integer versions in
 `rational` and `network` replaced, and must agree with exactly, errors
-and violation texts included.  `reference_decode_exact_cover` and
+and violation texts included.  `reference_validate_network` is the
+public structural check of a built network that `Network` construction
+replaced, run on the records instead: construction must refuse exactly
+the records it reports on, with an equal report.  `reference_decode_exact_cover` and
 `reference_decode_subset_sum` encode the instance again and read each
 port's flows edge by edge off the encoded network; the decoders in
 `reductions`, which read the outcome alone, must return the same
@@ -1124,6 +1127,44 @@ def reference_validate_solution(n: Network, sol: Solution) -> ValidationReport:
         if role is not NodeRole.LOAD and sol.load[v] != 0:
             out.append(Violation("RoleBound", v, "load at a non-load"))
 
+    return ValidationReport(tuple(out))
+
+
+def reference_validate_network(nodes: list[tuple[str, NodeRole]], edges: list[Edge]) -> ValidationReport:
+    """Report every structural defect of well-typed records, as the public check `Network` construction replaced did.
+
+    The records are first sorted as that check met them in a built
+    network: nodes by name and then role name, edges in `Edge` order.
+    The defects are an empty name, a node declared more than once, a
+    self-loop, a second edge on a node pair (found through a set of the
+    pairs seen), an undeclared endpoint, a susceptance interval not
+    within the positive reals and a capacity that is not positive.
+    """
+    out: list[Violation] = []
+    names = set()
+    for name, _ in sorted(nodes, key=lambda node: (node[0], node[1].value)):
+        if not name:
+            out.append(Violation("Structural", repr(name), "empty node name"))
+        if name in names:
+            out.append(Violation("Structural", name, "node declared more than once"))
+        names.add(name)
+    seen_pairs: set[tuple[str, str]] = set()
+    for e in sorted(edges):
+        a, b, s_min, s_max, cap = e.a, e.b, e.s_min, e.s_max, e.cap
+        repeated = (a, b) in seen_pairs
+        seen_pairs.add((a, b))
+        loc = f"{a}--{b}"
+        if a == b:
+            out.append(Violation("Structural", loc, "self-loop"))
+        if repeated:
+            out.append(Violation("Structural", loc, "second edge on the same node pair"))
+        for endpoint in (a, b):
+            if endpoint not in names:
+                out.append(Violation("Structural", loc, f"endpoint {endpoint} is not a declared node"))
+        if not (0 < s_min <= s_max):
+            out.append(Violation("Structural", loc, f"susceptance interval [{rat_str(s_min)}, {rat_str(s_max)}] is not within the positive reals"))
+        if not cap > 0:
+            out.append(Violation("Structural", loc, f"capacity {rat_str(cap)} is not positive"))
     return ValidationReport(tuple(out))
 
 

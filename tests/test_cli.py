@@ -357,6 +357,18 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "argv",
+        [["solve", "mpf", "{net}"], ["solve", "msf", "{net}", "--decide", "1"], ["solve", "mff", "{net}", "--json"], ["export", "milp", "{net}"], ["classify", "{net}", "--json"]],
+    )
+    def test_a_repeated_pair_is_refused_while_the_document_is_read(self, capsys, tmp_path, argv):
+        path = tmp_path / "twice.json"
+        nodes = [{"id": "g", "role": "generator"}, {"id": "l", "role": "load"}]
+        edges = [{"a": a, "b": b, "s_min": s, "s_max": s, "cap": "1"} for a, b, s in (("g", "l", "1"), ("l", "g", "2"))]
+        path.write_text(json.dumps({"nodes": nodes, "edges": edges}))
+        said = "error: invalid network:\nStructural at g--l: second edge on the same node pair\n"
+        assert run(capsys, *(arg.format(net=path) for arg in argv)) == (4, "", said)
+
+    @pytest.mark.parametrize(
+        "argv",
         [["solve", "mpf", "{net}"], ["classify", "{net}"], ["export", "milp", "{net}"], ["solve", "mpf", "{good}", "--decide", "1/0"]],
     )
     def test_zero_denominator_is_exit_3(self, capsys, tmp_path, gsch_file, argv):

@@ -2,6 +2,7 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ldcflow.classify import is_cactus, max_degree
 from ldcflow.errors import InvalidInstance, LdcError, NonpositiveX
@@ -9,7 +10,7 @@ from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.lp import LpStatus
 from ldcflow.mpf import _gen, formulate_mpf
 from ldcflow.msf import optimal_switch_sets, solve_msf_exhaustive
-from ldcflow.network import NodeRole, network_sum, subnetwork, validate_network
+from ldcflow.network import NodeRole, network_sum, subnetwork
 from oracles import reference_general_lp
 
 
@@ -51,7 +52,6 @@ class TestGsch:
         b = gsch(2, "shared", Polarity.PORT, prefix="B.")
         total = network_sum(a, b)
         assert len(total.node_names) == 5  # shared port + 2x2 internals
-        assert validate_network(total).ok
 
 
 class TestGfch:
@@ -124,3 +124,16 @@ def test_generator_port_cannot_help_without_displacing_internal_supply():
         r = reference_general_lp(q)
         if r.status is LpStatus.OPTIMAL:
             assert r.value == 0
+
+
+@given(
+    gadget=st.sampled_from([gsch, gfch]),
+    x=st.fractions(min_value=F(1, 100), max_value=50).filter(lambda x: x > 0),
+    port=st.text("pvxy", min_size=1, max_size=2),
+    polarity=st.sampled_from(Polarity),
+    prefix=st.text("AB.", max_size=2),
+)
+def test_a_gadget_builds_no_network_construction_refuses(gadget, x, port, polarity, prefix):
+    # `Network` would raise `InvalidNetwork` for a defect; the gadget is whole and sums with a renamed copy
+    n = gadget(x, port, polarity, prefix)
+    assert len(network_sum(n, gadget(x, port, polarity, prefix + "C.")).node_names) == 2 * len(n.node_names) - 1

@@ -88,11 +88,11 @@ def test_matches_brute_force_min_cut_with_rational_capacities(rng):
 
 @st.composite
 def flow_networks(draw):
-    """Networks for `_integer_flow`: parallel edges, any roles, capacities over several denominators, isolated nodes."""
+    """Networks for `_integer_flow`: any roles, capacities over several denominators, isolated nodes."""
     names = [f"v{i}" for i in range(draw(st.integers(2, 7)))]
     roles = [draw(st.sampled_from([GEN, LOAD, PLAIN])) for _ in names]
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
-    drawn = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 12), st.sampled_from([1, 2, 3, 5, 6])), max_size=10))
+    drawn = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 12), st.sampled_from([1, 2, 3, 5, 6])), max_size=10, unique_by=lambda drawn: drawn[0]))
     return Network(zip(names, roles), [fixed_edge(a, b, 1, F(num, den)) for (a, b), num, den in drawn])
 
 
@@ -103,7 +103,7 @@ def exact(value, scale, flows):
 
 EXAMPLE = Network(
     [("v0", GEN), ("v1", LOAD), ("v2", LOAD), ("v3", GEN), ("v4", PLAIN)],
-    [fixed_edge("v0", "v1", 1, F(3, 2)), fixed_edge("v0", "v1", 1, F(1, 3)), fixed_edge("v1", "v2", 1, 2), fixed_edge("v0", "v2", 1, F(5, 6))],
+    [fixed_edge("v0", "v1", 1, F(3, 2)), fixed_edge("v1", "v3", 1, F(1, 3)), fixed_edge("v1", "v2", 1, 2), fixed_edge("v0", "v2", 1, F(5, 6))],
 )
 
 
@@ -131,9 +131,9 @@ def test_a_kept_mask_with_gaps_and_each_component_of_it_match_the_residual_dicts
 
 
 def test_an_undeclared_endpoint_is_an_invalid_network():
-    n = Network([("a", GEN), ("b", LOAD)], [fixed_edge("a", "zz", 1, 1), fixed_edge("a", "b", 1, 1)])
+    # refused when built, so no max flow meets an edge its view cannot number
     with pytest.raises(InvalidNetwork, match="endpoint zz is not a declared node") as raised:
-        classical_max_flow(n)
+        Network([("a", GEN), ("b", LOAD)], [fixed_edge("a", "zz", 1, 1), fixed_edge("a", "b", 1, 1)])
     assert raised.value.report.kinds() == {"Structural"}
 
 

@@ -229,8 +229,9 @@ class TestDecide:
         assert decide_mff(n, F(0)) is MffDecision.YES and decide_mff(n, F(-3), k=5) is MffDecision.YES
         with pytest.raises(ValueError):
             decide_mff(n, F(0), k=0)
-        with pytest.raises(InvalidNetwork):
-            decide_mff(Network([("g", GEN), ("l", LOAD)], [facts_edge("g", "l", 2, 1, 3)]), F(0))
+        # an inverted interval never reaches the shortcut: construction refuses it
+        with pytest.raises(InvalidNetwork, match=r"susceptance interval \[2, 1\] is not within the positive reals"):
+            Network([("g", GEN), ("l", LOAD)], [facts_edge("g", "l", 2, 1, 3)])
 
     def test_no_facts_network_reaches_its_mpf(self):
         n = gsch(1, "v", Polarity.MINUS)

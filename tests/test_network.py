@@ -6,12 +6,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import any_network, random_ldc_network
+from conftest import any_network, random_ldc_network, refused
 from ldcflow import network
-from ldcflow.errors import EdgeOverlap, InvalidNetwork, LdcError, RoleConflict, UnknownEdge
+from ldcflow.errors import EdgeOverlap, InvalidNetwork, LdcError, NotFixedSusceptance, RoleConflict, UnknownEdge
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.maxflow import classical_max_flow
-from ldcflow.mff import decide_mff, enumerate_endpoint_optima, solve_mff_endpoints, solve_mff_grid
+from ldcflow.mff import decide_mff, enumerate_endpoint_optima, pin_susceptances, solve_mff_endpoints, solve_mff_grid
 from ldcflow.mpf import formulate_mpf, solve_mpf
 from ldcflow.msf import build_switching_milp, decide_msf, export_milp, optimal_switch_sets, solve_msf_bnb, solve_msf_exhaustive
 from ldcflow.network import (
@@ -24,12 +24,11 @@ from ldcflow.network import (
     network_sum,
     subnetwork,
     total_generation,
-    validate_network,
     validate_solution,
     zero_solution,
 )
 from ldcflow.serialize import network_from_json, network_to_json
-from oracles import reference_validate_solution, reference_zero_solution
+from oracles import reference_validate_network, reference_validate_solution, reference_zero_solution
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 NamedRecord = namedtuple("NamedRecord", "name role")
@@ -60,45 +59,33 @@ def gsch1_solution(n, vl_flow=F(1)):
     )
 
 
-class TestValidateNetwork:
-    def test_gadget_network_is_clean(self, gsch1):
-        assert validate_network(gsch1).ok
+class TestStructuralDefects:
+    """`Network` refuses the structural defects of well-typed records, with the report the public check it replaced gave."""
 
-    def test_duplicate_pair_reported(self):
-        n = Network(
-            [("a", GEN), ("b", LOAD)],
-            [fixed_edge("a", "b", 1, 1), fixed_edge("a", "b", 1, 2)],
-        )
-        report = validate_network(n)
-        assert not report.ok and report.kinds() == {"Structural"}
+    def test_duplicate_pair_refused(self):
+        assert refused([("a", GEN), ("b", LOAD)], [fixed_edge("a", "b", 1, 1), fixed_edge("a", "b", 1, 2)]) == ["Structural at a--b: second edge on the same node pair"]
 
-    def test_zero_susceptance_reported(self):
-        n = Network([("a", GEN), ("b", LOAD)], [Edge("a", "b", F(0), F(1), F(1))])
-        assert "Structural" in validate_network(n).kinds()
+    def test_zero_susceptance_refused(self):
+        assert refused([("a", GEN), ("b", LOAD)], [Edge("a", "b", F(0), F(1), F(1))]) == ["Structural at a--b: susceptance interval [0, 1] is not within the positive reals"]
 
     def test_self_loop_and_dangling_endpoint(self):
-        n = Network([("a", GEN)], [Edge("a", "a", F(1), F(1), F(1)), fixed_edge("a", "zz", 1, 1)])
-        details = [v.detail for v in validate_network(n).violations]
+        details = refused([("a", GEN)], [Edge("a", "a", F(1), F(1), F(1)), fixed_edge("a", "zz", 1, 1)])
         assert any("self-loop" in d for d in details)
         assert any("not a declared node" in d for d in details)
 
     def test_nonpositive_capacity(self):
-        n = Network([("a", GEN), ("b", LOAD)], [Edge("a", "b", F(1), F(1), F(-1))])
-        assert not validate_network(n).ok
+        assert refused([("a", GEN), ("b", LOAD)], [Edge("a", "b", F(1), F(1), F(-1))]) == ["Structural at a--b: capacity -1 is not positive"]
 
     def test_report_lists_every_edge_defect_in_order(self):
-        n = Network(
-            [("a", GEN), ("b", LOAD), ("c", PLAIN)],
-            [
-                Edge("a", "a", F(1), F(1), F(0)),
-                Edge("a", "b", F(3, 2), F(1, 2), F(2)),
-                Edge("a", "b", F(-1, 3), F(1), F(1)),
-                Edge("b", "c", F(0), F(0), F(-5, 7)),
-                Edge("c", "zz", F(2), F(2), F(1)),
-                Edge("a", "c", F(1, 3), F(2, 3), F(1, 9)),
-            ],
-        )
-        assert str(validate_network(n)).splitlines() == [
+        edges = [
+            Edge("a", "a", F(1), F(1), F(0)),
+            Edge("a", "b", F(3, 2), F(1, 2), F(2)),
+            Edge("a", "b", F(-1, 3), F(1), F(1)),
+            Edge("b", "c", F(0), F(0), F(-5, 7)),
+            Edge("c", "zz", F(2), F(2), F(1)),
+            Edge("a", "c", F(1, 3), F(2, 3), F(1, 9)),
+        ]
+        assert refused([("a", GEN), ("b", LOAD), ("c", PLAIN)], edges) == [
             "Structural at a--a: self-loop",
             "Structural at a--a: capacity 0 is not positive",
             "Structural at a--b: susceptance interval [-1/3, 1] is not within the positive reals",
@@ -117,8 +104,8 @@ class TestValidateNetwork:
         ],
         ids=["empty name", "declared twice"],
     )
-    def test_a_node_name_defect_is_reported(self, nodes, line):
-        assert str(validate_network(Network(nodes, []))).splitlines() == [line]
+    def test_a_node_name_defect_is_refused(self, nodes, line):
+        assert refused(nodes, []) == [line]
 
     @pytest.mark.parametrize("solve", [solve_mpf, solve_msf_bnb, classical_max_flow], ids=["mpf", "msf_bnb", "max_flow"])
     @pytest.mark.parametrize("record", [list, NamedRecord._make], ids=["list", "namedtuple"])
@@ -128,8 +115,20 @@ class TestValidateNetwork:
         twin = Network([("a", GEN), ("b", LOAD)], [fixed_edge("a", "b", 1, 2)])
         assert n.nodes == (("a", GEN), ("b", LOAD)) and all(type(node) is tuple for node in n.nodes)
         assert n == twin and hash(n) == hash(twin)
-        assert validate_network(n).ok
         assert solve(n) == solve(twin)
+
+    @pytest.mark.parametrize(
+        "nodes, edges, lines",
+        [
+            (None, (), ["Structural at None: nodes is not an iterable of records"]),
+            ([("a", GEN)], None, ["Structural at None: edges is not an iterable of records"]),
+            (5, 3, ["Structural at 5: nodes is not an iterable of records", "Structural at 3: edges is not an iterable of records"]),
+        ],
+        ids=["nodes", "edges", "both"],
+    )
+    def test_nodes_or_edges_that_are_not_iterable_are_refused(self, nodes, edges, lines):
+        # `Network(None)` raised TypeError: 'NoneType' object is not iterable
+        assert refusal(lambda: Network(nodes, edges)) == lines
 
 
 class Name(str):
@@ -195,10 +194,10 @@ class TestConstruction:
         assert refusal(lambda: Network([(10, LOAD), (2, GEN)])) == ["Structural at 10: name of type int is not a str", "Structural at 2: name of type int is not a str"]
         assert refusal(lambda: fixed_edge(2, 10, 1, 3)) == ["Structural at 2--10: endpoint 2 is not a str", "Structural at 2--10: endpoint 10 is not a str"]
         n = Network([(Name("b"), LOAD), (Name("a"), GEN)], [fixed_edge(Name("b"), Name("a"), 1, 3)])
-        assert n.nodes == (("a", GEN), ("b", LOAD)) and validate_network(n).ok
+        assert n.nodes == (("a", GEN), ("b", LOAD))
         assert solve_mpf(n).value == 3
-        # a name declared twice: its declarations by role name
-        assert Network([(Name("b"), PLAIN), ("a", GEN), ("b", LOAD)]).nodes == (("a", GEN), ("b", LOAD), ("b", PLAIN))
+        # a str subclass names the same node as the str
+        assert refused([(Name("b"), PLAIN), ("a", GEN), ("b", LOAD)], []) == ["Structural at b: node declared more than once"]
 
     def test_a_name_declared_twice_in_a_record_that_is_not_a_pair_is_refused(self):
         # sorting the declarations of "a" by role raised IndexError
@@ -206,9 +205,8 @@ class TestConstruction:
 
     def test_a_name_declared_twice_with_a_role_that_is_not_a_node_role_is_refused(self):
         assert refusal(lambda: Network([("a", "generator"), ("a", LOAD), ("b", PLAIN), ("a", PLAIN)])) == ["Structural at a: role 'generator' is not a NodeRole"]
-        n = Network([("a", GEN), ("a", LOAD), ("b", PLAIN), ("a", PLAIN)])
-        assert n.nodes == (("a", GEN), ("a", LOAD), ("a", PLAIN), ("b", PLAIN))
-        assert str(validate_network(n)).splitlines() == ["Structural at a: node declared more than once"] * 2
+        # the records refused first; once they are well typed, the name declared thrice
+        assert refused([("a", GEN), ("a", LOAD), ("b", PLAIN), ("a", PLAIN)], []) == ["Structural at a: node declared more than once"] * 2
 
     @pytest.mark.parametrize("record", [("a", "b"), ["a", "b"], None, "a--b", {"a": "b"}], ids=["tuple", "list", "None", "str", "dict"])
     def test_an_edge_record_that_is_not_an_edge_is_refused(self, record):
@@ -221,8 +219,7 @@ class TestConstruction:
             "Structural at a--b: s_max '1' is not an int or a Fraction",
         ]
         # every edge holds Fractions, so two on one pair compare, and the second is a structural defect
-        n = Network([("a", GEN), ("b", LOAD)], [Edge("a", "b", 1, 1, 2), Edge("a", "b", F(1), F(1), F(1))])
-        assert str(validate_network(n)).splitlines() == ["Structural at a--b: second edge on the same node pair"]
+        assert refused([("a", GEN), ("b", LOAD)], [Edge("a", "b", 1, 1, 2), Edge("a", "b", F(1), F(1), F(1))]) == ["Structural at a--b: second edge on the same node pair"]
 
 
 # near misses of the records: names and roles of the wrong type, fields that are not exact; each
@@ -256,14 +253,12 @@ def test_construction_refuses_near_miss_records_or_builds_a_network_every_solver
         return
     assert all(type(node) is tuple and isinstance(node[0], str) and type(node[1]) is NodeRole for node in n.nodes)
     assert all(type(x) is F for e in n.edges for x in (e.s_min, e.s_max, e.cap))
-    report = validate_network(n)
-    for solve in (solve_mpf, classical_max_flow):
-        try:
-            solve(n)
-        except LdcError:
-            pass
-        else:
-            assert report.ok
+    # a built network is valid: the max flow answers, and MPF refuses FACTS edges alone
+    classical_max_flow(n)
+    try:
+        solve_mpf(n)
+    except LdcError as caught:
+        assert isinstance(caught, NotFixedSusceptance) and n.facts_edges
 
 
 class TestEdge:
@@ -324,7 +319,7 @@ class TestEdge:
         e = Edge("a", "b", 1, 2, 3)
         assert all(type(x) is F for x in (e.s_min, e.s_max, e.cap)) and (e.s_min, e.s_max, e.cap) == (1, 2, 3)
         n = Network([("a", GEN), ("b", LOAD)], [e])
-        assert validate_network(n).ok and classical_max_flow(n) == 3
+        assert classical_max_flow(n) == 3
         fixed = Edge("a", "b", 2, F(2), 3)
         assert fixed.s_max is fixed.s_min and type(fixed.s_min) is F and not fixed.is_facts
 
@@ -347,14 +342,19 @@ class TestSubnetwork:
         with pytest.raises(UnknownEdge):
             subnetwork(gsch1, {fixed_edge("g", "v", 1, 99)})
 
-    @pytest.mark.parametrize("validated", [True, False], ids=["validated", "unchecked"])
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
     @pytest.mark.parametrize("item", [["g", "v"], ("g", "v"), None, "g--v"], ids=["list", "tuple", "None", "str"])
-    def test_an_item_that_is_not_an_edge_is_unknown(self, gsch1, item, validated):
+    def test_an_item_that_is_not_an_edge_is_unknown(self, gsch1, item, first):
         # a list raised TypeError: unhashable type: 'list'
-        if validated:
-            network.require_valid(gsch1)
         with pytest.raises(UnknownEdge, match="is not an edge of the network"):
-            subnetwork(gsch1, [gsch1.edges[0], item])
+            subnetwork(gsch1, [item, gsch1.edges[0]] if first else [gsch1.edges[0], item])
+
+    @pytest.mark.parametrize("switched", [5, None, F(1)], ids=["int", "None", "Fraction"])
+    def test_a_switch_set_that_is_not_iterable_is_unknown(self, gsch1, switched):
+        # an int raised TypeError: 'int' object is not iterable
+        with pytest.raises(UnknownEdge) as caught:
+            subnetwork(gsch1, switched)
+        assert str(caught.value) == f"{switched!r} is not an iterable of edges"
 
     def test_sequential_removal_composes(self, gsch1):
         e1, e2 = gsch1.edges[0], gsch1.edges[1]
@@ -370,13 +370,13 @@ def removals(n):
 class TestInheritedSubnetwork:
     """A sub-network starts from what its parent knows and equals one built from scratch."""
 
-    @pytest.mark.parametrize("validated", [True, False], ids=["validated", "unchecked"])
-    def test_it_equals_the_network_of_the_kept_edges(self, validated):
+    @pytest.mark.parametrize("parent", ["root", "sub-network"])
+    def test_it_equals_the_network_of_the_kept_edges(self, parent):
         rng = random.Random(1402)
         for n in [gfch(1), gsch(1, "v", Polarity.MINUS), *(random_ldc_network(rng) for _ in range(10))]:
             n = Network(n.nodes, n.edges)
-            if validated:
-                network.require_valid(n)
+            if parent == "sub-network":  # a sub-network of it with every edge, which starts from what the root knows
+                n = subnetwork(n, ())
             for removed in removals(n):
                 sub = subnetwork(n, removed)
                 fresh = Network(n.nodes, [e for e in n.edges if e not in removed])
@@ -387,63 +387,54 @@ class TestInheritedSubnetwork:
                 assert subnetwork(sub, ()) == sub
 
     @pytest.fixture
-    def validations(self, monkeypatch):
+    def checks(self, monkeypatch):
         calls = []
-        validate = network.validate_network
-        monkeypatch.setattr(network, "validate_network", lambda n: calls.append(n) or validate(n))
+        check = network._structural_violations
+        monkeypatch.setattr(network, "_structural_violations", lambda nodes, edges: calls.append(len(edges)) or check(nodes, edges))
         return calls
 
-    def test_a_validated_parents_sub_networks_are_not_validated_again(self, validations):
+    def test_the_searches_check_no_network_after_the_root(self, checks):
         n = random_ldc_network(random.Random(1403), min_edges=5)
+        assert checks == [len(n.edges)]
         assert solve_msf_exhaustive(n).value > 0 and solve_msf_bnb(n).value > 0
         for removed in removals(n):
             sub = subnetwork(n, removed)
             solve_mpf(sub)
             solve_mpf(subnetwork(sub, sub.edges[:1]))
-        assert validations == [n]
-        # a parent never validated hands on nothing
-        fresh = Network(n.nodes, n.edges)
-        solve_mpf(subnetwork(fresh, n.edges[:1]))
-        assert validations == [n, subnetwork(n, n.edges[:1])]
+        assert checks == [len(n.edges)]
+        Network(n.nodes, n.edges[1:])
+        assert checks == [len(n.edges), len(n.edges) - 1]
 
-    @pytest.mark.parametrize("validated", [True, False], ids=["refused", "unchecked"])
+    @pytest.mark.parametrize("order", ["given", "reversed"])
     @pytest.mark.parametrize(
         "defect",
         [fixed_edge("m", "p", 1, -1), fixed_edge("g", "zz", 1, 2), fixed_edge("m", "m", 1, 2), fixed_edge("g", "m", 1, 2)],
         ids=["negative capacity", "undeclared endpoint", "self-loop", "second edge on a pair"],
     )
-    def test_an_invalid_parents_sub_network_is_validated(self, validated, defect):
+    def test_a_parent_with_a_defect_is_refused_and_so_is_each_sub_network_that_keeps_it(self, order, defect):
         good = [fixed_edge("g", "m", 2, 3), fixed_edge("m", "l", 1, 4), fixed_edge("g", "l", 1, 1)]
-        n = Network([("g", GEN), ("m", PLAIN), ("l", LOAD), ("p", PLAIN)], [*good, defect])
-        if validated:
-            with pytest.raises(InvalidNetwork):
-                solve_mpf(n)
+        nodes = [("g", GEN), ("m", PLAIN), ("l", LOAD), ("p", PLAIN)]
+        arrange = (lambda records: records) if order == "given" else (lambda records: records[::-1])
+        lines = refused(arrange(nodes), arrange([*good, defect]))
+        assert len(lines) == 1
         for e in good:
-            sub = subnetwork(n, [e])
-            if e.pair == defect.pair:  # the pair's other edge goes, and the defect with it
-                assert solve_mpf(sub).value > 0
-                continue
-            with pytest.raises(InvalidNetwork):
-                solve_mpf(sub)
+            kept = arrange([*(x for x in good if x is not e), defect])
+            if e.pair == defect.pair:  # the pair's other edge goes, and the defect is no defect
+                assert solve_mpf(Network(arrange(nodes), kept)).value > 0
+            else:
+                assert refused(arrange(nodes), kept) == lines
         # removing the defect leaves a valid network
-        rest = subnetwork(n, [defect])
-        assert validate_network(rest).ok and solve_mpf(rest).value > 0
+        assert solve_mpf(Network(arrange(nodes), arrange(good))).value > 0
 
-    def test_a_foreign_edge_raises_whether_or_not_the_parent_was_validated(self, gsch1):
+    def test_a_foreign_edge_raises(self, gsch1):
         real, foreign = gsch1.edges[0], fixed_edge("g", "v", 1, 99)
         stranger = fixed_edge("g", "zz", 1, 1)
-        n = Network(gsch1.nodes, gsch1.edges)
-        for _ in range(2):  # unchecked, then validated
+        for n in (gsch1, Network(gsch1.nodes, gsch1.edges), subnetwork(gsch1, ())):
             for removed in ({foreign}, {real, foreign}, {stranger}, {real, stranger}):
                 with pytest.raises(UnknownEdge):
                     subnetwork(n, removed)
-            network.require_valid(n)
-        # an edge held twice may not stand in for a foreign one
-        twice = Network(gsch1.nodes, [real, *gsch1.edges])
-        with pytest.raises(InvalidNetwork):
-            network.require_valid(twice)
-        with pytest.raises(UnknownEdge):
-            subnetwork(twice, {real, foreign})
+        # an edge held twice, which could have stood in for a foreign one, is refused when built
+        assert refused(gsch1.nodes, [real, *gsch1.edges]) == [f"Structural at {real.a}--{real.b}: second edge on the same node pair"]
 
 
 def copy_of(e: Edge) -> Edge:
@@ -452,27 +443,21 @@ def copy_of(e: Edge) -> Edge:
 
 
 class TestSwitchedEdgesByIdentity:
-    """A valid parent's own edge objects are found by identity; any other switch set goes the hashed way, with the same result."""
+    """A parent's own edge objects are found by identity; any other switch set goes the hashed way, with the same result."""
 
     @staticmethod
-    def parents() -> list[tuple[Network, bool]]:
-        """(network, valid) pairs: validated valid parents, the same never validated, and validated invalid ones."""
+    def parents() -> list[Network]:
+        """Built networks, the same rebuilt from their records, and sub-networks of them."""
         rng = random.Random(3701)
         good = [gsch(1, "v", Polarity.MINUS), *(random_ldc_network(rng) for _ in range(6))]
-        for n in good:
-            network.require_valid(n)
-        unchecked = [Network(n.nodes, n.edges) for n in good[:3]]
-        sound = [fixed_edge("g", "m", 2, 3), fixed_edge("m", "l", 1, 4), fixed_edge("g", "l", 1, 1)]
-        bad = [Network([("g", GEN), ("m", PLAIN), ("l", LOAD)], [*sound, defect]) for defect in (fixed_edge("m", "p", 1, 2), fixed_edge("l", "m", 1, -1))]
-        for n in bad:
-            with pytest.raises(InvalidNetwork):
-                network.require_valid(n)
-        return [(n, True) for n in good] + [(n, False) for n in unchecked + bad]
+        rebuilt = [Network(n.nodes, n.edges) for n in good[:3]]
+        subs = [subnetwork(n, n.edges[-1:]) for n in good[3:] if len(n.edges) > 2]
+        return good + rebuilt + subs
 
     @staticmethod
     def switch_sets(n: Network) -> list[list[Edge]]:
         first, second, *_ = n.edges
-        read_back = network_from_json(network_to_json(n)).edges if validate_network(n).ok else [copy_of(e) for e in n.edges]
+        read_back = network_from_json(network_to_json(n)).edges
         return [
             [copy_of(first)],
             [copy_of(e) for e in n.edges[::2]],
@@ -485,18 +470,15 @@ class TestSwitchedEdgesByIdentity:
         ]
 
     def test_each_switch_set_gives_the_network_of_the_kept_edges(self):
-        for n, valid in self.parents():
+        for n in self.parents():
             for switched in self.switch_sets(n):
                 sub, removed = subnetwork(n, switched), set(switched)
                 fresh = Network(n.nodes, [e for e in n.edges if e not in removed])
                 assert (sub.nodes, sub.edges) == (fresh.nodes, fresh.edges)
-                # the report is handed on from a valid parent only
-                assert ("_report" in vars(sub)) is valid
-                if valid:
-                    assert validate_network(sub).ok
+                assert sub._view is n._view
 
-    def test_an_unknown_edge_raises_the_same_error_on_a_valid_or_an_invalid_parent(self):
-        for n, valid in self.parents():
+    def test_an_unknown_edge_raises_the_same_error_on_every_parent(self):
+        for n in self.parents():
             first = n.edges[0]
             for unknown in (fixed_edge(first.a, first.b, first.s_min, first.cap + 1), fixed_edge("zz0", "zz1", 1, 1)):
                 for switched in ([unknown], [first, unknown], [copy_of(first), unknown, first]):
@@ -504,9 +486,8 @@ class TestSwitchedEdgesByIdentity:
                         subnetwork(n, switched)
                     assert str(caught.value) == f"{unknown} is not an edge of the network"
 
-    def test_a_valid_parents_own_edges_are_found_without_hashing_an_edge(self, monkeypatch):
+    def test_a_parents_own_edges_are_found_without_hashing_an_edge(self, monkeypatch):
         n = random_ldc_network(random.Random(3702), min_edges=5)
-        network.require_valid(n)
         hashed = []
         monkeypatch.setattr(Edge, "__hash__", lambda e: hashed.append(e) or hash((e.a, e.b)))
         for switched in ([], n.edges[:1], n.edges[1::2], [n.edges[0], n.edges[0]], n.edges):
@@ -530,10 +511,11 @@ ROLES = st.sampled_from([GEN, LOAD, PLAIN])
 
 @st.composite
 def small_networks(draw) -> Network:
-    """Up to three nodes and two edges on four names; operands drawn together often share a pair or a node."""
-    nodes = draw(st.lists(st.tuples(st.sampled_from(NAMES), ROLES), max_size=3))
-    pairs = draw(st.lists(st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES)), max_size=2))
-    return Network(nodes, [fixed_edge(u, v, draw(st.sampled_from([1, 2])), 1) for u, v in pairs])
+    """Up to three nodes and two edges between them on four names; operands drawn together often share a pair or a node."""
+    names = draw(st.lists(st.sampled_from(NAMES), max_size=3, unique=True))
+    pairs = [(u, v) for u in names for v in names if u != v]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=2, unique_by=lambda pair: frozenset(pair))) if pairs else []
+    return Network([(v, draw(ROLES)) for v in names], [fixed_edge(u, v, draw(st.sampled_from([1, 2])), 1) for u, v in chosen])
 
 
 @st.composite
@@ -586,7 +568,7 @@ class TestNetworkSum:
         a = Network([("a", GEN), ("b", PLAIN)], [fixed_edge("a", "b", 1, 1)])
         b = Network([("b", LOAD), ("c", PLAIN)], [fixed_edge("b", "c", 1, 1)])
         for c, error in (
-            (Network([("c", PLAIN), ("d", PLAIN)], [fixed_edge("c", "d", 1, 1), fixed_edge("c", "b", 2, 2)]), (EdgeOverlap, "both networks carry an edge on b--c")),
+            (Network([("b", PLAIN), ("c", PLAIN), ("d", PLAIN)], [fixed_edge("c", "d", 1, 1), fixed_edge("c", "b", 2, 2)]), (EdgeOverlap, "both networks carry an edge on b--c")),
             (Network([("a", LOAD)], []), (RoleConflict, "node a would be both generator and load")),
         ):
             assert returned_or_raised(lambda: network_sum(a, b, c)) == error
@@ -598,13 +580,20 @@ class TestOrders:
 
     @given(edges=edge_lists())
     def test_edges_keep_the_order_of_sorted(self, edges):
-        got = Network([], edges).edges
-        assert [id(e) for e in got] == [id(e) for e in sorted(edges)]
+        nodes = [(v, PLAIN) for v in NAMES]
+        # the whole list holds a self-loop and repeated pairs: its report follows the sorted order too
+        refused(nodes, edges)
+        one_per_pair = [e for e in edges if e.a != e.b and e is next(x for x in edges if x.pair == e.pair)]
+        got = Network(nodes, one_per_pair).edges
+        assert [id(e) for e in got] == [id(e) for e in sorted(one_per_pair)]
 
     @given(nodes=st.lists(st.tuples(st.sampled_from(NAMES), ROLES), max_size=8))
-    def test_nodes_keep_the_order_of_name_then_role_name(self, nodes):
-        got = Network(nodes, []).nodes
-        assert got == tuple(sorted(nodes, key=lambda nr: (nr[0], nr[1].value)))
+    def test_nodes_keep_the_order_of_name(self, nodes):
+        names = sorted(name for name, _ in nodes)
+        if len(set(names)) < len(names):  # one line per repeat of a name
+            assert refused(nodes, []) == [f"Structural at {b}: node declared more than once" for a, b in zip(names, names[1:]) if a == b]
+        else:
+            assert Network(nodes, []).nodes == tuple(sorted(nodes, key=lambda nr: nr[0]))
 
 
 DANGLING = fixed_edge("g", "zz", 1, 1)  # an edge to a node no gadget declares
@@ -668,16 +657,10 @@ class TestValidateSolution:
                 lambda n, sol: (n, replace(sol, flow={**sol.flow, DANGLING: F(0)})),
                 "Structural at g--zz(s=1,cap=1): flow entry for unknown edge",
             ),
-            (
-                lambda n, sol: (
-                    Network(n.nodes, [*n.edges, DANGLING]),
-                    replace(sol, susceptance={**sol.susceptance, DANGLING: F(1)}, flow={**sol.flow, DANGLING: F(0)}),
-                ),
-                "Structural at g--zz: endpoint zz is not a declared node",
-            ),
+            (lambda n, sol: (n, None), "Structural at None: solution is not a Solution"),
             (lambda n, sol: (n, replace(sol, load={**sol.load, "g": F(1)})), "RoleBound at g: load at a non-load"),
         ],
-        ids=["unknown node", "unknown edge", "undeclared endpoint", "load at a non-load"],
+        ids=["unknown node", "unknown edge", "not a solution", "load at a non-load"],
     )
     def test_a_defect_is_reported(self, gsch1, change, line):
         n, sol = change(gsch1, gsch1_solution(gsch1))
@@ -834,12 +817,13 @@ def test_angle_induced_solutions_validate_iff_bounds_hold():
     assert 0 < checked_ok < 60
 
 
-INVALID_NETWORKS = {
-    "negative capacity": Network([("g", GEN), ("l", LOAD)], [fixed_edge("g", "l", 1, -1)]),
-    "undeclared endpoint": Network([("g", GEN), ("l", LOAD)], [fixed_edge("g", "l", 1, 2), fixed_edge("g", "zz", 1, 2)]),
-    "zero susceptance": Network([("g", GEN), ("m", PLAIN), ("l", LOAD)], [fixed_edge("g", "m", 0, 2), fixed_edge("m", "l", 1, 2), fixed_edge("g", "l", 1, 1)]),
-    "self-loop": Network([("g", GEN), ("l", LOAD)], [fixed_edge("g", "g", 1, 2), fixed_edge("g", "l", 1, 2)]),
-    "repeated pair": Network([("g", GEN), ("l", LOAD)], [fixed_edge("g", "l", 1, 2), fixed_edge("g", "l", 2, 1)]),
+# each defect's records, with the defective edge last; construction refuses them
+INVALID_RECORDS = {
+    "negative capacity": ([("g", GEN), ("l", LOAD)], [fixed_edge("g", "l", 1, -1)]),
+    "undeclared endpoint": ([("g", GEN), ("l", LOAD)], [fixed_edge("g", "l", 1, 2), fixed_edge("g", "zz", 1, 2)]),
+    "zero susceptance": ([("g", GEN), ("m", PLAIN), ("l", LOAD)], [fixed_edge("m", "l", 1, 2), fixed_edge("g", "l", 1, 1), fixed_edge("g", "m", 0, 2)]),
+    "self-loop": ([("g", GEN), ("l", LOAD)], [fixed_edge("g", "l", 1, 2), fixed_edge("g", "g", 1, 2)]),
+    "repeated pair": ([("g", GEN), ("l", LOAD)], [fixed_edge("g", "l", 1, 2), fixed_edge("g", "l", 2, 1)]),
 }
 PUBLIC_SOLVERS = {
     "solve_mpf": solve_mpf,
@@ -858,10 +842,51 @@ PUBLIC_SOLVERS = {
 }
 
 
-@pytest.mark.parametrize("defect", sorted(INVALID_NETWORKS))
+@pytest.mark.parametrize("defect", sorted(INVALID_RECORDS))
 @pytest.mark.parametrize("solver", sorted(PUBLIC_SOLVERS))
-def test_public_solvers_reject_invalid_networks_with_the_report(solver, defect):
-    n = INVALID_NETWORKS[defect]
-    with pytest.raises(InvalidNetwork) as exc:
-        PUBLIC_SOLVERS[solver](n)
-    assert exc.value.report == validate_network(n) and not exc.value.report.ok
+def test_public_solvers_never_meet_an_invalid_network(solver, defect):
+    # no solver can meet the records; each answers the network built without the defective edge
+    nodes, edges = INVALID_RECORDS[defect]
+    assert refused(nodes, edges)
+    PUBLIC_SOLVERS[solver](Network(nodes, edges[:-1]))
+
+
+# near misses of valid records, one per structural defect: (name, records -> records)
+NEAR_MISSES = {
+    "empty name": lambda nodes, edges: ([*nodes, ("", PLAIN)], edges),
+    "declared twice": lambda nodes, edges: ([*nodes, (nodes[0][0], PLAIN)], edges),
+    "self-loop": lambda nodes, edges: (nodes, [*edges, fixed_edge(nodes[0][0], nodes[0][0], 1, 1)]),
+    "repeated pair": lambda nodes, edges: (nodes, [*edges, fixed_edge(edges[0].b, edges[0].a, 2, 1)]),
+    "undeclared endpoint": lambda nodes, edges: (nodes, [*edges, fixed_edge(nodes[-1][0], "zz", 1, 1)]),
+    "interval outside the positive reals": lambda nodes, edges: (nodes, [*edges[1:], facts_edge(edges[0].a, edges[0].b, 0, -1, 1)]),
+    "capacity not positive": lambda nodes, edges: (nodes, [*edges[1:], fixed_edge(edges[0].a, edges[0].b, 1, 0)]),
+}
+
+
+@settings(max_examples=60)
+@given(base=any_network, kinds=st.lists(st.sampled_from(sorted(NEAR_MISSES)), max_size=3), data=st.data())
+def test_construction_refuses_exactly_the_records_the_reference_reports_on(base, kinds, data):
+    nodes, edges = list(base.nodes), list(base.edges)
+    for kind in kinds:
+        if nodes and (edges or kind in ("empty name", "declared twice", "self-loop", "undeclared endpoint")):
+            nodes, edges = NEAR_MISSES[kind](nodes, edges)
+    nodes, edges = data.draw(st.permutations(nodes)), data.draw(st.permutations(edges))
+    report = reference_validate_network(nodes, edges)
+    if report.ok:
+        assert Network(nodes, edges) == base
+    else:
+        assert refused(nodes, edges) == str(report).splitlines()
+
+
+@settings(max_examples=40)
+@given(n=any_network, other=any_network, data=st.data())
+def test_the_library_builds_no_network_construction_refuses(n, other, data):
+    """`subnetwork`, `network_sum` and `pin_susceptances` never raise `InvalidNetwork` on valid input (the gadgets and encoders: their own tests)."""
+    switched = data.draw(st.lists(st.sampled_from(n.edges), unique=True)) if n.edges else []
+    sub = subnetwork(n, switched)
+    assert sub == Network(n.nodes, [e for e in n.edges if e not in switched])
+    renamed = Network([("other." + v, r) for v, r in other.nodes], [Edge("other." + e.a, "other." + e.b, e.s_min, e.s_max, e.cap) for e in other.edges])
+    assert network_sum(sub, renamed, Network(sub.nodes[:1])).edges == tuple(sorted(sub.edges + renamed.edges))
+    widened = Network(n.nodes, [facts_edge(e.a, e.b, e.s_min, 2 * e.s_min, e.cap) for e in n.edges])
+    assignment = {e: data.draw(st.sampled_from([e.s_min, e.s_max, (e.s_min + e.s_max) / 2])) for e in widened.edges}
+    assert pin_susceptances(widened, assignment).is_fixed()
