@@ -114,12 +114,15 @@ def classical_max_flow(n: Network, *, witness: bool = False) -> Fraction | tuple
     It runs on n's integer view and the mask of n's edges in it
     (`Network._kept`), so a sub-network reads its root's tables.  With
     `witness`, return (value, flowing, side): `flowing` is a bitmask over
-    `n.edges` of the edges the max flow uses, and `side` a bitmask over
-    `n.node_names` of the source side of the minimal min cut, which holds
-    every generator and no load and whose crossing edges add up to the
-    value.  A sub-network keeps both orders.
+    the view's edges, its root's, of the edges the max flow uses, and
+    `side` a bitmask over `n.node_names` of the source side of the
+    minimal min cut, which holds every generator and no load and whose
+    crossing edges add up to the value.
     """
-    view = n._view
-    value, flows, side = _integer_flow(view, n._kept, -1)
+    view, kept = n._view, n._kept
+    value, flows, side = _integer_flow(view, kept, -1)
     value = Fraction(value, view.scale)
-    return (value, sum(1 << i for i, x in enumerate(flows) if x), side) if witness else value
+    if not witness:
+        return value
+    bits = [1 << j for j in range(kept.bit_length()) if kept >> j & 1]
+    return value, sum([bit for bit, x in zip(bits, flows) if x]), side

@@ -75,7 +75,7 @@ from .classify import _components, _forest_walk, connected_components
 from .errors import NotFixedSusceptance
 from .lp import RANGE, Lazy, LinearProgram, LpResult, LpStatus, _reduced, solve_lp
 from .maxflow import _integer_flow
-from .network import Edge, Network, NodeId, Part, Solution, _solution, _spread, _squeeze
+from .network import Edge, Network, NodeId, Part, Solution, _solution
 from .rational import ONE, Rational, ZERO
 
 
@@ -376,7 +376,7 @@ def solve_mpf(n: Network) -> MpfOutcome:
 
 
 def core_maps(n: Network) -> tuple[Callable[[int], int], Callable[[int], int]]:
-    """A map from a removed-edge bitmask over `n.edges` to its flow core, and one from a kept-edge bitmask to its bridges.
+    """A map from a removed-edge bitmask to its flow core, and one from a kept-edge bitmask to its bridges, all over n's root's edges.
 
     The core is the bitmask of the edges that can still carry flow: strip
     plain leaves until none is left (a plain leaf's edge carries nothing,
@@ -390,15 +390,13 @@ def core_maps(n: Network) -> tuple[Callable[[int], int], Callable[[int], int]]:
     `classify.is_cactus` makes.  Removing a bridge never raises the MPF
     value: shifting the angles on one side lets it carry nothing.  Both
     maps work on ints only, over n's integer view (`network._View`), whose
-    edge bits are its root's; a sub-network's masks are put into them and
-    taken back out (`network._spread`, `network._squeeze`).
+    edge bits are its root's; a core holds only edges n holds.
     """
     view, everything = n._view, n._kept
-    gaps = ~everything & (1 << len(view.edges)) - 1  # the root's edges that n does not hold
     plain = [x for i, x in enumerate(view.incident) if view.plain >> i & 1]
 
     def core(removed: int) -> int:
-        kept = everything & ~_spread(removed, gaps)
+        kept = everything & ~removed
         stripped = True
         while stripped:
             stripped = False
@@ -411,10 +409,10 @@ def core_maps(n: Network) -> tuple[Callable[[int], int], Callable[[int], int]]:
         for _, nodes, edges in _components(view, kept, view.gens):
             if nodes & view.loads:
                 flowing |= edges
-        return _squeeze(flowing, gaps)
+        return flowing
 
     def bridges(kept: int) -> int:
-        forest, crossed, _ = _forest_walk(view, _spread(kept, gaps))
-        return _squeeze(forest & ~crossed, gaps)
+        forest, crossed, _ = _forest_walk(view, kept)
+        return forest & ~crossed
 
     return core, bridges

@@ -65,7 +65,7 @@ from .errors import TooLarge
 from .lp import Lazy, LinearProgram, VarId, write_lp_text
 from .maxflow import classical_max_flow
 from .mpf import MpfOutcome, _gen, _load, _require_fixed, core_maps, pinned_nodes, solve_mpf
-from .network import Edge, Network, NodeId, Solution, SwitchSet, _spread, subnetwork, zero_solution
+from .network import Edge, Network, NodeId, Solution, SwitchSet, subnetwork, zero_solution
 from .rational import ONE, Rational, ZERO, rat, rat_str
 
 EXHAUSTIVE_EDGE_LIMIT = 20
@@ -103,17 +103,13 @@ def optima(items: Iterable, key: Callable) -> list:
 
 
 def _removed(n: Network, mask: int) -> tuple[Edge, ...]:
-    return tuple(e for i, e in enumerate(n.edges) if mask >> i & 1)
+    return tuple(e for i, e in enumerate(n._view.edges) if mask >> i & 1)
 
 
 def _crossing(n: Network, side: int) -> list[tuple[int, int]]:
-    """The (bit, capacity) pairs of n's edges with exactly one end in the node mask `side`: bits over `n.edges`, capacities over its view's scale.
-
-    A view edge j that n holds is n's edge number k, where k counts the
-    edges n holds below j.
-    """
+    """The (bit, capacity) pairs of n's edges with exactly one end in the node mask `side`, both over its view's edges and scale."""
     view, kept = n._view, n._kept
-    return [(1 << (kept & (1 << j) - 1).bit_count(), cap) for j, ((a, b), cap) in enumerate(zip(view.ends, view.caps)) if kept >> j & 1 and (side >> a ^ side >> b) & 1]
+    return [(1 << j, cap) for j, ((a, b), cap) in enumerate(zip(view.ends, view.caps)) if kept >> j & 1 and (side >> a ^ side >> b) & 1]
 
 
 def _core_value(n: Network, core: int) -> Rational:
@@ -147,8 +143,11 @@ def _cores(n: Network) -> array:
     return cores
 
 
-def _optimal_sets(n: Network) -> list[int]:
-    """All optimal switch sets, as removed-edge masks in ascending order.
+def _optimal_sets(n: Network) -> list[tuple[Edge, ...]]:
+    """All optimal switch sets, as removed-edge tuples in ascending mask order.
+
+    The masks index n's edges densely, so a sub-network is scanned as a
+    root of its own edges, which holds the same `Edge` objects.
 
     Each mask's flow core is found first (`_cores`); the empty core is
     worth zero.  Each distinct non-empty core gets an integer cut bound
@@ -168,6 +167,8 @@ def _optimal_sets(n: Network) -> list[int]:
     _require_fixed(n)
     if len(n.edges) > EXHAUSTIVE_EDGE_LIMIT:
         raise TooLarge(f"{len(n.edges)} edges exceed the exhaustive limit of {EXHAUSTIVE_EDGE_LIMIT}")
+    if len(n._view.edges) != len(n.edges):
+        n = Network(n.nodes, n.edges)
     cores = _cores(n)
     cuts = [_crossing(n, n._view.gens), _crossing(n, n._view.loads)]
     bounds = {core: min(sum(cap for bit, cap in cut if core & bit) for cut in cuts) for core in dict.fromkeys(cores) if core}
@@ -179,19 +180,19 @@ def _optimal_sets(n: Network) -> list[int]:
         values[core] = value
         best = max(best, value)
     winners = {core for core, value in values.items() if value == best}
-    return [mask for mask, core in enumerate(cores) if core in winners]
+    return [_removed(n, mask) for mask, core in enumerate(cores) if core in winners]
 
 
 def solve_msf_exhaustive(n: Network) -> MsfOutcome:
     """Scan all 2^|E| switch sets; exact but only sensible at desk scale."""
-    _, removed = min(switch_key(_removed(n, mask)) for mask in _optimal_sets(n))
+    _, removed = min(map(switch_key, _optimal_sets(n)))
     out = solve_mpf(subnetwork(n, removed))
     return MsfOutcome(out.value, frozenset(removed), out.solution)
 
 
 def optimal_switch_sets(n: Network) -> list[tuple[SwitchSet, MpfOutcome]]:
     """All switch sets attaining the MSF value, in canonical order."""
-    keys = sorted(switch_key(_removed(n, mask)) for mask in _optimal_sets(n))
+    keys = sorted(map(switch_key, _optimal_sets(n)))
     return [(frozenset(removed), solve_mpf(subnetwork(n, removed))) for _, removed in keys]
 
 
@@ -202,7 +203,7 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, 
     each as (removed-edge mask, core, bound, flowing).  A node's children
     add one edge past its last, in increasing index (from
     `mask.bit_length()`), and the levels keep their parents' order, so
-    switch sets are visited in switch-key order (`n.edges` is sorted).
+    switch sets are visited in switch-key order (the view's edges are sorted).
     The removed-edge tuple is built only for a sub-network or a new
     incumbent.  With `threshold` set, the
     search stops as soon as the incumbent proves the decision and prunes
@@ -262,10 +263,9 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, 
     compared with one integer, recomputed when the incumbent changes:
     the largest bound that cannot change the answer.  A new cut's
     crossing edges come from `_crossing`, which the scan's cut bounds
-    also use, and a sub-network's flowing edges go back onto the
-    network's bits by putting a zero in at each removed edge
-    (`network._spread`).  So every comparison is exact, and no check
-    builds a `Fraction`.
+    also use, and every mask is over the view's edges, its root's, as
+    are the core map's and `classical_max_flow`'s witness.  So every
+    comparison is exact, and no check builds a `Fraction`.
     """
     _require_fixed(n)
     root_bound, root_flowing, root_side = classical_max_flow(n, witness=True)
@@ -313,12 +313,11 @@ def _solve_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcome, 
                         continue  # 2. a pooled cut prunes it
                     removed = _removed(n, child)
                     sub = subnetwork(n, removed)
-                    if flowing & bit:  # 3. a max flow of its own; `sub` numbers its edges without the removed ones
+                    if flowing & bit:  # 3. a max flow of its own
                         value, used, side = classical_max_flow(sub, witness=True)
                         if side not in pool:
                             pool[side] = _crossing(n, side)
-                        # put each removed edge's bit back in
-                        seen = value.numerator * (scale // value.denominator), _spread(used, child)
+                        seen = value.numerator * (scale // value.denominator), used
                     else:  # 1. the parent's max flow is the child's
                         seen = limit, flowing
                     known[child_core] = seen

@@ -215,7 +215,8 @@ class _View:
     the generators, of the loads and of the other nodes (`plain`); and
     the capacities as integers over `scale`, the LCM of their
     denominators.  A sub-network shares its root's view and reads its
-    own edges from it as the mask `Network._kept`.
+    own edges from it as the mask `Network._kept`.  Every edge mask
+    passed between layers, a sub-network's too, is over these bits.
 
     Its readers: `classify`'s component walk and spanning forest,
     `mpf.core_maps`, the masks and cut bounds of both `msf` searches, and
@@ -237,24 +238,6 @@ class _View:
         self.plain = (1 << len(index)) - 1 & ~(self.gens | self.loads)
         self.scale = scale = math.lcm(*(e.cap.denominator for e in n.edges))
         self.caps = [e.cap.numerator * (scale // e.cap.denominator) for e in n.edges]
-
-
-def _spread(mask: int, gaps: int) -> int:
-    """`mask` with a zero bit put in at each bit of `gaps`, lowest first: a sub-network's edge bits as its parent's, `gaps` its removed edges."""
-    while gaps:
-        low = gaps & -gaps
-        gaps ^= low
-        mask = mask & (low - 1) | (mask & -low) << 1
-    return mask
-
-
-def _squeeze(mask: int, gaps: int) -> int:
-    """`mask` with the bit at each bit of `gaps` taken out, highest first: the inverse of `_spread`."""
-    while gaps:
-        high = 1 << gaps.bit_length() - 1
-        gaps ^= high
-        mask = mask & (high - 1) | mask >> 1 & -high
-    return mask
 
 
 # A switch set designates edges of a reference network as removed.
@@ -402,8 +385,11 @@ def subnetwork(n: Network, switched: Iterable[Edge]) -> Network:
     n's; if any is not (an equal copy, or an edge n does not hold), the
     edges are matched by equality, and an unknown one, an item that is
     not an `Edge`, or a `switched` that is not iterable raises
-    `UnknownEdge`.
+    `UnknownEdge`.  An n that is not a `Network` raises `InvalidNetwork`
+    naming it.
     """
+    if not isinstance(n, Network):
+        raise InvalidNetwork(ValidationReport((Violation("Structural", repr(n), "network is not a Network"),)))
     if not isinstance(switched, Iterable):
         raise UnknownEdge(f"{switched!r} is not an iterable of edges")
     switched = tuple(switched)
@@ -474,11 +460,13 @@ def validate_solution(n: Network, sol: Solution) -> ValidationReport:
     `Structural` violation naming its map and key.  Flows, generations
     and loads are compared as multiples of one common denominator and
     angles as multiples of another, so every check is integer
-    arithmetic; a `Fraction` is built only to word a violation.  A `sol`
-    that is not a `Solution` is one `Structural` violation.
+    arithmetic; a `Fraction` is built only to word a violation.  An n
+    that is not a `Network` or a `sol` that is not a `Solution` is a
+    `Structural` violation each, and nothing else is checked.
     """
-    if not isinstance(sol, Solution):
-        return ValidationReport((Violation("Structural", repr(sol), "solution is not a Solution"),))
+    refused = tuple(Violation("Structural", repr(x), f"{label} is not a {kind.__name__}") for label, x, kind in (("network", n, Network), ("solution", sol, Solution)) if not isinstance(x, kind))
+    if refused:
+        return ValidationReport(refused)
     out: list[Violation] = []
     nodes = set(n.node_names)
     edges = set(n.edges)

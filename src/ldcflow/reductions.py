@@ -6,7 +6,8 @@ predicted value exactly when the combinatorial instance is solvable, and
 stays strictly below it otherwise.  `predicted_value` is that formula, one
 per kind, and the encoders and decoders both take it from there.  An
 encoder that sums choice gadgets into a glue network does so with one
-`network_sum`, so it builds and sorts one `Network` per encoding.
+`network_sum`: it builds the glue network, each gadget and their sum, and
+each `Network` is checked when it is built.
 
 Decoders read a certificate back out of an optimal outcome alone: the
 port flows come from the outcome's own solution and the predicted value

@@ -20,6 +20,7 @@ settings.load_profile("tier1")
 from ldcflow.errors import InvalidNetwork
 from ldcflow.lp import LinearProgram
 from ldcflow.network import Network, NodeRole, facts_edge, fixed_edge
+from ldcflow.reductions import ExactCover3Instance, encode_exact_cover_msf
 from oracles import reference_validate_network
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
@@ -36,6 +37,16 @@ def refused(nodes, edges) -> list[str]:
         Network(nodes, edges)
     assert caught.value.report == reference_validate_network(nodes, edges)
     return str(caught.value.report).splitlines()
+
+
+def view_edges(n: Network, mask: int) -> frozenset:
+    """The edges of a mask over n's view, whose bits are n's root's edges."""
+    return frozenset(e for j, e in enumerate(n._view.edges) if mask >> j & 1)
+
+
+def view_mask(n: Network, edges) -> int:
+    """The mask over n's view of the given edges."""
+    return sum(1 << j for j, e in enumerate(n._view.edges) if e in edges)
 
 
 def random_ldc_network(rng: random.Random, *, max_edges: int = 9, min_edges: int = 3) -> Network:
@@ -176,6 +187,30 @@ def networks_with_chains(draw) -> Network:
 
 
 any_network = st.one_of(networks_with_idle_edges(), series_parallel_networks(), networks_with_chains())
+
+
+def workload_network(rng: random.Random, n_nodes: int, n_edges: int) -> Network:
+    """The benchmark's random network, drawn as `perfbench/workloads.py::random_network` draws it: n0 generates, n1 consumes."""
+    names = [f"n{i}" for i in range(n_nodes)]
+    roles = {names[0]: GEN, names[1]: LOAD}
+    for v in names[2:]:
+        roles[v] = rng.choice((PLAIN, PLAIN, GEN, LOAD))
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    rng.shuffle(pairs)
+    susceptances = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
+    return Network(roles.items(), [fixed_edge(a, b, rng.choice(susceptances), rng.randint(1, 6)) for a, b in pairs[:n_edges]])
+
+
+def deep_searches() -> dict[str, tuple[Network, Fraction]]:
+    """Three networks whose branch-and-bound uses child max flows, inherited bounds and pooled cuts, with their MSF values.
+
+    They are the 25-edge exact-cover NO instance {abc, cde} on a-f, and
+    the first two 8-node, 13-edge networks `random.Random(7)` draws.
+    """
+    cover = encode_exact_cover_msf(ExactCover3Instance(tuple("abcdef"), (("a", "b", "c"), ("c", "d", "e")))).network
+    rng = random.Random(7)
+    first, second = (workload_network(rng, 8, 13) for _ in range(2))
+    return {"cover": (cover, Fraction(26)), "random-1": (first, Fraction(1180, 63)), "random-2": (second, Fraction(223, 16))}
 
 
 @pytest.fixture

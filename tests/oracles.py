@@ -705,7 +705,7 @@ def reference_msf_bnb(n: Network, threshold: Rational | None) -> tuple[MpfOutcom
     it prunes it again.
     """
     _require_fixed(n)
-    edges = n.edges
+    edges = n._view.edges  # the core map's bits are the root's edges
     core_of, bridges_of = core_maps(n)
     root_core = core_of(0)
     bounds: dict[int, Rational] = {root_core: classical_max_flow(n)}

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import any_network, random_ldc_network, random_tree, refused
+from conftest import any_network, random_ldc_network, random_tree, refused, view_edges, view_mask
 from ldcflow.classify import connected_components, is_cactus, is_connected, is_tree, max_degree
 from ldcflow.errors import InvalidNetwork
 from ldcflow.gadgets import Polarity, gfch, gsch
@@ -173,12 +173,14 @@ def test_a_sub_network_shares_its_roots_view_and_classifies_as_one_built_afresh(
         assert connected_components(part) == connected_components(fresh)
         for predicate in (max_degree, is_tree, is_connected, is_cactus):
             assert predicate(part) == predicate(fresh)
-        masks = range(1 << min(len(kept), 8))
+        # masks are over the root's edges, so they are compared as edge sets
+        subsets = [view_edges(fresh, m) for m in range(1 << min(len(kept), 8))]
         for ours, theirs in zip(core_maps(part), core_maps(fresh)):
-            assert [ours(m) for m in masks] == [theirs(m) for m in masks]
+            assert [view_edges(part, ours(view_mask(part, s))) for s in subsets] == [view_edges(fresh, theirs(view_mask(fresh, s))) for s in subsets]
         core, fresh_core = core_maps(part)[0], core_maps(fresh)[0]
-        assert [core(~m) for m in masks] == [fresh_core(~m) for m in masks]
-        assert classical_max_flow(part, witness=True) == classical_max_flow(fresh, witness=True)
+        assert [view_edges(part, core(~view_mask(part, s))) for s in subsets] == [view_edges(fresh, fresh_core(~view_mask(fresh, s))) for s in subsets]
+        (value, flowing, side), (fresh_value, fresh_flowing, fresh_side) = (classical_max_flow(m, witness=True) for m in (part, fresh))
+        assert (value, view_edges(part, flowing), side) == (fresh_value, view_edges(fresh, fresh_flowing), fresh_side)
 
 
 @given(graphs(max_nodes=7, max_edges=9))

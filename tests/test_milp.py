@@ -12,16 +12,20 @@ import pytest
 from scipy.optimize import LinearConstraint, milp
 from scipy.sparse import lil_matrix
 
+from conftest import deep_searches
 from ldcflow.gadgets import Polarity, gsch
-from ldcflow.msf import build_switching_milp, export_milp, solve_msf_exhaustive
-from ldcflow.network import Network, NodeRole, fixed_edge
+from ldcflow.mpf import solve_mpf
+from ldcflow.msf import build_switching_milp, export_milp, solve_msf_bnb, solve_msf_exhaustive
+from ldcflow.network import Network, NodeRole, fixed_edge, subnetwork
 from ldcflow.reductions import SubsetSumInstance, encode_subset_sum_cactus_msf
 
 TOL = 1e-6
 
+DEEP = deep_searches()
+
 
 def solve_with_scipy(program, binaries):
-    """Generic float bridge: LinearProgram -> scipy.optimize.milp."""
+    """Generic float bridge: LinearProgram -> scipy.optimize.milp; returns the optimum and HiGHS's solution by variable."""
     idx = {v: i for i, v in enumerate(program.variables)}
     n = len(program.variables)
     binary = set(binaries)
@@ -48,7 +52,7 @@ def solve_with_scipy(program, binaries):
         bounds=__import__("scipy.optimize", fromlist=["Bounds"]).Bounds(lb, ub),
     )
     assert res.success, res.message
-    return -res.fun
+    return -res.fun, dict(zip(program.variables, res.x))
 
 
 @pytest.mark.parametrize(
@@ -66,9 +70,22 @@ def solve_with_scipy(program, binaries):
 )
 def test_external_solver_agrees_with_the_exact_search(network):
     program, binaries = build_switching_milp(network)
-    external = solve_with_scipy(program, binaries)
+    external, _ = solve_with_scipy(program, binaries)
     exact = solve_msf_exhaustive(network).value
     assert abs(external - float(exact)) < TOL
+
+
+@pytest.mark.parametrize("name", DEEP)
+def test_highs_agrees_with_branch_and_bound_on_deep_searches(name):
+    network, value = DEEP[name]
+    out = solve_msf_bnb(network)
+    assert out.value == value
+    program, binaries = build_switching_milp(network)
+    external, x = solve_with_scipy(program, binaries)
+    assert abs(external - float(value)) < TOL
+    # HiGHS's own switch set, re-solved exactly, reaches the same value
+    removed = [e for e, z in zip(network.edges, binaries) if x[z] < 0.5]
+    assert solve_mpf(subnetwork(network, removed)).value == value
 
 
 def test_export_text_shape():
@@ -86,7 +103,7 @@ def test_single_edge_has_one_binary():
     n = Network([("g", NodeRole.GENERATOR), ("l", NodeRole.LOAD)], [fixed_edge("g", "l", 1, 7)])
     program, binaries = build_switching_milp(n)
     assert len(binaries) == 1
-    assert solve_with_scipy(program, binaries) == pytest.approx(7.0, abs=TOL)
+    assert solve_with_scipy(program, binaries)[0] == pytest.approx(7.0, abs=TOL)
 
 
 # The whole export of gsch(1): free angles, the pinned angle of the first

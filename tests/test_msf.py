@@ -7,7 +7,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import any_network, random_ldc_network, random_tree
+from conftest import any_network, random_ldc_network, random_tree, view_edges
 import ldcflow.msf
 import oracles
 from ldcflow.errors import NotFixedSusceptance, TooLarge
@@ -153,9 +153,9 @@ def test_the_searches_on_a_sub_network_match_those_on_one_built_afresh(n, mask):
     sub, fresh = subnetwork(n, removed), Network(n.nodes, [e for e in n.edges if e not in removed])
     for search in (solve_msf_bnb, solve_msf_exhaustive):
         assert search(sub) == search(fresh)
-    # every cut either search builds: bits over the network's own edges, capacities over its view's scale
+    # every cut either search builds: bits over the view's edges, the root's, and capacities over its scale
     for side in range(1 << len(n.node_names)):
-        cuts = [[(bit, F(cap, m._view.scale)) for bit, cap in ldcflow.msf._crossing(m, side)] for m in (sub, fresh)]
+        cuts = [{(e, F(cap, m._view.scale)) for bit, cap in ldcflow.msf._crossing(m, side) for e in view_edges(m, bit)} for m in (sub, fresh)]
         assert cuts[0] == cuts[1]
 
 
@@ -320,7 +320,7 @@ class TestSolveCounts:
         value, kept = classical_max_flow(m), set(m.edges)
         for b in bounds:
             bound, flowing, _ = classical_max_flow(b, witness=True)
-            if bound == value and {e for i, e in enumerate(b.edges) if flowing >> i & 1} <= kept:
+            if bound == value and view_edges(b, flowing) <= kept:
                 return True
         return False
 

@@ -356,6 +356,13 @@ class TestSubnetwork:
             subnetwork(gsch1, switched)
         assert str(caught.value) == f"{switched!r} is not an iterable of edges"
 
+    @pytest.mark.parametrize("n", [None, 5, "g--v"], ids=["None", "int", "str"])
+    def test_a_network_that_is_not_a_network_is_invalid(self, n):
+        # None raised AttributeError: 'NoneType' object has no attribute 'edges'
+        with pytest.raises(InvalidNetwork) as caught:
+            subnetwork(n, [])
+        assert str(caught.value.report) == f"Structural at {n!r}: network is not a Network"
+
     def test_sequential_removal_composes(self, gsch1):
         e1, e2 = gsch1.edges[0], gsch1.edges[1]
         assert subnetwork(gsch1, {e1, e2}) == subnetwork(subnetwork(gsch1, {e1}), {e2})
@@ -658,13 +665,19 @@ class TestValidateSolution:
                 "Structural at g--zz(s=1,cap=1): flow entry for unknown edge",
             ),
             (lambda n, sol: (n, None), "Structural at None: solution is not a Solution"),
+            # a network of None raised AttributeError
+            (lambda n, sol: (None, sol), "Structural at None: network is not a Network"),
             (lambda n, sol: (n, replace(sol, load={**sol.load, "g": F(1)})), "RoleBound at g: load at a non-load"),
         ],
-        ids=["unknown node", "unknown edge", "not a solution", "load at a non-load"],
+        ids=["unknown node", "unknown edge", "not a solution", "not a network", "load at a non-load"],
     )
     def test_a_defect_is_reported(self, gsch1, change, line):
         n, sol = change(gsch1, gsch1_solution(gsch1))
         assert line in str(validate_solution(n, sol)).splitlines()
+
+    def test_a_network_that_is_not_a_network_is_the_one_violation(self, gsch1):
+        assert str(validate_solution("gsch1", gsch1_solution(gsch1))) == "Structural at 'gsch1': network is not a Network"
+        assert str(validate_solution(None, None)).splitlines() == ["Structural at None: network is not a Network", "Structural at None: solution is not a Solution"]
 
     @pytest.mark.parametrize("label", ["susceptance", "flow", "angle", "gen", "load"])
     @pytest.mark.parametrize("value", [1.5, "3/2", True, None], ids=["float", "str", "bool", "None"])
