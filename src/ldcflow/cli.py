@@ -14,8 +14,10 @@ Exit codes: 0 success (including a NO/UNKNOWN decision), 1 failed
 verification, 2 usage error (including `solve --decide` with `--out` or
 `--json`, `--method` on mpf or mff, and `--grid` on mpf or msf), 3 file
 or parse error, 4 solver or encoder precondition error (including a
-network document that `Network` refuses, whose report goes to stderr;
-`verify` prints that report to stdout and exits 1).
+network document that `Network` refuses, whose report goes to stderr,
+and an instance document whose instance refuses its fields when
+`serialize` builds it, in `encode` and `decode` alike; `verify` prints a
+refused network's report to stdout and exits 1).
 """
 
 from __future__ import annotations

@@ -82,7 +82,15 @@ class SusceptanceOutOfRange(LdcError, ValueError):
 
 
 class InvalidInstance(LdcError):
-    """A combinatorial problem instance violates its structural requirements."""
+    """A combinatorial problem instance violates its structural requirements, or is not of the kind asked for.
+
+    `SubsetSumInstance`, `ExactCover3Instance` and `HamiltonianInstance`
+    raise it when built from malformed fields, so every instance that
+    exists is valid.  `reductions.predicted_value`, which every encoder and
+    decoder calls first, raises it for an unknown encoding kind or an
+    instance of another kind; `decode_subset_sum` for a kind that is not a
+    subset-sum encoding; `gadgets` for a polarity that is not a `Polarity`.
+    """
 
 
 class NotACertificate(LdcError):

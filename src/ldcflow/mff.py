@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 
@@ -47,7 +48,9 @@ class MffDecision(enum.Enum):
 
 
 def pin_susceptances(n: Network, assignment: SusAssignment) -> Network:
-    """Fix every assigned edge to its value: `UnknownEdge` for a key not in n, `InvalidNetwork` for a value that is not an int or a `Fraction`, `SusceptanceOutOfRange` off its interval."""
+    """Fix every assigned edge to its value: `UnknownEdge` for an assignment that is not a mapping or a key not in n, `InvalidNetwork` for a value that is not an int or a `Fraction`, `SusceptanceOutOfRange` off its interval."""
+    if not isinstance(assignment, Mapping):
+        raise UnknownEdge(f"{assignment!r} is not a mapping of edges")
     unknown = assignment.keys() - n.edges
     if unknown:
         raise UnknownEdge(f"{min(unknown)} is not an edge of the network")

@@ -75,7 +75,7 @@ from .classify import _components, _forest_walk, connected_components
 from .errors import NotFixedSusceptance
 from .lp import RANGE, Lazy, LinearProgram, LpResult, LpStatus, _reduced, solve_lp
 from .maxflow import _integer_flow
-from .network import Edge, Network, NodeId, Part, Solution, _solution
+from .network import Edge, Network, NodeId, Part, Solution, _require_network, _solution
 from .rational import ONE, Rational, ZERO
 
 
@@ -98,6 +98,8 @@ def _load(v: NodeId) -> str:
 
 
 def _require_fixed(n: Network) -> None:
+    """Refuse an n that is not a `Network` (`InvalidNetwork`) or that has a FACTS edge (`NotFixedSusceptance`)."""
+    _require_network(n)
     if not n.is_fixed():
         bad = n.facts_edges[0]
         raise NotFixedSusceptance(f"edge {bad} has an adjustable susceptance")

@@ -369,6 +369,12 @@ def _structural_violations(nodes: list, edges: list) -> Iterator[Violation]:
 _SHARED = ("node_names", "roles", "generators", "loads", "_view")
 
 
+def _require_network(n: Network) -> None:
+    """Refuse an n that is not a `Network` with `InvalidNetwork` naming it."""
+    if not isinstance(n, Network):
+        raise InvalidNetwork(ValidationReport((Violation("Structural", repr(n), "network is not a Network"),)))
+
+
 def subnetwork(n: Network, switched: Iterable[Edge]) -> Network:
     """The network with the switched edges removed; nodes and roles unchanged.
 
@@ -388,8 +394,7 @@ def subnetwork(n: Network, switched: Iterable[Edge]) -> Network:
     `UnknownEdge`.  An n that is not a `Network` raises `InvalidNetwork`
     naming it.
     """
-    if not isinstance(n, Network):
-        raise InvalidNetwork(ValidationReport((Violation("Structural", repr(n), "network is not a Network"),)))
+    _require_network(n)
     if not isinstance(switched, Iterable):
         raise UnknownEdge(f"{switched!r} is not an iterable of edges")
     switched = tuple(switched)

@@ -9,6 +9,12 @@ encoder that sums choice gadgets into a glue network does so with one
 `network_sum`: it builds the glue network, each gadget and their sum, and
 each `Network` is checked when it is built.
 
+Every instance is checked when it is built: `SubsetSumInstance`,
+`ExactCover3Instance` and `HamiltonianInstance` refuse a malformed one
+with `InvalidInstance`, so no encoder or decoder checks one again.
+`predicted_value` refuses an instance of another kind, and every encoder
+and decoder calls it before it reads the instance.
+
 Decoders read a certificate back out of an optimal outcome alone: the
 port flows come from the outcome's own solution and the predicted value
 from the instance, so no decoder encodes the instance again.
@@ -61,30 +67,125 @@ KIND_CACTUS_MFF = "subset-sum-cactus-mff"
 KIND_TREE = "subset-sum-tree"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_names(names, what: str) -> None:
+    for name in names:
+        if not isinstance(name, str):
+            raise InvalidInstance(f"{what} {name!r} is not a string")
+
+
 @dataclass(frozen=True)
 class ExactCover3Instance:
-    """Universe M and a family S of 3-element subsets of M."""
+    """Universe M and a family S of 3-element subsets of M.
+
+    Refused with `InvalidInstance` when built: a universe or sets that are
+    not a tuple or list, a set that is not one, a name that is not a str,
+    a repeated element, an element named like a generated node, a set
+    that is not three distinct elements of the universe, and a repeated set.
+    """
 
     universe: tuple[str, ...]
     sets: tuple[tuple[str, str, str], ...]
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.universe, (tuple, list)):
+            raise InvalidInstance(f"universe {self.universe!r} is not a tuple or list of elements")
+        if not isinstance(self.sets, (tuple, list)):
+            raise InvalidInstance(f"sets {self.sets!r} is not a tuple or list of sets")
+        _check_names(self.universe, "element")
+        for X in self.sets:
+            if not isinstance(X, (tuple, list)):
+                raise InvalidInstance(f"set {X!r} is not a tuple or list of elements")
+            _check_names(X, "element")
+        universe = set(self.universe)
+        if len(universe) != len(self.universe):
+            raise InvalidInstance("universe elements must be distinct")
+        reserved = {"g", "l"} | {f"v{i}" for i in range(1, len(self.sets) + 1)}
+        for sym in self.universe:
+            if not sym or sym in reserved or sym.startswith("X"):
+                raise InvalidInstance(f"element name {sym!r} collides with generated node names")
+        seen = set()
+        for X in self.sets:
+            if len(X) != 3 or len(set(X)) != 3:
+                raise InvalidInstance(f"{X} is not a 3-element set")
+            if not set(X) <= universe:
+                raise InvalidInstance(f"{X} is not a subset of the universe")
+            key = frozenset(X)
+            if key in seen:
+                raise InvalidInstance(f"{X} appears twice")
+            seen.add(key)
+
 
 @dataclass(frozen=True)
 class SubsetSumInstance:
-    """Distinct positive integers and a target; order of values is kept."""
+    """Distinct positive integers and a target; order of values is kept.
+
+    Refused with `InvalidInstance` when built: values that are not a tuple
+    or list, a value or target that is not an int (bools included), no
+    values, a repeated value, and a value or target below 1.
+    """
 
     values: tuple[int, ...]
     target: int
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.values, (tuple, list)):
+            raise InvalidInstance(f"values {self.values!r} is not a tuple or list of integers")
+        if not all(map(_is_int, self.values)) or not _is_int(self.target):
+            raise InvalidInstance("subset-sum values and target must be integers")
+        if not self.values:
+            raise InvalidInstance("subset-sum instance needs at least one value")
+        if len(set(self.values)) != len(self.values):
+            raise InvalidInstance("subset-sum values must be distinct")
+        if any(x <= 0 for x in self.values) or self.target <= 0:
+            raise InvalidInstance("subset-sum values and target must be positive integers")
+
 
 @dataclass(frozen=True)
 class HamiltonianInstance:
-    """A simple undirected graph with designated endpoints a and b."""
+    """A simple undirected graph with designated endpoints a and b.
+
+    Refused with `InvalidInstance` when built: nodes or edges that are not
+    a tuple or list, an edge that is not a pair, a name that is not a str,
+    a repeated node, endpoints that are not two distinct nodes, a node
+    named like a generated one, a loop, an edge to an undeclared node and
+    a repeated edge.
+    """
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     a: str
     b: str
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.nodes, (tuple, list)):
+            raise InvalidInstance(f"nodes {self.nodes!r} is not a tuple or list of nodes")
+        if not isinstance(self.edges, (tuple, list)):
+            raise InvalidInstance(f"edges {self.edges!r} is not a tuple or list of edges")
+        _check_names((*self.nodes, self.a, self.b), "node")
+        for edge in self.edges:
+            if not isinstance(edge, (tuple, list)) or len(edge) != 2:
+                raise InvalidInstance(f"edge {edge!r} is not a pair of nodes")
+            _check_names(edge, "node")
+        nodes = set(self.nodes)
+        if len(nodes) != len(self.nodes):
+            raise InvalidInstance("graph nodes must be distinct")
+        if self.a == self.b or self.a not in nodes or self.b not in nodes:
+            raise InvalidInstance("endpoints must be two distinct graph nodes")
+        for name in self.nodes:
+            if not name or name.startswith("H."):
+                raise InvalidInstance(f"node name {name!r} collides with generated node names")
+        seen = set()
+        for u, v in self.edges:
+            if u == v or u not in nodes or v not in nodes:
+                raise InvalidInstance(f"bad edge {(u, v)}")
+            key = frozenset((u, v))
+            if key in seen:
+                raise InvalidInstance(f"duplicate edge {(u, v)}")
+            seen.add(key)
 
 
 @dataclass(frozen=True)
@@ -94,115 +195,30 @@ class EncodedInstance:
     kind: str
 
 
-# the stand-alone optimum of one gadget (exact cover) or of one unit of gadget size (cactus)
-_GADGET_VALUE = {
-    KIND_EXACT_COVER_MFF: Fraction(183, 10),
-    KIND_EXACT_COVER_MSF: Fraction(9),
-    KIND_CACTUS_MSF: Fraction(3),
-    KIND_CACTUS_MFF: Fraction(61, 10),
+# each kind's instance type and predicted value; 18.3, 9, 3 and 6.1 are the stand-alone optimum
+# of one gadget (exact cover) or of one unit of gadget size (cactus)
+_KINDS = {
+    KIND_EXACT_COVER_MFF: (ExactCover3Instance, lambda inst: 3 + Fraction(183, 10) * len(inst.sets) + len(inst.universe)),
+    KIND_EXACT_COVER_MSF: (ExactCover3Instance, lambda inst: 3 + Fraction(9) * len(inst.sets) + len(inst.universe)),
+    KIND_CACTUS_MSF: (SubsetSumInstance, lambda inst: 3 + inst.target + Fraction(3) * sum(inst.values)),
+    KIND_CACTUS_MFF: (SubsetSumInstance, lambda inst: 3 + inst.target + Fraction(61, 10) * sum(inst.values)),
+    KIND_TREE: (SubsetSumInstance, lambda inst: Fraction(sum(inst.values) + 1 + inst.target)),  # m + 2 + w with m = sum(M) - 1
+    KIND_HAMILTONIAN: (HamiltonianInstance, lambda inst: Fraction(2)),
 }
 
 
 def predicted_value(kind: str, inst) -> Rational:
     """The value the `kind` encoding of `inst` attains exactly when `inst` is solvable.
 
-    The instance is not checked here; the encoders and decoders check it first.
+    An unknown kind, or an `inst` that is not the kind's instance type,
+    raises `InvalidInstance`; the instance itself was checked when built.
     """
-    if kind in (KIND_EXACT_COVER_MFF, KIND_EXACT_COVER_MSF):
-        return 3 + _GADGET_VALUE[kind] * len(inst.sets) + len(inst.universe)
-    if kind in (KIND_CACTUS_MSF, KIND_CACTUS_MFF):
-        return 3 + inst.target + _GADGET_VALUE[kind] * sum(inst.values)
-    if kind == KIND_TREE:
-        m = sum(inst.values) - 1
-        return Fraction(m + 2 + inst.target)
-    if kind == KIND_HAMILTONIAN:
-        return Fraction(2)
-    raise InvalidInstance(f"unknown encoding kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Instance validation
-# ---------------------------------------------------------------------------
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _check_subset_sum(inst: SubsetSumInstance) -> None:
-    if not isinstance(inst.values, (tuple, list)):
-        raise InvalidInstance(f"values {inst.values!r} is not a tuple or list of integers")
-    if not all(map(_is_int, inst.values)) or not _is_int(inst.target):
-        raise InvalidInstance("subset-sum values and target must be integers")
-    if not inst.values:
-        raise InvalidInstance("subset-sum instance needs at least one value")
-    if len(set(inst.values)) != len(inst.values):
-        raise InvalidInstance("subset-sum values must be distinct")
-    if any(x <= 0 for x in inst.values) or inst.target <= 0:
-        raise InvalidInstance("subset-sum values and target must be positive integers")
-
-
-def _check_names(names, what: str) -> None:
-    for name in names:
-        if not isinstance(name, str):
-            raise InvalidInstance(f"{what} {name!r} is not a string")
-
-
-def _check_exact_cover(inst: ExactCover3Instance) -> None:
-    if not isinstance(inst.universe, (tuple, list)):
-        raise InvalidInstance(f"universe {inst.universe!r} is not a tuple or list of elements")
-    if not isinstance(inst.sets, (tuple, list)):
-        raise InvalidInstance(f"sets {inst.sets!r} is not a tuple or list of sets")
-    _check_names(inst.universe, "element")
-    for X in inst.sets:
-        if not isinstance(X, (tuple, list)):
-            raise InvalidInstance(f"set {X!r} is not a tuple or list of elements")
-        _check_names(X, "element")
-    universe = set(inst.universe)
-    if len(universe) != len(inst.universe):
-        raise InvalidInstance("universe elements must be distinct")
-    reserved = {"g", "l"} | {f"v{i}" for i in range(1, len(inst.sets) + 1)}
-    for sym in inst.universe:
-        if not sym or sym in reserved or sym.startswith("X"):
-            raise InvalidInstance(f"element name {sym!r} collides with generated node names")
-    seen = set()
-    for X in inst.sets:
-        if len(X) != 3 or len(set(X)) != 3:
-            raise InvalidInstance(f"{X} is not a 3-element set")
-        if not set(X) <= universe:
-            raise InvalidInstance(f"{X} is not a subset of the universe")
-        key = frozenset(X)
-        if key in seen:
-            raise InvalidInstance(f"{X} appears twice")
-        seen.add(key)
-
-
-def _check_hamiltonian(inst: HamiltonianInstance) -> None:
-    if not isinstance(inst.nodes, (tuple, list)):
-        raise InvalidInstance(f"nodes {inst.nodes!r} is not a tuple or list of nodes")
-    if not isinstance(inst.edges, (tuple, list)):
-        raise InvalidInstance(f"edges {inst.edges!r} is not a tuple or list of edges")
-    _check_names((*inst.nodes, inst.a, inst.b), "node")
-    for edge in inst.edges:
-        if not isinstance(edge, (tuple, list)) or len(edge) != 2:
-            raise InvalidInstance(f"edge {edge!r} is not a pair of nodes")
-        _check_names(edge, "node")
-    nodes = set(inst.nodes)
-    if len(nodes) != len(inst.nodes):
-        raise InvalidInstance("graph nodes must be distinct")
-    if inst.a == inst.b or inst.a not in nodes or inst.b not in nodes:
-        raise InvalidInstance("endpoints must be two distinct graph nodes")
-    for name in inst.nodes:
-        if not name or name.startswith("H."):
-            raise InvalidInstance(f"node name {name!r} collides with generated node names")
-    seen = set()
-    for u, v in inst.edges:
-        if u == v or u not in nodes or v not in nodes:
-            raise InvalidInstance(f"bad edge {(u, v)}")
-        key = frozenset((u, v))
-        if key in seen:
-            raise InvalidInstance(f"duplicate edge {(u, v)}")
-        seen.add(key)
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise InvalidInstance(f"unknown encoding kind {kind!r}")
+    wanted, value = _KINDS[kind]
+    if not isinstance(inst, wanted):
+        raise InvalidInstance(f"{kind} encodes an instance of {wanted.__name__}, got {type(inst).__name__}")
+    return value(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +226,8 @@ def _check_hamiltonian(inst: HamiltonianInstance) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _exact_cover_glue(inst: ExactCover3Instance) -> Network:
+def _exact_cover_glue(inst: ExactCover3Instance) -> tuple[Network, list[int]]:
+    """The glue network, and the size of the choice gadget at each port v1 .. v<|S|>: 3 for each set."""
     nodes = [("g", NodeRole.GENERATOR), ("l", NodeRole.LOAD)]
     nodes += [(x, NodeRole.PLAIN) for x in inst.universe]
     nodes += [(f"v{i}", NodeRole.PLAIN) for i in range(1, len(inst.sets) + 1)]
@@ -221,23 +238,25 @@ def _exact_cover_glue(inst: ExactCover3Instance) -> Network:
     for i, X in enumerate(inst.sets, start=1):
         for x in X:
             edges.append(fixed_edge(f"v{i}", x, 1, 1))
-    return Network(nodes, edges)
+    return Network(nodes, edges), [3] * len(inst.sets)
 
 
-def _encode_exact_cover(inst: ExactCover3Instance, gadget, kind: str) -> EncodedInstance:
-    _check_exact_cover(inst)
-    gadgets = (gadget(3, port=f"v{i}", polarity=Polarity.PORT, prefix=f"X{i}.") for i in range(1, len(inst.sets) + 1))
-    return EncodedInstance(network_sum(_exact_cover_glue(inst), *gadgets), predicted_value(kind, inst), kind)
+def _encode_choices(inst, kind: str, glue, gadget) -> EncodedInstance:
+    """The sum of inst's glue network and a `gadget` of each size the glue gives, ported at v1, v2, ..."""
+    predicted = predicted_value(kind, inst)
+    network, sizes = glue(inst)
+    gadgets = (gadget(x, port=f"v{i}", polarity=Polarity.PORT, prefix=f"X{i}.") for i, x in enumerate(sizes, start=1))
+    return EncodedInstance(network_sum(network, *gadgets), predicted, kind)
 
 
 def encode_exact_cover_mff(inst: ExactCover3Instance) -> EncodedInstance:
     """FACTS-choice encoding; predicted value 3 + 18.3|S| + |M|."""
-    return _encode_exact_cover(inst, gfch, KIND_EXACT_COVER_MFF)
+    return _encode_choices(inst, KIND_EXACT_COVER_MFF, _exact_cover_glue, gfch)
 
 
 def encode_exact_cover_msf(inst: ExactCover3Instance) -> EncodedInstance:
     """Switching-choice encoding; predicted value 3 + 9|S| + |M|."""
-    return _encode_exact_cover(inst, gsch, KIND_EXACT_COVER_MSF)
+    return _encode_choices(inst, KIND_EXACT_COVER_MSF, _exact_cover_glue, gsch)
 
 
 def _port_outflows(sol: Solution, ports: int) -> list[list[Rational]]:
@@ -265,7 +284,6 @@ def decode_exact_cover(outcome: MffOutcome | MsfOutcome, inst: ExactCover3Instan
     its three port--element edges; the active sets must cover every
     element once.
     """
-    _check_exact_cover(inst)
     kind = KIND_EXACT_COVER_MFF if isinstance(outcome, MffOutcome) else KIND_EXACT_COVER_MSF
     predicted = predicted_value(kind, inst)
     if outcome.value != predicted:
@@ -294,7 +312,7 @@ def encode_hamiltonian(inst: HamiltonianInstance) -> EncodedInstance:
     same terminals.  Serving 2 units congests both chains, which forces an
     angle spread only a spanning a-b path can supply on the graph side.
     """
-    _check_hamiltonian(inst)
+    predicted = predicted_value(KIND_HAMILTONIAN, inst)
     n = len(inst.nodes)
     middle = [v for v in inst.nodes if v not in (inst.a, inst.b)]
     ordered = [inst.a, *middle, inst.b]
@@ -306,7 +324,7 @@ def encode_hamiltonian(inst: HamiltonianInstance) -> EncodedInstance:
     edges.append(fixed_edge(inst.b, "H.t", 1, 1))
     chain = ["H.s"] + [f"H.p{i}" for i in range(1, n + 1)] + ["H.t"]
     edges += [fixed_edge(u, v, 1, 1) for u, v in zip(chain, chain[1:])]
-    return EncodedInstance(Network(nodes, edges), predicted_value(KIND_HAMILTONIAN, inst), KIND_HAMILTONIAN)
+    return EncodedInstance(Network(nodes, edges), predicted, KIND_HAMILTONIAN)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +332,8 @@ def encode_hamiltonian(inst: HamiltonianInstance) -> EncodedInstance:
 # ---------------------------------------------------------------------------
 
 
-def _cactus_glue(inst: SubsetSumInstance) -> Network:
+def _cactus_glue(inst: SubsetSumInstance) -> tuple[Network, tuple[int, ...]]:
+    """The glue network, and the size of the choice gadget at each port v1 .. v<|M|>: its value."""
     w = inst.target
     n = len(inst.values)
     nodes = [("g", NodeRole.GENERATOR), ("l", NodeRole.LOAD)]
@@ -326,23 +345,17 @@ def _cactus_glue(inst: SubsetSumInstance) -> Network:
     ]
     for i in range(1, n):
         edges.append(fixed_edge(f"v{i}", f"v{i + 1}", 1, w))
-    return Network(nodes, edges)
-
-
-def _encode_cactus(inst: SubsetSumInstance, gadget, kind: str) -> EncodedInstance:
-    _check_subset_sum(inst)
-    gadgets = (gadget(x, port=f"v{i}", polarity=Polarity.PORT, prefix=f"X{i}.") for i, x in enumerate(inst.values, start=1))
-    return EncodedInstance(network_sum(_cactus_glue(inst), *gadgets), predicted_value(kind, inst), kind)
+    return Network(nodes, edges), inst.values
 
 
 def encode_subset_sum_cactus_msf(inst: SubsetSumInstance) -> EncodedInstance:
     """Cactus switching encoding; predicted value 3 + w + 3m with m = sum(M)."""
-    return _encode_cactus(inst, gsch, KIND_CACTUS_MSF)
+    return _encode_choices(inst, KIND_CACTUS_MSF, _cactus_glue, gsch)
 
 
 def encode_subset_sum_cactus_mff(inst: SubsetSumInstance) -> EncodedInstance:
     """Cactus FACTS encoding; predicted value 3 + w + 6.1m with m = sum(M)."""
-    return _encode_cactus(inst, gfch, KIND_CACTUS_MFF)
+    return _encode_choices(inst, KIND_CACTUS_MFF, _cactus_glue, gfch)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +374,7 @@ def encode_subset_sum_tree(inst: SubsetSumInstance) -> EncodedInstance:
     a subset V therefore drains exactly sum(V) out of p, and conservation
     at p holds iff sum(V) = w.
     """
-    _check_subset_sum(inst)
+    predicted = predicted_value(KIND_TREE, inst)
     w = inst.target
     n = len(inst.values) + 1
     m = sum(inst.values) - 1
@@ -387,7 +400,7 @@ def encode_subset_sum_tree(inst: SubsetSumInstance) -> EncodedInstance:
         fixed_edge(f"g{n + 1}", f"a{n + 1}", Fraction(2, n + 1), 1),
         fixed_edge(f"a{n + 1}", f"l{n + 1}", 1, m + 1),
     ]
-    return EncodedInstance(Network(nodes, edges), predicted_value(KIND_TREE, inst), KIND_TREE)
+    return EncodedInstance(Network(nodes, edges), predicted, KIND_TREE)
 
 
 def witness_tree(inst: SubsetSumInstance, chosen: set[int]) -> tuple[SwitchSet, Solution]:
@@ -397,26 +410,23 @@ def witness_tree(inst: SubsetSumInstance, chosen: set[int]) -> tuple[SwitchSet, 
     congestion-forced angles; the result validates on the sub-network and
     generates exactly the predicted m + 2 + w.
     """
-    _check_subset_sum(inst)
+    enc = encode_subset_sum_tree(inst)
     if sum(chosen) != inst.target or not chosen <= set(inst.values):
         raise NotACertificate(f"{sorted(chosen)} does not certify target {inst.target}")
-    enc = encode_subset_sum_tree(inst)
-    net = enc.network
     n = len(inst.values) + 1
     m = sum(inst.values) - 1
-    w = inst.target
 
-    by_pair = {e.pair: e for e in net.edges}
+    by_pair = {e.pair: e for e in enc.network.edges}
     switched = frozenset(
         by_pair[tuple(sorted(("p", f"a{i}")))]
         for i in range(2, n + 1)
         if inst.values[i - 2] not in chosen
     )
-    sub = subnetwork(net, switched)
+    sub = subnetwork(enc.network, switched)
 
     # the angles times 2, and the net injections
     y = {"g": 0, "g1": 1, f"g{n + 1}": n + 1, "p": 2, "l1": 4, f"l{n + 1}": 2 * (n + 2 + m)}
-    injection = {"g": Fraction(m + 2 + w), "l1": -ONE, f"l{n + 1}": Fraction(-m - 1)}
+    injection = {"g": enc.predicted_value, "l1": -ONE, f"l{n + 1}": Fraction(-m - 1)}
     for i in range(1, n + 2):
         y[f"a{i}"] = 2 * i
     for i in range(2, n + 1):
@@ -435,13 +445,11 @@ def witness_tree(inst: SubsetSumInstance, chosen: set[int]) -> tuple[SwitchSet, 
 
 def decode_subset_sum(outcome: MsfOutcome | MffOutcome, inst: SubsetSumInstance, kind: str) -> set[int]:
     """Extract the chosen subset V from an optimal outcome; sum(V) must be w."""
-    _check_subset_sum(inst)
-    if kind == KIND_TREE:
-        if not isinstance(outcome, MsfOutcome):
-            raise DecodingFailed("the tree encoding is a switching instance: decode it from an MSF outcome")
-    elif kind not in (KIND_CACTUS_MSF, KIND_CACTUS_MFF):
+    if kind not in (KIND_TREE, KIND_CACTUS_MSF, KIND_CACTUS_MFF):
         raise InvalidInstance(f"unknown subset-sum encoding kind {kind!r}")
     predicted = predicted_value(kind, inst)
+    if kind == KIND_TREE and not isinstance(outcome, MsfOutcome):
+        raise DecodingFailed("the tree encoding is a switching instance: decode it from an MSF outcome")
     if outcome.value != predicted:
         raise NotOptimal(f"outcome value {outcome.value} is below the predicted {predicted}")
     if kind == KIND_TREE:

@@ -340,7 +340,10 @@ def _int_in(value: Any, where: str) -> int:
 
 
 def subset_sum_from_json(data: dict) -> SubsetSumInstance:
-    """The instance a document describes; an M or w entry that is not an int or a string of ASCII digits raises a ValueError naming the field."""
+    """The instance a document describes; an M or w entry that is not an int or a string of ASCII digits raises a ValueError naming the field.
+
+    The instance is built here, so an instance it refuses (a repeated value, one below 1) raises `InvalidInstance`.
+    """
     values = tuple(_int_in(x, f"instance.M[{i}]") for i, x in enumerate(_get(data, "M", "instance", list)))
     return SubsetSumInstance(values=values, target=_int_in(_get(data, "w", "instance"), "instance.w"))
 
@@ -360,7 +363,10 @@ def _names(values: Any, where: str) -> tuple[str, ...]:
 
 
 def exact_cover_from_json(data: dict) -> ExactCover3Instance:
-    """The instance a document describes; a name that is not a string raises a ValueError naming the field."""
+    """The instance a document describes; a name that is not a string raises a ValueError naming the field.
+
+    The instance is built here, so an instance it refuses (a repeated element, a set that is not three of them) raises `InvalidInstance`.
+    """
     return ExactCover3Instance(
         universe=_names(_get(data, "M", "instance"), "instance.M"),
         sets=tuple(_names(xs, f"instance.S[{i}]") for i, xs in enumerate(_get(data, "S", "instance", list))),
@@ -372,7 +378,10 @@ def exact_cover_to_json(inst: ExactCover3Instance) -> dict:
 
 
 def hamiltonian_from_json(data: dict) -> HamiltonianInstance:
-    """The instance a document describes; an edge that is not a pair of string names raises a ValueError naming it."""
+    """The instance a document describes; an edge that is not a pair of string names raises a ValueError naming it.
+
+    The instance is built here, so an instance it refuses (a repeated node, an edge to an undeclared one) raises `InvalidInstance`.
+    """
     edges = []
     for i, uv in enumerate(_get(data, "edges", "instance", list)):
         edge = _names(uv, f"instance.edges[{i}]")

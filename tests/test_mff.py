@@ -264,6 +264,14 @@ def test_a_pinned_value_that_is_not_an_int_or_a_fraction_is_refused(value):
     assert str(caught.value.report).splitlines() == [f"Structural at {e.a}--{e.b}: {field} {value!r} is not an int or a Fraction" for field in ("s_min", "s_max")]
 
 
+@pytest.mark.parametrize("assignment", [None, 5, [(F(1), F(1))]], ids=["None", "int", "list"])
+def test_an_assignment_that_is_not_a_mapping_is_unknown(assignment):
+    # None raised AttributeError: 'NoneType' object has no attribute 'keys'
+    with pytest.raises(UnknownEdge) as caught:
+        pin_susceptances(facts_gadget(), assignment)
+    assert str(caught.value) == f"{assignment!r} is not a mapping of edges"
+
+
 def test_pin_susceptances_rejects_a_key_that_is_not_an_edge():
     n = facts_gadget()
     with pytest.raises(UnknownEdge, match="yy--zz"):

@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import any_network, random_ldc_network, random_tree, view_edges
 import ldcflow.msf
 import oracles
-from ldcflow.errors import NotFixedSusceptance, TooLarge
+from ldcflow.errors import InvalidNetwork, NotFixedSusceptance, TooLarge
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.maxflow import classical_max_flow
-from ldcflow.mpf import core_maps, solve_mpf
+from ldcflow.mpf import core_maps, formulate_mpf, solve_mpf
 from ldcflow.msf import (
     _solve_msf_bnb,
+    build_switching_milp,
     decide_msf,
     optimal_switch_sets,
     solve_msf_bnb,
@@ -64,6 +65,19 @@ class TestExhaustive:
     def test_facts_edges_rejected(self):
         with pytest.raises(NotFixedSusceptance):
             solve_msf_exhaustive(gfch(1, "v", Polarity.MINUS))
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [solve_mpf, formulate_mpf, solve_msf_bnb, solve_msf_exhaustive, optimal_switch_sets, partial(decide_msf, x=1), build_switching_milp],
+    ids=["solve_mpf", "formulate_mpf", "solve_msf_bnb", "solve_msf_exhaustive", "optimal_switch_sets", "decide_msf", "build_switching_milp"],
+)
+@pytest.mark.parametrize("n", [None, "gsch1"], ids=["None", "str"])
+def test_a_solver_refuses_what_is_not_a_network(solve, n):
+    # each raised AttributeError from the first attribute it read
+    with pytest.raises(InvalidNetwork) as caught:
+        solve(n)
+    assert str(caught.value.report) == f"Structural at {n!r}: network is not a Network"
 
 
 class TestBranchAndBound:

@@ -66,28 +66,6 @@ class TestExactCoverEncoders:
     def test_facts_edge_count_matches_gadgets(self):
         assert len(encode_exact_cover_mff(COVER_ABCDEF).network.facts_edges) == 3
 
-    def test_invalid_instances_rejected(self):
-        with pytest.raises(InvalidInstance):
-            encode_exact_cover_mff(ExactCover3Instance(("a", "b"), (("a", "b", "c"),)))
-        with pytest.raises(InvalidInstance):
-            encode_exact_cover_mff(ExactCover3Instance(("a", "b", "c"), (("a", "b", "b"),)))
-        with pytest.raises(InvalidInstance):
-            encode_exact_cover_mff(
-                ExactCover3Instance(("a", "b", "c"), (("a", "b", "c"), ("c", "b", "a")))
-            )
-        with pytest.raises(InvalidInstance):
-            encode_exact_cover_mff(ExactCover3Instance(("g", "b", "c"), (("g", "b", "c"),)))
-
-    def test_names_that_are_not_strings_are_rejected(self):
-        for bad in (
-            ExactCover3Instance(("a", "b", 3), (("a", "b", 3),)),
-            ExactCover3Instance(("a", "b", "c"), (("a", "b", 3),)),
-            ExactCover3Instance(("a", "b", "c"), (("a", "b", ["c"]),)),
-        ):
-            for encode in (encode_exact_cover_mff, encode_exact_cover_msf):
-                with pytest.raises(InvalidInstance):
-                    encode(bad)
-
     def test_decode_recovers_the_unique_cover(self):
         enc = encode_exact_cover_mff(COVER_ABCDEF)
         out = solve_mff_endpoints(enc.network)
@@ -110,40 +88,82 @@ class TestExactCoverEncoders:
 
 
 @pytest.mark.parametrize(
-    "encode, inst, message",
+    "kind, args, message",
     [
-        (encode_exact_cover_msf, ExactCover3Instance(("a", "b", "a"), ()), "universe elements must be distinct"),
-        (encode_hamiltonian, HamiltonianInstance(("a", "b", "a"), (), "a", "b"), "graph nodes must be distinct"),
-        (encode_hamiltonian, HamiltonianInstance(("a", "H.x", "b"), (), "a", "b"), "node name 'H.x' collides with generated node names"),
-        (encode_hamiltonian, HamiltonianInstance(("a", "b"), (("a", "b"), ("b", "a")), "a", "b"), r"duplicate edge \('b', 'a'\)"),
-        (encode_hamiltonian, HamiltonianInstance(("a", "b", "c"), (("a", "b", "c"),), "a", "c"), r"edge \('a', 'b', 'c'\) is not a pair of nodes"),
-        (encode_hamiltonian, HamiltonianInstance(("a", "b"), (("a",),), "a", "b"), r"edge \('a',\) is not a pair of nodes"),
-        (encode_hamiltonian, HamiltonianInstance(("a", "b"), (5,), "a", "b"), "edge 5 is not a pair of nodes"),
-        (encode_hamiltonian, HamiltonianInstance(("a", "b"), ("ab",), "a", "b"), "edge 'ab' is not a pair of nodes"),
+        pytest.param(ExactCover3Instance, (("a", "b", "a"), ()), "universe elements must be distinct", id="repeated element"),
+        pytest.param(HamiltonianInstance, (("a", "b", "a"), (), "a", "b"), "graph nodes must be distinct", id="repeated node"),
+        pytest.param(HamiltonianInstance, (("a", "H.x", "b"), (), "a", "b"), "node name 'H.x' collides with generated node names", id="generated node name"),
+        pytest.param(HamiltonianInstance, (("a", "b"), (("a", "b"), ("b", "a")), "a", "b"), "duplicate edge ('b', 'a')", id="repeated edge"),
+        pytest.param(HamiltonianInstance, (("a", "b", "c"), (("a", "b", "c"),), "a", "c"), "edge ('a', 'b', 'c') is not a pair of nodes", id="edge of three nodes"),
+        pytest.param(HamiltonianInstance, (("a", "b"), (("a",),), "a", "b"), "edge ('a',) is not a pair of nodes", id="edge of one node"),
+        pytest.param(HamiltonianInstance, (("a", "b"), (5,), "a", "b"), "edge 5 is not a pair of nodes", id="edge that is a number"),
+        pytest.param(HamiltonianInstance, (("a", "b"), ("ab",), "a", "b"), "edge 'ab' is not a pair of nodes", id="edge that is a string"),
         # these three used to raise TypeError
-        (encode_exact_cover_mff, ExactCover3Instance(("a", "b", "c"), (5,)), "set 5 is not a tuple or list of elements"),
-        (encode_exact_cover_msf, ExactCover3Instance(None, ()), "universe None is not a tuple or list of elements"),
-        (encode_exact_cover_msf, ExactCover3Instance(("a", "b", "c"), None), "sets None is not a tuple or list of sets"),
-        (encode_exact_cover_mff, ExactCover3Instance(("a", "b", "c"), ("abc",)), "set 'abc' is not a tuple or list of elements"),
+        pytest.param(ExactCover3Instance, (("a", "b", "c"), (5,)), "set 5 is not a tuple or list of elements", id="set that is a number"),
+        pytest.param(ExactCover3Instance, (None, ()), "universe None is not a tuple or list of elements", id="universe of None"),
+        pytest.param(ExactCover3Instance, (("a", "b", "c"), None), "sets None is not a tuple or list of sets", id="sets of None"),
+        pytest.param(ExactCover3Instance, (("a", "b", "c"), ("abc",)), "set 'abc' is not a tuple or list of elements", id="set that is a string"),
         # these two used to raise TypeError, and the last two were read as sequences of characters
-        (encode_hamiltonian, HamiltonianInstance(None, (), "a", "b"), "nodes None is not a tuple or list of nodes"),
-        (encode_hamiltonian, HamiltonianInstance(("a", "b"), None, "a", "b"), "edges None is not a tuple or list of edges"),
-        (encode_hamiltonian, HamiltonianInstance("ab", (), "a", "b"), "nodes 'ab' is not a tuple or list of nodes"),
-        (encode_hamiltonian, HamiltonianInstance(("a", "b"), "ab", "a", "b"), "edges 'ab' is not a tuple or list of edges"),
+        pytest.param(HamiltonianInstance, (None, (), "a", "b"), "nodes None is not a tuple or list of nodes", id="nodes of None"),
+        pytest.param(HamiltonianInstance, (("a", "b"), None, "a", "b"), "edges None is not a tuple or list of edges", id="edges of None"),
+        pytest.param(HamiltonianInstance, ("ab", (), "a", "b"), "nodes 'ab' is not a tuple or list of nodes", id="nodes that are a string"),
+        pytest.param(HamiltonianInstance, (("a", "b"), "ab", "a", "b"), "edges 'ab' is not a tuple or list of edges", id="edges that are a string"),
         # these two used to raise TypeError
-        (encode_subset_sum_tree, SubsetSumInstance(None, 3), "values None is not a tuple or list of integers"),
-        (encode_subset_sum_cactus_msf, SubsetSumInstance(5, 3), "values 5 is not a tuple or list of integers"),
-    ],
-    ids=[
-        "repeated element", "repeated node", "generated node name", "repeated edge", "edge of three nodes", "edge of one node", "edge that is a number", "edge that is a string",
-        "set that is a number", "universe of None", "sets of None", "set that is a string",
-        "nodes of None", "edges of None", "nodes that are a string", "edges that are a string",
-        "values of None", "values that are a number",
+        pytest.param(SubsetSumInstance, (None, 3), "values None is not a tuple or list of integers", id="values of None"),
+        pytest.param(SubsetSumInstance, (5, 3), "values 5 is not a tuple or list of integers", id="values that are a number"),
+        pytest.param(ExactCover3Instance, (("a", "b"), (("a", "b", "c"),)), "('a', 'b', 'c') is not a subset of the universe", id="set outside the universe"),
+        pytest.param(ExactCover3Instance, (("a", "b", "c"), (("a", "b", "b"),)), "('a', 'b', 'b') is not a 3-element set", id="set with a repeated element"),
+        pytest.param(ExactCover3Instance, (("a", "b", "c"), (("a", "b", "c"), ("c", "b", "a"))), "('c', 'b', 'a') appears twice", id="repeated set"),
+        pytest.param(ExactCover3Instance, (("g", "b", "c"), (("g", "b", "c"),)), "element name 'g' collides with generated node names", id="generated element name"),
+        pytest.param(ExactCover3Instance, (("a", "b", 3), (("a", "b", 3),)), "element 3 is not a string", id="element that is a number"),
+        pytest.param(ExactCover3Instance, (("a", "b", "c"), (("a", "b", 3),)), "element 3 is not a string", id="set member that is a number"),
+        pytest.param(ExactCover3Instance, (("a", "b", "c"), (("a", "b", ["c"]),)), "element ['c'] is not a string", id="set member that is a list"),
+        pytest.param(HamiltonianInstance, (("a",), (), "a", "a"), "endpoints must be two distinct graph nodes", id="one endpoint twice"),
+        pytest.param(HamiltonianInstance, (("a", "b"), (("a", "a"),), "a", "b"), "bad edge ('a', 'a')", id="loop"),
+        pytest.param(HamiltonianInstance, (("a", 3, "b"), (("a", "b"),), "a", "b"), "node 3 is not a string", id="node that is a number"),
+        pytest.param(HamiltonianInstance, (("a", "b"), (("a", "b"),), "a", None), "node None is not a string", id="endpoint of None"),
+        pytest.param(HamiltonianInstance, (("a", "b"), (("a", ["b"]),), "a", "b"), "node ['b'] is not a string", id="edge end that is a list"),
+        pytest.param(SubsetSumInstance, ((), 1), "subset-sum instance needs at least one value", id="no values"),
+        pytest.param(SubsetSumInstance, ((1, 1), 2), "subset-sum values must be distinct", id="repeated value"),
+        pytest.param(SubsetSumInstance, ((0, 2), 2), "subset-sum values and target must be positive integers", id="zero value"),
+        pytest.param(SubsetSumInstance, ((1, 2), 0), "subset-sum values and target must be positive integers", id="zero target"),
+        pytest.param(SubsetSumInstance, ((1.5, 2), 3), "subset-sum values and target must be integers", id="float value"),
+        pytest.param(SubsetSumInstance, ((F(1), 2), 3), "subset-sum values and target must be integers", id="Fraction value"),
+        pytest.param(SubsetSumInstance, ((True, 2), 3), "subset-sum values and target must be integers", id="bool value"),
+        pytest.param(SubsetSumInstance, ((1, 2), 3.0), "subset-sum values and target must be integers", id="float target"),
+        pytest.param(SubsetSumInstance, ((1, 2), True), "subset-sum values and target must be integers", id="bool target"),
+        pytest.param(SubsetSumInstance, (("1", 2), 3), "subset-sum values and target must be integers", id="str value"),
     ],
 )
-def test_an_instance_defect_is_named(encode, inst, message):
-    with pytest.raises(InvalidInstance, match=message):
-        encode(inst)
+def test_an_instance_defect_is_named(kind, args, message):
+    # every case is refused when the instance is built, with the message an encoder gave when encoders checked instances
+    with pytest.raises(InvalidInstance) as caught:
+        kind(*args)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: encode_hamiltonian(None), "hamiltonian encodes an instance of HamiltonianInstance, got NoneType", id="encoder given None"),
+        pytest.param(
+            lambda: encode_subset_sum_tree(COVER_ABCDEF),
+            "subset-sum-tree encodes an instance of SubsetSumInstance, got ExactCover3Instance",
+            id="encoder given an exact cover",
+        ),
+        pytest.param(
+            lambda: decode_exact_cover(pushing_nothing(encode_exact_cover_msf(COVER_ABCDEF)), SubsetSumInstance((2, 1, 3), 5)),
+            "exact-cover-msf encodes an instance of ExactCover3Instance, got SubsetSumInstance",
+            id="decoder given a subset sum",
+        ),
+        pytest.param(lambda: witness_tree(None, {1}), "subset-sum-tree encodes an instance of SubsetSumInstance, got NoneType", id="witness given None"),
+        pytest.param(lambda: predicted_value(["hamiltonian"], None), "unknown encoding kind ['hamiltonian']", id="kind that is a list"),
+    ],
+)
+def test_an_instance_of_another_kind_is_refused(call, message):
+    with pytest.raises(InvalidInstance) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 class TestHamiltonianEncoder:
@@ -178,21 +198,6 @@ class TestHamiltonianEncoder:
             ("a", "c", "d", "b"), (("a", "c"), ("c", "b"), ("c", "d")), "a", "b"
         )
         assert solve_msf_bnb(encode_hamiltonian(inst).network).value < 2
-
-    def test_invalid_instances_rejected(self):
-        with pytest.raises(InvalidInstance):
-            encode_hamiltonian(HamiltonianInstance(("a",), (), "a", "a"))
-        with pytest.raises(InvalidInstance):
-            encode_hamiltonian(HamiltonianInstance(("a", "b"), (("a", "a"),), "a", "b"))
-
-    def test_names_that_are_not_strings_are_rejected(self):
-        for bad in (
-            HamiltonianInstance(("a", 3, "b"), (("a", "b"),), "a", "b"),
-            HamiltonianInstance(("a", "b"), (("a", "b"),), "a", None),
-            HamiltonianInstance(("a", "b"), (("a", ["b"]),), "a", "b"),
-        ):
-            with pytest.raises(InvalidInstance):
-                encode_hamiltonian(bad)
 
 
 class TestCactusEncoders:
@@ -231,29 +236,6 @@ class TestCactusEncoders:
         inst = SubsetSumInstance((2,), 1)
         enc = encode_subset_sum_cactus_msf(inst)
         assert solve_msf_bnb(enc.network).value < enc.predicted_value == 10
-
-    def test_invalid_instances_rejected(self):
-        for bad in (
-            SubsetSumInstance((), 1),
-            SubsetSumInstance((1, 1), 2),
-            SubsetSumInstance((0, 2), 2),
-            SubsetSumInstance((1, 2), 0),
-        ):
-            with pytest.raises(InvalidInstance):
-                encode_subset_sum_cactus_msf(bad)
-
-    def test_values_and_targets_that_are_not_integers_are_rejected(self):
-        for bad in (
-            SubsetSumInstance((1.5, 2), 3),
-            SubsetSumInstance((F(1), 2), 3),
-            SubsetSumInstance((True, 2), 3),
-            SubsetSumInstance((1, 2), 3.0),
-            SubsetSumInstance((1, 2), True),
-            SubsetSumInstance(("1", 2), 3),
-        ):
-            for encode in (encode_subset_sum_cactus_msf, encode_subset_sum_cactus_mff, encode_subset_sum_tree):
-                with pytest.raises(InvalidInstance):
-                    encode(bad)
 
 
 class TestTreeEncoder:
