@@ -2,7 +2,8 @@
 
 Only the node-pair structure matters; susceptances and capacities do not.
 Empty and single-node networks count as trees by convention so the
-predicates are total.
+predicates are total.  Each of them, and `connected_components`, refuses
+an argument that is not a `Network` with `InvalidNetwork`.
 
 Every predicate reads the network's integer view (`network._View`): node
 numbers, and the edges of its root network as bits, of which
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .network import Network, NodeId, _View
+from .network import Network, NodeId, _View, _require_network
 
 
 def _components(view: _View, kept: int, starts: int) -> Iterator[tuple[list[int], int, int]]:
@@ -41,6 +42,7 @@ def _components(view: _View, kept: int, starts: int) -> Iterator[tuple[list[int]
 
 def connected_components(n: Network) -> list[set[NodeId]]:
     """Components in order of their smallest node name."""
+    _require_network(n)
     names = n.node_names
     return [{names[i] for i in nodes} for nodes, _, _ in _components(n._view, n._kept, -1)]
 
@@ -51,6 +53,7 @@ def is_connected(n: Network) -> bool:
 
 def is_tree(n: Network) -> bool:
     """Connected and acyclic.  The empty network is a tree."""
+    _require_network(n)
     if not n.node_names:
         return True
     if len(connected_components(n)) != 1:
@@ -59,6 +62,7 @@ def is_tree(n: Network) -> bool:
 
 
 def max_degree(n: Network) -> int:
+    _require_network(n)
     return max(((x & n._kept).bit_count() for x in n._view.incident), default=0)
 
 
@@ -110,4 +114,5 @@ def is_cactus(n: Network) -> bool:
     of fundamental cycles, and a sum of edge-disjoint ones is a simple
     cycle only when it is one of them.
     """
+    _require_network(n)
     return not _forest_walk(n._view, n._kept)[2]

@@ -28,7 +28,10 @@ class InvalidNetwork(LdcError):
     declared twice, a self-loop, a second edge on a node pair, an
     undeclared endpoint, a susceptance interval not within the positive
     reals and a capacity that is not positive.  `network_sum` refuses an
-    operand that is not a `Network`.
+    operand that is not a `Network`, and every solver, search and predicate
+    that takes a network refuses an argument that is not one: `subnetwork`,
+    `zero_solution`, the MPF and MSF solvers, the MFF searches and
+    `decide_mff`, `classical_max_flow`, and `classify`'s predicates.
     """
 
     def __init__(self, report):
@@ -42,10 +45,11 @@ class MalformedProgram(LdcError):
     A program cannot be read when its variables are declared twice or lack
     a bound entry, its bounds are inverted, its objective or a constraint
     names an undeclared variable, or a row has the wrong width, a
-    denominator that is not a positive int or a relation other than <=, =
-    and >=.  It is out of standard form when a variable is not in
-    [0, inf), a row is not <= or a right-hand side is negative; the
-    message names the first such variable or row.
+    denominator that is not a positive int or a relation other than <=, =,
+    >= and the range row `lp.RANGE` (|<=|).  It is out of standard form
+    when a variable is not in [0, inf), a row is neither <= nor a range
+    row or a right-hand side is negative; the message names the first
+    such variable or row.
     """
 
 
@@ -94,7 +98,7 @@ class InvalidInstance(LdcError):
 
 
 class NotACertificate(LdcError):
-    """A claimed subset-sum certificate does not sum to the target."""
+    """A claimed subset-sum certificate is not a set of ints, or does not sum to the target with values of the instance."""
 
 
 class NotOptimal(LdcError):
@@ -102,4 +106,4 @@ class NotOptimal(LdcError):
 
 
 class DecodingFailed(LdcError):
-    """An optimal outcome did not decode to a valid combinatorial certificate."""
+    """An outcome is not an `MsfOutcome` or `MffOutcome`, or an optimal one did not decode to a valid combinatorial certificate."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .network import Network, _View
+from .network import Network, _View, _require_network
 
 
 def _integer_flow(view: _View, kept: int, nodes: int) -> tuple[int, list[int], int]:
@@ -119,6 +119,7 @@ def classical_max_flow(n: Network, *, witness: bool = False) -> Fraction | tuple
     minimal min cut, which holds every generator and no load and whose
     crossing edges add up to the value.
     """
+    _require_network(n)
     view, kept = n._view, n._kept
     value, flows, side = _integer_flow(view, kept, -1)
     value = Fraction(value, view.scale)

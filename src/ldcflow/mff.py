@@ -27,7 +27,7 @@ from functools import partial
 from .errors import NonpositiveRefinement, SusceptanceOutOfRange, TooManyFactsEdges, UnknownEdge
 from .mpf import MpfOutcome, solve_mpf
 from .msf import optima, ordered_map
-from .network import Edge, Network, Solution
+from .network import Edge, Network, Solution, _require_network
 from .rational import Rational, rat
 
 FACTS_EDGE_LIMIT = 12
@@ -48,7 +48,8 @@ class MffDecision(enum.Enum):
 
 
 def pin_susceptances(n: Network, assignment: SusAssignment) -> Network:
-    """Fix every assigned edge to its value: `UnknownEdge` for an assignment that is not a mapping or a key not in n, `InvalidNetwork` for a value that is not an int or a `Fraction`, `SusceptanceOutOfRange` off its interval."""
+    """Fix every assigned edge to its value: `InvalidNetwork` for an n that is not a `Network` and for a value that is not an int or a `Fraction`, `UnknownEdge` for an assignment that is not a mapping or a key not in n, `SusceptanceOutOfRange` off its interval."""
+    _require_network(n)
     if not isinstance(assignment, Mapping):
         raise UnknownEdge(f"{assignment!r} is not a mapping of edges")
     unknown = assignment.keys() - n.edges
@@ -91,6 +92,8 @@ def grid_points(e: Edge, k: int) -> list[Rational]:
 
 
 def _require_grid(n: Network, k: int) -> None:
+    """Refuse an n that is not a `Network` (`InvalidNetwork`), then a k that is not an int of at least 1 (`NonpositiveRefinement`)."""
+    _require_network(n)
     if not isinstance(k, int) or type(k) is bool:  # as `rat`, a bool is refused with every other non-int
         raise NonpositiveRefinement(f"grid refinement k must be an int, got {k!r}")
     if k < 1:

@@ -287,6 +287,7 @@ def _solution(n: Network, parts: Iterable[Part] = ()) -> Solution:
 
 def zero_solution(n: Network) -> Solution:
     """The all-zero state; it satisfies both flow laws on any network."""
+    _require_network(n)
     return _solution(n)
 
 

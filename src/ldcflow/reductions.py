@@ -17,7 +17,10 @@ and decoder calls it before it reads the instance.
 
 Decoders read a certificate back out of an optimal outcome alone: the
 port flows come from the outcome's own solution and the predicted value
-from the instance, so no decoder encodes the instance again.
+from the instance, so no decoder encodes the instance again.  A decoder
+refuses an outcome that is not an `MsfOutcome` or an `MffOutcome` with
+`DecodingFailed`, and `witness_tree` a certificate that is not a set of
+ints with `NotACertificate`.
 `witness_tree` builds the explicit switch set and solution showing a
 solvable subset-sum instance attains its predicted value on the two-level
 tree encoding: it writes the congestion-forced angles as integers over 2,
@@ -277,6 +280,11 @@ def _port_outflows(sol: Solution, ports: int) -> list[list[Rational]]:
     return flows
 
 
+def _require_outcome(outcome) -> None:
+    if not isinstance(outcome, (MsfOutcome, MffOutcome)):
+        raise DecodingFailed(f"an outcome to decode must be an MsfOutcome or an MffOutcome, got {type(outcome).__name__}")
+
+
 def decode_exact_cover(outcome: MffOutcome | MsfOutcome, inst: ExactCover3Instance) -> tuple[tuple[str, str, str], ...]:
     """Read the exact cover out of an optimal outcome.
 
@@ -286,6 +294,7 @@ def decode_exact_cover(outcome: MffOutcome | MsfOutcome, inst: ExactCover3Instan
     """
     kind = KIND_EXACT_COVER_MFF if isinstance(outcome, MffOutcome) else KIND_EXACT_COVER_MSF
     predicted = predicted_value(kind, inst)
+    _require_outcome(outcome)
     if outcome.value != predicted:
         raise NotOptimal(f"outcome value {outcome.value} is below the predicted {predicted}")
     outflows = _port_outflows(outcome.solution, len(inst.sets))
@@ -411,6 +420,8 @@ def witness_tree(inst: SubsetSumInstance, chosen: set[int]) -> tuple[SwitchSet, 
     generates exactly the predicted m + 2 + w.
     """
     enc = encode_subset_sum_tree(inst)
+    if not isinstance(chosen, (set, frozenset)) or not all(map(_is_int, chosen)):
+        raise NotACertificate(f"{chosen!r} is not a set of ints")
     if sum(chosen) != inst.target or not chosen <= set(inst.values):
         raise NotACertificate(f"{sorted(chosen)} does not certify target {inst.target}")
     n = len(inst.values) + 1
@@ -450,6 +461,7 @@ def decode_subset_sum(outcome: MsfOutcome | MffOutcome, inst: SubsetSumInstance,
     predicted = predicted_value(kind, inst)
     if kind == KIND_TREE and not isinstance(outcome, MsfOutcome):
         raise DecodingFailed("the tree encoding is a switching instance: decode it from an MSF outcome")
+    _require_outcome(outcome)
     if outcome.value != predicted:
         raise NotOptimal(f"outcome value {outcome.value} is below the predicted {predicted}")
     if kind == KIND_TREE:

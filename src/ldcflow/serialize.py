@@ -24,13 +24,10 @@ network's edges by node pair once; an MSF outcome's solution is read
 against that map without the switched edges.
 
 Writers format each rational with `str`, which gives the text `rat_str`
-does, and order an edge map by `edge_key`.  Readers take each record on
-a fast path that checks the exact type of each field.  A record that
-fails it is read again by the checks that name the field (`_get`,
-`_rat_field`): they raise the error, or return the same value for a
-subclass of `dict`, `str` or `int`.  So a field path such as `edges[3]`
-is formatted only for a record the fast path refuses, and every message
-is the one those checks give.
+does, and order an edge map by `edge_key`.  Readers read each record
+once, field by field in a fixed order, and raise a ValueError naming the
+first field they refuse (`edges[3].cap`); they take a subclass of
+`dict`, `str` or `int` as its base type.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ from .reductions import (
 
 _ROLE_NAME = {role: role.value for role in NodeRole}
 _ROLE_OF = {role.value: role for role in NodeRole}
-_ROLES = tuple(_ROLE_OF)
 
 
 def network_to_json(n: Network) -> dict:
@@ -76,15 +72,24 @@ def network_to_json(n: Network) -> dict:
     }
 
 
-def _get(record: Any, key: str, where: str, kind: type = object) -> Any:
+# a field path: a str, or a (list path, index) pair for an entry of a list
+Where = str | tuple[str, int]
+
+
+def _at(where: Where) -> str:
+    """The path as a message writes it, such as `edges[3]`: formatted only when a reader raises."""
+    return where if isinstance(where, str) else f"{where[0]}[{where[1]}]"
+
+
+def _get(record: Any, key: str, where: Where, kind: type = object) -> Any:
     """record[key], or a ValueError naming the field when the record lacks it or it is not a `kind`."""
     if not isinstance(record, dict):
-        raise ValueError(f"{where} must be an object, got {type(record).__name__}")
+        raise ValueError(f"{_at(where)} must be an object, got {type(record).__name__}")
     if key not in record:
-        raise ValueError(f"{where} has no field {key!r}")
+        raise ValueError(f"{_at(where)} has no field {key!r}")
     value = record[key]
     if not isinstance(value, kind):
-        raise ValueError(f"{where}.{key} must be a {kind.__name__}, got {type(value).__name__}")
+        raise ValueError(f"{_at(where)}.{key} must be a {kind.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -92,59 +97,42 @@ def _get(record: Any, key: str, where: str, kind: type = object) -> Any:
 Seen = dict[str, Rational]
 
 
-def _rat_field(record: dict, key: str, where: str, seen: Seen) -> Rational:
-    """record[key] as an exact rational (a string or an int), or a ValueError naming the field."""
-    value = _get(record, key, where)
-    if isinstance(value, str) and value in seen:
-        return seen[value]
+def _rat(value: Any, where: Where, key: str, seen: Seen) -> Rational:
+    """The field `where.key`, which holds `value`, as an exact rational (a string or an int), or a ValueError naming it."""
+    if isinstance(value, str):
+        r = seen.get(value)
+        if r is not None:
+            return r
     try:
         if isinstance(value, bool) or isinstance(value, float):
             raise ValueError(f"expected an exact rational (string or int), got {value!r}")
         r = rat(value)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}.{key}: {exc}") from None
+        raise ValueError(f"{_at(where)}.{key}: {exc}") from None
     if isinstance(value, str):
         seen[value] = r
     return r
 
 
-def _rat_in(value: Any, seen: Seen) -> Rational | None:
-    """A str or int `value` as an exact rational, parsing a string at most once per document; None for any other value and for a string that is not a rational."""
-    if type(value) is str:
-        r = seen.get(value)
-        if r is None:
-            try:
-                r = seen[value] = rat(value)
-            except ValueError:
-                return None
-        return r
-    return rat(value) if type(value) is int else None
+def _rat_field(record: Any, key: str, where: Where, seen: Seen) -> Rational:
+    """record[key] as an exact rational (a string or an int), or a ValueError naming the field."""
+    value = record[key] if isinstance(record, dict) and key in record else _get(record, key, where)  # _get raises the error
+    return _rat(value, where, key, seen)
 
 
 def network_from_json(data: dict) -> Network:
     """The network a document describes; a document of the wrong shape raises a ValueError naming the field."""
     nodes = []
     for i, nd in enumerate(_get(data, "nodes", "network", list)):
-        name = role = None
-        if type(nd) is dict:
-            name, role = nd.get("id"), nd.get("role")
-            role = _ROLE_OF.get(role) if type(role) is str else None
-        if type(name) is not str or role is None:
-            where = f"nodes[{i}]"
-            name, role = _get(nd, "id", where, str), _get(nd, "role", where)
-            if role not in _ROLES:
-                raise ValueError(f"{where}.role must be one of {', '.join(_ROLES)}, got {role!r}")
-            role = NodeRole(role)
+        where = ("nodes", i)
+        name, raw = _get(nd, "id", where, str), _get(nd, "role", where)
+        role = _ROLE_OF.get(raw) if isinstance(raw, str) else None
+        if role is None:
+            raise ValueError(f"{_at(where)}.role must be one of {', '.join(_ROLE_OF)}, got {raw!r}")
         nodes.append((name, role))
     edges, seen = [], {}
     for i, ed in enumerate(_get(data, "edges", "network", list)):
-        if type(ed) is dict:
-            a, b = ed.get("a"), ed.get("b")
-            s_min, s_max, cap = _rat_in(ed.get("s_min"), seen), _rat_in(ed.get("s_max"), seen), _rat_in(ed.get("cap"), seen)
-            if type(a) is str and type(b) is str and s_min is not None and s_max is not None and cap is not None:
-                edges.append(Edge(a, b, s_min, s_max, cap))
-                continue
-        where = f"edges[{i}]"
+        where = ("edges", i)
         a, b = _get(ed, "a", where, str), _get(ed, "b", where, str)
         edges.append(Edge(a, b, _rat_field(ed, "s_min", where, seen), _rat_field(ed, "s_max", where, seen), _rat_field(ed, "cap", where, seen)))
     return Network(nodes, edges)
@@ -165,24 +153,6 @@ def _node_map_out(mapping) -> dict:
     return {v: str(x) for v, x in sorted(mapping.items())}
 
 
-def _edge_in(rec: Any, where: str, by_pair: ByPair) -> Edge:
-    """The network's edge an {"a", "b", ...} record names."""
-    a, b = _get(rec, "a", where, str), _get(rec, "b", where, str)
-    pair = tuple(sorted((a, b)))
-    if pair not in by_pair:
-        raise ValueError(f"{where}: no edge {pair[0]}--{pair[1]} in the network")
-    return by_pair[pair]
-
-
-def _edge_of(rec: Any, by_pair: ByPair) -> Edge | None:
-    """The network's edge a record of the right types names, or None."""
-    if type(rec) is dict:
-        a, b = rec.get("a"), rec.get("b")
-        if type(a) is str and type(b) is str:
-            return by_pair.get((a, b) if a <= b else (b, a))
-    return None
-
-
 # a document's edges by their node pair, built once per top-level reader
 ByPair = dict[tuple[str, str], Edge]
 
@@ -194,33 +164,28 @@ def _by_pair(n: Network) -> ByPair:
 def _edge_records(records: list, where: str, by_pair: ByPair) -> Iterator[tuple[Edge, Any]]:
     """Each record's edge, with the record, in record order.
 
-    A record is resolved on the exact-type fast path (`_edge_of`) or else by
-    the checks that name its fields (`_edge_in`); one that names an edge an
-    earlier record named raises a ValueError.  The loop stops at the first
-    error, so a caller that reads each record as it comes raises errors in
-    record order.
+    A record that names no edge of the network, or one an earlier record
+    named, raises a ValueError.  The loop stops at the first error, so a
+    caller that reads each record as it comes raises errors in record order.
     """
     edges: set[Edge] = set()
     for i, rec in enumerate(records):
-        e = _edge_of(rec, by_pair)
+        at = (where, i)
+        a, b = _get(rec, "a", at, str), _get(rec, "b", at, str)
+        pair = (a, b) if a <= b else (b, a)
+        e = by_pair.get(pair)
+        if e is None:
+            raise ValueError(f"{_at(at)}: no edge {pair[0]}--{pair[1]} in the network")
         size = len(edges)
-        if e is not None:
-            edges.add(e)
-        if len(edges) == size:  # the fast path did not resolve it, or an earlier record named its edge
-            e = _edge_in(rec, f"{where}[{i}]", by_pair)
-            if e in edges:
-                raise ValueError(f"{where}[{i}]: edge {e.a}--{e.b} listed twice")
-            edges.add(e)
+        edges.add(e)
+        if len(edges) == size:
+            raise ValueError(f"{_at(at)}: edge {e.a}--{e.b} listed twice")
         yield e, rec
 
 
 def _edge_map_in(records: list, where: str, by_pair: ByPair, seen: Seen) -> dict[Edge, Rational]:
     """The map the records give, each record's edge to its `value`."""
-    out = {}
-    for i, (e, rec) in enumerate(_edge_records(records, where, by_pair)):
-        r = _rat_in(rec.get("value"), seen)
-        out[e] = r if r is not None else _rat_field(rec, "value", f"{where}[{i}]", seen)
-    return out
+    return {e: _rat_field(rec, "value", (where, i), seen) for i, (e, rec) in enumerate(_edge_records(records, where, by_pair))}
 
 
 def solution_to_json(sol: Solution) -> dict:
@@ -234,12 +199,8 @@ def solution_to_json(sol: Solution) -> dict:
 
 
 def _node_map_in(data: dict, key: str, seen: Seen) -> dict:
-    values = _get(data, key, "solution", dict)
-    out = {}
-    for v, x in values.items():
-        r = _rat_in(x, seen)
-        out[v] = r if r is not None else _rat_field(values, v, f"solution.{key}", seen)
-    return out
+    where = f"solution.{key}"
+    return {v: _rat(x, where, v, seen) for v, x in _get(data, key, "solution", dict).items()}
 
 
 def _solution_in(data: dict, by_pair: ByPair, seen: Seen) -> Solution:

@@ -44,9 +44,14 @@ port's flows edge by edge off the encoded network; the decoders in
 certificate or raise the same error with the same message.
 `reference_edge_map_in` and `reference_switch_set_in` are the two
 edge-record loops that `serialize`'s one reader replaced, each with its
-own resolution and listed-twice check over `serialize`'s record and
-value checks; the readers on top of it must return the same map or set,
-or raise the same error with the same message.
+own resolution and listed-twice check; the readers on top of it must
+return the same map or set, or raise the same error with the same
+message.  They and `reference_network_from_json` read each record on the
+exact-type fast path (`_rat_in`, `_edge_of`) that `serialize` once had,
+and a record it refuses again with the checks that name the field
+(`_get`, `_rat_field`, `_edge_in`), all copied here as they were;
+`serialize`'s one path must read every document alike: the same network
+or map, or the same error with the same message.
 `reference_zero_solution` and `reference_witness_tree` write out each
 map of a solution as `zero_solution` and `witness_tree` did before both
 went through `network`'s one assembler; those must return equal solutions.
@@ -76,7 +81,7 @@ from ldcflow.lp import Lazy, LinearProgram, LpResult, LpStatus
 from ldcflow.maxflow import classical_max_flow
 from ldcflow.mpf import MpfOutcome, _require_fixed, core_maps, solve_mpf
 from ldcflow.network import Edge, Network, NodeRole, Part, Solution, SwitchSet, ValidationReport, Violation, subnetwork, zero_solution
-from ldcflow.rational import ONE, Rational, ZERO, rat_str
+from ldcflow.rational import ONE, Rational, ZERO, rat, rat_str
 from ldcflow.classify import connected_components
 from ldcflow.errors import DecodingFailed, InvalidInstance, NotACertificate, NotOptimal
 from ldcflow.mff import MffOutcome
@@ -94,7 +99,7 @@ from ldcflow.reductions import (
     encode_subset_sum_cactus_msf,
     encode_subset_sum_tree,
 )
-from ldcflow.serialize import ByPair, Seen, _edge_in, _edge_of, _rat_field, _rat_in
+from ldcflow.serialize import ByPair, Seen
 
 
 def gauss_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -1227,6 +1232,108 @@ def reference_decode_subset_sum(outcome, inst, kind: str) -> set[int]:
     if sum(chosen) != inst.target:
         raise DecodingFailed(f"extracted subset {sorted(chosen)} does not sum to {inst.target}")
     return chosen
+
+
+_ROLE_OF = {role.value: role for role in NodeRole}
+_ROLES = tuple(_ROLE_OF)
+
+
+def _get(record, key: str, where: str, kind: type = object):
+    """record[key], or a ValueError naming the field when the record lacks it or it is not a `kind`."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where} must be an object, got {type(record).__name__}")
+    if key not in record:
+        raise ValueError(f"{where} has no field {key!r}")
+    value = record[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{where}.{key} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _rat_field(record: dict, key: str, where: str, seen: Seen) -> Rational:
+    """record[key] as an exact rational (a string or an int), or a ValueError naming the field."""
+    value = _get(record, key, where)
+    if isinstance(value, str) and value in seen:
+        return seen[value]
+    try:
+        if isinstance(value, bool) or isinstance(value, float):
+            raise ValueError(f"expected an exact rational (string or int), got {value!r}")
+        r = rat(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}.{key}: {exc}") from None
+    if isinstance(value, str):
+        seen[value] = r
+    return r
+
+
+def _rat_in(value, seen: Seen) -> Rational | None:
+    """A str or int `value` as an exact rational, parsing a string at most once per document; None for any other value and for a string that is not a rational."""
+    if type(value) is str:
+        r = seen.get(value)
+        if r is None:
+            try:
+                r = seen[value] = rat(value)
+            except ValueError:
+                return None
+        return r
+    return rat(value) if type(value) is int else None
+
+
+def _edge_in(rec, where: str, by_pair: ByPair) -> Edge:
+    """The network's edge an {"a", "b", ...} record names."""
+    a, b = _get(rec, "a", where, str), _get(rec, "b", where, str)
+    pair = tuple(sorted((a, b)))
+    if pair not in by_pair:
+        raise ValueError(f"{where}: no edge {pair[0]}--{pair[1]} in the network")
+    return by_pair[pair]
+
+
+def _edge_of(rec, by_pair: ByPair) -> Edge | None:
+    """The network's edge a record of the right types names, or None."""
+    if type(rec) is dict:
+        a, b = rec.get("a"), rec.get("b")
+        if type(a) is str and type(b) is str:
+            return by_pair.get((a, b) if a <= b else (b, a))
+    return None
+
+
+def reference_network_from_json(data: dict) -> Network:
+    """The network a document describes, each record read on the fast path and, when it refuses the record, by the field checks."""
+    nodes = []
+    for i, nd in enumerate(_get(data, "nodes", "network", list)):
+        name = role = None
+        if type(nd) is dict:
+            name, role = nd.get("id"), nd.get("role")
+            role = _ROLE_OF.get(role) if type(role) is str else None
+        if type(name) is not str or role is None:
+            where = f"nodes[{i}]"
+            name, role = _get(nd, "id", where, str), _get(nd, "role", where)
+            if role not in _ROLES:
+                raise ValueError(f"{where}.role must be one of {', '.join(_ROLES)}, got {role!r}")
+            role = NodeRole(role)
+        nodes.append((name, role))
+    edges, seen = [], {}
+    for i, ed in enumerate(_get(data, "edges", "network", list)):
+        if type(ed) is dict:
+            a, b = ed.get("a"), ed.get("b")
+            s_min, s_max, cap = _rat_in(ed.get("s_min"), seen), _rat_in(ed.get("s_max"), seen), _rat_in(ed.get("cap"), seen)
+            if type(a) is str and type(b) is str and s_min is not None and s_max is not None and cap is not None:
+                edges.append(Edge(a, b, s_min, s_max, cap))
+                continue
+        where = f"edges[{i}]"
+        a, b = _get(ed, "a", where, str), _get(ed, "b", where, str)
+        edges.append(Edge(a, b, _rat_field(ed, "s_min", where, seen), _rat_field(ed, "s_max", where, seen), _rat_field(ed, "cap", where, seen)))
+    return Network(nodes, edges)
+
+
+def reference_node_map_in(data: dict, key: str, seen: Seen) -> dict:
+    """A solution's node map, each value read on the fast path and, when it refuses the value, by the field checks."""
+    values = _get(data, key, "solution", dict)
+    out = {}
+    for v, x in values.items():
+        r = _rat_in(x, seen)
+        out[v] = r if r is not None else _rat_field(values, v, f"solution.{key}", seen)
+    return out
 
 
 def reference_edge_map_in(records: list, where: str, by_pair: ByPair, seen: Seen) -> dict[Edge, Rational]:

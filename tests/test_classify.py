@@ -276,3 +276,12 @@ def test_node_records_that_cannot_be_numbered_are_refused_when_built(kind):
 )
 def test_other_defective_node_records_are_refused_before_any_predicate(nodes, line):
     assert refused(nodes, [fixed_edge("a", "b", 1, 1)]) == [line]
+
+
+@pytest.mark.parametrize("predicate", [connected_components, is_connected, is_tree, is_cactus, max_degree])
+@pytest.mark.parametrize("n", [None, "gsch1"], ids=["None", "str"])
+def test_a_predicate_refuses_what_is_not_a_network(predicate, n):
+    # each raised AttributeError from the first attribute it read
+    with pytest.raises(InvalidNetwork) as caught:
+        predicate(n)
+    assert str(caught.value.report) == f"Structural at {n!r}: network is not a Network"

@@ -167,3 +167,11 @@ def test_the_witness_is_a_min_cut_and_the_edges_the_flow_uses(n, mask):
     sub = subnetwork(n, removed)
     assert left == sum((e.cap for e in sub.edges if e in crossing), F(0))
     assert classical_max_flow(sub) <= left
+
+
+@pytest.mark.parametrize("n", [None, "gsch1"], ids=["None", "str"])
+def test_a_max_flow_refuses_what_is_not_a_network(n):
+    # None raised AttributeError: 'NoneType' object has no attribute '_view'
+    with pytest.raises(InvalidNetwork) as caught:
+        classical_max_flow(n, witness=True)
+    assert str(caught.value.report) == f"Structural at {n!r}: network is not a Network"

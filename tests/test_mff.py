@@ -280,3 +280,23 @@ def test_pin_susceptances_rejects_a_key_that_is_not_an_edge():
     e = adjustable_edge(n)
     with pytest.raises(UnknownEdge):
         pin_susceptances(n, {facts_edge(e.a, e.b, e.s_min, e.s_max, e.cap + 1): e.s_min})
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda n: solve_mff_grid(n, 1),
+        solve_mff_endpoints,
+        enumerate_endpoint_optima,
+        lambda n: decide_mff(n, 1),
+        lambda n: decide_mff(n, "x", k=0),
+        lambda n: pin_susceptances(n, None),
+    ],
+    ids=["solve_mff_grid", "solve_mff_endpoints", "enumerate_endpoint_optima", "decide_mff", "decide_mff before k and x", "pin_susceptances"],
+)
+@pytest.mark.parametrize("n", [None, "gfch1"], ids=["None", "str"])
+def test_a_search_refuses_what_is_not_a_network(search, n):
+    # each raised AttributeError from the first attribute it read
+    with pytest.raises(InvalidNetwork) as caught:
+        search(n)
+    assert str(caught.value.report) == f"Structural at {n!r}: network is not a Network"

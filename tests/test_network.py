@@ -625,6 +625,13 @@ class TestValidateSolution:
     def test_zero_solution_matches_the_reference(self, n):
         assert zero_solution(n) == reference_zero_solution(n)
 
+    @pytest.mark.parametrize("n", [None, "gsch1"], ids=["None", "str"])
+    def test_zero_solution_refuses_what_is_not_a_network(self, n):
+        # None raised AttributeError: 'NoneType' object has no attribute 'edges'
+        with pytest.raises(InvalidNetwork) as caught:
+            zero_solution(n)
+        assert str(caught.value.report) == f"Structural at {n!r}: network is not a Network"
+
     def test_missing_entry_is_structural(self, gsch1):
         sol = gsch1_solution(gsch1)
         flow = dict(sol.flow)

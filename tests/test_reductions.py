@@ -307,6 +307,17 @@ class TestWitness:
         with pytest.raises(NotACertificate):
             witness_tree(SubsetSumInstance((2, 1, 3), 5), {1})
 
+    @pytest.mark.parametrize("chosen", [[2, 3], None, {2, "x"}, {2, True}, (2, 3)], ids=["list", "None", "str member", "bool member", "tuple"])
+    def test_a_certificate_that_is_not_a_set_of_ints_is_refused(self, chosen):
+        # a list, None or a str member raised TypeError from the sum or the subset test
+        with pytest.raises(NotACertificate) as caught:
+            witness_tree(SubsetSumInstance((2, 1, 3), 5), chosen)
+        assert str(caught.value) == f"{chosen!r} is not a set of ints"
+
+    def test_a_frozenset_certificate_is_read_as_a_set(self):
+        inst = SubsetSumInstance((2, 1, 3), 5)
+        assert witness_tree(inst, frozenset({2, 3})) == witness_tree(inst, {2, 3})
+
     def test_witnesses_validate_whenever_the_sum_matches(self, rng):
         for _ in range(10):
             k = rng.randint(1, 3)
@@ -369,6 +380,28 @@ class TestDecodeErrors:
     def test_a_decoder_names_what_it_refuses(self, decode, error, message):
         with pytest.raises(error, match=message):
             decode()
+
+    @pytest.mark.parametrize(
+        "decode",
+        [
+            lambda outcome: decode_exact_cover(outcome, COVER_ABCDEF),
+            lambda outcome: decode_subset_sum(outcome, SUBSET_SUM, KIND_CACTUS_MSF),
+            lambda outcome: decode_subset_sum(outcome, SUBSET_SUM, KIND_CACTUS_MFF),
+        ],
+        ids=["exact cover", "cactus msf", "cactus mff"],
+    )
+    @pytest.mark.parametrize("outcome", [None, "outcome"], ids=["None", "str"])
+    def test_an_outcome_of_another_type_fails_decoding(self, decode, outcome):
+        # each raised AttributeError: the outcome has no attribute 'value'
+        with pytest.raises(DecodingFailed) as caught:
+            decode(outcome)
+        assert str(caught.value) == f"an outcome to decode must be an MsfOutcome or an MffOutcome, got {type(outcome).__name__}"
+
+    def test_the_instance_is_refused_before_the_outcome(self):
+        with pytest.raises(InvalidInstance, match="exact-cover-msf encodes an instance of ExactCover3Instance, got SubsetSumInstance"):
+            decode_exact_cover(None, SUBSET_SUM)
+        with pytest.raises(DecodingFailed, match="the tree encoding is a switching instance"):
+            decode_subset_sum(None, SUBSET_SUM, KIND_TREE)
 
 
 class TestEquivalenceAtDeskScale:

@@ -6,14 +6,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import DECIMALS, random_ldc_network
 from ldcflow import serialize
+from ldcflow.errors import InvalidNetwork
 from ldcflow.gadgets import Polarity, gfch, gsch
 from ldcflow.mff import solve_mff_endpoints
 from ldcflow.mpf import solve_mpf
 from ldcflow.msf import solve_msf_bnb
-from ldcflow.network import Network, NodeRole, fixed_edge
+from ldcflow.network import Network, NodeRole, Solution, fixed_edge
 from ldcflow.rational import decimal_str, is_decimal_exact, rat, rat_str
 from ldcflow.reductions import SubsetSumInstance, encode_subset_sum_cactus_msf
-from oracles import reference_edge_map_in, reference_rat, reference_switch_set_in
+from oracles import reference_edge_map_in, reference_network_from_json, reference_node_map_in, reference_rat, reference_switch_set_in
 
 
 class TestRationals:
@@ -287,7 +288,7 @@ class TestSolutionJson:
 
 
 class Record(dict):
-    """A record that is a dict subclass: the exact-type fast path refuses it and the field checks read it."""
+    """A record that is a dict subclass, which every reader takes as it takes a dict."""
 
 
 class Name(str):
@@ -300,7 +301,8 @@ RECORD_NET = Network(
     [fixed_edge("a", "b", 1, 1), fixed_edge("a", "c", 2, 1), fixed_edge("b", "c", 1, 3), fixed_edge("c", "d", 1, 1)],
 )
 GOOD_VALUES = st.sampled_from(["1", "2/3", "-1.5", "0", "1/2", 7, 0, -2])
-ENDS = st.sampled_from("abcdz") | st.builds(Name, st.sampled_from("abcd")) | st.sampled_from([1, None, ["a"]])
+NAMES = st.sampled_from("abcdz") | st.builds(Name, st.sampled_from("abcd"))
+ENDS = NAMES | st.sampled_from([1, None, ["a"]])
 OTHER_VALUES = st.builds(Name, st.sampled_from(["1", "2/3"])) | st.sampled_from([1.5, True, "x", None, "1/0", ["1"]])
 VALUES = GOOD_VALUES | OTHER_VALUES
 PAIRS = [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d")]
@@ -334,15 +336,71 @@ def record_lists(draw):
 
 
 def read(reader, *args):
-    """What `reader(*args)` gives: its result, or the type and message of the ValueError it raises."""
+    """What `reader(*args)` gives: its result, or the type and message of the ValueError or `InvalidNetwork` it raises."""
     try:
         return reader(*args)
-    except ValueError as exc:
+    except (ValueError, InvalidNetwork) as exc:
         return type(exc), str(exc)
 
 
+ROLES = st.sampled_from(["generator", "load", "plain"])
+OTHER_ROLES = st.builds(Name, ROLES) | st.sampled_from(["source", "Load", "", 1, 1.5, True, None, ["load"], {"load": 1}])
+POSITIVE = st.sampled_from(["1", "2/3", "1.5", "1/2", 2, 7]) | st.builds(Name, st.sampled_from(["1", "2/3"]))
+NON_OBJECTS = st.sampled_from(["a", 3, None, ["a", "load"]])
+
+
+def missing(draw, rec: dict, keys: list[str]):
+    """rec without up to two of the keys, as a dict or a `Record`."""
+    for key in draw(st.sets(st.sampled_from(keys), max_size=2)):
+        del rec[key]
+    return Record(rec) if draw(st.booleans()) else rec
+
+
+@st.composite
+def odd_node(draw):
+    return missing(draw, {"id": draw(ENDS), "role": draw(ROLES | OTHER_ROLES)}, ["id", "role"])
+
+
+@st.composite
+def odd_edge(draw):
+    rec = {"a": draw(ENDS), "b": draw(ENDS), "s_min": draw(VALUES), "s_max": draw(VALUES), "cap": draw(VALUES)}
+    return missing(draw, rec, list(rec))
+
+
+@st.composite
+def network_documents(draw):
+    """A network on nodes a-d and edges among PAIRS, with up to two odd records or a document of the wrong shape."""
+    nodes = [{"id": draw(st.sampled_from([v, Name(v)])), "role": draw(ROLES)} for v in "abcd"]
+    edges = []
+    for a, b in draw(st.permutations(PAIRS))[: draw(st.integers(0, len(PAIRS)))]:
+        s = draw(POSITIVE)
+        edges.append({"a": a, "b": b, "s_min": s, "s_max": draw(st.sampled_from([s, "3"])), "cap": draw(POSITIVE)})
+    for _ in range(draw(st.integers(0, 2))):
+        records, odd = draw(st.sampled_from([(nodes, odd_node() | NON_OBJECTS), (edges, odd_edge() | NON_OBJECTS)]))
+        records.insert(draw(st.integers(0, len(records))), draw(odd))
+    doc = {"nodes": nodes, "edges": edges}
+    shape = draw(st.integers(0, 9))
+    if shape == 7:
+        del doc[draw(st.sampled_from(["nodes", "edges"]))]
+    elif shape == 8:
+        doc[draw(st.sampled_from(["nodes", "edges"]))] = draw(NON_OBJECTS | st.builds(dict))
+    elif shape == 9:
+        return Record(doc)
+    return doc
+
+
+@st.composite
+def node_maps(draw):
+    """A node-keyed map of values, with up to two odd values, or a map that is not an object."""
+    values = {draw(NAMES): draw(GOOD_VALUES) for _ in range(draw(st.integers(0, 4)))}
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.sampled_from("abcdz"))] = draw(OTHER_VALUES)
+    kind = draw(st.integers(0, 9))
+    return draw(NON_OBJECTS) if kind == 9 else Record(values) if kind == 8 else values
+
+
 class TestEdgeReadersMatchTheReference:
-    """The edge maps and the switch set, read on one shared reader, as the two loops it replaced read them."""
+    """Each reader of a document's records reads it as the two-path readers it replaced do: the edge maps, the switch set, networks and node maps."""
 
     @settings(max_examples=300)  # records are cheap to read; most lists carry an odd record or a repeat
     @given(records=record_lists())
@@ -355,6 +413,36 @@ class TestEdgeReadersMatchTheReference:
         for where in ("solution.flow", "outcome.assignment"):
             assert read(serialize._edge_map_in, records, where, by_pair, {}) == read(reference_edge_map_in, records, where, by_pair, {})
         assert read(serialize._switch_set_in, records, by_pair) == read(reference_switch_set_in, records, by_pair)
+
+    @settings(max_examples=300)
+    @given(doc=network_documents())
+    @example(doc={"nodes": [{"id": "a", "role": "generator"}, {"id": "b", "role": "load"}], "edges": [{"a": "a", "b": "b", "s_min": "2/3", "s_max": "2/3", "cap": "2/3"}]})
+    @example(doc={"nodes": [{"id": "a", "role": Name("generator")}, {"id": Name("b"), "role": "load"}], "edges": []})
+    @example(doc={"nodes": [{"id": "a", "role": ["load"]}], "edges": []})
+    @example(doc={"nodes": [{"id": "a", "role": "plain"}, {"id": "b", "role": "plain"}], "edges": [{"a": "a", "b": "b", "s_min": "1", "s_max": "1", "cap": "1/0"}]})
+    def test_a_network_document_reads_as_the_reference_reads_it(self, doc):
+        assert read(serialize.network_from_json, doc) == read(reference_network_from_json, doc)
+
+    @settings(max_examples=300)
+    @given(maps=st.tuples(node_maps(), node_maps(), node_maps()), records=record_lists())
+    @example(maps=({"a": "2/3", "b": "2/3"}, {"c": Name("2/3")}, {}), records=[{"a": "a", "b": "b", "value": "2/3"}])
+    @example(maps=({"a": ["1"]}, {"b": None}, {"c": True}), records=[])
+    def test_node_maps_and_solutions_read_as_the_reference_reads_them(self, maps, records):
+        doc = {"susceptance": records, "flow": list(reversed(records)), **dict(zip(["angle", "gen", "load"], maps))}
+        for key in ("angle", "gen", "load"):
+            assert read(serialize._node_map_in, doc, key, {}) == read(reference_node_map_in, doc, key, {})
+        by_pair = serialize._by_pair(RECORD_NET)
+
+        def reference(doc, seen):
+            return Solution(
+                susceptance=reference_edge_map_in(doc["susceptance"], "solution.susceptance", by_pair, seen),
+                flow=reference_edge_map_in(doc["flow"], "solution.flow", by_pair, seen),
+                angle=reference_node_map_in(doc, "angle", seen),
+                gen=reference_node_map_in(doc, "gen", seen),
+                load=reference_node_map_in(doc, "load", seen),
+            )
+
+        assert read(serialize.solution_from_json, doc, RECORD_NET) == read(reference, doc, {})
 
 
 class TestInstanceJson:
