@@ -31,7 +31,8 @@ class InvalidNetwork(LdcError):
     operand that is not a `Network`, and every solver, search and predicate
     that takes a network refuses an argument that is not one: `subnetwork`,
     `zero_solution`, the MPF and MSF solvers, the MFF searches and
-    `decide_mff`, `classical_max_flow`, and `classify`'s predicates.
+    `decide_mff`, `classical_max_flow`, `classify`'s predicates, and
+    `serialize`'s readers of solutions and outcomes.
     """
 
     def __init__(self, report):
@@ -42,11 +43,12 @@ class InvalidNetwork(LdcError):
 class MalformedProgram(LdcError):
     """A linear program that `solve_lp` or `write_lp_text` cannot read, or one out of standard form, which `solve_lp` refuses.
 
-    A program cannot be read when its variables are declared twice or lack
-    a bound entry, its bounds are inverted, its objective or a constraint
-    names an undeclared variable, or a row has the wrong width, a
-    denominator that is not a positive int or a relation other than <=, =,
-    >= and the range row `lp.RANGE` (|<=|).  It is out of standard form
+    Neither reads an argument that is not a `LinearProgram`; the message
+    names its type.  A program cannot be read when its variables are
+    declared twice or lack a bound entry, its bounds are inverted, its
+    objective or a constraint names an undeclared variable, or a row has
+    the wrong width, a denominator that is not a positive int or a
+    relation other than <=, =, >= and the range row `lp.RANGE` (|<=|).  It is out of standard form
     when a variable is not in [0, inf), a row is neither <= nor a range
     row or a right-hand side is negative; the message names the first
     such variable or row.

@@ -390,7 +390,9 @@ def _check_rows(rows: list[list[int]], rels: list[str], nvars: int) -> None:
 
 
 def _read_program(p: LinearProgram) -> tuple[list[tuple[int, Rational]], list[Rational | None], list[Rational | None]]:
-    """p's objective as (column, coefficient) pairs, and its lower and upper bounds; a program that cannot be read raises `MalformedProgram`."""
+    """p's objective as (column, coefficient) pairs, and its lower and upper bounds; a p that is not a `LinearProgram`, or a program that cannot be read, raises `MalformedProgram`."""
+    if not isinstance(p, LinearProgram):
+        raise MalformedProgram(f"a program must be a LinearProgram, got {type(p).__name__}")
     names = p.variables
     nvars = len(names)
     index = {v: j for j, v in enumerate(names)}

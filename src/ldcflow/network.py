@@ -186,18 +186,8 @@ class Network:
 
     @cached_property
     def _kept(self) -> int:
-        """The edges as a mask over the view's: every bit for a root, the bits of the root's edges it kept for a sub-network.
-
-        `subnetwork` keeps its parent's `Edge` objects in their order, so
-        a sub-network's edges are found among its root's by identity.
-        """
-        mask, j, edges = 0, 0, self._view.edges
-        for e in self.edges:
-            while edges[j] is not e:
-                j += 1
-            mask |= 1 << j
-            j += 1
-        return mask
+        """The edges as a mask over the view's: every bit for a root; `subnetwork` stores a sub-network's, the bits of the root's edges it kept."""
+        return (1 << len(self.edges)) - 1
 
     def role(self, name: NodeId) -> NodeRole:
         return self.roles[name]
@@ -210,15 +200,18 @@ class Network:
 class _View:
     """A root network's integer tables: node numbers in `node_names` order, and each edge as the bit 1 << j over `edges`.
 
-    They are the node index; each edge's end numbers; each node's
-    incident-edge mask and its (edge bit, other node) pairs; the masks of
-    the generators, of the loads and of the other nodes (`plain`); and
-    the capacities as integers over `scale`, the LCM of their
-    denominators.  A sub-network shares its root's view and reads its
-    own edges from it as the mask `Network._kept`.  Every edge mask
-    passed between layers, a sub-network's too, is over these bits.
+    They are the node index; the edge index `pairs`, each edge's (a, b)
+    to its j, the one way an edge is found by its ends; each edge's end
+    numbers; each node's incident-edge mask and its (edge bit, other
+    node) pairs; the masks of the generators, of the loads and of the
+    other nodes (`plain`); and the capacities as integers over `scale`,
+    the LCM of their denominators.  A sub-network shares its root's view
+    and reads its own edges from it as the mask `Network._kept`.  Every
+    edge mask passed between layers, a sub-network's too, is over these
+    bits.
 
-    Its readers: `classify`'s component walk and spanning forest,
+    Its readers: `subnetwork` and `serialize`'s edge records, which find
+    an edge by its pair; `classify`'s component walk and spanning forest,
     `mpf.core_maps`, the masks and cut bounds of both `msf` searches, and
     `maxflow`'s Edmonds-Karp, whose arcs are the kept edges' ends and
     capacities, scaled once here for the root and all its sub-networks.
@@ -227,6 +220,7 @@ class _View:
     def __init__(self, n: Network):
         self.edges = n.edges
         self.index = index = {v: i for i, v in enumerate(n.node_names)}
+        self.pairs = {(e.a, e.b): j for j, e in enumerate(n.edges)}
         self.ends = ends = [(index[e.a], index[e.b]) for e in n.edges]
         self.adjacent = adjacent = [[] for _ in index]
         for j, (a, b) in enumerate(ends):
@@ -383,36 +377,31 @@ def subnetwork(n: Network, switched: Iterable[Edge]) -> Network:
     starts from what n knows of its nodes (`roles`, `node_names`,
     `generators`, `loads`).  It shares n's integer view, its root's
     (`_View`), and so builds no tables of its own: its kept edges are a
-    mask in the root's edge bits.  Removing edges adds no FACTS edge and no
-    defect, so a sub-network of a fixed network knows it is fixed.
+    mask in the root's edge bits, stored as its `_kept`.  Removing edges
+    adds no FACTS edge and no defect, so a sub-network of a fixed network
+    knows it is fixed.
 
-    The searches switch n's own `Edge` objects, so the switched edges are
-    first found by identity, which hashes no `Edge`.  n holds no edge
-    twice, so the count shows whether every switched object is one of
-    n's; if any is not (an equal copy, or an edge n does not hold), the
-    edges are matched by equality, and an unknown one, an item that is
-    not an `Edge`, or a `switched` that is not iterable raises
-    `UnknownEdge`.  An n that is not a `Network` raises `InvalidNetwork`
-    naming it.
+    Each switched item is found by its pair in the view's edge index,
+    which hashes no `Edge`: it must be an `Edge` whose bit n keeps and
+    the root's edge there, or equal to it, so an equal copy and a repeat
+    are taken.  The first item that is not, or a `switched` that is not
+    iterable, raises `UnknownEdge`.  An n that is not a `Network` raises
+    `InvalidNetwork` naming it.
     """
     _require_network(n)
     if not isinstance(switched, Iterable):
         raise UnknownEdge(f"{switched!r} is not an iterable of edges")
-    switched = tuple(switched)
-    ids = set(map(id, switched))
-    kept = [e for e in n.edges if id(e) not in ids]
-    if len(kept) + len(ids) != len(n.edges):
-        removed = frozenset(e for e in switched if isinstance(e, Edge))
-        kept = [e for e in n.edges if e not in removed]
-        # the counts show that every switched item is an edge and was found
-        if len(kept) + len(removed) != len(n.edges) or len(removed) != len(switched):
-            have = set(n.edges)
-            for e in switched:
-                if not isinstance(e, Edge) or e not in have:
-                    raise UnknownEdge(f"{e} is not an edge of the network")
+    pairs, edges, kept, removed = n._view.pairs, n._view.edges, n._kept, 0
+    for e in switched:
+        j = pairs.get(e.pair) if isinstance(e, Edge) else None
+        if j is None or not kept >> j & 1 or (edges[j] is not e and edges[j] != e):
+            raise UnknownEdge(f"{e} is not an edge of the network")
+        removed |= 1 << j
+    kept &= ~removed
     sub = object.__new__(Network)
     cache = vars(sub)
-    cache.update(nodes=n.nodes, edges=tuple(kept))  # a list first: a tuple grown from a generator raised peak RSS
+    # a list first: a tuple grown from a generator raised peak RSS
+    cache.update(nodes=n.nodes, edges=tuple([e for j, e in enumerate(edges) if kept >> j & 1]), _kept=kept)
     cache.update((name, getattr(n, name)) for name in _SHARED)
     if not n.facts_edges:
         cache["facts_edges"] = ()

@@ -12,16 +12,19 @@ assignment (`assignment`).  The `*_outcome_to_json` functions write one,
 and `outcome_from_json` reads any of them; a reader ignores the keys it
 does not ask for.  The edge maps (a solution's `flow` and
 `susceptance`, an MFF outcome's `assignment`) and the switch set are
-read by one reader of edge-record lists (`_edge_records`): it resolves
-each record to the network's edge and refuses an edge that an earlier
-record named; an edge map then reads each record's `value` as it comes.
+read by one reader of edge-record lists (`_edge_records`): it finds
+each record's edge by its node pair in the network's view (the root's
+edge index, `network._View`), refuses a pair the network does not keep
+and an edge that an earlier record named; an edge map then reads each
+record's `value` as it comes.  An MSF outcome's solution is read against
+`subnetwork(n, switched)`, so a record naming a switched edge names no
+edge of it.  A reader that takes a network refuses an n that is not a
+`Network` with `InvalidNetwork` before it reads the document.
 
 Each top-level reader (`network_from_json`, `solution_from_json` and the
 outcome readers) parses each distinct rational string of its document
 once: a dict made for that call maps the strings it has read to their
-values.  No cache outlives the call.  Each of them likewise maps the
-network's edges by node pair once; an MSF outcome's solution is read
-against that map without the switched edges.
+values.  No cache outlives the call.
 
 Writers format each rational with `str`, which gives the text `rat_str`
 does, and order an edge map by `edge_key`.  Readers read each record
@@ -39,8 +42,7 @@ from typing import Any, Iterator
 from .mff import MffOutcome, SusAssignment
 from .mpf import MpfOutcome
 from .msf import MsfOutcome
-from .network import Edge, Network, NodeRole, Solution, SwitchSet, edge_key
-from .network import subnetwork  # noqa: F401  no reader calls it; perfbench's tracer still hooks this name
+from .network import Edge, Network, NodeRole, Solution, SwitchSet, _require_network, edge_key, subnetwork
 from .rational import Rational, rat
 from .reductions import (
     EncodedInstance,
@@ -153,39 +155,31 @@ def _node_map_out(mapping) -> dict:
     return {v: str(x) for v, x in sorted(mapping.items())}
 
 
-# a document's edges by their node pair, built once per top-level reader
-ByPair = dict[tuple[str, str], Edge]
+def _edge_records(records: list, where: str, n: Network) -> Iterator[tuple[Edge, Any]]:
+    """Each record's edge of n, found by its pair in n's view, with the record, in record order.
 
-
-def _by_pair(n: Network) -> ByPair:
-    return {(e.a, e.b): e for e in n.edges}
-
-
-def _edge_records(records: list, where: str, by_pair: ByPair) -> Iterator[tuple[Edge, Any]]:
-    """Each record's edge, with the record, in record order.
-
-    A record that names no edge of the network, or one an earlier record
-    named, raises a ValueError.  The loop stops at the first error, so a
-    caller that reads each record as it comes raises errors in record order.
+    A record that names no edge n keeps, or one an earlier record named
+    (a bit already in the mask `named`), raises a ValueError.  The loop
+    stops at the first error, so a caller that reads each record as it
+    comes raises errors in record order.
     """
-    edges: set[Edge] = set()
+    pairs, edges, kept, named = n._view.pairs, n._view.edges, n._kept, 0
     for i, rec in enumerate(records):
         at = (where, i)
         a, b = _get(rec, "a", at, str), _get(rec, "b", at, str)
         pair = (a, b) if a <= b else (b, a)
-        e = by_pair.get(pair)
-        if e is None:
+        j = pairs.get(pair)
+        if j is None or not kept >> j & 1:
             raise ValueError(f"{_at(at)}: no edge {pair[0]}--{pair[1]} in the network")
-        size = len(edges)
-        edges.add(e)
-        if len(edges) == size:
-            raise ValueError(f"{_at(at)}: edge {e.a}--{e.b} listed twice")
-        yield e, rec
+        if named >> j & 1:
+            raise ValueError(f"{_at(at)}: edge {edges[j].a}--{edges[j].b} listed twice")
+        named |= 1 << j
+        yield edges[j], rec
 
 
-def _edge_map_in(records: list, where: str, by_pair: ByPair, seen: Seen) -> dict[Edge, Rational]:
+def _edge_map_in(records: list, where: str, n: Network, seen: Seen) -> dict[Edge, Rational]:
     """The map the records give, each record's edge to its `value`."""
-    return {e: _rat_field(rec, "value", (where, i), seen) for i, (e, rec) in enumerate(_edge_records(records, where, by_pair))}
+    return {e: _rat_field(rec, "value", (where, i), seen) for i, (e, rec) in enumerate(_edge_records(records, where, n))}
 
 
 def solution_to_json(sol: Solution) -> dict:
@@ -203,10 +197,10 @@ def _node_map_in(data: dict, key: str, seen: Seen) -> dict:
     return {v: _rat(x, where, v, seen) for v, x in _get(data, key, "solution", dict).items()}
 
 
-def _solution_in(data: dict, by_pair: ByPair, seen: Seen) -> Solution:
+def _solution_in(data: dict, n: Network, seen: Seen) -> Solution:
     return Solution(
-        susceptance=_edge_map_in(_get(data, "susceptance", "solution", list), "solution.susceptance", by_pair, seen),
-        flow=_edge_map_in(_get(data, "flow", "solution", list), "solution.flow", by_pair, seen),
+        susceptance=_edge_map_in(_get(data, "susceptance", "solution", list), "solution.susceptance", n, seen),
+        flow=_edge_map_in(_get(data, "flow", "solution", list), "solution.flow", n, seen),
         angle=_node_map_in(data, "angle", seen),
         gen=_node_map_in(data, "gen", seen),
         load=_node_map_in(data, "load", seen),
@@ -215,7 +209,8 @@ def _solution_in(data: dict, by_pair: ByPair, seen: Seen) -> Solution:
 
 def solution_from_json(data: dict, n: Network) -> Solution:
     """Rebuild a solution against the network its maps refer to."""
-    return _solution_in(data, _by_pair(n), {})
+    _require_network(n)
+    return _solution_in(data, n, {})
 
 
 def mpf_outcome_to_json(out: MpfOutcome) -> dict:
@@ -223,17 +218,18 @@ def mpf_outcome_to_json(out: MpfOutcome) -> dict:
 
 
 def mpf_outcome_from_json(data: dict, n: Network) -> MpfOutcome:
+    _require_network(n)
     seen: Seen = {}
-    return MpfOutcome(_rat_field(data, "value", "outcome", seen), _solution_in(_get(data, "solution", "outcome"), _by_pair(n), seen))
+    return MpfOutcome(_rat_field(data, "value", "outcome", seen), _solution_in(_get(data, "solution", "outcome"), n, seen))
 
 
 def _switch_set_out(switched: SwitchSet) -> list[dict]:
     return [{"a": e.a, "b": e.b} for e in sorted(switched, key=edge_key)]
 
 
-def _switch_set_in(records: list, by_pair: ByPair) -> SwitchSet:
+def _switch_set_in(records: list, n: Network) -> SwitchSet:
     """The set of the edges the records name."""
-    return frozenset(e for e, _ in _edge_records(records, "outcome.switched", by_pair))
+    return frozenset(e for e, _ in _edge_records(records, "outcome.switched", n))
 
 
 def msf_outcome_to_json(out: MsfOutcome) -> dict:
@@ -246,14 +242,13 @@ def msf_outcome_to_json(out: MsfOutcome) -> dict:
 
 
 def msf_outcome_from_json(data: dict, n: Network) -> MsfOutcome:
-    by_pair, seen = _by_pair(n), {}
-    switched = _switch_set_in(_get(data, "switched", "outcome", list), by_pair)
-    for e in switched:
-        del by_pair[e.a, e.b]  # the solution lives on the sub-network without them
+    _require_network(n)
+    seen: Seen = {}
+    switched = _switch_set_in(_get(data, "switched", "outcome", list), n)
     return MsfOutcome(
         value=_rat_field(data, "value", "outcome", seen),
         switched=switched,
-        solution=_solution_in(_get(data, "solution", "outcome"), by_pair, seen),
+        solution=_solution_in(_get(data, "solution", "outcome"), subnetwork(n, switched), seen),  # the solution lives on the sub-network
     )
 
 
@@ -267,12 +262,13 @@ def mff_outcome_to_json(out: MffOutcome) -> dict:
 
 
 def mff_outcome_from_json(data: dict, n: Network) -> MffOutcome:
-    by_pair, seen = _by_pair(n), {}
-    assignment: SusAssignment = _edge_map_in(_get(data, "assignment", "outcome", list), "outcome.assignment", by_pair, seen)
+    _require_network(n)
+    seen: Seen = {}
+    assignment: SusAssignment = _edge_map_in(_get(data, "assignment", "outcome", list), "outcome.assignment", n, seen)
     return MffOutcome(
         value=_rat_field(data, "value", "outcome", seen),
         assignment=assignment,
-        solution=_solution_in(_get(data, "solution", "outcome"), by_pair, seen),
+        solution=_solution_in(_get(data, "solution", "outcome"), n, seen),
     )
 
 
@@ -281,6 +277,7 @@ _OUTCOMES = {"mpf": mpf_outcome_from_json, "msf": msf_outcome_from_json, "mff": 
 
 def outcome_from_json(data: dict, n: Network) -> MpfOutcome | MsfOutcome | MffOutcome:
     """The outcome a document describes, read by its `problem`; any other `problem` raises a ValueError naming the field."""
+    _require_network(n)
     problem = _get(data, "problem", "outcome", str)
     if problem not in _OUTCOMES:
         raise ValueError(f"outcome.problem must be one of {', '.join(_OUTCOMES)}, got {problem!r}")

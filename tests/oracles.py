@@ -44,14 +44,21 @@ port's flows edge by edge off the encoded network; the decoders in
 certificate or raise the same error with the same message.
 `reference_edge_map_in` and `reference_switch_set_in` are the two
 edge-record loops that `serialize`'s one reader replaced, each with its
-own resolution and listed-twice check; the readers on top of it must
-return the same map or set, or raise the same error with the same
-message.  They and `reference_network_from_json` read each record on the
+own resolution in a `{pair: edge}` map (`ByPair`) and its own
+listed-twice check; the readers on top of it, which find an edge by its
+pair in the network's view, must return the same map or set, or raise
+the same error with the same message.  They and `reference_network_from_json` read each record on the
 exact-type fast path (`_rat_in`, `_edge_of`) that `serialize` once had,
 and a record it refuses again with the checks that name the field
 (`_get`, `_rat_field`, `_edge_in`), all copied here as they were;
 `serialize`'s one path must read every document alike: the same network
 or map, or the same error with the same message.
+`reference_subnetwork` is the two-path `subnetwork` that the lookup in
+the root's edge index replaced: n's own edge objects found by identity,
+any other switch set matched by equality, with two count checks.  It
+returns the nodes and edges alone, and the new one must return a
+sub-network of the same nodes and edges, or raise the same
+`UnknownEdge` with the same message.
 `reference_zero_solution` and `reference_witness_tree` write out each
 map of a solution as `zero_solution` and `witness_tree` did before both
 went through `network`'s one assembler; those must return equal solutions.
@@ -71,6 +78,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, deque
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, permutations
@@ -80,10 +88,10 @@ from ldcflow import lp
 from ldcflow.lp import Lazy, LinearProgram, LpResult, LpStatus
 from ldcflow.maxflow import classical_max_flow
 from ldcflow.mpf import MpfOutcome, _require_fixed, core_maps, solve_mpf
-from ldcflow.network import Edge, Network, NodeRole, Part, Solution, SwitchSet, ValidationReport, Violation, subnetwork, zero_solution
+from ldcflow.network import Edge, Network, NodeRole, Part, Solution, SwitchSet, ValidationReport, Violation, _require_network, subnetwork, zero_solution
 from ldcflow.rational import ONE, Rational, ZERO, rat, rat_str
 from ldcflow.classify import connected_components
-from ldcflow.errors import DecodingFailed, InvalidInstance, NotACertificate, NotOptimal
+from ldcflow.errors import DecodingFailed, InvalidInstance, NotACertificate, NotOptimal, UnknownEdge
 from ldcflow.mff import MffOutcome
 from ldcflow.msf import MsfOutcome
 from ldcflow.reductions import (
@@ -99,7 +107,10 @@ from ldcflow.reductions import (
     encode_subset_sum_cactus_msf,
     encode_subset_sum_tree,
 )
-from ldcflow.serialize import ByPair, Seen
+from ldcflow.serialize import Seen
+
+# a document's edges by their node pair, the map each reference reader resolves records in
+ByPair = dict[tuple[str, str], Edge]
 
 
 def gauss_solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -1371,6 +1382,26 @@ def reference_switch_set_in(records: list, by_pair: ByPair) -> SwitchSet:
             raise ValueError(f"{at}: edge {e.a}--{e.b} listed twice")
         switched.add(e)
     return frozenset(switched)
+
+
+def reference_subnetwork(n: Network, switched: Iterable[Edge]) -> tuple[tuple, tuple[Edge, ...]]:
+    """The (nodes, edges) of n without the switched edges, found first by identity and then, if any switched object is not one of n's, by equality."""
+    _require_network(n)
+    if not isinstance(switched, Iterable):
+        raise UnknownEdge(f"{switched!r} is not an iterable of edges")
+    switched = tuple(switched)
+    ids = set(map(id, switched))
+    kept = [e for e in n.edges if id(e) not in ids]
+    if len(kept) + len(ids) != len(n.edges):
+        removed = frozenset(e for e in switched if isinstance(e, Edge))
+        kept = [e for e in n.edges if e not in removed]
+        # the counts show that every switched item is an edge and was found
+        if len(kept) + len(removed) != len(n.edges) or len(removed) != len(switched):
+            have = set(n.edges)
+            for e in switched:
+                if not isinstance(e, Edge) or e not in have:
+                    raise UnknownEdge(f"{e} is not an edge of the network")
+    return n.nodes, tuple(kept)
 
 
 def reference_zero_solution(n: Network) -> Solution:

@@ -160,6 +160,15 @@ def test_write_lp_text_refuses_what_solve_lp_refuses(rows, rels, lower, message)
         write_lp_text(p)
 
 
+@pytest.mark.parametrize("program", [None, {"variables": ["x"]}, "max x"], ids=["None", "dict", "str"])
+@pytest.mark.parametrize("read", [solve_lp, write_lp_text], ids=["solve_lp", "write_lp_text"])
+def test_what_is_not_a_program_is_refused_naming_its_type(read, program):
+    # None raised AttributeError: 'NoneType' object has no attribute 'variables'
+    with pytest.raises(MalformedProgram) as caught:
+        read(program)
+    assert str(caught.value) == f"a program must be a LinearProgram, got {type(program).__name__}"
+
+
 @pytest.mark.parametrize("den", [0, -1, F(1)], ids=["zero", "negative", "Fraction"])
 def test_constraints_refuse_a_denominator_that_is_not_a_positive_int(den):
     p = LinearProgram(["x"], {"x": F(0)}, {"x": None}, [[1, 3, den]], ["<="], {"x": F(1)})

@@ -28,7 +28,7 @@ from ldcflow.network import (
     zero_solution,
 )
 from ldcflow.serialize import network_from_json, network_to_json
-from oracles import reference_validate_network, reference_validate_solution, reference_zero_solution
+from oracles import reference_subnetwork, reference_validate_network, reference_validate_solution, reference_zero_solution
 
 GEN, LOAD, PLAIN = NodeRole.GENERATOR, NodeRole.LOAD, NodeRole.PLAIN
 NamedRecord = namedtuple("NamedRecord", "name role")
@@ -449,8 +449,54 @@ def copy_of(e: Edge) -> Edge:
     return fixed_edge(e.a, e.b, e.s_min, e.cap)
 
 
-class TestSwitchedEdgesByIdentity:
-    """A parent's own edge objects are found by identity; any other switch set goes the hashed way, with the same result."""
+@st.composite
+def parents_and_switch_sets(draw) -> tuple[Network, list]:
+    """A parent (a root, the root rebuilt from its records, or a sub-network of a sub-network) and a switch set.
+
+    The set holds the parent's own edges and equal copies of them, in a
+    drawn order and maybe repeated, with up to two items put in anywhere
+    that are no edge of the parent: a pair the root lacks, a root edge
+    the parent dropped, an edge on the parent's pair with another
+    capacity, or an item that is not an `Edge`.
+    """
+    root = draw(any_network | st.builds(gfch, st.just(1)))
+    kind = draw(st.sampled_from(["root", "rebuilt", "sub-network of a sub-network"]))
+    parent = root
+    if kind == "rebuilt":
+        parent = Network(root.nodes, root.edges)
+    elif kind != "root":
+        for _ in range(2):
+            parent = subnetwork(parent, [e for e in parent.edges if draw(st.booleans())])
+    own = list(parent.edges)
+    switched = draw(st.lists(st.sampled_from(own), max_size=5)) if own else []
+    switched = [replace(e) if draw(st.booleans()) else e for e in switched]  # an equal copy
+    names = root.node_names
+    lacking = [fixed_edge(a, b, 1, 1) for a in names for b in names if a < b and (a, b) not in {e.pair for e in root.edges}]
+    dropped = [e for e in root.edges if e not in parent.edges]
+    others = [*lacking[:1], fixed_edge(names[0], "zz", 1, 1), *dropped, *(replace(e, cap=e.cap + 1) for e in own[:2]), None, 5, "n0--n1", (names[0], names[1]), [names[0], names[1]]]
+    for _ in range(draw(st.integers(0, 2))):
+        switched.insert(draw(st.integers(0, len(switched))), draw(st.sampled_from(others)))
+    return parent, switched
+
+
+class TestSwitchedEdgesByPair:
+    """A switched edge is found by its pair in the root's edge index: the parent's own objects and equal copies alike, with the same result."""
+
+    @settings(max_examples=300)
+    @given(case=parents_and_switch_sets())
+    def test_it_matches_the_two_path_reference(self, case):
+        parent, switched = case
+        try:
+            expected = reference_subnetwork(parent, switched)
+        except UnknownEdge as exc:
+            with pytest.raises(UnknownEdge) as caught:
+                subnetwork(parent, switched)
+            assert str(caught.value) == str(exc)
+            return
+        sub = subnetwork(parent, iter(switched))
+        assert (sub.nodes, sub.edges) == expected and all(x is y for x, y in zip(sub.edges, expected[1]))
+        assert sub._view is parent._view
+        assert sub._kept == sum(1 << j for j, e in enumerate(parent._view.edges) if any(e is x for x in sub.edges))
 
     @staticmethod
     def parents() -> list[Network]:
@@ -493,15 +539,15 @@ class TestSwitchedEdgesByIdentity:
                         subnetwork(n, switched)
                     assert str(caught.value) == f"{unknown} is not an edge of the network"
 
-    def test_a_parents_own_edges_are_found_without_hashing_an_edge(self, monkeypatch):
+    def test_no_switch_set_hashes_an_edge(self, monkeypatch):
         n = random_ldc_network(random.Random(3702), min_edges=5)
         hashed = []
         monkeypatch.setattr(Edge, "__hash__", lambda e: hashed.append(e) or hash((e.a, e.b)))
-        for switched in ([], n.edges[:1], n.edges[1::2], [n.edges[0], n.edges[0]], n.edges):
-            subnetwork(n, switched)
+        for parent in (n, subnetwork(n, n.edges[-1:])):
+            own, copies = parent.edges, [copy_of(e) for e in parent.edges]
+            for switched in ([], own[:1], own[1::2], [own[0], own[0]], own, copies[:1], copies[::2], [own[0], copies[1], copies[1]]):
+                subnetwork(parent, switched)
         assert hashed == []
-        subnetwork(n, [copy_of(n.edges[0])])
-        assert hashed
 
 
 def returned_or_raised(call):

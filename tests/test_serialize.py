@@ -14,7 +14,7 @@ from ldcflow.msf import solve_msf_bnb
 from ldcflow.network import Network, NodeRole, Solution, fixed_edge
 from ldcflow.rational import decimal_str, is_decimal_exact, rat, rat_str
 from ldcflow.reductions import SubsetSumInstance, encode_subset_sum_cactus_msf
-from oracles import reference_edge_map_in, reference_network_from_json, reference_node_map_in, reference_rat, reference_switch_set_in
+from oracles import ByPair, reference_edge_map_in, reference_network_from_json, reference_node_map_in, reference_rat, reference_switch_set_in
 
 
 class TestRationals:
@@ -262,22 +262,18 @@ class TestSolutionJson:
         with pytest.raises(ValueError, match=re.escape(f"solution.flow[{len(doc['solution']['flow']) - 1}]: no edge {e['a']}--{e['b']} in the network")):
             serialize.msf_outcome_from_json(doc, n)
 
-    def test_each_reader_maps_the_edges_by_pair_once(self, monkeypatch):
-        n = gfch(2, "v", Polarity.MINUS)
-        fixed = encode_subset_sum_cactus_msf(SubsetSumInstance((1, 2, 3), 5)).network
-        calls = []
-        by_pair = serialize._by_pair
-        monkeypatch.setattr(serialize, "_by_pair", lambda m: calls.append(m) or by_pair(m))
-        reads = [
-            (serialize.solution_from_json, serialize.solution_to_json(solve_mpf(fixed).solution), fixed),
-            (serialize.outcome_from_json, serialize.mpf_outcome_to_json(solve_mpf(fixed)), fixed),
-            (serialize.outcome_from_json, serialize.msf_outcome_to_json(solve_msf_bnb(fixed)), fixed),
-            (serialize.outcome_from_json, serialize.mff_outcome_to_json(solve_mff_endpoints(n)), n),
-        ]
-        for read, doc, m in reads:
-            calls.clear()
-            read(doc, m)
-            assert calls == [m]
+    @pytest.mark.parametrize("n", [None, "g--v"], ids=["None", "str"])
+    @pytest.mark.parametrize(
+        "reader",
+        [serialize.solution_from_json, serialize.outcome_from_json, serialize.mpf_outcome_from_json, serialize.msf_outcome_from_json, serialize.mff_outcome_from_json],
+        ids=["solution", "outcome", "mpf", "msf", "mff"],
+    )
+    def test_a_reader_refuses_what_is_not_a_network_before_it_reads_the_document(self, reader, n):
+        # None raised AttributeError: 'NoneType' object has no attribute 'edges'
+        for doc in (None, {}, serialize.msf_outcome_to_json(solve_msf_bnb(gsch(1, "v", Polarity.MINUS)))):
+            with pytest.raises(InvalidNetwork) as caught:
+                reader(doc, n)
+            assert str(caught.value.report) == f"Structural at {n!r}: network is not a Network"
 
     def test_switched_records_are_named_by_position(self):
         n = gsch(1, "v", Polarity.MINUS)
@@ -300,6 +296,7 @@ RECORD_NET = Network(
     [("a", NodeRole.GENERATOR), ("b", NodeRole.PLAIN), ("c", NodeRole.PLAIN), ("d", NodeRole.LOAD)],
     [fixed_edge("a", "b", 1, 1), fixed_edge("a", "c", 2, 1), fixed_edge("b", "c", 1, 3), fixed_edge("c", "d", 1, 1)],
 )
+RECORD_BY_PAIR: ByPair = {e.pair: e for e in RECORD_NET.edges}  # the map the reference readers resolve records in
 GOOD_VALUES = st.sampled_from(["1", "2/3", "-1.5", "0", "1/2", 7, 0, -2])
 NAMES = st.sampled_from("abcdz") | st.builds(Name, st.sampled_from("abcd"))
 ENDS = NAMES | st.sampled_from([1, None, ["a"]])
@@ -409,10 +406,9 @@ class TestEdgeReadersMatchTheReference:
     @example(records=[Record(a="c", b="d", value="1"), {"a": "d", "b": "c", "value": "2"}])
     @example(records=[{"a": Name("a"), "b": "c", "value": Name("2/3")}, {"a": "c", "b": "a"}])
     def test_same_result_or_same_error(self, records):
-        by_pair = serialize._by_pair(RECORD_NET)
         for where in ("solution.flow", "outcome.assignment"):
-            assert read(serialize._edge_map_in, records, where, by_pair, {}) == read(reference_edge_map_in, records, where, by_pair, {})
-        assert read(serialize._switch_set_in, records, by_pair) == read(reference_switch_set_in, records, by_pair)
+            assert read(serialize._edge_map_in, records, where, RECORD_NET, {}) == read(reference_edge_map_in, records, where, RECORD_BY_PAIR, {})
+        assert read(serialize._switch_set_in, records, RECORD_NET) == read(reference_switch_set_in, records, RECORD_BY_PAIR)
 
     @settings(max_examples=300)
     @given(doc=network_documents())
@@ -431,12 +427,11 @@ class TestEdgeReadersMatchTheReference:
         doc = {"susceptance": records, "flow": list(reversed(records)), **dict(zip(["angle", "gen", "load"], maps))}
         for key in ("angle", "gen", "load"):
             assert read(serialize._node_map_in, doc, key, {}) == read(reference_node_map_in, doc, key, {})
-        by_pair = serialize._by_pair(RECORD_NET)
 
         def reference(doc, seen):
             return Solution(
-                susceptance=reference_edge_map_in(doc["susceptance"], "solution.susceptance", by_pair, seen),
-                flow=reference_edge_map_in(doc["flow"], "solution.flow", by_pair, seen),
+                susceptance=reference_edge_map_in(doc["susceptance"], "solution.susceptance", RECORD_BY_PAIR, seen),
+                flow=reference_edge_map_in(doc["flow"], "solution.flow", RECORD_BY_PAIR, seen),
                 angle=reference_node_map_in(doc, "angle", seen),
                 gen=reference_node_map_in(doc, "gen", seen),
                 load=reference_node_map_in(doc, "load", seen),
